@@ -96,7 +96,6 @@ from .optimize import (
     optimize_single_channel,
     trace_inner_bound,
     verify_alphabet_bound,
-    weighted_objective,
 )
 from .problem_io import (
     bundled_problem_path,
@@ -134,5 +133,4 @@ __all__ = [
     "solve_equality_lp", "source_nondegeneracy_report", "theta",
     "trace_inner_bound", "verify_alphabet_bound", "verify_chain_identities",
     "verify_linear_decomposition", "verify_noncrossing",
-    "weighted_objective",
 ]

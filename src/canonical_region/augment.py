@@ -46,6 +46,8 @@ MARGINAL_TOL = 1e-12
 FACTORIZATION_TOL = 1e-10
 MIXTURE_TOL = 1e-10
 MIXTURE_INPUT_TOL = 1e-9
+COLUMN_SUM_TOL = 1e-9     # reverse columns come from division: looser than ROW_TOL
+REBUILT_ROW_TOL = 1e-8    # dividing by p_k(x) magnifies a pair's MIXTURE_INPUT_TOL slack
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +341,26 @@ class AugmentedPmf:
         return self.joint.varset("V")
 
 
+def channel_product(spec: ProblemSpec, channels: Mapping[int, Channel]) -> JointPmf:
+    """The source law times ``q_k(z_k | x_k)`` for each slot k in ``channels``.
+
+    Adds one ``Z_k`` axis per slot, in increasing k; channel k must read ``X_k``.
+    """
+    arr = spec.source.probs
+    axes = list(spec.source.axes)
+    for k in sorted(channels):
+        ch = channels[k]
+        if ch.input != spec.x_alphabet(k):
+            raise StructuralError(
+                f"channel for slot {k} has input {ch.input}, expected {spec.x_alphabet(k)}"
+            )
+        shape = [1] * arr.ndim + [ch.output.size]
+        shape[k - 1] = ch.input.size
+        arr = arr[..., None] * ch.rows.reshape(shape)
+        axes.append((f"Z{k}", ch.output))
+    return JointPmf(axes, arr)
+
+
 def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> AugmentedPmf:
     """Build the augmented joint from the source law and one channel per slot.
 
@@ -352,19 +374,9 @@ def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> Augmented
         raise StructuralError(
             f"expected {len(slots)} channels for slots {slots}, got {len(channels)}"
         )
-    arr = spec.source.probs
-    axes = list(spec.source.axes)
-    for k, ch in zip(slots, channels):
-        if ch.input != spec.x_alphabet(k):
-            raise StructuralError(
-                f"channel for slot {k} has input {ch.input}, expected {spec.x_alphabet(k)}"
-            )
-        shape = [1] * arr.ndim + [ch.output.size]
-        shape[k - 1] = ch.input.size
-        arr = arr[..., None] * ch.rows.reshape(shape)
-        axes.append((f"Z{k}", ch.output))
-    joint = JointPmf(axes, arr)
-    aug = AugmentedPmf(joint, spec, dict(zip(slots, channels)))
+    bank = dict(zip(slots, channels))
+    joint = channel_product(spec, bank)
+    aug = AugmentedPmf(joint, spec, bank)
 
     back = joint.marginal([name for name, _ in spec.source.axes])
     err = float(np.abs(back - spec.source.probs).max())
@@ -390,13 +402,12 @@ class ReverseChannelPair:
 
     ``weights[z]`` is the output probability ``p'(z)`` and ``columns[z]``
     the conditional ``q'(x | z)`` on the input simplex.  Symbols listed in
-    ``zero_weight`` have ``p'(z) = 0``; their columns are uniform fillers
-    and carry no information.
+    :attr:`zero_weight` have ``p'(z) = 0``; their columns carry no
+    information.
     """
 
     weights: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
-    zero_weight: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
@@ -407,13 +418,17 @@ class ReverseChannelPair:
             )
         if w.min(initial=0.0) < 0.0 or abs(float(w.sum()) - 1.0) > ROW_TOL:
             raise StructuralError("weights must be a probability vector")
-        if cols.min(initial=0.0) < 0.0 or np.abs(cols.sum(axis=1) - 1.0).max() > 1e-9:
+        if cols.min(initial=0.0) < 0.0 or np.abs(cols.sum(axis=1) - 1.0).max() > COLUMN_SUM_TOL:
             raise StructuralError("each column must be a probability vector")
         w.setflags(write=False)
         cols.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "zero_weight", tuple(int(z) for z in self.zero_weight))
+
+    @property
+    def zero_weight(self) -> tuple[int, ...]:
+        """Output symbols with ``p'(z) = 0``."""
+        return tuple(int(z) for z in np.flatnonzero(self.weights == 0.0))
 
     @property
     def out_size(self) -> int:
@@ -443,8 +458,7 @@ def forward_to_reverse(spec: ProblemSpec, k: int, q: Channel) -> ReverseChannelP
     cols = np.full((q.output.size, q.input.size), 1.0 / q.input.size)
     positive = weights > 0.0
     cols[positive] = joint[:, positive].T / weights[positive, None]
-    zero = tuple(int(z) for z in np.flatnonzero(~positive))
-    pair = ReverseChannelPair(weights, cols, zero)
+    pair = ReverseChannelPair(weights, cols)
     err = mixture_error(spec, k, pair)
     if err > MIXTURE_TOL:
         raise NumericIntegrityError(
@@ -488,7 +502,7 @@ def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> C
         else:
             rows[x] = 1.0 / keep.size
     sums = rows.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-8:
+    if np.abs(sums - 1.0).max() > REBUILT_ROW_TOL:
         raise NumericIntegrityError(
             f"reconstructed channel rows sum to {sums}, too far from 1"
         )

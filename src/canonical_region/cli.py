@@ -28,8 +28,11 @@ files.  Exit codes: 0 success, 1 verification failure, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -85,15 +88,27 @@ def _jsonable(value):
 
 
 def _emit(records: list[dict], out: str | None) -> None:
+    """Write the JSONL records to ``out``; a regular file is replaced whole, mode kept."""
     if out is None:
         return
     lines = [
         json.dumps(_jsonable(r), sort_keys=True, separators=(",", ":"))
         for r in records
     ]
+    tmp = f"{out}.{os.getpid()}.tmp"   # beside the target; no live run shares a pid
     try:
-        Path(out).write_text("\n".join(lines) + "\n")
+        old = os.lstat(out) if os.path.lexists(out) else None
+        if old is not None and not stat.S_ISREG(old.st_mode):
+            tmp = out   # a rename would replace a device, FIFO or symlink: write in place
+        Path(tmp).write_text("\n".join(lines) + "\n")
+        if tmp != out:
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            os.replace(tmp, out)
     except OSError as exc:
+        if tmp != out:
+            with contextlib.suppress(OSError):   # the temporary may never have been made
+                os.unlink(tmp)
         raise InputError(f"cannot write {out}: {exc}") from exc
 
 

@@ -44,21 +44,24 @@ from .augment import (
     Channel,
     ProblemSpec,
     attach_channels,
+    channel_product,
     forward_to_reverse,
 )
 from .errors import StructuralError
-from .pmf import JointPmf, entropy, mi_sets
+from .pmf import cell_entropy, entropy, mi_sets
 from .region import corner_point, identity_permutation
 
 SIMPLEX_TOL = 1e-9
 DECOMPOSITION_TOL = 1e-9
+SIMPLEX_NEGATIVE_TOL = 1e-12    # round-off leaves simplex entries a few ulp below 0
+UNIT_NORM_TOL = 1e-12           # dividing by the norm leaves it a few ulp off 1
 
 
 def check_simplex_point(t, size: int) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.shape != (size,):
         raise StructuralError(f"simplex point has shape {t.shape}, expected ({size},)")
-    if not np.all(np.isfinite(t)) or t.min(initial=0.0) < -1e-12:
+    if not np.all(np.isfinite(t)) or t.min(initial=0.0) < -SIMPLEX_NEGATIVE_TOL:
         raise StructuralError("simplex point entries must be finite and >= 0")
     if abs(float(t.sum()) - 1.0) > SIMPLEX_TOL:
         raise StructuralError(f"simplex point mass {t.sum()!r} is not 1")
@@ -91,7 +94,7 @@ class Direction:
         if not np.all(np.isfinite(coords)) or coords.min(initial=0.0) < 0.0:
             raise StructuralError("direction weights must be finite and >= 0")
         norm = float(np.linalg.norm(coords))
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise StructuralError(f"direction must have unit 2-norm, got {norm!r}")
         rates.setflags(write=False)
         dists.setflags(write=False)
@@ -105,12 +108,11 @@ class Direction:
             raise StructuralError(
                 f"direction needs {m - j + l} coordinates, got shape {raw.shape}"
             )
-        if not np.all(np.isfinite(raw)) or raw.min(initial=0.0) < 0.0:
-            raise StructuralError("direction weights must be finite and >= 0")
         norm = float(np.linalg.norm(raw))
         if norm <= 0.0:
             raise StructuralError("direction must have a positive coordinate")
-        unit = raw / norm
+        with np.errstate(invalid="ignore"):   # inf / inf gives nan; __post_init__ rejects it
+            unit = raw / norm
         return cls(m, j, l, unit[: m - j], unit[m - j:])
 
     @property
@@ -214,24 +216,17 @@ def estimator_distortion(aug: AugmentedPmf, l: int, table: np.ndarray) -> float:
 # ---- rate side ---------------------------------------------------------------
 
 
-def _mixture_entropy(arr: np.ndarray) -> float:
-    """-sum a log2 a over positive cells (the array need not sum to 1)."""
-    flat = arr[arr > 0.0]
-    return float(-(flat * np.log2(flat)).sum())
-
-
 class FunctionalContext:
     """Everything needed to evaluate the slot-k functionals.
 
     Holds the spec, the slot index k, the frozen channels of every other
-    slot, and optionally the direction (required by :func:`theta`) and the
-    incumbent reverse columns (used by the optimizer's candidate pool).
+    slot, and optionally the direction (required by :func:`theta`).
     Precomputes the frozen-channel joint (the augmented law *without*
     slot k) and caches the conditional tensors each functional needs.
     """
 
     __slots__ = (
-        "spec", "k", "frozen", "direction", "incumbent_columns",
+        "spec", "k", "frozen", "direction",
         "base", "p_k", "_phi_cache", "_psi_cache", "_rate_const_cache",
     )
 
@@ -241,7 +236,6 @@ class FunctionalContext:
         k: int,
         frozen: Mapping[int, Channel],
         direction: Direction | None = None,
-        incumbent_columns: np.ndarray | None = None,
     ) -> None:
         if k not in spec.channel_slots:
             raise StructuralError(f"slot {k} is not in {spec.channel_slots}")
@@ -255,35 +249,12 @@ class FunctionalContext:
         ):
             raise StructuralError("direction dimensions do not match the spec")
 
-        arr = spec.source.probs
-        axes = list(spec.source.axes)
-        for kk in sorted(frozen):
-            ch = frozen[kk]
-            if ch.input != spec.x_alphabet(kk):
-                raise StructuralError(
-                    f"frozen channel for slot {kk} has input {ch.input}, "
-                    f"expected {spec.x_alphabet(kk)}"
-                )
-            shape = [1] * arr.ndim + [ch.output.size]
-            shape[kk - 1] = ch.input.size
-            arr = arr[..., None] * ch.rows.reshape(shape)
-            axes.append((f"Z{kk}", ch.output))
-
         self.spec = spec
         self.k = k
         self.frozen = dict(frozen)
         self.direction = direction
-        self.base = JointPmf(axes, arr)
+        self.base = channel_product(spec, self.frozen)
         self.p_k = spec.x_marginal(k)
-        if incumbent_columns is not None:
-            cols = np.array(incumbent_columns, dtype=float)
-            if cols.ndim != 2 or cols.shape[1] != self.p_k.size:
-                raise StructuralError(
-                    f"incumbent columns have shape {cols.shape}, expected (*, {self.p_k.size})"
-                )
-            self.incumbent_columns = cols
-        else:
-            self.incumbent_columns = None
         self._phi_cache: dict[int, tuple] = {}
         self._psi_cache: dict[int, np.ndarray] = {}
         self._rate_const_cache: dict[int, float] = {}
@@ -370,9 +341,9 @@ def phi_parts(ctx: FunctionalContext, i: int, t) -> tuple[float, float]:
         phi1 = const
     else:
         m1 = np.tensordot(t, a1, axes=(0, 0))          # (x_i, *u1)
-        phi1 = _mixture_entropy(m1) - _mixture_entropy(m1.sum(axis=0))
+        phi1 = cell_entropy(m1) - cell_entropy(m1.sum(axis=0))
     m2 = np.tensordot(t, a2, axes=(0, 0))              # (x_i, *u2)
-    phi2 = _mixture_entropy(m2) - _mixture_entropy(m2.sum(axis=0))
+    phi2 = cell_entropy(m2) - cell_entropy(m2.sum(axis=0))
     return float(phi1), float(phi2)
 
 

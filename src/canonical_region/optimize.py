@@ -58,6 +58,8 @@ MAX_BRUTE_EVALS = 15_000_000
 SWEEP_IMPROVEMENT_TOL = 1e-9
 MONOTONE_TOL = 1e-10
 SUPPORT_WEIGHT_TOL = 1e-12
+RESOLVE_FEAS_TOL = 1e-10    # least-squares re-solve of a reduced support: weights, mixture
+RESOLVE_VALUE_TOL = 1e-11   # a reduced support may not raise the LP value by more than this
 CHUNK = 8192
 
 __all__ = [
@@ -68,7 +70,6 @@ __all__ = [
     "TracePoint",
     "AlphabetBoundEntry",
     "AlphabetBoundReport",
-    "weighted_objective",
     "optimize_single_channel",
     "coordinate_descent",
     "default_multistart_inits",
@@ -98,12 +99,6 @@ class OptimizeResult:
         return len(self.trace) - 1
 
 
-def weighted_objective(spec: ProblemSpec, channels: Sequence[Channel],
-                       direction: Direction) -> float:
-    """Direction-weighted sum of the free corner rates and the distortions."""
-    return direct_weighted_value(spec, channels, direction)
-
-
 def _rd_point(spec: ProblemSpec, channels: Sequence[Channel],
               perm: Sequence[int] | None = None) -> RDPoint:
     aug = attach_channels(spec, channels)
@@ -116,7 +111,8 @@ def _rd_point(spec: ProblemSpec, channels: Sequence[Channel],
 # ---- single-slot linear program ------------------------------------------------
 
 
-def _candidate_pool(ctx: FunctionalContext, candidates: int, seed) -> np.ndarray:
+def _candidate_pool(ctx: FunctionalContext, candidates: int, seed,
+                    incumbent_columns) -> np.ndarray:
     """Deterministic stratified pool of simplex points over X_k.
 
     Order: vertices, pairwise midpoints, barycenter, seeded Dirichlet(1)
@@ -133,8 +129,11 @@ def _candidate_pool(ctx: FunctionalContext, candidates: int, seed) -> np.ndarray
     rng = np.random.default_rng(seed)
     if candidates > 0 and n > 1:
         pool.extend(rng.dirichlet(np.ones(n), size=candidates))
-    if ctx.incumbent_columns is not None:
-        pool.extend(np.asarray(col, dtype=float) for col in ctx.incumbent_columns)
+    if incumbent_columns is not None:
+        cols = np.array(incumbent_columns, dtype=float)
+        if cols.ndim != 2 or cols.shape[1] != n:
+            raise StructuralError(f"incumbent columns have shape {cols.shape}, expected (*, {n})")
+        pool.extend(cols)
     seen = set()
     unique = []
     for t in pool:
@@ -156,13 +155,13 @@ def _minimal_support(pool: np.ndarray, values: np.ndarray, p_k: np.ndarray,
     def resolve(combo: tuple[int, ...]):
         cols = pool[list(combo)].T
         sol, *_ = np.linalg.lstsq(cols, p_k, rcond=None)
-        if sol.min(initial=0.0) < -1e-10:
+        if sol.min(initial=0.0) < -RESOLVE_FEAS_TOL:
             return None
         sol = np.maximum(sol, 0.0)
-        if np.abs(cols @ sol - p_k).max() > 1e-10:
+        if np.abs(cols @ sol - p_k).max() > RESOLVE_FEAS_TOL:
             return None
         value = float(values[list(combo)] @ sol)
-        if value > v0 + 1e-11:
+        if value > v0 + RESOLVE_VALUE_TOL:
             return None
         return sol
 
@@ -181,20 +180,20 @@ def _minimal_support(pool: np.ndarray, values: np.ndarray, p_k: np.ndarray,
 
 
 def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64,
-                            seed=0) -> ReverseChannelPair:
+                            seed=0, incumbent_columns=None) -> ReverseChannelPair:
     """Globally optimize slot k's reverse pair over a finite candidate pool.
 
     Evaluates theta on every pool point and solves the mixture LP with the
     two-phase simplex.  The vertex columns guarantee feasibility, and a
-    basic optimum keeps at most ``|X_k|`` columns.  When the incumbent's
-    columns are in the pool (they are, whenever the context carries them),
-    the optimum is at least as good as the incumbent.
+    basic optimum keeps at most ``|X_k|`` columns.  ``incumbent_columns``
+    (shape ``(*, |X_k|)``) joins the pool, so the optimum is then at least
+    as good as the incumbent.
     """
     if ctx.direction is None:
         raise StructuralError("optimize_single_channel needs a direction in the context")
     from .simplex import solve_equality_lp
 
-    pool = _candidate_pool(ctx, candidates, seed)
+    pool = _candidate_pool(ctx, candidates, seed, incumbent_columns)
     values = np.array([theta(ctx, t) for t in pool])
     result = solve_equality_lp(values, pool.T, ctx.p_k)
     if result.status != "optimal":
@@ -230,17 +229,18 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
     if sweeps < 1:
         raise StructuralError(f"sweeps must be >= 1, got {sweeps}")
     channels = list(init)
-    trace = [weighted_objective(spec, channels, direction)]
+    trace = [direct_weighted_value(spec, channels, direction)]
     for sweep in range(sweeps):
         for pos, k in enumerate(slots):
             frozen = {kk: ch for kk, ch in zip(slots, channels) if kk != k}
             incumbent = forward_to_reverse(spec, k, channels[pos])
-            ctx = FunctionalContext(
-                spec, k, frozen, direction, incumbent_columns=incumbent.columns,
+            ctx = FunctionalContext(spec, k, frozen, direction)
+            pair = optimize_single_channel(
+                ctx, candidates, seed=(seed, sweep, k),
+                incumbent_columns=incumbent.columns,
             )
-            pair = optimize_single_channel(ctx, candidates, seed=(seed, sweep, k))
             channels[pos] = reverse_to_forward(spec, k, pair)
-        value = weighted_objective(spec, channels, direction)
+        value = direct_weighted_value(spec, channels, direction)
         if value > trace[-1] + MONOTONE_TOL:
             raise NumericIntegrityError(
                 f"objective rose from {trace[-1]!r} to {value!r} in sweep {sweep + 1}"
@@ -366,7 +366,7 @@ def brute_force_search(
 
     if not slots:
         # nothing to search: the objective is channel-free
-        values = np.array([weighted_objective(spec, [], d) for d in directions])
+        values = np.array([direct_weighted_value(spec, [], d) for d in directions])
         return values, [[] for _ in directions]
 
     lattices = [_simplex_lattice(grid, z) for z in z_sizes]

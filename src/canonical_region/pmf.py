@@ -203,6 +203,12 @@ def marginalize(p: JointPmf, keep: VarSet) -> JointPmf:
     return JointPmf([p.axes[i] for i in kept], probs)
 
 
+def cell_entropy(arr: np.ndarray) -> float:
+    """-sum a log2 a over the positive cells of ``arr`` (which need not sum to 1)."""
+    flat = arr[arr > 0.0]
+    return float(-(flat * np.log2(flat)).sum())
+
+
 def _joint_entropy(p: JointPmf, vs: VarSet) -> float:
     """H of the variables in ``vs`` (0.0 for the empty set), cached per pmf."""
     p.check_varset(vs)
@@ -212,9 +218,7 @@ def _joint_entropy(p: JointPmf, vs: VarSet) -> float:
     if not vs:
         return 0.0
     drop = tuple(sorted(set(range(p.ndim)) - set(vs.indices())))
-    m = p.probs.sum(axis=drop) if drop else p.probs
-    m = m[m > 0.0]
-    value = float(-(m * np.log2(m)).sum())
+    value = cell_entropy(p.probs.sum(axis=drop) if drop else p.probs)
     p._entropy_cache[vs.mask] = value
     return value
 

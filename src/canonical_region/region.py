@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ ACTIVE_TOL = 1e-9
 DISTINCT_TOL = 1e-6
 NONDEGENERACY_THRESHOLD = 1e-7
 MAX_SOURCES_FOR_ENUMERATION = 6
+RATE_NEGATIVE_TOL = 1e-12   # rates from float cancellation land a few ulp below 0
 
 Permutation = tuple[int, ...]
 RateVector = np.ndarray
@@ -138,13 +139,13 @@ def membership(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE_TOL) ->
     """Evaluate every group constraint at ``rates``.
 
     ``rates`` must have one nonnegative entry per source (entries within
-    ``-1e-12`` are treated as zero).  Entries come back in bitmask order,
-    so reports are deterministic and comparable across runs.
+    ``RATE_NEGATIVE_TOL`` below zero count as zero).  Entries come back in
+    bitmask order, so reports are deterministic and comparable across runs.
     """
     r = np.asarray(rates, dtype=float)
     if r.shape != (aug.m,):
         raise StructuralError(f"rate vector has shape {r.shape}, expected ({aug.m},)")
-    if r.min(initial=0.0) < -1e-12:
+    if r.min(initial=0.0) < -RATE_NEGATIVE_TOL:
         raise StructuralError(f"rate vector has a negative entry: {r}")
     entries = []
     for group in _groups_in_mask_order(aug.m):
@@ -245,6 +246,23 @@ class NondegeneracyReport:
         return self.min_value < self.threshold
 
 
+def _disjoint_group_pairs(m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """``(I, I', complement of I u I')`` once per unordered disjoint nonempty pair.
+
+    Ordered by I's bitmask, then by I' size and combination order.
+    """
+    for mask_a in range(1, 1 << m):
+        group_a = tuple(i + 1 for i in range(m) if mask_a >> i & 1)
+        rest = [i for i in range(m) if not mask_a >> i & 1]
+        for r in range(1, len(rest) + 1):
+            for combo in itertools.combinations(rest, r):
+                if sum(1 << i for i in combo) < mask_a:
+                    continue  # unordered pairs once
+                group_b = tuple(i + 1 for i in combo)
+                cond = tuple(i + 1 for i in rest if i not in combo)
+                yield group_a, group_b, cond
+
+
 def nondegeneracy_report(aug: AugmentedPmf,
                          threshold: float = NONDEGENERACY_THRESHOLD) -> NondegeneracyReport:
     """Probe every disjoint pair of description groups for vanishing dependence.
@@ -254,24 +272,11 @@ def nondegeneracy_report(aug: AugmentedPmf,
     points collide and tight-set uniqueness fails.  M = 1 is vacuously
     nondegenerate.
     """
-    m = aug.m
-    entries = []
-    for mask_a in range(1, 1 << m):
-        rest = [i for i in range(m) if not mask_a >> i & 1]
-        group_a = tuple(i + 1 for i in range(m) if mask_a >> i & 1)
-        for r in range(1, len(rest) + 1):
-            for combo in itertools.combinations(rest, r):
-                mask_b = sum(1 << i for i in combo)
-                if mask_b < mask_a:
-                    continue  # unordered pairs once
-                group_b = tuple(i + 1 for i in combo)
-                cond = tuple(
-                    i + 1 for i in range(m)
-                    if not (mask_a >> i & 1 or mask_b >> i & 1)
-                )
-                value = _mi_zz(aug, group_a, group_b, cond)
-                entries.append((group_a, group_b, value))
-    return NondegeneracyReport(tuple(entries), threshold)
+    entries = tuple(
+        (group_a, group_b, _mi_zz(aug, group_a, group_b, cond))
+        for group_a, group_b, cond in _disjoint_group_pairs(aug.m)
+    )
+    return NondegeneracyReport(entries, threshold)
 
 
 def source_nondegeneracy_report(source: JointPmf, m: int,
@@ -287,18 +292,10 @@ def source_nondegeneracy_report(source: JointPmf, m: int,
     """
     entries = []
     s = source.varset("S")
-    for mask_a in range(1, 1 << m):
-        group_a = tuple(i + 1 for i in range(m) if mask_a >> i & 1)
-        rest = [i for i in range(m) if not mask_a >> i & 1]
-        for r in range(1, len(rest) + 1):
-            for combo in itertools.combinations(rest, r):
-                mask_b = sum(1 << i for i in combo)
-                if mask_b < mask_a:
-                    continue
-                group_b = tuple(i + 1 for i in combo)
-                a = VarSet.of(source.axis_index(f"X{i}") for i in group_a)
-                b = VarSet.of(source.axis_index(f"X{i}") for i in group_b)
-                entries.append((group_a, group_b, mi_sets(source, a, b, s)))
+    for group_a, group_b, _ in _disjoint_group_pairs(m):
+        a = VarSet.of(source.axis_index(f"X{i}") for i in group_a)
+        b = VarSet.of(source.axis_index(f"X{i}") for i in group_b)
+        entries.append((group_a, group_b, mi_sets(source, a, b, s)))
     return NondegeneracyReport(tuple(entries), threshold)
 
 

@@ -228,6 +228,13 @@ def test_reverse_pair_validation():
     pair = ReverseChannelPair([0.25, 0.75], [[1.0, 0.0], [0.0, 1.0]])
     assert np.allclose(pair.mixture(), [0.25, 0.75])
     assert pair.out_size == 2
+    assert pair.zero_weight == ()
+
+
+def test_reverse_pair_zero_weight_follows_weights():
+    cols = [[0.5, 0.5], [1.0, 0.0]]
+    assert ReverseChannelPair([1.0, 0.0], cols).zero_weight == (1,)
+    assert ReverseChannelPair([0.0, 1.0], cols).zero_weight == (0,)
 
 
 def test_forward_to_reverse_validates_slot():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import warnings
 from fractions import Fraction
 
@@ -372,6 +374,54 @@ def test_cli_input_errors(tmp_path):
     # quarter-circle sweeps need exactly two weight coordinates
     assert main(["trace", "helper3", "--sweep", "3"]) == 2
     assert main(["trace", "bwz", "--sweep", "1"]) == 2
+
+
+def test_cli_out_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "taken"
+    target.mkdir()
+    argv = ["extreme-points", "bwz", "--out"]
+    assert main(argv + [str(target)]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(target.iterdir()) == []
+    out = tmp_path / "corners.jsonl"
+    out.write_text("stale\n")
+    assert main(argv + [str(out)]) == 0
+    assert read_records(out)[0]["type"] == "run"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corners.jsonl", "taken"]
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    before = out.read_bytes()
+    monkeypatch.setattr(os, "replace", fail)
+    assert main(["verify", "identities", "bwz", "--trials", "3", "--out", str(out)]) == 2
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corners.jsonl", "taken"]
+
+
+def test_cli_out_writes_through_non_regular_targets(tmp_path):
+    argv = ["extreme-points", "bwz", "--out"]
+    assert main(argv + [os.devnull]) == 0
+    assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+    assert not os.path.lexists(f"{os.devnull}.{os.getpid()}.tmp")
+    real = tmp_path / "real.jsonl"
+    real.write_text("stale\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink()
+    assert read_records(real)[0]["type"] == "run"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
+
+
+def test_cli_out_keeps_mode_of_existing_file(tmp_path):
+    out = tmp_path / "corners.jsonl"
+    out.write_text("stale\n")
+    out.chmod(0o640)
+    assert main(["extreme-points", "bwz", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert read_records(out)[0]["type"] == "run"
 
 
 def test_cli_trace_sweep(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from canonical_region import (
+    Alphabet,
     Direction,
     Estimator,
     FunctionalContext,
@@ -29,6 +30,7 @@ from canonical_region import (
     theta,
     verify_linear_decomposition,
 )
+from canonical_region.augment import MARGINAL_TOL, channel_product
 from canonical_region.functionals import check_simplex_point
 from conftest import make_spec
 
@@ -261,6 +263,29 @@ def test_functional_context_validation():
         psi(ctx, 2, np.ones(spec.x_alphabets[1].size) / spec.x_alphabets[1].size)
     with pytest.raises(StructuralError):
         ctx.rate_constant(2)
+
+
+def test_functional_context_uses_the_channel_product():
+    rng = np.random.default_rng(61)
+    for _ in range(4):
+        spec = make_spec(rng, m=3, j=int(rng.integers(0, 2)), l=1)
+        chans = random_channels(spec, rng)
+        bank = dict(zip(spec.channel_slots, chans))
+        aug = attach_channels(spec, chans)
+        for k in spec.channel_slots:
+            frozen = {kk: ch for kk, ch in bank.items() if kk != k}
+            ctx = FunctionalContext(spec, k, frozen)
+            expected = channel_product(spec, frozen).probs
+            assert ctx.base.probs.tobytes() == expected.tobytes()
+            assert [name for name, _ in ctx.base.axes] == (
+                [name for name, _ in spec.source.axes] + [f"Z{kk}" for kk in sorted(frozen)]
+            )
+            summed = aug.joint.probs.sum(axis=aug.joint.axis_index(f"Z{k}"))
+            assert np.abs(summed - ctx.base.probs).max() <= MARGINAL_TOL
+    spec = make_spec(rng, m=2, j=0, l=1)
+    wrong = identity_channel(Alphabet("X9", spec.x_alphabets[0].size))
+    with pytest.raises(StructuralError):
+        FunctionalContext(spec, 2, {1: wrong})     # same check as attach_channels
 
 
 def test_decomposition_holds_across_shapes(dsbs):

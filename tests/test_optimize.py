@@ -27,7 +27,6 @@ from canonical_region import (
     theta,
     trace_inner_bound,
     verify_alphabet_bound,
-    weighted_objective,
 )
 from canonical_region.optimize import _simplex_lattice
 from conftest import make_spec
@@ -83,7 +82,7 @@ def test_brute_force_matches_direct_enumeration(dsbs):
     values, banks = brute_force_search(dsbs, dirs, [1, 2], grid)
     for i, d in enumerate(dirs):
         assert abs(values[i] - best[i]) < 1e-12
-        assert abs(weighted_objective(dsbs, banks[i], d) - values[i]) < 1e-12
+        assert abs(direct_weighted_value(dsbs, banks[i], d) - values[i]) < 1e-12
         assert [ch.output.size for ch in banks[i]] == [1, 2]
 
 
@@ -133,13 +132,14 @@ def test_single_slot_lp_beats_incumbent():
         (incumbent,) = random_channels(spec, rng)
         d = random_direction(spec.m, spec.j, spec.l, rng)
         pair0 = forward_to_reverse(spec, 2, incumbent)
-        ctx = FunctionalContext(spec, 2, {}, d, incumbent_columns=pair0.columns)
+        ctx = FunctionalContext(spec, 2, {}, d)
         incumbent_value = sum(
             pair0.weights[z] * theta(ctx, pair0.columns[z])
             for z in range(pair0.out_size)
             if pair0.weights[z] > 0.0
         )
-        pair = optimize_single_channel(ctx, candidates=32, seed=trial)
+        pair = optimize_single_channel(ctx, candidates=32, seed=trial,
+                                       incumbent_columns=pair0.columns)
         value = sum(
             pair.weights[z] * theta(ctx, pair.columns[z])
             for z in range(pair.out_size)
@@ -155,6 +155,16 @@ def test_single_slot_lp_requires_direction():
     ctx = FunctionalContext(spec, 1, {})
     with pytest.raises(StructuralError):
         optimize_single_channel(ctx)
+
+
+def test_single_slot_lp_validates_incumbent_shape():
+    rng = np.random.default_rng(86)
+    spec = make_spec(rng, m=1, j=0, l=1)
+    n = spec.x_alphabets[0].size
+    ctx = FunctionalContext(spec, 1, {}, random_direction(1, 0, 1, rng))
+    for bad in (np.ones(n) / n, np.ones((2, n + 1)) / (n + 1)):
+        with pytest.raises(StructuralError):
+            optimize_single_channel(ctx, candidates=4, incumbent_columns=bad)
 
 
 def test_lp_matches_two_point_envelope(bwz):

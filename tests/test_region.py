@@ -28,6 +28,7 @@ from canonical_region import (
     verify_chain_identities,
     verify_noncrossing,
 )
+from canonical_region.region import _disjoint_group_pairs
 from conftest import make_spec
 
 
@@ -262,3 +263,16 @@ def test_corner_sum_rate_is_permutation_invariant():
     full = rate_lhs(aug, range(1, 4))
     for _, rates in enumerate_extreme_points(aug):
         assert abs(float(rates.sum()) - full) < 1e-9
+
+
+def test_disjoint_group_pairs_cover_each_unordered_pair_once():
+    for m in range(1, 7):
+        pairs = list(_disjoint_group_pairs(m))
+        assert len(pairs) == (3 ** m - 2 ** (m + 1) + 1) // 2
+        seen = set()
+        for group_a, group_b, rest in pairs:
+            assert group_a and group_b and not set(group_a) & set(group_b)
+            assert rest == tuple(i for i in range(1, m + 1)
+                                 if i not in group_a and i not in group_b)
+            seen.add(frozenset((group_a, group_b)))
+        assert len(seen) == len(pairs)
