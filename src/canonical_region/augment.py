@@ -416,6 +416,8 @@ class ReverseChannelPair:
             raise StructuralError(
                 f"weights {w.shape} and columns {cols.shape} are inconsistent"
             )
+        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(cols)):
+            raise StructuralError("weights and columns must be finite")
         if w.min(initial=0.0) < 0.0 or abs(float(w.sum()) - 1.0) > ROW_TOL:
             raise StructuralError("weights must be a probability vector")
         if cols.min(initial=0.0) < 0.0 or np.abs(cols.sum(axis=1) - 1.0).max() > COLUMN_SUM_TOL:

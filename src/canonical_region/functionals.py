@@ -29,6 +29,10 @@ of a fixed functional F evaluated at the reverse columns:
   enter as precomputed constants, so the mixture of theta over a reverse
   pair reproduces the full weighted objective exactly.
 
+Each of ``phi``, ``phi_parts``, ``psi`` and ``theta`` takes one simplex
+point ``t`` (and returns floats) or a ``(P, |X_k|)`` pool of them (and
+returns ``(P,)`` arrays); a point is evaluated as a pool of one.
+
 :func:`verify_linear_decomposition` checks that reproduction numerically
 for every slot.
 """
@@ -48,24 +52,44 @@ from .augment import (
     forward_to_reverse,
 )
 from .errors import StructuralError
-from .pmf import cell_entropy, entropy, mi_sets
+from .pmf import cell_entropies, entropy, mi_sets
 from .region import corner_point, identity_permutation
 
 SIMPLEX_TOL = 1e-9
 DECOMPOSITION_TOL = 1e-9
 SIMPLEX_NEGATIVE_TOL = 1e-12    # round-off leaves simplex entries a few ulp below 0
 UNIT_NORM_TOL = 1e-12           # dividing by the norm leaves it a few ulp off 1
+MIN_DIRECTION_NORM = 1e-3       # redraw near-zero draws: normalizing them magnifies round-off
 
 
 def check_simplex_point(t, size: int) -> np.ndarray:
+    """``t`` as a simplex point ``(size,)`` or a pool of them ``(P, size)``.
+
+    Every row must be finite, nonnegative up to ``SIMPLEX_NEGATIVE_TOL``
+    and of mass 1 within ``SIMPLEX_TOL``; round-off negatives are clipped.
+    """
     t = np.asarray(t, dtype=float)
-    if t.shape != (size,):
-        raise StructuralError(f"simplex point has shape {t.shape}, expected ({size},)")
-    if not np.all(np.isfinite(t)) or t.min(initial=0.0) < -SIMPLEX_NEGATIVE_TOL:
+    if t.ndim not in (1, 2) or t.shape[-1] != size or t.size == 0:
+        raise StructuralError(
+            f"simplex points have shape {t.shape}, expected ({size},) or (P, {size})"
+        )
+    if not np.all(np.isfinite(t)) or t.min() < -SIMPLEX_NEGATIVE_TOL:
         raise StructuralError("simplex point entries must be finite and >= 0")
-    if abs(float(t.sum()) - 1.0) > SIMPLEX_TOL:
-        raise StructuralError(f"simplex point mass {t.sum()!r} is not 1")
+    worst = np.abs(t.sum(axis=-1) - 1.0).max()
+    if worst > SIMPLEX_TOL:
+        raise StructuralError(f"simplex point mass is off 1 by {worst!r}")
     return np.maximum(t, 0.0)
+
+
+def _as_pool(t, size: int) -> tuple[np.ndarray, bool]:
+    """``t`` validated as a ``(P, size)`` pool, and whether it was one point."""
+    t = check_simplex_point(t, size)
+    return np.atleast_2d(t), t.ndim == 1
+
+
+def _unwrap(values: np.ndarray, single: bool):
+    """A pool result as given, or the float of a single point."""
+    return float(values[0]) if single else values
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +157,7 @@ class Direction:
 def random_direction(m: int, j: int, l: int, rng: np.random.Generator) -> Direction:
     while True:
         raw = np.abs(rng.normal(size=m - j + l))
-        if np.linalg.norm(raw) > 1e-3:
+        if np.linalg.norm(raw) > MIN_DIRECTION_NORM:
             return Direction.normalized(m, j, l, raw)
 
 
@@ -325,73 +349,95 @@ class FunctionalContext:
         return value
 
 
-def phi_parts(ctx: FunctionalContext, i: int, t) -> tuple[float, float]:
+def _mix(pool: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Mix a cached tensor ``(x_k, *rest)`` by every pool row: ``(P, *rest)``."""
+    mixed = pool @ a.reshape(a.shape[0], -1)
+    return mixed.reshape((len(pool),) + a.shape[1:])
+
+
+def _mixed_cond_entropy(pool: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """H(x_i | u) of each pool row's mixture of ``a`` ``(x_k, x_i, *u)``."""
+    m = _mix(pool, a)                                  # (P, x_i, *u)
+    rows = len(pool)
+    return cell_entropies(m.reshape(rows, -1)) - cell_entropies(m.sum(axis=1).reshape(rows, -1))
+
+
+def _phi_pool(ctx: FunctionalContext, i: int, pool: np.ndarray):
+    a1, a2, const = ctx._phi_tensors(i)
+    phi1 = np.full(len(pool), const) if a1 is None else _mixed_cond_entropy(pool, a1)
+    return phi1, _mixed_cond_entropy(pool, a2)
+
+
+def _psi_pool(ctx: FunctionalContext, l: int, pool: np.ndarray) -> np.ndarray:
+    mixed = _mix(pool, ctx._psi_tensor(l))             # (P, v, *u)
+    d = ctx.spec.distortions[l - 1]
+    scores = np.tensordot(mixed, d, axes=([1], [0]))   # (P, *u, vhat)
+    return scores.min(axis=-1).reshape(len(pool), -1).sum(axis=1)
+
+
+def phi_parts(ctx: FunctionalContext, i: int, t):
     """The two mixture-entropy expressions whose difference is phi.
 
     Defined for ``k <= i <= M`` only: descriptions before slot k do not
-    depend on its channel and have no simplex functional.
+    depend on its channel and have no simplex functional.  ``t`` is one
+    simplex point (two floats back) or a ``(P, |X_k|)`` pool (two
+    ``(P,)`` arrays back).
     """
     if not ctx.k <= i <= ctx.spec.m:
         raise StructuralError(
             f"phi index {i} outside {ctx.k}..{ctx.spec.m} for slot {ctx.k}"
         )
-    t = check_simplex_point(t, ctx.p_k.size)
-    a1, a2, const = ctx._phi_tensors(i)
-    if a1 is None:
-        phi1 = const
-    else:
-        m1 = np.tensordot(t, a1, axes=(0, 0))          # (x_i, *u1)
-        phi1 = cell_entropy(m1) - cell_entropy(m1.sum(axis=0))
-    m2 = np.tensordot(t, a2, axes=(0, 0))              # (x_i, *u2)
-    phi2 = cell_entropy(m2) - cell_entropy(m2.sum(axis=0))
-    return float(phi1), float(phi2)
+    pool, single = _as_pool(t, ctx.p_k.size)
+    phi1, phi2 = _phi_pool(ctx, i, pool)
+    return _unwrap(phi1, single), _unwrap(phi2, single)
 
 
-def phi(ctx: FunctionalContext, i: int, t) -> float:
-    """Rate functional of description ``i >= k`` at simplex point ``t``."""
+def phi(ctx: FunctionalContext, i: int, t):
+    """Rate functional of description ``i >= k`` at a simplex point or pool ``t``."""
     phi1, phi2 = phi_parts(ctx, i, t)
     return phi1 - phi2
 
 
-def psi(ctx: FunctionalContext, l: int, t) -> float:
-    """Distortion functional for measure l at simplex point ``t``.
+def psi(ctx: FunctionalContext, l: int, t):
+    """Distortion functional for measure l at a simplex point or pool ``t``.
 
     Concave in ``t``: a sum over observable tuples of minima of linear
     functions of ``t``.
     """
     if not 1 <= l <= ctx.spec.l:
         raise StructuralError(f"distortion index {l} outside 1..{ctx.spec.l}")
-    t = check_simplex_point(t, ctx.p_k.size)
-    b = ctx._psi_tensor(l)
-    mixed = np.tensordot(t, b, axes=(0, 0))            # (v, *u)
-    d = ctx.spec.distortions[l - 1]
-    scores = np.tensordot(mixed, d, axes=([0], [0]))   # (*u, vhat)
-    return float(scores.min(axis=-1).sum())
+    pool, single = _as_pool(t, ctx.p_k.size)
+    return _unwrap(_psi_pool(ctx, l, pool), single)
 
 
-def theta(ctx: FunctionalContext, t) -> float:
-    """Direction-weighted objective contribution of one simplex point.
+def theta(ctx: FunctionalContext, t):
+    """Direction-weighted objective contribution of a simplex point or pool.
 
     Requires the context to carry a direction.  Mixing theta over a
     reverse pair's columns with its weights reproduces the full weighted
     objective: free-rate terms of descriptions ``i >= k`` and all
     distortion terms vary with ``t``, and terms of descriptions ``i < k``
-    enter as channel-independent constants.
+    enter as channel-independent constants.  A single point gives a
+    float, a ``(P, |X_k|)`` pool a ``(P,)`` array.
     """
     if ctx.direction is None:
         raise StructuralError("theta requires a FunctionalContext with a direction")
-    t = check_simplex_point(t, ctx.p_k.size)
-    total = 0.0
+    pool, single = _as_pool(t, ctx.p_k.size)
+    total = np.zeros(len(pool))
     for i in ctx.spec.channel_slots:
         weight = ctx.direction.rate_weight(i)
         if weight == 0.0:
             continue
-        total += weight * (ctx.rate_constant(i) if i < ctx.k else phi(ctx, i, t))
+        if i < ctx.k:
+            total += weight * ctx.rate_constant(i)
+        else:
+            phi1, phi2 = _phi_pool(ctx, i, pool)
+            total += weight * (phi1 - phi2)
     for l in range(1, ctx.spec.l + 1):
         weight = ctx.direction.distortion_weight(l)
         if weight != 0.0:
-            total += weight * psi(ctx, l, t)
-    return total
+            total += weight * _psi_pool(ctx, l, pool)
+    return _unwrap(total, single)
 
 
 # ---- the mixture identity ----------------------------------------------------

@@ -116,32 +116,31 @@ def _candidate_pool(ctx: FunctionalContext, candidates: int, seed,
     """Deterministic stratified pool of simplex points over X_k.
 
     Order: vertices, pairwise midpoints, barycenter, seeded Dirichlet(1)
-    draws, then the incumbent's columns.  Exact duplicates are dropped
-    keeping the first occurrence, so pool indices are reproducible.
+    draws, then the incumbent's columns.  Points equal after rounding to
+    12 decimals are dropped keeping the first occurrence, so pool indices
+    are reproducible.
     """
     n = ctx.p_k.size
-    pool: list[np.ndarray] = [np.eye(n)[x] for x in range(n)]
+    points: list[np.ndarray] = [np.eye(n)[x] for x in range(n)]
     for a, b in itertools.combinations(range(n), 2):
         mid = np.zeros(n)
         mid[a] = mid[b] = 0.5
-        pool.append(mid)
-    pool.append(np.full(n, 1.0 / n))
+        points.append(mid)
+    points.append(np.full(n, 1.0 / n))
     rng = np.random.default_rng(seed)
     if candidates > 0 and n > 1:
-        pool.extend(rng.dirichlet(np.ones(n), size=candidates))
+        points.extend(rng.dirichlet(np.ones(n), size=candidates))
     if incumbent_columns is not None:
         cols = np.array(incumbent_columns, dtype=float)
         if cols.ndim != 2 or cols.shape[1] != n:
             raise StructuralError(f"incumbent columns have shape {cols.shape}, expected (*, {n})")
-        pool.extend(cols)
-    seen = set()
-    unique = []
-    for t in pool:
-        key = tuple(np.round(t, 12))
-        if key not in seen:
-            seen.add(key)
-            unique.append(t)
-    return np.array(unique)
+        points.extend(cols)
+    pool = np.array(points)
+    keys = np.round(pool, 12) + 0.0                    # + 0.0 folds -0.0 into 0.0
+    first: dict[bytes, int] = {}
+    for idx, key in enumerate(keys):
+        first.setdefault(key.tobytes(), idx)
+    return pool[list(first.values())]
 
 
 def _minimal_support(pool: np.ndarray, values: np.ndarray, p_k: np.ndarray,
@@ -183,7 +182,8 @@ def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64,
                             seed=0, incumbent_columns=None) -> ReverseChannelPair:
     """Globally optimize slot k's reverse pair over a finite candidate pool.
 
-    Evaluates theta on every pool point and solves the mixture LP with the
+    Scores the whole pool with one theta call (the functionals take one
+    simplex point or a pool of them) and solves the mixture LP with the
     two-phase simplex.  The vertex columns guarantee feasibility, and a
     basic optimum keeps at most ``|X_k|`` columns.  ``incumbent_columns``
     (shape ``(*, |X_k|)``) joins the pool, so the optimum is then at least
@@ -194,7 +194,7 @@ def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64,
     from .simplex import solve_equality_lp
 
     pool = _candidate_pool(ctx, candidates, seed, incumbent_columns)
-    values = np.array([theta(ctx, t) for t in pool])
+    values = theta(ctx, pool)
     result = solve_equality_lp(values, pool.T, ctx.p_k)
     if result.status != "optimal":
         raise NumericIntegrityError(

@@ -30,6 +30,7 @@ from .errors import NumericIntegrityError, StructuralError
 
 MASS_TOL = 1e-12
 CMI_CLAMP = 1e-10
+MARKOV_TOL = 1e-10    # an exact Markov chain leaves only entropy-cancellation noise in its CMI
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,18 @@ def cell_entropy(arr: np.ndarray) -> float:
     return float(-(flat * np.log2(flat)).sum())
 
 
+def cell_entropies(rows: np.ndarray) -> np.ndarray:
+    """:func:`cell_entropy` of each row of ``rows`` ``(P, K)``, as a ``(P,)`` array.
+
+    Nonpositive cells are masked to 0 rather than compacted away.  The
+    zeros shift numpy's pairwise-summation blocks, so a row with zero
+    cells can differ from :func:`cell_entropy` in the last bit; joint
+    entropies therefore keep the compacting kernel.
+    """
+    pos = rows > 0.0
+    return -np.where(pos, rows * np.log2(np.where(pos, rows, 1.0)), 0.0).sum(axis=1)
+
+
 def _joint_entropy(p: JointPmf, vs: VarSet) -> float:
     """H of the variables in ``vs`` (0.0 for the empty set), cached per pmf."""
     p.check_varset(vs)
@@ -280,6 +293,6 @@ def cmi(p: JointPmf, a: VarSet, b: VarSet, given: VarSet = VarSet()) -> float:
     return mi_sets(p, a, b, given)
 
 
-def is_markov(p: JointPmf, a: VarSet, mid: VarSet, b: VarSet, tol: float = 1e-10) -> bool:
+def is_markov(p: JointPmf, a: VarSet, mid: VarSet, b: VarSet, tol: float = MARKOV_TOL) -> bool:
     """True when a -- mid -- b holds, i.e. I(a; b | mid) <= tol."""
     return cmi(p, a, b, mid) <= tol

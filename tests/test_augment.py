@@ -231,6 +231,16 @@ def test_reverse_pair_validation():
     assert pair.zero_weight == ()
 
 
+def test_reverse_pair_rejects_non_finite():
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(StructuralError):
+        ReverseChannelPair([np.nan, np.nan], eye)
+    with pytest.raises(StructuralError):
+        ReverseChannelPair([0.5, 0.5], [[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(StructuralError):
+        ReverseChannelPair([0.5, 0.5], [[np.nan, 1.0], [0.0, 1.0]])
+
+
 def test_reverse_pair_zero_weight_follows_weights():
     cols = [[0.5, 0.5], [1.0, 0.0]]
     assert ReverseChannelPair([1.0, 0.0], cols).zero_weight == (1,)

@@ -7,9 +7,11 @@ import pytest
 
 from canonical_region import (
     Alphabet,
+    DegeneracyWarning,
     Direction,
     Estimator,
     FunctionalContext,
+    ProblemSpec,
     StructuralError,
     attach_channels,
     constant_channel,
@@ -60,6 +62,14 @@ def test_direction_validation():
     assert r.coords.min() >= 0.0
 
 
+BAD_BINARY_POOLS = (
+    np.full((1, 2, 2), 0.5),                        # a 3-D array
+    np.full((2, 3), 1.0 / 3.0),                     # a pool of the wrong width
+    [[0.5, 0.5], [0.6, 0.6]],                       # a row off the simplex
+    [[0.5, 0.5], [np.nan, 1.0]],                    # a NaN row
+)
+
+
 def test_check_simplex_point():
     assert np.allclose(check_simplex_point([0.25, 0.75], 2), [0.25, 0.75])
     with pytest.raises(StructuralError):
@@ -68,6 +78,11 @@ def test_check_simplex_point():
         check_simplex_point([0.6, 0.6], 2)
     with pytest.raises(StructuralError):
         check_simplex_point([-0.2, 1.2], 2)
+    pool = check_simplex_point([[0.25, 0.75], [1.0, -1e-13]], 2)
+    assert pool.shape == (2, 2) and pool.min() == 0.0
+    for t in BAD_BINARY_POOLS + (np.zeros((0, 2)),):    # and an empty pool
+        with pytest.raises(StructuralError):
+            check_simplex_point(t, 2)
 
 
 def test_bayes_distortion_extreme_channels(bwz):
@@ -321,3 +336,57 @@ def test_direct_weighted_value_composition(dsbs):
         + d.distortion_weight(1) * distortion_component(aug, 1)[0]
     )
     assert abs(direct_weighted_value(dsbs, chans, d) - expected) < 1e-12
+
+
+def _zero_symbol_spec(rng):
+    """M = 2, J = 0, L = 1 with symbol 2 of X1 at probability 0."""
+    probs = rng.dirichlet(np.ones(24)).reshape(3, 2, 2, 2)      # X1 X2 S V
+    probs[2] = 0.0
+    probs /= probs.sum()
+    with pytest.warns(DegeneracyWarning):
+        return ProblemSpec(2, 0, 1, [3, 2], 2, 2, [2], probs,
+                           [rng.uniform(0.0, 1.0, size=(2, 2))])
+
+
+def _test_pool(rng, n):
+    """Vertices (zero cells), midpoints, the barycenter and Dirichlet draws."""
+    eye = np.eye(n)
+    mids = [(eye[a] + eye[b]) / 2 for a, b in itertools.combinations(range(n), 2)]
+    return np.vstack([eye, *mids, np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), size=12)])
+
+
+@pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol"])
+def test_pool_matches_stacked_points(name, request):
+    rng = np.random.default_rng(62)
+    spec = _zero_symbol_spec(rng) if name == "zero-symbol" else request.getfixturevalue(name)
+    chans = random_channels(spec, rng)
+    slots = spec.channel_slots
+    d = random_direction(spec.m, spec.j, spec.l, rng)
+    for k in slots:
+        frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
+        ctx = FunctionalContext(spec, k, frozen, d)
+        pool = _test_pool(rng, ctx.p_k.size)
+        values = theta(ctx, pool)
+        assert values.shape == (len(pool),)
+        assert np.abs(values - [theta(ctx, t) for t in pool]).max() <= 1e-12
+        for i in range(k, spec.m + 1):                              # i == k is the diagonal
+            parts = phi_parts(ctx, i, pool)
+            stacked = np.array([phi_parts(ctx, i, t) for t in pool]).T
+            assert np.abs(np.array(parts) - stacked).max() <= 1e-12
+            assert np.abs(phi(ctx, i, pool) - (stacked[0] - stacked[1])).max() <= 1e-12
+        for l in range(1, spec.l + 1):
+            stacked = [psi(ctx, l, t) for t in pool]
+            assert np.abs(psi(ctx, l, pool) - stacked).max() <= 1e-12
+        t = pool[-1]
+        assert type(theta(ctx, t)) is float
+        assert type(psi(ctx, 1, t)) is float
+        assert all(type(part) is float for part in phi_parts(ctx, k, t))
+
+
+def test_functionals_reject_bad_pools(bwz):
+    ctx = FunctionalContext(bwz, 1, {}, Direction.normalized(1, 0, 1, [0.6, 0.8]))
+    for t in BAD_BINARY_POOLS:
+        for evaluate in (lambda u: theta(ctx, u), lambda u: phi_parts(ctx, 1, u),
+                         lambda u: psi(ctx, 1, u)):
+            with pytest.raises(StructuralError):
+                evaluate(t)

@@ -28,7 +28,8 @@ from canonical_region import (
     trace_inner_bound,
     verify_alphabet_bound,
 )
-from canonical_region.optimize import _simplex_lattice
+from canonical_region import optimize
+from canonical_region.optimize import _candidate_pool, _simplex_lattice
 from conftest import make_spec
 
 
@@ -147,6 +148,60 @@ def test_single_slot_lp_beats_incumbent():
         assert value <= incumbent_value + 1e-10
         assert pair.out_size <= spec.x_alphabets[1].size
         assert np.abs(pair.mixture() - spec.x_marginal(2)).max() < 1e-9
+
+
+def test_descent_scores_each_pool_in_one_theta_call(monkeypatch, helper3):
+    calls = []
+
+    def counting_theta(ctx, t):
+        calls.append(np.shape(t))
+        return theta(ctx, t)
+
+    monkeypatch.setattr(optimize, "theta", counting_theta)
+    rng = np.random.default_rng(87)
+    chans = random_channels(helper3, rng)                  # slots 2 and 3
+    d = random_direction(3, 1, 1, rng)
+    ctx = FunctionalContext(helper3, 3, {2: chans[0]}, d)
+    optimize_single_channel(ctx, candidates=16, seed=0)
+    assert calls == [_candidate_pool(ctx, 16, 0, None).shape]
+    calls.clear()
+    result = coordinate_descent(helper3, d, chans, sweeps=3, candidates=16)
+    assert len(calls) == result.sweeps_run * len(helper3.channel_slots)
+    assert all(len(shape) == 2 for shape in calls)
+
+
+def _reference_pool_dedupe(points):
+    """The row-at-a-time rule the pool builder must reproduce."""
+    seen, unique = set(), []
+    for t in points:
+        key = tuple(np.round(t, 12))
+        if key not in seen:
+            seen.add(key)
+            unique.append(t)
+    return np.array(unique)
+
+
+def test_candidate_pool_dedupe_matches_row_rule():
+    rng = np.random.default_rng(88)
+    spec = make_spec(rng, m=1, j=0, l=1, max_alphabet=3)
+    n = spec.x_alphabets[0].size
+    ctx = FunctionalContext(spec, 1, {})
+    eye = np.eye(n)
+    fixed = [eye[x] for x in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        fixed.append((eye[a] + eye[b]) / 2)
+    fixed.append(np.full(n, 1.0 / n))
+    atoms = np.array([0.0, -0.0, 0.5, 1.0 / 3.0, 1.0, 0.25])
+    for trial in range(300):
+        extra = rng.choice(atoms, size=(int(rng.integers(1, 20)), n))
+        noise = rng.choice([-1e-14, 1e-14, 3e-13], size=extra.shape)
+        extra = np.where(rng.random(extra.shape) < 0.3, extra + noise, extra)
+        candidates = int(rng.integers(0, 4))
+        draws = list(np.random.default_rng(trial).dirichlet(np.ones(n), size=candidates))
+        got = _candidate_pool(ctx, candidates, trial, extra)
+        expected = _reference_pool_dedupe(fixed + draws + list(extra))
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_single_slot_lp_requires_direction():
