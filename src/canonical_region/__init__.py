@@ -86,7 +86,6 @@ from .simplex import LpResult, solve_equality_lp
 from .optimize import (
     AlphabetBoundReport,
     OptimizeResult,
-    RDPoint,
     TracePoint,
     brute_force_oracle,
     brute_force_search,
@@ -116,7 +115,7 @@ __all__ = [
     "DegeneracyWarning", "Direction", "Estimator", "FunctionalContext",
     "InputError", "JointPmf", "LpResult", "NondegeneracyReport",
     "NumericIntegrityError", "OptimizeResult", "PreconditionError",
-    "ProblemSpec", "RDPoint", "ReverseChannelPair", "StructuralError",
+    "ProblemSpec", "ReverseChannelPair", "StructuralError",
     "TracePoint", "VarSet", "attach_channels", "brute_force_oracle",
     "brute_force_search", "bundled_problem_path", "check_permutation",
     "cmi", "constant_channel", "coordinate_descent", "corner_point",

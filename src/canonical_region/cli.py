@@ -46,14 +46,20 @@ from .errors import (
     NumericIntegrityError,
     StructuralError,
 )
-from .functionals import Direction, random_direction, verify_linear_decomposition
-from .optimize import trace_inner_bound, verify_alphabet_bound
+from .functionals import (
+    DECOMPOSITION_TOL,
+    Direction,
+    random_direction,
+    verify_linear_decomposition,
+)
+from .optimize import ALPHABET_BOUND_TOL, trace_inner_bound, verify_alphabet_bound
 from .problem_io import (
     load_channels,
     load_directions,
     resolve_problem,
 )
 from .region import (
+    ACTIVE_TOL,
     check_permutation,
     distinct_count,
     enumerate_extreme_points,
@@ -199,7 +205,7 @@ def cmd_extreme_points(args) -> int:
 
 def _suite_identities(args, spec, records: list[dict]) -> bool:
     trials = 200 if args.trials is None else args.trials
-    tol = 1e-9 if args.tol is None else args.tol
+    tol = ACTIVE_TOL if args.tol is None else args.tol
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
     report = verify_chain_identities(aug, trials=trials, tol=tol, seed=args.seed)
@@ -226,7 +232,9 @@ def _suite_identities(args, spec, records: list[dict]) -> bool:
 
 
 def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
-    tol = 1e-9 if args.tol is None else args.tol
+    if args.samples < 0:
+        raise InputError(f"--samples must be >= 0, got {args.samples}")
+    tol = ACTIVE_TOL if args.tol is None else args.tol
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
     points = enumerate_extreme_points(aug)
@@ -265,7 +273,9 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
 
 def _suite_decomposition(args, spec, records: list[dict]) -> bool:
     trials = 20 if args.trials is None else args.trials
-    tol = 1e-9 if args.tol is None else args.tol
+    if trials < 1:
+        raise InputError(f"--trials must be >= 1, got {trials}")
+    tol = DECOMPOSITION_TOL if args.tol is None else args.tol
     passed = True
     worst = 0.0
     for t in range(trials):
@@ -293,7 +303,7 @@ def _suite_decomposition(args, spec, records: list[dict]) -> bool:
 
 
 def _suite_alphabet_bound(args, spec, records: list[dict]) -> bool:
-    tol = 1e-2 if args.tol is None else args.tol
+    tol = ALPHABET_BOUND_TOL if args.tol is None else args.tol
     if args.directions:
         directions = load_directions(args.directions, spec)
     else:
@@ -381,6 +391,8 @@ def cmd_trace(args) -> int:
             for theta in np.linspace(0.0, math.pi / 2, args.sweep)
         ]
     else:
+        if args.count < 1:
+            raise InputError(f"--count must be >= 1, got {args.count}")
         rng = np.random.default_rng((args.seed, 3))
         directions = [
             random_direction(spec.m, spec.j, spec.l, rng)
@@ -450,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="problem file path or bundled problem name")
     p.add_argument("--channels", metavar="PATH", help="channel bank JSON file")
     p.add_argument("--seed", type=int, default=42, help="seed for random channels")
-    p.add_argument("--tol", type=float, default=1e-9, help="activeness tolerance")
+    p.add_argument("--tol", type=float, default=ACTIVE_TOL, help="activeness tolerance")
     p.add_argument("--out", metavar="PATH", help="write JSONL records here")
     p.set_defaults(func=cmd_extreme_points)
 
@@ -464,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random member points for the noncrossing suite")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=None,
-                   help="tolerance (1e-9; alphabet-bound: 1e-2)")
+                   help=f"tolerance ({ACTIVE_TOL}; alphabet-bound: {ALPHABET_BOUND_TOL})")
     p.add_argument("--grid", type=int, default=12,
                    help="lattice resolution for alphabet-bound")
     p.add_argument("--sweeps", type=int, default=50)

@@ -51,7 +51,7 @@ from .functionals import (
     random_direction,
     theta,
 )
-from .pmf import Alphabet
+from .pmf import Alphabet, cell_entropies
 from .region import check_permutation, corner_point, identity_permutation
 
 MAX_BRUTE_EVALS = 15_000_000
@@ -61,11 +61,11 @@ SUPPORT_WEIGHT_TOL = 1e-12
 RESOLVE_FEAS_TOL = 1e-10    # least-squares re-solve of a reduced support: weights, mixture
 RESOLVE_VALUE_TOL = 1e-11   # a reduced support may not raise the LP value by more than this
 CHUNK = 8192
+ALPHABET_BOUND_TOL = 1e-2   # capped and enlarged optima come from different coarse lattice grids
 
 __all__ = [
     "Direction",
     "random_direction",
-    "RDPoint",
     "OptimizeResult",
     "TracePoint",
     "AlphabetBoundEntry",
@@ -82,30 +82,14 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class RDPoint:
-    rates: np.ndarray = field(repr=False)
-    distortions: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True, eq=False)
 class OptimizeResult:
     channels: tuple[Channel, ...]
     objective: float
-    rd: RDPoint
     trace: tuple[float, ...]
 
     @property
     def sweeps_run(self) -> int:
         return len(self.trace) - 1
-
-
-def _rd_point(spec: ProblemSpec, channels: Sequence[Channel],
-              perm: Sequence[int] | None = None) -> RDPoint:
-    aug = attach_channels(spec, channels)
-    perm = identity_permutation(spec.m) if perm is None else check_permutation(perm, spec.m)
-    rates = corner_point(aug, perm)
-    dists = np.array([distortion_component(aug, l)[0] for l in range(1, spec.l + 1)])
-    return RDPoint(rates, dists)
 
 
 # ---- single-slot linear program ------------------------------------------------
@@ -254,9 +238,7 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
                 f"slot {k} ended with |Z|={channels[pos].output.size} > "
                 f"|X|={spec.x_alphabet(k).size}"
             )
-    return OptimizeResult(
-        tuple(channels), trace[-1], _rd_point(spec, channels), tuple(trace)
-    )
+    return OptimizeResult(tuple(channels), trace[-1], tuple(trace))
 
 
 def default_multistart_inits(spec: ProblemSpec, restarts: int,
@@ -278,24 +260,30 @@ def default_multistart_inits(spec: ProblemSpec, restarts: int,
     return inits[:restarts]
 
 
+def _best_descent(spec: ProblemSpec, direction: Direction, inits: Sequence[Sequence[Channel]],
+                  idx: int, sweeps: int, candidates: int,
+                  seed: int) -> tuple[OptimizeResult, int]:
+    """Descend from each init with seed ``(seed, idx, r)``; the first best run and its ``r``."""
+    if (direction.m, direction.j, direction.l) != (spec.m, spec.j, spec.l):
+        raise StructuralError("direction dimensions do not match the spec")
+    runs = [coordinate_descent(spec, direction, init, sweeps=sweeps, candidates=candidates,
+                               seed=(seed, idx, r)) for r, init in enumerate(inits)]
+    best = min(range(len(runs)), key=lambda r: runs[r].objective)   # first of equal minima
+    return runs[best], best
+
+
 # ---- lattice search -------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _simplex_lattice(grid: int, parts: int) -> np.ndarray:
     """All probability vectors with `parts` entries on the 1/grid lattice,
-    in lexicographic order of their integer compositions."""
-    out: list[list[int]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], grid, parts)
-    arr = np.array(out, dtype=float) / grid
+    in lexicographic order of their integer compositions (stars and bars:
+    the gaps between sorted bar positions, with bars at -1 and n)."""
+    n = grid + parts - 1
+    bars = np.array(list(itertools.combinations(range(n), parts - 1)), dtype=np.int64)
+    bars = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n))
+    arr = (np.diff(bars, axis=1) - 1).astype(float) / grid
     arr.setflags(write=False)
     return arr
 
@@ -324,10 +312,7 @@ def _batch_entropies(tensor: np.ndarray, keep: frozenset[int],
         return cached
     drop = tuple(ax for ax in range(1, tensor.ndim) if ax not in keep)
     m = tensor.sum(axis=drop) if drop else tensor
-    flat = m.reshape(m.shape[0], -1)
-    safe = np.where(flat > 0.0, flat, 1.0)
-    h = -(flat * np.log2(safe)).sum(axis=1)
-    cache[keep] = h
+    h = cache[keep] = cell_entropies(m.reshape(m.shape[0], -1))
     return h
 
 
@@ -372,41 +357,29 @@ def brute_force_search(
     lattices = [_simplex_lattice(grid, z) for z in z_sizes]
     x_sizes = [spec.x_alphabet(k).size for k in slots]
     per_channel = [lat.shape[0] ** x for lat, x in zip(lattices, x_sizes)]
-    strides = []
-    acc = 1
-    for count in reversed(per_channel):
-        strides.append(acc)
-        acc *= count
-    strides = list(reversed(strides))                          # slot-major order
 
-    # tensor axis ids with a leading batch axis
-    x_axis = {i: i for i in range(1, m + 1)}
+    # tensor axis ids with a leading batch axis; X_i is axis i
     s_axis = m + 1
     v_axis = m + 2
     z_axis = {k: m + 3 + pos for pos, k in enumerate(slots)}
 
     rate_keeps = []
     for i in slots:
-        cond = {x_axis[t] for t in range(1, j + 1)}
+        cond = set(range(1, j + 1))
         cond |= {z_axis[t] for t in slots if t < i}
         cond.add(s_axis)
-        a = {x_axis[i]}
+        a = {i}
         b = {z_axis[i]}
         rate_keeps.append((
             frozenset(a | cond), frozenset(b | cond),
             frozenset(a | b | cond), frozenset(cond),
         ))
-    dist_keep = sorted(
-        {x_axis[t] for t in range(1, j + 1)}
-        | set(z_axis.values())
-        | {s_axis, v_axis}
-    )
+    dist_keep = sorted({*range(1, j + 1), *z_axis.values(), s_axis, v_axis})
     v_pos_in_kept = 1 + dist_keep.index(v_axis)                # after batch axis
 
-    def decode_rows(flat: np.ndarray, pos: int) -> np.ndarray:
+    def decode_rows(idx: np.ndarray, pos: int) -> np.ndarray:
         lat = lattices[pos]
         p = lat.shape[0]
-        idx = (flat // strides[pos]) % per_channel[pos]
         rows = []
         for r in range(x_sizes[pos]):
             digit = (idx // p ** (x_sizes[pos] - 1 - r)) % p
@@ -420,10 +393,11 @@ def brute_force_search(
     for start in range(0, total, CHUNK):
         flat = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
         tensor = np.broadcast_to(src, (flat.size,) + src.shape).copy()
+        per_slot = np.unravel_index(flat, per_channel)
         for pos, k in enumerate(slots):
-            q = decode_rows(flat, pos)
+            q = decode_rows(per_slot[pos], pos)
             shape = [flat.size] + [1] * (tensor.ndim - 1) + [z_sizes[pos]]
-            shape[x_axis[k]] = x_sizes[pos]
+            shape[k] = x_sizes[pos]
             tensor = tensor[..., None] * q.reshape(shape)
         cache: dict = {}
         comps = []
@@ -443,15 +417,13 @@ def brute_force_search(
         best[better] = vals[better]
         best_flat[better] = flat[arg[better]]
 
-    winners: list[list[Channel]] = []
-    for d in range(n_dir):
-        bank = []
-        for pos, k in enumerate(slots):
-            rows = decode_rows(np.array([best_flat[d]]), pos)[0]
-            bank.append(
-                Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", z_sizes[pos]), rows)
-            )
-        winners.append(bank)
+    per_slot = np.unravel_index(best_flat, per_channel)
+    rows = [decode_rows(per_slot[pos], pos) for pos in range(len(slots))]
+    winners = [
+        [Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", z_sizes[pos]), rows[pos][d])
+         for pos, k in enumerate(slots)]
+        for d in range(n_dir)
+    ]
     return best, winners
 
 
@@ -506,7 +478,7 @@ def verify_alphabet_bound(
     spec: ProblemSpec,
     directions: Direction | Sequence[Direction],
     grid: int = 12,
-    tol: float = 1e-2,
+    tol: float = ALPHABET_BOUND_TOL,
     sweeps: int = 50,
     candidates: int = 64,
     restarts: int = 4,
@@ -532,6 +504,8 @@ def verify_alphabet_bound(
     enlarged_sizes = tuple(n + 2 for n in capped_sizes)
     if not slots:
         raise StructuralError("alphabet bound is vacuous without channel slots")
+    if grid < 1:
+        raise StructuralError(f"grid must be >= 1, got {grid}")
     g_capped = _fit_grid(spec, capped_sizes, grid, max_evals)
     g_enlarged = _fit_grid(spec, enlarged_sizes, grid, max_evals)
 
@@ -542,18 +516,12 @@ def verify_alphabet_bound(
         spec, directions, enlarged_sizes, g_enlarged, max_evals
     )
 
+    multistarts = default_multistart_inits(spec, max(1, restarts - 1), seed=seed)
     entries = []
     for idx, direction in enumerate(directions):
-        best = float(capped_vals[idx])
-        inits = [capped_banks[idx]] + default_multistart_inits(
-            spec, max(1, restarts - 1), seed=seed
-        )
-        for r, init in enumerate(inits):
-            run = coordinate_descent(
-                spec, direction, init, sweeps=sweeps, candidates=candidates,
-                seed=(seed, idx, r) if isinstance(seed, int) else seed,
-            )
-            best = min(best, run.objective)
+        run, _ = _best_descent(spec, direction, [capped_banks[idx]] + multistarts,
+                               idx, sweeps, candidates, seed)
+        best = min(float(capped_vals[idx]), run.objective)
         margin = best - float(enlarged_vals[idx])
         entries.append(
             AlphabetBoundEntry(direction, best, float(enlarged_vals[idx]),
@@ -592,19 +560,11 @@ def trace_inner_bound(
     reported (every corner shares the same channels and distortions).
     """
     perm = identity_permutation(spec.m) if perm is None else check_permutation(perm, spec.m)
+    inits = default_multistart_inits(spec, restarts, seed)
     points = []
     for idx, direction in enumerate(directions):
-        if (direction.m, direction.j, direction.l) != (spec.m, spec.j, spec.l):
-            raise StructuralError("direction dimensions do not match the spec")
-        best: OptimizeResult | None = None
-        best_restart = 0
-        for r, init in enumerate(default_multistart_inits(spec, restarts, seed)):
-            run = coordinate_descent(
-                spec, direction, init, sweeps=sweeps, candidates=candidates,
-                seed=(seed, idx, r),
-            )
-            if best is None or run.objective < best.objective:
-                best, best_restart = run, r
-        rd = _rd_point(spec, best.channels, perm)
-        points.append(TracePoint(direction, best, rd.rates, rd.distortions, best_restart))
+        best, restart = _best_descent(spec, direction, inits, idx, sweeps, candidates, seed)
+        aug = attach_channels(spec, best.channels)
+        dists = np.array([distortion_component(aug, l)[0] for l in range(1, spec.l + 1)])
+        points.append(TracePoint(direction, best, corner_point(aug, perm), dists, restart))
     return points

@@ -348,6 +348,26 @@ def test_cli_verify_alphabet_bound(tmp_path):
         assert r["passed"]
 
 
+def test_cli_alphabet_bound_rejects_nonpositive_grid(capsys):
+    for grid in ("0", "-3"):
+        assert main(["verify", "alphabet-bound", "bwz", "--grid", grid]) == 2
+        assert "grid must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "decomposition", "bwz", "--trials", "0"], 2),
+    (["verify", "noncrossing", "bwz", "--samples", "-1"], 2),
+    (["trace", "bwz", "--count", "-2"], 2),
+    (["trace", "bwz", "--count", "0"], 2),
+    # no random members, but the corners are still checked
+    (["verify", "noncrossing", "bwz", "--samples", "0"], 0),
+])
+def test_cli_rejects_counts_that_check_nothing(tmp_path, argv, code):
+    out = tmp_path / "o.jsonl"
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+
+
 def test_cli_budget_exit(tmp_path):
     rng = np.random.default_rng(101)
     shape = (2,) * 7 + (1, 2)

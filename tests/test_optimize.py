@@ -10,10 +10,12 @@ from canonical_region import (
     BudgetError,
     Direction,
     FunctionalContext,
+    ProblemSpec,
     StructuralError,
     attach_channels,
     brute_force_oracle,
     brute_force_search,
+    constant_channel,
     coordinate_descent,
     corner_point,
     default_multistart_inits,
@@ -40,6 +42,30 @@ def test_simplex_lattice_exact():
     assert _simplex_lattice(5, 1).shape == (1, 1)
     assert float(_simplex_lattice(5, 1)[0, 0]) == 1.0
     assert _simplex_lattice(4, 3).shape[0] == math.comb(6, 2)
+
+
+def _reference_lattice(grid, parts):
+    """The recursive composition walk the stars-and-bars lattice must reproduce."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + [remaining])
+            return
+        for v in range(remaining + 1):
+            rec(prefix + [v], remaining - v, slots - 1)
+
+    rec([], grid, parts)
+    return np.array(out, dtype=float) / grid
+
+
+def test_simplex_lattice_matches_recursive_walk():
+    for grid in range(1, 11):
+        for parts in range(1, 6):
+            got, expected = _simplex_lattice(grid, parts), _reference_lattice(grid, parts)
+            assert got.shape == expected.shape == (math.comb(grid + parts - 1, parts - 1), parts)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_estimate_matches_combinatorics():
@@ -85,6 +111,20 @@ def test_brute_force_matches_direct_enumeration(dsbs):
         assert abs(values[i] - best[i]) < 1e-12
         assert abs(direct_weighted_value(dsbs, banks[i], d) - values[i]) < 1e-12
         assert [ch.output.size for ch in banks[i]] == [1, 2]
+
+
+def test_brute_force_one_output_on_a_wide_slot():
+    # 70 channel rows, more than numpy's 64 array dimensions: the search must
+    # not split a lattice index into one axis per row
+    rng = np.random.default_rng(93)
+    probs = rng.dirichlet(np.ones(140)).reshape(70, 1, 2)
+    spec = ProblemSpec(1, 0, 1, [70], 1, 2, [2], probs, [[[0.0, 1.0], [1.0, 0.0]]])
+    d = Direction.normalized(1, 0, 1, [0.6, 0.8])
+    values, banks = brute_force_search(spec, [d], [1], 4)
+    (channel,) = banks[0]
+    assert np.array_equal(channel.rows, np.ones((70, 1)))
+    constant = direct_weighted_value(spec, [constant_channel(spec.x_alphabet(1))], d)
+    assert abs(values[0] - constant) < 1e-12
 
 
 def test_brute_force_validation(dsbs, bwz):
@@ -266,8 +306,6 @@ def test_descent_monotone_trace():
         assert result.sweeps_run <= 8
         for ch, k in zip(result.channels, spec.channel_slots):
             assert ch.output.size <= spec.x_alphabet(k).size
-        assert result.rd.rates.shape == (spec.m,)
-        assert result.rd.distortions.shape == (spec.l,)
 
 
 def test_descent_validation(dsbs):
@@ -329,6 +367,13 @@ def test_alphabet_bound_small_budget_fits_grid(dsbs):
         verify_alphabet_bound(dsbs, d, grid=3, max_evals=3)
 
 
+def test_alphabet_bound_rejects_nonpositive_grid(bwz):
+    d = Direction.normalized(1, 0, 1, [0.6, 0.8])
+    for grid in (0, -3):
+        with pytest.raises(StructuralError, match="grid must be >= 1"):
+            verify_alphabet_bound(bwz, d, grid=grid)
+
+
 def test_alphabet_bound_verifies_on_single_source(bwz):
     rng = np.random.default_rng(89)
     dirs = [random_direction(1, 0, 1, rng) for _ in range(3)]
@@ -363,6 +408,27 @@ def test_trace_reports_requested_corner(dsbs):
         + d.distortion_weight(1) * float(point.distortions[0])
     )
     assert abs(point.result.objective - expected) < 1e-9
+
+
+@pytest.mark.parametrize("perm", [None, (3, 1, 2)])
+def test_trace_points_carry_the_winners_corner(helper3, perm):
+    rng = np.random.default_rng(92)
+    dirs = [random_direction(3, 1, 1, rng) for _ in range(2)]
+    points = trace_inner_bound(helper3, dirs, perm=perm, restarts=3, sweeps=4,
+                               candidates=16, seed=5)
+    inits = default_multistart_inits(helper3, 3, seed=5)
+    for idx, (d, point) in enumerate(zip(dirs, points)):
+        # oracle: every restart by hand; the point keeps the first best one
+        objectives = [
+            coordinate_descent(helper3, d, init, sweeps=4, candidates=16,
+                               seed=(5, idx, r)).objective
+            for r, init in enumerate(inits)
+        ]
+        assert point.restart_index == objectives.index(min(objectives))
+        assert point.result.objective == min(objectives)
+        aug = attach_channels(helper3, point.result.channels)
+        assert np.array_equal(point.rates, corner_point(aug, perm or (1, 2, 3)))
+        assert np.array_equal(point.distortions, [distortion_component(aug, 1)[0]])
 
 
 def test_trace_direction_shape_checked(dsbs):
