@@ -511,6 +511,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            raise InputError(f"--tol must be finite and >= 0, got {tol}")
         code = args.func(args)
     except NumericIntegrityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

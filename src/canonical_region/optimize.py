@@ -104,6 +104,8 @@ def _candidate_pool(ctx: FunctionalContext, candidates: int, seed,
     12 decimals are dropped keeping the first occurrence, so pool indices
     are reproducible.
     """
+    if candidates < 0:
+        raise StructuralError(f"candidates must be >= 0, got {candidates}")
     n = ctx.p_k.size
     points: list[np.ndarray] = [np.eye(n)[x] for x in range(n)]
     for a, b in itertools.combinations(range(n), 2):
@@ -288,6 +290,29 @@ def _simplex_lattice(grid: int, parts: int) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=None)
+def _orbit_table(grid: int, z: int, x: int) -> np.ndarray:
+    """One ``(x, z)`` channel matrix per orbit of column permutations, which
+    change no rate or Bayes distortion: the orbit's first raw lattice point
+    (row digits lexicographic, row 0 most significant), whose columns, read
+    as ``x``-tuples, never decrease.  Raw indices are filtered in ``CHUNK`` blocks."""
+    lat = _simplex_lattice(grid, z)
+    p = lat.shape[0]
+    blocks = []
+    for start in range(0, p ** x, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, p ** x), dtype=np.int64)
+        q = np.stack([lat[idx // p ** (x - 1 - r) % p] for r in range(x)], axis=1)
+        keep = np.ones((idx.size, z - 1), dtype=bool)   # column c <= column c + 1
+        tied = keep.copy()                                # rows so far equal
+        for r in range(x):
+            keep &= ~(tied & (q[:, r, :-1] > q[:, r, 1:]))
+            tied &= q[:, r, :-1] == q[:, r, 1:]
+        blocks.append(q[keep.all(axis=1)])
+    table = np.concatenate(blocks)
+    table.setflags(write=False)
+    return table
+
+
 def estimate_brute_force_evals(spec: ProblemSpec, z_sizes: Sequence[int],
                                grid: int) -> int:
     """Number of channel-bank lattice points a search would evaluate."""
@@ -325,11 +350,11 @@ def brute_force_search(
 ) -> tuple[np.ndarray, list[list[Channel]]]:
     """Exhaustive lattice minimization, shared across several directions.
 
-    Every channel row independently ranges over the 1/grid simplex
-    lattice.  Rates and distortions are evaluated definitionally on the
-    augmented tensor (batched), then dotted with each direction; returns
-    the per-direction minima and their argmin channel banks.  Refuses
-    searches whose lattice exceeds ``max_evals`` points.
+    Every channel row ranges over the 1/grid simplex lattice, and one bank
+    per orbit of output relabelings has its rates and distortions evaluated
+    definitionally on the augmented tensor (batched), then dotted with each
+    direction.  Returns the minima and argmin banks; refuses raw lattices
+    over ``max_evals`` points.
     """
     slots = spec.channel_slots
     z_sizes = [int(z) for z in z_sizes]
@@ -354,9 +379,8 @@ def brute_force_search(
         values = np.array([direct_weighted_value(spec, [], d) for d in directions])
         return values, [[] for _ in directions]
 
-    lattices = [_simplex_lattice(grid, z) for z in z_sizes]
-    x_sizes = [spec.x_alphabet(k).size for k in slots]
-    per_channel = [lat.shape[0] ** x for lat, x in zip(lattices, x_sizes)]
+    tables = [_orbit_table(grid, z, spec.x_alphabet(k).size) for k, z in zip(slots, z_sizes)]
+    per_channel = [table.shape[0] for table in tables]
 
     # tensor axis ids with a leading batch axis; X_i is axis i
     s_axis = m + 1
@@ -377,27 +401,19 @@ def brute_force_search(
     dist_keep = sorted({*range(1, j + 1), *z_axis.values(), s_axis, v_axis})
     v_pos_in_kept = 1 + dist_keep.index(v_axis)                # after batch axis
 
-    def decode_rows(idx: np.ndarray, pos: int) -> np.ndarray:
-        lat = lattices[pos]
-        p = lat.shape[0]
-        rows = []
-        for r in range(x_sizes[pos]):
-            digit = (idx // p ** (x_sizes[pos] - 1 - r)) % p
-            rows.append(lat[digit])
-        return np.stack(rows, axis=1)                          # (B, x, z)
-
     n_dir = len(directions)
     best = np.full(n_dir, np.inf)
     best_flat = np.zeros(n_dir, dtype=np.int64)
 
-    for start in range(0, total, CHUNK):
-        flat = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+    reps = math.prod(per_channel)
+    for start in range(0, reps, CHUNK):
+        flat = np.arange(start, min(start + CHUNK, reps), dtype=np.int64)
         tensor = np.broadcast_to(src, (flat.size,) + src.shape).copy()
         per_slot = np.unravel_index(flat, per_channel)
         for pos, k in enumerate(slots):
-            q = decode_rows(per_slot[pos], pos)
+            q = tables[pos][per_slot[pos]]                      # (B, x, z)
             shape = [flat.size] + [1] * (tensor.ndim - 1) + [z_sizes[pos]]
-            shape[k] = x_sizes[pos]
+            shape[k] = q.shape[1]
             tensor = tensor[..., None] * q.reshape(shape)
         cache: dict = {}
         comps = []
@@ -417,8 +433,7 @@ def brute_force_search(
         best[better] = vals[better]
         best_flat[better] = flat[arg[better]]
 
-    per_slot = np.unravel_index(best_flat, per_channel)
-    rows = [decode_rows(per_slot[pos], pos) for pos in range(len(slots))]
+    rows = [table[i] for table, i in zip(tables, np.unravel_index(best_flat, per_channel))]
     winners = [
         [Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", z_sizes[pos]), rows[pos][d])
          for pos, k in enumerate(slots)]
@@ -506,6 +521,8 @@ def verify_alphabet_bound(
         raise StructuralError("alphabet bound is vacuous without channel slots")
     if grid < 1:
         raise StructuralError(f"grid must be >= 1, got {grid}")
+    if restarts < 1:
+        raise StructuralError(f"restarts must be >= 1, got {restarts}")
     g_capped = _fit_grid(spec, capped_sizes, grid, max_evals)
     g_enlarged = _fit_grid(spec, enlarged_sizes, grid, max_evals)
 

@@ -361,11 +361,32 @@ def test_cli_alphabet_bound_rejects_nonpositive_grid(capsys):
     (["trace", "bwz", "--count", "0"], 2),
     # no random members, but the corners are still checked
     (["verify", "noncrossing", "bwz", "--samples", "0"], 0),
+    (["trace", "bwz", "--count", "1", "--candidates", "-5"], 2),
+    (["verify", "alphabet-bound", "bwz", "--grid", "4", "--trials", "1", "--restarts", "-3"], 2),
+    (["verify", "alphabet-bound", "bwz", "--grid", "4", "--trials", "1", "--restarts", "0"], 2),
+    # the fixed pool points and a single multistart still search
+    (["trace", "bwz", "--count", "1", "--restarts", "1", "--candidates", "0"], 0),
+    (["verify", "alphabet-bound", "bwz", "--grid", "4", "--trials", "1", "--restarts", "1"], 0),
 ])
 def test_cli_rejects_counts_that_check_nothing(tmp_path, argv, code):
     out = tmp_path / "o.jsonl"
     assert main(argv + ["--out", str(out)]) == code
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["extreme-points", "bwz", "--tol", "-1"], 2),
+    (["verify", "identities", "bwz", "--trials", "5", "--tol", "-1"], 2),
+    (["verify", "alphabet-bound", "bwz", "--grid", "4", "--trials", "1", "--tol", "nan"], 2),
+    (["verify", "noncrossing", "bwz", "--tol", "nan"], 2),
+    (["verify", "decomposition", "bwz", "--trials", "1", "--tol", "inf"], 2),
+    (["verify", "noncrossing", "bwz", "--samples", "2", "--tol", "0"], 0),
+])
+def test_cli_rejects_negative_or_nonfinite_tol(tmp_path, capsys, argv, code):
+    out = tmp_path / "o.jsonl"
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    assert ("--tol must be finite and >= 0" in capsys.readouterr().err) == (code == 2)
 
 
 def test_cli_budget_exit(tmp_path):

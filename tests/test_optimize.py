@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from canonical_region import (
+    Alphabet,
     BudgetError,
+    Channel,
     Direction,
     FunctionalContext,
     ProblemSpec,
@@ -26,12 +28,14 @@ from canonical_region import (
     optimize_single_channel,
     random_channels,
     random_direction,
+    resolve_problem,
     theta,
     trace_inner_bound,
     verify_alphabet_bound,
 )
 from canonical_region import optimize
-from canonical_region.optimize import _candidate_pool, _simplex_lattice
+from canonical_region.optimize import _candidate_pool, _orbit_table, _simplex_lattice
+from canonical_region.pmf import cell_entropies
 from conftest import make_spec
 
 
@@ -125,6 +129,83 @@ def test_brute_force_one_output_on_a_wide_slot():
     assert np.array_equal(channel.rows, np.ones((70, 1)))
     constant = direct_weighted_value(spec, [constant_channel(spec.x_alphabet(1))], d)
     assert abs(values[0] - constant) < 1e-12
+
+
+def _reference_orbit_table(grid, z, x):
+    """First raw index per ``np.unique`` of column-sorted keys, in raw order."""
+    lat = _simplex_lattice(grid, z)
+    digits = np.array(list(itertools.product(range(lat.shape[0]), repeat=x)))
+    raw = lat[digits].reshape(-1, x, z)                  # row 0 most significant
+    col_keys = np.rint(raw * grid).astype(np.int64)
+    packed = (col_keys * (grid + 1) ** np.arange(x - 1, -1, -1)[:, None]).sum(axis=1)
+    _, first = np.unique(np.sort(packed, axis=1), axis=0, return_index=True)
+    return raw[np.sort(first)]
+
+
+def test_orbit_table_matches_unique_of_sorted_columns():
+    for grid in range(1, 7):
+        for z in range(1, 6):
+            for x in range(1, 4):
+                if math.comb(grid + z - 1, z - 1) ** x > 50_000:
+                    continue   # x = 3 at (grid, z) = (4..6, 5) and (5..6, 4)
+                got, expected = _orbit_table(grid, z, x), _reference_orbit_table(grid, z, x)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (grid, z, x)
+
+
+@pytest.mark.parametrize("shape, count", [
+    ((3, 4, 2), 27), ((12, 2, 2), 85), ((5, 4, 2), 168), ((8, 4, 2), 1_297),
+    ((14, 4, 2), 20_307),
+])
+def test_orbit_table_counts(shape, count):
+    assert _orbit_table(*shape).shape == (count, shape[2], shape[1])
+
+
+def _raw_lattice_minima(spec, directions, z_sizes, grid):
+    """Score every raw lattice bank (all column orders) with direct_weighted_value."""
+    per_slot = [
+        [Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", z), rows)
+         for rows in itertools.product(_simplex_lattice(grid, z), repeat=spec.x_alphabet(k).size)]
+        for k, z in zip(spec.channel_slots, z_sizes)
+    ]
+    best = np.full(len(directions), np.inf)
+    for bank in itertools.product(*per_slot):
+        for i, d in enumerate(directions):
+            best[i] = min(best[i], direct_weighted_value(spec, list(bank), d))
+    return best
+
+
+@pytest.mark.parametrize("name, z_sizes, grid, n_dirs", [
+    ("bwz", [2], 6, 2), ("bwz", [3], 4, 2), ("bwz", [4], 3, 2),
+    ("dsbs", [3, 3], 2, 1), ("helper3", [2, 2], 3, 2),
+])
+def test_orbit_search_matches_raw_enumeration(name, z_sizes, grid, n_dirs):
+    spec = resolve_problem(name)
+    rng = np.random.default_rng(94)
+    dirs = [random_direction(spec.m, spec.j, spec.l, rng) for _ in range(n_dirs)]
+    values, banks = brute_force_search(spec, dirs, z_sizes, grid)
+    expected = _raw_lattice_minima(spec, dirs, z_sizes, grid)
+    for i, d in enumerate(dirs):
+        assert abs(values[i] - expected[i]) < 1e-12
+        assert abs(direct_weighted_value(spec, banks[i], d) - values[i]) < 1e-12
+
+
+def test_search_scores_one_bank_per_orbit(monkeypatch, dsbs):
+    # 27 orbits per (3, 4, 2) slot: 729 banks instead of 400 ** 2 raw ones
+    rows = []
+
+    def counting(a):
+        rows.append(a.shape[0])
+        return cell_entropies(a)
+
+    monkeypatch.setattr(optimize, "cell_entropies", counting)
+    d = Direction.normalized(2, 0, 1, [0.4, 0.4, 0.5])
+    brute_force_search(dsbs, [d], [4, 4], 1)
+    one_chunk = len(rows)
+    rows.clear()
+    brute_force_search(dsbs, [d], [4, 4], 3)
+    assert estimate_brute_force_evals(dsbs, [4, 4], 3) == 160_000
+    assert len(rows) == one_chunk and set(rows) == {729}
 
 
 def test_brute_force_validation(dsbs, bwz):
@@ -372,6 +453,18 @@ def test_alphabet_bound_rejects_nonpositive_grid(bwz):
     for grid in (0, -3):
         with pytest.raises(StructuralError, match="grid must be >= 1"):
             verify_alphabet_bound(bwz, d, grid=grid)
+
+
+def test_negative_candidates_and_nonpositive_restarts_rejected(bwz):
+    d = Direction.normalized(1, 0, 1, [0.6, 0.8])
+    ctx = FunctionalContext(bwz, 1, {}, d)
+    with pytest.raises(StructuralError, match="candidates must be >= 0"):
+        optimize_single_channel(ctx, candidates=-5)
+    assert len(_candidate_pool(ctx, 0, 0, None)) == 3      # vertices and the midpoint
+    for restarts in (0, -3):
+        with pytest.raises(StructuralError, match="restarts must be >= 1"):
+            verify_alphabet_bound(bwz, d, grid=4, restarts=restarts)
+    assert verify_alphabet_bound(bwz, d, grid=4, restarts=1, sweeps=3).passed
 
 
 def test_alphabet_bound_verifies_on_single_source(bwz):
