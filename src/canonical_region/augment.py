@@ -336,10 +336,6 @@ class AugmentedPmf:
     def s_vs(self) -> VarSet:
         return self.joint.varset("S")
 
-    @property
-    def v_vs(self) -> VarSet:
-        return self.joint.varset("V")
-
 
 def channel_product(spec: ProblemSpec, channels: Mapping[int, Channel]) -> JointPmf:
     """The source law times ``q_k(z_k | x_k)`` for each slot k in ``channels``.

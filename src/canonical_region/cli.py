@@ -77,20 +77,11 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+def _json_default(value):
+    """numpy arrays and scalars as their Python equivalents; anything else is a bug."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(records: list[dict], out: str | None) -> None:
@@ -98,7 +89,7 @@ def _emit(records: list[dict], out: str | None) -> None:
     if out is None:
         return
     lines = [
-        json.dumps(_jsonable(r), sort_keys=True, separators=(",", ":"))
+        json.dumps(r, sort_keys=True, separators=(",", ":"), default=_json_default)
         for r in records
     ]
     tmp = f"{out}.{os.getpid()}.tmp"   # beside the target; no live run shares a pid
@@ -272,6 +263,8 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
 
 
 def _suite_decomposition(args, spec, records: list[dict]) -> bool:
+    if not spec.channel_slots:
+        raise InputError("decomposition is vacuous without channel slots")
     trials = 20 if args.trials is None else args.trials
     if trials < 1:
         raise InputError(f"--trials must be >= 1, got {trials}")

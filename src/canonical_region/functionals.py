@@ -246,13 +246,12 @@ class FunctionalContext:
     Holds the spec, the slot index k, the frozen channels of every other
     slot, and optionally the direction (required by :func:`theta`).
     Precomputes the frozen-channel joint (the augmented law *without*
-    slot k) and caches the conditional tensors each functional needs.
+    slot k).  The conditional tensors each functional needs are built
+    from it on every call: the optimizer scores a context's whole pool in
+    one :func:`theta` call, so there is nothing to reuse.
     """
 
-    __slots__ = (
-        "spec", "k", "frozen", "direction",
-        "base", "p_k", "_phi_cache", "_psi_cache", "_rate_const_cache",
-    )
+    __slots__ = ("spec", "k", "frozen", "direction", "base", "p_k")
 
     def __init__(
         self,
@@ -279,9 +278,6 @@ class FunctionalContext:
         self.direction = direction
         self.base = channel_product(spec, self.frozen)
         self.p_k = spec.x_marginal(k)
-        self._phi_cache: dict[int, tuple] = {}
-        self._psi_cache: dict[int, np.ndarray] = {}
-        self._rate_const_cache: dict[int, float] = {}
 
     # conditioning tuple u for description i: lossless X's, earlier Z's
     # excluding Z_k (and including Z_i itself when include_zi), then S
@@ -301,9 +297,6 @@ class FunctionalContext:
             return np.where(pk > 0.0, m / np.where(pk > 0.0, pk, 1.0), 0.0)
 
     def _phi_tensors(self, i: int):
-        data = self._phi_cache.get(i)
-        if data is not None:
-            return data
         u1 = self._u_names(i, include_zi=False)
         u2 = self._u_names(i, include_zi=True)
         if i == self.k:
@@ -317,40 +310,28 @@ class FunctionalContext:
             a2 = np.zeros((n, n) + cond.shape[1:])
             for x in range(n):
                 a2[x, x] = cond[x]
-            data = (None, a2, const)
-        else:
-            a1 = self._cond_given_xk([f"X{i}"] + u1)   # (x_k, x_i, *u1)
-            a2 = self._cond_given_xk([f"X{i}"] + u2)   # (x_k, x_i, *u2)
-            data = (a1, a2, None)
-        self._phi_cache[i] = data
-        return data
+            return None, a2, const
+        a1 = self._cond_given_xk([f"X{i}"] + u1)       # (x_k, x_i, *u1)
+        a2 = self._cond_given_xk([f"X{i}"] + u2)       # (x_k, x_i, *u2)
+        return a1, a2, None
 
-    def _psi_tensor(self, l: int) -> np.ndarray:
-        arr = self._psi_cache.get(l)
-        if arr is None:
-            u = self._u_names(self.spec.m, include_zi=True)
-            arr = self._cond_given_xk(["V"] + u)       # (x_k, v, *u)
-            self._psi_cache[l] = arr
-        return arr
+    def _psi_tensor(self) -> np.ndarray:
+        """Array (x_k, v, *u) over every observation: one for all distortion measures."""
+        return self._cond_given_xk(["V"] + self._u_names(self.spec.m, include_zi=True))
 
     def rate_constant(self, i: int) -> float:
         """Rate of description i < k; independent of slot k's channel."""
         if not self.spec.j + 1 <= i < self.k:
             raise StructuralError(f"description {i} is not a pre-k slot")
-        value = self._rate_const_cache.get(i)
-        if value is None:
-            target = self.base.varset(f"X{i}")
-            desc = self.base.varset(f"Z{i}")
-            cond_names = [f"X{t}" for t in range(1, self.spec.j + 1)]
-            cond_names += [f"Z{t}" for t in range(self.spec.j + 1, i)]
-            cond_names.append("S")
-            value = mi_sets(self.base, target, desc, self.base.varset(*cond_names))
-            self._rate_const_cache[i] = value
-        return value
+        cond_names = [f"X{t}" for t in range(1, self.spec.j + 1)]
+        cond_names += [f"Z{t}" for t in range(self.spec.j + 1, i)]
+        cond_names.append("S")
+        return mi_sets(self.base, self.base.varset(f"X{i}"), self.base.varset(f"Z{i}"),
+                       self.base.varset(*cond_names))
 
 
 def _mix(pool: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Mix a cached tensor ``(x_k, *rest)`` by every pool row: ``(P, *rest)``."""
+    """Mix a conditional tensor ``(x_k, *rest)`` by every pool row: ``(P, *rest)``."""
     mixed = pool @ a.reshape(a.shape[0], -1)
     return mixed.reshape((len(pool),) + a.shape[1:])
 
@@ -368,11 +349,11 @@ def _phi_pool(ctx: FunctionalContext, i: int, pool: np.ndarray):
     return phi1, _mixed_cond_entropy(pool, a2)
 
 
-def _psi_pool(ctx: FunctionalContext, l: int, pool: np.ndarray) -> np.ndarray:
-    mixed = _mix(pool, ctx._psi_tensor(l))             # (P, v, *u)
+def _psi_pool(ctx: FunctionalContext, l: int, mixed: np.ndarray) -> np.ndarray:
+    """psi for measure l of each pool row, from its mixed ``(P, v, *u)`` tensor."""
     d = ctx.spec.distortions[l - 1]
     scores = np.tensordot(mixed, d, axes=([1], [0]))   # (P, *u, vhat)
-    return scores.min(axis=-1).reshape(len(pool), -1).sum(axis=1)
+    return scores.min(axis=-1).reshape(len(mixed), -1).sum(axis=1)
 
 
 def phi_parts(ctx: FunctionalContext, i: int, t):
@@ -407,7 +388,7 @@ def psi(ctx: FunctionalContext, l: int, t):
     if not 1 <= l <= ctx.spec.l:
         raise StructuralError(f"distortion index {l} outside 1..{ctx.spec.l}")
     pool, single = _as_pool(t, ctx.p_k.size)
-    return _unwrap(_psi_pool(ctx, l, pool), single)
+    return _unwrap(_psi_pool(ctx, l, _mix(pool, ctx._psi_tensor())), single)
 
 
 def theta(ctx: FunctionalContext, t):
@@ -433,10 +414,13 @@ def theta(ctx: FunctionalContext, t):
         else:
             phi1, phi2 = _phi_pool(ctx, i, pool)
             total += weight * (phi1 - phi2)
+    mixed = None
     for l in range(1, ctx.spec.l + 1):
         weight = ctx.direction.distortion_weight(l)
         if weight != 0.0:
-            total += weight * _psi_pool(ctx, l, pool)
+            if mixed is None:
+                mixed = _mix(pool, ctx._psi_tensor())  # (P, v, *u)
+            total += weight * _psi_pool(ctx, l, mixed)
     return _unwrap(total, single)
 
 
@@ -503,10 +487,7 @@ def verify_linear_decomposition(
         frozen = {kk: ch for kk, ch in zip(slots, channels) if kk != k}
         ctx = FunctionalContext(spec, k, frozen, direction)
         pair = forward_to_reverse(spec, k, channels[pos])
-        value = 0.0
-        for z in range(pair.out_size):
-            if pair.weights[z] > 0.0:
-                value += pair.weights[z] * theta(ctx, pair.columns[z])
+        value = float(pair.weights @ theta(ctx, pair.columns))
         err = abs(value - direct)
         entries.append(DecompositionEntry(k, value, direct, err, err <= tol))
     return DecompositionReport(tuple(entries), tol)

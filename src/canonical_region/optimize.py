@@ -53,13 +53,12 @@ from .functionals import (
 )
 from .pmf import Alphabet, cell_entropies
 from .region import check_permutation, corner_point, identity_permutation
+from .simplex import solve_equality_lp
 
 MAX_BRUTE_EVALS = 15_000_000
 SWEEP_IMPROVEMENT_TOL = 1e-9
 MONOTONE_TOL = 1e-10
 SUPPORT_WEIGHT_TOL = 1e-12
-RESOLVE_FEAS_TOL = 1e-10    # least-squares re-solve of a reduced support: weights, mixture
-RESOLVE_VALUE_TOL = 1e-11   # a reduced support may not raise the LP value by more than this
 CHUNK = 8192
 ALPHABET_BOUND_TOL = 1e-2   # capped and enlarged optima come from different coarse lattice grids
 
@@ -129,56 +128,20 @@ def _candidate_pool(ctx: FunctionalContext, candidates: int, seed,
     return pool[list(first.values())]
 
 
-def _minimal_support(pool: np.ndarray, values: np.ndarray, p_k: np.ndarray,
-                     w0: np.ndarray, v0: float) -> tuple[tuple[int, ...], np.ndarray]:
-    """Among equal-objective feasible reductions of the LP support, prefer
-    the smallest support, then the lexicographically smallest weights."""
-    support0 = tuple(int(i) for i in np.flatnonzero(w0 > SUPPORT_WEIGHT_TOL))
-    if not support0:
-        support0 = tuple(int(i) for i in np.flatnonzero(w0 > 0.0)) or (int(np.argmax(w0)),)
-
-    def resolve(combo: tuple[int, ...]):
-        cols = pool[list(combo)].T
-        sol, *_ = np.linalg.lstsq(cols, p_k, rcond=None)
-        if sol.min(initial=0.0) < -RESOLVE_FEAS_TOL:
-            return None
-        sol = np.maximum(sol, 0.0)
-        if np.abs(cols @ sol - p_k).max() > RESOLVE_FEAS_TOL:
-            return None
-        value = float(values[list(combo)] @ sol)
-        if value > v0 + RESOLVE_VALUE_TOL:
-            return None
-        return sol
-
-    for size in range(1, len(support0) + 1):
-        found = []
-        for combo in itertools.combinations(support0, size):
-            sol = resolve(combo)
-            if sol is not None:
-                full = np.zeros(len(pool))
-                full[list(combo)] = sol
-                found.append((tuple(full), combo, sol))
-        if found:
-            _, combo, sol = min(found, key=lambda item: item[0])
-            return combo, sol
-    return support0, np.maximum(w0[list(support0)], 0.0)
-
-
 def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64,
                             seed=0, incumbent_columns=None) -> ReverseChannelPair:
     """Globally optimize slot k's reverse pair over a finite candidate pool.
 
     Scores the whole pool with one theta call (the functionals take one
     simplex point or a pool of them) and solves the mixture LP with the
-    two-phase simplex.  The vertex columns guarantee feasibility, and a
-    basic optimum keeps at most ``|X_k|`` columns.  ``incumbent_columns``
-    (shape ``(*, |X_k|)``) joins the pool, so the optimum is then at least
-    as good as the incumbent.
+    two-phase simplex.  The vertex columns guarantee feasibility.  The
+    returned pair is the basic optimum itself: its weights above
+    ``SUPPORT_WEIGHT_TOL`` (at most ``|X_k|`` of them), normalized.
+    ``incumbent_columns`` (shape ``(*, |X_k|)``) joins the pool, so the
+    optimum is then at least as good as the incumbent.
     """
     if ctx.direction is None:
         raise StructuralError("optimize_single_channel needs a direction in the context")
-    from .simplex import solve_equality_lp
-
     pool = _candidate_pool(ctx, candidates, seed, incumbent_columns)
     values = theta(ctx, pool)
     result = solve_equality_lp(values, pool.T, ctx.p_k)
@@ -186,13 +149,13 @@ def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64,
         raise NumericIntegrityError(
             f"mixture LP unexpectedly {result.status} (vertex columns make it feasible)"
         )
-    support, weights = _minimal_support(pool, values, ctx.p_k, result.w, result.value)
+    support = np.flatnonzero(result.w > SUPPORT_WEIGHT_TOL)
     if len(support) > ctx.p_k.size:
         raise NumericIntegrityError(
             f"LP support {len(support)} exceeds the alphabet bound {ctx.p_k.size}"
         )
-    weights = weights / weights.sum()
-    return ReverseChannelPair(weights, pool[list(support)])
+    weights = result.w[support]
+    return ReverseChannelPair(weights / weights.sum(), pool[support])
 
 
 # ---- coordinate descent ---------------------------------------------------------

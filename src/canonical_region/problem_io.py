@@ -125,17 +125,22 @@ def _parse_source(data, m: int, shape: tuple[int, ...]) -> list[Fraction]:
     return fracs
 
 
-def load_problem(path) -> ProblemSpec:
-    """Parse a problem file into a validated :class:`ProblemSpec`."""
-    path = Path(path)
+def _read_json(path: Path):
+    """The parsed contents of a JSON file; unreadable or invalid files are InputError."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_problem(path) -> ProblemSpec:
+    """Parse a problem file into a validated :class:`ProblemSpec`."""
+    path = Path(path)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -306,12 +311,7 @@ def load_channels(path, spec: ProblemSpec) -> list[Channel]:
     row-stochastic matrices with ``|X_k|`` rows.
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or set(data) != {"channels"}:
         raise InputError(f'{path}: expected a single top-level key "channels"')
     items = data["channels"]
@@ -355,12 +355,7 @@ def load_directions(path, spec: ProblemSpec) -> list[Direction]:
     to unit 2-norm on load.
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or set(data) != {"directions"}:
         raise InputError(f'{path}: expected a single top-level key "directions"')
     items = data["directions"]

@@ -27,7 +27,6 @@ class LpResult:
     status: str                       # "optimal" | "infeasible" | "unbounded"
     w: np.ndarray | None = field(default=None, repr=False)
     value: float = float("nan")
-    basis: tuple[int, ...] = ()
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -140,4 +139,4 @@ def solve_equality_lp(c, a, b) -> LpResult:
     for r in range(m):
         if basis[r] < n:
             w[basis[r]] = max(0.0, tableau[r, -1])
-    return LpResult("optimal", w, float(c @ w), tuple(basis))
+    return LpResult("optimal", w, float(c @ w))

@@ -331,6 +331,16 @@ def test_cli_verify_decomposition_pass_and_fail(tmp_path):
     assert records[-1]["passed"] is False
 
 
+def test_cli_decomposition_refuses_a_problem_without_channel_slots(tmp_path, capsys):
+    # J = M: every source is lossless, so no draw would check anything
+    path = tmp_path / "lossless.json"
+    save_problem(make_spec(np.random.default_rng(5), m=2, j=2, l=1), path)
+    out = tmp_path / "d.jsonl"
+    assert main(["verify", "decomposition", str(path), "--out", str(out)]) == 2
+    assert "vacuous without channel slots" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_alphabet_bound(tmp_path):
     out = tmp_path / "ab.jsonl"
     assert main(["verify", "alphabet-bound", "bwz", "--grid", "8",

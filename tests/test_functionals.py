@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from canonical_region import functionals
 from canonical_region import (
     Alphabet,
     DegeneracyWarning,
@@ -324,6 +325,21 @@ def test_decomposition_holds_across_shapes(dsbs):
         verify_linear_decomposition(dsbs, [], random_direction(2, 0, 1, rng))
 
 
+def test_decomposition_scores_each_slot_in_one_theta_call(monkeypatch, helper3):
+    calls = []
+
+    def counting_theta(ctx, t):
+        calls.append(np.shape(t))
+        return theta(ctx, t)
+
+    monkeypatch.setattr(functionals, "theta", counting_theta)
+    rng = np.random.default_rng(63)
+    chans = random_channels(helper3, rng)                  # slots 2 and 3
+    report = verify_linear_decomposition(helper3, chans, random_direction(3, 1, 1, rng))
+    assert report.passed
+    assert calls == [(ch.output.size, ch.input.size) for ch in chans]
+
+
 def test_direct_weighted_value_composition(dsbs):
     rng = np.random.default_rng(60)
     chans = random_channels(dsbs, rng)
@@ -355,10 +371,15 @@ def _test_pool(rng, n):
     return np.vstack([eye, *mids, np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), size=12)])
 
 
-@pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol"])
+@pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol", "two-distortions"])
 def test_pool_matches_stacked_points(name, request):
     rng = np.random.default_rng(62)
-    spec = _zero_symbol_spec(rng) if name == "zero-symbol" else request.getfixturevalue(name)
+    if name == "zero-symbol":
+        spec = _zero_symbol_spec(rng)
+    elif name == "two-distortions":                                 # one psi tensor, L = 2
+        spec = make_spec(rng, m=3, j=1, l=2)
+    else:
+        spec = request.getfixturevalue(name)
     chans = random_channels(spec, rng)
     slots = spec.channel_slots
     d = random_direction(spec.m, spec.j, spec.l, rng)
@@ -369,6 +390,11 @@ def test_pool_matches_stacked_points(name, request):
         values = theta(ctx, pool)
         assert values.shape == (len(pool),)
         assert np.abs(values - [theta(ctx, t) for t in pool]).max() <= 1e-12
+        manual = sum(d.rate_weight(i) * (ctx.rate_constant(i) if i < k else phi(ctx, i, pool))
+                     for i in slots)
+        manual = manual + sum(d.distortion_weight(l) * psi(ctx, l, pool)
+                              for l in range(1, spec.l + 1))
+        assert np.abs(values - manual).max() <= 1e-12
         for i in range(k, spec.m + 1):                              # i == k is the diagonal
             parts = phi_parts(ctx, i, pool)
             stacked = np.array([phi_parts(ctx, i, t) for t in pool]).T

@@ -36,6 +36,7 @@ from canonical_region import (
 from canonical_region import optimize
 from canonical_region.optimize import _candidate_pool, _orbit_table, _simplex_lattice
 from canonical_region.pmf import cell_entropies
+from canonical_region.simplex import solve_equality_lp
 from conftest import make_spec
 
 
@@ -289,6 +290,29 @@ def test_descent_scores_each_pool_in_one_theta_call(monkeypatch, helper3):
     result = coordinate_descent(helper3, d, chans, sweeps=3, candidates=16)
     assert len(calls) == result.sweeps_run * len(helper3.channel_slots)
     assert all(len(shape) == 2 for shape in calls)
+
+
+@pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs"])
+def test_single_slot_pair_is_the_lp_basic_solution(name, request):
+    spec = request.getfixturevalue(name)
+    rng = np.random.default_rng(90)
+    slots = spec.channel_slots
+    for trial in range(4):
+        chans = random_channels(spec, rng)
+        d = random_direction(spec.m, spec.j, spec.l, rng)
+        for pos, k in enumerate(slots):
+            frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
+            ctx = FunctionalContext(spec, k, frozen, d)
+            incumbent = forward_to_reverse(spec, k, chans[pos]).columns
+            pair = optimize_single_channel(ctx, candidates=32, seed=(trial, k),
+                                           incumbent_columns=incumbent)
+            pool = _candidate_pool(ctx, 32, (trial, k), incumbent)
+            lp = solve_equality_lp(theta(ctx, pool), pool.T, ctx.p_k)
+            support = np.flatnonzero(lp.w > optimize.SUPPORT_WEIGHT_TOL)
+            assert pair.columns.tobytes() == pool[support].tobytes()
+            weights = lp.w[support]
+            assert pair.weights.tobytes() == (weights / weights.sum()).tobytes()
+            assert pair.out_size <= ctx.p_k.size
 
 
 def _reference_pool_dedupe(points):
