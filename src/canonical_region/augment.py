@@ -288,15 +288,17 @@ class AugmentedPmf:
     Constructed by :func:`attach_channels`; carries the joint tensor, the
     originating spec, and the channels keyed by slot.  Helper methods map
     description indices to tensor axes, with the ``m <= J`` aliasing
-    (description m is ``X_m`` itself) resolved transparently.
+    (description m is ``X_m`` itself) resolved transparently.  ``_g`` holds
+    the region's g by group bitmask, NaN until :mod:`.region` computes it.
     """
 
-    __slots__ = ("joint", "spec", "channels")
+    __slots__ = ("joint", "spec", "channels", "_g")
 
     def __init__(self, joint: JointPmf, spec: ProblemSpec, channels: Mapping[int, Channel]):
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "channels", dict(channels))
+        object.__setattr__(self, "_g", np.full(1 << spec.m, np.nan))
 
     def __setattr__(self, name, value):
         raise AttributeError("AugmentedPmf is immutable")

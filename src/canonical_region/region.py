@@ -32,6 +32,7 @@ bounding g(I) by a sum of single-index corner rates).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -73,12 +74,13 @@ def _group(indices: Iterable[int], m: int) -> tuple[int, ...]:
     return out
 
 
-def _groups_in_mask_order(m: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _groups_in_mask_order(m: int) -> tuple[tuple[int, ...], ...]:
     """All nonempty groups, ordered by their bitmask over sources 1..M."""
-    return [
+    return tuple(
         tuple(i + 1 for i in range(m) if mask >> i & 1)
         for mask in range(1, 1 << m)
-    ]
+    )
 
 
 def _mi_xz(aug: AugmentedPmf, left: Sequence[int], cond: Sequence[int]) -> float:
@@ -98,11 +100,21 @@ def _mi_zz(aug: AugmentedPmf, left: Sequence[int], right: Sequence[int],
     return mi_sets(aug.joint, a, b, c)
 
 
+def _g_table(aug: AugmentedPmf, masks: Iterable[int]) -> np.ndarray:
+    """``aug``'s g table, with the entries of the group bitmasks ``masks`` filled."""
+    table = aug._g
+    for mask in masks:
+        if math.isnan(table[mask]):
+            group = [i + 1 for i in range(aug.m) if mask >> i & 1]
+            comp = [i + 1 for i in range(aug.m) if not mask >> i & 1]
+            table[mask] = _mi_xz(aug, group, comp)
+    return table
+
+
 def rate_lhs(aug: AugmentedPmf, group: Iterable[int]) -> float:
     """g(I) = I(X_I ; Z_I | Z_{I^c}, S) for a nonempty group I of 1..M."""
-    g = _group(group, aug.m)
-    comp = tuple(i for i in range(1, aug.m + 1) if i not in g)
-    return _mi_xz(aug, g, comp)
+    mask = sum(1 << (i - 1) for i in _group(group, aug.m))
+    return float(_g_table(aug, (mask,))[mask])
 
 
 @dataclass(frozen=True)
@@ -129,32 +141,34 @@ class ConstraintReport:
 
     def entry(self, group: Iterable[int]) -> ConstraintEntry:
         key = tuple(sorted(group))
-        for e in self.entries:
-            if e.group == key:
-                return e
+        index = sum(1 << (int(i) - 1) for i in key if i >= 1) - 1   # entries are in bitmask order
+        if 0 <= index < len(self.entries) and self.entries[index].group == key:
+            return self.entries[index]
         raise StructuralError(f"no constraint entry for group {key}")
 
 
 def membership(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE_TOL) -> ConstraintReport:
     """Evaluate every group constraint at ``rates``.
 
-    ``rates`` must have one nonnegative entry per source (entries within
-    ``RATE_NEGATIVE_TOL`` below zero count as zero).  Entries come back in
-    bitmask order, so reports are deterministic and comparable across runs.
+    ``rates`` must have one finite nonnegative entry per source (entries
+    within ``RATE_NEGATIVE_TOL`` below zero count as zero).  Entries come
+    back in bitmask order, so reports are deterministic across runs.
     """
     r = np.asarray(rates, dtype=float)
     if r.shape != (aug.m,):
         raise StructuralError(f"rate vector has shape {r.shape}, expected ({aug.m},)")
+    if not np.isfinite(r).all():
+        raise StructuralError(f"rate vector has a non-finite entry: {r}")
     if r.min(initial=0.0) < -RATE_NEGATIVE_TOL:
         raise StructuralError(f"rate vector has a negative entry: {r}")
-    entries = []
-    for group in _groups_in_mask_order(aug.m):
-        lhs = rate_lhs(aug, group)
-        rate_sum = float(sum(r[i - 1] for i in group))
-        slack = rate_sum - lhs
-        entries.append(
-            ConstraintEntry(group, lhs, rate_sum, slack, abs(slack) <= tol)
-        )
+    # sums[mask] adds the group's rates left to right in increasing index
+    sums = np.zeros(1 << aug.m)
+    for b in range(aug.m):
+        sums[1 << b:2 << b] = sums[:1 << b] + r[b]
+    lhs = _g_table(aug, range(1, 1 << aug.m))[1:]
+    slack = sums[1:] - lhs
+    entries = map(ConstraintEntry, _groups_in_mask_order(aug.m), lhs.tolist(),
+                  sums[1:].tolist(), slack.tolist(), (np.abs(slack) <= tol).tolist())
     return ConstraintReport(tuple(entries), tol)
 
 
@@ -193,12 +207,15 @@ def enumerate_extreme_points(aug: AugmentedPmf) -> list[tuple[Permutation, RateV
 
 def distinct_count(points: Sequence[tuple[Permutation, RateVector]],
                    tol: float = DISTINCT_TOL) -> int:
-    """Number of pairwise-distinct rate vectors under the max-norm gap ``tol``."""
-    reps: list[np.ndarray] = []
-    for _, r in points:
-        if not any(np.abs(r - seen).max() <= tol for seen in reps):
-            reps.append(np.asarray(r, dtype=float))
-    return len(reps)
+    """Number of points farther than ``tol`` (max norm) from every point counted before them."""
+    rates = np.array([r for _, r in points], dtype=float)
+    reps = np.empty_like(rates)
+    count = 0
+    for r in rates:
+        if not (np.abs(r - reps[:count]).max(axis=1) <= tol).any():
+            reps[count] = r
+            count += 1
+    return count
 
 
 def expected_active_groups(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import canonical_region.region as region_mod
 from canonical_region import (
     BudgetError,
     PreconditionError,
@@ -24,6 +26,7 @@ from canonical_region import (
     nondegeneracy_report,
     random_channels,
     rate_lhs,
+    solve_equality_lp,
     source_nondegeneracy_report,
     verify_chain_identities,
     verify_noncrossing,
@@ -276,3 +279,137 @@ def test_disjoint_group_pairs_cover_each_unordered_pair_once():
                                  if i not in group_a and i not in group_b)
             seen.add(frozenset((group_a, group_b)))
         assert len(seen) == len(pairs)
+
+
+def region_problem_aug(seed, m, channel_seed=1):
+    """The benchmark's region problem (binary X/S/V, J = M - 4, L = 1,
+    Dirichlet(1) source drawn from ``(seed, m)``) with the CLI's channel bank
+    for ``--seed channel_seed``."""
+    rng = np.random.default_rng((seed, m))
+    probs = rng.dirichlet(np.ones(2 ** (m + 2))).reshape((2,) * m + (2, 2))
+    spec = ProblemSpec(m, m - 4, 1, [2] * m, 2, 2, [2], probs, [[[0, 1], [1, 0]]])
+    return attach_channels(spec, random_channels(spec, np.random.default_rng(channel_seed)))
+
+
+def count_mi_sets(monkeypatch):
+    calls = []
+    real = region_mod.mi_sets
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(region_mod, "mi_sets", counting)
+    return calls
+
+
+def test_membership_rejects_non_finite_rates(helper3):
+    aug = attach_channels(helper3, random_channels(helper3, np.random.default_rng(42)))
+    m = helper3.m
+    one_nan = np.full(m, 10.0)
+    one_nan[1] = np.nan
+    for rates in (np.full(m, np.nan), np.full(m, np.inf), one_nan):
+        with pytest.raises(StructuralError):
+            membership(aug, rates)
+
+
+def test_corners_match_the_orthant_identity():
+    # R_pi(i) = g(pi(i..M)) - g(pi(i+1..M)), a second path to every corner
+    m = 6
+    aug = region_problem_aug(1, m)
+    full = rate_lhs(aug, range(1, m + 1))
+    for perm in itertools.permutations(range(1, m + 1)):
+        corner = corner_point(aug, perm)
+        for pos, source in enumerate(perm):
+            rest = rate_lhs(aug, perm[pos + 1:]) if pos + 1 < m else 0.0
+            assert abs(corner[source - 1] - (rate_lhs(aug, perm[pos:]) - rest)) <= 1e-12
+        assert abs(float(corner.sum()) - full) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_greedy_corner_supports_every_nonnegative_direction(m):
+    # min w.R over the 2^M - 1 group inequalities, as an LP in slack form
+    rng = np.random.default_rng(60 + m)
+    spec = make_spec(rng, m=m, l=1, max_alphabet=2)
+    aug = attach_channels(spec, random_channels(spec, rng))
+    masks = range(1, 1 << m)
+    incidence = np.array([[mask >> i & 1 for i in range(m)] for mask in masks], dtype=float)
+    g = np.array([rate_lhs(aug, [i + 1 for i in range(m) if mask >> i & 1]) for mask in masks])
+    a = np.hstack([incidence, -np.eye(len(g))])
+    corners = np.array([r for _, r in enumerate_extreme_points(aug)])
+    for trial in range(50):
+        # every other direction has integer weights, so zeros and ties occur
+        w = rng.exponential(size=m) if trial % 2 else rng.integers(0, 3, size=m).astype(float)
+        lp = solve_equality_lp(np.concatenate([w, np.zeros(len(g))]), a, g)
+        assert lp.status == "optimal"
+        greedy = float(w @ corner_point(aug, tuple(np.argsort(w, kind="stable") + 1)))
+        assert abs(greedy - lp.value) <= 1e-9
+        assert greedy <= float((corners @ w).min()) + 1e-12
+
+
+def test_membership_computes_g_once_per_joint(monkeypatch):
+    aug = region_problem_aug(1, 6)
+    points = enumerate_extreme_points(aug)
+    calls = count_mi_sets(monkeypatch)
+    membership(aug, points[0][1])
+    assert len(calls) == 63
+    for _, rates in points[1:]:
+        membership(aug, rates)
+    assert len(calls) == 63
+
+
+def test_rate_lhs_computes_only_the_group_asked_for(monkeypatch):
+    m = 7
+    shape = (2,) * m + (1, 2)
+    probs = np.random.default_rng(38).dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+    aug = attach_channels(ProblemSpec(m, m, 0, [2] * m, 1, 2, [], probs, []), [])
+    calls = count_mi_sets(monkeypatch)
+    first = rate_lhs(aug, [5, 2])
+    assert len(calls) == 1
+    assert rate_lhs(aug, (2, 5)) == first
+    assert len(calls) == 1
+
+
+def test_rate_sums_add_left_to_right_in_index_order():
+    rng = np.random.default_rng(61)
+    for m in range(1, 7):
+        spec = make_spec(rng, m=m, l=1, max_alphabet=2)
+        aug = attach_channels(spec, random_channels(spec, rng))
+        for _ in range(100):
+            # magnitudes spread over ten decades make the addition order visible
+            rates = rng.exponential(size=m) * 10.0 ** rng.integers(-8, 3, size=m)
+            for e in membership(aug, rates).entries:
+                assert e.rate_sum == float(sum(rates[i - 1] for i in e.group))
+
+
+def reference_distinct_count(points, tol):
+    reps = []
+    for _, r in points:
+        if not any(np.abs(r - seen).max() <= tol for seen in reps):
+            reps.append(np.asarray(r, dtype=float))
+    return len(reps)
+
+
+def test_distinct_count_matches_a_reference_greedy():
+    def pts(*rows):
+        return [((i,), np.array(r, dtype=float)) for i, r in enumerate(rows)]
+
+    tol = 0.25
+    cases = [
+        (pts(), tol, 0),
+        (pts([1.0, 2.0]), tol, 1),
+        (pts([1.0, 2.0], [1.25, 2.0]), tol, 1),                          # exactly tol apart
+        (pts([1.0, 2.0], [np.nextafter(1.25, 2.0), 2.0]), tol, 2),       # tol plus one ulp
+        (pts([0.0], [0.75 * tol], [1.5 * tol]), tol, 2),                 # greedy, not transitive
+        (pts([0.0], [1e-6]), region_mod.DISTINCT_TOL, 1),
+        (pts([0.0], [np.nextafter(1e-6, 1.0)]), region_mod.DISTINCT_TOL, 2),
+        (pts([np.nan, 0.0], [np.nan, 0.0]), tol, 2),
+    ]
+    for points, t, expected in cases:
+        assert distinct_count(points, t) == reference_distinct_count(points, t) == expected
+    rng = np.random.default_rng(62)
+    for _ in range(20):
+        cloud = pts(*rng.uniform(0.0, 1.0, size=(60, 3)))
+        assert distinct_count(cloud, 0.3) == reference_distinct_count(cloud, 0.3)
+    corners = enumerate_extreme_points(region_problem_aug(1, 5))
+    assert distinct_count(corners) == reference_distinct_count(corners, region_mod.DISTINCT_TOL)
