@@ -289,16 +289,19 @@ class AugmentedPmf:
     originating spec, and the channels keyed by slot.  Helper methods map
     description indices to tensor axes, with the ``m <= J`` aliasing
     (description m is ``X_m`` itself) resolved transparently.  ``_g`` holds
-    the region's g by group bitmask, NaN until :mod:`.region` computes it.
+    the region's g by group bitmask, NaN until :mod:`.region` computes it,
+    and ``_cmi`` memoizes :mod:`.region`'s I(X_I ; Z_I | Z_K, S) by the
+    source bitmasks ``(I, K)``.
     """
 
-    __slots__ = ("joint", "spec", "channels", "_g")
+    __slots__ = ("joint", "spec", "channels", "_g", "_cmi")
 
     def __init__(self, joint: JointPmf, spec: ProblemSpec, channels: Mapping[int, Channel]):
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "channels", dict(channels))
         object.__setattr__(self, "_g", np.full(1 << spec.m, np.nan))
+        object.__setattr__(self, "_cmi", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("AugmentedPmf is immutable")

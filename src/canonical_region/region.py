@@ -74,21 +74,44 @@ def _group(indices: Iterable[int], m: int) -> tuple[int, ...]:
     return out
 
 
+def _mask(indices: Iterable[int], m: int) -> int:
+    """Bitmask over sources 1..M of ``indices``."""
+    mask = 0
+    for i in indices:
+        if not 1 <= i <= m:
+            raise StructuralError(f"description index {i} outside 1..{m}")
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The sources, in increasing order, of a bitmask over 1..M."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @functools.cache
 def _groups_in_mask_order(m: int) -> tuple[tuple[int, ...], ...]:
     """All nonempty groups, ordered by their bitmask over sources 1..M."""
-    return tuple(
-        tuple(i + 1 for i in range(m) if mask >> i & 1)
-        for mask in range(1, 1 << m)
-    )
+    return tuple(_members(mask) for mask in range(1, 1 << m))
+
+
+def _cmi_xz(aug: AugmentedPmf, left: int, cond: int) -> float:
+    """I(X_left ; Z_left | Z_cond, S) for source bitmasks, computed once per joint.
+
+    A call that raises stores nothing.
+    """
+    value = aug._cmi.get((left, cond))
+    if value is None:
+        a = aug.x_set(_members(left))
+        b = aug.z_set(_members(left))
+        c = aug.z_set(_members(cond)) | aug.s_vs
+        value = aug._cmi[left, cond] = mi_sets(aug.joint, a, b, c)
+    return value
 
 
 def _mi_xz(aug: AugmentedPmf, left: Sequence[int], cond: Sequence[int]) -> float:
-    """I(X_left ; Z_left | Z_cond, S) on the augmented joint."""
-    a = aug.x_set(left)
-    b = aug.z_set(left)
-    c = aug.z_set(cond) | aug.s_vs
-    return mi_sets(aug.joint, a, b, c)
+    """I(X_left ; Z_left | Z_cond, S) on the augmented joint, through :func:`_cmi_xz`."""
+    return _cmi_xz(aug, _mask(left, aug.m), _mask(cond, aug.m))
 
 
 def _mi_zz(aug: AugmentedPmf, left: Sequence[int], right: Sequence[int],
@@ -100,21 +123,20 @@ def _mi_zz(aug: AugmentedPmf, left: Sequence[int], right: Sequence[int],
     return mi_sets(aug.joint, a, b, c)
 
 
-def _g_table(aug: AugmentedPmf, masks: Iterable[int]) -> np.ndarray:
-    """``aug``'s g table, with the entries of the group bitmasks ``masks`` filled."""
+def _g_table(aug: AugmentedPmf) -> np.ndarray:
+    """``aug``'s g table, indexed by group bitmask, with every group filled."""
     table = aug._g
-    for mask in masks:
-        if math.isnan(table[mask]):
-            group = [i + 1 for i in range(aug.m) if mask >> i & 1]
-            comp = [i + 1 for i in range(aug.m) if not mask >> i & 1]
-            table[mask] = _mi_xz(aug, group, comp)
+    full = len(table) - 1
+    if math.isnan(table[full]):   # filled in increasing mask order, so full is last
+        for mask in range(1, full + 1):
+            table[mask] = _cmi_xz(aug, mask, full ^ mask)
     return table
 
 
 def rate_lhs(aug: AugmentedPmf, group: Iterable[int]) -> float:
     """g(I) = I(X_I ; Z_I | Z_{I^c}, S) for a nonempty group I of 1..M."""
     mask = sum(1 << (i - 1) for i in _group(group, aug.m))
-    return float(_g_table(aug, (mask,))[mask])
+    return float(_cmi_xz(aug, mask, mask ^ ((1 << aug.m) - 1)))
 
 
 @dataclass(frozen=True)
@@ -126,23 +148,47 @@ class ConstraintEntry:
     active: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintReport:
-    entries: tuple[ConstraintEntry, ...]
+    """Every group constraint at one rate vector, in group bitmask order.
+
+    ``lhs`` and ``rate_sums`` are read-only arrays whose entry ``mask - 1``
+    belongs to the group with that bitmask; :class:`ConstraintEntry`
+    objects are built only when ``entries`` or ``entry`` is read.
+    """
+
+    lhs: np.ndarray
+    rate_sums: np.ndarray
     tol: float
 
     @property
+    def slack(self) -> np.ndarray:
+        return self.rate_sums - self.lhs
+
+    @property
+    def _groups(self) -> tuple[tuple[int, ...], ...]:
+        return _groups_in_mask_order(len(self.lhs).bit_length())
+
+    @property
     def is_member(self) -> bool:
-        return all(e.slack >= -self.tol for e in self.entries)
+        return bool((self.slack >= -self.tol).all())
 
     @property
     def active_groups(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(e.group for e in self.entries if e.active)
+        groups = self._groups
+        return tuple(groups[i] for i in np.flatnonzero(np.abs(self.slack) <= self.tol))
+
+    @functools.cached_property
+    def entries(self) -> tuple[ConstraintEntry, ...]:
+        slack = self.slack
+        return tuple(map(ConstraintEntry, self._groups, self.lhs.tolist(),
+                         self.rate_sums.tolist(), slack.tolist(),
+                         (np.abs(slack) <= self.tol).tolist()))
 
     def entry(self, group: Iterable[int]) -> ConstraintEntry:
         key = tuple(sorted(group))
         index = sum(1 << (int(i) - 1) for i in key if i >= 1) - 1   # entries are in bitmask order
-        if 0 <= index < len(self.entries) and self.entries[index].group == key:
+        if 0 <= index < len(self.lhs) and self._groups[index] == key:
             return self.entries[index]
         raise StructuralError(f"no constraint entry for group {key}")
 
@@ -165,11 +211,11 @@ def membership(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE_TOL) ->
     sums = np.zeros(1 << aug.m)
     for b in range(aug.m):
         sums[1 << b:2 << b] = sums[:1 << b] + r[b]
-    lhs = _g_table(aug, range(1, 1 << aug.m))[1:]
-    slack = sums[1:] - lhs
-    entries = map(ConstraintEntry, _groups_in_mask_order(aug.m), lhs.tolist(),
-                  sums[1:].tolist(), slack.tolist(), (np.abs(slack) <= tol).tolist())
-    return ConstraintReport(tuple(entries), tol)
+    lhs = _g_table(aug)[1:].copy()
+    sums = sums[1:]
+    lhs.setflags(write=False)
+    sums.setflags(write=False)
+    return ConstraintReport(lhs, sums, tol)
 
 
 def corner_point(aug: AugmentedPmf, perm: Sequence[int]) -> RateVector:
@@ -181,10 +227,11 @@ def corner_point(aug: AugmentedPmf, perm: Sequence[int]) -> RateVector:
     """
     perm = check_permutation(perm, aug.m)
     rates = np.zeros(aug.m)
-    for pos in range(aug.m):
-        target = perm[pos]
-        prefix = perm[:pos]
-        rates[target - 1] = max(0.0, _mi_xz(aug, (target,), prefix))
+    prefix = 0
+    for target in perm:
+        bit = 1 << (target - 1)
+        rates[target - 1] = max(0.0, _cmi_xz(aug, bit, prefix))
+        prefix |= bit
     return rates
 
 
@@ -233,7 +280,7 @@ def verify_noncrossing(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE
     """
     report = membership(aug, rates, tol)
     if not report.is_member:
-        worst = min(e.slack for e in report.entries)
+        worst = float(report.slack.min())
         raise PreconditionError(
             f"rate vector is outside the region (worst slack {worst:.3e})"
         )
@@ -254,7 +301,7 @@ class NondegeneracyReport:
     entries: tuple[tuple[tuple[int, ...], tuple[int, ...], float], ...]
     threshold: float
 
-    @property
+    @functools.cached_property
     def min_value(self) -> float:
         return min((v for _, _, v in self.entries), default=float("inf"))
 

@@ -9,6 +9,8 @@ import pytest
 import canonical_region.region as region_mod
 from canonical_region import (
     BudgetError,
+    ConstraintEntry,
+    NumericIntegrityError,
     PreconditionError,
     ProblemSpec,
     StructuralError,
@@ -23,6 +25,7 @@ from canonical_region import (
     identity_channel,
     identity_permutation,
     membership,
+    mi_sets,
     nondegeneracy_report,
     random_channels,
     rate_lhs,
@@ -352,10 +355,14 @@ def test_membership_computes_g_once_per_joint(monkeypatch):
     points = enumerate_extreme_points(aug)
     calls = count_mi_sets(monkeypatch)
     membership(aug, points[0][1])
-    assert len(calls) == 63
+    # 63 groups less the six singletons: g({i}) is corner_point's CMI for i
+    # in last position, which the enumeration already memoized
+    assert len(calls) == 57
     for _, rates in points[1:]:
         membership(aug, rates)
-    assert len(calls) == 63
+    assert len(calls) == 57
+    membership(region_problem_aug(1, 6), points[0][1])
+    assert len(calls) == 57 + 63
 
 
 def test_rate_lhs_computes_only_the_group_asked_for(monkeypatch):
@@ -413,3 +420,119 @@ def test_distinct_count_matches_a_reference_greedy():
         assert distinct_count(cloud, 0.3) == reference_distinct_count(cloud, 0.3)
     corners = enumerate_extreme_points(region_problem_aug(1, 5))
     assert distinct_count(corners) == reference_distinct_count(corners, region_mod.DISTINCT_TOL)
+
+
+def test_enumeration_computes_each_prefix_cmi_once(monkeypatch):
+    m = 6
+    aug = region_problem_aug(1, m)
+    calls = count_mi_sets(monkeypatch)
+    first = enumerate_extreme_points(aug)
+    # a corner coordinate depends on its source and the set before it
+    assert len(calls) == m * 2 ** (m - 1) == 192
+    second = enumerate_extreme_points(aug)
+    assert len(calls) == 192
+    assert all(p == q and np.array_equal(r, s) for (p, r), (q, s) in zip(first, second))
+
+
+def test_memo_warm_corners_equal_fresh_ones():
+    m = 6
+    warm = region_problem_aug(1, m)
+    verify_chain_identities(warm, trials=50, seed=3)
+    membership(warm, np.full(m, 10.0))
+    enumerate_extreme_points(warm)
+    fresh = region_problem_aug(1, m)
+    for perm in itertools.permutations(range(1, m + 1)):
+        # the prefix CMIs computed straight from the joint, with no memo
+        reference = np.zeros(m)
+        for pos, target in enumerate(perm):
+            c = fresh.z_set(perm[:pos]) | fresh.s_vs
+            value = mi_sets(fresh.joint, fresh.x_set((target,)), fresh.z_set((target,)), c)
+            reference[target - 1] = max(0.0, value)
+        corner = corner_point(warm, perm)
+        assert corner.tolist() == reference.tolist()
+        assert corner.tolist() == corner_point(fresh, perm).tolist()
+
+
+def test_identity_suite_is_the_same_on_a_warm_memo():
+    fresh = verify_chain_identities(region_problem_aug(1, 6), trials=200)
+    aug = region_problem_aug(1, 6)
+    enumerate_extreme_points(aug)
+    verify_chain_identities(aug, trials=200, seed=5)
+    membership(aug, np.full(6, 10.0))
+    warm = verify_chain_identities(aug, trials=200)
+    assert warm.checks == fresh.checks
+    assert [c.worst_violation for c in warm.checks] == [c.worst_violation for c in fresh.checks]
+
+
+def test_cmi_memo_never_stores_a_call_that_raises(monkeypatch):
+    m = 6
+    aug = region_problem_aug(1, m)
+    for warm in (False, True):
+        if warm:
+            enumerate_extreme_points(aug)
+        stored = dict(aug._cmi)
+        for left, cond in [((0,), ()), ((m + 1,), ()), ((1,), (0,)), ((1,), (m + 1,)),
+                           ((), (1,)), ((1, 2), (2,))]:
+            with pytest.raises(StructuralError):
+                region_mod._mi_xz(aug, left, cond)
+        assert aug._cmi == stored
+
+    real = region_mod.mi_sets
+
+    def failing(*args, **kwargs):
+        raise NumericIntegrityError("clamp exceeded")
+
+    aug = region_problem_aug(1, m)
+    monkeypatch.setattr(region_mod, "mi_sets", failing)
+    with pytest.raises(NumericIntegrityError):
+        corner_point(aug, identity_permutation(m))
+    assert aug._cmi == {}
+    monkeypatch.setattr(region_mod, "mi_sets", real)
+    assert corner_point(aug, identity_permutation(m)).tolist() == \
+        corner_point(region_problem_aug(1, m), identity_permutation(m)).tolist()
+
+
+def reference_constraint_entries(aug, rates, tol):
+    # the per-group construction membership used before its report held arrays
+    entries = []
+    for mask in range(1, 1 << aug.m):
+        group = tuple(i + 1 for i in range(aug.m) if mask >> i & 1)
+        lhs = rate_lhs(aug, group)
+        rate_sum = float(sum(rates[i - 1] for i in group))
+        slack = rate_sum - lhs
+        entries.append(ConstraintEntry(group, lhs, rate_sum, slack, abs(slack) <= tol))
+    return entries
+
+
+def test_constraint_report_matches_the_per_entry_construction():
+    m = 5
+    aug = region_problem_aug(1, m)
+    rng = np.random.default_rng(63)
+    corners = [r for _, r in enumerate_extreme_points(aug)]
+    members = [corners[i] + rng.exponential(size=m) * (rng.random(m) < 0.5)
+               for i in rng.integers(0, len(corners), size=50)]
+    outside = [np.maximum(c - 1e-3 * (rng.random(m) < 0.5), 0.0) for c in corners[:40]]
+    groups = [tuple(i + 1 for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]
+    for tol in (region_mod.ACTIVE_TOL, 0.0):
+        for rates in corners + members + outside:
+            report = membership(aug, rates, tol)
+            reference = reference_constraint_entries(aug, rates, tol)
+            assert report.entries == tuple(reference)
+            for got, want in zip(report.entries, reference):
+                for field in ("group", "lhs", "rate_sum", "slack", "active"):
+                    assert getattr(got, field) == getattr(want, field)
+                    assert type(getattr(got, field)) is type(getattr(want, field))
+            assert report.is_member == all(e.slack >= -tol for e in reference)
+            assert report.active_groups == tuple(e.group for e in reference if e.active)
+            assert report.tol == tol
+            for group, want in zip(groups, reference):
+                assert report.entry(group) == want
+                assert report.entry(reversed(group)) == want
+            for bad in ((), (0,), (m + 1,), (1, 1), (0, 1)):
+                with pytest.raises(StructuralError):
+                    report.entry(bad)
+            if not report.is_member:
+                worst = min(e.slack for e in reference)
+                with pytest.raises(PreconditionError) as info:
+                    verify_noncrossing(aug, rates, tol)
+                assert str(info.value) == f"rate vector is outside the region (worst slack {worst:.3e})"
