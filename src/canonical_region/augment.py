@@ -287,11 +287,12 @@ class AugmentedPmf:
 
     Constructed by :func:`attach_channels`; carries the joint tensor, the
     originating spec, and the channels keyed by slot.  Helper methods map
-    description indices to tensor axes, with the ``m <= J`` aliasing
-    (description m is ``X_m`` itself) resolved transparently.  ``_g`` holds
-    the region's g by group bitmask, NaN until :mod:`.region` computes it,
-    and ``_cmi`` memoizes :mod:`.region`'s I(X_I ; Z_I | Z_K, S) by the
-    source bitmasks ``(I, K)``.
+    source bitmasks to axes by the joint's fixed layout ``X1..XM, S, V,
+    Z_{J+1}..Z_M`` (:func:`channel_product`), so ``Z_k`` is axis ``M+1+k-J``
+    and description m <= J is ``X_m`` itself.  ``_g`` holds the region's g
+    by group bitmask, NaN until :mod:`.region` computes it, and ``_cmi``
+    memoizes :mod:`.region`'s I(X_I ; Z_I | Z_K, S) by the source bitmasks
+    ``(I, K)``.
     """
 
     __slots__ = ("joint", "spec", "channels", "_g", "_cmi")
@@ -314,32 +315,20 @@ class AugmentedPmf:
     def j(self) -> int:
         return self.spec.j
 
-    def x_vs(self, i: int) -> VarSet:
-        if not 1 <= i <= self.m:
-            raise StructuralError(f"source index {i} outside 1..{self.m}")
-        return self.joint.varset(f"X{i}")
+    def x_axes(self, sources: int) -> VarSet:
+        """Axes of X_i for the sources in the bitmask ``sources`` (bit i-1 is source i)."""
+        if not 0 <= sources < 1 << self.m:
+            raise StructuralError(f"source mask {sources:#b} outside 1..{self.m}")
+        return VarSet(sources)
 
-    def z_vs(self, i: int) -> VarSet:
-        """Axis of description i: Z_i for i > J, X_i itself for i <= J."""
-        if not 1 <= i <= self.m:
-            raise StructuralError(f"description index {i} outside 1..{self.m}")
-        return self.joint.varset(f"Z{i}" if i > self.j else f"X{i}")
-
-    def x_set(self, group) -> VarSet:
-        out = VarSet()
-        for i in group:
-            out = out | self.x_vs(i)
-        return out
-
-    def z_set(self, group) -> VarSet:
-        out = VarSet()
-        for i in group:
-            out = out | self.z_vs(i)
-        return out
+    def z_axes(self, sources: int) -> VarSet:
+        """Description axes of ``sources``: X_i itself for i <= J, Z_i for i > J."""
+        lossless = self.x_axes(sources).mask & ((1 << self.j) - 1)
+        return VarSet(lossless | (sources >> self.j) << (self.m + 2))
 
     @property
-    def s_vs(self) -> VarSet:
-        return self.joint.varset("S")
+    def s_axis(self) -> VarSet:
+        return VarSet(1 << self.m)
 
 
 def channel_product(spec: ProblemSpec, channels: Mapping[int, Channel]) -> JointPmf:
@@ -388,7 +377,7 @@ def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> Augmented
         )
     everything = joint.all_axes()
     for k in slots:
-        z, x = aug.z_vs(k), aug.x_vs(k)
+        z, x = joint.varset(f"Z{k}"), joint.varset(f"X{k}")
         rest = everything - z - x
         if rest and cmi(joint, z, rest, x) > FACTORIZATION_TOL:
             raise NumericIntegrityError(

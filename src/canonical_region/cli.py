@@ -507,6 +507,8 @@ def main(argv=None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and not (math.isfinite(tol) and tol >= 0):
             raise InputError(f"--tol must be finite and >= 0, got {tol}")
+        if args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         code = args.func(args)
     except NumericIntegrityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -155,6 +155,8 @@ class Direction:
 
 
 def random_direction(m: int, j: int, l: int, rng: np.random.Generator) -> Direction:
+    if m - j + l < 1:
+        raise StructuralError(f"no direction coordinates: J = M = {m} and L = 0")
     while True:
         raw = np.abs(rng.normal(size=m - j + l))
         if np.linalg.norm(raw) > MIN_DIRECTION_NORM:
@@ -323,11 +325,8 @@ class FunctionalContext:
         """Rate of description i < k; independent of slot k's channel."""
         if not self.spec.j + 1 <= i < self.k:
             raise StructuralError(f"description {i} is not a pre-k slot")
-        cond_names = [f"X{t}" for t in range(1, self.spec.j + 1)]
-        cond_names += [f"Z{t}" for t in range(self.spec.j + 1, i)]
-        cond_names.append("S")
         return mi_sets(self.base, self.base.varset(f"X{i}"), self.base.varset(f"Z{i}"),
-                       self.base.varset(*cond_names))
+                       self.base.varset(*self._u_names(i, include_zi=False)))
 
 
 def _mix(pool: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -65,19 +65,10 @@ def check_permutation(perm: Sequence[int], m: int) -> Permutation:
     return perm
 
 
-def _group(indices: Iterable[int], m: int) -> tuple[int, ...]:
-    out = tuple(sorted({int(i) for i in indices}))
-    if not out:
-        raise StructuralError("description group must be nonempty")
-    if out[0] < 1 or out[-1] > m:
-        raise StructuralError(f"group {out} outside 1..{m}")
-    return out
-
-
 def _mask(indices: Iterable[int], m: int) -> int:
     """Bitmask over sources 1..M of ``indices``."""
     mask = 0
-    for i in indices:
+    for i in map(int, indices):
         if not 1 <= i <= m:
             raise StructuralError(f"description index {i} outside 1..{m}")
         mask |= 1 << (i - 1)
@@ -102,25 +93,15 @@ def _cmi_xz(aug: AugmentedPmf, left: int, cond: int) -> float:
     """
     value = aug._cmi.get((left, cond))
     if value is None:
-        a = aug.x_set(_members(left))
-        b = aug.z_set(_members(left))
-        c = aug.z_set(_members(cond)) | aug.s_vs
-        value = aug._cmi[left, cond] = mi_sets(aug.joint, a, b, c)
+        value = aug._cmi[left, cond] = mi_sets(
+            aug.joint, aug.x_axes(left), aug.z_axes(left), aug.z_axes(cond) | aug.s_axis)
     return value
 
 
-def _mi_xz(aug: AugmentedPmf, left: Sequence[int], cond: Sequence[int]) -> float:
-    """I(X_left ; Z_left | Z_cond, S) on the augmented joint, through :func:`_cmi_xz`."""
-    return _cmi_xz(aug, _mask(left, aug.m), _mask(cond, aug.m))
-
-
-def _mi_zz(aug: AugmentedPmf, left: Sequence[int], right: Sequence[int],
-           cond: Sequence[int]) -> float:
-    """I(Z_left ; Z_right | Z_cond, S) on the augmented joint."""
-    a = aug.z_set(left)
-    b = aug.z_set(right)
-    c = aug.z_set(cond) | aug.s_vs
-    return mi_sets(aug.joint, a, b, c)
+def _mi_zz(aug: AugmentedPmf, left: int, right: int, cond: int) -> float:
+    """I(Z_left ; Z_right | Z_cond, S) for source bitmasks."""
+    return mi_sets(aug.joint, aug.z_axes(left), aug.z_axes(right),
+                   aug.z_axes(cond) | aug.s_axis)
 
 
 def _g_table(aug: AugmentedPmf) -> np.ndarray:
@@ -135,7 +116,9 @@ def _g_table(aug: AugmentedPmf) -> np.ndarray:
 
 def rate_lhs(aug: AugmentedPmf, group: Iterable[int]) -> float:
     """g(I) = I(X_I ; Z_I | Z_{I^c}, S) for a nonempty group I of 1..M."""
-    mask = sum(1 << (i - 1) for i in _group(group, aug.m))
+    mask = _mask(group, aug.m)
+    if not mask:
+        raise StructuralError("description group must be nonempty")
     return float(_cmi_xz(aug, mask, mask ^ ((1 << aug.m) - 1)))
 
 
@@ -337,7 +320,7 @@ def nondegeneracy_report(aug: AugmentedPmf,
     nondegenerate.
     """
     entries = tuple(
-        (group_a, group_b, _mi_zz(aug, group_a, group_b, cond))
+        (group_a, group_b, _mi_zz(aug, *(_mask(g, aug.m) for g in (group_a, group_b, cond))))
         for group_a, group_b, cond in _disjoint_group_pairs(aug.m)
     )
     return NondegeneracyReport(entries, threshold)
@@ -394,11 +377,12 @@ class ChainIdentityReport:
         raise StructuralError(f"no identity check named {name!r}")
 
 
-def _draw_disjoint_pair(rng: np.random.Generator, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _draw_disjoint_pair(rng: np.random.Generator, m: int) -> tuple[int, int]:
+    """Source bitmasks of two disjoint nonempty groups."""
     while True:
-        assignment = rng.integers(0, 3, size=m)
-        a = tuple(i + 1 for i in range(m) if assignment[i] == 0)
-        b = tuple(i + 1 for i in range(m) if assignment[i] == 1)
+        assignment = rng.integers(0, 3, size=m).tolist()
+        a = sum(1 << i for i, side in enumerate(assignment) if side == 0)
+        b = sum(1 << i for i, side in enumerate(assignment) if side == 1)
         if a and b:
             return a, b
 
@@ -431,7 +415,7 @@ def verify_chain_identities(aug: AugmentedPmf, trials: int = 200,
         raise StructuralError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     m = aug.m
-    full = tuple(range(1, m + 1))
+    full = (1 << m) - 1
     names = (
         "condition-drop-split",
         "disjoint-union-split",
@@ -445,7 +429,8 @@ def verify_chain_identities(aug: AugmentedPmf, trials: int = 200,
     failures: dict[str, list[dict]] = {n: [] for n in names}
     counts = {n: 0 for n in names}
 
-    corner_rates = {i: _mi_xz(aug, (i,), tuple(range(1, i))) for i in full}
+    # the natural-order corner: entry i is source i+1's rate given sources 1..i
+    corner_rates = [_cmi_xz(aug, 1 << i, (1 << i) - 1) for i in range(m)]
 
     def record(name: str, violation: float, context: dict) -> None:
         counts[name] += 1
@@ -456,56 +441,51 @@ def verify_chain_identities(aug: AugmentedPmf, trials: int = 200,
 
     for _ in range(trials):
         if m >= 2:
-            ga, gb = _draw_disjoint_pair(rng, m)
-            union = tuple(sorted(ga + gb))
-            comp_union = tuple(i for i in full if i not in union)
-            comp_a = tuple(i for i in full if i not in ga)
-            comp_b = tuple(i for i in full if i not in gb)
+            a, b = _draw_disjoint_pair(rng, m)
+            union = a | b
+            pair = {"I": _members(a), "I2": _members(b)}
 
-            lhs = _mi_xz(aug, ga, comp_union)
-            rhs = _mi_xz(aug, ga, comp_a) + _mi_zz(aug, ga, gb, comp_union)
-            record("condition-drop-split", abs(lhs - rhs), {"I": ga, "I2": gb})
+            lhs = _cmi_xz(aug, a, full ^ union)
+            rhs = _cmi_xz(aug, a, full ^ a) + _mi_zz(aug, a, b, full ^ union)
+            record("condition-drop-split", abs(lhs - rhs), pair)
 
-            lhs = _mi_xz(aug, union, comp_union)
-            rhs = _mi_xz(aug, ga, comp_union) + _mi_xz(aug, gb, comp_b)
-            record("disjoint-union-split", abs(lhs - rhs), {"I": ga, "I2": gb})
+            lhs = _cmi_xz(aug, union, full ^ union)
+            rhs = _cmi_xz(aug, a, full ^ union) + _cmi_xz(aug, b, full ^ b)
+            record("disjoint-union-split", abs(lhs - rhs), pair)
 
-            outside = [i for i in full if i not in union]
-            chosen = [i for i in outside if rng.integers(0, 2)]
-            sup = tuple(sorted(union + tuple(chosen)))
-            sup_minus_union = tuple(i for i in sup if i not in union)
-            sup_minus_b = tuple(i for i in sup if i not in gb)
-            lhs = _mi_xz(aug, union, sup_minus_union)
-            rhs = _mi_xz(aug, ga, sup_minus_union) + _mi_xz(aug, gb, sup_minus_b)
-            record("restricted-union-split", abs(lhs - rhs),
-                   {"I": ga, "I2": gb, "superset": sup})
+            sup = union
+            for i in range(m):
+                if not union >> i & 1 and rng.integers(0, 2):
+                    sup |= 1 << i
+            lhs = _cmi_xz(aug, union, sup ^ union)
+            rhs = _cmi_xz(aug, a, sup ^ union) + _cmi_xz(aug, b, sup ^ b)
+            record("restricted-union-split", abs(lhs - rhs), {**pair, "superset": _members(sup)})
 
         size = int(rng.integers(1, m + 1))
-        members = [int(x) + 1 for x in rng.choice(m, size=size, replace=False)]
-        group = tuple(sorted(members))
-        order = list(members)
+        order = [int(x) + 1 for x in rng.choice(m, size=size, replace=False)]
         rng.shuffle(order)
-        lhs = rate_lhs(aug, group)
+        group = _mask(order, m)
+        lhs = rate_lhs(aug, order)
         rhs = 0.0
-        for pos, elem in enumerate(order):
-            not_yet_peeled = set(order[pos:])
-            cond = tuple(i for i in full if i not in not_yet_peeled)
-            rhs += _mi_xz(aug, (elem,), cond)
-        record("element-peel-chain", abs(lhs - rhs), {"I": group, "order": tuple(order)})
+        cond = full ^ group   # everything but the not-yet-peeled elements
+        for elem in order:
+            bit = 1 << (elem - 1)
+            rhs += _cmi_xz(aug, bit, cond)
+            cond |= bit
+        record("element-peel-chain", abs(lhs - rhs), {"I": _members(group), "order": tuple(order)})
 
-        rhs_single = sum(corner_rates[i] for i in group)
-        record("corner-sum-bound", max(0.0, lhs - rhs_single), {"I": group})
+        rhs_single = sum(corner_rates[i] for i in range(m) if group >> i & 1)
+        record("corner-sum-bound", max(0.0, lhs - rhs_single), {"I": _members(group)})
 
         split = int(rng.integers(1, m + 1))
-        prefix = tuple(range(1, split + 1))
-        lhs = _mi_xz(aug, prefix, ())
-        rhs = sum(corner_rates[i] for i in prefix)
+        prefix = (1 << split) - 1
+        lhs = _cmi_xz(aug, prefix, 0)
+        rhs = sum(corner_rates[:split])
         record("prefix-chain", abs(lhs - rhs), {"m": split})
 
         if split < m:
-            suffix = tuple(range(split + 1, m + 1))
-            lhs = _mi_xz(aug, suffix, prefix)
-            rhs = sum(corner_rates[i] for i in suffix)
+            lhs = _cmi_xz(aug, full ^ prefix, prefix)
+            rhs = sum(corner_rates[split:])
             record("suffix-chain", abs(lhs - rhs), {"m": split})
 
     checks = tuple(

@@ -142,7 +142,7 @@ def test_attach_channel_factorization():
         spec = make_spec(rng, l=1)
         aug = attach_channels(spec, random_channels(spec, rng))
         for k in spec.channel_slots:
-            z, x = aug.z_vs(k), aug.x_vs(k)
+            z, x = aug.z_axes(1 << (k - 1)), aug.x_axes(1 << (k - 1))
             rest = aug.joint.all_axes() - z - x
             if rest:
                 assert cmi(aug.joint, z, rest, x) <= 1e-10
@@ -152,12 +152,32 @@ def test_description_aliasing_below_j():
     rng = np.random.default_rng(5)
     spec = make_spec(rng, m=2, j=1, l=1)
     aug = attach_channels(spec, random_channels(spec, rng))
-    assert aug.z_vs(1) == aug.x_vs(1)          # lossless side: description is X1
-    assert aug.z_vs(2) == aug.joint.varset("Z2")
+    assert aug.z_axes(0b01) == aug.x_axes(0b01)   # lossless side: description is X1
+    assert aug.z_axes(0b10) == aug.joint.varset("Z2")
     with pytest.raises(StructuralError):
-        aug.z_vs(3)
+        aug.z_axes(0b100)
     with pytest.raises(AttributeError):
         aug.spec = spec
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_axis_helpers_match_the_axis_names(m):
+    rng = np.random.default_rng(40 + m)
+    for j in (0, 1, m):
+        spec = make_spec(rng, m=m, j=j, l=1, max_alphabet=2)
+        aug = attach_channels(spec, random_channels(spec, rng))
+        joint = aug.joint
+        assert aug.s_axis == joint.varset("S")
+        for mask in range(1 << m):
+            sources = [i for i in range(1, m + 1) if mask >> (i - 1) & 1]
+            assert aug.x_axes(mask) == joint.varset(*(f"X{i}" for i in sources))
+            descriptions = (f"Z{i}" if i > j else f"X{i}" for i in sources)
+            assert aug.z_axes(mask) == joint.varset(*descriptions)
+        for bad in (1 << m, (1 << m) | 1, 1 << (m + 3), -1, -(1 << m)):
+            with pytest.raises(StructuralError):
+                aug.x_axes(bad)
+            with pytest.raises(StructuralError):
+                aug.z_axes(bad)
 
 
 def test_forward_reverse_round_trip():

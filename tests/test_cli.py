@@ -3,12 +3,16 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import canonical_region
 from canonical_region import (
     InputError,
     ProblemSpec,
@@ -397,6 +401,35 @@ def test_cli_rejects_negative_or_nonfinite_tol(tmp_path, capsys, argv, code):
     assert main(argv + ["--out", str(out)]) == code
     assert out.exists() == (code == 0)
     assert ("--tol must be finite and >= 0" in capsys.readouterr().err) == (code == 2)
+
+
+def test_cli_refuses_random_directions_without_a_weight_coordinate(tmp_path):
+    # J = M and L = 0: a direction has no coordinate to draw, so the commands
+    # that draw one exit 2; run apart so that a hang fails instead of stalling
+    path = tmp_path / "no-weights.json"
+    save_problem(make_spec(np.random.default_rng(6), m=2, j=2, l=0), path)
+    env = {**os.environ, "PYTHONPATH": str(Path(canonical_region.__file__).parents[1])}
+    for argv in (["trace", str(path), "--count", "1"],
+                 ["verify", "alphabet-bound", str(path), "--grid", "2", "--trials", "1"]):
+        run = subprocess.run([sys.executable, "-m", "canonical_region.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 2, run.stderr
+        assert "no direction coordinates" in run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["extreme-points", "helper3"],
+    ["trace", "bwz", "--count", "1"],
+    ["verify", "identities", "dsbs", "--trials", "5"],
+    ["verify", "noncrossing", "dsbs", "--samples", "2"],
+    ["verify", "decomposition", "helper3", "--trials", "1"],
+    ["verify", "alphabet-bound", "bwz", "--grid", "4", "--trials", "1"],
+])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, argv):
+    out = tmp_path / "o.jsonl"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_budget_exit(tmp_path):

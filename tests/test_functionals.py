@@ -63,6 +63,21 @@ def test_direction_validation():
     assert r.coords.min() >= 0.0
 
 
+class NoDraws:
+    def normal(self, size):
+        raise AssertionError(f"drew {size} normals for a direction with no coordinates")
+
+
+def test_random_direction_needs_a_coordinate():
+    for m, j, l in [(1, 1, 0), (2, 2, 0)]:
+        with pytest.raises(StructuralError):
+            random_direction(m, j, l, NoDraws())
+    rng = np.random.default_rng(0)
+    # one free coordinate is enough, on either side
+    assert random_direction(2, 2, 1, rng).coords.tolist() == [1.0]
+    assert random_direction(2, 1, 0, rng).coords.tolist() == [1.0]
+
+
 BAD_BINARY_POOLS = (
     np.full((1, 2, 2), 0.5),                        # a 3-D array
     np.full((2, 3), 1.0 / 3.0),                     # a pool of the wrong width

@@ -445,8 +445,9 @@ def test_memo_warm_corners_equal_fresh_ones():
         # the prefix CMIs computed straight from the joint, with no memo
         reference = np.zeros(m)
         for pos, target in enumerate(perm):
-            c = fresh.z_set(perm[:pos]) | fresh.s_vs
-            value = mi_sets(fresh.joint, fresh.x_set((target,)), fresh.z_set((target,)), c)
+            c = fresh.joint.varset("S", *(f"Z{i}" if i > fresh.j else f"X{i}" for i in perm[:pos]))
+            z = fresh.joint.varset(f"Z{target}" if target > fresh.j else f"X{target}")
+            value = mi_sets(fresh.joint, fresh.joint.varset(f"X{target}"), z, c)
             reference[target - 1] = max(0.0, value)
         corner = corner_point(warm, perm)
         assert corner.tolist() == reference.tolist()
@@ -464,6 +465,112 @@ def test_identity_suite_is_the_same_on_a_warm_memo():
     assert [c.worst_violation for c in warm.checks] == [c.worst_violation for c in fresh.checks]
 
 
+def reference_chain_identities(aug, trials, tol, seed):
+    # the tuple-based identity suite the bitmask one replaced, with every
+    # information quantity built from axis names and computed by mi_sets
+    joint, m = aug.joint, aug.m
+    full = tuple(range(1, m + 1))
+
+    def desc(group):
+        return [f"Z{i}" if i > aug.j else f"X{i}" for i in group]
+
+    def xz(left, cond):
+        return mi_sets(joint, joint.varset(*(f"X{i}" for i in left)),
+                       joint.varset(*desc(left)), joint.varset("S", *desc(cond)))
+
+    def zz(left, right, cond):
+        return mi_sets(joint, joint.varset(*desc(left)), joint.varset(*desc(right)),
+                       joint.varset("S", *desc(cond)))
+
+    rng = np.random.default_rng(seed)
+    names = ("condition-drop-split", "disjoint-union-split", "restricted-union-split",
+             "element-peel-chain", "prefix-chain", "suffix-chain", "corner-sum-bound")
+    worst = {n: 0.0 for n in names}
+    failures = {n: [] for n in names}
+    counts = {n: 0 for n in names}
+    corner_rates = {i: xz((i,), tuple(range(1, i))) for i in full}
+
+    def record(name, violation, context):
+        counts[name] += 1
+        if violation > worst[name]:
+            worst[name] = violation
+        if violation > tol:
+            failures[name].append({"violation": violation, **context})
+
+    for _ in range(trials):
+        if m >= 2:
+            while True:
+                assignment = rng.integers(0, 3, size=m)
+                ga = tuple(i + 1 for i in range(m) if assignment[i] == 0)
+                gb = tuple(i + 1 for i in range(m) if assignment[i] == 1)
+                if ga and gb:
+                    break
+            union = tuple(sorted(ga + gb))
+            comp_union = tuple(i for i in full if i not in union)
+            comp_a = tuple(i for i in full if i not in ga)
+            comp_b = tuple(i for i in full if i not in gb)
+            lhs = xz(ga, comp_union)
+            rhs = xz(ga, comp_a) + zz(ga, gb, comp_union)
+            record("condition-drop-split", abs(lhs - rhs), {"I": ga, "I2": gb})
+            lhs = xz(union, comp_union)
+            rhs = xz(ga, comp_union) + xz(gb, comp_b)
+            record("disjoint-union-split", abs(lhs - rhs), {"I": ga, "I2": gb})
+            outside = [i for i in full if i not in union]
+            chosen = [i for i in outside if rng.integers(0, 2)]
+            sup = tuple(sorted(union + tuple(chosen)))
+            sup_minus_union = tuple(i for i in sup if i not in union)
+            sup_minus_b = tuple(i for i in sup if i not in gb)
+            lhs = xz(union, sup_minus_union)
+            rhs = xz(ga, sup_minus_union) + xz(gb, sup_minus_b)
+            record("restricted-union-split", abs(lhs - rhs), {"I": ga, "I2": gb, "superset": sup})
+
+        size = int(rng.integers(1, m + 1))
+        members = [int(x) + 1 for x in rng.choice(m, size=size, replace=False)]
+        group = tuple(sorted(members))
+        order = list(members)
+        rng.shuffle(order)
+        lhs = float(xz(group, tuple(i for i in full if i not in group)))
+        rhs = 0.0
+        for pos, elem in enumerate(order):
+            not_yet_peeled = set(order[pos:])
+            rhs += xz((elem,), tuple(i for i in full if i not in not_yet_peeled))
+        record("element-peel-chain", abs(lhs - rhs), {"I": group, "order": tuple(order)})
+        rhs_single = sum(corner_rates[i] for i in group)
+        record("corner-sum-bound", max(0.0, lhs - rhs_single), {"I": group})
+
+        split = int(rng.integers(1, m + 1))
+        prefix = tuple(range(1, split + 1))
+        lhs = xz(prefix, ())
+        rhs = sum(corner_rates[i] for i in prefix)
+        record("prefix-chain", abs(lhs - rhs), {"m": split})
+        if split < m:
+            suffix = tuple(range(split + 1, m + 1))
+            lhs = xz(suffix, prefix)
+            rhs = sum(corner_rates[i] for i in suffix)
+            record("suffix-chain", abs(lhs - rhs), {"m": split})
+
+    return tuple(region_mod.IdentityCheck(n, counts[n], worst[n], tuple(failures[n]))
+                 for n in names)
+
+
+def test_identity_suite_matches_the_tuple_reference(bwz, dsbs, helper3):
+    augs = [attach_channels(spec, random_channels(spec, np.random.default_rng(7)))
+            for spec in (bwz, dsbs, helper3)]
+    augs += [region_problem_aug(seed, m) for m in (4, 5, 6) for seed in (1, 2)]
+    assert sorted({aug.m for aug in augs}) == [1, 2, 3, 4, 5, 6]
+    failures = 0
+    for aug in augs:
+        for seed in (0, 3, 11):
+            for tol in (0.0, region_mod.ACTIVE_TOL):
+                checks = verify_chain_identities(aug, trials=50, tol=tol, seed=seed).checks
+                assert checks == reference_chain_identities(aug, 50, tol, seed)
+                for failure in (f for c in checks for f in c.failures):
+                    failures += 1
+                    groups = [v for k, v in failure.items() if k in ("I", "I2", "superset", "order")]
+                    assert all(type(i) is int for g in groups for i in g)
+    assert failures > 0   # tol = 0 leaves round-off failures to compare
+
+
 def test_cmi_memo_never_stores_a_call_that_raises(monkeypatch):
     m = 6
     aug = region_problem_aug(1, m)
@@ -471,10 +578,13 @@ def test_cmi_memo_never_stores_a_call_that_raises(monkeypatch):
         if warm:
             enumerate_extreme_points(aug)
         stored = dict(aug._cmi)
-        for left, cond in [((0,), ()), ((m + 1,), ()), ((1,), (0,)), ((1,), (m + 1,)),
-                           ((), (1,)), ((1, 2), (2,))]:
+        for left, cond in [(0, 0b1), (1 << m, 0), (-1, 0), (0b1, 1 << m), (0b1, -1),
+                           (0b11, 0b10)]:
             with pytest.raises(StructuralError):
-                region_mod._mi_xz(aug, left, cond)
+                region_mod._cmi_xz(aug, left, cond)
+        for group in [(0,), (m + 1,), ()]:
+            with pytest.raises(StructuralError):
+                rate_lhs(aug, group)
         assert aug._cmi == stored
 
     real = region_mod.mi_sets
