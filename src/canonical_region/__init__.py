@@ -30,7 +30,6 @@ from .pmf import (
     VarSet,
     cmi,
     entropy,
-    is_markov,
     marginalize,
     mi_sets,
 )
@@ -123,7 +122,7 @@ __all__ = [
     "distortion_component", "entropy", "enumerate_extreme_points",
     "estimate_brute_force_evals", "estimator_distortion",
     "expected_active_groups", "forward_to_reverse", "identity_channel",
-    "identity_permutation", "is_markov", "list_bundled_problems",
+    "identity_permutation", "list_bundled_problems",
     "load_channels", "load_directions", "load_problem", "marginalize",
     "membership", "mi_sets", "mixture_error", "nondegeneracy_report",
     "observation_axes", "optimize_single_channel", "phi", "phi_parts",

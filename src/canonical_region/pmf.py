@@ -30,7 +30,6 @@ from .errors import NumericIntegrityError, StructuralError
 
 MASS_TOL = 1e-12
 CMI_CLAMP = 1e-10
-MARKOV_TOL = 1e-10    # an exact Markov chain leaves only entropy-cancellation noise in its CMI
 
 
 @dataclass(frozen=True)
@@ -292,7 +291,3 @@ def cmi(p: JointPmf, a: VarSet, b: VarSet, given: VarSet = VarSet()) -> float:
         raise StructuralError("cmi argument sets must be disjoint")
     return mi_sets(p, a, b, given)
 
-
-def is_markov(p: JointPmf, a: VarSet, mid: VarSet, b: VarSet, tol: float = MARKOV_TOL) -> bool:
-    """True when a -- mid -- b holds, i.e. I(a; b | mid) <= tol."""
-    return cmi(p, a, b, mid) <= tol

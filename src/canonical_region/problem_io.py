@@ -216,15 +216,15 @@ def load_problem(path) -> ProblemSpec:
     except StructuralError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
-    # preflight: groups already independent given S stay independent under
+    # preflight: sources already independent given S stay independent under
     # every channel bank, so corner points of this instance will coincide
     preflight = source_nondegeneracy_report(spec.source, spec.m)
     if preflight.degenerate:
-        worst = min(preflight.entries, key=lambda e: e[2])
+        a, b, _, value = min(preflight.entries, key=lambda e: e[-1])
         warnings.warn(
-            f"source groups {list(worst[0])} and {list(worst[1])} are nearly "
-            f"independent given S (information {worst[2]:.3e}); corner points "
-            "will coincide for every channel bank",
+            f"sources X{a} and X{b} are nearly independent given S "
+            f"(information {value:.3e}); corner points will coincide for "
+            "every channel bank",
             DegeneracyWarning,
             stacklevel=2,
         )

@@ -11,19 +11,20 @@ set studied here is
 
     { R >= 0 :  sum_{i in I} R_i >= g(I)  for every nonempty I }.
 
-This set is convex and upward closed, and g is supermodular, so the set
-has exactly M! extreme points, one per processing order: for a
+This set is convex and upward closed, and g is supermodular, so each of
+the M! processing orders gives an extreme point of the set: for a
 permutation ``pi`` of the sources, position i of the corner is
 
     R_{pi(i)} = I(X_{pi(i)} ; Z_{pi(i)} | Z_{pi(1..i-1)}, S),
 
-a telescoping of g along the order.  At such a corner the tight
-constraints are exactly the nested suffix groups
-``{pi(m), ..., pi(M)}``, and more generally the tight constraints at any
-point of the region form a chain under inclusion (no two tight groups
-can cross).  Distinctness of all M! corners requires a nondegeneracy
-condition: no group of descriptions may be conditionally independent of
-a disjoint group given the remaining descriptions and S.
+a telescoping of g along the order.  The tight constraints at any point
+of the region are closed under union and intersection.  The M! corners
+are distinct exactly when every corner gap I(Z_a ; Z_b | Z_P, S), for
+a != b and P within {1..M} minus {a, b}, is positive (g is strictly
+supermodular): swapping adjacent sources a and b after the prefix P
+moves the corner by exactly that gap.  Then the tight constraints at a
+corner are exactly the nested suffix groups ``{pi(m), ..., pi(M)}``,
+and at any point of the region they form a chain under inclusion.
 
 :func:`verify_chain_identities` numerically exercises the decomposition
 identities of g that drive all of the above (chain rules that peel
@@ -36,13 +37,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .augment import AugmentedPmf
 from .errors import BudgetError, PreconditionError, StructuralError
-from .pmf import JointPmf, VarSet, mi_sets
+from .pmf import JointPmf, mi_sets
 
 ACTIVE_TOL = 1e-9
 DISTINCT_TOL = 1e-6
@@ -258,8 +259,9 @@ def verify_noncrossing(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE
     """Check that the constraints tight at ``rates`` form an inclusion chain.
 
     ``rates`` must belong to the region (precondition).  Returns True when
-    every pair of tight groups is nested; crossing tight groups would
-    contradict supermodularity of g, so False indicates broken inputs.
+    every pair of tight groups is nested.  On a nondegenerate instance
+    crossing tight groups would contradict strict supermodularity of g, so
+    False indicates broken inputs; on a degenerate one they can cross.
     """
     report = membership(aug, rates, tol)
     if not report.is_member:
@@ -279,71 +281,60 @@ def verify_noncrossing(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    """Minimum cross-group dependence over all disjoint description groups."""
+    """``(a, b, cond, value)`` dependence terms for source pairs a < b."""
 
-    entries: tuple[tuple[tuple[int, ...], tuple[int, ...], float], ...]
+    entries: tuple[tuple[int, int, tuple[int, ...], float], ...]
     threshold: float
 
     @functools.cached_property
     def min_value(self) -> float:
-        return min((v for _, _, v in self.entries), default=float("inf"))
+        return min((e[-1] for e in self.entries), default=float("inf"))
 
     @property
     def degenerate(self) -> bool:
         return self.min_value < self.threshold
 
 
-def _disjoint_group_pairs(m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """``(I, I', complement of I u I')`` once per unordered disjoint nonempty pair.
-
-    Ordered by I's bitmask, then by I' size and combination order.
-    """
-    for mask_a in range(1, 1 << m):
-        group_a = tuple(i + 1 for i in range(m) if mask_a >> i & 1)
-        rest = [i for i in range(m) if not mask_a >> i & 1]
-        for r in range(1, len(rest) + 1):
-            for combo in itertools.combinations(rest, r):
-                if sum(1 << i for i in combo) < mask_a:
-                    continue  # unordered pairs once
-                group_b = tuple(i + 1 for i in combo)
-                cond = tuple(i + 1 for i in rest if i not in combo)
-                yield group_a, group_b, cond
-
-
 def nondegeneracy_report(aug: AugmentedPmf,
                          threshold: float = NONDEGENERACY_THRESHOLD) -> NondegeneracyReport:
-    """Probe every disjoint pair of description groups for vanishing dependence.
+    """Every corner gap I(Z_a ; Z_b | Z_cond, S), read from the CMI memo.
 
-    Degeneracy here means I(Z_I ; Z_I' | Z_{(I u I')^c}, S) ~ 0 for some
-    disjoint nonempty I, I': exactly the condition under which corner
-    points collide and tight-set uniqueness fails.  M = 1 is vacuously
-    nondegenerate.
+    With f(a, K) = I(X_a ; Z_a | Z_K, S), the gap is f(a, cond) -
+    f(a, cond u {b}), since Z_a depends on the rest only through X_a.  Two
+    distinct corners differ in the rate of the first source where their
+    orders part by at least one gap, and swapping an adjacent pair attains
+    it, so ``min_value`` is the smallest max-norm distance between corners.
+    After :func:`enumerate_extreme_points` this computes no new CMI.
+    M = 1 is vacuously nondegenerate.
     """
-    entries = tuple(
-        (group_a, group_b, _mi_zz(aug, *(_mask(g, aug.m) for g in (group_a, group_b, cond))))
-        for group_a, group_b, cond in _disjoint_group_pairs(aug.m)
-    )
-    return NondegeneracyReport(entries, threshold)
+    entries = []
+    for a, b in itertools.combinations(range(1, aug.m + 1), 2):
+        bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
+        for cond in range(1 << aug.m):
+            if not cond & (bit_a | bit_b):
+                gap = _cmi_xz(aug, bit_a, cond) - _cmi_xz(aug, bit_a, cond | bit_b)
+                entries.append((a, b, _members(cond), gap))
+    return NondegeneracyReport(tuple(entries), threshold)
 
 
 def source_nondegeneracy_report(source: JointPmf, m: int,
                                 threshold: float = NONDEGENERACY_THRESHOLD) -> NondegeneracyReport:
-    """Source-level preflight: dependence between disjoint source groups given S.
+    """Source-level preflight: I(X_a ; X_b | S) for every source pair a < b.
 
-    Channels are not known at load time, but if two source groups are
-    already conditionally independent given S alone, no channel choice can
-    make their descriptions dependent, so the instance is degenerate for
-    every channel bank.  Conditioning deliberately excludes the remaining
-    sources: a Markov-structured source is fine once its descriptions are
-    noisy, and must not be flagged here.
+    Channels are not known at load time, but if two sources are already
+    conditionally independent given S alone, no channel choice can make
+    their descriptions dependent, so the instance is degenerate for every
+    channel bank.  A pair is the sharpest probe: I(X_I ; X_I' | S) >=
+    I(X_a ; X_b | S) for a in I and b in I'.  Conditioning deliberately
+    excludes the remaining sources: a Markov-structured source is fine
+    once its descriptions are noisy, and must not be flagged here.
     """
-    entries = []
     s = source.varset("S")
-    for group_a, group_b, _ in _disjoint_group_pairs(m):
-        a = VarSet.of(source.axis_index(f"X{i}") for i in group_a)
-        b = VarSet.of(source.axis_index(f"X{i}") for i in group_b)
-        entries.append((group_a, group_b, mi_sets(source, a, b, s)))
-    return NondegeneracyReport(tuple(entries), threshold)
+    entries = tuple(
+        (a, b, (), mi_sets(source, source.varset(f"X{a}"), source.varset(f"X{b}"), s))
+        for a, b in itertools.combinations(range(1, m + 1), 2)
+    )
+    return NondegeneracyReport(entries, threshold)
 
 
 # ---- decomposition identities ------------------------------------------------

@@ -23,6 +23,36 @@ def make_spec(rng, m=None, j=None, l=None, max_alphabet=3, name=""):
     )
 
 
+def region_problem_spec(seed, m):
+    """The benchmark's region problem: binary X/S/V, J = M - 4, L = 1, and a
+    Dirichlet(1) source drawn from ``(seed, m)``."""
+    rng = np.random.default_rng((seed, m))
+    probs = rng.dirichlet(np.ones(2 ** (m + 2))).reshape((2,) * m + (2, 2))
+    return ProblemSpec(m, m - 4, 1, [2] * m, 2, 2, [2], probs, [[[0, 1], [1, 0]]])
+
+
+def product_source_spec(rng):
+    """Independent X1, X2 with V = X1 xor X2: degenerate for every channel bank."""
+    p1 = rng.dirichlet(np.ones(2))
+    p2 = rng.dirichlet(np.ones(2))
+    probs = np.zeros((2, 2, 1, 2))
+    for x1 in range(2):
+        for x2 in range(2):
+            probs[x1, x2, 0, x1 ^ x2] = p1[x1] * p2[x2]
+    return ProblemSpec(2, 0, 1, [2, 2], 1, 2, [2], probs, [[[0.0, 1.0], [1.0, 0.0]]])
+
+
+def markov_source_spec():
+    """X2 a noisy copy of X1: dependent given the trivial S."""
+    q = np.array([[0.8, 0.2], [0.3, 0.7]])
+    p1 = np.array([0.6, 0.4])
+    probs = np.zeros((2, 2, 1, 2))
+    for x1 in range(2):
+        for x2 in range(2):
+            probs[x1, x2, 0, x1] = p1[x1] * q[x1, x2]
+    return ProblemSpec(2, 0, 0, [2, 2], 1, 2, [], probs, [])
+
+
 @pytest.fixture(scope="session")
 def dsbs():
     return resolve_problem("dsbs")

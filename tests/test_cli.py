@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import subprocess
@@ -25,7 +26,7 @@ from canonical_region import (
     save_problem,
 )
 from canonical_region.cli import main
-from conftest import make_spec
+from conftest import make_spec, markov_source_spec, product_source_spec, region_problem_spec
 
 
 def write_problem(tmp_path, fname="prob.json", **over):
@@ -262,7 +263,7 @@ def test_cli_extreme_points_deterministic(tmp_path, capsys):
     assert main(["extreme-points", "helper3", "--seed", "3", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     stdout = capsys.readouterr().out
-    assert "distinct corner(s)" in stdout
+    assert "6 corner(s), smallest separation" in stdout
     assert "elapsed" in stdout
 
     records = read_records(out1)
@@ -274,11 +275,22 @@ def test_cli_extreme_points_deterministic(tmp_path, capsys):
         assert r["ok"] and r["member"]
     summary = records[-1]
     assert set(summary) == {
-        "type", "command", "passed", "corners", "distinct", "degenerate",
+        "type", "command", "passed", "corners", "degenerate",
         "sum_rate_spread", "full_group_information",
     }
-    assert summary["passed"] and summary["distinct"] == 6
+    assert summary["passed"] and summary["degenerate"] is False
     assert summary["sum_rate_spread"] <= 1e-9
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_cli_extreme_points_passes_closely_spaced_corners(tmp_path, m):
+    # the closest corners here lie 1.6e-7 to 6.6e-7 apart: distinct and nondegenerate
+    path = tmp_path / "region.json"
+    save_problem(region_problem_spec(1, m), path)
+    out = tmp_path / "c.jsonl"
+    assert main(["extreme-points", str(path), "--seed", "1", "--out", str(out)]) == 0
+    corners = [r for r in read_records(out) if r["type"] == "corner"]
+    assert len(corners) == math.factorial(m) and all(r["ok"] for r in corners)
 
 
 def test_cli_extreme_points_channels_file(tmp_path, dsbs):
@@ -316,6 +328,27 @@ def test_cli_verify_identities(tmp_path):
 
 def test_cli_verify_noncrossing(tmp_path):
     assert main(["verify", "noncrossing", "dsbs", "--samples", "10"]) == 0
+
+
+def test_cli_verify_noncrossing_accepts_a_degenerate_source(tmp_path):
+    # independent sources share every corner, where {1} and {2} are both tight
+    path = tmp_path / "product.json"
+    save_problem(product_source_spec(np.random.default_rng(39)), path)
+    with pytest.warns(canonical_region.DegeneracyWarning):
+        assert main(["verify", "noncrossing", str(path), "--samples", "5"]) == 0
+
+
+def test_load_problem_warns_on_independent_sources(tmp_path):
+    product = tmp_path / "product.json"
+    save_problem(product_source_spec(np.random.default_rng(39)), product)
+    with pytest.warns(canonical_region.DegeneracyWarning,
+                      match="sources X1 and X2 are nearly independent given S"):
+        load_problem(product)
+    markov = tmp_path / "markov.json"
+    save_problem(markov_source_spec(), markov)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_problem(markov)
 
 
 def test_cli_verify_decomposition_pass_and_fail(tmp_path):

@@ -34,8 +34,7 @@ from canonical_region import (
     verify_chain_identities,
     verify_noncrossing,
 )
-from canonical_region.region import _disjoint_group_pairs
-from conftest import make_spec
+from conftest import make_spec, markov_source_spec, product_source_spec, region_problem_spec
 
 
 def loop_entropy_of(arr, keep_axes):
@@ -205,14 +204,7 @@ def test_enumeration_budget():
 
 def test_product_source_degenerates_every_bank():
     rng = np.random.default_rng(39)
-    p1 = rng.dirichlet(np.ones(2))
-    p2 = rng.dirichlet(np.ones(2))
-    probs = np.zeros((2, 2, 1, 2))
-    for x1 in range(2):
-        for x2 in range(2):
-            probs[x1, x2, 0, x1 ^ x2] = p1[x1] * p2[x2]
-    spec = ProblemSpec(2, 0, 1, [2, 2], 1, 2, [2],
-                       probs, [[[0.0, 1.0], [1.0, 0.0]]])
+    spec = product_source_spec(rng)
     assert source_nondegeneracy_report(spec.source, 2).degenerate
     aug = attach_channels(spec, random_channels(spec, rng))
     assert nondegeneracy_report(aug).degenerate
@@ -225,13 +217,7 @@ def test_product_source_degenerates_every_bank():
 
 def test_source_preflight_keeps_markov_sources():
     # X2 a noisy copy of X1: dependent given trivial S, so not flagged
-    q = np.array([[0.8, 0.2], [0.3, 0.7]])
-    p1 = np.array([0.6, 0.4])
-    probs = np.zeros((2, 2, 1, 2))
-    for x1 in range(2):
-        for x2 in range(2):
-            probs[x1, x2, 0, x1] = p1[x1] * q[x1, x2]
-    spec = ProblemSpec(2, 0, 0, [2, 2], 1, 2, [], probs, [])
+    spec = markov_source_spec()
     report = source_nondegeneracy_report(spec.source, 2)
     assert not report.degenerate
     assert report.min_value > 1e-3
@@ -271,26 +257,10 @@ def test_corner_sum_rate_is_permutation_invariant():
         assert abs(float(rates.sum()) - full) < 1e-9
 
 
-def test_disjoint_group_pairs_cover_each_unordered_pair_once():
-    for m in range(1, 7):
-        pairs = list(_disjoint_group_pairs(m))
-        assert len(pairs) == (3 ** m - 2 ** (m + 1) + 1) // 2
-        seen = set()
-        for group_a, group_b, rest in pairs:
-            assert group_a and group_b and not set(group_a) & set(group_b)
-            assert rest == tuple(i for i in range(1, m + 1)
-                                 if i not in group_a and i not in group_b)
-            seen.add(frozenset((group_a, group_b)))
-        assert len(seen) == len(pairs)
-
-
 def region_problem_aug(seed, m, channel_seed=1):
-    """The benchmark's region problem (binary X/S/V, J = M - 4, L = 1,
-    Dirichlet(1) source drawn from ``(seed, m)``) with the CLI's channel bank
-    for ``--seed channel_seed``."""
-    rng = np.random.default_rng((seed, m))
-    probs = rng.dirichlet(np.ones(2 ** (m + 2))).reshape((2,) * m + (2, 2))
-    spec = ProblemSpec(m, m - 4, 1, [2] * m, 2, 2, [2], probs, [[[0, 1], [1, 0]]])
+    """The benchmark's region problem with the CLI's channel bank for
+    ``--seed channel_seed``."""
+    spec = region_problem_spec(seed, m)
     return attach_channels(spec, random_channels(spec, np.random.default_rng(channel_seed)))
 
 
@@ -646,3 +616,49 @@ def test_constraint_report_matches_the_per_entry_construction():
                 with pytest.raises(PreconditionError) as info:
                     verify_noncrossing(aug, rates, tol)
                 assert str(info.value) == f"rate vector is outside the region (worst slack {worst:.3e})"
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nondegeneracy_minimum_is_the_smallest_corner_separation(monkeypatch, seed, m):
+    aug = region_problem_aug(seed, m)
+    points = enumerate_extreme_points(aug)
+    calls = count_mi_sets(monkeypatch)
+    report = nondegeneracy_report(aug)
+    assert calls == []   # every gap is a difference of two memo entries
+    assert len(report.entries) == math.comb(m, 2) * 2 ** (m - 2)
+    for a, b, cond, gap in report.entries:
+        bit_a, bit_b, k = 1 << (a - 1), 1 << (b - 1), sum(1 << (i - 1) for i in cond)
+        assert abs(gap - region_mod._mi_zz(aug, bit_a, bit_b, k)) <= 1e-12
+        swapped = region_mod._cmi_xz(aug, bit_b, k) - region_mod._cmi_xz(aug, bit_b, k | bit_a)
+        assert abs(gap - swapped) <= 1e-12
+    rates = np.array([r for _, r in points])
+    dist = np.abs(rates[:, None, :] - rates[None, :, :]).max(axis=2)
+    closest = dist[np.triu_indices(len(rates), k=1)].min()
+    assert abs(report.min_value - closest) <= 1e-12
+
+
+def reference_group_pair_minimum(source, m):
+    """min I(X_I ; X_I' | S) over every disjoint pair of nonempty source groups."""
+    s = source.varset("S")
+    values = []
+    for sides in itertools.product(range(3), repeat=m):
+        a = [f"X{i + 1}" for i, side in enumerate(sides) if side == 1]
+        b = [f"X{i + 1}" for i, side in enumerate(sides) if side == 2]
+        if a and b:
+            values.append(mi_sets(source, source.varset(*a), source.varset(*b), s))
+    return min(values, default=float("inf"))
+
+
+def test_source_preflight_minimum_matches_the_group_pair_probe():
+    # pins the group-pair minimum the preflight had before it went pairwise
+    rng = np.random.default_rng(43)
+    specs = [make_spec(rng, m=m, l=1) for m in (1, 2, 3, 4, 5)]
+    specs += [product_source_spec(np.random.default_rng(39)), markov_source_spec()]
+    for spec in specs:
+        report = source_nondegeneracy_report(spec.source, spec.m)
+        assert len(report.entries) == math.comb(spec.m, 2)
+        assert report.min_value == reference_group_pair_minimum(spec.source, spec.m)
+    aug = attach_channels(specs[0], random_channels(specs[0], rng))
+    assert nondegeneracy_report(aug).entries == ()
+    assert not nondegeneracy_report(aug).degenerate
