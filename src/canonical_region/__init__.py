@@ -49,7 +49,6 @@ from .augment import (
 )
 from .region import (
     ChainIdentityReport,
-    ConstraintEntry,
     ConstraintReport,
     NondegeneracyReport,
     check_permutation,
@@ -110,8 +109,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet", "AlphabetBoundReport", "AugmentedPmf", "BudgetError",
     "CanonicalRegionError", "ChainIdentityReport", "Channel",
-    "ConstraintEntry", "ConstraintReport", "DecompositionReport",
-    "DegeneracyWarning", "Direction", "Estimator", "FunctionalContext",
+    "ConstraintReport", "DecompositionReport", "DegeneracyWarning",
+    "Direction", "Estimator", "FunctionalContext",
     "InputError", "JointPmf", "LpResult", "NondegeneracyReport",
     "NumericIntegrityError", "OptimizeResult", "PreconditionError",
     "ProblemSpec", "ReverseChannelPair", "StructuralError",

@@ -123,22 +123,13 @@ def rate_lhs(aug: AugmentedPmf, group: Iterable[int]) -> float:
     return float(_cmi_xz(aug, mask, mask ^ ((1 << aug.m) - 1)))
 
 
-@dataclass(frozen=True)
-class ConstraintEntry:
-    group: tuple[int, ...]
-    lhs: float           # g(I), the information bound
-    rate_sum: float      # sum of R_i over the group
-    slack: float         # rate_sum - lhs
-    active: bool
-
-
 @dataclass(frozen=True, eq=False)
 class ConstraintReport:
     """Every group constraint at one rate vector, in group bitmask order.
 
-    ``lhs`` and ``rate_sums`` are read-only arrays whose entry ``mask - 1``
-    belongs to the group with that bitmask; :class:`ConstraintEntry`
-    objects are built only when ``entries`` or ``entry`` is read.
+    ``lhs`` (g(I), the information bound) and ``rate_sums`` (the sum of
+    R_i over I) are read-only arrays whose entry ``mask - 1`` belongs to
+    the group I with that bitmask.
     """
 
     lhs: np.ndarray
@@ -150,31 +141,13 @@ class ConstraintReport:
         return self.rate_sums - self.lhs
 
     @property
-    def _groups(self) -> tuple[tuple[int, ...], ...]:
-        return _groups_in_mask_order(len(self.lhs).bit_length())
-
-    @property
     def is_member(self) -> bool:
         return bool((self.slack >= -self.tol).all())
 
     @property
     def active_groups(self) -> tuple[tuple[int, ...], ...]:
-        groups = self._groups
+        groups = _groups_in_mask_order(len(self.lhs).bit_length())
         return tuple(groups[i] for i in np.flatnonzero(np.abs(self.slack) <= self.tol))
-
-    @functools.cached_property
-    def entries(self) -> tuple[ConstraintEntry, ...]:
-        slack = self.slack
-        return tuple(map(ConstraintEntry, self._groups, self.lhs.tolist(),
-                         self.rate_sums.tolist(), slack.tolist(),
-                         (np.abs(slack) <= self.tol).tolist()))
-
-    def entry(self, group: Iterable[int]) -> ConstraintEntry:
-        key = tuple(sorted(group))
-        index = sum(1 << (int(i) - 1) for i in key if i >= 1) - 1   # entries are in bitmask order
-        if 0 <= index < len(self.lhs) and self._groups[index] == key:
-            return self.entries[index]
-        raise StructuralError(f"no constraint entry for group {key}")
 
 
 def membership(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE_TOL) -> ConstraintReport:

@@ -1,13 +1,16 @@
-"""Dense two-phase primal simplex for small equality-form programs.
+"""Dense primal simplex for the channel optimizer's mixture LPs.
 
 Solves ``min c.w  s.t.  A w = b, w >= 0`` on problems with a handful of
-rows and at most a few hundred columns.  Entering variables follow
-Bland's rule (smallest eligible index), which guarantees termination on
-degenerate problems at desk scale, where speed is irrelevant.  Phase 1
-minimizes artificial slack to find a basic feasible point; redundant
-rows discovered there are dropped.  A basic optimal solution has at most
-``rank(A) <= m`` positive entries, which is exactly the support bound
-the channel optimizer relies on.
+rows and at most a few hundred columns.  A's first ``m`` columns must be
+the identity and ``b >= 0``, so they form a feasible starting basis with
+``w = b`` and no phase 1 is needed (Dantzig, *Linear Programming and
+Extensions*, 1963).  A mixture LP always has one: its vertex columns
+``e_x`` give the trivial Carathéodory representation
+``p_k = sum_x p_k(x) e_x``.  Entering and leaving variables follow
+Bland's rule (smallest eligible index), which guarantees termination
+from any starting basis on degenerate problems (Bland 1977).  A basic
+optimal solution has at most ``m`` positive entries, which is exactly
+the support bound the channel optimizer relies on.
 """
 from __future__ import annotations
 
@@ -18,15 +21,13 @@ import numpy as np
 from .errors import NumericIntegrityError, StructuralError
 
 PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-8
 MAX_PIVOTS = 20000
 
 
 @dataclass(frozen=True, eq=False)
 class LpResult:
-    status: str                       # "optimal" | "infeasible" | "unbounded"
-    w: np.ndarray | None = field(default=None, repr=False)
-    value: float = float("nan")
+    w: np.ndarray = field(repr=False)
+    value: float
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -37,29 +38,25 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_loop(tableau: np.ndarray, basis: list[int], n_enterable: int) -> str:
-    """Run simplex pivots until optimal or unbounded.
-
-    Only columns ``< n_enterable`` may enter (phase 2 must never re-admit
-    artificial columns).  The last tableau row holds reduced costs.
-    """
+def _bland_loop(tableau: np.ndarray, basis: list[int]) -> None:
+    """Run simplex pivots until optimal; the last tableau row holds reduced costs."""
     m = tableau.shape[0] - 1
     for _ in range(MAX_PIVOTS):
-        cost = tableau[-1, :n_enterable]
+        cost = tableau[-1, :-1]
         entering = -1
-        for j in range(n_enterable):
+        for j in range(cost.size):
             if cost[j] < -PIVOT_TOL and j not in basis:
                 entering = j
                 break
         if entering < 0:
-            return "optimal"
+            return
         ratios = []
         for r in range(m):
             coef = tableau[r, entering]
             if coef > PIVOT_TOL:
                 ratios.append((tableau[r, -1] / coef, basis[r], r))
         if not ratios:
-            return "unbounded"
+            raise NumericIntegrityError(f"LP is unbounded along column {entering}")
         best = min(ratios)[0]
         # smallest basic-variable index among the tied rows (Bland)
         row = min((b, r) for ratio, b, r in ratios if ratio <= best + PIVOT_TOL)[1]
@@ -69,11 +66,12 @@ def _bland_loop(tableau: np.ndarray, basis: list[int], n_enterable: int) -> str:
 
 
 def solve_equality_lp(c, a, b) -> LpResult:
-    """Minimize ``c.w`` over ``{A w = b, w >= 0}``.
+    """Minimize ``c.w`` over ``{A w = b, w >= 0}`` from the basis ``A[:, :m] = I``.
 
-    Returns an optimal basic solution, or a result flagged infeasible or
-    unbounded.  Inputs must be finite; ``A`` is ``m x n`` with ``m >= 1``
-    and ``n >= 1``.
+    Returns an optimal basic solution.  Inputs must be finite, ``A`` is
+    ``m x n`` with ``1 <= m <= n``, its first ``m`` columns must equal
+    ``np.eye(m)`` exactly, and ``b >= 0``.  The LP must be bounded; an
+    unbounded ray raises :class:`NumericIntegrityError`.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -85,58 +83,24 @@ def solve_equality_lp(c, a, b) -> LpResult:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
         raise StructuralError("LP data must be finite")
     m, n = a.shape
+    if not (1 <= m <= n and np.array_equal(a[:, :m], np.eye(m))):
+        raise StructuralError("the LP's first m columns must be the identity basis")
+    if b.min() < 0.0:
+        raise StructuralError(f"the LP's right-hand side must be >= 0, got {b}")
 
-    flip = b < 0.0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # phase 1: artificial identity basis, cost row = reduced costs of sum(artificials)
-    tableau = np.zeros((m + 1, n + m + 1))
+    # the cost row holds c's reduced costs against the identity basis
+    tableau = np.zeros((m + 1, n + 1))
     tableau[:m, :n] = a
-    tableau[:m, n:n + m] = np.eye(m)
     tableau[:m, -1] = b
-    tableau[-1, :n] = -a.sum(axis=0)
-    tableau[-1, -1] = -b.sum()
-    basis = list(range(n, n + m))
-    status = _bland_loop(tableau, basis, n)
-    if status != "optimal":
-        raise NumericIntegrityError("phase-1 simplex reported an unbounded problem")
-    if -tableau[-1, -1] > FEAS_TOL:
-        return LpResult("infeasible")
-
-    # drive leftover artificial variables out of the basis; rows that
-    # cannot pivot on an original column are redundant and get dropped
-    keep_rows = []
-    for r in range(m):
-        if basis[r] >= n:
-            col = -1
-            for j in range(n):
-                if abs(tableau[r, j]) > PIVOT_TOL:
-                    col = j
-                    break
-            if col < 0:
-                continue
-            _pivot(tableau, basis, r, col)
-        keep_rows.append(r)
-    if len(keep_rows) < m:
-        rows = keep_rows + [m]
-        tableau = tableau[rows]
-        basis = [basis[r] for r in keep_rows]
-        m = len(keep_rows)
-
-    # phase 2: rebuild the cost row from c against the current basis
-    tableau[-1, :] = 0.0
     tableau[-1, :n] = c
+    basis = list(range(m))
     for r in range(m):
-        coef = tableau[-1, basis[r]]
+        coef = tableau[-1, r]
         if coef != 0.0:
             tableau[-1] -= coef * tableau[r]
-    status = _bland_loop(tableau, basis, n)
-    if status == "unbounded":
-        return LpResult("unbounded")
+    _bland_loop(tableau, basis)
 
     w = np.zeros(n)
     for r in range(m):
-        if basis[r] < n:
-            w[basis[r]] = max(0.0, tableau[r, -1])
-    return LpResult("optimal", w, float(c @ w))
+        w[basis[r]] = max(0.0, tableau[r, -1])
+    return LpResult(w, float(c @ w))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from canonical_region import ProblemSpec, resolve_problem
+from canonical_region import DegeneracyWarning, ProblemSpec, resolve_problem
 
 
 def make_spec(rng, m=None, j=None, l=None, max_alphabet=3, name=""):
@@ -29,6 +29,16 @@ def region_problem_spec(seed, m):
     rng = np.random.default_rng((seed, m))
     probs = rng.dirichlet(np.ones(2 ** (m + 2))).reshape((2,) * m + (2, 2))
     return ProblemSpec(m, m - 4, 1, [2] * m, 2, 2, [2], probs, [[[0, 1], [1, 0]]])
+
+
+def zero_symbol_spec(rng):
+    """M = 2, J = 0, L = 1 with symbol 2 of X1 at probability 0."""
+    probs = rng.dirichlet(np.ones(24)).reshape(3, 2, 2, 2)      # X1 X2 S V
+    probs[2] = 0.0
+    probs /= probs.sum()
+    with pytest.warns(DegeneracyWarning):
+        return ProblemSpec(2, 0, 1, [3, 2], 2, 2, [2], probs,
+                           [rng.uniform(0.0, 1.0, size=(2, 2))])
 
 
 def product_source_spec(rng):

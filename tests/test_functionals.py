@@ -8,11 +8,9 @@ import pytest
 from canonical_region import functionals
 from canonical_region import (
     Alphabet,
-    DegeneracyWarning,
     Direction,
     Estimator,
     FunctionalContext,
-    ProblemSpec,
     StructuralError,
     attach_channels,
     constant_channel,
@@ -35,7 +33,7 @@ from canonical_region import (
 )
 from canonical_region.augment import MARGINAL_TOL, channel_product
 from canonical_region.functionals import check_simplex_point
-from conftest import make_spec
+from conftest import make_spec, zero_symbol_spec
 
 
 def test_direction_validation():
@@ -369,16 +367,6 @@ def test_direct_weighted_value_composition(dsbs):
     assert abs(direct_weighted_value(dsbs, chans, d) - expected) < 1e-12
 
 
-def _zero_symbol_spec(rng):
-    """M = 2, J = 0, L = 1 with symbol 2 of X1 at probability 0."""
-    probs = rng.dirichlet(np.ones(24)).reshape(3, 2, 2, 2)      # X1 X2 S V
-    probs[2] = 0.0
-    probs /= probs.sum()
-    with pytest.warns(DegeneracyWarning):
-        return ProblemSpec(2, 0, 1, [3, 2], 2, 2, [2], probs,
-                           [rng.uniform(0.0, 1.0, size=(2, 2))])
-
-
 def _test_pool(rng, n):
     """Vertices (zero cells), midpoints, the barycenter and Dirichlet draws."""
     eye = np.eye(n)
@@ -390,7 +378,7 @@ def _test_pool(rng, n):
 def test_pool_matches_stacked_points(name, request):
     rng = np.random.default_rng(62)
     if name == "zero-symbol":
-        spec = _zero_symbol_spec(rng)
+        spec = zero_symbol_spec(rng)
     elif name == "two-distortions":                                 # one psi tensor, L = 2
         spec = make_spec(rng, m=3, j=1, l=2)
     else:

@@ -37,7 +37,7 @@ from canonical_region import optimize
 from canonical_region.optimize import _candidate_pool, _orbit_table, _simplex_lattice
 from canonical_region.pmf import cell_entropies
 from canonical_region.simplex import solve_equality_lp
-from conftest import make_spec
+from conftest import make_spec, zero_symbol_spec
 
 
 def test_simplex_lattice_exact():
@@ -347,6 +347,56 @@ def test_candidate_pool_dedupe_matches_row_rule():
         expected = _reference_pool_dedupe(fixed + draws + list(extra))
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+def _slot_contexts(name, request, rng):
+    """(ctx, incumbent columns) for every slot of one random bank and direction."""
+    spec = zero_symbol_spec(rng) if name == "zero-symbol" else request.getfixturevalue(name)
+    slots = spec.channel_slots
+    chans = random_channels(spec, rng)
+    d = random_direction(spec.m, spec.j, spec.l, rng)
+    for pos, k in enumerate(slots):
+        frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
+        yield FunctionalContext(spec, k, frozen, d), forward_to_reverse(spec, k, chans[pos]).columns
+
+
+@pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol"])
+def test_candidate_pool_leads_with_the_vertex_basis(name, request):
+    # the slot LP starts its simplex from the pool's first |X_k| columns
+    rng = np.random.default_rng(94)
+    for trial in range(10):
+        for ctx, incumbent in _slot_contexts(name, request, rng):
+            n = ctx.p_k.size
+            eye = np.eye(n)
+            near = eye[rng.integers(0, n, size=3)] + rng.choice([-1e-14, 0.0, 1e-14], size=(3, n))
+            for extra in (None, incumbent, eye[::-1], np.vstack([near, incumbent, eye])):
+                pool = _candidate_pool(ctx, trial, trial, extra)
+                assert pool[:n].tobytes() == eye.tobytes()
+    rng = np.random.default_rng(95)
+    probs = rng.dirichlet(np.ones(4)).reshape(1, 2, 2)              # |X_1| = 1
+    spec = ProblemSpec(1, 0, 1, [1], 2, 2, [2], probs, [[[0.0, 1.0], [1.0, 0.0]]])
+    ctx = FunctionalContext(spec, 1, {})
+    for extra in (None, [[1.0]], [[1.0 - 1e-14]]):
+        assert _candidate_pool(ctx, 8, 0, extra).tobytes() == np.ones((1, 1)).tobytes()
+
+
+@pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol"])
+def test_slot_lp_matches_highs(name, request):
+    # an outside solver on real slot LPs: theta costs over the candidate pool
+    optimize_mod = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(96)
+    solved = 0
+    while solved < 100:
+        for ctx, incumbent in _slot_contexts(name, request, rng):
+            pool = _candidate_pool(ctx, 32, solved, incumbent)
+            values = theta(ctx, pool)
+            lp = solve_equality_lp(values, pool.T, ctx.p_k)
+            ref = optimize_mod.linprog(values, A_eq=pool.T, b_eq=ctx.p_k, bounds=(0, None),
+                                       method="highs")
+            assert ref.status == 0
+            assert abs(lp.value - ref.fun) <= 1e-9
+            assert np.count_nonzero(lp.w) <= ctx.p_k.size
+            solved += 1
 
 
 def test_single_slot_lp_requires_direction():

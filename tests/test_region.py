@@ -9,7 +9,6 @@ import pytest
 import canonical_region.region as region_mod
 from canonical_region import (
     BudgetError,
-    ConstraintEntry,
     NumericIntegrityError,
     PreconditionError,
     ProblemSpec,
@@ -136,11 +135,12 @@ def test_membership_validation_and_order():
         membership(aug, np.zeros(3))
     with pytest.raises(StructuralError):
         membership(aug, np.array([-0.5, 1.0]))
-    report = membership(aug, np.full(2, 10.0))
-    assert [e.group for e in report.entries] == [(1,), (2,), (1, 2)]
-    assert report.entry((2, 1)).group == (1, 2)
-    with pytest.raises(StructuralError):
-        report.entry((3,))
+    # entries are in group bitmask order: (1,), (2,), (1, 2)
+    report = membership(aug, np.array([10.0, 20.0]))
+    assert report.rate_sums.tolist() == [10.0, 20.0, 30.0]
+    assert report.lhs.tolist() == [rate_lhs(aug, g) for g in [(1,), (2,), (1, 2)]]
+    report = membership(aug, np.array([rate_lhs(aug, [1]), 10.0]), tol=0.0)
+    assert report.active_groups == ((1,),)
 
 
 def test_corner_active_sets_are_the_suffix_chain():
@@ -301,22 +301,23 @@ def test_corners_match_the_orthant_identity():
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_greedy_corner_supports_every_nonnegative_direction(m):
-    # min w.R over the 2^M - 1 group inequalities, as an LP in slack form
+    # min w.R over the 2^M - 1 group inequalities sum_{i in I} R_i >= g(I)
+    # equals, by LP duality, max g.y over y >= 0 with sum_{I ∋ i} y_I <= w_i;
+    # that dual, with its slacks as the leading identity, is solved here
     rng = np.random.default_rng(60 + m)
     spec = make_spec(rng, m=m, l=1, max_alphabet=2)
     aug = attach_channels(spec, random_channels(spec, rng))
     masks = range(1, 1 << m)
     incidence = np.array([[mask >> i & 1 for i in range(m)] for mask in masks], dtype=float)
     g = np.array([rate_lhs(aug, [i + 1 for i in range(m) if mask >> i & 1]) for mask in masks])
-    a = np.hstack([incidence, -np.eye(len(g))])
+    a = np.hstack([np.eye(m), incidence.T])
     corners = np.array([r for _, r in enumerate_extreme_points(aug)])
     for trial in range(50):
         # every other direction has integer weights, so zeros and ties occur
         w = rng.exponential(size=m) if trial % 2 else rng.integers(0, 3, size=m).astype(float)
-        lp = solve_equality_lp(np.concatenate([w, np.zeros(len(g))]), a, g)
-        assert lp.status == "optimal"
+        lp = solve_equality_lp(np.concatenate([np.zeros(m), -g]), a, w)
         greedy = float(w @ corner_point(aug, tuple(np.argsort(w, kind="stable") + 1)))
-        assert abs(greedy - lp.value) <= 1e-9
+        assert abs(greedy + lp.value) <= 1e-9
         assert greedy <= float((corners @ w).min()) + 1e-12
 
 
@@ -355,8 +356,10 @@ def test_rate_sums_add_left_to_right_in_index_order():
         for _ in range(100):
             # magnitudes spread over ten decades make the addition order visible
             rates = rng.exponential(size=m) * 10.0 ** rng.integers(-8, 3, size=m)
-            for e in membership(aug, rates).entries:
-                assert e.rate_sum == float(sum(rates[i - 1] for i in e.group))
+            sums = membership(aug, rates).rate_sums.tolist()
+            for mask in range(1, 1 << m):
+                group = [i for i in range(m) if mask >> i & 1]
+                assert sums[mask - 1] == float(sum(rates[i] for i in group))
 
 
 def reference_distinct_count(points, tol):
@@ -573,14 +576,15 @@ def test_cmi_memo_never_stores_a_call_that_raises(monkeypatch):
 
 
 def reference_constraint_entries(aug, rates, tol):
-    # the per-group construction membership used before its report held arrays
+    # the per-group construction membership used before its report held
+    # arrays: (group, lhs, rate_sum, slack, active) tuples in bitmask order
     entries = []
     for mask in range(1, 1 << aug.m):
         group = tuple(i + 1 for i in range(aug.m) if mask >> i & 1)
         lhs = rate_lhs(aug, group)
         rate_sum = float(sum(rates[i - 1] for i in group))
         slack = rate_sum - lhs
-        entries.append(ConstraintEntry(group, lhs, rate_sum, slack, abs(slack) <= tol))
+        entries.append((group, lhs, rate_sum, slack, abs(slack) <= tol))
     return entries
 
 
@@ -592,27 +596,21 @@ def test_constraint_report_matches_the_per_entry_construction():
     members = [corners[i] + rng.exponential(size=m) * (rng.random(m) < 0.5)
                for i in rng.integers(0, len(corners), size=50)]
     outside = [np.maximum(c - 1e-3 * (rng.random(m) < 0.5), 0.0) for c in corners[:40]]
-    groups = [tuple(i + 1 for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]
     for tol in (region_mod.ACTIVE_TOL, 0.0):
         for rates in corners + members + outside:
             report = membership(aug, rates, tol)
             reference = reference_constraint_entries(aug, rates, tol)
-            assert report.entries == tuple(reference)
-            for got, want in zip(report.entries, reference):
-                for field in ("group", "lhs", "rate_sum", "slack", "active"):
-                    assert getattr(got, field) == getattr(want, field)
-                    assert type(getattr(got, field)) is type(getattr(want, field))
-            assert report.is_member == all(e.slack >= -tol for e in reference)
-            assert report.active_groups == tuple(e.group for e in reference if e.active)
+            _, lhs, rate_sums, slack, _ = zip(*reference)
+            assert report.lhs.tolist() == list(lhs)
+            assert report.rate_sums.tolist() == list(rate_sums)
+            assert report.slack.tolist() == list(slack)
+            for arr in (report.lhs, report.rate_sums):
+                assert arr.dtype == np.float64 and not arr.flags.writeable
+            assert report.is_member == all(e[3] >= -tol for e in reference)
+            assert report.active_groups == tuple(e[0] for e in reference if e[4])
             assert report.tol == tol
-            for group, want in zip(groups, reference):
-                assert report.entry(group) == want
-                assert report.entry(reversed(group)) == want
-            for bad in ((), (0,), (m + 1,), (1, 1), (0, 1)):
-                with pytest.raises(StructuralError):
-                    report.entry(bad)
             if not report.is_member:
-                worst = min(e.slack for e in reference)
+                worst = min(slack)
                 with pytest.raises(PreconditionError) as info:
                     verify_noncrossing(aug, rates, tol)
                 assert str(info.value) == f"rate vector is outside the region (worst slack {worst:.3e})"

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from canonical_region import StructuralError, solve_equality_lp
+from canonical_region import NumericIntegrityError, StructuralError, solve_equality_lp
 
 
 def enumerate_optimum(c, a, b):
@@ -38,72 +38,46 @@ def test_matches_basic_solution_enumeration():
     rng = np.random.default_rng(70)
     for _ in range(30):
         dim = int(rng.integers(1, 4))
-        n = int(rng.integers(dim + 1, 8))
-        # columns on the simplex so total mass is pinned and the LP bounded
-        a = rng.dirichlet(np.ones(dim), size=n).T if dim > 1 else np.ones((1, n))
-        w0 = rng.dirichlet(np.ones(n)) * rng.uniform(0.5, 2.0)
+        n = int(rng.integers(1, 6))
+        # columns on the simplex so total mass is pinned and the LP bounded,
+        # led by the vertex basis the solver starts from
+        mix = rng.dirichlet(np.ones(dim), size=n).T if dim > 1 else np.ones((1, n))
+        a = np.hstack([np.eye(dim), mix])
+        w0 = rng.dirichlet(np.ones(dim + n)) * rng.uniform(0.5, 2.0)
         b = a @ w0
-        c = rng.normal(size=n)
+        c = rng.normal(size=dim + n)
         # oracle first
         expected = enumerate_optimum(c, a, b)
         assert expected is not None
         res = solve_equality_lp(c, a, b)
-        assert res.status == "optimal"
         assert abs(res.value - expected) < 1e-7
         assert res.w.min() >= 0.0
         assert np.abs(a @ res.w - b).max() < 1e-8
         assert np.count_nonzero(res.w > 1e-12) <= dim
 
 
-def test_infeasible_detected():
-    a = np.array([[0.0, 0.0], [1.0, 1.0]])
-    b = np.array([0.5, 1.0])       # first row forces 0 = 0.5
-    res = solve_equality_lp(np.zeros(2), a, b)
-    assert res.status == "infeasible"
-    assert res.w is None
-
-
 def test_unbounded_detected():
     a = np.array([[1.0, -1.0]])
     b = np.array([0.0])
-    res = solve_equality_lp(np.array([-1.0, 0.0]), a, b)
-    assert res.status == "unbounded"
+    with pytest.raises(NumericIntegrityError):
+        solve_equality_lp(np.array([-1.0, 0.0]), a, b)
 
 
 def test_degenerate_duplicate_columns():
     # the optimal column appears three times; Bland's rule must still stop
     col = np.array([0.5, 0.5])
-    a = np.stack([col, col, col, [1.0, 0.0]], axis=1)
+    a = np.hstack([np.eye(2), np.stack([col, col, col, [1.0, 0.0]], axis=1)])
     b = np.array([0.25, 0.25])
-    c = np.array([1.0, 1.0, 1.0, 5.0])
+    c = np.array([3.0, 3.0, 1.0, 1.0, 1.0, 5.0])
     res = solve_equality_lp(c, a, b)
-    assert res.status == "optimal"
     assert abs(res.value - 0.5) < 1e-10
-
-
-def test_redundant_rows_dropped():
-    # second row is a copy of the first
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    b = np.array([1.0, 1.0])
-    res = solve_equality_lp(np.array([2.0, 1.0]), a, b)
-    assert res.status == "optimal"
-    assert abs(res.value - 1.0) < 1e-10
-    assert np.allclose(res.w, [0.0, 1.0])
-
-
-def test_negative_rhs_normalized():
-    a = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    b = np.array([-0.75, 0.25])
-    res = solve_equality_lp(np.ones(2), a, b)
-    assert res.status == "optimal"
-    assert np.allclose(res.w, [0.75, 0.25], atol=1e-10)
+    assert abs(res.value - enumerate_optimum(c, a, b)) < 1e-10
 
 
 def test_zero_rhs_zero_solution():
     a = np.array([[1.0, 2.0]])
     b = np.array([0.0])
     res = solve_equality_lp(np.array([3.0, 4.0]), a, b)
-    assert res.status == "optimal"
     assert abs(res.value) < 1e-12
 
 
@@ -114,3 +88,18 @@ def test_shape_and_finiteness_validation():
         solve_equality_lp(np.ones(3), np.ones((2, 3)), np.ones(3))
     with pytest.raises(StructuralError):
         solve_equality_lp(np.ones(3), np.full((2, 3), np.inf), np.ones(2))
+    # the starting basis: A's first m columns are exactly the identity, b >= 0
+    eye = np.hstack([np.eye(2), np.full((2, 1), 0.5)])
+    assert solve_equality_lp(np.ones(3), eye, [0.75, 0.25]).w.tolist() == [0.75, 0.25, 0.0]
+    with pytest.raises(StructuralError):
+        solve_equality_lp(np.ones(2), np.array([[-1.0, 0.0], [0.0, 1.0]]), [-0.75, 0.25])
+    with pytest.raises(StructuralError):
+        solve_equality_lp(np.ones(3), eye, [0.75, -0.25])
+    with pytest.raises(StructuralError):
+        solve_equality_lp(np.ones(3), eye[::-1], [0.75, 0.25])
+    with pytest.raises(StructuralError):
+        solve_equality_lp(np.ones(3), eye + 1e-16, [0.75, 0.25])
+    with pytest.raises(StructuralError):
+        solve_equality_lp(np.ones(1), np.ones((2, 1)), [0.5, 0.5])
+    with pytest.raises(StructuralError):
+        solve_equality_lp(np.ones(2), np.ones((0, 2)), np.ones(0))
