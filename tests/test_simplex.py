@@ -74,6 +74,18 @@ def test_degenerate_duplicate_columns():
     assert abs(res.value - enumerate_optimum(c, a, b)) < 1e-10
 
 
+def test_negative_rhs_normalized():
+    # a row with b < 0 is rejected, not flipped; the caller's row-normalised
+    # form (row times -1) is the identity start and solves to the same point
+    a = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    b = np.array([-0.75, 0.25])
+    with pytest.raises(StructuralError):
+        solve_equality_lp(np.ones(2), a, b)
+    sign = np.sign(b)[:, None]
+    res = solve_equality_lp(np.ones(2), a * sign, b * sign[:, 0])
+    assert np.allclose(res.w, [0.75, 0.25], atol=1e-10)
+
+
 def test_zero_rhs_zero_solution():
     a = np.array([[1.0, 2.0]])
     b = np.array([0.0])
@@ -91,8 +103,6 @@ def test_shape_and_finiteness_validation():
     # the starting basis: A's first m columns are exactly the identity, b >= 0
     eye = np.hstack([np.eye(2), np.full((2, 1), 0.5)])
     assert solve_equality_lp(np.ones(3), eye, [0.75, 0.25]).w.tolist() == [0.75, 0.25, 0.0]
-    with pytest.raises(StructuralError):
-        solve_equality_lp(np.ones(2), np.array([[-1.0, 0.0], [0.0, 1.0]]), [-0.75, 0.25])
     with pytest.raises(StructuralError):
         solve_equality_lp(np.ones(3), eye, [0.75, -0.25])
     with pytest.raises(StructuralError):
