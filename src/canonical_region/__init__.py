@@ -27,10 +27,7 @@ from .errors import (
 from .pmf import (
     Alphabet,
     JointPmf,
-    VarSet,
-    cmi,
     entropy,
-    marginalize,
     mi_sets,
 )
 from .augment import (
@@ -73,9 +70,6 @@ from .functionals import (
     distortion_component,
     estimator_distortion,
     observation_axes,
-    phi,
-    phi_parts,
-    psi,
     random_direction,
     theta,
     verify_linear_decomposition,
@@ -85,7 +79,6 @@ from .optimize import (
     AlphabetBoundReport,
     OptimizeResult,
     TracePoint,
-    brute_force_oracle,
     brute_force_search,
     coordinate_descent,
     default_multistart_inits,
@@ -114,18 +107,18 @@ __all__ = [
     "InputError", "JointPmf", "LpResult", "NondegeneracyReport",
     "NumericIntegrityError", "OptimizeResult", "PreconditionError",
     "ProblemSpec", "ReverseChannelPair", "StructuralError",
-    "TracePoint", "VarSet", "attach_channels", "brute_force_oracle",
-    "brute_force_search", "bundled_problem_path", "check_permutation",
-    "cmi", "constant_channel", "coordinate_descent", "corner_point",
+    "TracePoint", "attach_channels", "brute_force_search",
+    "bundled_problem_path", "check_permutation",
+    "constant_channel", "coordinate_descent", "corner_point",
     "default_multistart_inits", "direct_weighted_value", "distinct_count",
     "distortion_component", "entropy", "enumerate_extreme_points",
     "estimate_brute_force_evals", "estimator_distortion",
     "expected_active_groups", "forward_to_reverse", "identity_channel",
     "identity_permutation", "list_bundled_problems",
-    "load_channels", "load_directions", "load_problem", "marginalize",
+    "load_channels", "load_directions", "load_problem",
     "membership", "mi_sets", "mixture_error", "nondegeneracy_report",
-    "observation_axes", "optimize_single_channel", "phi", "phi_parts",
-    "psi", "random_channel", "random_channels", "random_direction",
+    "observation_axes", "optimize_single_channel", "random_channel",
+    "random_channels", "random_direction",
     "rate_lhs", "resolve_problem", "reverse_to_forward", "save_problem",
     "solve_equality_lp", "source_nondegeneracy_report", "theta",
     "trace_inner_bound", "verify_alphabet_bound", "verify_chain_identities",

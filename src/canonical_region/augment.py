@@ -26,6 +26,7 @@ here as well.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +40,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .pmf import Alphabet, JointPmf, VarSet, cmi
+from .pmf import Alphabet, JointPmf, mi_sets
 
 ROW_TOL = 1e-12
 MARGINAL_TOL = 1e-12
@@ -162,9 +163,9 @@ class ProblemSpec:
         shape = tuple(a.size for a in x_alphabets) + (s_alphabet.size, v_alphabet.size)
         if exact_probs is not None:
             fracs = [Fraction(f) for f in exact_probs]
-            if len(fracs) != int(np.prod(shape)):
+            if len(fracs) != math.prod(shape):
                 raise StructuralError(
-                    f"expected {int(np.prod(shape))} probabilities, got {len(fracs)}"
+                    f"expected {math.prod(shape)} probabilities, got {len(fracs)}"
                 )
         else:
             arr = np.array(source_probs, dtype=float)
@@ -315,20 +316,20 @@ class AugmentedPmf:
     def j(self) -> int:
         return self.spec.j
 
-    def x_axes(self, sources: int) -> VarSet:
+    def x_axes(self, sources: int) -> int:
         """Axes of X_i for the sources in the bitmask ``sources`` (bit i-1 is source i)."""
         if not 0 <= sources < 1 << self.m:
             raise StructuralError(f"source mask {sources:#b} outside 1..{self.m}")
-        return VarSet(sources)
+        return sources
 
-    def z_axes(self, sources: int) -> VarSet:
+    def z_axes(self, sources: int) -> int:
         """Description axes of ``sources``: X_i itself for i <= J, Z_i for i > J."""
-        lossless = self.x_axes(sources).mask & ((1 << self.j) - 1)
-        return VarSet(lossless | (sources >> self.j) << (self.m + 2))
+        lossless = self.x_axes(sources) & ((1 << self.j) - 1)
+        return lossless | (sources >> self.j) << (self.m + 2)
 
     @property
-    def s_axis(self) -> VarSet:
-        return VarSet(1 << self.m)
+    def s_axis(self) -> int:
+        return 1 << self.m
 
 
 def channel_product(spec: ProblemSpec, channels: Mapping[int, Channel]) -> JointPmf:
@@ -378,8 +379,8 @@ def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> Augmented
     everything = joint.all_axes()
     for k in slots:
         z, x = joint.varset(f"Z{k}"), joint.varset(f"X{k}")
-        rest = everything - z - x
-        if rest and cmi(joint, z, rest, x) > FACTORIZATION_TOL:
+        rest = everything & ~(z | x)
+        if rest and mi_sets(joint, z, rest, x) > FACTORIZATION_TOL:
             raise NumericIntegrityError(
                 f"Z{k} is not conditionally independent of the rest given X{k}"
             )

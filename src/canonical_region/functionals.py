@@ -11,27 +11,27 @@ weighted rate-distortion objective is such a mixture
 
 of a fixed functional F evaluated at the reverse columns:
 
-* ``phi(ctx, i, t)`` covers the rate of description ``i >= k``.  It is a
-  difference ``phi1 - phi2`` of mixture-entropy expressions built from
-  the conditionals ``r(x_i, u | x_k)`` of the frozen-channel joint, where
+* phi_i covers the rate of description ``i >= k``.  It is a difference
+  ``phi1 - phi2`` of mixture-entropy expressions built from the
+  conditionals ``r(x_i, u | x_k)`` of the frozen-channel joint, where
   ``u`` collects the lossless sources, the earlier descriptions (without
   ``Z_k``), and S; ``phi2`` extends ``u`` with ``Z_i``.  For ``i = k``
   the first expression degenerates to the constant
   ``H(X_k | X_{1..J}, Z_{J+1..k-1}, S)`` independent of ``t`` (the
   mechanical formula would be wrong there), while the second uses the
   diagonal conditional ``r(x_i, u | x_k) = [x_i = x_k] r(u | x_k)``.
-* ``psi(ctx, l, t)`` covers distortion measure l: the Bayes-optimal
-  expected distortion of reconstructing V from the full observation
-  tuple, concave in ``t`` as a sum of pointwise minima of linear maps.
-* ``theta(ctx, t)`` combines them along a direction of nonnegative
-  weights over the free rates and the distortions.  Rate terms of
-  descriptions ``i < k`` do not depend on slot k's channel at all and
-  enter as precomputed constants, so the mixture of theta over a reverse
-  pair reproduces the full weighted objective exactly.
+* psi_l covers distortion measure l: the Bayes-optimal expected
+  distortion of reconstructing V from the full observation tuple,
+  concave in ``t`` as a sum of pointwise minima of linear maps.
+* ``theta(ctx, pool)`` combines them along the context's direction of
+  nonnegative weights over the free rates and the distortions.  Rate
+  terms of descriptions ``i < k`` do not depend on slot k's channel at
+  all and enter as precomputed constants, so the mixture of theta over a
+  reverse pair reproduces the full weighted objective exactly.
 
-Each of ``phi``, ``phi_parts``, ``psi`` and ``theta`` takes one simplex
-point ``t`` (and returns floats) or a ``(P, |X_k|)`` pool of them (and
-returns ``(P,)`` arrays); a point is evaluated as a pool of one.
+``theta`` is the one entry point: it takes a ``(P, |X_k|)`` pool of
+simplex points and returns a ``(P,)`` array.  Along the unit direction
+e_i (``i >= k``) it is phi_i, and along e_l it is psi_l.
 
 :func:`verify_linear_decomposition` checks that reproduction numerically
 for every slot.
@@ -62,34 +62,21 @@ UNIT_NORM_TOL = 1e-12           # dividing by the norm leaves it a few ulp off 1
 MIN_DIRECTION_NORM = 1e-3       # redraw near-zero draws: normalizing them magnifies round-off
 
 
-def check_simplex_point(t, size: int) -> np.ndarray:
-    """``t`` as a simplex point ``(size,)`` or a pool of them ``(P, size)``.
+def check_simplex_point(pool, size: int) -> np.ndarray:
+    """``pool`` as a ``(P, size)`` array of simplex points.
 
     Every row must be finite, nonnegative up to ``SIMPLEX_NEGATIVE_TOL``
     and of mass 1 within ``SIMPLEX_TOL``; round-off negatives are clipped.
     """
-    t = np.asarray(t, dtype=float)
-    if t.ndim not in (1, 2) or t.shape[-1] != size or t.size == 0:
-        raise StructuralError(
-            f"simplex points have shape {t.shape}, expected ({size},) or (P, {size})"
-        )
-    if not np.all(np.isfinite(t)) or t.min() < -SIMPLEX_NEGATIVE_TOL:
+    pool = np.asarray(pool, dtype=float)
+    if pool.ndim != 2 or pool.shape[1] != size or pool.size == 0:
+        raise StructuralError(f"simplex pool has shape {pool.shape}, expected (P, {size})")
+    if not np.all(np.isfinite(pool)) or pool.min() < -SIMPLEX_NEGATIVE_TOL:
         raise StructuralError("simplex point entries must be finite and >= 0")
-    worst = np.abs(t.sum(axis=-1) - 1.0).max()
+    worst = np.abs(pool.sum(axis=1) - 1.0).max()
     if worst > SIMPLEX_TOL:
         raise StructuralError(f"simplex point mass is off 1 by {worst!r}")
-    return np.maximum(t, 0.0)
-
-
-def _as_pool(t, size: int) -> tuple[np.ndarray, bool]:
-    """``t`` validated as a ``(P, size)`` pool, and whether it was one point."""
-    t = check_simplex_point(t, size)
-    return np.atleast_2d(t), t.ndim == 1
-
-
-def _unwrap(values: np.ndarray, single: bool):
-    """A pool result as given, or the float of a single point."""
-    return float(values[0]) if single else values
+    return np.maximum(pool, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +233,7 @@ class FunctionalContext:
     """Everything needed to evaluate the slot-k functionals.
 
     Holds the spec, the slot index k, the frozen channels of every other
-    slot, and optionally the direction (required by :func:`theta`).
+    slot, and the direction :func:`theta` weighs the functionals by.
     Precomputes the frozen-channel joint (the augmented law *without*
     slot k).  The conditional tensors each functional needs are built
     from it on every call: the optimizer scores a context's whole pool in
@@ -260,7 +247,7 @@ class FunctionalContext:
         spec: ProblemSpec,
         k: int,
         frozen: Mapping[int, Channel],
-        direction: Direction | None = None,
+        direction: Direction,
     ) -> None:
         if k not in spec.channel_slots:
             raise StructuralError(f"slot {k} is not in {spec.channel_slots}")
@@ -269,9 +256,7 @@ class FunctionalContext:
             raise StructuralError(
                 f"frozen channels must cover slots {sorted(expected)}, got {sorted(frozen)}"
             )
-        if direction is not None and (direction.m, direction.j, direction.l) != (
-            spec.m, spec.j, spec.l,
-        ):
+        if (direction.m, direction.j, direction.l) != (spec.m, spec.j, spec.l):
             raise StructuralError("direction dimensions do not match the spec")
 
         self.spec = spec
@@ -355,54 +340,16 @@ def _psi_pool(ctx: FunctionalContext, l: int, mixed: np.ndarray) -> np.ndarray:
     return scores.min(axis=-1).reshape(len(mixed), -1).sum(axis=1)
 
 
-def phi_parts(ctx: FunctionalContext, i: int, t):
-    """The two mixture-entropy expressions whose difference is phi.
+def theta(ctx: FunctionalContext, pool) -> np.ndarray:
+    """Direction-weighted objective contribution of each row of a simplex pool.
 
-    Defined for ``k <= i <= M`` only: descriptions before slot k do not
-    depend on its channel and have no simplex functional.  ``t`` is one
-    simplex point (two floats back) or a ``(P, |X_k|)`` pool (two
-    ``(P,)`` arrays back).
-    """
-    if not ctx.k <= i <= ctx.spec.m:
-        raise StructuralError(
-            f"phi index {i} outside {ctx.k}..{ctx.spec.m} for slot {ctx.k}"
-        )
-    pool, single = _as_pool(t, ctx.p_k.size)
-    phi1, phi2 = _phi_pool(ctx, i, pool)
-    return _unwrap(phi1, single), _unwrap(phi2, single)
-
-
-def phi(ctx: FunctionalContext, i: int, t):
-    """Rate functional of description ``i >= k`` at a simplex point or pool ``t``."""
-    phi1, phi2 = phi_parts(ctx, i, t)
-    return phi1 - phi2
-
-
-def psi(ctx: FunctionalContext, l: int, t):
-    """Distortion functional for measure l at a simplex point or pool ``t``.
-
-    Concave in ``t``: a sum over observable tuples of minima of linear
-    functions of ``t``.
-    """
-    if not 1 <= l <= ctx.spec.l:
-        raise StructuralError(f"distortion index {l} outside 1..{ctx.spec.l}")
-    pool, single = _as_pool(t, ctx.p_k.size)
-    return _unwrap(_psi_pool(ctx, l, _mix(pool, ctx._psi_tensor())), single)
-
-
-def theta(ctx: FunctionalContext, t):
-    """Direction-weighted objective contribution of a simplex point or pool.
-
-    Requires the context to carry a direction.  Mixing theta over a
-    reverse pair's columns with its weights reproduces the full weighted
+    ``pool`` is ``(P, |X_k|)``; the result is ``(P,)``.  Mixing theta over
+    a reverse pair's columns with its weights reproduces the full weighted
     objective: free-rate terms of descriptions ``i >= k`` and all
-    distortion terms vary with ``t``, and terms of descriptions ``i < k``
-    enter as channel-independent constants.  A single point gives a
-    float, a ``(P, |X_k|)`` pool a ``(P,)`` array.
+    distortion terms vary with the point, and terms of descriptions
+    ``i < k`` enter as channel-independent constants.
     """
-    if ctx.direction is None:
-        raise StructuralError("theta requires a FunctionalContext with a direction")
-    pool, single = _as_pool(t, ctx.p_k.size)
+    pool = check_simplex_point(pool, ctx.p_k.size)
     total = np.zeros(len(pool))
     for i in ctx.spec.channel_slots:
         weight = ctx.direction.rate_weight(i)
@@ -420,7 +367,7 @@ def theta(ctx: FunctionalContext, t):
             if mixed is None:
                 mixed = _mix(pool, ctx._psi_tensor())  # (P, v, *u)
             total += weight * _psi_pool(ctx, l, mixed)
-    return _unwrap(total, single)
+    return total
 
 
 # ---- the mixture identity ----------------------------------------------------

@@ -17,7 +17,7 @@ Coordinate descent cycles the slots.  Each step's pool contains the
 incumbent's columns, so the step objective never increases; the sweep
 trace is therefore monotone within float noise, which is enforced.
 
-A direct lattice search (:func:`brute_force_oracle`) grids every
+A direct lattice search (:func:`brute_force_search`) grids every
 channel's rows over the probability simplex and evaluates the objective
 definitionally on the augmented joint, independent of the functional
 machinery.  It is deliberately simple, budget-guarded, and serves as the
@@ -76,7 +76,6 @@ __all__ = [
     "default_multistart_inits",
     "estimate_brute_force_evals",
     "brute_force_search",
-    "brute_force_oracle",
     "verify_alphabet_bound",
     "trace_inner_bound",
 ]
@@ -135,16 +134,13 @@ def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64,
                             seed=0, incumbent_columns=None) -> ReverseChannelPair:
     """Globally optimize slot k's reverse pair over a finite candidate pool.
 
-    Scores the whole pool with one theta call (the functionals take one
-    simplex point or a pool of them) and solves the mixture LP by primal
-    simplex from the pool's leading vertex columns, a feasible basis.  The
-    returned pair is the basic optimum itself: its weights above
-    ``SUPPORT_WEIGHT_TOL`` (at most ``|X_k|`` of them), normalized.
+    Scores the whole pool with one theta call and solves the mixture LP
+    by primal simplex from the pool's leading vertex columns, a feasible
+    basis.  The returned pair is the basic optimum itself: its weights
+    above ``SUPPORT_WEIGHT_TOL`` (at most ``|X_k|`` of them), normalized.
     ``incumbent_columns`` (shape ``(*, |X_k|)``) joins the pool, so the
     optimum is then at least as good as the incumbent.
     """
-    if ctx.direction is None:
-        raise StructuralError("optimize_single_channel needs a direction in the context")
     pool = _candidate_pool(ctx, candidates, seed, incumbent_columns)
     values = theta(ctx, pool)
     result = solve_equality_lp(values, pool.T, ctx.p_k)
@@ -402,13 +398,6 @@ def brute_force_search(
         for d in range(n_dir)
     ]
     return best, winners
-
-
-def brute_force_oracle(spec: ProblemSpec, direction: Direction,
-                       z_sizes: Sequence[int], grid: int) -> float:
-    """Minimum weighted objective over the channel lattice (see search)."""
-    values, _ = brute_force_search(spec, [direction], z_sizes, grid)
-    return float(values[0])
 
 
 # ---- alphabet bound verification -------------------------------------------------

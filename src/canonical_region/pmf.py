@@ -2,9 +2,9 @@
 
 A :class:`JointPmf` is an immutable dense tensor whose axes are named
 random variables, each with a finite :class:`Alphabet`.  Subsets of axes
-are addressed with :class:`VarSet` bitmasks, so entropy and conditional
-mutual information of arbitrary variable groups reduce to marginal sums
-over the tensor.
+are addressed as int bitmasks (bit ``i`` selects axis ``i``), so entropy
+and conditional mutual information of arbitrary variable groups reduce
+to marginal sums over the tensor.
 
 Conventions, fixed package-wide:
 
@@ -22,7 +22,7 @@ negative indicates broken inputs and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,57 +44,6 @@ class Alphabet:
             raise StructuralError(
                 f"alphabet {self.label!r} needs an integer size >= 1, got {self.size!r}"
             )
-
-
-@dataclass(frozen=True)
-class VarSet:
-    """An immutable set of tensor axes, stored as a bitmask.
-
-    Bit ``i`` selects axis ``i`` of the tensor the set is used with.  The
-    empty set is falsy, which makes "no conditioning" read naturally.
-    """
-
-    mask: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mask < 0:
-            raise StructuralError(f"VarSet mask must be nonnegative, got {self.mask}")
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "VarSet":
-        mask = 0
-        for i in indices:
-            if i < 0:
-                raise StructuralError(f"axis index must be nonnegative, got {i}")
-            mask |= 1 << i
-        return cls(mask)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
-
-    def __or__(self, other: "VarSet") -> "VarSet":
-        return VarSet(self.mask | other.mask)
-
-    def __and__(self, other: "VarSet") -> "VarSet":
-        return VarSet(self.mask & other.mask)
-
-    def __sub__(self, other: "VarSet") -> "VarSet":
-        return VarSet(self.mask & ~other.mask)
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-    def __contains__(self, index: int) -> bool:
-        return index >= 0 and bool(self.mask >> index & 1)
-
-    def isdisjoint(self, other: "VarSet") -> bool:
-        return self.mask & other.mask == 0
-
-    def issubset(self, other: "VarSet") -> bool:
-        return self.mask & ~other.mask == 0
 
 
 class JointPmf:
@@ -158,20 +107,20 @@ class JointPmf:
                 f"unknown axis {name!r}; available: {list(self._axis_of)}"
             ) from None
 
-    def varset(self, *names: str) -> VarSet:
-        return VarSet.of(self.axis_index(n) for n in names)
+    def varset(self, *names: str) -> int:
+        """The axis bitmask of the named variables."""
+        mask = 0
+        for n in names:
+            mask |= 1 << self.axis_index(n)
+        return mask
 
-    def all_axes(self) -> VarSet:
-        return VarSet((1 << self.ndim) - 1)
+    def all_axes(self) -> int:
+        return (1 << self.ndim) - 1
 
-    def names(self, vs: VarSet) -> tuple[str, ...]:
-        self.check_varset(vs)
-        return tuple(self.axes[i][0] for i in vs.indices())
-
-    def check_varset(self, vs: VarSet) -> None:
-        if not vs.issubset(self.all_axes()):
+    def check_varset(self, vs: int) -> None:
+        if not 0 <= vs <= self.all_axes():
             raise StructuralError(
-                f"VarSet selects axes {vs.indices()} but tensor has {self.ndim} axes"
+                f"axis mask {vs:#b} selects axes outside the tensor's {self.ndim}"
             )
 
     def marginal(self, names: Sequence[str]) -> np.ndarray:
@@ -187,20 +136,6 @@ class JointPmf:
 
 
 # ---- operations ------------------------------------------------------------
-
-
-def marginalize(p: JointPmf, keep: VarSet) -> JointPmf:
-    """Sum out every axis not in ``keep``, preserving axis order.
-
-    ``keep`` must be a nonempty subset of ``p``'s axes.
-    """
-    p.check_varset(keep)
-    if not keep:
-        raise StructuralError("cannot marginalize onto the empty axis set")
-    kept = keep.indices()
-    drop = tuple(sorted(set(range(p.ndim)) - set(kept)))
-    probs = p.probs.sum(axis=drop) if drop else p.probs
-    return JointPmf([p.axes[i] for i in kept], probs)
 
 
 def cell_entropy(arr: np.ndarray) -> float:
@@ -221,21 +156,21 @@ def cell_entropies(rows: np.ndarray) -> np.ndarray:
     return -np.where(pos, rows * np.log2(np.where(pos, rows, 1.0)), 0.0).sum(axis=1)
 
 
-def _joint_entropy(p: JointPmf, vs: VarSet) -> float:
+def _joint_entropy(p: JointPmf, vs: int) -> float:
     """H of the variables in ``vs`` (0.0 for the empty set), cached per pmf."""
     p.check_varset(vs)
-    cached = p._entropy_cache.get(vs.mask)
+    cached = p._entropy_cache.get(vs)
     if cached is not None:
         return cached
     if not vs:
         return 0.0
-    drop = tuple(sorted(set(range(p.ndim)) - set(vs.indices())))
+    drop = tuple(i for i in range(p.ndim) if not vs >> i & 1)
     value = cell_entropy(p.probs.sum(axis=drop) if drop else p.probs)
-    p._entropy_cache[vs.mask] = value
+    p._entropy_cache[vs] = value
     return value
 
 
-def entropy(p: JointPmf, of: VarSet, given: VarSet = VarSet()) -> float:
+def entropy(p: JointPmf, of: int, given: int = 0) -> float:
     """Conditional entropy H(of | given) in bits.
 
     ``of`` must be nonempty and disjoint from ``given``.
@@ -244,25 +179,27 @@ def entropy(p: JointPmf, of: VarSet, given: VarSet = VarSet()) -> float:
     p.check_varset(given)
     if not of:
         raise StructuralError("entropy target set is empty")
-    if not of.isdisjoint(given):
+    if of & given:
         raise StructuralError("entropy target overlaps the conditioning set")
     return _joint_entropy(p, of | given) - _joint_entropy(p, given)
 
 
-def mi_sets(p: JointPmf, a: VarSet, b: VarSet, given: VarSet = VarSet()) -> float:
-    """I(a; b | given) via the four-entropy combination, overlap tolerant.
+def mi_sets(p: JointPmf, a: int, b: int, given: int = 0) -> float:
+    """Conditional mutual information I(a; b | given) in bits.
 
-    Unlike :func:`cmi` this accepts ``a`` and ``b`` that share axes, in
-    which case it computes ``H(a|given) - H(a|b,given)`` literally; shared
-    variables then behave as if observed on the ``b`` side.  Used where a
-    variable plays two roles at once (a source that is its own coded
-    description).  Negatives within ``CMI_CLAMP`` clamp to 0.
+    The axis bitmasks ``a`` and ``b`` must be nonempty and disjoint from
+    ``given``.  They may share axes, in which case this computes
+    ``H(a|given) - H(a|b,given)`` literally: shared variables behave as if
+    observed on the ``b`` side.  Used where a variable plays two roles at
+    once (a source that is its own coded description).  Negatives within
+    ``CMI_CLAMP`` clamp to 0; anything more negative raises
+    :class:`NumericIntegrityError`.
     """
     for vs in (a, b, given):
         p.check_varset(vs)
     if not a or not b:
         raise StructuralError("mutual information needs nonempty argument sets")
-    if not a.isdisjoint(given) or not b.isdisjoint(given):
+    if (a | b) & given:
         raise StructuralError("conditioning set overlaps an argument set")
     value = (
         _joint_entropy(p, a | given)
@@ -278,16 +215,4 @@ def mi_sets(p: JointPmf, a: VarSet, b: VarSet, given: VarSet = VarSet()) -> floa
             )
         value = 0.0
     return value
-
-
-def cmi(p: JointPmf, a: VarSet, b: VarSet, given: VarSet = VarSet()) -> float:
-    """Conditional mutual information I(a; b | given) in bits.
-
-    ``a``, ``b``, ``given`` must be pairwise disjoint; ``a`` and ``b``
-    nonempty.  Tiny negatives (within ``CMI_CLAMP``) clamp to 0; anything
-    more negative raises :class:`NumericIntegrityError`.
-    """
-    if not a.isdisjoint(b):
-        raise StructuralError("cmi argument sets must be disjoint")
-    return mi_sets(p, a, b, given)
 

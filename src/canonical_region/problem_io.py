@@ -25,6 +25,7 @@ worse is rejected.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from fractions import Fraction
 from importlib import resources
@@ -34,13 +35,18 @@ from typing import Sequence
 import numpy as np
 
 from .augment import Channel, ProblemSpec
-from .errors import DegeneracyWarning, InputError, StructuralError
+from .errors import BudgetError, DegeneracyWarning, InputError, StructuralError
 from .functionals import Direction
 from .pmf import Alphabet
 from .region import source_nondegeneracy_report
 
 MASS_SILENT_TOL = 1e-9
 MASS_WARN_TOL = 1e-6
+# Loading parses and normalizes one exact Fraction per source cell: about
+# 150 us and 0.4 KB of peak memory per cell (2-core Xeon), so 2^16 cells take
+# 10 s and 28 MB.  Every channel slot then multiplies the cells again in the
+# augmented joint.  The bundled and benchmark problems have at most 2^8 cells.
+MAX_SOURCE_CELLS = 1 << 16
 
 _TOP_KEYS = {"name", "notes", "m", "j", "l", "alphabets", "source", "distortions"}
 
@@ -51,6 +57,15 @@ def _require_int(value, what: str, minimum: int) -> int:
     if value < minimum:
         raise InputError(f"{what} must be >= {minimum}, got {value}")
     return value
+
+
+def _require_numbers(node, what: str) -> None:
+    """Reject a nested list with any leaf that is not a JSON number (booleans included)."""
+    if isinstance(node, list):
+        for idx, child in enumerate(node):
+            _require_numbers(child, f"{what}[{idx}]")
+    elif isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise InputError(f"{what} must be a number, got {node!r}")
 
 
 def _parse_prob(value, what: str) -> Fraction:
@@ -98,7 +113,7 @@ def _parse_source(data, m: int, shape: tuple[int, ...]) -> list[Fraction]:
     entries = data["entries"]
     if not isinstance(entries, list) or not entries:
         raise InputError("source.entries must be a nonempty list")
-    fracs = [Fraction(0)] * int(np.prod(shape))
+    fracs = [Fraction(0)] * math.prod(shape)
     seen: set[tuple[int, ...]] = set()
     for pos, entry in enumerate(entries):
         where = f"source.entries[{pos}]"
@@ -171,6 +186,11 @@ def load_problem(path) -> ProblemSpec:
     vhat_sizes = [_require_int(n, f"alphabets.Vhat[{i}]", 1) for i, n in enumerate(vhats)]
 
     shape = tuple(x_sizes) + (s_size, v_size)
+    cells = math.prod(shape)
+    if cells > MAX_SOURCE_CELLS:
+        raise BudgetError(
+            f"{path}: the source tensor has {cells} cells (> {MAX_SOURCE_CELLS})"
+        )
     fracs = _parse_source(data["source"], m, shape)
 
     total = sum(fracs)
@@ -196,9 +216,10 @@ def load_problem(path) -> ProblemSpec:
     for li, tab in enumerate(dists, start=1):
         if not isinstance(tab, list):
             raise InputError(f"distortions[{li - 1}] must be a nested list")
+        _require_numbers(tab, f"distortions[{li - 1}]")
         try:
             arr = np.array(tab, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"distortions[{li - 1}]: {exc}") from exc
         tables.append(arr)
 
@@ -335,6 +356,7 @@ def load_channels(path, spec: ProblemSpec) -> list[Channel]:
     out = []
     for k in spec.channel_slots:
         pos, rows = by_slot[k]
+        _require_numbers(rows, f"channels[{pos}].rows")
         try:
             arr = np.array(rows, dtype=float)
             if arr.ndim != 2:
@@ -342,7 +364,7 @@ def load_channels(path, spec: ProblemSpec) -> list[Channel]:
             out.append(
                 Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", arr.shape[1]), arr)
             )
-        except (TypeError, ValueError, StructuralError) as exc:
+        except (TypeError, ValueError, OverflowError, StructuralError) as exc:
             raise InputError(f"channels[{pos}] (slot {k}): {exc}") from exc
     return out
 
@@ -371,9 +393,11 @@ def load_directions(path, spec: ProblemSpec) -> list[Direction]:
         dists = item["distortions"]
         if not isinstance(rates, list) or not isinstance(dists, list):
             raise InputError(f"directions[{pos}]: rates and distortions must be lists")
+        _require_numbers(rates, f"directions[{pos}].rates")
+        _require_numbers(dists, f"directions[{pos}].distortions")
         try:
             raw = np.array([float(x) for x in rates + dists])
             out.append(Direction.normalized(spec.m, spec.j, spec.l, raw))
-        except (TypeError, ValueError, StructuralError) as exc:
+        except (TypeError, ValueError, OverflowError, StructuralError) as exc:
             raise InputError(f"directions[{pos}]: {exc}") from exc
     return out

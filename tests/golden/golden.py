@@ -1,0 +1,171 @@
+"""Golden-output corpus: exit codes and output digests of a fixed CLI command set.
+
+Every command runs in process from a temporary working directory that
+holds the generated region problems, so problem arguments (which the
+``run`` record embeds) are the same relative names on every machine.
+For each command the manifest keeps the exit code, the sha256 of its
+``--out`` file (null when none was written) and the sha256 of its stdout
+without the run-varying ``elapsed`` line.
+
+    python tests/golden/golden.py --check     # compare against manifest.json
+    python tests/golden/golden.py --update    # re-record manifest.json
+
+Float bits may differ across numpy versions, so the manifest records the
+numpy version it was made with; ``--check`` says so when they differ.
+A change that alters outputs on purpose re-records with ``--update`` and
+lists the changed commands in CHANGES.md.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import time
+import traceback
+import warnings
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+MANIFEST = HERE / "manifest.json"
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+import numpy as np  # noqa: E402
+
+from canonical_region import cli, save_problem  # noqa: E402
+from conftest import region_problem_spec  # noqa: E402
+
+REGION_SEEDS = (1, 2, 3, 4, 5)
+REGION_SOURCES = (4, 5, 6)
+BUNDLED = ("helper3", "dsbs", "bwz")
+TRACE_SEEDS = (1, 2, 3, 4)
+OUT = "out.jsonl"
+
+
+def region_files(directory: Path) -> list[tuple[str, int]]:
+    """Write the benchmark's region problems: (name relative to ``directory``, seed)."""
+    refs = []
+    for seed in REGION_SEEDS:
+        for m in REGION_SOURCES:
+            name = f"region-m{m}-seed{seed}.json"
+            save_problem(region_problem_spec(seed, m), directory / name)
+            refs.append((name, seed))
+    return refs
+
+
+def commands(region: list[tuple[str, int]]) -> list[list[str]]:
+    """Region problems run with their own seed as channel seed, bundled ones with the default."""
+    cmds = []
+    for ref, seed in [(ref, ["--seed", str(s)]) for ref, s in region] + [(b, []) for b in BUNDLED]:
+        cmds += [
+            ["extreme-points", ref, *seed],
+            ["verify", "noncrossing", ref, "--samples", "50", *seed],
+            ["verify", "identities", ref, *seed],
+            ["verify", "identities", ref, "--tol", "0", "--trials", "20", *seed],
+        ]
+    for seed in TRACE_SEEDS:
+        cmds += [
+            ["trace", "helper3", "--count", "4", "--seed", str(seed)],
+            ["trace", "bwz", "--count", "4", "--seed", str(seed)],
+            ["trace", "dsbs", "--count", "2", "--seed", str(seed)],
+        ]
+    cmds += [
+        ["trace", "bwz", "--sweep", "9", "--seed", "42"],
+        ["trace", "helper3", "--count", "4", "--seed", "23"],
+        ["trace", "dsbs", "--count", "2", "--perm", "2,1"],
+        ["verify", "alphabet-bound", "dsbs", "--grid", "3", "--trials", "1", "--seed", "3"],
+        ["verify", "alphabet-bound", "bwz", "--grid", "14", "--trials", "1", "--seed", "3"],
+    ]
+    cmds += [["verify", "decomposition", ref] for ref in BUNDLED]
+    cmds += [
+        ["trace", "dsbs", "--count", "0"],
+        ["extreme-points", "no-such-problem"],
+    ]
+    return cmds
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_one(argv: list[str]) -> dict:
+    """Run one command in the current directory; its exit code and digests."""
+    out = Path(OUT)
+    if out.exists():
+        out.unlink()
+    buf = io.StringIO()
+    with (contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()),
+          warnings.catch_warnings()):
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.main([*argv, "--out", OUT])
+        except Exception:   # the console script would exit 1 with this traceback
+            code, crash = 1, traceback.format_exc()
+        else:
+            crash = None
+    if crash is not None:
+        print(f"{' '.join(argv)} raised:\n{crash}", file=sys.stderr)
+    stdout = "".join(line for line in buf.getvalue().splitlines(keepends=True)
+                     if not line.startswith("elapsed "))
+    return {
+        "argv": argv,
+        "exit": code,
+        "out_sha256": _sha256(out.read_bytes()) if out.exists() else None,
+        "stdout_sha256": _sha256(stdout.encode()),
+    }
+
+
+def record() -> list[dict]:
+    old_cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            return [run_one(argv) for argv in commands(region_files(Path(tmp)))]
+        finally:
+            os.chdir(old_cwd)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true", help="compare against the manifest")
+    mode.add_argument("--update", action="store_true", help="re-record the manifest")
+    args = parser.parse_args(argv)
+
+    start = time.perf_counter()
+    results = record()
+    elapsed = time.perf_counter() - start
+    if args.update:
+        MANIFEST.write_text(json.dumps(
+            {"numpy": np.__version__, "commands": results}, indent=1) + "\n")
+        print(f"recorded {len(results)} commands in {elapsed:.1f}s")
+        return 0
+
+    manifest = json.loads(MANIFEST.read_text())
+    if manifest["numpy"] != np.__version__:
+        print(f"note: manifest recorded with numpy {manifest['numpy']}, "
+              f"running {np.__version__}")
+    expected = {tuple(e["argv"]): e for e in manifest["commands"]}
+    got = {tuple(e["argv"]): e for e in results}
+    differing = 0
+    for key in sorted(expected.keys() | got.keys()):
+        want, have = expected.get(key), got.get(key)
+        if want != have:
+            differing += 1
+            fields = ("missing from the run" if have is None
+                      else "not in the manifest" if want is None
+                      else ", ".join(f for f in ("exit", "out_sha256", "stdout_sha256")
+                                     if want[f] != have[f]))
+            print(f"DIFF {' '.join(key)}: {fields}")
+    print(f"{differing} of {len(expected)} commands differ ({elapsed:.1f}s)")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

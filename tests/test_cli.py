@@ -15,6 +15,7 @@ import pytest
 
 import canonical_region
 from canonical_region import (
+    BudgetError,
     InputError,
     ProblemSpec,
     bundled_problem_path,
@@ -128,6 +129,31 @@ def test_load_rejects_malformed(tmp_path):
         load_problem(write_problem(tmp_path, distortions=[]))
 
 
+def test_load_refuses_an_oversized_source_tensor(tmp_path, capsys):
+    # 2^64 cells: the cell count overflows int64, so it must be counted exactly
+    path = write_problem(
+        tmp_path, "wide.json", m=64, l=0,
+        alphabets={"X": [2] * 64, "S": 1, "V": 1, "Vhat": []},
+        source={"entries": [{"symbols": [0] * 66, "p": 1}]}, distortions=[],
+    )
+    with pytest.raises(BudgetError, match="18446744073709551616 cells"):
+        load_problem(path)
+    assert main(["extreme-points", str(path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", [
+    [[True, False], [False, True]],
+    [[0, 1], ["1", 0]],
+    [[0, 1], [1, None]],
+])
+def test_load_rejects_non_numeric_distortions(tmp_path, table):
+    path = write_problem(tmp_path, distortions=[table])
+    with pytest.raises(InputError, match="must be a number"):
+        load_problem(path)
+    assert main(["extreme-points", str(path)]) == 2
+
+
 def test_sparse_entries(tmp_path):
     p = write_problem(
         tmp_path,
@@ -219,6 +245,18 @@ def test_load_channels_files(tmp_path, dsbs):
         load_channels(bad, dsbs)
 
 
+def test_load_channels_rejects_non_numeric_rows(tmp_path, dsbs):
+    path = tmp_path / "chan.json"
+    for rows in ([[True, False], ["0", "1"]], [[True, False], [False, True]], [[1, 0], "01"]):
+        path.write_text(json.dumps({"channels": [
+            {"slot": 1, "rows": [[1.0, 0.0], [0.0, 1.0]]},
+            {"slot": 2, "rows": rows},
+        ]}))
+        with pytest.raises(InputError, match="must be a number"):
+            load_channels(path, dsbs)
+        assert main(["extreme-points", "dsbs", "--channels", str(path)]) == 2
+
+
 def test_load_directions_files(tmp_path, dsbs):
     good = tmp_path / "dirs.json"
     good.write_text(json.dumps({"directions": [
@@ -247,6 +285,16 @@ def test_load_directions_files(tmp_path, dsbs):
     ]}))
     with pytest.raises(InputError):
         load_directions(bad, dsbs)
+
+
+def test_load_directions_rejects_non_numeric_weights(tmp_path, bwz):
+    path = tmp_path / "dirs.json"
+    for item in ({"rates": [True], "distortions": ["2"]}, {"rates": [1], "distortions": ["2"]},
+                 {"rates": [False], "distortions": [1]}):
+        path.write_text(json.dumps({"directions": [item]}))
+        with pytest.raises(InputError, match="must be a number"):
+            load_directions(path, bwz)
+        assert main(["trace", "bwz", "--directions", str(path)]) == 2
 
 
 # ---- command line -----------------------------------------------------------

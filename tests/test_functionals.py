@@ -23,9 +23,6 @@ from canonical_region import (
     identity_channel,
     mi_sets,
     observation_axes,
-    phi,
-    phi_parts,
-    psi,
     random_channels,
     random_direction,
     theta,
@@ -76,7 +73,32 @@ def test_random_direction_needs_a_coordinate():
     assert random_direction(2, 1, 0, rng).coords.tolist() == [1.0]
 
 
+def unit_direction(spec, rate=None, distortion=None):
+    """e_i for the rate of description ``rate``, or e_l for distortion measure ``distortion``.
+
+    Along e_i (i >= k) theta is the rate functional phi_i, and along e_l
+    the distortion functional psi_l, with the same float operations.
+    """
+    e = np.zeros(spec.m - spec.j + spec.l)
+    e[rate - spec.j - 1 if distortion is None else spec.m - spec.j + distortion - 1] = 1.0
+    return Direction.normalized(spec.m, spec.j, spec.l, e)
+
+
+def flat_direction(spec):
+    """Equal weight on every coordinate, for contexts whose direction does not matter."""
+    return Direction.normalized(spec.m, spec.j, spec.l, np.ones(spec.m - spec.j + spec.l))
+
+
+def phi(spec, k, frozen, i, pool):
+    return theta(FunctionalContext(spec, k, frozen, unit_direction(spec, rate=i)), pool)
+
+
+def psi(spec, k, frozen, l, pool):
+    return theta(FunctionalContext(spec, k, frozen, unit_direction(spec, distortion=l)), pool)
+
+
 BAD_BINARY_POOLS = (
+    np.array([0.5, 0.5]),                           # one point, not a pool
     np.full((1, 2, 2), 0.5),                        # a 3-D array
     np.full((2, 3), 1.0 / 3.0),                     # a pool of the wrong width
     [[0.5, 0.5], [0.6, 0.6]],                       # a row off the simplex
@@ -85,13 +107,13 @@ BAD_BINARY_POOLS = (
 
 
 def test_check_simplex_point():
-    assert np.allclose(check_simplex_point([0.25, 0.75], 2), [0.25, 0.75])
+    assert np.allclose(check_simplex_point([[0.25, 0.75]], 2), [[0.25, 0.75]])
     with pytest.raises(StructuralError):
-        check_simplex_point([0.25, 0.75], 3)
+        check_simplex_point([[0.25, 0.75]], 3)
     with pytest.raises(StructuralError):
-        check_simplex_point([0.6, 0.6], 2)
+        check_simplex_point([[0.6, 0.6]], 2)
     with pytest.raises(StructuralError):
-        check_simplex_point([-0.2, 1.2], 2)
+        check_simplex_point([[-0.2, 1.2]], 2)
     pool = check_simplex_point([[0.25, 0.75], [1.0, -1e-13]], 2)
     assert pool.shape == (2, 2) and pool.min() == 0.0
     for t in BAD_BINARY_POOLS + (np.zeros((0, 2)),):    # and an empty pool
@@ -180,19 +202,14 @@ def test_phi_first_part_constant_at_own_slot():
     slots = spec.channel_slots
     k = 3
     frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
-    ctx = FunctionalContext(spec, k, frozen)
+    ctx = FunctionalContext(spec, k, frozen, flat_direction(spec))
     # oracle: the constant from the full augmented joint (slot k attached too)
     aug = attach_channels(spec, chans)
     cond = aug.joint.varset("X1", "Z2", "S")
     expected = entropy(aug.joint, aug.joint.varset("X3"), cond)
-    n = spec.x_alphabets[k - 1].size
-    seen = []
-    for _ in range(10):
-        t = rng.dirichlet(np.ones(n))
-        part1, _ = phi_parts(ctx, k, t)
-        seen.append(part1)
-    assert np.ptp(seen) < 1e-12
-    assert abs(seen[0] - expected) < 1e-10
+    a1, _, const = ctx._phi_tensors(k)
+    assert a1 is None                       # no conditional tensor: independent of the point
+    assert abs(const - expected) < 1e-10
 
 
 def test_phi_mixture_reproduces_rates():
@@ -203,7 +220,6 @@ def test_phi_mixture_reproduces_rates():
     aug = attach_channels(spec, chans)
     k = 2
     frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
-    ctx = FunctionalContext(spec, k, frozen)
     pair = forward_to_reverse(spec, k, chans[0])
     for i in (2, 3):
         # oracle first: the rate straight off the augmented joint
@@ -214,10 +230,7 @@ def test_phi_mixture_reproduces_rates():
             aug.joint.varset(f"Z{i}"),
             aug.joint.varset(*cond_names),
         )
-        mixed = sum(
-            pair.weights[z] * phi(ctx, i, pair.columns[z])
-            for z in range(pair.out_size)
-        )
+        mixed = pair.weights @ phi(spec, k, frozen, i, pair.columns)
         assert abs(mixed - expected) < 1e-9
 
 
@@ -227,28 +240,24 @@ def test_psi_mixture_reproduces_distortion():
     chans = random_channels(spec, rng)
     aug = attach_channels(spec, chans)
     k = 1
-    ctx = FunctionalContext(spec, k, {2: chans[1]})
     pair = forward_to_reverse(spec, k, chans[0])
     for l in (1, 2):
         expected = distortion_component(aug, l)[0]
-        mixed = sum(
-            pair.weights[z] * psi(ctx, l, pair.columns[z])
-            for z in range(pair.out_size)
-        )
+        mixed = pair.weights @ psi(spec, k, {2: chans[1]}, l, pair.columns)
         assert abs(mixed - expected) < 1e-9
 
 
 def test_psi_is_concave():
     rng = np.random.default_rng(56)
     spec = make_spec(rng, m=1, j=0, l=1)
-    ctx = FunctionalContext(spec, 1, {})
     n = spec.x_alphabets[0].size
     for _ in range(30):
         t1 = rng.dirichlet(np.ones(n))
         t2 = rng.dirichlet(np.ones(n))
         lam = float(rng.uniform())
         mix = lam * t1 + (1.0 - lam) * t2
-        assert psi(ctx, 1, mix) >= lam * psi(ctx, 1, t1) + (1 - lam) * psi(ctx, 1, t2) - 1e-12
+        at_mix, at_t1, at_t2 = psi(spec, 1, {}, 1, np.array([mix, t1, t2]))
+        assert at_mix >= lam * at_t1 + (1 - lam) * at_t2 - 1e-12
 
 
 def test_theta_requires_direction_and_matches_manual_sum():
@@ -258,38 +267,35 @@ def test_theta_requires_direction_and_matches_manual_sum():
     slots = spec.channel_slots
     k = 2
     frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
-    bare = FunctionalContext(spec, k, frozen)
+    with pytest.raises(TypeError):
+        FunctionalContext(spec, k, frozen)          # theta's direction is required
     n = spec.x_alphabets[k - 1].size
-    t = rng.dirichlet(np.ones(n))
-    with pytest.raises(StructuralError):
-        theta(bare, t)
+    t = rng.dirichlet(np.ones(n))[None]
     d = random_direction(3, 0, 1, rng)
     ctx = FunctionalContext(spec, k, frozen, d)
     manual = (
         d.rate_weight(1) * ctx.rate_constant(1)
-        + d.rate_weight(2) * phi(ctx, 2, t)
-        + d.rate_weight(3) * phi(ctx, 3, t)
-        + d.distortion_weight(1) * psi(ctx, 1, t)
+        + d.rate_weight(2) * phi(spec, k, frozen, 2, t)
+        + d.rate_weight(3) * phi(spec, k, frozen, 3, t)
+        + d.distortion_weight(1) * psi(spec, k, frozen, 1, t)
     )
-    assert abs(theta(ctx, t) - manual) < 1e-12
+    assert theta(ctx, t).shape == (1,)
+    assert abs(theta(ctx, t) - manual).max() < 1e-12
 
 
 def test_functional_context_validation():
     rng = np.random.default_rng(58)
     spec = make_spec(rng, m=2, j=1, l=1)
     chans = random_channels(spec, rng)
+    ok = flat_direction(spec)
     with pytest.raises(StructuralError):
-        FunctionalContext(spec, 1, {})             # slot 1 is lossless
+        FunctionalContext(spec, 1, {}, ok)             # slot 1 is lossless
     with pytest.raises(StructuralError):
-        FunctionalContext(spec, 2, {2: chans[0]})  # frozen must exclude k
+        FunctionalContext(spec, 2, {2: chans[0]}, ok)  # frozen must exclude k
     d = random_direction(3, 0, 1, rng)
     with pytest.raises(StructuralError):
-        FunctionalContext(spec, 2, {}, d)          # direction shape mismatch
-    ctx = FunctionalContext(spec, 2, {})
-    with pytest.raises(StructuralError):
-        phi(ctx, 1, np.ones(2) / 2)                # i < k has no functional
-    with pytest.raises(StructuralError):
-        psi(ctx, 2, np.ones(spec.x_alphabets[1].size) / spec.x_alphabets[1].size)
+        FunctionalContext(spec, 2, {}, d)              # direction shape mismatch
+    ctx = FunctionalContext(spec, 2, {}, ok)
     with pytest.raises(StructuralError):
         ctx.rate_constant(2)
 
@@ -303,7 +309,7 @@ def test_functional_context_uses_the_channel_product():
         aug = attach_channels(spec, chans)
         for k in spec.channel_slots:
             frozen = {kk: ch for kk, ch in bank.items() if kk != k}
-            ctx = FunctionalContext(spec, k, frozen)
+            ctx = FunctionalContext(spec, k, frozen, flat_direction(spec))
             expected = channel_product(spec, frozen).probs
             assert ctx.base.probs.tobytes() == expected.tobytes()
             assert [name for name, _ in ctx.base.axes] == (
@@ -314,7 +320,7 @@ def test_functional_context_uses_the_channel_product():
     spec = make_spec(rng, m=2, j=0, l=1)
     wrong = identity_channel(Alphabet("X9", spec.x_alphabets[0].size))
     with pytest.raises(StructuralError):
-        FunctionalContext(spec, 2, {1: wrong})     # same check as attach_channels
+        FunctionalContext(spec, 2, {1: wrong}, flat_direction(spec))   # as in attach_channels
 
 
 def test_decomposition_holds_across_shapes(dsbs):
@@ -392,30 +398,24 @@ def test_pool_matches_stacked_points(name, request):
         pool = _test_pool(rng, ctx.p_k.size)
         values = theta(ctx, pool)
         assert values.shape == (len(pool),)
-        assert np.abs(values - [theta(ctx, t) for t in pool]).max() <= 1e-12
-        manual = sum(d.rate_weight(i) * (ctx.rate_constant(i) if i < k else phi(ctx, i, pool))
+        assert np.abs(values - [theta(ctx, t[None])[0] for t in pool]).max() <= 1e-12
+        manual = sum(d.rate_weight(i) * (ctx.rate_constant(i) if i < k
+                                         else phi(spec, k, frozen, i, pool))
                      for i in slots)
-        manual = manual + sum(d.distortion_weight(l) * psi(ctx, l, pool)
+        manual = manual + sum(d.distortion_weight(l) * psi(spec, k, frozen, l, pool)
                               for l in range(1, spec.l + 1))
         assert np.abs(values - manual).max() <= 1e-12
-        for i in range(k, spec.m + 1):                              # i == k is the diagonal
-            parts = phi_parts(ctx, i, pool)
-            stacked = np.array([phi_parts(ctx, i, t) for t in pool]).T
-            assert np.abs(np.array(parts) - stacked).max() <= 1e-12
-            assert np.abs(phi(ctx, i, pool) - (stacked[0] - stacked[1])).max() <= 1e-12
-        for l in range(1, spec.l + 1):
-            stacked = [psi(ctx, l, t) for t in pool]
-            assert np.abs(psi(ctx, l, pool) - stacked).max() <= 1e-12
-        t = pool[-1]
-        assert type(theta(ctx, t)) is float
-        assert type(psi(ctx, 1, t)) is float
-        assert all(type(part) is float for part in phi_parts(ctx, k, t))
+        units = [unit_direction(spec, rate=i) for i in range(k, spec.m + 1)]   # e_k: the diagonal
+        units += [unit_direction(spec, distortion=l) for l in range(1, spec.l + 1)]
+        for unit in units:
+            along = FunctionalContext(spec, k, frozen, unit)
+            stacked = [theta(along, t[None])[0] for t in pool]
+            assert np.abs(theta(along, pool) - stacked).max() <= 1e-12
 
 
 def test_functionals_reject_bad_pools(bwz):
-    ctx = FunctionalContext(bwz, 1, {}, Direction.normalized(1, 0, 1, [0.6, 0.8]))
-    for t in BAD_BINARY_POOLS:
-        for evaluate in (lambda u: theta(ctx, u), lambda u: phi_parts(ctx, 1, u),
-                         lambda u: psi(ctx, 1, u)):
+    for weights in ([0.6, 0.8], [1.0, 0.0], [0.0, 1.0]):     # theta, phi_1 and psi_1
+        ctx = FunctionalContext(bwz, 1, {}, Direction.normalized(1, 0, 1, weights))
+        for t in BAD_BINARY_POOLS:
             with pytest.raises(StructuralError):
-                evaluate(t)
+                theta(ctx, t)

@@ -15,7 +15,6 @@ from canonical_region import (
     ProblemSpec,
     StructuralError,
     attach_channels,
-    brute_force_oracle,
     brute_force_search,
     constant_channel,
     coordinate_descent,
@@ -209,13 +208,19 @@ def test_search_scores_one_bank_per_orbit(monkeypatch, dsbs):
     assert len(rows) == one_chunk and set(rows) == {729}
 
 
+def lattice_min(spec, direction, z_sizes, grid):
+    """The lattice search's minimum along one direction."""
+    values, _ = brute_force_search(spec, [direction], z_sizes, grid)
+    return float(values[0])
+
+
 def test_brute_force_validation(dsbs, bwz):
     d1 = Direction.normalized(1, 0, 1, [1.0, 1.0])
     with pytest.raises(StructuralError):
         brute_force_search(dsbs, [], [2, 2], 2)
     with pytest.raises(StructuralError):
         brute_force_search(dsbs, [d1], [2, 2], 2)   # direction for the wrong shape
-    assert brute_force_oracle(bwz, d1, [2], 4) >= 0.0
+    assert lattice_min(bwz, d1, [2], 4) >= 0.0
 
 
 def test_brute_force_without_slots():
@@ -230,12 +235,12 @@ def test_brute_force_without_slots():
 
 def test_finer_grids_never_hurt(bwz, dsbs):
     d = Direction.normalized(1, 0, 1, [0.5, 0.8660254037844386])
-    coarse = brute_force_oracle(bwz, d, [2], 6)
-    fine = brute_force_oracle(bwz, d, [2], 24)       # 6 divides 24: superset lattice
+    coarse = lattice_min(bwz, d, [2], 6)
+    fine = lattice_min(bwz, d, [2], 24)       # 6 divides 24: superset lattice
     assert fine <= coarse + 1e-12
     d2 = Direction.normalized(2, 0, 1, [0.4, 0.4, 0.5])
-    one = brute_force_oracle(dsbs, d2, [2, 2], 1)
-    four = brute_force_oracle(dsbs, d2, [2, 2], 4)
+    one = lattice_min(dsbs, d2, [2, 2], 1)
+    four = lattice_min(dsbs, d2, [2, 2], 4)
     assert four <= one + 1e-12
 
 
@@ -243,8 +248,8 @@ def test_cap_versus_enlarged_lattice_consistency(bwz):
     # richer outputs on a coarser grid and binary outputs on a finer grid
     # have to land close together; far apart would mean a broken search
     d = Direction.normalized(1, 0, 1, [0.6, 0.8])
-    capped = brute_force_oracle(bwz, d, [2], 24)
-    enlarged = brute_force_oracle(bwz, d, [4], 12)
+    capped = lattice_min(bwz, d, [2], 24)
+    enlarged = lattice_min(bwz, d, [4], 12)
     assert abs(capped - enlarged) < 2e-2
 
 
@@ -256,17 +261,11 @@ def test_single_slot_lp_beats_incumbent():
         d = random_direction(spec.m, spec.j, spec.l, rng)
         pair0 = forward_to_reverse(spec, 2, incumbent)
         ctx = FunctionalContext(spec, 2, {}, d)
-        incumbent_value = sum(
-            pair0.weights[z] * theta(ctx, pair0.columns[z])
-            for z in range(pair0.out_size)
-            if pair0.weights[z] > 0.0
-        )
+        positive = pair0.weights > 0.0
+        incumbent_value = pair0.weights[positive] @ theta(ctx, pair0.columns[positive])
         pair = optimize_single_channel(ctx, candidates=32, seed=trial,
                                        incumbent_columns=pair0.columns)
-        value = sum(
-            pair.weights[z] * theta(ctx, pair.columns[z])
-            for z in range(pair.out_size)
-        )
+        value = pair.weights @ theta(ctx, pair.columns)
         assert value <= incumbent_value + 1e-10
         assert pair.out_size <= spec.x_alphabets[1].size
         assert np.abs(pair.mixture() - spec.x_marginal(2)).max() < 1e-9
@@ -330,7 +329,7 @@ def test_candidate_pool_dedupe_matches_row_rule():
     rng = np.random.default_rng(88)
     spec = make_spec(rng, m=1, j=0, l=1, max_alphabet=3)
     n = spec.x_alphabets[0].size
-    ctx = FunctionalContext(spec, 1, {})
+    ctx = FunctionalContext(spec, 1, {}, Direction.normalized(1, 0, 1, [1.0, 1.0]))
     eye = np.eye(n)
     fixed = [eye[x] for x in range(n)]
     for a, b in itertools.combinations(range(n), 2):
@@ -375,7 +374,7 @@ def test_candidate_pool_leads_with_the_vertex_basis(name, request):
     rng = np.random.default_rng(95)
     probs = rng.dirichlet(np.ones(4)).reshape(1, 2, 2)              # |X_1| = 1
     spec = ProblemSpec(1, 0, 1, [1], 2, 2, [2], probs, [[[0.0, 1.0], [1.0, 0.0]]])
-    ctx = FunctionalContext(spec, 1, {})
+    ctx = FunctionalContext(spec, 1, {}, Direction.normalized(1, 0, 1, [1.0, 1.0]))
     for extra in (None, [[1.0]], [[1.0 - 1e-14]]):
         assert _candidate_pool(ctx, 8, 0, extra).tobytes() == np.ones((1, 1)).tobytes()
 
@@ -402,9 +401,10 @@ def test_slot_lp_matches_highs(name, request):
 def test_single_slot_lp_requires_direction():
     rng = np.random.default_rng(84)
     spec = make_spec(rng, m=1, j=0, l=1)
-    ctx = FunctionalContext(spec, 1, {})
+    with pytest.raises(TypeError):
+        FunctionalContext(spec, 1, {})          # a slot LP has no context without one
     with pytest.raises(StructuralError):
-        optimize_single_channel(ctx)
+        FunctionalContext(spec, 1, {}, Direction.normalized(2, 0, 1, [1.0, 1.0, 1.0]))
 
 
 def test_single_slot_lp_validates_incumbent_shape():
@@ -421,12 +421,10 @@ def test_lp_matches_two_point_envelope(bwz):
     d = Direction.normalized(1, 0, 1, [0.6, 0.8])
     ctx = FunctionalContext(bwz, 1, {}, d)
     pair = optimize_single_channel(ctx, candidates=64, seed=0)
-    lp_value = sum(
-        pair.weights[z] * theta(ctx, pair.columns[z]) for z in range(pair.out_size)
-    )
+    lp_value = pair.weights @ theta(ctx, pair.columns)
     # oracle: dense two-point mixtures hitting the marginal (0.5, 0.5)
     grid = np.linspace(0.0, 1.0, 401)
-    vals = np.array([theta(ctx, [u, 1.0 - u]) for u in grid])
+    vals = np.array([theta(ctx, [[u, 1.0 - u]])[0] for u in grid])
     ui = grid[:, None]
     uj = grid[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -440,10 +438,7 @@ def test_lp_matches_two_point_envelope(bwz):
     d0 = Direction.normalized(1, 0, 1, [0.0, 1.0])
     ctx0 = FunctionalContext(bwz, 1, {}, d0)
     pair0 = optimize_single_channel(ctx0, candidates=16, seed=0)
-    value0 = sum(
-        pair0.weights[z] * theta(ctx0, pair0.columns[z])
-        for z in range(pair0.out_size)
-    )
+    value0 = pair0.weights @ theta(ctx0, pair0.columns)
     assert abs(value0) < 1e-9
 
 

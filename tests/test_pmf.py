@@ -9,10 +9,7 @@ from canonical_region import (
     Alphabet,
     JointPmf,
     StructuralError,
-    VarSet,
-    cmi,
     entropy,
-    marginalize,
     mi_sets,
 )
 
@@ -33,18 +30,21 @@ def loop_entropy(arr):
 
 
 def test_varset_operations():
-    a = VarSet.of([0, 2])
-    b = VarSet.of([2, 3])
-    assert a.indices() == (0, 2)
-    assert len(a) == 2 and 2 in a and 1 not in a
-    assert (a | b).indices() == (0, 2, 3)
-    assert (a & b).indices() == (2,)
-    assert (a - b).indices() == (0,)
-    assert not VarSet()
-    assert a.isdisjoint(VarSet.of([1]))
-    assert VarSet.of([2]).issubset(b)
+    p = random_joint(np.random.default_rng(6), (2, 3, 2, 2), labels=["A", "B", "C", "D"])
+    assert p.varset("A", "C") == 0b0101
+    assert p.varset("D", "B") == 0b1010
+    assert p.varset() == 0
+    assert p.all_axes() == 0b1111
     with pytest.raises(StructuralError):
-        VarSet.of([-1])
+        p.varset("Q")
+    for ok in (0, 0b1, 0b1111):
+        p.check_varset(ok)
+    for bad in (-1, -0b1111, 1 << 4, 0b10001, 1 << 9):    # negative, or a bit >= ndim
+        with pytest.raises(StructuralError):
+            p.check_varset(bad)
+        for compute in (lambda: entropy(p, bad), lambda: mi_sets(p, 0b1, 0b10, given=bad)):
+            with pytest.raises(StructuralError):
+                compute()
 
 
 def test_alphabet_and_joint_validation():
@@ -83,13 +83,12 @@ def test_marginalize_matches_loops():
         for b in range(3):
             for c in range(2):
                 oracle[b] += p.probs[a, b, c]
-    got = marginalize(p, p.varset("B"))
-    assert got.axes[0][0] == "B"
-    assert np.allclose(got.probs, oracle, atol=1e-15)
+    got = p.marginal(["B"])
+    assert got.shape == (3,)
+    assert np.allclose(got, oracle, atol=1e-15)
+    assert np.allclose(p.marginal(["A", "B", "C"]), p.probs, atol=0.0)
     with pytest.raises(StructuralError):
-        marginalize(p, VarSet())
-    with pytest.raises(StructuralError):
-        marginalize(p, VarSet.of([5]))
+        p.marginal(["D"])
 
 
 def test_marginal_requested_axis_order():
@@ -129,7 +128,7 @@ def test_entropy_chain_rule():
 def test_entropy_argument_validation():
     p = random_joint(np.random.default_rng(1), (2, 2), labels=["A", "B"])
     with pytest.raises(StructuralError):
-        entropy(p, VarSet())
+        entropy(p, 0)
     with pytest.raises(StructuralError):
         entropy(p, p.varset("A"), given=p.varset("A"))
 
@@ -163,20 +162,22 @@ def test_cmi_chain_rule_and_nonnegativity():
     for _ in range(30):
         p = random_joint(rng, (2, 2, 3), labels=["A", "B", "C"])
         va, vb, vc = p.varset("A"), p.varset("B"), p.varset("C")
-        joint = cmi(p, va, vb | vc)
-        split = cmi(p, va, vb) + cmi(p, va, vc, given=vb)
+        joint = mi_sets(p, va, vb | vc)
+        split = mi_sets(p, va, vb) + mi_sets(p, va, vc, given=vb)
         assert abs(joint - split) < 1e-12
-        assert cmi(p, va, vb, given=vc) >= 0.0
+        assert mi_sets(p, va, vb, given=vc) >= 0.0
 
 
 def test_cmi_requires_disjoint_sets():
     p = random_joint(np.random.default_rng(2), (2, 2), labels=["A", "B"])
     with pytest.raises(StructuralError):
-        cmi(p, p.varset("A", "B"), p.varset("B"))
-    with pytest.raises(StructuralError):
         mi_sets(p, p.varset("A"), p.varset("B"), given=p.varset("B"))
     with pytest.raises(StructuralError):
-        mi_sets(p, VarSet(), p.varset("B"))
+        mi_sets(p, p.varset("A", "B"), p.varset("A"), given=p.varset("B"))
+    with pytest.raises(StructuralError):
+        mi_sets(p, 0, p.varset("B"))
+    with pytest.raises(StructuralError):
+        mi_sets(p, p.varset("A"), 0)
 
 
 def test_data_processing_and_markov():
@@ -192,7 +193,7 @@ def test_data_processing_and_markov():
                 cube[x, y, z] = px[x] * q1[x, y] * q2[y, z]
     p = JointPmf([(n, Alphabet(n, 3)) for n in "XYZ"], cube)
     vx, vy, vz = p.varset("X"), p.varset("Y"), p.varset("Z")
-    assert cmi(p, vx, vz, vy) <= 1e-10     # X -- Y -- Z: only cancellation noise
+    assert mi_sets(p, vx, vz, vy) <= 1e-10     # X -- Y -- Z: only cancellation noise
     assert mi_sets(p, vx, vz) <= mi_sets(p, vx, vy) + 1e-12
     # break the chain: Z a direct noisy copy of X
     cube2 = np.zeros((3, 3, 3))
@@ -201,7 +202,7 @@ def test_data_processing_and_markov():
             for z in range(3):
                 cube2[x, y, z] = px[x] * q1[x, y] * q2[x, z]
     p2 = JointPmf([(n, Alphabet(n, 3)) for n in "XYZ"], cube2)
-    assert cmi(p2, p2.varset("X"), p2.varset("Z"), p2.varset("Y")) > 1e-3
+    assert mi_sets(p2, p2.varset("X"), p2.varset("Z"), p2.varset("Y")) > 1e-3
 
 
 def test_entropy_cache_stable():
