@@ -1,8 +1,9 @@
 """Golden-output corpus: exit codes and output digests of a fixed CLI command set.
 
 Every command runs in process from a temporary working directory that
-holds the generated region problems, so problem arguments (which the
-``run`` record embeds) are the same relative names on every machine.
+holds the generated region problems and the channel-bank and direction
+files, so file arguments (which the ``run`` record embeds) are the same
+relative names on every machine.
 For each command the manifest keeps the exit code, the sha256 of its
 ``--out`` file (null when none was written) and the sha256 of its stdout
 without the run-varying ``elapsed`` line.
@@ -59,6 +60,33 @@ def region_files(directory: Path) -> list[tuple[str, int]]:
     return refs
 
 
+# channel banks and directions for the --channels and --directions readers; the
+# helper3 bank gives slot 3 a third output symbol
+INPUT_FILES = {
+    "bank-helper3.json": {"channels": [
+        {"slot": 3, "rows": [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]},
+        {"slot": 2, "rows": [[0.9, 0.1], [0.25, 0.75]]},
+    ]},
+    "bank-dsbs.json": {"channels": [
+        {"slot": 1, "rows": [[0.8, 0.2], [0.3, 0.7]]},
+        {"slot": 2, "rows": [[0.6, 0.4], [0.05, 0.95]]},
+    ]},
+    "dirs-dsbs.json": {"directions": [
+        {"rates": [1, 1], "distortions": [15]},
+        {"rates": [0.5, 2], "distortions": [6]},
+    ]},
+    "dirs-bwz.json": {"directions": [
+        {"rates": [1], "distortions": [3]},
+        {"rates": [2], "distortions": [1]},
+    ]},
+}
+
+
+def input_files(directory: Path) -> None:
+    for name, data in INPUT_FILES.items():
+        (directory / name).write_text(json.dumps(data))
+
+
 def commands(region: list[tuple[str, int]]) -> list[list[str]]:
     """Region problems run with their own seed as channel seed, bundled ones with the default."""
     cmds = []
@@ -83,6 +111,12 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
         ["verify", "alphabet-bound", "bwz", "--grid", "14", "--trials", "1", "--seed", "3"],
     ]
     cmds += [["verify", "decomposition", ref] for ref in BUNDLED]
+    cmds += [
+        ["extreme-points", "helper3", "--channels", "bank-helper3.json"],
+        ["verify", "identities", "dsbs", "--channels", "bank-dsbs.json", "--trials", "20"],
+        ["trace", "dsbs", "--directions", "dirs-dsbs.json"],
+        ["verify", "alphabet-bound", "bwz", "--directions", "dirs-bwz.json", "--grid", "6"],
+    ]
     cmds += [
         ["trace", "dsbs", "--count", "0"],
         ["extreme-points", "no-such-problem"],
@@ -125,6 +159,7 @@ def record() -> list[dict]:
     old_cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        input_files(Path(tmp))
         try:
             return [run_one(argv) for argv in commands(region_files(Path(tmp)))]
         finally:
