@@ -84,11 +84,10 @@ def identity_channel(alphabet: Alphabet) -> Channel:
                    np.eye(alphabet.size))
 
 
-def constant_channel(alphabet: Alphabet, out_size: int = 1) -> Channel:
-    """Channel whose output carries no information (all rows identical)."""
-    rows = np.zeros((alphabet.size, out_size))
-    rows[:, 0] = 1.0
-    return Channel(alphabet, Alphabet(alphabet.label + "_const", out_size), rows)
+def constant_channel(alphabet: Alphabet) -> Channel:
+    """Channel whose single output symbol carries no information."""
+    return Channel(alphabet, Alphabet(alphabet.label + "_const", 1),
+                   np.ones((alphabet.size, 1)))
 
 
 def random_channel(alphabet: Alphabet, out_size: int, rng: np.random.Generator) -> Channel:
@@ -111,16 +110,18 @@ class ProblemSpec:
         exact rationals, normalized exactly, then lowered to float64, so
         a spec survives serialization round-trips bit-for-bit.
     distortions:
-        One ``|V| x |Vhat_l|`` nonnegative table per measure; the bound
-        ``d_max`` of each is simply its largest entry.
+        One ``|V| x |Vhat_l|`` nonnegative table per measure.
     exact_probs:
         Optional pre-parsed rationals overriding the float view of
         ``source_probs`` (used by the problem-file loader).
+
+    ``source_mass`` keeps the exact total of the source probabilities
+    before normalization, so the loader can judge a file's mass slip.
     """
 
     __slots__ = (
         "name", "notes", "m", "j", "l", "x_alphabets", "s_alphabet", "v_alphabet",
-        "vhat_alphabets", "source", "source_fractions", "distortions",
+        "vhat_alphabets", "source", "source_fractions", "source_mass", "distortions",
     )
 
     def __init__(
@@ -211,6 +212,7 @@ class ProblemSpec:
         object.__setattr__(self, "vhat_alphabets", vhat_alphabets)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "source_fractions", fracs)
+        object.__setattr__(self, "source_mass", total)
         object.__setattr__(self, "distortions", tuple(tables))
 
         self._warn_on_zero_symbols()
@@ -243,11 +245,6 @@ class ProblemSpec:
 
     def x_marginal(self, k: int) -> np.ndarray:
         return self.source.marginal([f"X{k}"])
-
-    def d_max(self, l: int) -> float:
-        if not 1 <= l <= self.l:
-            raise StructuralError(f"distortion index {l} outside 1..{self.l}")
-        return float(self.distortions[l - 1].max(initial=0.0))
 
     def equals(self, other: "ProblemSpec") -> bool:
         """Exact field-by-field equality (rationals, not float tolerance)."""
@@ -286,22 +283,21 @@ def random_channels(
 class AugmentedPmf:
     """The source law with a full channel bank attached.
 
-    Constructed by :func:`attach_channels`; carries the joint tensor, the
-    originating spec, and the channels keyed by slot.  Helper methods map
-    source bitmasks to axes by the joint's fixed layout ``X1..XM, S, V,
-    Z_{J+1}..Z_M`` (:func:`channel_product`), so ``Z_k`` is axis ``M+1+k-J``
-    and description m <= J is ``X_m`` itself.  ``_g`` holds the region's g
+    Constructed by :func:`attach_channels`; carries the joint tensor and
+    the originating spec.  Helper methods map source bitmasks to axes by
+    the joint's fixed layout ``X1..XM, S, V, Z_{J+1}..Z_M``
+    (:func:`channel_product`), so ``Z_k`` is axis ``M+1+k-J`` and
+    description m <= J is ``X_m`` itself.  ``_g`` holds the region's g
     by group bitmask, NaN until :mod:`.region` computes it, and ``_cmi``
     memoizes :mod:`.region`'s I(X_I ; Z_I | Z_K, S) by the source bitmasks
     ``(I, K)``.
     """
 
-    __slots__ = ("joint", "spec", "channels", "_g", "_cmi")
+    __slots__ = ("joint", "spec", "_g", "_cmi")
 
-    def __init__(self, joint: JointPmf, spec: ProblemSpec, channels: Mapping[int, Channel]):
+    def __init__(self, joint: JointPmf, spec: ProblemSpec):
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "channels", dict(channels))
         object.__setattr__(self, "_g", np.full(1 << spec.m, np.nan))
         object.__setattr__(self, "_cmi", {})
 
@@ -365,9 +361,8 @@ def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> Augmented
         raise StructuralError(
             f"expected {len(slots)} channels for slots {slots}, got {len(channels)}"
         )
-    bank = dict(zip(slots, channels))
-    joint = channel_product(spec, bank)
-    aug = AugmentedPmf(joint, spec, bank)
+    joint = channel_product(spec, dict(zip(slots, channels)))
+    aug = AugmentedPmf(joint, spec)
 
     back = joint.marginal([name for name, _ in spec.source.axes])
     err = float(np.abs(back - spec.source.probs).max())
@@ -392,9 +387,8 @@ class ReverseChannelPair:
     """Mixture form of a channel: output weights plus reverse conditionals.
 
     ``weights[z]`` is the output probability ``p'(z)`` and ``columns[z]``
-    the conditional ``q'(x | z)`` on the input simplex.  Symbols listed in
-    :attr:`zero_weight` have ``p'(z) = 0``; their columns carry no
-    information.
+    the conditional ``q'(x | z)`` on the input simplex.  Symbols with
+    ``p'(z) = 0`` have columns that carry no information.
     """
 
     weights: np.ndarray = field(repr=False)
@@ -417,15 +411,6 @@ class ReverseChannelPair:
         cols.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "columns", cols)
-
-    @property
-    def zero_weight(self) -> tuple[int, ...]:
-        """Output symbols with ``p'(z) = 0``."""
-        return tuple(int(z) for z in np.flatnonzero(self.weights == 0.0))
-
-    @property
-    def out_size(self) -> int:
-        return int(self.weights.shape[0])
 
     def mixture(self) -> np.ndarray:
         """The input law this pair represents: sum_z p'(z) q'(x|z)."""

@@ -295,6 +295,8 @@ def _suite_decomposition(args, spec, records: list[dict]) -> bool:
 def _suite_alphabet_bound(args, spec, records: list[dict]) -> bool:
     tol = ALPHABET_BOUND_TOL if args.tol is None else args.tol
     if args.directions:
+        if args.trials is not None:
+            raise InputError("--trials and --directions both set the directions; pass one")
         directions = load_directions(args.directions, spec)
     else:
         count = 4 if args.trials is None else args.trials
@@ -364,6 +366,8 @@ def cmd_verify(args) -> int:
 def cmd_trace(args) -> int:
     spec = resolve_problem(args.problem)
     if args.directions:
+        if args.sweep is not None:
+            raise InputError("--sweep and --directions both set the directions; pass one")
         directions = load_directions(args.directions, spec)
     elif args.sweep is not None:
         if spec.m - spec.j + spec.l != 2:
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directions", metavar="PATH", help="directions JSON file")
     p.add_argument("--sweep", type=int, metavar="N",
                    help="N-point quarter-circle direction sweep (needs exactly "
-                        "two weight coordinates)")
+                        "two weight coordinates; not with --directions)")
     p.add_argument("--count", type=int, default=8,
                    help="number of random directions when no file or sweep is given")
     p.add_argument("--perm", metavar="P1,P2,...",
@@ -513,10 +517,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except StructuralError as exc:
+    except (InputError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(f"elapsed {time.perf_counter() - start:.2f}s")

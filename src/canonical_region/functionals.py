@@ -232,15 +232,15 @@ def estimator_distortion(aug: AugmentedPmf, l: int, table: np.ndarray) -> float:
 class FunctionalContext:
     """Everything needed to evaluate the slot-k functionals.
 
-    Holds the spec, the slot index k, the frozen channels of every other
-    slot, and the direction :func:`theta` weighs the functionals by.
-    Precomputes the frozen-channel joint (the augmented law *without*
-    slot k).  The conditional tensors each functional needs are built
-    from it on every call: the optimizer scores a context's whole pool in
-    one :func:`theta` call, so there is nothing to reuse.
+    Holds the spec, the slot index k, and the direction :func:`theta`
+    weighs the functionals by.  Precomputes, from the frozen channels of
+    every other slot, the frozen-channel joint (the augmented law
+    *without* slot k).  The conditional tensors each functional needs
+    are built from it on every call: the optimizer scores a context's
+    whole pool in one :func:`theta` call, so there is nothing to reuse.
     """
 
-    __slots__ = ("spec", "k", "frozen", "direction", "base", "p_k")
+    __slots__ = ("spec", "k", "direction", "base", "p_k")
 
     def __init__(
         self,
@@ -261,9 +261,8 @@ class FunctionalContext:
 
         self.spec = spec
         self.k = k
-        self.frozen = dict(frozen)
         self.direction = direction
-        self.base = channel_product(spec, self.frozen)
+        self.base = channel_product(spec, frozen)
         self.p_k = spec.x_marginal(k)
 
     # conditioning tuple u for description i: lossless X's, earlier Z's

@@ -257,7 +257,6 @@ class NondegeneracyReport:
     """``(a, b, cond, value)`` dependence terms for source pairs a < b."""
 
     entries: tuple[tuple[int, int, tuple[int, ...], float], ...]
-    threshold: float
 
     @functools.cached_property
     def min_value(self) -> float:
@@ -265,11 +264,10 @@ class NondegeneracyReport:
 
     @property
     def degenerate(self) -> bool:
-        return self.min_value < self.threshold
+        return self.min_value < NONDEGENERACY_THRESHOLD
 
 
-def nondegeneracy_report(aug: AugmentedPmf,
-                         threshold: float = NONDEGENERACY_THRESHOLD) -> NondegeneracyReport:
+def nondegeneracy_report(aug: AugmentedPmf) -> NondegeneracyReport:
     """Every corner gap I(Z_a ; Z_b | Z_cond, S), read from the CMI memo.
 
     With f(a, K) = I(X_a ; Z_a | Z_K, S), the gap is f(a, cond) -
@@ -287,11 +285,10 @@ def nondegeneracy_report(aug: AugmentedPmf,
             if not cond & (bit_a | bit_b):
                 gap = _cmi_xz(aug, bit_a, cond) - _cmi_xz(aug, bit_a, cond | bit_b)
                 entries.append((a, b, _members(cond), gap))
-    return NondegeneracyReport(tuple(entries), threshold)
+    return NondegeneracyReport(tuple(entries))
 
 
-def source_nondegeneracy_report(source: JointPmf, m: int,
-                                threshold: float = NONDEGENERACY_THRESHOLD) -> NondegeneracyReport:
+def source_nondegeneracy_report(source: JointPmf, m: int) -> NondegeneracyReport:
     """Source-level preflight: I(X_a ; X_b | S) for every source pair a < b.
 
     Channels are not known at load time, but if two sources are already
@@ -307,7 +304,7 @@ def source_nondegeneracy_report(source: JointPmf, m: int,
         (a, b, (), mi_sets(source, source.varset(f"X{a}"), source.varset(f"X{b}"), s))
         for a, b in itertools.combinations(range(1, m + 1), 2)
     )
-    return NondegeneracyReport(entries, threshold)
+    return NondegeneracyReport(entries)
 
 
 # ---- decomposition identities ------------------------------------------------
@@ -333,12 +330,6 @@ class ChainIdentityReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> IdentityCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise StructuralError(f"no identity check named {name!r}")
 
 
 def _draw_disjoint_pair(rng: np.random.Generator, m: int) -> tuple[int, int]:

@@ -634,6 +634,26 @@ def test_cli_trace_directions_file_and_perm(tmp_path):
     assert point["direction"]["distortions"] == [0.0]
 
 
+def test_cli_trace_refuses_sweep_with_directions_file(tmp_path, capsys):
+    dirs = tmp_path / "dirs.json"
+    dirs.write_text(json.dumps({"directions": [{"rates": [1], "distortions": [1]}]}))
+    out = tmp_path / "t.jsonl"
+    assert main(["trace", "bwz", "--sweep", "3", "--directions", str(dirs),
+                 "--out", str(out)]) == 2
+    assert "--sweep and --directions" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_alphabet_bound_refuses_trials_with_directions_file(tmp_path, capsys):
+    dirs = tmp_path / "dirs.json"
+    dirs.write_text(json.dumps({"directions": [{"rates": [1], "distortions": [1]}]}))
+    out = tmp_path / "ab.jsonl"
+    assert main(["verify", "alphabet-bound", "bwz", "--directions", str(dirs),
+                 "--trials", "2", "--grid", "4", "--out", str(out)]) == 2
+    assert "--trials and --directions" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_channels_file(tmp_path):
     chan = tmp_path / "chan.json"
     chan.write_text(json.dumps({"channels": [

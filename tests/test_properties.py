@@ -1,0 +1,102 @@
+"""Property tests over random small instances (hypothesis).
+
+Specs have M <= 4 sources of 1..3 symbols, |S| <= 2, |V| <= 3, L in 0..2
+and J in 0..M, optionally with one source symbol at probability zero; the
+probabilities, distortion tables and channel banks come from a drawn seed.
+"""
+from __future__ import annotations
+
+import itertools
+import warnings
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from canonical_region import (  # noqa: E402
+    ProblemSpec,
+    attach_channels,
+    enumerate_extreme_points,
+    nondegeneracy_report,
+    random_channels,
+    random_direction,
+    rate_lhs,
+    verify_linear_decomposition,
+)
+from canonical_region.region import _cmi_xz  # noqa: E402
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
+
+
+@st.composite
+def instances(draw):
+    """A spec, a channel bank with output sizes 1..3, and the drawing rng."""
+    m = draw(st.integers(1, 4))
+    j = draw(st.integers(0, m))
+    l = draw(st.integers(0, 2))
+    x_sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    s_size = draw(st.integers(1, 2))
+    v_size = draw(st.integers(1, 3))
+    vhat_sizes = draw(st.lists(st.integers(1, 3), min_size=l, max_size=l))
+    zero_source = draw(st.sampled_from([None] + [i for i, n in enumerate(x_sizes) if n > 1]))
+    z_sizes = draw(st.lists(st.integers(1, 3), min_size=m - j, max_size=m - j))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    shape = tuple(x_sizes) + (s_size, v_size)
+    probs = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+    if zero_source is not None:
+        probs[(slice(None),) * zero_source + (-1,)] = 0.0
+    distortions = [rng.uniform(0.0, 1.0, size=(v_size, n)) for n in vhat_sizes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # zero-probability symbols warn
+        spec = ProblemSpec(m, j, l, x_sizes, s_size, v_size, vhat_sizes, probs, distortions)
+    return spec, random_channels(spec, rng, z_sizes), rng
+
+
+@SETTINGS
+@given(instances())
+def test_every_corner_sums_to_the_full_group_information(instance):
+    spec, channels, _ = instance
+    aug = attach_channels(spec, channels)
+    full = rate_lhs(aug, range(1, spec.m + 1))
+    for _, rates in enumerate_extreme_points(aug):
+        assert abs(rates.sum() - full) <= 1e-9
+
+
+@SETTINGS
+@given(instances())
+def test_memo_gaps_are_symmetric(instance):
+    spec, channels, _ = instance
+    aug = attach_channels(spec, channels)
+    for a, b in itertools.combinations([1 << i for i in range(spec.m)], 2):
+        for prefix in range(1 << spec.m):
+            if prefix & (a | b):
+                continue
+            gap_ab = _cmi_xz(aug, a, prefix) - _cmi_xz(aug, a, prefix | b)
+            gap_ba = _cmi_xz(aug, b, prefix) - _cmi_xz(aug, b, prefix | a)
+            assert abs(gap_ab - gap_ba) <= 1e-12
+
+
+@SETTINGS
+@given(instances())
+def test_smallest_gap_is_the_closest_corner_pair(instance):
+    spec, channels, _ = instance
+    aug = attach_channels(spec, channels)
+    corners = [rates for _, rates in enumerate_extreme_points(aug)]
+    closest = min((np.abs(r - s).max() for r, s in itertools.combinations(corners, 2)),
+                  default=float("inf"))
+    min_value = nondegeneracy_report(aug).min_value
+    assert min_value == closest or abs(min_value - closest) <= 1e-12
+
+
+@SETTINGS
+@given(instances())
+def test_mixture_decomposition_holds(instance):
+    spec, channels, rng = instance
+    if spec.m - spec.j + spec.l == 0:
+        return   # J = M and L = 0: there is no direction to weigh
+    direction = random_direction(spec.m, spec.j, spec.l, rng)
+    report = verify_linear_decomposition(spec, channels, direction)
+    assert report.passed, report
