@@ -338,8 +338,19 @@ _SUITES = {
     "alphabet-bound": _suite_alphabet_bound,
 }
 
+# the file flags each suite reads; the others refuse them rather than ignore them
+_SUITE_FILES = {
+    "identities": ("channels",),
+    "noncrossing": ("channels",),
+    "decomposition": (),
+    "alphabet-bound": ("directions",),
+}
+
 
 def cmd_verify(args) -> int:
+    for flag in ("channels", "directions"):
+        if getattr(args, flag) and flag not in _SUITE_FILES[args.suite]:
+            raise InputError(f"verify {args.suite} does not read --{flag}")
     spec = resolve_problem(args.problem)
     records = [_run_record(
         args, spec, "verify", suite=args.suite, seed=args.seed,

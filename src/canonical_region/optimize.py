@@ -19,9 +19,12 @@ trace is therefore monotone within float noise, which is enforced.
 
 A direct lattice search (:func:`brute_force_search`) grids every
 channel's rows over the probability simplex and evaluates the objective
-definitionally on the augmented joint, independent of the functional
-machinery.  It is deliberately simple, budget-guarded, and serves as the
-reference the descent is validated against.
+definitionally, as entropies and Bayes risks of marginals of the
+augmented joint, independent of the functional machinery.  Slot k's rate
+reads only slots up to k, so the search contracts the source with one
+channel at a time in slot order and never forms the whole joint; each
+marginal is still summed from the joint's cells.  It is budget-guarded
+and serves as the reference the descent is validated against.
 """
 from __future__ import annotations
 
@@ -282,15 +285,15 @@ def estimate_brute_force_evals(spec: ProblemSpec, z_sizes: Sequence[int],
     return total
 
 
-def _batch_entropies(tensor: np.ndarray, keep: frozenset[int],
-                     cache: dict) -> np.ndarray:
-    cached = cache.get(keep)
-    if cached is not None:
-        return cached
-    drop = tuple(ax for ax in range(1, tensor.ndim) if ax not in keep)
-    m = tensor.sum(axis=drop) if drop else tensor
-    h = cache[keep] = cell_entropies(m.reshape(m.shape[0], -1))
-    return h
+def _bank_entropies(a: np.ndarray) -> np.ndarray:
+    """Entropy of each bank (last axis) of ``a``, from one contiguous row per bank."""
+    return cell_entropies(np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T))
+
+
+def _slot_marginal(a: np.ndarray, later: int) -> np.ndarray:
+    """p(X_k, X_L S Z_<k, B) from p(V, X_k, X_>k X_L S Z_<k, B); X_>k spans ``later`` cells."""
+    _, x, _, b = a.shape
+    return a.sum(axis=0).reshape(x, later, -1, b).sum(axis=1)
 
 
 def brute_force_search(
@@ -302,10 +305,16 @@ def brute_force_search(
 ) -> tuple[np.ndarray, list[list[Channel]]]:
     """Exhaustive lattice minimization, shared across several directions.
 
-    Every channel row ranges over the 1/grid simplex lattice, and one bank
-    per orbit of output relabelings has its rates and distortions evaluated
-    definitionally on the augmented tensor (batched), then dotted with each
-    direction.  Returns the minima and argmin banks; refuses raw lattices
+    Every channel row ranges over the 1/grid simplex lattice; one bank per
+    orbit of output relabelings is scored and dotted with each direction.
+    Each term is computed by definition from a marginal of the augmented
+    joint: slot k's rate I(X_k; Z_k | X_1..X_J, Z_<k, S) as four entropies,
+    each distortion as the Bayes risk of p(X_1..X_J, S, V, Z).  The joint
+    is never formed whole: slots are contracted in increasing order, and at
+    slot k a chunk of banks carries p(V, X_>=k, X_1..X_J, S, Z_<k), all
+    that later slots and the distortions read.  Slot k's entropies come
+    from that array summed over V and X_>k and from its product with slot
+    k's rows.  Returns the minima and argmin banks; refuses raw lattices
     over ``max_evals`` points.
     """
     slots = spec.channel_slots
@@ -322,9 +331,7 @@ def brute_force_search(
         if (d.m, d.j, d.l) != (spec.m, spec.j, spec.l):
             raise StructuralError("direction dimensions do not match the spec")
 
-    m, j, l = spec.m, spec.j, spec.l
     coords = np.array([d.coords for d in directions])          # (D, K+L)
-    src = spec.source.probs
 
     if not slots:
         # nothing to search: the objective is channel-free
@@ -333,25 +340,15 @@ def brute_force_search(
 
     tables = [_orbit_table(grid, z, spec.x_alphabet(k).size) for k, z in zip(slots, z_sizes)]
     per_channel = [table.shape[0] for table in tables]
+    rows_last = [np.ascontiguousarray(table.transpose(1, 2, 0)) for table in tables]
+    xs = [table.shape[1] for table in tables]
 
-    # tensor axis ids with a leading batch axis; X_i is axis i
-    s_axis = m + 1
-    v_axis = m + 2
-    z_axis = {k: m + 3 + pos for pos, k in enumerate(slots)}
-
-    rate_keeps = []
-    for i in slots:
-        cond = set(range(1, j + 1))
-        cond |= {z_axis[t] for t in slots if t < i}
-        cond.add(s_axis)
-        a = {i}
-        b = {z_axis[i]}
-        rate_keeps.append((
-            frozenset(a | cond), frozenset(b | cond),
-            frozenset(a | b | cond), frozenset(cond),
-        ))
-    dist_keep = sorted({*range(1, j + 1), *z_axis.values(), s_axis, v_axis})
-    v_pos_in_kept = 1 + dist_keep.index(v_axis)                # after batch axis
+    # axes V, X_{J+1}..X_M, X_L = X_1..X_J, S, each Z_k, then banks: sums run on leading axes
+    v = spec.v_alphabet.size
+    source = np.moveaxis(spec.source.probs, [spec.m + 1, *range(spec.j, spec.m)],
+                         range(len(xs) + 1)).reshape(v, xs[0], -1)
+    first = _slot_marginal(source[..., None], math.prod(xs[1:]))
+    h_first, h_cond = _bank_entropies(first), _bank_entropies(first.sum(axis=0))
 
     n_dir = len(directions)
     best = np.full(n_dir, np.inf)
@@ -360,24 +357,27 @@ def brute_force_search(
     reps = math.prod(per_channel)
     for start in range(0, reps, CHUNK):
         flat = np.arange(start, min(start + CHUNK, reps), dtype=np.int64)
-        tensor = np.broadcast_to(src, (flat.size,) + src.shape).copy()
         per_slot = np.unravel_index(flat, per_channel)
-        for pos, k in enumerate(slots):
-            q = tables[pos][per_slot[pos]]                      # (B, x, z)
-            shape = [flat.size] + [1] * (tensor.ndim - 1) + [z_sizes[pos]]
-            shape[k] = q.shape[1]
-            tensor = tensor[..., None] * q.reshape(shape)
-        cache: dict = {}
+        p, h_ac, h_c = first, h_first, h_cond
         comps = []
-        for keeps in rate_keeps:
-            h_ac, h_bc, h_abc, h_c = (_batch_entropies(tensor, ks, cache) for ks in keeps)
-            comps.append(np.maximum(h_ac + h_bc - h_abc - h_c, 0.0))
-        drop = tuple(ax for ax in range(1, tensor.ndim) if ax not in dist_keep)
-        m_uv = tensor.sum(axis=drop) if drop else tensor
-        for li in range(1, l + 1):
-            d_table = spec.distortions[li - 1]
-            scores = np.tensordot(m_uv, d_table, axes=([v_pos_in_kept], [0]))
-            comps.append(scores.min(axis=-1).reshape(flat.size, -1).sum(axis=1))
+        for pos, x in enumerate(xs):
+            q = rows_last[pos][:, :, per_slot[pos]]               # (X_k, Z_k, B)
+            # a becomes p(V, X_>k X_L S Z_<k, Z_k, B): X_k contracted into Z_k
+            if pos == 0:                # the source is channel-free: one matrix product
+                a = np.tensordot(source, q, axes=(1, 0))
+            else:
+                a = a.reshape(v, x, -1, flat.size)
+                p = _slot_marginal(a, math.prod(xs[pos + 1:]))
+                h_ac = _bank_entropies(p)
+                a = (a[:, :, :, None] * q[:, None]).sum(axis=1)
+            joint = p[:, :, None] * q[:, None]                    # p(X_k, X_L S Z_<k, Z_k)
+            h_bc = _bank_entropies(joint.sum(axis=0))
+            comps.append(np.maximum(h_ac + h_bc - _bank_entropies(joint) - h_c, 0.0))
+            h_c = h_bc
+        scored = a.reshape(v, -1)                                 # p(V, X_L S Z, B)
+        for d_table in spec.distortions:
+            risk = (d_table.T @ scored).min(axis=0)               # Bayes estimate per cell
+            comps.append(risk.reshape(-1, flat.size).sum(axis=0))
         objective = np.stack(comps, axis=1) @ coords.T          # (B, D)
         arg = objective.argmin(axis=0)
         vals = objective[arg, np.arange(n_dir)]

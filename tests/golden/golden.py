@@ -120,6 +120,11 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
     cmds += [
         ["trace", "dsbs", "--count", "0"],
         ["extreme-points", "no-such-problem"],
+        ["verify", "decomposition", "dsbs", "--channels", "bank-dsbs.json"],
+        ["verify", "decomposition", "dsbs", "--directions", "dirs-dsbs.json"],
+        ["verify", "alphabet-bound", "dsbs", "--channels", "bank-dsbs.json"],
+        ["verify", "identities", "dsbs", "--directions", "dirs-dsbs.json"],
+        ["verify", "noncrossing", "dsbs", "--directions", "dirs-dsbs.json"],
     ]
     return cmds
 

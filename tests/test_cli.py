@@ -654,6 +654,25 @@ def test_cli_alphabet_bound_refuses_trials_with_directions_file(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite, flag", [
+    ("decomposition", "--channels"), ("decomposition", "--directions"),
+    ("alphabet-bound", "--channels"), ("identities", "--directions"),
+    ("noncrossing", "--directions"),
+])
+def test_cli_verify_refuses_a_file_its_suite_does_not_read(tmp_path, capsys, suite, flag):
+    files = {
+        "--channels": {"channels": [{"slot": 1, "rows": [[0.8, 0.2], [0.3, 0.7]]},
+                                    {"slot": 2, "rows": [[0.6, 0.4], [0.25, 0.75]]}]},
+        "--directions": {"directions": [{"rates": [1, 1], "distortions": [1]}]},
+    }
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(files[flag]))
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", suite, "dsbs", flag, str(path), "--out", str(out)]) == 2
+    assert f"verify {suite} does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_channels_file(tmp_path):
     chan = tmp_path / "chan.json"
     chan.write_text(json.dumps({"channels": [
