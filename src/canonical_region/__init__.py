@@ -50,7 +50,6 @@ from .region import (
     NondegeneracyReport,
     check_permutation,
     corner_point,
-    distinct_count,
     enumerate_extreme_points,
     expected_active_groups,
     identity_permutation,
@@ -68,7 +67,6 @@ from .functionals import (
     FunctionalContext,
     direct_weighted_value,
     distortion_component,
-    estimator_distortion,
     observation_axes,
     random_direction,
     theta,
@@ -110,9 +108,9 @@ __all__ = [
     "TracePoint", "attach_channels", "brute_force_search",
     "bundled_problem_path", "check_permutation",
     "constant_channel", "coordinate_descent", "corner_point",
-    "default_multistart_inits", "direct_weighted_value", "distinct_count",
+    "default_multistart_inits", "direct_weighted_value",
     "distortion_component", "entropy", "enumerate_extreme_points",
-    "estimate_brute_force_evals", "estimator_distortion",
+    "estimate_brute_force_evals",
     "expected_active_groups", "forward_to_reverse", "identity_channel",
     "identity_permutation", "list_bundled_problems",
     "load_channels", "load_directions", "load_problem",

@@ -283,7 +283,8 @@ def random_channels(
 class AugmentedPmf:
     """The source law with a full channel bank attached.
 
-    Constructed by :func:`attach_channels`; carries the joint tensor and
+    Constructed by :func:`attach_channels`, and by the functionals with a
+    one-symbol channel at their own slot; carries the joint tensor and
     the originating spec.  Helper methods map source bitmasks to axes by
     the joint's fixed layout ``X1..XM, S, V, Z_{J+1}..Z_M``
     (:func:`channel_product`), so ``Z_k`` is axis ``M+1+k-J`` and
@@ -326,6 +327,10 @@ class AugmentedPmf:
     @property
     def s_axis(self) -> int:
         return 1 << self.m
+
+    @property
+    def v_axis(self) -> int:
+        return 2 << self.m
 
 
 def channel_product(spec: ProblemSpec, channels: Mapping[int, Channel]) -> JointPmf:

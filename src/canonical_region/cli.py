@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -376,6 +377,9 @@ def cmd_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     spec = resolve_problem(args.problem)
+    if args.count is not None and (args.directions or args.sweep is not None):
+        raise InputError("--count draws random directions; it does not combine with "
+                         "--sweep or --directions")
     if args.directions:
         if args.sweep is not None:
             raise InputError("--sweep and --directions both set the directions; pass one")
@@ -396,12 +400,13 @@ def cmd_trace(args) -> int:
             for theta in np.linspace(0.0, math.pi / 2, args.sweep)
         ]
     else:
-        if args.count < 1:
-            raise InputError(f"--count must be >= 1, got {args.count}")
+        count = 8 if args.count is None else args.count
+        if count < 1:
+            raise InputError(f"--count must be >= 1, got {count}")
         rng = np.random.default_rng((args.seed, 3))
         directions = [
             random_direction(spec.m, spec.j, spec.l, rng)
-            for _ in range(args.count)
+            for _ in range(count)
         ]
     perm = None
     if args.perm is not None:
@@ -498,8 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", type=int, metavar="N",
                    help="N-point quarter-circle direction sweep (needs exactly "
                         "two weight coordinates; not with --directions)")
-    p.add_argument("--count", type=int, default=8,
-                   help="number of random directions when no file or sweep is given")
+    p.add_argument("--count", type=int, default=None,
+                   help="number of random directions (default 8; not with --sweep "
+                        "or --directions)")
     p.add_argument("--perm", metavar="P1,P2,...",
                    help="processing order whose corner to report")
     p.add_argument("--restarts", type=int, default=8)
@@ -512,8 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         tol = getattr(args, "tol", None)

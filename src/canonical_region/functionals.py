@@ -11,23 +11,28 @@ weighted rate-distortion objective is such a mixture
 
 of a fixed functional F evaluated at the reverse columns:
 
-* phi_i covers the rate of description ``i >= k``.  It is a difference
-  ``phi1 - phi2`` of mixture-entropy expressions built from the
-  conditionals ``r(x_i, u | x_k)`` of the frozen-channel joint, where
-  ``u`` collects the lossless sources, the earlier descriptions (without
-  ``Z_k``), and S; ``phi2`` extends ``u`` with ``Z_i``.  For ``i = k``
-  the first expression degenerates to the constant
-  ``H(X_k | X_{1..J}, Z_{J+1..k-1}, S)`` independent of ``t`` (the
-  mechanical formula would be wrong there), while the second uses the
-  diagonal conditional ``r(x_i, u | x_k) = [x_i = x_k] r(u | x_k)``.
+* phi_i covers the rate of description ``i >= k``.  Let U be the
+  descriptions of the sources before i other than k, plus S.  For
+  ``i > k``, ``phi_i(t) = H_t(X_i | U) - H_t(X_i | U, Z_i)``, both read
+  off the law that t mixes from the conditionals given ``X_k``.  For
+  ``i = k`` the first term is the constant ``H(X_k | U)`` of the source
+  law: mixing ``H_t(X_k | U)`` over the reverse columns would give
+  ``H(X_k | U, Z_k)`` instead.  The second term, ``H_t(X_k | U)`` with
+  ``Z_k`` inert, keeps the axis of ``X_k``, which t weighs elementwise.
 * psi_l covers distortion measure l: the Bayes-optimal expected
-  distortion of reconstructing V from the full observation tuple,
-  concave in ``t`` as a sum of pointwise minima of linear maps.
+  distortion of reconstructing V from the mixed law of V and the full
+  observation tuple, concave in ``t`` as a sum of pointwise minima of
+  linear maps.
 * ``theta(ctx, pool)`` combines them along the context's direction of
   nonnegative weights over the free rates and the distortions.  Rate
   terms of descriptions ``i < k`` do not depend on slot k's channel at
-  all and enter as precomputed constants, so the mixture of theta over a
-  reverse pair reproduces the full weighted objective exactly.
+  all and enter as corner coordinates of the context's joint, so the
+  mixture of theta over a reverse pair reproduces the full weighted
+  objective exactly.
+
+Every law is selected by :class:`~canonical_region.augment.AugmentedPmf`'s
+axis bitmasks on the context's joint, where a one-symbol channel at slot
+k keeps the standard layout.
 
 ``theta`` is the one entry point: it takes a ``(P, |X_k|)`` pool of
 simplex points and returns a ``(P,)`` array.  Along the unit direction
@@ -49,10 +54,11 @@ from .augment import (
     ProblemSpec,
     attach_channels,
     channel_product,
+    constant_channel,
     forward_to_reverse,
 )
 from .errors import StructuralError
-from .pmf import cell_entropies, entropy, mi_sets
+from .pmf import cell_entropies, entropy
 from .region import corner_point, identity_permutation
 
 SIMPLEX_TOL = 1e-9
@@ -186,11 +192,6 @@ class Estimator:
         object.__setattr__(self, "table", tab)
 
 
-def _observation_law(aug: AugmentedPmf) -> np.ndarray:
-    names = list(observation_axes(aug.spec)) + ["V"]
-    return aug.joint.marginal(names)
-
-
 def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, Estimator]:
     """Bayes-optimal expected distortion for measure l, with its estimator.
 
@@ -201,7 +202,7 @@ def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, Estimator]:
     spec = aug.spec
     if not 1 <= l <= spec.l:
         raise StructuralError(f"distortion index {l} outside 1..{spec.l}")
-    m_uv = _observation_law(aug)                       # (*u, v)
+    m_uv = aug.joint.marginal(list(observation_axes(spec)) + ["V"])   # (*u, v)
     d = spec.distortions[l - 1]                        # (v, vhat)
     scores = np.tensordot(m_uv, d, axes=([-1], [0]))   # (*u, vhat)
     value = float(scores.min(axis=-1).sum())
@@ -210,37 +211,23 @@ def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, Estimator]:
     return value, est
 
 
-def estimator_distortion(aug: AugmentedPmf, l: int, table: np.ndarray) -> float:
-    """Expected distortion of an arbitrary reconstruction table for measure l."""
-    spec = aug.spec
-    if not 1 <= l <= spec.l:
-        raise StructuralError(f"distortion index {l} outside 1..{spec.l}")
-    m_uv = _observation_law(aug)
-    d = spec.distortions[l - 1]
-    tab = np.asarray(table, dtype=int)
-    if tab.shape != m_uv.shape[:-1]:
-        raise StructuralError(
-            f"table shape {tab.shape} does not match observation axes {m_uv.shape[:-1]}"
-        )
-    picked = np.moveaxis(d[:, tab], 0, -1)             # (*u, v)
-    return float((m_uv * picked).sum())
-
-
 # ---- rate side ---------------------------------------------------------------
 
 
 class FunctionalContext:
     """Everything needed to evaluate the slot-k functionals.
 
-    Holds the spec, the slot index k, and the direction :func:`theta`
-    weighs the functionals by.  Precomputes, from the frozen channels of
-    every other slot, the frozen-channel joint (the augmented law
-    *without* slot k).  The conditional tensors each functional needs
-    are built from it on every call: the optimizer scores a context's
-    whole pool in one :func:`theta` call, so there is nothing to reuse.
+    Holds the spec, the slot index k, the direction :func:`theta` weighs
+    the functionals by, and ``aug``: the source law with every other
+    slot's frozen channel attached and a one-symbol channel at slot k.
+    That channel leaves ``Z_k`` inert, so ``aug`` keeps the standard
+    layout ``X1..XM, S, V, Z_{J+1}..Z_M`` and its bitmask helpers select
+    every axis set.  ``cond`` is that joint divided by ``p_k`` along
+    ``X_k`` (zero where ``p_k = 0``): the law of everything else given
+    ``X_k``, which each pool row mixes.
     """
 
-    __slots__ = ("spec", "k", "direction", "base", "p_k")
+    __slots__ = ("spec", "k", "direction", "aug", "p_k", "cond")
 
     def __init__(
         self,
@@ -262,81 +249,37 @@ class FunctionalContext:
         self.spec = spec
         self.k = k
         self.direction = direction
-        self.base = channel_product(spec, frozen)
+        bank = {**frozen, k: constant_channel(spec.x_alphabet(k))}
+        self.aug = AugmentedPmf(channel_product(spec, bank), spec)
         self.p_k = spec.x_marginal(k)
-
-    # conditioning tuple u for description i: lossless X's, earlier Z's
-    # excluding Z_k (and including Z_i itself when include_zi), then S
-    def _u_names(self, i: int, include_zi: bool) -> list[str]:
-        hi = i if include_zi else i - 1
-        names = [f"X{t}" for t in range(1, self.spec.j + 1)]
-        names += [f"Z{t}" for t in range(self.spec.j + 1, hi + 1) if t != self.k]
-        names.append("S")
-        return names
-
-    def _cond_given_xk(self, names: Sequence[str]) -> np.ndarray:
-        """Array (x_k, *names) of conditionals given X_k; zero rows for p_k = 0."""
-        m = self.base.marginal([f"X{self.k}"] + list(names))
-        shape = (self.p_k.size,) + (1,) * (m.ndim - 1)
+        probs = self.aug.joint.probs
+        shape = [1] * probs.ndim
+        shape[k - 1] = self.p_k.size
         pk = self.p_k.reshape(shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(pk > 0.0, m / np.where(pk > 0.0, pk, 1.0), 0.0)
-
-    def _phi_tensors(self, i: int):
-        u1 = self._u_names(i, include_zi=False)
-        u2 = self._u_names(i, include_zi=True)
-        if i == self.k:
-            const = entropy(
-                self.base,
-                self.base.varset(f"X{self.k}"),
-                self.base.varset(*u1),
-            )
-            cond = self._cond_given_xk(u2)             # u2 == u1 at i == k
-            n = self.p_k.size
-            a2 = np.zeros((n, n) + cond.shape[1:])
-            for x in range(n):
-                a2[x, x] = cond[x]
-            return None, a2, const
-        a1 = self._cond_given_xk([f"X{i}"] + u1)       # (x_k, x_i, *u1)
-        a2 = self._cond_given_xk([f"X{i}"] + u2)       # (x_k, x_i, *u2)
-        return a1, a2, None
-
-    def _psi_tensor(self) -> np.ndarray:
-        """Array (x_k, v, *u) over every observation: one for all distortion measures."""
-        return self._cond_given_xk(["V"] + self._u_names(self.spec.m, include_zi=True))
-
-    def rate_constant(self, i: int) -> float:
-        """Rate of description i < k; independent of slot k's channel."""
-        if not self.spec.j + 1 <= i < self.k:
-            raise StructuralError(f"description {i} is not a pre-k slot")
-        return mi_sets(self.base, self.base.varset(f"X{i}"), self.base.varset(f"Z{i}"),
-                       self.base.varset(*self._u_names(i, include_zi=False)))
+        self.cond = np.divide(probs, pk, out=np.zeros_like(probs), where=pk > 0.0)
 
 
-def _mix(pool: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Mix a conditional tensor ``(x_k, *rest)`` by every pool row: ``(P, *rest)``."""
-    mixed = pool @ a.reshape(a.shape[0], -1)
-    return mixed.reshape((len(pool),) + a.shape[1:])
+def _law(ctx: FunctionalContext, pool: np.ndarray, axes: int) -> np.ndarray:
+    """Law of the axis bitmask ``axes`` under each pool row: ``(P, *axes in layout order)``.
+
+    A row t weighs the marginal of ``ctx.cond`` over ``X_k`` and ``axes``
+    by t along ``X_k``, then sums ``X_k`` out unless ``axes`` keeps it.
+    """
+    x_k = ctx.aug.x_axes(1 << (ctx.k - 1))
+    keep = axes | x_k
+    m = ctx.cond.sum(axis=tuple(a for a in range(ctx.cond.ndim) if not keep >> a & 1))
+    at = 1 + (keep & (x_k - 1)).bit_count()            # X_k's place in the weighed law
+    shape = [len(pool)] + [1] * m.ndim
+    shape[at] = len(ctx.p_k)
+    law = pool.reshape(shape) * m
+    return law if axes & x_k else law.sum(axis=at)
 
 
-def _mixed_cond_entropy(pool: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """H(x_i | u) of each pool row's mixture of ``a`` ``(x_k, x_i, *u)``."""
-    m = _mix(pool, a)                                  # (P, x_i, *u)
+def _cond_entropy(ctx: FunctionalContext, pool: np.ndarray, of: int, given: int) -> np.ndarray:
+    """H(of | given) under each pool row's law, for axis bitmasks."""
     rows = len(pool)
-    return cell_entropies(m.reshape(rows, -1)) - cell_entropies(m.sum(axis=1).reshape(rows, -1))
-
-
-def _phi_pool(ctx: FunctionalContext, i: int, pool: np.ndarray):
-    a1, a2, const = ctx._phi_tensors(i)
-    phi1 = np.full(len(pool), const) if a1 is None else _mixed_cond_entropy(pool, a1)
-    return phi1, _mixed_cond_entropy(pool, a2)
-
-
-def _psi_pool(ctx: FunctionalContext, l: int, mixed: np.ndarray) -> np.ndarray:
-    """psi for measure l of each pool row, from its mixed ``(P, v, *u)`` tensor."""
-    d = ctx.spec.distortions[l - 1]
-    scores = np.tensordot(mixed, d, axes=([1], [0]))   # (P, *u, vhat)
-    return scores.min(axis=-1).reshape(len(mixed), -1).sum(axis=1)
+    return (cell_entropies(_law(ctx, pool, of | given).reshape(rows, -1))
+            - cell_entropies(_law(ctx, pool, given).reshape(rows, -1)))
 
 
 def theta(ctx: FunctionalContext, pool) -> np.ndarray:
@@ -349,23 +292,35 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
     ``i < k`` enter as channel-independent constants.
     """
     pool = check_simplex_point(pool, ctx.p_k.size)
+    aug, k = ctx.aug, ctx.k
+    others = ~(1 << (k - 1))
+
+    def observed(sources: int) -> int:                 # their descriptions but Z_k, and S
+        return aug.z_axes(sources & others) | aug.s_axis
+
     total = np.zeros(len(pool))
     for i in ctx.spec.channel_slots:
         weight = ctx.direction.rate_weight(i)
         if weight == 0.0:
             continue
-        if i < ctx.k:
-            total += weight * ctx.rate_constant(i)
+        if i < k:
+            total += weight * corner_point(aug, identity_permutation(aug.m))[i - 1]
+            continue
+        source = 1 << (i - 1)
+        x_i, u = aug.x_axes(source), observed(source - 1)
+        if i == k:
+            given_u = entropy(aug.joint, x_i, u)       # t-free at the own slot
         else:
-            phi1, phi2 = _phi_pool(ctx, i, pool)
-            total += weight * (phi1 - phi2)
-    mixed = None
-    for l in range(1, ctx.spec.l + 1):
-        weight = ctx.direction.distortion_weight(l)
-        if weight != 0.0:
-            if mixed is None:
-                mixed = _mix(pool, ctx._psi_tensor())  # (P, v, *u)
-            total += weight * _psi_pool(ctx, l, mixed)
+            given_u = _cond_entropy(ctx, pool, x_i, u)
+        total += weight * (given_u - _cond_entropy(ctx, pool, x_i, u | aug.z_axes(source)))
+    if ctx.direction.distortion_weights.any():
+        obs = observed((1 << aug.m) - 1)
+        law = _law(ctx, pool, obs | aug.v_axis)       # (P, *obs and V in layout order)
+        at = 1 + (obs & (aug.v_axis - 1)).bit_count()  # V's place in the law
+        for d, weight in zip(ctx.spec.distortions, ctx.direction.distortion_weights):
+            if weight != 0.0:
+                scores = np.tensordot(law, d, axes=([at], [0]))   # (P, *obs, vhat)
+                total += weight * scores.min(axis=-1).reshape(len(pool), -1).sum(axis=1)
     return total
 
 

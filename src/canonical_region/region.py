@@ -46,7 +46,6 @@ from .errors import BudgetError, PreconditionError, StructuralError
 from .pmf import JointPmf, mi_sets
 
 ACTIVE_TOL = 1e-9
-DISTINCT_TOL = 1e-6
 NONDEGENERACY_THRESHOLD = 1e-7
 MAX_SOURCES_FOR_ENUMERATION = 6
 RATE_NEGATIVE_TOL = 1e-12   # rates from float cancellation land a few ulp below 0
@@ -207,19 +206,6 @@ def enumerate_extreme_points(aug: AugmentedPmf) -> list[tuple[Permutation, RateV
         (perm, corner_point(aug, perm))
         for perm in itertools.permutations(range(1, aug.m + 1))
     ]
-
-
-def distinct_count(points: Sequence[tuple[Permutation, RateVector]],
-                   tol: float = DISTINCT_TOL) -> int:
-    """Number of points farther than ``tol`` (max norm) from every point counted before them."""
-    rates = np.array([r for _, r in points], dtype=float)
-    reps = np.empty_like(rates)
-    count = 0
-    for r in rates:
-        if not (np.abs(r - reps[:count]).max(axis=1) <= tol).any():
-            reps[count] = r
-            count += 1
-    return count
 
 
 def expected_active_groups(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -3,7 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from canonical_region import DegeneracyWarning, ProblemSpec, resolve_problem
+from canonical_region import (
+    DegeneracyWarning,
+    ProblemSpec,
+    StructuralError,
+    observation_axes,
+    resolve_problem,
+)
+
+DISTINCT_TOL = 1e-6
 
 
 def make_spec(rng, m=None, j=None, l=None, max_alphabet=3, name=""):
@@ -61,6 +69,34 @@ def markov_source_spec():
         for x2 in range(2):
             probs[x1, x2, 0, x1] = p1[x1] * q[x1, x2]
     return ProblemSpec(2, 0, 0, [2, 2], 1, 2, [], probs, [])
+
+
+def distinct_count(points, tol=DISTINCT_TOL):
+    """Number of points farther than ``tol`` (max norm) from every point counted before them."""
+    rates = np.array([r for _, r in points], dtype=float)
+    reps = np.empty_like(rates)
+    count = 0
+    for r in rates:
+        if not (np.abs(r - reps[:count]).max(axis=1) <= tol).any():
+            reps[count] = r
+            count += 1
+    return count
+
+
+def estimator_distortion(aug, l, table):
+    """Expected distortion of an arbitrary reconstruction table for measure l."""
+    spec = aug.spec
+    if not 1 <= l <= spec.l:
+        raise StructuralError(f"distortion index {l} outside 1..{spec.l}")
+    m_uv = aug.joint.marginal(list(observation_axes(spec)) + ["V"])
+    d = spec.distortions[l - 1]
+    tab = np.asarray(table, dtype=int)
+    if tab.shape != m_uv.shape[:-1]:
+        raise StructuralError(
+            f"table shape {tab.shape} does not match observation axes {m_uv.shape[:-1]}"
+        )
+    picked = np.moveaxis(d[:, tab], 0, -1)             # (*u, v)
+    return float((m_uv * picked).sum())
 
 
 @pytest.fixture(scope="session")

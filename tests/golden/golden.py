@@ -125,6 +125,8 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
         ["verify", "alphabet-bound", "dsbs", "--channels", "bank-dsbs.json"],
         ["verify", "identities", "dsbs", "--directions", "dirs-dsbs.json"],
         ["verify", "noncrossing", "dsbs", "--directions", "dirs-dsbs.json"],
+        ["trace", "dsbs", "--directions", "dirs-dsbs.json", "--count", "1"],
+        ["trace", "bwz", "--sweep", "9", "--count", "5"],
     ]
     return cmds
 

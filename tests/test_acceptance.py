@@ -16,10 +16,8 @@ import numpy as np
 from canonical_region import (
     attach_channels,
     coordinate_descent,
-    distinct_count,
     distortion_component,
     enumerate_extreme_points,
-    estimator_distortion,
     expected_active_groups,
     identity_channel,
     membership,
@@ -35,7 +33,7 @@ from canonical_region import (
     verify_noncrossing,
 )
 from canonical_region.cli import main
-from conftest import make_spec
+from conftest import distinct_count, estimator_distortion, make_spec
 
 
 def _run(num: int, label: str, budget, body, capsys) -> None:

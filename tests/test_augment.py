@@ -167,6 +167,7 @@ def test_axis_helpers_match_the_axis_names(m):
         aug = attach_channels(spec, random_channels(spec, rng))
         joint = aug.joint
         assert aug.s_axis == joint.varset("S")
+        assert aug.v_axis == joint.varset("V")
         for mask in range(1 << m):
             sources = [i for i in range(1, m + 1) if mask >> (i - 1) & 1]
             assert aug.x_axes(mask) == joint.varset(*(f"X{i}" for i in sources))

@@ -644,6 +644,18 @@ def test_cli_trace_refuses_sweep_with_directions_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_trace_refuses_count_with_sweep_or_directions_file(tmp_path, capsys):
+    dirs = tmp_path / "dirs.json"
+    dirs.write_text(json.dumps({"directions": [{"rates": [1], "distortions": [1]}]}))
+    out = tmp_path / "t.jsonl"
+    for given in (["--directions", str(dirs)], ["--sweep", "3"]):
+        for count in ("1", "8"):                      # the default value too
+            assert main(["trace", "bwz", *given, "--count", count,
+                         "--out", str(out)]) == 2
+            assert "--count" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_cli_alphabet_bound_refuses_trials_with_directions_file(tmp_path, capsys):
     dirs = tmp_path / "dirs.json"
     dirs.write_text(json.dumps({"directions": [{"rates": [1], "distortions": [1]}]}))

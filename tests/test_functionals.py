@@ -18,9 +18,9 @@ from canonical_region import (
     direct_weighted_value,
     distortion_component,
     entropy,
-    estimator_distortion,
     forward_to_reverse,
     identity_channel,
+    identity_permutation,
     mi_sets,
     observation_axes,
     random_channels,
@@ -30,7 +30,7 @@ from canonical_region import (
 )
 from canonical_region.augment import MARGINAL_TOL, channel_product
 from canonical_region.functionals import check_simplex_point
-from conftest import make_spec, zero_symbol_spec
+from conftest import estimator_distortion, make_spec, zero_symbol_spec
 
 
 def test_direction_validation():
@@ -202,14 +202,13 @@ def test_phi_first_part_constant_at_own_slot():
     slots = spec.channel_slots
     k = 3
     frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
-    ctx = FunctionalContext(spec, k, frozen, flat_direction(spec))
-    # oracle: the constant from the full augmented joint (slot k attached too)
-    aug = attach_channels(spec, chans)
+    # oracle: the constant from the full augmented joint (slot k's identity channel attached)
+    aug = attach_channels(spec, [chans[0], identity_channel(spec.x_alphabets[k - 1])])
     cond = aug.joint.varset("X1", "Z2", "S")
     expected = entropy(aug.joint, aug.joint.varset("X3"), cond)
-    a1, _, const = ctx._phi_tensors(k)
-    assert a1 is None                       # no conditional tensor: independent of the point
-    assert abs(const - expected) < 1e-10
+    # at a vertex e_x the point's own H_t(X_k | U) is 0, leaving the point-free constant
+    vertices = np.eye(spec.x_alphabets[k - 1].size)
+    assert np.abs(phi(spec, k, frozen, k, vertices) - expected).max() < 1e-10
 
 
 def test_phi_mixture_reproduces_rates():
@@ -273,8 +272,9 @@ def test_theta_requires_direction_and_matches_manual_sum():
     t = rng.dirichlet(np.ones(n))[None]
     d = random_direction(3, 0, 1, rng)
     ctx = FunctionalContext(spec, k, frozen, d)
+    rates = corner_point(attach_channels(spec, chans), identity_permutation(3))
     manual = (
-        d.rate_weight(1) * ctx.rate_constant(1)
+        d.rate_weight(1) * rates[0]
         + d.rate_weight(2) * phi(spec, k, frozen, 2, t)
         + d.rate_weight(3) * phi(spec, k, frozen, 3, t)
         + d.distortion_weight(1) * psi(spec, k, frozen, 1, t)
@@ -295,9 +295,6 @@ def test_functional_context_validation():
     d = random_direction(3, 0, 1, rng)
     with pytest.raises(StructuralError):
         FunctionalContext(spec, 2, {}, d)              # direction shape mismatch
-    ctx = FunctionalContext(spec, 2, {}, ok)
-    with pytest.raises(StructuralError):
-        ctx.rate_constant(2)
 
 
 def test_functional_context_uses_the_channel_product():
@@ -310,13 +307,14 @@ def test_functional_context_uses_the_channel_product():
         for k in spec.channel_slots:
             frozen = {kk: ch for kk, ch in bank.items() if kk != k}
             ctx = FunctionalContext(spec, k, frozen, flat_direction(spec))
-            expected = channel_product(spec, frozen).probs
-            assert ctx.base.probs.tobytes() == expected.tobytes()
-            assert [name for name, _ in ctx.base.axes] == (
-                [name for name, _ in spec.source.axes] + [f"Z{kk}" for kk in sorted(frozen)]
+            inert = {**frozen, k: constant_channel(spec.x_alphabets[k - 1])}
+            expected = channel_product(spec, inert).probs
+            assert ctx.aug.joint.probs.tobytes() == expected.tobytes()
+            assert [name for name, _ in ctx.aug.joint.axes] == (
+                [name for name, _ in spec.source.axes] + [f"Z{kk}" for kk in spec.channel_slots]
             )
-            summed = aug.joint.probs.sum(axis=aug.joint.axis_index(f"Z{k}"))
-            assert np.abs(summed - ctx.base.probs).max() <= MARGINAL_TOL
+            summed = aug.joint.probs.sum(axis=aug.joint.axis_index(f"Z{k}"), keepdims=True)
+            assert np.abs(summed - ctx.aug.joint.probs).max() <= MARGINAL_TOL
     spec = make_spec(rng, m=2, j=0, l=1)
     wrong = identity_channel(Alphabet("X9", spec.x_alphabets[0].size))
     with pytest.raises(StructuralError):
@@ -392,6 +390,7 @@ def test_pool_matches_stacked_points(name, request):
     chans = random_channels(spec, rng)
     slots = spec.channel_slots
     d = random_direction(spec.m, spec.j, spec.l, rng)
+    rates = corner_point(attach_channels(spec, chans), identity_permutation(spec.m))
     for k in slots:
         frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
         ctx = FunctionalContext(spec, k, frozen, d)
@@ -399,7 +398,7 @@ def test_pool_matches_stacked_points(name, request):
         values = theta(ctx, pool)
         assert values.shape == (len(pool),)
         assert np.abs(values - [theta(ctx, t[None])[0] for t in pool]).max() <= 1e-12
-        manual = sum(d.rate_weight(i) * (ctx.rate_constant(i) if i < k
+        manual = sum(d.rate_weight(i) * (rates[i - 1] if i < k
                                          else phi(spec, k, frozen, i, pool))
                      for i in slots)
         manual = manual + sum(d.distortion_weight(l) * psi(spec, k, frozen, l, pool)

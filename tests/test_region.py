@@ -17,7 +17,6 @@ from canonical_region import (
     check_permutation,
     constant_channel,
     corner_point,
-    distinct_count,
     entropy,
     enumerate_extreme_points,
     expected_active_groups,
@@ -33,7 +32,14 @@ from canonical_region import (
     verify_chain_identities,
     verify_noncrossing,
 )
-from conftest import make_spec, markov_source_spec, product_source_spec, region_problem_spec
+from conftest import (
+    DISTINCT_TOL,
+    distinct_count,
+    make_spec,
+    markov_source_spec,
+    product_source_spec,
+    region_problem_spec,
+)
 
 
 def loop_entropy_of(arr, keep_axes):
@@ -379,8 +385,8 @@ def test_distinct_count_matches_a_reference_greedy():
         (pts([1.0, 2.0], [1.25, 2.0]), tol, 1),                          # exactly tol apart
         (pts([1.0, 2.0], [np.nextafter(1.25, 2.0), 2.0]), tol, 2),       # tol plus one ulp
         (pts([0.0], [0.75 * tol], [1.5 * tol]), tol, 2),                 # greedy, not transitive
-        (pts([0.0], [1e-6]), region_mod.DISTINCT_TOL, 1),
-        (pts([0.0], [np.nextafter(1e-6, 1.0)]), region_mod.DISTINCT_TOL, 2),
+        (pts([0.0], [1e-6]), DISTINCT_TOL, 1),
+        (pts([0.0], [np.nextafter(1e-6, 1.0)]), DISTINCT_TOL, 2),
         (pts([np.nan, 0.0], [np.nan, 0.0]), tol, 2),
     ]
     for points, t, expected in cases:
@@ -390,7 +396,7 @@ def test_distinct_count_matches_a_reference_greedy():
         cloud = pts(*rng.uniform(0.0, 1.0, size=(60, 3)))
         assert distinct_count(cloud, 0.3) == reference_distinct_count(cloud, 0.3)
     corners = enumerate_extreme_points(region_problem_aug(1, 5))
-    assert distinct_count(corners) == reference_distinct_count(corners, region_mod.DISTINCT_TOL)
+    assert distinct_count(corners) == reference_distinct_count(corners, DISTINCT_TOL)
 
 
 def test_enumeration_computes_each_prefix_cmi_once(monkeypatch):
