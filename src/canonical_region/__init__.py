@@ -67,7 +67,6 @@ from .functionals import (
     FunctionalContext,
     direct_weighted_value,
     distortion_component,
-    observation_axes,
     random_direction,
     theta,
     verify_linear_decomposition,
@@ -115,7 +114,7 @@ __all__ = [
     "identity_permutation", "list_bundled_problems",
     "load_channels", "load_directions", "load_problem",
     "membership", "mi_sets", "mixture_error", "nondegeneracy_report",
-    "observation_axes", "optimize_single_channel", "random_channel",
+    "optimize_single_channel", "random_channel",
     "random_channels", "random_direction",
     "rate_lhs", "resolve_problem", "reverse_to_forward", "save_problem",
     "solve_equality_lp", "source_nondegeneracy_report", "theta",

@@ -12,11 +12,13 @@ source law produces the augmented joint
 
     p(x_1..x_M, s, v) * prod_k q_k(z_k | x_k),
 
-an ordinary :class:`~canonical_region.pmf.JointPmf` over axes
-``X1..XM, S, V, Z_{J+1}..Z_M``, on which every downstream rate and
-distortion quantity is evaluated.  For ``m <= J`` the description
-variable is ``X_m`` itself; helpers here resolve that aliasing so callers
-can speak uniformly of "description m".
+an ordinary :class:`~canonical_region.pmf.JointPmf` whose axes are, in
+order, ``X1..XM, S, V, Z_{J+1}..Z_M``; every downstream rate and
+distortion quantity is evaluated on it.  :func:`channel_product` builds
+that layout, and :class:`AugmentedPmf`'s bitmask helpers map groups of
+sources to its axes.  For ``m <= J`` the description variable is ``X_m``
+itself; the helpers resolve that aliasing so callers can speak uniformly
+of "description m".
 
 A channel can equivalently be written as a mixture over its output
 symbols: weights ``p'(z)`` and reverse conditionals ``q'(x | z)`` with
@@ -26,7 +28,6 @@ here as well.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -106,14 +107,12 @@ class ProblemSpec:
     x_sizes, s_size, v_size, vhat_sizes:
         Alphabet sizes.
     source_probs:
-        Dense row-major tensor over ``(X1..XM, S, V)``.  Converted to
-        exact rationals, normalized exactly, then lowered to float64, so
-        a spec survives serialization round-trips bit-for-bit.
+        Dense row-major tensor over ``(X1..XM, S, V)`` of floats or exact
+        :class:`~fractions.Fraction` values.  Converted to exact
+        rationals, normalized exactly, then lowered to float64, so a spec
+        survives serialization round-trips bit-for-bit.
     distortions:
         One ``|V| x |Vhat_l|`` nonnegative table per measure.
-    exact_probs:
-        Optional pre-parsed rationals overriding the float view of
-        ``source_probs`` (used by the problem-file loader).
 
     ``source_mass`` keeps the exact total of the source probabilities
     before normalization, so the loader can judge a file's mass slip.
@@ -137,7 +136,6 @@ class ProblemSpec:
         distortions: Sequence,
         name: str = "",
         notes: str = "",
-        exact_probs: Sequence[Fraction] | None = None,
     ) -> None:
         if not (isinstance(m, int) and m >= 1):
             raise StructuralError(f"M must be an integer >= 1, got {m!r}")
@@ -162,19 +160,13 @@ class ProblemSpec:
         )
 
         shape = tuple(a.size for a in x_alphabets) + (s_alphabet.size, v_alphabet.size)
-        if exact_probs is not None:
-            fracs = [Fraction(f) for f in exact_probs]
-            if len(fracs) != math.prod(shape):
-                raise StructuralError(
-                    f"expected {math.prod(shape)} probabilities, got {len(fracs)}"
-                )
-        else:
-            arr = np.array(source_probs, dtype=float)
-            if arr.shape != shape:
-                raise StructuralError(
-                    f"source tensor has shape {arr.shape}, expected {shape}"
-                )
-            fracs = [Fraction(float(x)) for x in arr.ravel()]
+        arr = np.array(source_probs, dtype=object)
+        if arr.shape != shape:
+            raise StructuralError(f"source tensor has shape {arr.shape}, expected {shape}")
+        try:
+            fracs = [x if isinstance(x, Fraction) else Fraction(float(x)) for x in arr.ravel()]
+        except (TypeError, ValueError, OverflowError) as exc:   # NaN, +-inf, non-numbers
+            raise StructuralError(f"source probabilities must be finite numbers: {exc}") from exc
         if any(f < 0 for f in fracs):
             raise StructuralError("source probabilities must be nonnegative")
         total = sum(fracs)
@@ -183,8 +175,7 @@ class ProblemSpec:
         fracs = tuple(f / total for f in fracs)
         floats = np.array([float(f) for f in fracs]).reshape(shape)
 
-        axes = [(a.label, a) for a in x_alphabets] + [("S", s_alphabet), ("V", v_alphabet)]
-        source = JointPmf(axes, floats)
+        source = JointPmf(floats)
 
         tables = []
         for li, d in enumerate(distortions, start=1):
@@ -221,8 +212,8 @@ class ProblemSpec:
         raise AttributeError("ProblemSpec is immutable")
 
     def _warn_on_zero_symbols(self) -> None:
-        for alphabet in (*self.x_alphabets, self.s_alphabet):
-            marg = self.source.marginal([alphabet.label])
+        for axis, alphabet in enumerate((*self.x_alphabets, self.s_alphabet)):
+            marg = self.source.marginal(1 << axis)      # the source axes are X1..XM, S, V
             if (marg <= 0.0).any():
                 warnings.warn(
                     f"symbols of {alphabet.label} have zero probability: "
@@ -244,7 +235,8 @@ class ProblemSpec:
         return self.x_alphabets[k - 1]
 
     def x_marginal(self, k: int) -> np.ndarray:
-        return self.source.marginal([f"X{k}"])
+        self.x_alphabet(k)                              # refuses k outside 1..M
+        return self.source.marginal(1 << (k - 1))
 
     def equals(self, other: "ProblemSpec") -> bool:
         """Exact field-by-field equality (rationals, not float tolerance)."""
@@ -339,7 +331,6 @@ def channel_product(spec: ProblemSpec, channels: Mapping[int, Channel]) -> Joint
     Adds one ``Z_k`` axis per slot, in increasing k; channel k must read ``X_k``.
     """
     arr = spec.source.probs
-    axes = list(spec.source.axes)
     for k in sorted(channels):
         ch = channels[k]
         if ch.input != spec.x_alphabet(k):
@@ -349,8 +340,7 @@ def channel_product(spec: ProblemSpec, channels: Mapping[int, Channel]) -> Joint
         shape = [1] * arr.ndim + [ch.output.size]
         shape[k - 1] = ch.input.size
         arr = arr[..., None] * ch.rows.reshape(shape)
-        axes.append((f"Z{k}", ch.output))
-    return JointPmf(axes, arr)
+    return JointPmf(arr)
 
 
 def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> AugmentedPmf:
@@ -369,7 +359,7 @@ def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> Augmented
     joint = channel_product(spec, dict(zip(slots, channels)))
     aug = AugmentedPmf(joint, spec)
 
-    back = joint.marginal([name for name, _ in spec.source.axes])
+    back = joint.marginal(aug.x_axes((1 << spec.m) - 1) | aug.s_axis | aug.v_axis)
     err = float(np.abs(back - spec.source.probs).max())
     if err > MARGINAL_TOL:
         raise NumericIntegrityError(
@@ -378,7 +368,7 @@ def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> Augmented
         )
     everything = joint.all_axes()
     for k in slots:
-        z, x = joint.varset(f"Z{k}"), joint.varset(f"X{k}")
+        z, x = aug.z_axes(1 << (k - 1)), aug.x_axes(1 << (k - 1))
         rest = everything & ~(z | x)
         if rest and mi_sets(joint, z, rest, x) > FACTORIZATION_TOL:
             raise NumericIntegrityError(

@@ -115,6 +115,17 @@ def _bank(spec, args):
     return random_channels(spec, np.random.default_rng(args.seed))
 
 
+def _random_directions(spec, seed: int, flag: str, count: int, stream: int) -> list[Direction]:
+    """``count`` draws of :func:`random_direction` from the stream ``(seed, stream)``.
+
+    ``flag`` is the option that set ``count``, named when it is below 1.
+    """
+    if count < 1:
+        raise InputError(f"{flag} must be >= 1, got {count}")
+    rng = np.random.default_rng((seed, stream))
+    return [random_direction(spec.m, spec.j, spec.l, rng) for _ in range(count)]
+
+
 def _run_record(args, spec, command: str, **params) -> dict:
     return {
         "type": "run",
@@ -301,10 +312,7 @@ def _suite_alphabet_bound(args, spec, records: list[dict]) -> bool:
         directions = load_directions(args.directions, spec)
     else:
         count = 4 if args.trials is None else args.trials
-        rng = np.random.default_rng((args.seed, 2))
-        directions = [
-            random_direction(spec.m, spec.j, spec.l, rng) for _ in range(count)
-        ]
+        directions = _random_directions(spec, args.seed, "--trials", count, 2)
     report = verify_alphabet_bound(
         spec, directions, grid=args.grid, tol=tol, sweeps=args.sweeps,
         candidates=args.candidates, restarts=args.restarts, seed=args.seed,
@@ -401,13 +409,7 @@ def cmd_trace(args) -> int:
         ]
     else:
         count = 8 if args.count is None else args.count
-        if count < 1:
-            raise InputError(f"--count must be >= 1, got {count}")
-        rng = np.random.default_rng((args.seed, 3))
-        directions = [
-            random_direction(spec.m, spec.j, spec.l, rng)
-            for _ in range(count)
-        ]
+        directions = _random_directions(spec, args.seed, "--count", count, 3)
     perm = None
     if args.perm is not None:
         try:

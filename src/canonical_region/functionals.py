@@ -59,7 +59,7 @@ from .augment import (
 )
 from .errors import StructuralError
 from .pmf import cell_entropies, entropy
-from .region import corner_point, identity_permutation
+from .region import corner_point, corner_rate, identity_permutation
 
 SIMPLEX_TOL = 1e-9
 DECOMPOSITION_TOL = 1e-9
@@ -159,26 +159,18 @@ def random_direction(m: int, j: int, l: int, rng: np.random.Generator) -> Direct
 # ---- distortion side ---------------------------------------------------------
 
 
-def observation_axes(spec: ProblemSpec) -> tuple[str, ...]:
-    """Decoder observables feeding every estimator: lossless X's, all Z's, S."""
-    names = [f"X{i}" for i in range(1, spec.j + 1)]
-    names += [f"Z{k}" for k in spec.channel_slots]
-    names.append("S")
-    return tuple(names)
-
-
 @dataclass(frozen=True, eq=False)
 class Estimator:
     """A deterministic reconstruction table for one distortion measure.
 
     ``table[u]`` is the chosen symbol of ``Vhat_l`` for each tuple ``u``
-    over ``u_axes``.  Ties in expected distortion break toward the lowest
+    of the observation axes in layout order: ``X_1..X_J, S,
+    Z_{J+1}..Z_M``.  Ties in expected distortion break toward the lowest
     symbol index, and zero-probability tuples map to symbol 0, so the
     table is a deterministic function of the augmented joint.
     """
 
     l: int
-    u_axes: tuple[str, ...]
     table: np.ndarray = field(repr=False)
     vhat_size: int = 0
 
@@ -202,13 +194,14 @@ def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, Estimator]:
     spec = aug.spec
     if not 1 <= l <= spec.l:
         raise StructuralError(f"distortion index {l} outside 1..{spec.l}")
-    m_uv = aug.joint.marginal(list(observation_axes(spec)) + ["V"])   # (*u, v)
+    obs = aug.z_axes((1 << aug.m) - 1) | aug.s_axis
+    law = aug.joint.marginal(obs | aug.v_axis)         # (*obs and V in layout order)
+    at = (obs & (aug.v_axis - 1)).bit_count()          # V's place in the law
     d = spec.distortions[l - 1]                        # (v, vhat)
-    scores = np.tensordot(m_uv, d, axes=([-1], [0]))   # (*u, vhat)
+    scores = np.tensordot(law, d, axes=([at], [0]))    # (*obs, vhat)
     value = float(scores.min(axis=-1).sum())
     table = np.argmin(scores, axis=-1)
-    est = Estimator(l, observation_axes(spec), table, vhat_size=d.shape[1])
-    return value, est
+    return value, Estimator(l, table, vhat_size=d.shape[1])
 
 
 # ---- rate side ---------------------------------------------------------------
@@ -253,9 +246,8 @@ class FunctionalContext:
         self.aug = AugmentedPmf(channel_product(spec, bank), spec)
         self.p_k = spec.x_marginal(k)
         probs = self.aug.joint.probs
-        shape = [1] * probs.ndim
-        shape[k - 1] = self.p_k.size
-        pk = self.p_k.reshape(shape)
+        x_k = self.aug.x_axes(1 << (k - 1))
+        pk = self.p_k.reshape([-1 if x_k >> a & 1 else 1 for a in range(probs.ndim)])
         self.cond = np.divide(probs, pk, out=np.zeros_like(probs), where=pk > 0.0)
 
 
@@ -303,10 +295,10 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
         weight = ctx.direction.rate_weight(i)
         if weight == 0.0:
             continue
-        if i < k:
-            total += weight * corner_point(aug, identity_permutation(aug.m))[i - 1]
-            continue
         source = 1 << (i - 1)
+        if i < k:                                      # t-free: the natural-order corner rate
+            total += weight * corner_rate(aug, source, source - 1)
+            continue
         x_i, u = aug.x_axes(source), observed(source - 1)
         if i == k:
             given_u = entropy(aug.joint, x_i, u)       # t-free at the own slot

@@ -1,10 +1,12 @@
-"""Dense joint probability tensors over named finite axes.
+"""Dense joint probability tensors whose axes are addressed by bitmask.
 
-A :class:`JointPmf` is an immutable dense tensor whose axes are named
-random variables, each with a finite :class:`Alphabet`.  Subsets of axes
-are addressed as int bitmasks (bit ``i`` selects axis ``i``), so entropy
-and conditional mutual information of arbitrary variable groups reduce
-to marginal sums over the tensor.
+A :class:`JointPmf` is an immutable dense tensor, one axis per random
+variable.  Sets of axes are int bitmasks (bit ``i`` selects axis ``i``);
+the pmf carries no axis names, so the layout that gives each axis its
+meaning stays with the code that builds the tensor.  Entropy and
+conditional mutual information of arbitrary variable groups reduce to
+marginal sums over the tensor.  An :class:`Alphabet` labels a finite
+symbol set for the code that matches channels to sources.
 
 Conventions, fixed package-wide:
 
@@ -22,7 +24,6 @@ negative indicates broken inputs and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,32 +48,19 @@ class Alphabet:
 
 
 class JointPmf:
-    """An immutable dense pmf over named axes.
+    """An immutable dense pmf whose axis ``i`` is bit ``i`` of every axis mask.
 
-    Parameters
-    ----------
-    axes:
-        Sequence of ``(variable_name, Alphabet)`` pairs, one per tensor
-        axis, in tensor order.  Names must be unique.
-    probs:
-        Array-like of shape ``tuple(a.size for _, a in axes)``.
+    ``probs`` is array-like with at least one axis, finite, nonnegative
+    and of mass 1 within ``MASS_TOL``.  What each axis means is the
+    caller's layout; the pmf knows axes only by position.
     """
 
-    __slots__ = ("axes", "probs", "_axis_of", "_entropy_cache")
+    __slots__ = ("probs", "_entropy_cache")
 
-    def __init__(self, axes: Sequence[tuple[str, Alphabet]], probs) -> None:
-        axes = tuple((str(name), alphabet) for name, alphabet in axes)
-        if not axes:
-            raise StructuralError("a JointPmf needs at least one axis")
-        names = [name for name, _ in axes]
-        if len(set(names)) != len(names):
-            raise StructuralError(f"duplicate axis names in {names}")
+    def __init__(self, probs) -> None:
         arr = np.array(probs, dtype=float)
-        expected = tuple(alphabet.size for _, alphabet in axes)
-        if arr.shape != expected:
-            raise StructuralError(
-                f"probability tensor has shape {arr.shape}, axes require {expected}"
-            )
+        if arr.ndim == 0:
+            raise StructuralError("a JointPmf needs at least one axis")
         if not np.all(np.isfinite(arr)):
             raise StructuralError("probability tensor contains non-finite entries")
         if arr.min(initial=0.0) < 0.0:
@@ -85,54 +73,32 @@ class JointPmf:
                 f"probability mass is {mass!r}, off from 1 by more than {MASS_TOL}"
             )
         arr.setflags(write=False)
-        object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "_axis_of", {name: i for i, (name, _) in enumerate(axes)})
         object.__setattr__(self, "_entropy_cache", {})
 
     def __setattr__(self, name, value):  # immutability by contract
         raise AttributeError("JointPmf is immutable")
 
-    # ---- axis bookkeeping -------------------------------------------------
+    # ---- axis masks -------------------------------------------------------
 
     @property
     def ndim(self) -> int:
-        return len(self.axes)
-
-    def axis_index(self, name: str) -> int:
-        try:
-            return self._axis_of[name]
-        except KeyError:
-            raise StructuralError(
-                f"unknown axis {name!r}; available: {list(self._axis_of)}"
-            ) from None
-
-    def varset(self, *names: str) -> int:
-        """The axis bitmask of the named variables."""
-        mask = 0
-        for n in names:
-            mask |= 1 << self.axis_index(n)
-        return mask
+        return self.probs.ndim
 
     def all_axes(self) -> int:
         return (1 << self.ndim) - 1
 
-    def check_varset(self, vs: int) -> None:
-        if not 0 <= vs <= self.all_axes():
+    def check_axes(self, axes: int) -> None:
+        if not 0 <= axes <= self.all_axes():
             raise StructuralError(
-                f"axis mask {vs:#b} selects axes outside the tensor's {self.ndim}"
+                f"axis mask {axes:#b} selects axes outside the tensor's {self.ndim}"
             )
 
-    def marginal(self, names: Sequence[str]) -> np.ndarray:
-        """Dense marginal array with axes ordered exactly as ``names``."""
-        keep = [self.axis_index(n) for n in names]
-        if len(set(keep)) != len(keep):
-            raise StructuralError(f"repeated axis in marginal request {names}")
-        drop = tuple(sorted(set(range(self.ndim)) - set(keep)))
-        m = self.probs.sum(axis=drop) if drop else self.probs
-        kept_sorted = sorted(keep)
-        order = [kept_sorted.index(k) for k in keep]
-        return np.ascontiguousarray(m.transpose(order))
+    def marginal(self, axes: int) -> np.ndarray:
+        """The marginal of the axis mask ``axes``, its axes in tensor order."""
+        self.check_axes(axes)
+        drop = tuple(i for i in range(self.ndim) if not axes >> i & 1)
+        return self.probs.sum(axis=drop) if drop else self.probs
 
 
 # ---- operations ------------------------------------------------------------
@@ -158,15 +124,12 @@ def cell_entropies(rows: np.ndarray) -> np.ndarray:
 
 def _joint_entropy(p: JointPmf, vs: int) -> float:
     """H of the variables in ``vs`` (0.0 for the empty set), cached per pmf."""
-    p.check_varset(vs)
     cached = p._entropy_cache.get(vs)
     if cached is not None:
         return cached
     if not vs:
         return 0.0
-    drop = tuple(i for i in range(p.ndim) if not vs >> i & 1)
-    value = cell_entropy(p.probs.sum(axis=drop) if drop else p.probs)
-    p._entropy_cache[vs] = value
+    value = p._entropy_cache[vs] = cell_entropy(p.marginal(vs))
     return value
 
 
@@ -175,8 +138,8 @@ def entropy(p: JointPmf, of: int, given: int = 0) -> float:
 
     ``of`` must be nonempty and disjoint from ``given``.
     """
-    p.check_varset(of)
-    p.check_varset(given)
+    p.check_axes(of)
+    p.check_axes(given)
     if not of:
         raise StructuralError("entropy target set is empty")
     if of & given:
@@ -196,7 +159,7 @@ def mi_sets(p: JointPmf, a: int, b: int, given: int = 0) -> float:
     :class:`NumericIntegrityError`.
     """
     for vs in (a, b, given):
-        p.check_varset(vs)
+        p.check_axes(vs)
     if not a or not b:
         raise StructuralError("mutual information needs nonempty argument sets")
     if (a | b) & given:

@@ -213,8 +213,8 @@ def load_problem(path) -> ProblemSpec:
     try:
         spec = ProblemSpec(
             m, j, l, x_sizes, s_size, v_size, vhat_sizes,
-            source_probs=None, distortions=tables,
-            name=name, notes=notes, exact_probs=fracs,
+            source_probs=np.array(fracs, dtype=object).reshape(shape),
+            distortions=tables, name=name, notes=notes,
         )
     except StructuralError as exc:
         raise InputError(f"{path}: {exc}") from exc

@@ -178,17 +178,25 @@ def corner_point(aug: AugmentedPmf, perm: Sequence[int]) -> RateVector:
     """The extreme point of the region associated with processing order ``perm``.
 
     Source ``perm[i]`` pays the information its description adds on top of
-    the descriptions of ``perm[0..i-1]`` and S.  Tiny negatives from float
-    cancellation clamp to 0 so the result is a valid rate vector.
+    the descriptions of ``perm[0..i-1]`` and S (:func:`corner_rate`).
     """
     perm = check_permutation(perm, aug.m)
     rates = np.zeros(aug.m)
     prefix = 0
     for target in perm:
         bit = 1 << (target - 1)
-        rates[target - 1] = max(0.0, _cmi_xz(aug, bit, prefix))
+        rates[target - 1] = corner_rate(aug, bit, prefix)
         prefix |= bit
     return rates
+
+
+def corner_rate(aug: AugmentedPmf, source: int, before: int) -> float:
+    """The corner rate of one source bit after the source bitmask ``before``.
+
+    I(X ; Z | Z_before, S) of the source, from the CMI memo; tiny
+    negatives from float cancellation clamp to 0.
+    """
+    return max(0.0, _cmi_xz(aug, source, before))
 
 
 def enumerate_extreme_points(aug: AugmentedPmf) -> list[tuple[Permutation, RateVector]]:
@@ -285,9 +293,9 @@ def source_nondegeneracy_report(source: JointPmf, m: int) -> NondegeneracyReport
     excludes the remaining sources: a Markov-structured source is fine
     once its descriptions are noisy, and must not be flagged here.
     """
-    s = source.varset("S")
+    s = 1 << m                                          # the source axes are X1..XM, S, V
     entries = tuple(
-        (a, b, (), mi_sets(source, source.varset(f"X{a}"), source.varset(f"X{b}"), s))
+        (a, b, (), mi_sets(source, 1 << (a - 1), 1 << (b - 1), s))
         for a, b in itertools.combinations(range(1, m + 1), 2)
     )
     return NondegeneracyReport(entries)

@@ -7,7 +7,6 @@ from canonical_region import (
     DegeneracyWarning,
     ProblemSpec,
     StructuralError,
-    observation_axes,
     resolve_problem,
 )
 
@@ -83,12 +82,36 @@ def distinct_count(points, tol=DISTINCT_TOL):
     return count
 
 
+def layout_axes(spec):
+    """Axis names of the augmented joint in tensor order: X1..XM, S, V, Z_{J+1}..Z_M.
+
+    Written out from the documented layout, not read from AugmentedPmf;
+    the source law's axes are the first M + 2.
+    """
+    return ([f"X{i}" for i in range(1, spec.m + 1)] + ["S", "V"]
+            + [f"Z{k}" for k in spec.channel_slots])
+
+
+def axis_mask(spec, *names):
+    """The axis bitmask of the named variables under :func:`layout_axes`."""
+    axes = layout_axes(spec)
+    mask = 0
+    for name in names:
+        mask |= 1 << axes.index(name)
+    return mask
+
+
 def estimator_distortion(aug, l, table):
-    """Expected distortion of an arbitrary reconstruction table for measure l."""
+    """Expected distortion of an arbitrary reconstruction table for measure l.
+
+    The table's axes are the observations in layout order: X1..XJ, S, Z_{J+1}..Z_M.
+    """
     spec = aug.spec
     if not 1 <= l <= spec.l:
         raise StructuralError(f"distortion index {l} outside 1..{spec.l}")
-    m_uv = aug.joint.marginal(list(observation_axes(spec)) + ["V"])
+    obs = [f"X{i}" for i in range(1, spec.j + 1)] + ["S"] + [f"Z{k}" for k in spec.channel_slots]
+    law = aug.joint.marginal(axis_mask(spec, *obs, "V"))   # V sits after X1..XJ and S
+    m_uv = np.moveaxis(law, spec.j + 1, -1)             # (*u, v)
     d = spec.distortions[l - 1]
     tab = np.asarray(table, dtype=int)
     if tab.shape != m_uv.shape[:-1]:

@@ -232,9 +232,10 @@ def test_c7_descent_monotonicity(capsys):
 
 def _loop_distortion(aug, l, table):
     """Reference expected distortion: plain loops over the observation law."""
-    from canonical_region import observation_axes
-    names = list(observation_axes(aug.spec)) + ["V"]
-    m_uv = aug.joint.marginal(names)
+    m, j = aug.m, aug.j
+    # the bits of X1..XJ, S, V and Z_{J+1}..Z_M in the layout X1..XM, S, V, Z_{J+1}..Z_M
+    obs_and_v = (1 << j) - 1 | 3 << m | ((1 << (m - j)) - 1) << (m + 2)
+    m_uv = np.moveaxis(aug.joint.marginal(obs_and_v), j + 1, -1)   # V after X1..XJ, S
     d = aug.spec.distortions[l - 1]
     total = 0.0
     flat_tab = np.asarray(table).ravel()

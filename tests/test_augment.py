@@ -75,6 +75,11 @@ def test_problem_spec_validation():
     bad = {**ok, "source_probs": np.zeros((2, 1, 2))}
     with pytest.raises(StructuralError):
         ProblemSpec(1, 0, 1, **bad)
+    for value in (np.nan, np.inf, -np.inf):
+        probs = np.full((2, 1, 2), 0.25)
+        probs[1, 0, 0] = value
+        with pytest.raises(StructuralError):
+            ProblemSpec(1, 0, 1, **{**ok, "source_probs": probs})
     bad = {**ok, "distortions": [[[0.0], [1.0]]]}
     with pytest.raises(StructuralError):
         ProblemSpec(1, 0, 1, **bad)
@@ -90,6 +95,11 @@ def test_problem_spec_exact_normalization():
     assert spec.source_mass == Fraction(1, 2)
     assert float(spec.source.probs.sum()) == 1.0
     assert spec.channel_slots == (1,)
+    # exact rationals stay exact: 1/6 and 1/3 normalize to 1/3 and 2/3, which no float is
+    spec = ProblemSpec(1, 0, 0, [2], 1, 1, [], [[[Fraction(1, 6)]], [[Fraction(1, 3)]]], [])
+    assert spec.source_fractions == (Fraction(1, 3), Fraction(2, 3))
+    assert spec.source_mass == Fraction(1, 2)
+    assert spec.source.probs.ravel().tolist() == [1 / 3, 2 / 3]
 
 
 def test_problem_spec_zero_symbol_warning():
@@ -120,7 +130,7 @@ def test_attach_matches_loop_product():
                                 * chans[1].rows[x2, z2]
                             )
     aug = attach_channels(spec, chans)
-    assert [name for name, _ in aug.joint.axes] == ["X1", "X2", "S", "V", "Z1", "Z2"]
+    assert aug.joint.probs.shape == expected.shape
     assert np.allclose(aug.joint.probs, expected, atol=1e-15)
 
 
@@ -150,29 +160,52 @@ def test_attach_channel_factorization():
 def test_description_aliasing_below_j():
     rng = np.random.default_rng(5)
     spec = make_spec(rng, m=2, j=1, l=1)
-    aug = attach_channels(spec, random_channels(spec, rng))
+    (q,) = random_channels(spec, rng)
+    aug = attach_channels(spec, [q])
     assert aug.z_axes(0b01) == aug.x_axes(0b01)   # lossless side: description is X1
-    assert aug.z_axes(0b10) == aug.joint.varset("Z2")
+    pair = aug.joint.marginal(aug.x_axes(0b10) | aug.z_axes(0b10))
+    assert np.abs(pair - spec.x_marginal(2)[:, None] * q.rows).max() <= 1e-15
     with pytest.raises(StructuralError):
         aug.z_axes(0b100)
     with pytest.raises(AttributeError):
         aug.spec = spec
 
 
+def loop_source_marginal(spec, sources):
+    """The law of (X_i for i in the source mask, S, V), summed cell by cell."""
+    probs = spec.source.probs
+    keep = [i for i in range(spec.m) if sources >> i & 1] + [spec.m, spec.m + 1]
+    out = np.zeros([probs.shape[a] for a in keep])
+    for cell in np.ndindex(probs.shape):
+        out[tuple(cell[a] for a in keep)] += probs[cell]
+    return out
+
+
 @pytest.mark.parametrize("m", [3, 4])
-def test_axis_helpers_match_the_axis_names(m):
+def test_axis_helpers_match_the_construction(m):
     rng = np.random.default_rng(40 + m)
     for j in (0, 1, m):
-        spec = make_spec(rng, m=m, j=j, l=1, max_alphabet=2)
-        aug = attach_channels(spec, random_channels(spec, rng))
-        joint = aug.joint
-        assert aug.s_axis == joint.varset("S")
-        assert aug.v_axis == joint.varset("V")
+        spec = make_spec(rng, m=m, j=j, l=1)
+        chans = random_channels(spec, rng, sizes=[2 + i for i in range(m - j)])
+        aug = attach_channels(spec, chans)
         for mask in range(1 << m):
-            sources = [i for i in range(1, m + 1) if mask >> (i - 1) & 1]
-            assert aug.x_axes(mask) == joint.varset(*(f"X{i}" for i in sources))
-            descriptions = (f"Z{i}" if i > j else f"X{i}" for i in sources)
-            assert aug.z_axes(mask) == joint.varset(*descriptions)
+            got = aug.joint.marginal(aug.x_axes(mask) | aug.s_axis | aug.v_axis)
+            expected = loop_source_marginal(spec, mask)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-15
+            per_source = 0
+            for i in range(m):
+                if mask >> i & 1:
+                    per_source |= aug.z_axes(1 << i)
+            assert aug.z_axes(mask) == per_source
+        for i, q in zip(spec.channel_slots, chans):
+            bit = 1 << (i - 1)
+            p_i = loop_source_marginal(spec, bit).sum(axis=(1, 2))
+            got = aug.joint.marginal(aug.x_axes(bit) | aug.z_axes(bit))
+            assert got.shape == q.rows.shape
+            assert np.abs(got - p_i[:, None] * q.rows).max() <= 1e-15
+        for i in range(1, j + 1):                      # lossless: the description is X_i
+            assert aug.z_axes(1 << (i - 1)) == aug.x_axes(1 << (i - 1))
         for bad in (1 << m, (1 << m) | 1, 1 << (m + 3), -1, -(1 << m)):
             with pytest.raises(StructuralError):
                 aug.x_axes(bad)

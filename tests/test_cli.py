@@ -449,6 +449,16 @@ def test_cli_alphabet_bound_rejects_nonpositive_grid(capsys):
         assert "grid must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "alphabet-bound", "dsbs", "--trials", "0"],
+    ["verify", "alphabet-bound", "dsbs", "--trials", "-2"],
+    ["trace", "bwz", "--count", "0"],
+])
+def test_cli_random_direction_counts_name_their_flag(argv, capsys):
+    assert main(argv) == 2
+    assert f"{argv[-2]} must be >= 1, got {argv[-1]}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["verify", "decomposition", "bwz", "--trials", "0"], 2),
     (["verify", "noncrossing", "bwz", "--samples", "-1"], 2),

@@ -22,7 +22,6 @@ from canonical_region import (
     identity_channel,
     identity_permutation,
     mi_sets,
-    observation_axes,
     random_channels,
     random_direction,
     theta,
@@ -30,7 +29,7 @@ from canonical_region import (
 )
 from canonical_region.augment import MARGINAL_TOL, channel_product
 from canonical_region.functionals import check_simplex_point
-from conftest import estimator_distortion, make_spec, zero_symbol_spec
+from conftest import axis_mask, estimator_distortion, layout_axes, make_spec, zero_symbol_spec
 
 
 def test_direction_validation():
@@ -125,7 +124,7 @@ def test_bayes_distortion_extreme_channels(bwz):
     ident = attach_channels(bwz, [identity_channel(bwz.x_alphabets[0])])
     value, est = distortion_component(ident, 1)
     assert abs(value) < 1e-12
-    assert est.u_axes == ("Z1", "S")
+    assert est.table.shape == (bwz.s_alphabet.size, 2)    # S, then Z1
     const = attach_channels(bwz, [constant_channel(bwz.x_alphabets[0])])
     value, _ = distortion_component(const, 1)
     assert abs(value - 0.25) < 1e-12
@@ -135,22 +134,22 @@ def test_bayes_matches_exhaustive_tables(bwz):
     aug = attach_channels(bwz, [identity_channel(bwz.x_alphabets[0])])
     # oracle first: evaluate all 16 deterministic tables by plain loops
     joint = aug.joint.probs                  # axes X1 S V Z1
-    m_zsv = np.zeros((2, 2, 2))
+    m_szv = np.zeros((2, 2, 2))
     for x in range(2):
         for s in range(2):
             for v in range(2):
                 for z in range(2):
-                    m_zsv[z, s, v] += joint[x, s, v, z]
+                    m_szv[s, z, v] += joint[x, s, v, z]
     dtab = bwz.distortions[0]
     best = np.inf
     values = {}
     for flat in itertools.product(range(2), repeat=4):
         table = np.array(flat).reshape(2, 2)
         val = 0.0
-        for z in range(2):
-            for s in range(2):
+        for s in range(2):
+            for z in range(2):
                 for v in range(2):
-                    val += m_zsv[z, s, v] * dtab[v, table[z, s]]
+                    val += m_szv[s, z, v] * dtab[v, table[s, z]]
         values[flat] = val
         best = min(best, val)
     value, est = distortion_component(aug, 1)
@@ -177,9 +176,9 @@ def test_random_tables_never_beat_bayes():
 
 def test_estimator_validation():
     with pytest.raises(StructuralError):
-        Estimator(1, ("Z1",), np.array([0, 2]), vhat_size=2)
+        Estimator(1, np.array([0, 2]), vhat_size=2)
     with pytest.raises(StructuralError):
-        Estimator(1, ("Z1",), np.array([0, 1]), vhat_size=0)
+        Estimator(1, np.array([0, 1]), vhat_size=0)
     rng = np.random.default_rng(51)
     spec = make_spec(rng, m=1, j=0, l=1)
     aug = attach_channels(spec, random_channels(spec, rng))
@@ -190,9 +189,12 @@ def test_estimator_validation():
 
 
 def test_observation_axes_layout():
+    # the estimator reads the observations in layout order: X1..XJ, S, Z_{J+1}..Z_M
     rng = np.random.default_rng(52)
     spec = make_spec(rng, m=3, j=1, l=1)
-    assert observation_axes(spec) == ("X1", "Z2", "Z3", "S")
+    aug = attach_channels(spec, random_channels(spec, rng, sizes=[4, 5]))
+    _, est = distortion_component(aug, 1)
+    assert est.table.shape == (spec.x_alphabets[0].size, spec.s_alphabet.size, 4, 5)
 
 
 def test_phi_first_part_constant_at_own_slot():
@@ -204,8 +206,8 @@ def test_phi_first_part_constant_at_own_slot():
     frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
     # oracle: the constant from the full augmented joint (slot k's identity channel attached)
     aug = attach_channels(spec, [chans[0], identity_channel(spec.x_alphabets[k - 1])])
-    cond = aug.joint.varset("X1", "Z2", "S")
-    expected = entropy(aug.joint, aug.joint.varset("X3"), cond)
+    cond = axis_mask(spec, "X1", "Z2", "S")
+    expected = entropy(aug.joint, axis_mask(spec, "X3"), cond)
     # at a vertex e_x the point's own H_t(X_k | U) is 0, leaving the point-free constant
     vertices = np.eye(spec.x_alphabets[k - 1].size)
     assert np.abs(phi(spec, k, frozen, k, vertices) - expected).max() < 1e-10
@@ -225,9 +227,9 @@ def test_phi_mixture_reproduces_rates():
         cond_names = ["X1"] + [f"Z{t}" for t in range(2, i)] + ["S"]
         expected = mi_sets(
             aug.joint,
-            aug.joint.varset(f"X{i}"),
-            aug.joint.varset(f"Z{i}"),
-            aug.joint.varset(*cond_names),
+            axis_mask(spec, f"X{i}"),
+            axis_mask(spec, f"Z{i}"),
+            axis_mask(spec, *cond_names),
         )
         mixed = pair.weights @ phi(spec, k, frozen, i, pair.columns)
         assert abs(mixed - expected) < 1e-9
@@ -310,10 +312,9 @@ def test_functional_context_uses_the_channel_product():
             inert = {**frozen, k: constant_channel(spec.x_alphabets[k - 1])}
             expected = channel_product(spec, inert).probs
             assert ctx.aug.joint.probs.tobytes() == expected.tobytes()
-            assert [name for name, _ in ctx.aug.joint.axes] == (
-                [name for name, _ in spec.source.axes] + [f"Z{kk}" for kk in spec.channel_slots]
-            )
-            summed = aug.joint.probs.sum(axis=aug.joint.axis_index(f"Z{k}"), keepdims=True)
+            z_sizes = tuple(1 if kk == k else bank[kk].output.size for kk in spec.channel_slots)
+            assert ctx.aug.joint.probs.shape == spec.source.probs.shape + z_sizes
+            summed = aug.joint.probs.sum(axis=layout_axes(spec).index(f"Z{k}"), keepdims=True)
             assert np.abs(summed - ctx.aug.joint.probs).max() <= MARGINAL_TOL
     spec = make_spec(rng, m=2, j=0, l=1)
     wrong = identity_channel(Alphabet("X9", spec.x_alphabets[0].size))

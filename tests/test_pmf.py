@@ -14,10 +14,8 @@ from canonical_region import (
 )
 
 
-def random_joint(rng, sizes, labels=None):
-    labels = labels or [f"A{i}" for i in range(len(sizes))]
-    probs = rng.dirichlet(np.ones(int(np.prod(sizes)))).reshape(sizes)
-    return JointPmf([(lab, Alphabet(lab, n)) for lab, n in zip(labels, sizes)], probs)
+def random_joint(rng, sizes):
+    return JointPmf(rng.dirichlet(np.ones(int(np.prod(sizes)))).reshape(sizes))
 
 
 def loop_entropy(arr):
@@ -29,20 +27,17 @@ def loop_entropy(arr):
     return total
 
 
-def test_varset_operations():
-    p = random_joint(np.random.default_rng(6), (2, 3, 2, 2), labels=["A", "B", "C", "D"])
-    assert p.varset("A", "C") == 0b0101
-    assert p.varset("D", "B") == 0b1010
-    assert p.varset() == 0
+def test_axis_mask_bounds():
+    p = random_joint(np.random.default_rng(6), (2, 3, 2, 2))
+    assert p.ndim == 4
     assert p.all_axes() == 0b1111
-    with pytest.raises(StructuralError):
-        p.varset("Q")
     for ok in (0, 0b1, 0b1111):
-        p.check_varset(ok)
+        p.check_axes(ok)
     for bad in (-1, -0b1111, 1 << 4, 0b10001, 1 << 9):    # negative, or a bit >= ndim
         with pytest.raises(StructuralError):
-            p.check_varset(bad)
-        for compute in (lambda: entropy(p, bad), lambda: mi_sets(p, 0b1, 0b10, given=bad)):
+            p.check_axes(bad)
+        for compute in (lambda: entropy(p, bad), lambda: mi_sets(p, 0b1, 0b10, given=bad),
+                        lambda: p.marginal(bad)):
             with pytest.raises(StructuralError):
                 compute()
 
@@ -50,20 +45,14 @@ def test_varset_operations():
 def test_alphabet_and_joint_validation():
     with pytest.raises(StructuralError):
         Alphabet("X", 0)
-    ax = [("A", Alphabet("A", 2)), ("B", Alphabet("B", 2))]
     with pytest.raises(StructuralError):
-        JointPmf(ax, [[0.5, 0.5]])  # wrong shape
+        JointPmf([[0.6, -0.1], [0.3, 0.2]])
     with pytest.raises(StructuralError):
-        JointPmf(ax, [[0.6, -0.1], [0.3, 0.2]])
+        JointPmf([[0.3, 0.3], [0.3, 0.3]])  # mass 1.2
     with pytest.raises(StructuralError):
-        JointPmf(ax, [[0.3, 0.3], [0.3, 0.3]])  # mass 1.2
+        JointPmf([[np.nan, 0.5], [0.25, 0.25]])
     with pytest.raises(StructuralError):
-        JointPmf(ax, [[np.nan, 0.5], [0.25, 0.25]])
-    with pytest.raises(StructuralError):
-        JointPmf([("A", Alphabet("A", 2)), ("A", Alphabet("A", 2))],
-                 [[0.25, 0.25], [0.25, 0.25]])
-    with pytest.raises(StructuralError):
-        JointPmf([], 1.0)
+        JointPmf(1.0)                       # no axis
 
 
 def test_joint_is_immutable():
@@ -76,61 +65,44 @@ def test_joint_is_immutable():
 
 def test_marginalize_matches_loops():
     rng = np.random.default_rng(7)
-    p = random_joint(rng, (2, 3, 2), labels=["A", "B", "C"])
-    # oracle first: sum over axes 0 and 2 with explicit loops
-    oracle = np.zeros(3)
-    for a in range(2):
-        for b in range(3):
-            for c in range(2):
-                oracle[b] += p.probs[a, b, c]
-    got = p.marginal(["B"])
-    assert got.shape == (3,)
-    assert np.allclose(got, oracle, atol=1e-15)
-    assert np.allclose(p.marginal(["A", "B", "C"]), p.probs, atol=0.0)
-    with pytest.raises(StructuralError):
-        p.marginal(["D"])
-
-
-def test_marginal_requested_axis_order():
-    rng = np.random.default_rng(11)
-    p = random_joint(rng, (2, 3, 4), labels=["A", "B", "C"])
-    oracle = np.zeros((4, 2))
-    for a in range(2):
-        for b in range(3):
-            for c in range(4):
-                oracle[c, a] += p.probs[a, b, c]
-    assert np.allclose(p.marginal(["C", "A"]), oracle, atol=1e-15)
-    with pytest.raises(StructuralError):
-        p.marginal(["A", "A"])
-    with pytest.raises(StructuralError):
-        p.marginal(["Q"])
+    p = random_joint(rng, (2, 3, 2, 4))
+    for mask in range(1 << 4):
+        keep = [a for a in range(4) if mask >> a & 1]
+        # oracle first: add each cell into its kept coordinates, kept axes in tensor order
+        oracle = np.zeros([p.probs.shape[a] for a in keep])
+        for cell in np.ndindex(p.probs.shape):
+            oracle[tuple(cell[a] for a in keep)] += p.probs[cell]
+        got = p.marginal(mask)
+        assert np.shape(got) == oracle.shape
+        assert np.abs(got - oracle).max() <= 1e-15
+    assert np.array_equal(p.marginal(0b1111), p.probs)
 
 
 def test_entropy_known_values():
-    p = JointPmf([("A", Alphabet("A", 2))], [0.25, 0.75])
-    assert abs(entropy(p, p.varset("A")) - 0.8112781244591328) < 1e-15
-    u = JointPmf([("A", Alphabet("A", 8))], np.full(8, 0.125))
-    assert abs(entropy(u, u.varset("A")) - 3.0) < 1e-15
-    d = JointPmf([("A", Alphabet("A", 3))], [1.0, 0.0, 0.0])
-    assert entropy(d, d.varset("A")) == 0.0
+    p = JointPmf([0.25, 0.75])
+    assert abs(entropy(p, 0b1) - 0.8112781244591328) < 1e-15
+    u = JointPmf(np.full(8, 0.125))
+    assert abs(entropy(u, 0b1) - 3.0) < 1e-15
+    d = JointPmf([1.0, 0.0, 0.0])
+    assert entropy(d, 0b1) == 0.0
 
 
 def test_entropy_chain_rule():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        p = random_joint(rng, (3, 4), labels=["A", "B"])
-        va, vb = p.varset("A"), p.varset("B")
+        p = random_joint(rng, (3, 4))
+        va, vb = 0b01, 0b10
         lhs = entropy(p, va | vb)
         rhs = entropy(p, va) + entropy(p, vb, given=va)
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_entropy_argument_validation():
-    p = random_joint(np.random.default_rng(1), (2, 2), labels=["A", "B"])
+    p = random_joint(np.random.default_rng(1), (2, 2))
     with pytest.raises(StructuralError):
         entropy(p, 0)
     with pytest.raises(StructuralError):
-        entropy(p, p.varset("A"), given=p.varset("A"))
+        entropy(p, 0b01, given=0b01)
 
 
 def test_mutual_information_symmetric_pair():
@@ -143,25 +115,24 @@ def test_mutual_information_symmetric_pair():
     for x in range(2):
         for y in range(2):
             oracle += table[x, y] * math.log2(table[x, y] / (px[x] * py[y]))
-    p = JointPmf([("X", Alphabet("X", 2)), ("Y", Alphabet("Y", 2))], table)
-    got = mi_sets(p, p.varset("X"), p.varset("Y"))
+    p = JointPmf(table)
+    got = mi_sets(p, 0b01, 0b10)
     assert abs(got - oracle) < 1e-12
     assert abs(oracle - 0.5310044064107188) < 1e-12
 
 
 def test_mi_overlapping_sets_reduces_to_entropy():
     rng = np.random.default_rng(5)
-    p = random_joint(rng, (2, 3), labels=["X", "Y"])
-    vxy = p.varset("X", "Y")
-    vy = p.varset("Y")
+    p = random_joint(rng, (2, 3))
+    vxy, vy = 0b11, 0b10
     assert abs(mi_sets(p, vxy, vy) - entropy(p, vy)) < 1e-12
 
 
 def test_cmi_chain_rule_and_nonnegativity():
     rng = np.random.default_rng(9)
     for _ in range(30):
-        p = random_joint(rng, (2, 2, 3), labels=["A", "B", "C"])
-        va, vb, vc = p.varset("A"), p.varset("B"), p.varset("C")
+        p = random_joint(rng, (2, 2, 3))
+        va, vb, vc = 0b001, 0b010, 0b100
         joint = mi_sets(p, va, vb | vc)
         split = mi_sets(p, va, vb) + mi_sets(p, va, vc, given=vb)
         assert abs(joint - split) < 1e-12
@@ -169,15 +140,16 @@ def test_cmi_chain_rule_and_nonnegativity():
 
 
 def test_cmi_requires_disjoint_sets():
-    p = random_joint(np.random.default_rng(2), (2, 2), labels=["A", "B"])
+    p = random_joint(np.random.default_rng(2), (2, 2))
+    a, b = 0b01, 0b10
     with pytest.raises(StructuralError):
-        mi_sets(p, p.varset("A"), p.varset("B"), given=p.varset("B"))
+        mi_sets(p, a, b, given=b)
     with pytest.raises(StructuralError):
-        mi_sets(p, p.varset("A", "B"), p.varset("A"), given=p.varset("B"))
+        mi_sets(p, a | b, a, given=b)
     with pytest.raises(StructuralError):
-        mi_sets(p, 0, p.varset("B"))
+        mi_sets(p, 0, b)
     with pytest.raises(StructuralError):
-        mi_sets(p, p.varset("A"), 0)
+        mi_sets(p, a, 0)
 
 
 def test_data_processing_and_markov():
@@ -191,8 +163,8 @@ def test_data_processing_and_markov():
         for y in range(3):
             for z in range(3):
                 cube[x, y, z] = px[x] * q1[x, y] * q2[y, z]
-    p = JointPmf([(n, Alphabet(n, 3)) for n in "XYZ"], cube)
-    vx, vy, vz = p.varset("X"), p.varset("Y"), p.varset("Z")
+    p = JointPmf(cube)
+    vx, vy, vz = 0b001, 0b010, 0b100
     assert mi_sets(p, vx, vz, vy) <= 1e-10     # X -- Y -- Z: only cancellation noise
     assert mi_sets(p, vx, vz) <= mi_sets(p, vx, vy) + 1e-12
     # break the chain: Z a direct noisy copy of X
@@ -201,13 +173,13 @@ def test_data_processing_and_markov():
         for y in range(3):
             for z in range(3):
                 cube2[x, y, z] = px[x] * q1[x, y] * q2[x, z]
-    p2 = JointPmf([(n, Alphabet(n, 3)) for n in "XYZ"], cube2)
-    assert mi_sets(p2, p2.varset("X"), p2.varset("Z"), p2.varset("Y")) > 1e-3
+    p2 = JointPmf(cube2)
+    assert mi_sets(p2, vx, vz, vy) > 1e-3
 
 
 def test_entropy_cache_stable():
-    p = random_joint(np.random.default_rng(4), (3, 3), labels=["A", "B"])
-    v = p.varset("A", "B")
+    p = random_joint(np.random.default_rng(4), (3, 3))
+    v = 0b11
     first = entropy(p, v)
     assert entropy(p, v) == first
     assert abs(first - loop_entropy(p.probs)) < 1e-12

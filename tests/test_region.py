@@ -34,6 +34,7 @@ from canonical_region import (
 )
 from conftest import (
     DISTINCT_TOL,
+    axis_mask,
     distinct_count,
     make_spec,
     markov_source_spec,
@@ -89,8 +90,8 @@ def test_identity_channels_corner_is_entropy_chain():
         src = spec.source
         expected = np.zeros(3)
         for pos, target in enumerate(perm):
-            given = src.varset(*(f"X{i}" for i in perm[:pos]), "S")
-            expected[target - 1] = entropy(src, src.varset(f"X{target}"), given)
+            given = axis_mask(spec, *(f"X{i}" for i in perm[:pos]), "S")
+            expected[target - 1] = entropy(src, axis_mask(spec, f"X{target}"), given)
         got = corner_point(aug, perm)
         assert np.abs(got - expected).max() < 1e-10
 
@@ -422,9 +423,10 @@ def test_memo_warm_corners_equal_fresh_ones():
         # the prefix CMIs computed straight from the joint, with no memo
         reference = np.zeros(m)
         for pos, target in enumerate(perm):
-            c = fresh.joint.varset("S", *(f"Z{i}" if i > fresh.j else f"X{i}" for i in perm[:pos]))
-            z = fresh.joint.varset(f"Z{target}" if target > fresh.j else f"X{target}")
-            value = mi_sets(fresh.joint, fresh.joint.varset(f"X{target}"), z, c)
+            spec = fresh.spec
+            c = axis_mask(spec, "S", *(f"Z{i}" if i > fresh.j else f"X{i}" for i in perm[:pos]))
+            z = axis_mask(spec, f"Z{target}" if target > fresh.j else f"X{target}")
+            value = mi_sets(fresh.joint, axis_mask(spec, f"X{target}"), z, c)
             reference[target - 1] = max(0.0, value)
         corner = corner_point(warm, perm)
         assert corner.tolist() == reference.tolist()
@@ -445,19 +447,19 @@ def test_identity_suite_is_the_same_on_a_warm_memo():
 def reference_chain_identities(aug, trials, tol, seed):
     # the tuple-based identity suite the bitmask one replaced, with every
     # information quantity built from axis names and computed by mi_sets
-    joint, m = aug.joint, aug.m
+    joint, m, spec = aug.joint, aug.m, aug.spec
     full = tuple(range(1, m + 1))
 
     def desc(group):
         return [f"Z{i}" if i > aug.j else f"X{i}" for i in group]
 
     def xz(left, cond):
-        return mi_sets(joint, joint.varset(*(f"X{i}" for i in left)),
-                       joint.varset(*desc(left)), joint.varset("S", *desc(cond)))
+        return mi_sets(joint, axis_mask(spec, *(f"X{i}" for i in left)),
+                       axis_mask(spec, *desc(left)), axis_mask(spec, "S", *desc(cond)))
 
     def zz(left, right, cond):
-        return mi_sets(joint, joint.varset(*desc(left)), joint.varset(*desc(right)),
-                       joint.varset("S", *desc(cond)))
+        return mi_sets(joint, axis_mask(spec, *desc(left)), axis_mask(spec, *desc(right)),
+                       axis_mask(spec, "S", *desc(cond)))
 
     rng = np.random.default_rng(seed)
     names = ("condition-drop-split", "disjoint-union-split", "restricted-union-split",
@@ -640,15 +642,15 @@ def test_nondegeneracy_minimum_is_the_smallest_corner_separation(monkeypatch, se
     assert abs(report.min_value - closest) <= 1e-12
 
 
-def reference_group_pair_minimum(source, m):
+def reference_group_pair_minimum(spec):
     """min I(X_I ; X_I' | S) over every disjoint pair of nonempty source groups."""
-    s = source.varset("S")
+    s = axis_mask(spec, "S")
     values = []
-    for sides in itertools.product(range(3), repeat=m):
+    for sides in itertools.product(range(3), repeat=spec.m):
         a = [f"X{i + 1}" for i, side in enumerate(sides) if side == 1]
         b = [f"X{i + 1}" for i, side in enumerate(sides) if side == 2]
         if a and b:
-            values.append(mi_sets(source, source.varset(*a), source.varset(*b), s))
+            values.append(mi_sets(spec.source, axis_mask(spec, *a), axis_mask(spec, *b), s))
     return min(values, default=float("inf"))
 
 
@@ -660,7 +662,7 @@ def test_source_preflight_minimum_matches_the_group_pair_probe():
     for spec in specs:
         report = source_nondegeneracy_report(spec.source, spec.m)
         assert len(report.entries) == math.comb(spec.m, 2)
-        assert report.min_value == reference_group_pair_minimum(spec.source, spec.m)
+        assert report.min_value == reference_group_pair_minimum(spec)
     aug = attach_channels(specs[0], random_channels(specs[0], rng))
     assert nondegeneracy_report(aug).entries == ()
     assert not nondegeneracy_report(aug).degenerate
