@@ -238,23 +238,6 @@ class ProblemSpec:
         self.x_alphabet(k)                              # refuses k outside 1..M
         return self.source.marginal(1 << (k - 1))
 
-    def equals(self, other: "ProblemSpec") -> bool:
-        """Exact field-by-field equality (rationals, not float tolerance)."""
-        return (
-            isinstance(other, ProblemSpec)
-            and (self.name, self.notes) == (other.name, other.notes)
-            and (self.m, self.j, self.l) == (other.m, other.j, other.l)
-            and self.x_alphabets == other.x_alphabets
-            and self.s_alphabet == other.s_alphabet
-            and self.v_alphabet == other.v_alphabet
-            and self.vhat_alphabets == other.vhat_alphabets
-            and self.source_fractions == other.source_fractions
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.distortions, other.distortions)
-            )
-        )
-
 
 def random_channels(
     spec: ProblemSpec,

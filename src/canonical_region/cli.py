@@ -19,11 +19,16 @@ Three subcommands:
     Multistart coordinate descent along one or more directions; reports
     the optimized corner and distortions per direction.
 
+Each command and suite accepts only the flags it reads; an unread flag,
+two flags that choose the same thing, or a value out of range is a usage
+error (exit 2) before any problem is loaded.
+
 Results stream to stdout as text; ``--out PATH`` additionally writes one
-JSON record per line.  Records never contain wall-clock times or other
-run-varying data, so reruns with the same arguments write byte-identical
-files.  Exit codes: 0 success, 1 verification failure, 2 bad input,
-3 refused for budget.
+JSON record per line, led by a ``run`` record of the parsed arguments.
+Records never contain wall-clock times or other run-varying data, so
+reruns with the same arguments write byte-identical files.  Exit codes:
+0 success, 1 verification failure, 2 bad input or usage, 3 refused for
+budget.
 """
 from __future__ import annotations
 
@@ -110,26 +115,24 @@ def _emit(records: list[dict], out: str | None) -> None:
 
 
 def _bank(spec, args):
-    if getattr(args, "channels", None):
+    if args.channels:
         return load_channels(args.channels, spec)
     return random_channels(spec, np.random.default_rng(args.seed))
 
 
-def _random_directions(spec, seed: int, flag: str, count: int, stream: int) -> list[Direction]:
-    """``count`` draws of :func:`random_direction` from the stream ``(seed, stream)``.
-
-    ``flag`` is the option that set ``count``, named when it is below 1.
-    """
-    if count < 1:
-        raise InputError(f"{flag} must be >= 1, got {count}")
+def _random_directions(spec, seed: int, count: int, stream: int) -> list[Direction]:
+    """``count`` draws of :func:`random_direction` from the stream ``(seed, stream)``."""
     rng = np.random.default_rng((seed, stream))
     return [random_direction(spec.m, spec.j, spec.l, rng) for _ in range(count)]
 
 
-def _run_record(args, spec, command: str, **params) -> dict:
+def _run_record(args, spec) -> dict:
+    """The run header: the problem and every parsed argument of the command."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("func", "command", "problem", "out")}
     return {
         "type": "run",
-        "command": command,
+        "command": args.command,
         "problem": args.problem,
         "name": spec.name,
         "m": spec.m,
@@ -154,9 +157,7 @@ def cmd_extreme_points(args) -> int:
     ndg = nondegeneracy_report(aug)
     full_info = rate_lhs(aug, range(1, spec.m + 1))
 
-    records = [_run_record(args, spec, "extreme-points",
-                           seed=args.seed, tol=args.tol,
-                           channels=args.channels or "")]
+    records = [_run_record(args, spec)]
     passed = True
     sum_rates = []
     for perm, rates in points:
@@ -202,11 +203,9 @@ def cmd_extreme_points(args) -> int:
 
 
 def _suite_identities(args, spec, records: list[dict]) -> bool:
-    trials = 200 if args.trials is None else args.trials
-    tol = ACTIVE_TOL if args.tol is None else args.tol
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
-    report = verify_chain_identities(aug, trials=trials, tol=tol, seed=args.seed)
+    report = verify_chain_identities(aug, trials=args.trials, tol=args.tol, seed=args.seed)
     for check in report.checks:
         detail = {
             "trials": check.trials,
@@ -230,9 +229,6 @@ def _suite_identities(args, spec, records: list[dict]) -> bool:
 
 
 def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
-    if args.samples < 0:
-        raise InputError(f"--samples must be >= 0, got {args.samples}")
-    tol = ACTIVE_TOL if args.tol is None else args.tol
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
     points = enumerate_extreme_points(aug)
@@ -240,7 +236,7 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
     degenerate = nondegeneracy_report(aug).degenerate
     passed = True
     for idx, (perm, rates) in enumerate(points):
-        ok = verify_noncrossing(aug, rates, tol) or degenerate
+        ok = verify_noncrossing(aug, rates, args.tol) or degenerate
         passed = passed and ok
         records.append({
             "type": "check",
@@ -257,7 +253,7 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
     for t in range(args.samples):
         weights = rng.dirichlet(np.ones(len(points)))
         rates = weights @ corners + rng.exponential(0.05, size=spec.m)
-        ok = verify_noncrossing(aug, rates, tol) or degenerate
+        ok = verify_noncrossing(aug, rates, args.tol) or degenerate
         members_ok = members_ok and ok
         records.append({
             "type": "check",
@@ -274,17 +270,13 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
 def _suite_decomposition(args, spec, records: list[dict]) -> bool:
     if not spec.channel_slots:
         raise InputError("decomposition is vacuous without channel slots")
-    trials = 20 if args.trials is None else args.trials
-    if trials < 1:
-        raise InputError(f"--trials must be >= 1, got {trials}")
-    tol = DECOMPOSITION_TOL if args.tol is None else args.tol
     passed = True
     worst = 0.0
-    for t in range(trials):
+    for t in range(args.trials):
         rng = np.random.default_rng((args.seed, t))
         channels = random_channels(spec, rng)
         direction = random_direction(spec.m, spec.j, spec.l, rng)
-        report = verify_linear_decomposition(spec, channels, direction, tol)
+        report = verify_linear_decomposition(spec, channels, direction, args.tol)
         passed = passed and report.passed
         worst = max(worst, report.worst_error)
         detail = {"worst_error": report.worst_error}
@@ -299,22 +291,18 @@ def _suite_decomposition(args, spec, records: list[dict]) -> bool:
             "passed": report.passed,
             "detail": detail,
         })
-    print(f"mixture decomposition over {trials} random draws: worst error "
+    print(f"mixture decomposition over {args.trials} random draws: worst error "
           f"{worst:.3e} {'ok' if passed else 'FAILED'}")
     return passed
 
 
 def _suite_alphabet_bound(args, spec, records: list[dict]) -> bool:
-    tol = ALPHABET_BOUND_TOL if args.tol is None else args.tol
     if args.directions:
-        if args.trials is not None:
-            raise InputError("--trials and --directions both set the directions; pass one")
         directions = load_directions(args.directions, spec)
     else:
-        count = 4 if args.trials is None else args.trials
-        directions = _random_directions(spec, args.seed, "--trials", count, 2)
+        directions = _random_directions(spec, args.seed, args.trials, 2)
     report = verify_alphabet_bound(
-        spec, directions, grid=args.grid, tol=tol, sweeps=args.sweeps,
+        spec, directions, grid=args.grid, tol=args.tol, sweeps=args.sweeps,
         candidates=args.candidates, restarts=args.restarts, seed=args.seed,
     )
     for idx, entry in enumerate(report.entries):
@@ -347,27 +335,10 @@ _SUITES = {
     "alphabet-bound": _suite_alphabet_bound,
 }
 
-# the file flags each suite reads; the others refuse them rather than ignore them
-_SUITE_FILES = {
-    "identities": ("channels",),
-    "noncrossing": ("channels",),
-    "decomposition": (),
-    "alphabet-bound": ("directions",),
-}
-
 
 def cmd_verify(args) -> int:
-    for flag in ("channels", "directions"):
-        if getattr(args, flag) and flag not in _SUITE_FILES[args.suite]:
-            raise InputError(f"verify {args.suite} does not read --{flag}")
     spec = resolve_problem(args.problem)
-    records = [_run_record(
-        args, spec, "verify", suite=args.suite, seed=args.seed,
-        trials=args.trials, tol=args.tol, grid=args.grid,
-        samples=args.samples, sweeps=args.sweeps, candidates=args.candidates,
-        restarts=args.restarts, channels=args.channels or "",
-        directions=args.directions or "",
-    )]
+    records = [_run_record(args, spec)]
     passed = _SUITES[args.suite](args, spec, records)
     records.append({
         "type": "summary",
@@ -385,12 +356,7 @@ def cmd_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     spec = resolve_problem(args.problem)
-    if args.count is not None and (args.directions or args.sweep is not None):
-        raise InputError("--count draws random directions; it does not combine with "
-                         "--sweep or --directions")
     if args.directions:
-        if args.sweep is not None:
-            raise InputError("--sweep and --directions both set the directions; pass one")
         directions = load_directions(args.directions, spec)
     elif args.sweep is not None:
         if spec.m - spec.j + spec.l != 2:
@@ -398,8 +364,6 @@ def cmd_trace(args) -> int:
                 "--sweep needs exactly two weight coordinates; this problem "
                 f"has {spec.m - spec.j} free rate(s) and {spec.l} distortion(s)"
             )
-        if args.sweep < 2:
-            raise InputError(f"--sweep needs at least 2 points, got {args.sweep}")
         directions = [
             Direction.normalized(
                 spec.m, spec.j, spec.l,
@@ -408,24 +372,15 @@ def cmd_trace(args) -> int:
             for theta in np.linspace(0.0, math.pi / 2, args.sweep)
         ]
     else:
-        count = 8 if args.count is None else args.count
-        directions = _random_directions(spec, args.seed, "--count", count, 3)
+        directions = _random_directions(spec, args.seed, args.count, 3)
     perm = None
     if args.perm is not None:
         try:
-            perm = check_permutation(
-                [int(p) for p in args.perm.split(",")], spec.m
-            )
-        except (ValueError, StructuralError) as exc:
-            raise InputError(f"bad --perm {args.perm!r}: {exc}") from exc
+            perm = check_permutation(args.perm, spec.m)
+        except StructuralError as exc:
+            raise InputError(f"bad --perm: {exc}") from exc
 
-    records = [_run_record(
-        args, spec, "trace", seed=args.seed, count=len(directions),
-        sweep=args.sweep or 0,
-        perm=list(perm) if perm else [], restarts=args.restarts,
-        sweeps=args.sweeps, candidates=args.candidates,
-        directions=args.directions or "",
-    )]
+    records = [_run_record(args, spec)]
     points = trace_inner_bound(
         spec, directions, perm=perm, restarts=args.restarts,
         sweeps=args.sweeps, candidates=args.candidates, seed=args.seed,
@@ -462,61 +417,110 @@ def cmd_trace(args) -> int:
 # ---- parser -----------------------------------------------------------------
 
 
+def _ranged(convert, rule: str, ok):
+    """An argparse type: ``convert(text)``, a usage error naming the flag unless ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = convert.__name__   # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+_NATURAL = _ranged(int, ">= 0", lambda v: v >= 0)
+_COUNT = _ranged(int, ">= 1", lambda v: v >= 1)
+_POINTS = _ranged(int, ">= 2", lambda v: v >= 2)
+_TOL = _ranged(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+
+
+def _perm(text: str) -> list[int]:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be integers P1,P2,..., got {text!r}") from None
+
+
+def _descent_flags(p, restarts: str) -> None:
+    p.add_argument("--restarts", type=_COUNT, default=restarts,
+                   help="descent multistarts (default %(default)s)")
+    p.add_argument("--sweeps", type=_COUNT, default="50",
+                   help="most sweeps per descent (default %(default)s)")
+    p.add_argument("--candidates", type=_NATURAL, default="64",
+                   help="random pool points per slot step (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # Defaults are command-line text that passes through the flag's type.  A
+    # mutually exclusive group ignores a flag whose parsed value *is* its
+    # default object, as a small int typed on the command line would be.
     parser = argparse.ArgumentParser(
         prog="canonical-region",
         description="Corner points, verification suites, and frontier tracing "
                     "for multiterminal rate regions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("problem", help="problem file path or bundled problem name")
+    target.add_argument("--out", metavar="PATH", help="write JSONL records here")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[target])
+    seeded.add_argument("--seed", type=_NATURAL, default="42",
+                        help="random seed (default %(default)s)")
+    channels = "channel bank JSON file (default: a random bank from --seed)"
+    directions = "directions JSON file"
+    tol = "tolerance (default %(default)s)"
 
-    p = sub.add_parser("extreme-points", help="enumerate and check all corners")
-    p.add_argument("problem", help="problem file path or bundled problem name")
-    p.add_argument("--channels", metavar="PATH", help="channel bank JSON file")
-    p.add_argument("--seed", type=int, default=42, help="seed for random channels")
-    p.add_argument("--tol", type=float, default=ACTIVE_TOL, help="activeness tolerance")
-    p.add_argument("--out", metavar="PATH", help="write JSONL records here")
+    p = sub.add_parser("extreme-points", parents=[target],
+                       help="enumerate and check all corners")
+    bank = p.add_mutually_exclusive_group()
+    bank.add_argument("--channels", metavar="PATH", help=channels)
+    bank.add_argument("--seed", type=_NATURAL, default="42",
+                      help="random bank seed (default %(default)s)")
+    p.add_argument("--tol", type=_TOL, default=repr(ACTIVE_TOL), help=tol)
     p.set_defaults(func=cmd_extreme_points)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("problem", help="problem file path or bundled problem name")
-    p.add_argument("--trials", type=int, default=None,
-                   help="random draws (identities: 200, decomposition: 20, "
-                        "alphabet-bound directions: 4)")
-    p.add_argument("--samples", type=int, default=50,
-                   help="random member points for the noncrossing suite")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"tolerance ({ACTIVE_TOL}; alphabet-bound: {ALPHABET_BOUND_TOL})")
-    p.add_argument("--grid", type=int, default=12,
-                   help="lattice resolution for alphabet-bound")
-    p.add_argument("--sweeps", type=int, default=50)
-    p.add_argument("--candidates", type=int, default=64)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--channels", metavar="PATH", help="channel bank JSON file")
-    p.add_argument("--directions", metavar="PATH", help="directions JSON file")
-    p.add_argument("--out", metavar="PATH", help="write JSONL records here")
-    p.set_defaults(func=cmd_verify)
+    verify = sub.add_parser("verify", help="run a verification suite")
+    verify.set_defaults(func=cmd_verify)
+    suites = verify.add_subparsers(dest="suite", required=True)
 
-    p = sub.add_parser("trace", help="trace the inner bound along directions")
-    p.add_argument("problem", help="problem file path or bundled problem name")
-    p.add_argument("--directions", metavar="PATH", help="directions JSON file")
-    p.add_argument("--sweep", type=int, metavar="N",
-                   help="N-point quarter-circle direction sweep (needs exactly "
-                        "two weight coordinates; not with --directions)")
-    p.add_argument("--count", type=int, default=None,
-                   help="number of random directions (default 8; not with --sweep "
-                        "or --directions)")
-    p.add_argument("--perm", metavar="P1,P2,...",
+    p = suites.add_parser("identities", parents=[seeded], help="decomposition identities")
+    p.add_argument("--trials", type=_COUNT, default="200",
+                   help="random draws (default %(default)s)")
+    p.add_argument("--tol", type=_TOL, default=repr(ACTIVE_TOL), help=tol)
+    p.add_argument("--channels", metavar="PATH", help=channels)
+
+    p = suites.add_parser("noncrossing", parents=[seeded], help="tight sets form chains")
+    p.add_argument("--samples", type=_NATURAL, default="50",
+                   help="random member points (default %(default)s)")
+    p.add_argument("--tol", type=_TOL, default=repr(ACTIVE_TOL), help=tol)
+    p.add_argument("--channels", metavar="PATH", help=channels)
+
+    p = suites.add_parser("decomposition", parents=[seeded], help="per-slot mixtures")
+    p.add_argument("--trials", type=_COUNT, default="20",
+                   help="random banks and directions (default %(default)s)")
+    p.add_argument("--tol", type=_TOL, default=repr(DECOMPOSITION_TOL), help=tol)
+
+    p = suites.add_parser("alphabet-bound", parents=[seeded], help="larger outputs do not help")
+    chosen = p.add_mutually_exclusive_group()
+    chosen.add_argument("--directions", metavar="PATH", help=directions)
+    chosen.add_argument("--trials", type=_COUNT, default="4",
+                        help="random directions (default %(default)s)")
+    p.add_argument("--grid", type=_COUNT, default="12",
+                   help="lattice resolution (default %(default)s)")
+    _descent_flags(p, restarts="4")
+    p.add_argument("--tol", type=_TOL, default=repr(ALPHABET_BOUND_TOL), help=tol)
+
+    p = sub.add_parser("trace", parents=[seeded], help="trace the inner bound along directions")
+    chosen = p.add_mutually_exclusive_group()
+    chosen.add_argument("--directions", metavar="PATH", help=directions)
+    chosen.add_argument("--sweep", type=_POINTS, metavar="N",
+                        help="N-point quarter-circle sweep (two weight coordinates only)")
+    chosen.add_argument("--count", type=_COUNT, default="8",
+                        help="random directions (default %(default)s)")
+    p.add_argument("--perm", type=_perm, metavar="P1,P2,...",
                    help="processing order whose corner to report")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--sweeps", type=int, default=50)
-    p.add_argument("--candidates", type=int, default=64)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", metavar="PATH", help="write JSONL records here")
+    _descent_flags(p, restarts="8")
     p.set_defaults(func=cmd_trace)
-
     return parser
 
 
@@ -526,14 +530,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:   # argparse: 2 on a usage error, 0 after --help
+        return exc.code
     start = time.perf_counter()
     try:
-        tol = getattr(args, "tol", None)
-        if tol is not None and not (math.isfinite(tol) and tol >= 0):
-            raise InputError(f"--tol must be finite and >= 0, got {tol}")
-        if args.seed < 0:
-            raise InputError(f"--seed must be >= 0, got {args.seed}")
         code = args.func(args)
     except NumericIntegrityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

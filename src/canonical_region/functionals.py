@@ -346,7 +346,6 @@ class DecompositionEntry:
 @dataclass(frozen=True)
 class DecompositionReport:
     entries: tuple[DecompositionEntry, ...]
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -382,4 +381,4 @@ def verify_linear_decomposition(
         value = float(pair.weights @ theta(ctx, pair.columns))
         err = abs(value - direct)
         entries.append(DecompositionEntry(k, value, direct, err, err <= tol))
-    return DecompositionReport(tuple(entries), tol)
+    return DecompositionReport(tuple(entries))

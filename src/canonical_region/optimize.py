@@ -399,7 +399,6 @@ def brute_force_search(
 
 @dataclass(frozen=True, eq=False)
 class AlphabetBoundEntry:
-    direction: Direction
     capped_value: float
     enlarged_value: float
     margin: float                 # capped - enlarged; <= tol means pass
@@ -413,7 +412,6 @@ class AlphabetBoundReport:
     enlarged_sizes: tuple[int, ...]
     capped_grid: int
     enlarged_grid: int
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -462,6 +460,10 @@ def verify_alphabet_bound(
         raise StructuralError(f"grid must be >= 1, got {grid}")
     if restarts < 1:
         raise StructuralError(f"restarts must be >= 1, got {restarts}")
+    if sweeps < 1:
+        raise StructuralError(f"sweeps must be >= 1, got {sweeps}")
+    if candidates < 0:
+        raise StructuralError(f"candidates must be >= 0, got {candidates}")
     g_capped = _fit_grid(spec, capped_sizes, grid, max_evals)
     g_enlarged = _fit_grid(spec, enlarged_sizes, grid, max_evals)
 
@@ -480,11 +482,10 @@ def verify_alphabet_bound(
         best = min(float(capped_vals[idx]), run.objective)
         margin = best - float(enlarged_vals[idx])
         entries.append(
-            AlphabetBoundEntry(direction, best, float(enlarged_vals[idx]),
-                               margin, margin <= tol)
+            AlphabetBoundEntry(best, float(enlarged_vals[idx]), margin, margin <= tol)
         )
     return AlphabetBoundReport(
-        tuple(entries), capped_sizes, enlarged_sizes, g_capped, g_enlarged, tol
+        tuple(entries), capped_sizes, enlarged_sizes, g_capped, g_enlarged
     )
 
 

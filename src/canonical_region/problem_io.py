@@ -253,7 +253,7 @@ def save_problem(spec: ProblemSpec, path) -> None:
 
     The emitted probabilities are the spec's normalized rationals printed
     exactly, so ``load_problem(save_problem(spec))`` reproduces the spec
-    field for field (:meth:`ProblemSpec.equals`).
+    field for field, exact rationals included.
     """
     shape = tuple(a.size for a in spec.x_alphabets) + (
         spec.s_alphabet.size, spec.v_alphabet.size,

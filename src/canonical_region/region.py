@@ -319,7 +319,6 @@ class IdentityCheck:
 @dataclass(frozen=True)
 class ChainIdentityReport:
     checks: tuple[IdentityCheck, ...]
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -440,4 +439,4 @@ def verify_chain_identities(aug: AugmentedPmf, trials: int = 200,
     checks = tuple(
         IdentityCheck(n, counts[n], worst[n], tuple(failures[n])) for n in names
     )
-    return ChainIdentityReport(checks, tol)
+    return ChainIdentityReport(checks)

@@ -30,6 +30,21 @@ def make_spec(rng, m=None, j=None, l=None, max_alphabet=3, name=""):
     )
 
 
+def spec_equals(a, b):
+    """Exact field-by-field equality of two specs (rationals, not float tolerance)."""
+    return (
+        isinstance(b, ProblemSpec)
+        and (a.name, a.notes) == (b.name, b.notes)
+        and (a.m, a.j, a.l) == (b.m, b.j, b.l)
+        and a.x_alphabets == b.x_alphabets
+        and a.s_alphabet == b.s_alphabet
+        and a.v_alphabet == b.v_alphabet
+        and a.vhat_alphabets == b.vhat_alphabets
+        and a.source_fractions == b.source_fractions
+        and all(np.array_equal(x, y) for x, y in zip(a.distortions, b.distortions))
+    )
+
+
 def region_problem_spec(seed, m):
     """The benchmark's region problem: binary X/S/V, J = M - 4, L = 1, and a
     Dirichlet(1) source drawn from ``(seed, m)``."""

@@ -127,6 +127,11 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
         ["verify", "noncrossing", "dsbs", "--directions", "dirs-dsbs.json"],
         ["trace", "dsbs", "--directions", "dirs-dsbs.json", "--count", "1"],
         ["trace", "bwz", "--sweep", "9", "--count", "5"],
+        ["verify", "noncrossing", "dsbs", "--trials", "0"],
+        ["verify", "identities", "dsbs", "--grid", "0"],
+        ["verify", "decomposition", "dsbs", "--samples", "5"],
+        ["verify", "alphabet-bound", "dsbs", "--sweeps", "0"],
+        ["extreme-points", "helper3", "--channels", "bank-helper3.json", "--seed", "3"],
     ]
     return cmds
 

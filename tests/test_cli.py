@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -26,8 +27,14 @@ from canonical_region import (
     resolve_problem,
     save_problem,
 )
-from canonical_region.cli import main
-from conftest import make_spec, markov_source_spec, product_source_spec, region_problem_spec
+from canonical_region.cli import build_parser, main
+from conftest import (
+    make_spec,
+    markov_source_spec,
+    product_source_spec,
+    region_problem_spec,
+    spec_equals,
+)
 
 
 def write_problem(tmp_path, fname="prob.json", **over):
@@ -206,12 +213,12 @@ def test_save_load_round_trip(tmp_path):
         target = tmp_path / f"{name}-copy.json"
         save_problem(spec, target)
         again = load_problem(target)
-        assert spec.equals(again)
+        assert spec_equals(spec, again)
     rng = np.random.default_rng(100)
     spec = make_spec(rng, m=2, j=1, l=2, name="round-trip")
     target = tmp_path / "random.json"
     save_problem(spec, target)
-    assert spec.equals(load_problem(target))
+    assert spec_equals(spec, load_problem(target))
 
 
 def test_load_channels_files(tmp_path, dsbs):
@@ -446,7 +453,7 @@ def test_cli_verify_alphabet_bound(tmp_path):
 def test_cli_alphabet_bound_rejects_nonpositive_grid(capsys):
     for grid in ("0", "-3"):
         assert main(["verify", "alphabet-bound", "bwz", "--grid", grid]) == 2
-        assert "grid must be >= 1" in capsys.readouterr().err
+        assert f"argument --grid: must be >= 1, got {grid}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -456,7 +463,7 @@ def test_cli_alphabet_bound_rejects_nonpositive_grid(capsys):
 ])
 def test_cli_random_direction_counts_name_their_flag(argv, capsys):
     assert main(argv) == 2
-    assert f"{argv[-2]} must be >= 1, got {argv[-1]}" in capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be >= 1, got {argv[-1]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -491,7 +498,7 @@ def test_cli_rejects_negative_or_nonfinite_tol(tmp_path, capsys, argv, code):
     out = tmp_path / "o.jsonl"
     assert main(argv + ["--out", str(out)]) == code
     assert out.exists() == (code == 0)
-    assert ("--tol must be finite and >= 0" in capsys.readouterr().err) == (code == 2)
+    assert ("argument --tol: must be finite and >= 0" in capsys.readouterr().err) == (code == 2)
 
 
 def test_cli_refuses_random_directions_without_a_weight_coordinate(tmp_path):
@@ -519,7 +526,7 @@ def test_cli_refuses_random_directions_without_a_weight_coordinate(tmp_path):
 def test_cli_rejects_a_negative_seed(tmp_path, capsys, argv):
     out = tmp_path / "o.jsonl"
     assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
-    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -650,7 +657,7 @@ def test_cli_trace_refuses_sweep_with_directions_file(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     assert main(["trace", "bwz", "--sweep", "3", "--directions", str(dirs),
                  "--out", str(out)]) == 2
-    assert "--sweep and --directions" in capsys.readouterr().err
+    assert "argument --directions: not allowed with argument --sweep" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -672,7 +679,7 @@ def test_cli_alphabet_bound_refuses_trials_with_directions_file(tmp_path, capsys
     out = tmp_path / "ab.jsonl"
     assert main(["verify", "alphabet-bound", "bwz", "--directions", str(dirs),
                  "--trials", "2", "--grid", "4", "--out", str(out)]) == 2
-    assert "--trials and --directions" in capsys.readouterr().err
+    assert "argument --trials: not allowed with argument --directions" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -691,7 +698,7 @@ def test_cli_verify_refuses_a_file_its_suite_does_not_read(tmp_path, capsys, sui
     path.write_text(json.dumps(files[flag]))
     out = tmp_path / "v.jsonl"
     assert main(["verify", suite, "dsbs", flag, str(path), "--out", str(out)]) == 2
-    assert f"verify {suite} does not read {flag}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -703,3 +710,107 @@ def test_cli_verify_channels_file(tmp_path):
     ]}))
     assert main(["verify", "identities", "dsbs", "--trials", "20",
                  "--channels", str(chan)]) == 0
+
+
+# ---- every flag matters ------------------------------------------------------
+
+
+def _leaf_commands(parser, words=()):
+    """(command words, parser) for every command that runs, ``verify`` suites included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, (*words, name))
+            return
+    yield " ".join(words), parser
+
+
+def _flag_cases():
+    for command, parser in _leaf_commands(build_parser()):
+        for action in parser._actions:
+            flag = max(action.option_strings, default=None, key=len)
+            if flag not in (None, "--help", "--out"):
+                yield pytest.param(command, flag, id=f"{command} {flag}")
+
+
+# one cheap invocation per flag, with a value other than the flag's default;
+# the test also runs it with the default in that value's place (or without the
+# flag when it has none). A flag missing here fails. Where records carry only
+# verdicts (noncrossing) or descent ends at the lattice optimum, the settings
+# are chosen so that the flag's effect reaches the output.
+FLAG_CASES = {
+    "extreme-points --channels": "dsbs --channels bank.json",
+    "extreme-points --seed": "dsbs --seed 3",
+    "extreme-points --tol": "dsbs --tol 0.5",
+    "verify identities --seed": "dsbs --trials 5 --seed 3",
+    "verify identities --trials": "dsbs --trials 7",
+    "verify identities --tol": "dsbs --trials 5 --tol 0",
+    "verify identities --channels": "dsbs --trials 5 --channels bank.json",
+    "verify noncrossing --seed": "dsbs --samples 5 --tol 0.1 --seed 3",
+    "verify noncrossing --samples": "dsbs --samples 7",
+    "verify noncrossing --tol": "dsbs --samples 5 --tol 0.5",
+    "verify noncrossing --channels": "dsbs --samples 5 --tol 0.1 --channels bank.json",
+    "verify decomposition --seed": "dsbs --trials 2 --seed 3",
+    "verify decomposition --trials": "dsbs --trials 3",
+    "verify decomposition --tol": "dsbs --trials 2 --tol 0",
+    "verify alphabet-bound --seed": "bwz --directions dirs-bwz.json --grid 3 --sweeps 2 "
+                                    "--candidates 8 --seed 3",
+    "verify alphabet-bound --directions": "bwz --grid 3 --directions dirs-bwz.json",
+    "verify alphabet-bound --trials": "bwz --grid 3 --trials 2",
+    "verify alphabet-bound --grid": "bwz --trials 1 --grid 4",
+    "verify alphabet-bound --sweeps": "bwz --directions dirs-bwz.json --grid 3 --candidates 8 "
+                                      "--sweeps 1",
+    "verify alphabet-bound --candidates": "bwz --directions dirs-bwz.json --grid 3 --sweeps 2 "
+                                          "--candidates 0",
+    "verify alphabet-bound --restarts": "bwz --directions dirs-bwz.json --grid 3 --sweeps 2 "
+                                        "--candidates 8 --restarts 8",
+    "verify alphabet-bound --tol": "bwz --directions dirs-bwz.json --grid 3 --sweeps 2 "
+                                   "--candidates 8 --tol 0",
+    "trace --seed": "dsbs --count 2 --restarts 2 --sweeps 2 --candidates 4 --seed 3",
+    "trace --directions": "dsbs --restarts 2 --sweeps 2 --directions dirs-dsbs.json",
+    "trace --sweep": "bwz --restarts 2 --sweeps 2 --sweep 3",   # bwz has two weights
+    "trace --count": "dsbs --restarts 2 --sweeps 2 --count 2",
+    "trace --perm": "dsbs --directions dirs-dsbs.json --restarts 2 --sweeps 2 --perm 2,1",
+    "trace --restarts": "bwz --count 4 --sweeps 2 --candidates 4 --restarts 1",
+    "trace --sweeps": "dsbs --count 2 --restarts 2 --sweeps 1",
+    "trace --candidates": "dsbs --count 4 --restarts 2 --sweeps 5 --candidates 0",
+}
+
+
+def _run_without_header(argv, capsys):
+    """Exit code, ``--out`` records without the ``run`` header, and stdout without ``elapsed``."""
+    out = Path("o.jsonl")
+    out.unlink(missing_ok=True)
+    code = main([*argv, "--out", str(out)])
+    stdout = [line for line in capsys.readouterr().out.splitlines()
+              if not line.startswith("elapsed ")]
+    records = [r for r in read_records(out) if r["type"] != "run"] if out.exists() else None
+    return code, records, stdout
+
+
+@pytest.mark.parametrize("command, flag", list(_flag_cases()))
+def test_cli_every_flag_changes_the_result_or_exits_2(tmp_path, monkeypatch, capsys,
+                                                       command, flag):
+    case = FLAG_CASES.get(f"{command} {flag}")
+    assert case is not None, f"no case for {command} {flag}"
+    monkeypatch.chdir(tmp_path)
+    Path("bank.json").write_text(json.dumps({"channels": [
+        {"slot": 1, "rows": [[0.8, 0.2], [0.3, 0.7]]},
+        {"slot": 2, "rows": [[0.6, 0.4], [0.25, 0.75]]},
+    ]}))
+    Path("dirs-bwz.json").write_text(json.dumps({"directions": [
+        {"rates": [1], "distortions": [d]} for d in (3, 6, 1.5)
+    ] + [{"rates": [2], "distortions": [3]}]}))
+    Path("dirs-dsbs.json").write_text(json.dumps({"directions": [
+        {"rates": [1, 1], "distortions": [15]}, {"rates": [0.5, 2], "distortions": [6]},
+        {"rates": [1, 2], "distortions": [8]}, {"rates": [2, 1], "distortions": [4]},
+    ]}))
+
+    argv = [*command.split(), *case.split()]
+    at = argv.index(flag)
+    default = dict(_leaf_commands(build_parser()))[command]._option_string_actions[flag].default
+    base = argv[:at] + ([] if default is None else [flag, default]) + argv[at + 2:]
+    default_run = _run_without_header(base, capsys)
+    assert default_run[0] in (0, 1), base
+    changed = _run_without_header(argv, capsys)
+    assert changed[0] == 2 or changed != default_run, f"{' '.join(argv)} changed nothing"

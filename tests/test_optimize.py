@@ -678,6 +678,21 @@ def test_negative_candidates_and_nonpositive_restarts_rejected(bwz):
     assert verify_alphabet_bound(bwz, [d], grid=4, restarts=1, sweeps=3).passed
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"sweeps": 0}, "sweeps must be >= 1"),
+    ({"candidates": -1}, "candidates must be >= 0"),
+])
+def test_alphabet_bound_refuses_bad_settings_before_any_search(bwz, monkeypatch, bad, message):
+    calls = []
+    search = optimize.brute_force_search
+    monkeypatch.setattr(optimize, "brute_force_search",
+                        lambda *a, **k: calls.append(1) or search(*a, **k))
+    d = Direction.normalized(1, 0, 1, [0.6, 0.8])
+    with pytest.raises(StructuralError, match=message):
+        verify_alphabet_bound(bwz, [d], grid=4, **bad)
+    assert calls == []
+
+
 def test_alphabet_bound_verifies_on_single_source(bwz):
     rng = np.random.default_rng(89)
     dirs = [random_direction(1, 0, 1, rng) for _ in range(3)]
