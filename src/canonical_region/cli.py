@@ -160,11 +160,12 @@ def cmd_extreme_points(args) -> int:
     records = [_run_record(args, spec)]
     passed = True
     sum_rates = []
-    for perm, rates in points:
-        report = membership(aug, rates, args.tol)
+    report = membership(aug, np.array([rates for _, rates in points]), args.tol)
+    for (perm, rates), member, groups in zip(points, report.is_member, report.active_groups):
+        member = bool(member)
         expected = set(expected_active_groups(perm))
-        active = set(report.active_groups)
-        ok = report.is_member and expected <= active
+        active = set(groups)
+        ok = member and expected <= active
         if not ndg.degenerate:
             ok = ok and active == expected
         total = float(rates.sum())
@@ -176,12 +177,12 @@ def cmd_extreme_points(args) -> int:
             "perm": list(perm),
             "rates": rates,
             "sum_rate": total,
-            "member": report.is_member,
+            "member": member,
             "active": sorted(sorted(g) for g in active),
             "ok": ok,
         })
         print(f"corner {list(perm)}: rates={_fmt_rates(rates)} "
-              f"sum={total:.6f} member={report.is_member} ok={ok}")
+              f"sum={total:.6f} member={member} ok={ok}")
 
     spread = max(sum_rates) - min(sum_rates)
     records.append({
@@ -234,9 +235,11 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
     points = enumerate_extreme_points(aug)
     # tight groups form a chain only under strict supermodularity
     degenerate = nondegeneracy_report(aug).degenerate
+    corners = np.array([r for _, r in points])
+    chained = verify_noncrossing(aug, corners, args.tol)
     passed = True
-    for idx, (perm, rates) in enumerate(points):
-        ok = verify_noncrossing(aug, rates, args.tol) or degenerate
+    for idx, (perm, _) in enumerate(points):
+        ok = bool(chained[idx]) or degenerate
         passed = passed and ok
         records.append({
             "type": "check",
@@ -248,12 +251,14 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
     print(f"tight sets chain at all {len(points)} corners: "
           f"{'ok' if passed else 'FAILED'}")
     rng = np.random.default_rng((args.seed, 1))
-    corners = np.array([r for _, r in points])
-    members_ok = True
+    members = np.empty((args.samples, spec.m))
     for t in range(args.samples):
         weights = rng.dirichlet(np.ones(len(points)))
-        rates = weights @ corners + rng.exponential(0.05, size=spec.m)
-        ok = verify_noncrossing(aug, rates, args.tol) or degenerate
+        members[t] = weights @ corners + rng.exponential(0.05, size=spec.m)
+    chained = verify_noncrossing(aug, members, args.tol)
+    members_ok = True
+    for t, rates in enumerate(members):
+        ok = bool(chained[t]) or degenerate
         members_ok = members_ok and ok
         records.append({
             "type": "check",

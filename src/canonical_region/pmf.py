@@ -8,6 +8,15 @@ conditional mutual information of arbitrary variable groups reduce to
 marginal sums over the tensor.  An :class:`Alphabet` labels a finite
 symbol set for the code that matches channels to sources.
 
+Each pmf keeps every marginal it has built, keyed by axis mask, for as
+long as the pmf lives; the full mask maps to the tensor itself.  A
+missing marginal has exactly one parent, the same mask plus its lowest
+dropped axis, and is that parent summed over that one axis; a missing
+parent is built the same way.  The chain from the tensor down to any
+mask is thus a fixed function of the mask, so every marginal, and every
+entropy read from one, has the same bits whatever order callers ask in
+(and whatever the memo already holds).  Memoized arrays are read-only.
+
 Conventions, fixed package-wide:
 
 * logarithms are base 2, so every information quantity is in bits;
@@ -55,7 +64,7 @@ class JointPmf:
     caller's layout; the pmf knows axes only by position.
     """
 
-    __slots__ = ("probs", "_entropy_cache")
+    __slots__ = ("probs", "_entropy_cache", "_marginals")
 
     def __init__(self, probs) -> None:
         arr = np.array(probs, dtype=float)
@@ -75,6 +84,7 @@ class JointPmf:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "_entropy_cache", {})
+        object.__setattr__(self, "_marginals", {(1 << arr.ndim) - 1: arr})
 
     def __setattr__(self, name, value):  # immutability by contract
         raise AttributeError("JointPmf is immutable")
@@ -95,10 +105,27 @@ class JointPmf:
             )
 
     def marginal(self, axes: int) -> np.ndarray:
-        """The marginal of the axis mask ``axes``, its axes in tensor order."""
+        """The read-only marginal of the axis mask ``axes``, its axes in tensor order.
+
+        Built from the memo's fixed parent chain (see the module docstring).
+        """
         self.check_axes(axes)
-        drop = tuple(i for i in range(self.ndim) if not axes >> i & 1)
-        return self.probs.sum(axis=drop) if drop else self.probs
+        memo = self._marginals
+        found = memo.get(axes)
+        if found is not None:
+            return found
+        chain = [axes]   # masks to build, each the child of the next
+        parent = axes | (~axes & (axes + 1))   # plus its lowest dropped axis
+        while parent not in memo:
+            chain.append(parent)
+            parent |= ~parent & (parent + 1)
+        arr = memo[parent]
+        for mask in reversed(chain):
+            # every axis below the dropped one is kept, so it sits at its own index
+            arr = np.asarray(np.add.reduce(arr, axis=(~mask & (mask + 1)).bit_length() - 1))
+            arr.setflags(write=False)
+            memo[mask] = arr
+        return arr
 
 
 # ---- operations ------------------------------------------------------------

@@ -114,7 +114,7 @@ def _parse_source(data, m: int, shape: tuple[int, ...]) -> list[Fraction]:
     if not isinstance(entries, list) or not entries:
         raise InputError("source.entries must be a nonempty list")
     fracs = [Fraction(0)] * math.prod(shape)
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int] = set()
     for pos, entry in enumerate(entries):
         where = f"source.entries[{pos}]"
         if not isinstance(entry, dict) or set(entry) != {"symbols", "p"}:
@@ -125,18 +125,17 @@ def _parse_source(data, m: int, shape: tuple[int, ...]) -> list[Fraction]:
                 f"{where}: symbols must list {len(shape)} indices "
                 f"(X1..X{m}, S, V)"
             )
-        idx = []
+        flat = 0   # the cell's C-order index, built axis by axis
         for axis, (sym, size) in enumerate(zip(symbols, shape)):
             if isinstance(sym, bool) or not isinstance(sym, int) or not 0 <= sym < size:
                 raise InputError(
                     f"{where}: symbol {sym!r} at position {axis} outside 0..{size - 1}"
                 )
-            idx.append(sym)
-        key = tuple(idx)
-        if key in seen:
-            raise InputError(f"{where}: duplicate cell {key}")
-        seen.add(key)
-        fracs[int(np.ravel_multi_index(key, shape))] = _parse_prob(entry["p"], where)
+            flat = flat * size + sym
+        if flat in seen:
+            raise InputError(f"{where}: duplicate cell {tuple(symbols)}")
+        seen.add(flat)
+        fracs[flat] = _parse_prob(entry["p"], where)
     return fracs
 
 

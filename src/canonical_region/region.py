@@ -124,51 +124,67 @@ def rate_lhs(aug: AugmentedPmf, group: Iterable[int]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintReport:
-    """Every group constraint at one rate vector, in group bitmask order.
+    """Every group constraint at one rate vector, or at each of a stack of them.
 
-    ``lhs`` (g(I), the information bound) and ``rate_sums`` (the sum of
-    R_i over I) are read-only arrays whose entry ``mask - 1`` belongs to
-    the group I with that bitmask.
+    ``lhs`` (g(I), the information bound) is a read-only ``(G,)`` array
+    and ``rate_sums`` (the sum of R_i over I) a read-only ``(G,)`` or
+    ``(N, G)`` array, one row per rate vector.  Entry ``mask - 1`` of a
+    row belongs to the group I with that bitmask.  ``slack``, ``active``
+    and ``is_member`` keep the leading axis of ``rate_sums``.
     """
 
     lhs: np.ndarray
     rate_sums: np.ndarray
     tol: float
 
-    @property
+    @functools.cached_property
     def slack(self) -> np.ndarray:
         return self.rate_sums - self.lhs
 
-    @property
-    def is_member(self) -> bool:
-        return bool((self.slack >= -self.tol).all())
+    @functools.cached_property
+    def active(self) -> np.ndarray:
+        """Boolean mask of the tight groups, ``|slack| <= tol``."""
+        return np.abs(self.slack) <= self.tol
 
-    @property
-    def active_groups(self) -> tuple[tuple[int, ...], ...]:
+    @functools.cached_property
+    def is_member(self) -> bool | np.ndarray:
+        member = (self.slack >= -self.tol).all(axis=-1)
+        return member if member.ndim else bool(member)
+
+    @functools.cached_property
+    def active_groups(self) -> tuple:
+        """The tight groups of a row; for a stack, one such tuple per row."""
         groups = _groups_in_mask_order(len(self.lhs).bit_length())
-        return tuple(groups[i] for i in np.flatnonzero(np.abs(self.slack) <= self.tol))
+        rows = tuple(tuple(groups[i] for i in np.flatnonzero(row))
+                     for row in self.active.reshape(-1, len(self.lhs)))
+        return rows if self.active.ndim == 2 else rows[0]
 
 
 def membership(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE_TOL) -> ConstraintReport:
-    """Evaluate every group constraint at ``rates``.
+    """Evaluate every group constraint at ``rates``, one ``(M,)`` or a stack ``(N, M)``.
 
-    ``rates`` must have one finite nonnegative entry per source (entries
-    within ``RATE_NEGATIVE_TOL`` below zero count as zero).  Entries come
-    back in bitmask order, so reports are deterministic across runs.
+    Every rate vector must have one finite nonnegative entry per source
+    (entries within ``RATE_NEGATIVE_TOL`` below zero count as zero).
+    Entries come back in bitmask order, so reports are deterministic
+    across runs, and a row's entries do not depend on the other rows.
     """
     r = np.asarray(rates, dtype=float)
-    if r.shape != (aug.m,):
-        raise StructuralError(f"rate vector has shape {r.shape}, expected ({aug.m},)")
-    if not np.isfinite(r).all():
-        raise StructuralError(f"rate vector has a non-finite entry: {r}")
-    if r.min(initial=0.0) < -RATE_NEGATIVE_TOL:
-        raise StructuralError(f"rate vector has a negative entry: {r}")
-    # sums[mask] adds the group's rates left to right in increasing index
-    sums = np.zeros(1 << aug.m)
+    if r.ndim not in (1, 2) or r.shape[-1] != aug.m:
+        raise StructuralError(
+            f"rate vector has shape {r.shape}, expected ({aug.m},) or (N, {aug.m})")
+    rows = r.reshape(-1, aug.m)
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise StructuralError(f"rate vector has a non-finite entry: {rows[bad.argmax()]}")
+    bad = rows.min(axis=1, initial=0.0) < -RATE_NEGATIVE_TOL
+    if bad.any():
+        raise StructuralError(f"rate vector has a negative entry: {rows[bad.argmax()]}")
+    # sums[..., mask] adds the group's rates left to right in increasing index
+    sums = np.zeros(r.shape[:-1] + (1 << aug.m,))
     for b in range(aug.m):
-        sums[1 << b:2 << b] = sums[:1 << b] + r[b]
+        sums[..., 1 << b:2 << b] = sums[..., :1 << b] + r[..., b, None]
     lhs = _g_table(aug)[1:].copy()
-    sums = sums[1:]
+    sums = sums[..., 1:]
     lhs.setflags(write=False)
     sums.setflags(write=False)
     return ConstraintReport(lhs, sums, tol)
@@ -222,25 +238,41 @@ def expected_active_groups(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(perm[pos:])) for pos in range(len(perm)))
 
 
-def verify_noncrossing(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE_TOL) -> bool:
+@functools.cache
+def _crossing_pairs(m: int) -> np.ndarray:
+    """``(G, G)`` table, in group bitmask order, of group pairs that are not nested."""
+    masks = np.arange(1, 1 << m)
+    both = masks[:, None] & masks[None, :]
+    crossing = (both != masks[:, None]) & (both != masks[None, :])
+    crossing.setflags(write=False)
+    return crossing
+
+
+def verify_noncrossing(aug: AugmentedPmf, rates: RateVector,
+                       tol: float = ACTIVE_TOL) -> bool | np.ndarray:
     """Check that the constraints tight at ``rates`` form an inclusion chain.
 
-    ``rates`` must belong to the region (precondition).  Returns True when
-    every pair of tight groups is nested.  On a nondegenerate instance
-    crossing tight groups would contradict strict supermodularity of g, so
-    False indicates broken inputs; on a degenerate one they can cross.
+    ``rates`` is one rate vector ``(M,)`` or a stack ``(N, M)``, and every
+    row must belong to the region (precondition; the first row outside
+    it raises, naming its worst slack).  A row passes when every pair of
+    its tight groups is nested; the result is a bool, or an ``(N,)``
+    boolean array for a stack.  On a nondegenerate instance crossing
+    tight groups would contradict strict supermodularity of g, so a
+    failing row indicates broken inputs; on a degenerate one they can
+    cross.
     """
     report = membership(aug, rates, tol)
-    if not report.is_member:
-        worst = float(report.slack.min())
+    outside = ~np.atleast_1d(report.is_member)
+    if outside.any():
+        worst = float(report.slack.reshape(outside.size, -1)[outside.argmax()].min())
         raise PreconditionError(
             f"rate vector is outside the region (worst slack {worst:.3e})"
         )
-    active = [set(g) for g in report.active_groups]
-    for a, b in itertools.combinations(active, 2):
-        if not (a <= b or b <= a):
-            return False
-    return True
+    active = report.active
+    # a tight group crossing any other tight group breaks the row's chain
+    crossed = (active @ _crossing_pairs(aug.m)) & active
+    chained = ~crossed.any(axis=-1)
+    return chained if chained.ndim else bool(chained)
 
 
 # ---- nondegeneracy ----------------------------------------------------------

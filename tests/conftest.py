@@ -30,6 +30,12 @@ def make_spec(rng, m=None, j=None, l=None, max_alphabet=3, name=""):
     )
 
 
+def direct_marginal(probs, mask):
+    """The marginal of the axis bitmask ``mask`` as one multi-axis sum of ``probs``."""
+    drop = tuple(i for i in range(probs.ndim) if not mask >> i & 1)
+    return probs.sum(axis=drop) if drop else probs
+
+
 def spec_equals(a, b):
     """Exact field-by-field equality of two specs (rationals, not float tolerance)."""
     return (

@@ -3,6 +3,7 @@
 Specs have M <= 4 sources of 1..3 symbols, |S| <= 2, |V| <= 3, L in 0..2
 and J in 0..M, optionally with one source symbol at probability zero; the
 probabilities, distortion tables and channel banks come from a drawn seed.
+Bare pmfs have up to 7 axes of 1..3 symbols.
 """
 from __future__ import annotations
 
@@ -16,8 +17,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from canonical_region import (  # noqa: E402
+    JointPmf,
     ProblemSpec,
     attach_channels,
+    entropy,
     enumerate_extreme_points,
     nondegeneracy_report,
     random_channels,
@@ -26,6 +29,7 @@ from canonical_region import (  # noqa: E402
     verify_linear_decomposition,
 )
 from canonical_region.region import _cmi_xz  # noqa: E402
+from conftest import direct_marginal  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -100,3 +104,33 @@ def test_mixture_decomposition_holds(instance):
     direction = random_direction(spec.m, spec.j, spec.l, rng)
     report = verify_linear_decomposition(spec, channels, direction)
     assert report.passed, report
+
+
+@st.composite
+def tensors(draw):
+    """A pmf tensor with 1..7 axes of 1..3 symbols, some cells possibly zero."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+    if draw(st.booleans()):
+        probs[(rng.random(shape) < 0.3) & (probs < probs.max())] = 0.0
+        probs /= probs.sum()
+    return probs
+
+
+@SETTINGS
+@given(tensors())
+def test_memoized_marginals_match_the_direct_sum_in_any_order(probs):
+    masks = range(1 << probs.ndim)
+    rising, falling = JointPmf(probs), JointPmf(probs)
+    for p, order in ((rising, masks), (falling, reversed(masks))):
+        for mask in order:
+            got = p.marginal(mask)
+            assert not got.flags.writeable
+            assert np.abs(got - direct_marginal(p.probs, mask)).max(initial=0.0) <= 1e-15
+            if mask:
+                entropy(p, mask)
+    for mask in masks:
+        assert rising.marginal(mask).tobytes() == falling.marginal(mask).tobytes()
+        if mask:
+            assert entropy(rising, mask).hex() == entropy(falling, mask).hex()

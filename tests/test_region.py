@@ -32,9 +32,11 @@ from canonical_region import (
     verify_chain_identities,
     verify_noncrossing,
 )
+from canonical_region.pmf import CMI_CLAMP
 from conftest import (
     DISTINCT_TOL,
     axis_mask,
+    direct_marginal,
     distinct_count,
     make_spec,
     markov_source_spec,
@@ -620,6 +622,73 @@ def test_constraint_report_matches_the_per_entry_construction():
                 with pytest.raises(PreconditionError) as info:
                     verify_noncrossing(aug, rates, tol)
                 assert str(info.value) == f"rate vector is outside the region (worst slack {worst:.3e})"
+
+
+def test_stacked_membership_equals_one_call_per_row():
+    aug = region_problem_aug(1, 6)
+    corners = np.array([r for _, r in enumerate_extreme_points(aug)])
+    rng = np.random.default_rng(64)
+    members = rng.dirichlet(np.ones(len(corners)), size=50) @ corners \
+        + rng.exponential(0.05, size=(50, 6))
+    rows = np.concatenate([corners, members])
+    stacked = membership(aug, rows)
+    assert stacked.slack.shape == stacked.active.shape == (770, 63)
+    assert stacked.is_member.shape == (770,) and stacked.active.dtype == bool
+    assert len(stacked.active_groups) == 770
+    for i, rates in enumerate(rows):
+        one = membership(aug, rates)
+        assert stacked.slack[i].tobytes() == one.slack.tobytes()
+        assert stacked.is_member[i] == one.is_member
+        assert np.array_equal(stacked.active[i], one.active)
+        assert stacked.active_groups[i] == one.active_groups
+    assert verify_noncrossing(aug, rows).tolist() == [verify_noncrossing(aug, r) for r in rows]
+
+
+def test_stacked_noncrossing_fails_only_the_crossing_row():
+    rng = np.random.default_rng(65)
+    spec = make_spec(rng, m=3, j=0, l=1)
+    aug = attach_channels(spec, [constant_channel(a) for a in spec.x_alphabets])
+    assert np.abs(membership(aug, np.zeros(3)).lhs).max() <= 1e-12   # constant descriptions: g = 0
+    rows = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [2.0, 0.0, 3.0]])
+    # at the origin {1, 2} and {2, 3} are both tight and neither holds the other
+    assert {(1, 2), (2, 3)} <= set(membership(aug, rows[1]).active_groups)
+    assert verify_noncrossing(aug, rows).tolist() == [True, False, True, True]
+    assert verify_noncrossing(aug, rows[1]) is False
+
+
+def test_stacked_noncrossing_names_the_first_row_outside():
+    aug = region_problem_aug(1, 4)
+    corners = np.array([r for _, r in enumerate_extreme_points(aug)])
+    shaved = corners[[3, 7]] - [[0.0, 0.0, 1e-3, 0.0], [2e-3, 0.0, 0.0, 0.0]]
+    with pytest.raises(PreconditionError) as one:
+        verify_noncrossing(aug, shaved[0])
+    with pytest.raises(PreconditionError) as stacked:
+        verify_noncrossing(aug, np.concatenate([corners[:5], shaved, corners[5:]]))
+    assert str(stacked.value) == str(one.value)
+
+
+def test_four_entropy_corner_cmis_are_near_their_exact_values(helper3):
+    mpmath = pytest.importorskip("mpmath")
+    augs = [attach_channels(helper3, random_channels(helper3, np.random.default_rng(42))),
+            region_problem_aug(1, 4)]
+    worst = 0.0
+    with mpmath.workdps(50):
+        for aug in augs:
+            cells = np.vectorize(mpmath.mpf, otypes=[object])(aug.joint.probs)
+
+            def h(mask):
+                marg = np.ravel(direct_marginal(cells, mask))
+                return -sum((x * mpmath.log(x, 2) for x in marg if x > 0), mpmath.mpf(0))
+
+            rates = corner_point(aug, identity_permutation(aug.m))
+            for i in range(aug.m):
+                a, b = aug.x_axes(1 << i), aug.z_axes(1 << i)
+                given = aug.z_axes((1 << i) - 1) | aug.s_axis
+                exact = h(a | given) + h(b | given) - h(a | b | given) - h(given)
+                worst = max(worst, abs(float(rates[i] - exact)))
+    # measured worst: 2.6e-15 (1.0e-15 when each marginal was one multi-axis
+    # sum of the joint), against the 1e-13 asserted here
+    assert worst <= CMI_CLAMP / 1000
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
