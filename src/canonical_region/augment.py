@@ -263,18 +263,16 @@ class AugmentedPmf:
     the originating spec.  Helper methods map source bitmasks to axes by
     the joint's fixed layout ``X1..XM, S, V, Z_{J+1}..Z_M``
     (:func:`channel_product`), so ``Z_k`` is axis ``M+1+k-J`` and
-    description m <= J is ``X_m`` itself.  ``_g`` holds the region's g
-    by group bitmask, NaN until :mod:`.region` computes it, and ``_cmi``
-    memoizes :mod:`.region`'s I(X_I ; Z_I | Z_K, S) by the source bitmasks
-    ``(I, K)``.
+    description m <= J is ``X_m`` itself.  ``_cmi`` memoizes
+    :mod:`.region`'s I(X_I ; Z_I | Z_K, S) by the source bitmasks
+    ``(I, K)``; the region's g, its corners and its identities all read it.
     """
 
-    __slots__ = ("joint", "spec", "_g", "_cmi")
+    __slots__ = ("joint", "spec", "_cmi")
 
     def __init__(self, joint: JointPmf, spec: ProblemSpec):
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "_g", np.full(1 << spec.m, np.nan))
         object.__setattr__(self, "_cmi", {})
 
     def __setattr__(self, name, value):

@@ -111,7 +111,7 @@ def _emit(records: list[dict], out: str | None) -> None:
         if tmp != out:
             with contextlib.suppress(OSError):   # the temporary may never have been made
                 os.unlink(tmp)
-        raise InputError(f"cannot write {out}: {exc}") from exc
+        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _bank(spec, args):

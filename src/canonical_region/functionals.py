@@ -215,12 +215,11 @@ class FunctionalContext:
     slot's frozen channel attached and a one-symbol channel at slot k.
     That channel leaves ``Z_k`` inert, so ``aug`` keeps the standard
     layout ``X1..XM, S, V, Z_{J+1}..Z_M`` and its bitmask helpers select
-    every axis set.  ``cond`` is that joint divided by ``p_k`` along
-    ``X_k`` (zero where ``p_k = 0``): the law of everything else given
-    ``X_k``, which each pool row mixes.
+    every axis set; :func:`theta` mixes each law from the marginals that
+    joint memoizes.
     """
 
-    __slots__ = ("spec", "k", "direction", "aug", "p_k", "cond")
+    __slots__ = ("spec", "k", "direction", "aug", "p_k")
 
     def __init__(
         self,
@@ -245,33 +244,31 @@ class FunctionalContext:
         bank = {**frozen, k: constant_channel(spec.x_alphabet(k))}
         self.aug = AugmentedPmf(channel_product(spec, bank), spec)
         self.p_k = spec.x_marginal(k)
-        probs = self.aug.joint.probs
-        x_k = self.aug.x_axes(1 << (k - 1))
-        pk = self.p_k.reshape([-1 if x_k >> a & 1 else 1 for a in range(probs.ndim)])
-        self.cond = np.divide(probs, pk, out=np.zeros_like(probs), where=pk > 0.0)
 
 
-def _law(ctx: FunctionalContext, pool: np.ndarray, axes: int) -> np.ndarray:
+def _law(ctx: FunctionalContext, ratio: np.ndarray, axes: int) -> np.ndarray:
     """Law of the axis bitmask ``axes`` under each pool row: ``(P, *axes in layout order)``.
 
-    A row t weighs the marginal of ``ctx.cond`` over ``X_k`` and ``axes``
-    by t along ``X_k``, then sums ``X_k`` out unless ``axes`` keeps it.
+    ``ratio`` holds each row t divided by ``p_k`` (0 where ``p_k = 0``), so
+    the row's law is p_t(A) = sum_x t(x) p(A, x) / p_k(x): the joint's
+    memoized marginal over ``X_k`` and ``axes`` weighed by ``ratio`` along
+    ``X_k``, then summed over ``X_k`` unless ``axes`` keeps it.
     """
     x_k = ctx.aug.x_axes(1 << (ctx.k - 1))
     keep = axes | x_k
-    m = ctx.cond.sum(axis=tuple(a for a in range(ctx.cond.ndim) if not keep >> a & 1))
+    m = ctx.aug.joint.marginal(keep)
     at = 1 + (keep & (x_k - 1)).bit_count()            # X_k's place in the weighed law
-    shape = [len(pool)] + [1] * m.ndim
+    shape = [len(ratio)] + [1] * m.ndim
     shape[at] = len(ctx.p_k)
-    law = pool.reshape(shape) * m
+    law = ratio.reshape(shape) * m
     return law if axes & x_k else law.sum(axis=at)
 
 
-def _cond_entropy(ctx: FunctionalContext, pool: np.ndarray, of: int, given: int) -> np.ndarray:
+def _cond_entropy(ctx: FunctionalContext, ratio: np.ndarray, of: int, given: int) -> np.ndarray:
     """H(of | given) under each pool row's law, for axis bitmasks."""
-    rows = len(pool)
-    return (cell_entropies(_law(ctx, pool, of | given).reshape(rows, -1))
-            - cell_entropies(_law(ctx, pool, given).reshape(rows, -1)))
+    rows = len(ratio)
+    return (cell_entropies(_law(ctx, ratio, of | given).reshape(rows, -1))
+            - cell_entropies(_law(ctx, ratio, given).reshape(rows, -1)))
 
 
 def theta(ctx: FunctionalContext, pool) -> np.ndarray:
@@ -284,6 +281,7 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
     ``i < k`` enter as channel-independent constants.
     """
     pool = check_simplex_point(pool, ctx.p_k.size)
+    ratio = np.divide(pool, ctx.p_k, out=np.zeros_like(pool), where=ctx.p_k > 0.0)
     aug, k = ctx.aug, ctx.k
     others = ~(1 << (k - 1))
 
@@ -303,11 +301,11 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
         if i == k:
             given_u = entropy(aug.joint, x_i, u)       # t-free at the own slot
         else:
-            given_u = _cond_entropy(ctx, pool, x_i, u)
-        total += weight * (given_u - _cond_entropy(ctx, pool, x_i, u | aug.z_axes(source)))
+            given_u = _cond_entropy(ctx, ratio, x_i, u)
+        total += weight * (given_u - _cond_entropy(ctx, ratio, x_i, u | aug.z_axes(source)))
     if ctx.direction.distortion_weights.any():
         obs = observed((1 << aug.m) - 1)
-        law = _law(ctx, pool, obs | aug.v_axis)       # (P, *obs and V in layout order)
+        law = _law(ctx, ratio, obs | aug.v_axis)      # (P, *obs and V in layout order)
         at = 1 + (obs & (aug.v_axis - 1)).bit_count()  # V's place in the law
         for d, weight in zip(ctx.spec.distortions, ctx.direction.distortion_weights):
             if weight != 0.0:

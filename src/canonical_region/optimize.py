@@ -44,7 +44,7 @@ from .augment import (
     constant_channel,
     forward_to_reverse,
     identity_channel,
-    random_channel,
+    random_channels,
     reverse_to_forward,
 )
 from .errors import BudgetError, NumericIntegrityError, StructuralError
@@ -53,7 +53,6 @@ from .functionals import (
     FunctionalContext,
     direct_weighted_value,
     distortion_component,
-    random_direction,
     theta,
 )
 from .pmf import Alphabet, cell_entropies
@@ -67,28 +66,15 @@ SUPPORT_WEIGHT_TOL = 1e-12
 CHUNK = 8192
 ALPHABET_BOUND_TOL = 1e-2   # capped and enlarged optima come from different coarse lattice grids
 
-__all__ = [
-    "Direction",
-    "random_direction",
-    "OptimizeResult",
-    "TracePoint",
-    "AlphabetBoundEntry",
-    "AlphabetBoundReport",
-    "optimize_single_channel",
-    "coordinate_descent",
-    "default_multistart_inits",
-    "estimate_brute_force_evals",
-    "brute_force_search",
-    "verify_alphabet_bound",
-    "trace_inner_bound",
-]
-
-
 @dataclass(frozen=True, eq=False)
 class OptimizeResult:
     channels: tuple[Channel, ...]
-    objective: float
     trace: tuple[float, ...]
+
+    @property
+    def objective(self) -> float:
+        """The objective of ``channels``: the last sweep's entry of the trace."""
+        return self.trace[-1]
 
     @property
     def sweeps_run(self) -> int:
@@ -195,7 +181,7 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
         trace.append(value)
         if trace[-2] - trace[-1] < SWEEP_IMPROVEMENT_TOL:
             break
-    return OptimizeResult(tuple(channels), trace[-1], tuple(trace))
+    return OptimizeResult(tuple(channels), tuple(trace))
 
 
 def default_multistart_inits(spec: ProblemSpec, restarts: int,
@@ -209,11 +195,7 @@ def default_multistart_inits(spec: ProblemSpec, restarts: int,
     if restarts >= 2:
         inits.append([constant_channel(spec.x_alphabet(k)) for k in slots])
     for r in range(restarts - 2):
-        rng = np.random.default_rng((seed, 7919, r))
-        inits.append([
-            random_channel(spec.x_alphabet(k), spec.x_alphabet(k).size, rng)
-            for k in slots
-        ])
+        inits.append(random_channels(spec, np.random.default_rng((seed, 7919, r))))
     return inits[:restarts]
 
 

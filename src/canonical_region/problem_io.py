@@ -30,7 +30,6 @@ import warnings
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 

@@ -104,16 +104,6 @@ def _mi_zz(aug: AugmentedPmf, left: int, right: int, cond: int) -> float:
                    aug.z_axes(cond) | aug.s_axis)
 
 
-def _g_table(aug: AugmentedPmf) -> np.ndarray:
-    """``aug``'s g table, indexed by group bitmask, with every group filled."""
-    table = aug._g
-    full = len(table) - 1
-    if math.isnan(table[full]):   # filled in increasing mask order, so full is last
-        for mask in range(1, full + 1):
-            table[mask] = _cmi_xz(aug, mask, full ^ mask)
-    return table
-
-
 def rate_lhs(aug: AugmentedPmf, group: Iterable[int]) -> float:
     """g(I) = I(X_I ; Z_I | Z_{I^c}, S) for a nonempty group I of 1..M."""
     mask = _mask(group, aug.m)
@@ -183,7 +173,8 @@ def membership(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE_TOL) ->
     sums = np.zeros(r.shape[:-1] + (1 << aug.m,))
     for b in range(aug.m):
         sums[..., 1 << b:2 << b] = sums[..., :1 << b] + r[..., b, None]
-    lhs = _g_table(aug)[1:].copy()
+    full = (1 << aug.m) - 1
+    lhs = np.array([_cmi_xz(aug, mask, full ^ mask) for mask in range(1, full + 1)])
     sums = sums[..., 1:]
     lhs.setflags(write=False)
     sums.setflags(write=False)
@@ -412,26 +403,28 @@ def verify_chain_identities(aug: AugmentedPmf, trials: int = 200,
     # the natural-order corner: entry i is source i+1's rate given sources 1..i
     corner_rates = [_cmi_xz(aug, 1 << i, (1 << i) - 1) for i in range(m)]
 
-    def record(name: str, violation: float, context: dict) -> None:
+    def record(name: str, violation: float, **context) -> None:
+        """Count a trial and keep it if it fails, its group bitmasks as member tuples."""
         counts[name] += 1
         if violation > worst[name]:
             worst[name] = violation
         if violation > tol:
-            failures[name].append({"violation": violation, **context})
+            failures[name].append({"violation": violation, **{
+                key: _members(value) if key in ("I", "I2", "superset") else value
+                for key, value in context.items()}})
 
     for _ in range(trials):
         if m >= 2:
             a, b = _draw_disjoint_pair(rng, m)
             union = a | b
-            pair = {"I": _members(a), "I2": _members(b)}
 
             lhs = _cmi_xz(aug, a, full ^ union)
             rhs = _cmi_xz(aug, a, full ^ a) + _mi_zz(aug, a, b, full ^ union)
-            record("condition-drop-split", abs(lhs - rhs), pair)
+            record("condition-drop-split", abs(lhs - rhs), I=a, I2=b)
 
             lhs = _cmi_xz(aug, union, full ^ union)
             rhs = _cmi_xz(aug, a, full ^ union) + _cmi_xz(aug, b, full ^ b)
-            record("disjoint-union-split", abs(lhs - rhs), pair)
+            record("disjoint-union-split", abs(lhs - rhs), I=a, I2=b)
 
             sup = union
             for i in range(m):
@@ -439,7 +432,7 @@ def verify_chain_identities(aug: AugmentedPmf, trials: int = 200,
                     sup |= 1 << i
             lhs = _cmi_xz(aug, union, sup ^ union)
             rhs = _cmi_xz(aug, a, sup ^ union) + _cmi_xz(aug, b, sup ^ b)
-            record("restricted-union-split", abs(lhs - rhs), {**pair, "superset": _members(sup)})
+            record("restricted-union-split", abs(lhs - rhs), I=a, I2=b, superset=sup)
 
         size = int(rng.integers(1, m + 1))
         order = [int(x) + 1 for x in rng.choice(m, size=size, replace=False)]
@@ -452,21 +445,21 @@ def verify_chain_identities(aug: AugmentedPmf, trials: int = 200,
             bit = 1 << (elem - 1)
             rhs += _cmi_xz(aug, bit, cond)
             cond |= bit
-        record("element-peel-chain", abs(lhs - rhs), {"I": _members(group), "order": tuple(order)})
+        record("element-peel-chain", abs(lhs - rhs), I=group, order=tuple(order))
 
         rhs_single = sum(corner_rates[i] for i in range(m) if group >> i & 1)
-        record("corner-sum-bound", max(0.0, lhs - rhs_single), {"I": _members(group)})
+        record("corner-sum-bound", max(0.0, lhs - rhs_single), I=group)
 
         split = int(rng.integers(1, m + 1))
         prefix = (1 << split) - 1
         lhs = _cmi_xz(aug, prefix, 0)
         rhs = sum(corner_rates[:split])
-        record("prefix-chain", abs(lhs - rhs), {"m": split})
+        record("prefix-chain", abs(lhs - rhs), m=split)
 
         if split < m:
             lhs = _cmi_xz(aug, full ^ prefix, prefix)
             rhs = sum(corner_rates[split:])
-            record("suffix-chain", abs(lhs - rhs), {"m": split})
+            record("suffix-chain", abs(lhs - rhs), m=split)
 
     checks = tuple(
         IdentityCheck(n, counts[n], worst[n], tuple(failures[n])) for n in names

@@ -7,8 +7,10 @@ from canonical_region import (
     DegeneracyWarning,
     ProblemSpec,
     StructuralError,
+    constant_channel,
     resolve_problem,
 )
+from canonical_region.augment import channel_product
 
 DISTINCT_TOL = 1e-6
 
@@ -141,6 +143,47 @@ def estimator_distortion(aug, l, table):
         )
     picked = np.moveaxis(d[:, tab], 0, -1)             # (*u, v)
     return float((m_uv * picked).sum())
+
+
+def theta_reference(spec, k, frozen, direction, t):
+    """The slot-k objective at one simplex point ``t`` of X_k, from its definition.
+
+    Mixes the law sum_x t(x) p(., X_k = x) / p_k(x) (0 where p_k(x) = 0)
+    from the channel product with an inert one-symbol channel at slot k,
+    then weighs each free rate and Bayes risk, its variables picked by
+    axis name, by ``direction``.  Rates of descriptions i < k are corner
+    rates of the unmixed joint; description k's first entropy is too.
+    """
+    joint = channel_product(spec, {**frozen, k: constant_channel(spec.x_alphabet(k))}).probs
+    x_k = layout_axes(spec).index(f"X{k}")
+    p_k = direct_marginal(joint, 1 << x_k)
+    ratio = np.zeros_like(p_k)
+    ratio[p_k > 0.0] = t[p_k > 0.0] / p_k[p_k > 0.0]
+    law = joint * ratio.reshape([-1 if a == x_k else 1 for a in range(joint.ndim)])
+
+    def h(arr, names):
+        cells = direct_marginal(arr, axis_mask(spec, *names)).ravel()
+        cells = cells[cells > 0.0]
+        return float(-(cells * np.log2(cells)).sum())
+
+    def cond_h(arr, of, given):
+        return h(arr, of + given) - h(arr, given)
+
+    def desc(i):
+        return f"X{i}" if i <= spec.j else f"Z{i}"
+
+    total = 0.0
+    for i in spec.channel_slots:
+        u = ["S"] + [desc(b) for b in range(1, i) if b != k]
+        first = cond_h(joint if i <= k else law, [f"X{i}"], u)
+        second = cond_h(joint if i < k else law, [f"X{i}"], u + [desc(i)])
+        total += direction.rate_weight(i) * (first - second)
+    obs = [desc(i) for i in range(1, spec.m + 1) if i != k] + ["S"]
+    by_v = np.moveaxis(direct_marginal(law, axis_mask(spec, *obs, "V")), spec.j + 1, -1)
+    for l, d in enumerate(spec.distortions, start=1):
+        risk = (by_v.reshape(-1, spec.v_alphabet.size) @ d).min(axis=1).sum()
+        total += direction.distortion_weight(l) * float(risk)
+    return total
 
 
 @pytest.fixture(scope="session")

@@ -582,6 +582,18 @@ def test_cli_out_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corners.jsonl", "taken"]
 
 
+def test_cli_out_write_error_names_only_the_given_path(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "corners.jsonl"
+    errors = []
+    for pid in (4101, 4102):                  # two runs, two process ids
+        monkeypatch.setattr(os, "getpid", lambda: pid)
+        assert main(["extreme-points", "bwz", "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: cannot write {out}: No such file or directory\n"
+    assert ".tmp" not in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_out_writes_through_non_regular_targets(tmp_path):
     argv = ["extreme-points", "bwz", "--out"]
     assert main(argv + [os.devnull]) == 0

@@ -29,7 +29,14 @@ from canonical_region import (
 )
 from canonical_region.augment import MARGINAL_TOL, channel_product
 from canonical_region.functionals import check_simplex_point
-from conftest import axis_mask, estimator_distortion, layout_axes, make_spec, zero_symbol_spec
+from conftest import (
+    axis_mask,
+    estimator_distortion,
+    layout_axes,
+    make_spec,
+    theta_reference,
+    zero_symbol_spec,
+)
 
 
 def test_direction_validation():
@@ -411,6 +418,29 @@ def test_pool_matches_stacked_points(name, request):
             along = FunctionalContext(spec, k, frozen, unit)
             stacked = [theta(along, t[None])[0] for t in pool]
             assert np.abs(theta(along, pool) - stacked).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol", "two-distortions"])
+def test_theta_matches_the_definitional_mixed_law(name, request):
+    rng = np.random.default_rng(65)
+    if name == "zero-symbol":
+        spec = zero_symbol_spec(rng)
+    elif name == "two-distortions":
+        spec = make_spec(rng, m=3, j=1, l=2)
+    else:
+        spec = request.getfixturevalue(name)
+    chans = random_channels(spec, rng)
+    slots = spec.channel_slots
+    directions = [random_direction(spec.m, spec.j, spec.l, rng)]
+    directions += [unit_direction(spec, rate=i) for i in slots]
+    directions += [unit_direction(spec, distortion=l) for l in range(1, spec.l + 1)]
+    for k in slots:
+        frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
+        pool = _test_pool(rng, spec.x_alphabet(k).size)
+        for d in directions:
+            values = theta(FunctionalContext(spec, k, frozen, d), pool)
+            expected = [theta_reference(spec, k, frozen, d, t) for t in pool]
+            assert np.abs(values - expected).max() <= 1e-12
 
 
 def test_functionals_reject_bad_pools(bwz):
