@@ -28,6 +28,7 @@ here as well.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,8 +86,9 @@ def identity_channel(alphabet: Alphabet) -> Channel:
                    np.eye(alphabet.size))
 
 
+@functools.cache
 def constant_channel(alphabet: Alphabet) -> Channel:
-    """Channel whose single output symbol carries no information."""
+    """Channel whose single output symbol carries no information (immutable, so shared)."""
     return Channel(alphabet, Alphabet(alphabet.label + "_const", 1),
                    np.ones((alphabet.size, 1)))
 
@@ -441,7 +443,6 @@ def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> C
         raise StructuralError("reverse pair has no positive-weight symbols")
     w = pair.weights[keep]
     cols = pair.columns[keep]
-    rows = np.empty((p_k.size, keep.size))
     zero_inputs = np.flatnonzero(p_k <= 0.0)
     if zero_inputs.size:
         warnings.warn(
@@ -450,11 +451,9 @@ def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> C
             DegeneracyWarning,
             stacklevel=2,
         )
-    for x in range(p_k.size):
-        if p_k[x] > 0.0:
-            rows[x] = w * cols[:, x] / p_k[x]
-        else:
-            rows[x] = 1.0 / keep.size
+    positive = p_k > 0.0
+    rows = np.full((p_k.size, keep.size), 1.0 / keep.size)
+    rows[positive] = w * cols.T[positive] / p_k[positive, None]
     sums = rows.sum(axis=1)
     if np.abs(sums - 1.0).max() > REBUILT_ROW_TOL:
         raise NumericIntegrityError(

@@ -448,7 +448,7 @@ def _perm(text: str) -> list[int]:
 
 def _descent_flags(p, restarts: str) -> None:
     p.add_argument("--restarts", type=_COUNT, default=restarts,
-                   help="descent multistarts (default %(default)s)")
+                   help="descents per direction (default %(default)s)")
     p.add_argument("--sweeps", type=_COUNT, default="50",
                    help="most sweeps per descent (default %(default)s)")
     p.add_argument("--candidates", type=_NATURAL, default="64",

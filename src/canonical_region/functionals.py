@@ -32,7 +32,10 @@ of a fixed functional F evaluated at the reverse columns:
 
 Every law is selected by :class:`~canonical_region.augment.AugmentedPmf`'s
 axis bitmasks on the context's joint, where a one-symbol channel at slot
-k keeps the standard layout.
+k keeps the standard layout.  Each law is linear in the point t, so a
+:class:`FunctionalContext` compiles every law theta reads into one
+matrix when it is built, and theta is one product with it followed by
+the entropies and the Bayes minima of its cells.
 
 ``theta`` is the one entry point: it takes a ``(P, |X_k|)`` pool of
 simplex points and returns a ``(P,)`` array.  Along the unit direction
@@ -58,8 +61,8 @@ from .augment import (
     forward_to_reverse,
 )
 from .errors import StructuralError
-from .pmf import cell_entropies, entropy
-from .region import corner_point, corner_rate, identity_permutation
+from .pmf import entropy
+from .region import corner_rate
 
 SIMPLEX_TOL = 1e-9
 DECOMPOSITION_TOL = 1e-9
@@ -208,18 +211,29 @@ def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, Estimator]:
 
 
 class FunctionalContext:
-    """Everything needed to evaluate the slot-k functionals.
+    """Everything needed to evaluate the slot-k functionals, compiled once.
 
     Holds the spec, the slot index k, the direction :func:`theta` weighs
     the functionals by, and ``aug``: the source law with every other
     slot's frozen channel attached and a one-symbol channel at slot k.
     That channel leaves ``Z_k`` inert, so ``aug`` keeps the standard
     layout ``X1..XM, S, V, Z_{J+1}..Z_M`` and its bitmask helpers select
-    every axis set; :func:`theta` mixes each law from the marginals that
-    joint memoizes.
+    every axis set.
+
+    A pool row t's law of an axis bitmask A is linear in t:
+    p_t(A) = sum_x t(x) p(A, x) / p_k(x).  The constructor reads each
+    law theta needs from the joint's memoized marginal over A and X_k,
+    divided by p_k along X_k (0 where p_k = 0), into the columns of one
+    ``(|X_k|, C)`` map; a law that keeps X_k gets block-diagonal columns.
+    Beside the map it keeps each entropy law's first column with its
+    signed direction weight (equal laws share one segment), each weighted
+    distortion's Bayes-score columns after them, and the t-free constant:
+    the corner rates of slots before k plus ``w_k H(X_k | U)`` of the
+    source law.
     """
 
-    __slots__ = ("spec", "k", "direction", "aug", "p_k")
+    __slots__ = ("spec", "k", "direction", "aug", "p_k",
+                 "_map", "_entropy_cells", "_starts", "_weights", "_risks", "_constant")
 
     def __init__(
         self,
@@ -242,33 +256,72 @@ class FunctionalContext:
         self.k = k
         self.direction = direction
         bank = {**frozen, k: constant_channel(spec.x_alphabet(k))}
-        self.aug = AugmentedPmf(channel_product(spec, bank), spec)
-        self.p_k = spec.x_marginal(k)
+        self.aug = aug = AugmentedPmf(channel_product(spec, bank), spec)
+        self.p_k = p_k = spec.x_marginal(k)
+        x_k = aug.x_axes(1 << (k - 1))
+        others = ~x_k
 
+        def observed(sources: int) -> int:             # their descriptions but Z_k, and S
+            return aug.z_axes(sources & others) | aug.s_axis
 
-def _law(ctx: FunctionalContext, ratio: np.ndarray, axes: int) -> np.ndarray:
-    """Law of the axis bitmask ``axes`` under each pool row: ``(P, *axes in layout order)``.
+        n = p_k.size
 
-    ``ratio`` holds each row t divided by ``p_k`` (0 where ``p_k = 0``), so
-    the row's law is p_t(A) = sum_x t(x) p(A, x) / p_k(x): the joint's
-    memoized marginal over ``X_k`` and ``axes`` weighed by ``ratio`` along
-    ``X_k``, then summed over ``X_k`` unless ``axes`` keeps it.
-    """
-    x_k = ctx.aug.x_axes(1 << (ctx.k - 1))
-    keep = axes | x_k
-    m = ctx.aug.joint.marginal(keep)
-    at = 1 + (keep & (x_k - 1)).bit_count()            # X_k's place in the weighed law
-    shape = [len(ratio)] + [1] * m.ndim
-    shape[at] = len(ctx.p_k)
-    law = ratio.reshape(shape) * m
-    return law if axes & x_k else law.sum(axis=at)
+        def by_symbol(axes: int) -> np.ndarray:
+            """``(|X_k|, *axes in layout order)``: p(axes, x) at each x of X_k."""
+            keep = axes | x_k
+            at = (keep & (x_k - 1)).bit_count()            # X_k's place in the marginal
+            marginal = aug.joint.marginal(keep)
+            return marginal.transpose(at, *range(at), *range(at + 1, marginal.ndim))
 
+        # phi_i = H(X_i | U) - H(X_i | U, Z_i), each H a difference of two law entropies
+        constant = 0.0
+        laws: dict[int, float] = {}                    # axis bitmask -> weight of its entropy
+        for i in spec.channel_slots:
+            weight = direction.rate_weight(i)
+            if weight == 0.0:
+                continue
+            source = 1 << (i - 1)
+            if i < k:                                  # t-free: the natural-order corner rate
+                constant += weight * corner_rate(aug, source, source - 1)
+                continue
+            x_i, u, u_z = aug.x_axes(source), observed(source - 1), observed(2 * source - 1)
+            if i == k:                                 # t-free at the own slot; Z_k is inert
+                constant += weight * entropy(aug.joint, x_i, u)
+            else:
+                laws[x_i | u] = laws.get(x_i | u, 0.0) + weight
+                laws[u] = laws.get(u, 0.0) - weight
+            laws[x_i | u_z] = laws.get(x_i | u_z, 0.0) - weight
+            laws[u_z] = laws.get(u_z, 0.0) + weight
+        laws = {axes: weight for axes, weight in laws.items() if weight != 0.0}
 
-def _cond_entropy(ctx: FunctionalContext, ratio: np.ndarray, of: int, given: int) -> np.ndarray:
-    """H(of | given) under each pool row's law, for axis bitmasks."""
-    rows = len(ratio)
-    return (cell_entropies(_law(ctx, ratio, of | given).reshape(rows, -1))
-            - cell_entropies(_law(ctx, ratio, given).reshape(rows, -1)))
+        blocks, starts = [], []
+        cells = 0
+        for axes in laws:
+            block = by_symbol(axes).reshape(n, -1)
+            if axes & x_k:                             # the row weighs X_k elementwise
+                block = (np.eye(n)[:, :, None] * block[:, None, :]).reshape(n, -1)
+            starts.append(cells)
+            cells += block.shape[1]
+            blocks.append(block)
+        self._entropy_cells = cells
+        risks = []
+        if direction.distortion_weights.any():
+            obs = observed((1 << aug.m) - 1)
+            by_x = by_symbol(obs | aug.v_axis)
+            v_at = 1 + (obs & (aug.v_axis - 1)).bit_count()  # V's place after X_k
+            by_v = by_x.transpose(*range(v_at), *range(v_at + 1, by_x.ndim), v_at)
+            for d, weight in zip(spec.distortions, direction.distortion_weights):
+                if weight != 0.0:
+                    block = (by_v @ d).reshape(n, -1)      # (|X_k|, obs cells x vhat)
+                    risks.append((cells, cells + block.shape[1], d.shape[1], float(weight)))
+                    cells += block.shape[1]
+                    blocks.append(block)
+        per_unit = np.divide(1.0, p_k, out=np.zeros_like(p_k), where=p_k > 0.0)[:, None]
+        self._map = np.concatenate(blocks, axis=1) * per_unit if blocks else np.zeros((n, 0))
+        self._starts = np.array(starts, dtype=np.intp)
+        self._weights = np.array(list(laws.values()))
+        self._risks = tuple(risks)
+        self._constant = constant
 
 
 def theta(ctx: FunctionalContext, pool) -> np.ndarray:
@@ -278,39 +331,21 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
     a reverse pair's columns with its weights reproduces the full weighted
     objective: free-rate terms of descriptions ``i >= k`` and all
     distortion terms vary with the point, and terms of descriptions
-    ``i < k`` enter as channel-independent constants.
+    ``i < k`` enter as channel-independent constants.  Every law is one
+    product with the context's compiled map; the entropies are its
+    ``-x log2 x`` cells summed per law, the Bayes risks its per-observation
+    minima.
     """
     pool = check_simplex_point(pool, ctx.p_k.size)
-    ratio = np.divide(pool, ctx.p_k, out=np.zeros_like(pool), where=ctx.p_k > 0.0)
-    aug, k = ctx.aug, ctx.k
-    others = ~(1 << (k - 1))
-
-    def observed(sources: int) -> int:                 # their descriptions but Z_k, and S
-        return aug.z_axes(sources & others) | aug.s_axis
-
-    total = np.zeros(len(pool))
-    for i in ctx.spec.channel_slots:
-        weight = ctx.direction.rate_weight(i)
-        if weight == 0.0:
-            continue
-        source = 1 << (i - 1)
-        if i < k:                                      # t-free: the natural-order corner rate
-            total += weight * corner_rate(aug, source, source - 1)
-            continue
-        x_i, u = aug.x_axes(source), observed(source - 1)
-        if i == k:
-            given_u = entropy(aug.joint, x_i, u)       # t-free at the own slot
-        else:
-            given_u = _cond_entropy(ctx, ratio, x_i, u)
-        total += weight * (given_u - _cond_entropy(ctx, ratio, x_i, u | aug.z_axes(source)))
-    if ctx.direction.distortion_weights.any():
-        obs = observed((1 << aug.m) - 1)
-        law = _law(ctx, ratio, obs | aug.v_axis)      # (P, *obs and V in layout order)
-        at = 1 + (obs & (aug.v_axis - 1)).bit_count()  # V's place in the law
-        for d, weight in zip(ctx.spec.distortions, ctx.direction.distortion_weights):
-            if weight != 0.0:
-                scores = np.tensordot(law, d, axes=([at], [0]))   # (P, *obs, vhat)
-                total += weight * scores.min(axis=-1).reshape(len(pool), -1).sum(axis=1)
+    mixed = pool @ ctx._map                            # (P, C): every law of every row
+    total = np.full(len(pool), ctx._constant)
+    if ctx._weights.size:
+        laws = mixed[:, :ctx._entropy_cells]
+        logs = np.log2(laws, out=np.zeros_like(laws), where=laws > 0.0)
+        total -= np.add.reduceat(laws * logs, ctx._starts, axis=1) @ ctx._weights
+    for start, stop, vhat, weight in ctx._risks:
+        scores = mixed[:, start:stop].reshape(len(pool), -1, vhat)
+        total += weight * scores.min(axis=2).sum(axis=1)
     return total
 
 
@@ -321,10 +356,10 @@ def direct_weighted_value(spec: ProblemSpec, channels: Sequence[Channel],
                           direction: Direction) -> float:
     """The weighted objective evaluated directly on the augmented joint."""
     aug = attach_channels(spec, channels)
-    rates = corner_point(aug, identity_permutation(spec.m))
     total = 0.0
     for i in spec.channel_slots:
-        total += direction.rate_weight(i) * rates[i - 1]
+        source = 1 << (i - 1)
+        total += direction.rate_weight(i) * corner_rate(aug, source, source - 1)
     for l in range(1, spec.l + 1):
         weight = direction.distortion_weight(l)
         if weight != 0.0:

@@ -9,13 +9,15 @@ simplex points minimizing the weighted functional value subject to the
 mixture matching the source marginal ``p_k``.  A basic optimal solution
 of that program has at most ``|X_k|`` positive weights, which realizes
 the alphabet bound ``|Z_k| <= |X_k|`` constructively: enlarging output
-alphabets cannot help.  The pool's vertex columns ``e_x`` are a
-feasible starting basis (``p_k = sum_x p_k(x) e_x``), so the simplex
-starts there and needs no phase 1.
+alphabets cannot help.  The pool leads with the vertex columns ``e_x``,
+the LP's identity basis (``p_k = sum_x p_k(x) e_x``), and contains the
+incumbent's columns; the simplex crashes those into the basis and starts
+from the incumbent, so it needs no phase 1 and a step cannot end above
+its incumbent.
 
-Coordinate descent cycles the slots.  Each step's pool contains the
-incumbent's columns, so the step objective never increases; the sweep
-trace is therefore monotone within float noise, which is enforced.
+Coordinate descent cycles the slots.  Each slot's incumbent is its own
+last basic pair, so the step objective never increases; the sweep trace
+is therefore monotone within float noise, which is enforced.
 
 A direct lattice search (:func:`brute_force_search`) grids every
 channel's rows over the probability simplex and evaluates the objective
@@ -63,7 +65,7 @@ MAX_BRUTE_EVALS = 15_000_000
 SWEEP_IMPROVEMENT_TOL = 1e-9
 MONOTONE_TOL = 1e-10
 SUPPORT_WEIGHT_TOL = 1e-12
-CHUNK = 8192
+CHUNK = 2048                # banks per lattice chunk; BENCH_slot_step.json has the size sweep
 ALPHABET_BOUND_TOL = 1e-2   # capped and enlarged optima come from different coarse lattice grids
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +86,21 @@ class OptimizeResult:
 # ---- single-slot linear program ------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _pool_head(n: int) -> np.ndarray:
+    """The fixed head of every pool over ``n`` symbols: vertices, pairwise midpoints, barycenter."""
+    eye = np.eye(n)
+    mids = [(eye[a] + eye[b]) / 2 for a, b in itertools.combinations(range(n), 2)]
+    head = np.vstack([eye, *mids, np.full(n, 1.0 / n)])
+    head.setflags(write=False)
+    return head
+
+
+def _pool_keys(points: np.ndarray) -> np.ndarray:
+    """Rows rounded to 12 decimals: two pool points are equal when their keys are."""
+    return np.round(points, 12) + 0.0                 # + 0.0 folds -0.0 into 0.0
+
+
 def _candidate_pool(ctx: FunctionalContext, candidates: int, seed,
                     incumbent_columns) -> np.ndarray:
     """Deterministic stratified pool of simplex points over X_k.
@@ -92,31 +109,33 @@ def _candidate_pool(ctx: FunctionalContext, candidates: int, seed,
     draws, then the incumbent's columns.  Points equal after rounding to
     12 decimals are dropped keeping the first occurrence, so pool indices
     are reproducible and the pool always starts with ``np.eye(|X_k|)``:
-    the slot LP starts its simplex from that vertex basis.
+    the slot LP's identity basis.
     """
     if candidates < 0:
         raise StructuralError(f"candidates must be >= 0, got {candidates}")
     n = ctx.p_k.size
-    points: list[np.ndarray] = [np.eye(n)[x] for x in range(n)]
-    for a, b in itertools.combinations(range(n), 2):
-        mid = np.zeros(n)
-        mid[a] = mid[b] = 0.5
-        points.append(mid)
-    points.append(np.full(n, 1.0 / n))
-    rng = np.random.default_rng(seed)
+    parts = [_pool_head(n)]
     if candidates > 0 and n > 1:
-        points.extend(rng.dirichlet(np.ones(n), size=candidates))
+        parts.append(np.random.default_rng(seed).dirichlet(np.ones(n), size=candidates))
     if incumbent_columns is not None:
         cols = np.array(incumbent_columns, dtype=float)
         if cols.ndim != 2 or cols.shape[1] != n:
             raise StructuralError(f"incumbent columns have shape {cols.shape}, expected (*, {n})")
-        points.extend(cols)
-    pool = np.array(points)
-    keys = np.round(pool, 12) + 0.0                    # + 0.0 folds -0.0 into 0.0
-    first: dict[bytes, int] = {}
-    for idx, key in enumerate(keys):
-        first.setdefault(key.tobytes(), idx)
-    return pool[list(first.values())]
+        parts.append(cols)
+    pool = np.concatenate(parts)
+    keys = _pool_keys(pool)
+    order = np.lexsort(keys.T)                         # stable: equal keys keep pool order
+    first = np.ones(len(pool), dtype=bool)
+    first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    keep = np.zeros(len(pool), dtype=bool)
+    keep[order[first]] = True
+    return pool[keep]
+
+
+def _pool_rows(pool: np.ndarray, columns: np.ndarray) -> list[int]:
+    """The pool row equal to each column, each row once, in column order."""
+    match = (_pool_keys(pool)[:, None] == _pool_keys(columns)[None]).all(axis=2)
+    return list(dict.fromkeys(match.argmax(axis=0).tolist()))
 
 
 def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64,
@@ -124,15 +143,18 @@ def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64,
     """Globally optimize slot k's reverse pair over a finite candidate pool.
 
     Scores the whole pool with one theta call and solves the mixture LP
-    by primal simplex from the pool's leading vertex columns, a feasible
-    basis.  The returned pair is the basic optimum itself: its weights
-    above ``SUPPORT_WEIGHT_TOL`` (at most ``|X_k|`` of them), normalized.
-    ``incumbent_columns`` (shape ``(*, |X_k|)``) joins the pool, so the
-    optimum is then at least as good as the incumbent.
+    by primal simplex.  ``incumbent_columns`` (shape ``(*, |X_k|)``), the
+    positive-weight columns of the incumbent pair, joins the pool, and the
+    simplex starts from their basis: they are independent and mix to
+    ``p_k`` when they are the support of a basic solution, so the optimum
+    is then not above the incumbent.  The returned pair is the basic
+    optimum itself: its weights above ``SUPPORT_WEIGHT_TOL`` (at most
+    ``|X_k|`` of them), normalized.
     """
     pool = _candidate_pool(ctx, candidates, seed, incumbent_columns)
     values = theta(ctx, pool)
-    result = solve_equality_lp(values, pool.T, ctx.p_k)
+    warm = () if incumbent_columns is None else _pool_rows(pool, incumbent_columns)
+    result = solve_equality_lp(values, pool.T, ctx.p_k, warm)
     support = np.flatnonzero(result.w > SUPPORT_WEIGHT_TOL)
     if len(support) > ctx.p_k.size:
         raise NumericIntegrityError(
@@ -151,7 +173,9 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
     """Cyclic single-slot optimization until a sweep stops paying.
 
     Stops after ``sweeps`` sweeps or when a sweep improves the objective
-    by less than ``SWEEP_IMPROVEMENT_TOL``.  The trace records the
+    by less than ``SWEEP_IMPROVEMENT_TOL``.  Each slot's incumbent is its
+    last step's basic pair (the initial bank's reverse pair before its
+    first step), so every step starts from it.  The trace records the
     objective after each sweep (index 0 is the initial bank) and must be
     non-increasing within ``MONOTONE_TOL``; violation means the mixture
     identity broke and raises.
@@ -162,17 +186,18 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
     if sweeps < 1:
         raise StructuralError(f"sweeps must be >= 1, got {sweeps}")
     channels = list(init)
+    pairs = [forward_to_reverse(spec, k, ch) for k, ch in zip(slots, channels)]
     trace = [direct_weighted_value(spec, channels, direction)]
     for sweep in range(sweeps):
         for pos, k in enumerate(slots):
             frozen = {kk: ch for kk, ch in zip(slots, channels) if kk != k}
-            incumbent = forward_to_reverse(spec, k, channels[pos])
             ctx = FunctionalContext(spec, k, frozen, direction)
-            pair = optimize_single_channel(
+            incumbent = pairs[pos]
+            pairs[pos] = optimize_single_channel(
                 ctx, candidates, seed=(seed, sweep, k),
-                incumbent_columns=incumbent.columns,
+                incumbent_columns=incumbent.columns[incumbent.weights > 0.0],
             )
-            channels[pos] = reverse_to_forward(spec, k, pair)
+            channels[pos] = reverse_to_forward(spec, k, pairs[pos])
         value = direct_weighted_value(spec, channels, direction)
         if value > trace[-1] + MONOTONE_TOL:
             raise NumericIntegrityError(
@@ -426,10 +451,10 @@ def verify_alphabet_bound(
     Compares, per direction, the best objective with output alphabets
     capped at ``|X_k|`` against a lattice search with alphabets enlarged
     to ``|X_k| + 2``.  The capped side combines its own lattice search
-    with coordinate-descent refinement seeded from the lattice argmin and
-    the default multistarts.  Each side runs at the largest lattice grid
-    not exceeding the evaluation budget (at most the requested ``grid``),
-    recorded in the report.  A pass means the capped side is within
+    with ``restarts`` coordinate descents: one seeded from the lattice
+    argmin and ``restarts - 1`` default multistarts.  Each side runs at
+    the largest lattice grid not exceeding the evaluation budget (at most
+    the requested ``grid``), recorded in the report.  A pass means the capped side is within
     ``tol`` of the enlarged side for every direction.
     """
     directions = list(directions)
@@ -456,7 +481,7 @@ def verify_alphabet_bound(
         spec, directions, enlarged_sizes, g_enlarged, max_evals
     )
 
-    multistarts = default_multistart_inits(spec, max(1, restarts - 1), seed=seed)
+    multistarts = default_multistart_inits(spec, restarts - 1, seed=seed) if restarts > 1 else []
     entries = []
     for idx, direction in enumerate(directions):
         run, _ = _best_descent(spec, direction, [capped_banks[idx]] + multistarts,

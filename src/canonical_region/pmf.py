@@ -109,11 +109,11 @@ class JointPmf:
 
         Built from the memo's fixed parent chain (see the module docstring).
         """
-        self.check_axes(axes)
         memo = self._marginals
-        found = memo.get(axes)
+        found = memo.get(axes)                  # the memo holds valid masks only
         if found is not None:
             return found
+        self.check_axes(axes)
         chain = [axes]   # masks to build, each the child of the next
         parent = axes | (~axes & (axes + 1))   # plus its lowest dropped axis
         while parent not in memo:

@@ -106,6 +106,7 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
     cmds += [
         ["trace", "bwz", "--sweep", "9", "--seed", "42"],
         ["trace", "helper3", "--count", "4", "--seed", "23"],
+        ["trace", "bwz", "--count", "4", "--seed", "1059401219"],
         ["trace", "dsbs", "--count", "2", "--perm", "2,1"],
         ["verify", "alphabet-bound", "dsbs", "--grid", "3", "--trials", "1", "--seed", "3"],
         ["verify", "alphabet-bound", "bwz", "--grid", "14", "--trials", "1", "--seed", "3"],

@@ -33,7 +33,7 @@ from canonical_region import (
     verify_alphabet_bound,
 )
 from canonical_region import optimize
-from canonical_region.optimize import _candidate_pool, _orbit_table, _simplex_lattice
+from canonical_region.optimize import _candidate_pool, _orbit_table, _pool_rows, _simplex_lattice
 from canonical_region.pmf import cell_entropies
 from canonical_region.simplex import solve_equality_lp
 from conftest import make_spec, zero_symbol_spec
@@ -448,7 +448,8 @@ def test_single_slot_pair_is_the_lp_basic_solution(name, request):
             pair = optimize_single_channel(ctx, candidates=32, seed=(trial, k),
                                            incumbent_columns=incumbent)
             pool = _candidate_pool(ctx, 32, (trial, k), incumbent)
-            lp = solve_equality_lp(theta(ctx, pool), pool.T, ctx.p_k)
+            warm = _pool_rows(pool, incumbent)                   # the step's warm basis
+            lp = solve_equality_lp(theta(ctx, pool), pool.T, ctx.p_k, warm)
             support = np.flatnonzero(lp.w > optimize.SUPPORT_WEIGHT_TOL)
             assert pair.columns.tobytes() == pool[support].tobytes()
             weights = lp.w[support]
@@ -532,12 +533,40 @@ def test_slot_lp_matches_highs(name, request):
             pool = _candidate_pool(ctx, 32, solved, incumbent)
             values = theta(ctx, pool)
             lp = solve_equality_lp(values, pool.T, ctx.p_k)
+            warm = solve_equality_lp(values, pool.T, ctx.p_k, _pool_rows(pool, incumbent))
             ref = optimize_mod.linprog(values, A_eq=pool.T, b_eq=ctx.p_k, bounds=(0, None),
                                        method="highs")
             assert ref.status == 0
-            assert abs(lp.value - ref.fun) <= 1e-9
-            assert np.count_nonzero(lp.w) <= ctx.p_k.size
+            for result in (lp, warm):
+                assert abs(result.value - ref.fun) <= 1e-9
+                assert np.count_nonzero(result.w) <= ctx.p_k.size
             solved += 1
+
+
+@pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs"])
+def test_slot_step_never_ends_above_its_incumbent(name, request, monkeypatch):
+    # every step of seeded descents: the LP that starts from the incumbent's
+    # basis ends at or below the incumbent's theta mixture
+    spec = request.getfixturevalue(name)
+    checked = []
+    step = optimize.optimize_single_channel
+
+    def checking_step(ctx, candidates, seed, incumbent_columns):
+        weights = np.linalg.lstsq(incumbent_columns.T, ctx.p_k, rcond=None)[0]
+        incumbent_value = weights @ theta(ctx, incumbent_columns)
+        pool = _candidate_pool(ctx, candidates, seed, incumbent_columns)
+        lp = solve_equality_lp(theta(ctx, pool), pool.T, ctx.p_k,
+                               _pool_rows(pool, incumbent_columns))
+        checked.append(lp.value - incumbent_value)
+        return step(ctx, candidates, seed, incumbent_columns)
+
+    monkeypatch.setattr(optimize, "optimize_single_channel", checking_step)
+    rng = np.random.default_rng(97)
+    while len(checked) < 80:
+        d = random_direction(spec.m, spec.j, spec.l, rng)
+        coordinate_descent(spec, d, random_channels(spec, rng), sweeps=8, candidates=16,
+                           seed=len(checked))
+    assert max(checked) <= 1e-12
 
 
 def test_single_slot_lp_requires_direction():
@@ -691,6 +720,19 @@ def test_alphabet_bound_refuses_bad_settings_before_any_search(bwz, monkeypatch,
     with pytest.raises(StructuralError, match=message):
         verify_alphabet_bound(bwz, [d], grid=4, **bad)
     assert calls == []
+
+
+def test_alphabet_bound_runs_restarts_descents(bwz, monkeypatch):
+    # the lattice-seeded descent and restarts - 1 multistarts per direction
+    calls = []
+    descent = optimize.coordinate_descent
+    monkeypatch.setattr(optimize, "coordinate_descent",
+                        lambda *a, **k: calls.append(1) or descent(*a, **k))
+    dirs = [Direction.normalized(1, 0, 1, w) for w in ([0.6, 0.8], [0.8, 0.6])]
+    for restarts in (1, 2, 3):
+        calls.clear()
+        verify_alphabet_bound(bwz, dirs, grid=4, restarts=restarts, sweeps=3)
+        assert len(calls) == restarts * len(dirs)
 
 
 def test_alphabet_bound_verifies_on_single_source(bwz):

@@ -113,3 +113,67 @@ def test_shape_and_finiteness_validation():
         solve_equality_lp(np.ones(1), np.ones((2, 1)), [0.5, 0.5])
     with pytest.raises(StructuralError):
         solve_equality_lp(np.ones(2), np.ones((0, 2)), np.ones(0))
+
+
+def _random_mixture_lp(rng):
+    """A bounded LP led by the identity basis, with a feasible nonnegative w0."""
+    dim = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 8))
+    mix = rng.dirichlet(np.ones(dim), size=n).T if dim > 1 else np.ones((1, n))
+    a = np.hstack([np.eye(dim), mix])
+    b = a @ (rng.dirichlet(np.ones(dim + n)) * rng.uniform(0.5, 2.0))
+    return rng.normal(size=dim + n), a, b
+
+
+def test_duals_price_every_column_and_match_the_value():
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        c, a, b = _random_mixture_lp(rng)
+        m = a.shape[0]
+        warm = rng.permutation(a.shape[1])[: int(rng.integers(0, m + 1))]
+        for res in (solve_equality_lp(c, a, b), solve_equality_lp(c, a, b, warm)):
+            y = res.duals
+            assert np.all(y @ a <= c + 1e-9)
+            assert abs(y @ b - res.value) <= 1e-12
+            assert len(res.basis) == m
+            assert np.all(res.w[np.setdiff1d(np.arange(a.shape[1]), res.basis)] == 0.0)
+
+
+def test_warm_start_begins_at_the_warm_solution():
+    # with independent warm columns that mix to b, the start is their combination:
+    # the result is optimal and never above it
+    rng = np.random.default_rng(72)
+    for _ in range(200):
+        c, a, b = _random_mixture_lp(rng)
+        m, n = a.shape
+        warm = rng.permutation(np.arange(m, n))[: int(rng.integers(1, m + 1))]
+        if np.linalg.matrix_rank(a[:, warm]) < len(warm):
+            continue
+        weights = rng.dirichlet(np.ones(len(warm)))
+        b = a[:, warm] @ weights
+        res = solve_equality_lp(c, a, b, warm)
+        assert res.value <= c[warm] @ weights + 1e-12
+        assert abs(res.value - solve_equality_lp(c, a, b).value) <= 1e-9
+
+
+def test_warm_columns_that_cannot_start_are_left_out():
+    # columns: e_0, e_1, t = (0.8, 0.2), a copy of e_0, a copy of t
+    a = np.array([[1.0, 0.0, 0.8, 1.0, 0.8],
+                  [0.0, 1.0, 0.2, 0.0, 0.2]])
+    c = np.array([1.0, 1.0, 0.0, 2.0, 2.0])
+    b = np.array([0.5, 0.5])
+    cold = solve_equality_lp(c, a, b)
+    # basic, repeated and dependent warm columns are skipped
+    for warm in ([0, 1], [3, 3], [2, 4], [4, 2, 0]):
+        res = solve_equality_lp(c, a, b, warm)
+        assert abs(res.value - cold.value) <= 1e-12
+        assert np.abs(a @ res.w - b).max() <= 1e-12
+    # t alone cannot give b = (0.9, 0.1) with e_0 or e_1 at a nonnegative level,
+    # so the solve starts from the identity basis
+    b = np.array([0.9, 0.1])
+    cold = solve_equality_lp(c, a, b)
+    res = solve_equality_lp(c, a, b, [2])
+    assert res.w.tolist() == cold.w.tolist() and res.basis == cold.basis
+    for bad in ([5], [-1]):
+        with pytest.raises(StructuralError):
+            solve_equality_lp(c, a, b, bad)
