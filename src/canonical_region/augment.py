@@ -29,6 +29,7 @@ here as well.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -111,18 +112,23 @@ class ProblemSpec:
     source_probs:
         Dense row-major tensor over ``(X1..XM, S, V)`` of floats or exact
         :class:`~fractions.Fraction` values.  Converted to exact
-        rationals, normalized exactly, then lowered to float64, so a spec
-        survives serialization round-trips bit-for-bit.
+        rationals and scaled to integer counts over the lcm of their
+        denominators; each cell is lowered to float64 as count / total by
+        Python's correctly rounded int division, the same bits as the
+        exact normalized rational's ``float``.  So normalization is exact
+        and a spec survives serialization round-trips bit-for-bit.
     distortions:
         One ``|V| x |Vhat_l|`` nonnegative table per measure.
 
-    ``source_mass`` keeps the exact total of the source probabilities
-    before normalization, so the loader can judge a file's mass slip.
+    ``source_fractions`` gives the normalized rationals, derived from the
+    stored counts.  ``source_mass`` keeps the exact total of the source
+    probabilities before normalization, so the loader can judge a file's
+    mass slip.
     """
 
     __slots__ = (
         "name", "notes", "m", "j", "l", "x_alphabets", "s_alphabet", "v_alphabet",
-        "vhat_alphabets", "source", "source_fractions", "source_mass", "distortions",
+        "vhat_alphabets", "source", "_counts", "source_mass", "distortions",
     )
 
     def __init__(
@@ -169,13 +175,16 @@ class ProblemSpec:
             fracs = [x if isinstance(x, Fraction) else Fraction(float(x)) for x in arr.ravel()]
         except (TypeError, ValueError, OverflowError) as exc:   # NaN, +-inf, non-numbers
             raise StructuralError(f"source probabilities must be finite numbers: {exc}") from exc
-        if any(f < 0 for f in fracs):
+        # every cell as an integer count over the common denominator
+        scale = math.lcm(*(f.denominator for f in fracs))
+        counts = tuple(f.numerator * (scale // f.denominator) for f in fracs)
+        if min(counts) < 0:
             raise StructuralError("source probabilities must be nonnegative")
-        total = sum(fracs)
+        total = sum(counts)
         if total <= 0:
             raise StructuralError("source probabilities sum to zero")
-        fracs = tuple(f / total for f in fracs)
-        floats = np.array([float(f) for f in fracs]).reshape(shape)
+        # int true division is correctly rounded: float(Fraction(n, total)) exactly
+        floats = np.array([n / total for n in counts]).reshape(shape)
 
         source = JointPmf(floats)
 
@@ -204,8 +213,8 @@ class ProblemSpec:
         object.__setattr__(self, "v_alphabet", v_alphabet)
         object.__setattr__(self, "vhat_alphabets", vhat_alphabets)
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "source_fractions", fracs)
-        object.__setattr__(self, "source_mass", total)
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "source_mass", Fraction(total, scale))
         object.__setattr__(self, "distortions", tuple(tables))
 
         self._warn_on_zero_symbols()
@@ -225,6 +234,12 @@ class ProblemSpec:
                 )
 
     # ---- accessors ---------------------------------------------------------
+
+    @property
+    def source_fractions(self) -> tuple[Fraction, ...]:
+        """The normalized source probabilities as exact rationals, in tensor order."""
+        total = sum(self._counts)
+        return tuple(Fraction(n, total) for n in self._counts)
 
     @property
     def channel_slots(self) -> tuple[int, ...]:

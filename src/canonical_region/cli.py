@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -68,7 +69,6 @@ from .region import (
     ACTIVE_TOL,
     check_permutation,
     enumerate_extreme_points,
-    expected_active_groups,
     membership,
     nondegeneracy_report,
     rate_lhs,
@@ -89,14 +89,15 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# one encoder for every record: json.dumps would build a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default)
+
+
 def _emit(records: list[dict], out: str | None) -> None:
     """Write the JSONL records to ``out``; a regular file is replaced whole, mode kept."""
     if out is None:
         return
-    lines = [
-        json.dumps(r, sort_keys=True, separators=(",", ":"), default=_json_default)
-        for r in records
-    ]
+    lines = [_ENCODER.encode(r) for r in records]
     tmp = f"{out}.{os.getpid()}.tmp"   # beside the target; no live run shares a pid
     try:
         old = os.lstat(out) if os.path.lexists(out) else None
@@ -143,10 +144,19 @@ def _run_record(args, spec) -> dict:
 
 
 def _fmt_rates(rates) -> str:
-    return "[" + " ".join(f"{float(r):.6f}" for r in rates) + "]"
+    return "[" + " ".join(map("{:.6f}".format, rates)) + "]"
 
 
 # ---- extreme-points ---------------------------------------------------------
+
+
+@functools.cache
+def _groups_lexicographic(m: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The nonempty groups of 1..M as member tuples in lexicographic order, with
+    their columns (bitmask - 1) in a constraint report."""
+    groups = sorted((tuple(i + 1 for i in range(m) if mask >> i & 1), mask - 1)
+                    for mask in range(1, 1 << m))
+    return np.array([col for _, col in groups]), tuple(g for g, _ in groups)
 
 
 def cmd_extreme_points(args) -> int:
@@ -157,34 +167,42 @@ def cmd_extreme_points(args) -> int:
     ndg = nondegeneracy_report(aug)
     full_info = rate_lhs(aug, range(1, spec.m + 1))
 
+    perms = [list(perm) for perm, _ in points]
+    rates = np.array([r for _, r in points])
+    report = membership(aug, rates, args.tol)
+    active = report.active
+    # the groups tight at a corner: the suffix of its order after each prefix
+    bits = np.left_shift(1, np.array(perms) - 1)
+    suffixes = ((1 << spec.m) - 1) ^ (np.bitwise_or.accumulate(bits, axis=1) ^ bits)
+    expected = np.zeros_like(active)
+    np.put_along_axis(expected, suffixes - 1, True, axis=1)
+    sums = rates.sum(axis=1)
+    ok = (report.is_member & ~(expected & ~active).any(axis=1)
+          & (np.abs(sums - full_info) <= args.tol))
+    if not ndg.degenerate:
+        ok &= (active == expected).all(axis=1)
+    columns, groups = _groups_lexicographic(spec.m)
+
     records = [_run_record(args, spec)]
-    passed = True
-    sum_rates = []
-    report = membership(aug, np.array([rates for _, rates in points]), args.tol)
-    for (perm, rates), member, groups in zip(points, report.is_member, report.active_groups):
-        member = bool(member)
-        expected = set(expected_active_groups(perm))
-        active = set(groups)
-        ok = member and expected <= active
-        if not ndg.degenerate:
-            ok = ok and active == expected
-        total = float(rates.sum())
-        sum_rates.append(total)
-        ok = ok and abs(total - full_info) <= args.tol
-        passed = passed and ok
+    lines = []
+    for perm, row, total, member, good, tight in zip(
+            perms, rates.tolist(), sums.tolist(), report.is_member.tolist(), ok.tolist(),
+            active[:, columns].tolist()):
         records.append({
             "type": "corner",
-            "perm": list(perm),
-            "rates": rates,
+            "perm": perm,
+            "rates": row,
             "sum_rate": total,
             "member": member,
-            "active": sorted(sorted(g) for g in active),
-            "ok": ok,
+            "active": list(itertools.compress(groups, tight)),
+            "ok": good,
         })
-        print(f"corner {list(perm)}: rates={_fmt_rates(rates)} "
-              f"sum={total:.6f} member={member} ok={ok}")
+        lines.append(f"corner {perm}: rates={_fmt_rates(row)} "
+                     f"sum={total:.6f} member={member} ok={good}")
+    print("\n".join(lines))
 
-    spread = max(sum_rates) - min(sum_rates)
+    passed = bool(ok.all())
+    spread = float(sums.max() - sums.min())
     records.append({
         "type": "summary",
         "command": "extreme-points",

@@ -187,12 +187,11 @@ class Estimator:
         object.__setattr__(self, "table", tab)
 
 
-def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, Estimator]:
-    """Bayes-optimal expected distortion for measure l, with its estimator.
+def _bayes_scores(aug: AugmentedPmf, l: int) -> np.ndarray:
+    """Expected distortion of measure l jointly with each observable tuple and
+    reconstruction symbol, ``(*obs, vhat)`` with obs in layout order.
 
-    For each observable tuple the decoder picks the reconstruction symbol
-    minimizing conditional expected distortion; the returned value sums
-    those minima against the joint law.
+    The Bayes-optimal expected distortion is ``scores.min(axis=-1).sum()``.
     """
     spec = aug.spec
     if not 1 <= l <= spec.l:
@@ -200,11 +199,19 @@ def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, Estimator]:
     obs = aug.z_axes((1 << aug.m) - 1) | aug.s_axis
     law = aug.joint.marginal(obs | aug.v_axis)         # (*obs and V in layout order)
     at = (obs & (aug.v_axis - 1)).bit_count()          # V's place in the law
-    d = spec.distortions[l - 1]                        # (v, vhat)
-    scores = np.tensordot(law, d, axes=([at], [0]))    # (*obs, vhat)
+    return np.tensordot(law, spec.distortions[l - 1], axes=([at], [0]))
+
+
+def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, Estimator]:
+    """Bayes-optimal expected distortion for measure l, with its estimator.
+
+    For each observable tuple the decoder picks the reconstruction symbol
+    minimizing conditional expected distortion; the returned value sums
+    those minima against the joint law.
+    """
+    scores = _bayes_scores(aug, l)
     value = float(scores.min(axis=-1).sum())
-    table = np.argmin(scores, axis=-1)
-    return value, Estimator(l, table, vhat_size=d.shape[1])
+    return value, Estimator(l, np.argmin(scores, axis=-1), vhat_size=scores.shape[-1])
 
 
 # ---- rate side ---------------------------------------------------------------
@@ -363,7 +370,7 @@ def direct_weighted_value(spec: ProblemSpec, channels: Sequence[Channel],
     for l in range(1, spec.l + 1):
         weight = direction.distortion_weight(l)
         if weight != 0.0:
-            total += weight * distortion_component(aug, l)[0]
+            total += weight * float(_bayes_scores(aug, l).min(axis=-1).sum())
     return float(total)
 
 

@@ -53,8 +53,8 @@ from .errors import BudgetError, NumericIntegrityError, StructuralError
 from .functionals import (
     Direction,
     FunctionalContext,
+    _bayes_scores,
     direct_weighted_value,
-    distortion_component,
     theta,
 )
 from .pmf import Alphabet, cell_entropies
@@ -257,20 +257,25 @@ def _orbit_table(grid: int, z: int, x: int) -> np.ndarray:
     """One ``(x, z)`` channel matrix per orbit of column permutations, which
     change no rate or Bayes distortion: the orbit's first raw lattice point
     (row digits lexicographic, row 0 most significant), whose columns, read
-    as ``x``-tuples, never decrease.  Raw indices are filtered in ``CHUNK`` blocks."""
+    as ``x``-tuples, never decrease.
+
+    Built one row at a time: a prefix of rows survives while no column pair
+    that it still ties decreases.  Prefixes grow in ``CHUNK`` blocks, each
+    by every lattice row in order, so the table stays lexicographic."""
     lat = _simplex_lattice(grid, z)
-    p = lat.shape[0]
-    blocks = []
-    for start in range(0, p ** x, CHUNK):
-        idx = np.arange(start, min(start + CHUNK, p ** x), dtype=np.int64)
-        q = np.stack([lat[idx // p ** (x - 1 - r) % p] for r in range(x)], axis=1)
-        keep = np.ones((idx.size, z - 1), dtype=bool)   # column c <= column c + 1
-        tied = keep.copy()                                # rows so far equal
-        for r in range(x):
-            keep &= ~(tied & (q[:, r, :-1] > q[:, r, 1:]))
-            tied &= q[:, r, :-1] == q[:, r, 1:]
-        blocks.append(q[keep.all(axis=1)])
-    table = np.concatenate(blocks)
+    down = lat[:, :-1] > lat[:, 1:]        # (rows, z - 1): column c above column c + 1
+    same = lat[:, :-1] == lat[:, 1:]
+    prefixes = np.flatnonzero(~down.any(axis=1))[:, None]   # lattice row per table row
+    tied = same[prefixes[:, 0]]
+    for _ in range(1, x):
+        grown, ties = [], []
+        for start in range(0, len(prefixes), CHUNK):
+            block = tied[start:start + CHUNK, None, :]
+            head, row = np.nonzero(~(block & down).any(axis=2))
+            grown.append(np.column_stack([prefixes[start + head], row]))
+            ties.append(block[head, 0] & same[row])
+        prefixes, tied = np.concatenate(grown), np.concatenate(ties)
+    table = lat[prefixes]
     table.setflags(write=False)
     return table
 
@@ -529,6 +534,7 @@ def trace_inner_bound(
     for idx, direction in enumerate(directions):
         best, restart = _best_descent(spec, direction, inits, idx, sweeps, candidates, seed)
         aug = attach_channels(spec, best.channels)
-        dists = np.array([distortion_component(aug, l)[0] for l in range(1, spec.l + 1)])
+        dists = np.array([float(_bayes_scores(aug, l).min(axis=-1).sum())
+                          for l in range(1, spec.l + 1)])
         points.append(TracePoint(direction, best, corner_point(aug, perm), dists, restart))
     return points

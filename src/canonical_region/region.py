@@ -181,20 +181,34 @@ def membership(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE_TOL) ->
     return ConstraintReport(lhs, sums, tol)
 
 
-def corner_point(aug: AugmentedPmf, perm: Sequence[int]) -> RateVector:
-    """The extreme point of the region associated with processing order ``perm``.
+def corner_point(aug: AugmentedPmf, perm: Sequence[int] | np.ndarray) -> RateVector:
+    """The extreme point of the region for processing order ``perm``.
 
-    Source ``perm[i]`` pays the information its description adds on top of
-    the descriptions of ``perm[0..i-1]`` and S (:func:`corner_rate`).
+    ``perm`` is one order ``(M,)`` or a stack ``(N, M)``, and the corners
+    come back in the same shape.  Source ``perm[i]`` pays the information
+    its description adds on top of the descriptions of ``perm[0..i-1]``
+    and S (:func:`corner_rate`).  Each distinct (source, prefix) rate of
+    the stack is read once.
     """
-    perm = check_permutation(perm, aug.m)
-    rates = np.zeros(aug.m)
-    prefix = 0
-    for target in perm:
-        bit = 1 << (target - 1)
-        rates[target - 1] = corner_rate(aug, bit, prefix)
-        prefix |= bit
-    return rates
+    m = aug.m
+    orders = np.array(perm, dtype=np.int64)
+    if orders.ndim not in (1, 2) or orders.shape[-1] != m:
+        raise StructuralError(f"orders have shape {orders.shape}, expected ({m},) or (N, {m})")
+    rows = orders.reshape(-1, m)
+    clipped = np.clip(rows, 1, m)
+    bits = np.left_shift(1, clipped - 1)
+    seen = np.bitwise_or.accumulate(bits, axis=1)     # sources up to each position
+    # M entries in 1..M that cover all M sources are a permutation
+    bad = (rows != clipped).any(axis=1) | (seen[:, -1] != (1 << m) - 1)
+    if bad.any():
+        check_permutation(rows[bad.argmax()], m)     # raises, naming the first bad row
+    keys = (rows - 1) << m | (seen ^ bits)           # (source, sources before it)
+    rates = np.zeros(m << m)
+    for key in np.flatnonzero(np.bincount(keys.ravel(), minlength=m << m)).tolist():
+        rates[key] = corner_rate(aug, 1 << (key >> m), key & ((1 << m) - 1))
+    corners = np.empty(rows.shape)
+    np.put_along_axis(corners, rows - 1, rates[keys], axis=1)
+    return corners.reshape(orders.shape)
 
 
 def corner_rate(aug: AugmentedPmf, source: int, before: int) -> float:
@@ -204,6 +218,14 @@ def corner_rate(aug: AugmentedPmf, source: int, before: int) -> float:
     negatives from float cancellation clamp to 0.
     """
     return max(0.0, _cmi_xz(aug, source, before))
+
+
+@functools.cache
+def _orders(m: int) -> np.ndarray:
+    """Read-only ``(M!, M)`` table of every processing order, in lexicographic order."""
+    table = np.array(list(itertools.permutations(range(1, m + 1))), dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def enumerate_extreme_points(aug: AugmentedPmf) -> list[tuple[Permutation, RateVector]]:
@@ -217,10 +239,8 @@ def enumerate_extreme_points(aug: AugmentedPmf) -> list[tuple[Permutation, RateV
             f"enumerating {math.factorial(aug.m)} corners for M={aug.m} exceeds "
             f"the M <= {MAX_SOURCES_FOR_ENUMERATION} budget"
         )
-    return [
-        (perm, corner_point(aug, perm))
-        for perm in itertools.permutations(range(1, aug.m + 1))
-    ]
+    orders = _orders(aug.m)
+    return list(zip(map(tuple, orders.tolist()), corner_point(aug, orders)))
 
 
 def expected_active_groups(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -24,6 +25,13 @@ from canonical_region import (
     load_channels,
     load_directions,
     load_problem,
+    attach_channels,
+    enumerate_extreme_points,
+    expected_active_groups,
+    membership,
+    nondegeneracy_report,
+    random_channels,
+    rate_lhs,
     resolve_problem,
     save_problem,
 )
@@ -346,6 +354,72 @@ def test_cli_extreme_points_passes_closely_spaced_corners(tmp_path, m):
     assert main(["extreme-points", str(path), "--seed", "1", "--out", str(out)]) == 0
     corners = [r for r in read_records(out) if r["type"] == "corner"]
     assert len(corners) == math.factorial(m) and all(r["ok"] for r in corners)
+
+
+def independent_sources_spec(m):
+    """M independent binary sources with V their parity and a trivial S:
+    every corner coincides, so the instance is degenerate."""
+    rng = np.random.default_rng(40 + m)
+    probs = np.zeros((2,) * m + (1, 2))
+    marginals = rng.dirichlet(np.ones(2), size=m)
+    for xs in itertools.product(range(2), repeat=m):
+        probs[xs + (0, sum(xs) % 2)] = math.prod(marginals[i, x] for i, x in enumerate(xs))
+    return ProblemSpec(m, 0, 1, [2] * m, 1, 2, [2], probs, [[[0.0, 1.0], [1.0, 0.0]]])
+
+
+def reference_corner_output(aug, tol):
+    """The corner records and stdout lines of extreme-points' old per-corner loop."""
+    points = enumerate_extreme_points(aug)
+    degenerate = nondegeneracy_report(aug).degenerate
+    full_info = rate_lhs(aug, range(1, aug.m + 1))
+    report = membership(aug, np.array([rates for _, rates in points]), tol)
+    records, lines = [], []
+    for (perm, rates), member, groups in zip(points, report.is_member, report.active_groups):
+        expected = set(expected_active_groups(perm))
+        active = set(groups)
+        ok = bool(member) and expected <= active
+        if not degenerate:
+            ok = ok and active == expected
+        total = float(rates.sum())
+        ok = ok and abs(total - full_info) <= tol
+        records.append({"type": "corner", "perm": list(perm), "rates": rates.tolist(),
+                        "sum_rate": total, "member": bool(member),
+                        "active": sorted(sorted(g) for g in active), "ok": ok})
+        shown = " ".join(f"{float(r):.6f}" for r in rates)
+        lines.append(f"corner {list(perm)}: rates=[{shown}] sum={total:.6f} "
+                     f"member={bool(member)} ok={ok}")
+    return records, lines
+
+
+@pytest.mark.parametrize("problem, seed, tol", [
+    ("independent-2", "5", "1e-09"),
+    ("independent-3", "5", "1e-09"),
+    ("independent-3", "5", "0"),
+    ("independent-3", "3", "5e-16"),
+    ("helper3", "5", "1e-09"),
+    ("helper3", "5", "0"),
+])
+def test_cli_extreme_points_matches_the_per_corner_reference(tmp_path, capsys, problem,
+                                                            seed, tol):
+    # Degenerate corners have more tight groups than their suffixes.  tol 0
+    # leaves corners outside the region, and at 5e-16 one member corner of
+    # the right sum misses a suffix group, so every check decides some corner.
+    if problem == "helper3":
+        spec = resolve_problem(problem)
+    else:
+        spec = independent_sources_spec(int(problem[-1]))
+        problem = str(tmp_path / "independent.json")
+        save_problem(spec, problem)
+    out = tmp_path / "c.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the independent sources warn on load
+        code = main(["extreme-points", problem, "--seed", seed, "--tol", tol, "--out", str(out)])
+    aug = attach_channels(spec, random_channels(spec, np.random.default_rng(int(seed))))
+    records, lines = reference_corner_output(aug, float(tol))
+    assert nondegeneracy_report(aug).degenerate == (problem != "helper3")
+    assert [r for r in read_records(out) if r["type"] == "corner"] == records
+    assert capsys.readouterr().out.splitlines()[:len(lines)] == lines
+    assert code == (0 if all(r["ok"] for r in records) else 1)
 
 
 def test_cli_extreme_points_channels_file(tmp_path, dsbs):

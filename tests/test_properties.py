@@ -3,12 +3,16 @@
 Specs have M <= 4 sources of 1..3 symbols, |S| <= 2, |V| <= 3, L in 0..2
 and J in 0..M, optionally with one source symbol at probability zero; the
 probabilities, distortion tables and channel banks come from a drawn seed.
-Bare pmfs have up to 7 axes of 1..3 symbols.
+Bare pmfs have up to 7 axes of 1..3 symbols.  Source cells given to the
+normalization property are exact rationals, decimal strings read
+exactly, floats and zeros.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,3 +138,37 @@ def test_memoized_marginals_match_the_direct_sum_in_any_order(probs):
         assert rising.marginal(mask).tobytes() == falling.marginal(mask).tobytes()
         if mask:
             assert entropy(rising, mask).hex() == entropy(falling, mask).hex()
+
+
+def cell_values():
+    """A source cell as a caller may give it: an exact rational, a decimal
+    string read exactly (as the loader reads one), a float, or a zero."""
+    return st.one_of(
+        st.fractions(min_value=0, max_value=10, max_denominator=10**6),
+        st.decimals(min_value=0, max_value=10, places=8).map(lambda d: Fraction(str(d))),
+        st.floats(min_value=0.0, max_value=10.0),
+        st.sampled_from([0, 0.0, Fraction(0)]),
+    )
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 2),
+       st.integers(1, 3), st.data())
+def test_integer_normalization_matches_the_fraction_reference(x_sizes, s_size, v_size, data):
+    shape = tuple(x_sizes) + (s_size, v_size)
+    cells = data.draw(st.lists(cell_values(), min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+    cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10))   # a positive total
+    # the exact normalization ProblemSpec used before it worked on integer counts
+    fracs = [x if isinstance(x, Fraction) else Fraction(float(x)) for x in cells]
+    total = sum(fracs)
+    reference = tuple(f / total for f in fracs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # zero-probability symbols warn
+        spec = ProblemSpec(len(x_sizes), 0, 0, x_sizes, s_size, v_size, [],
+                           np.array(cells, dtype=object).reshape(shape), [])
+    assert spec.source_mass == total
+    assert spec.source_fractions == reference
+    floats = np.array([float(f) for f in reference]).reshape(shape)
+    assert spec.source.probs.tobytes() == floats.tobytes()

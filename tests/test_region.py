@@ -27,6 +27,7 @@ from canonical_region import (
     nondegeneracy_report,
     random_channels,
     rate_lhs,
+    resolve_problem,
     solve_equality_lp,
     source_nondegeneracy_report,
     verify_chain_identities,
@@ -412,6 +413,45 @@ def test_enumeration_computes_each_prefix_cmi_once(monkeypatch):
     second = enumerate_extreme_points(aug)
     assert len(calls) == 192
     assert all(p == q and np.array_equal(r, s) for (p, r), (q, s) in zip(first, second))
+
+
+def stack_case_aug(case):
+    """A fresh augmented joint for one stacked-corner case: a bundled problem
+    or M sources (the benchmark's region problem for M >= 4)."""
+    if isinstance(case, str):
+        spec = resolve_problem(case)
+    elif case >= 4:
+        return region_problem_aug(1, case)
+    else:
+        spec = make_spec(np.random.default_rng(case), m=case, j=0, l=1)
+    return attach_channels(spec, random_channels(spec, np.random.default_rng(1)))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6, "helper3", "dsbs", "bwz"])
+def test_stacked_corners_equal_single_orders(case):
+    looped, stacked = stack_case_aug(case), stack_case_aug(case)
+    orders = list(itertools.permutations(range(1, looped.m + 1)))
+    one_by_one = np.array([corner_point(looped, perm) for perm in orders])
+    together = corner_point(stacked, np.array(orders))
+    assert together.shape == (len(orders), looped.m)
+    assert together.tobytes() == one_by_one.tobytes()
+    assert set(stacked._cmi) == set(looped._cmi)
+
+
+def test_stacked_corners_name_the_first_non_permutation_row():
+    aug = region_problem_aug(1, 4)
+    orders = np.array(list(itertools.permutations(range(1, 5))))
+    orders[7] = (1, 2, 2, 4)
+    orders[9] = (0, 1, 2, 3)
+    with pytest.raises(StructuralError, match=r"^\(1, 2, 2, 4\) is not a permutation of 1\.\.4$"):
+        corner_point(aug, orders)
+    orders[7] = (1, 2, 3, 4)
+    with pytest.raises(StructuralError, match=r"^\(0, 1, 2, 3\) is not a permutation of 1\.\.4$"):
+        corner_point(aug, orders)
+    for wrong in ((1, 2), np.ones((2, 3), dtype=int), np.ones((1, 1, 4), dtype=int)):
+        with pytest.raises(StructuralError, match=r"expected \(4,\) or \(N, 4\)"):
+            corner_point(aug, wrong)
+    assert aug._cmi == {}
 
 
 def test_memo_warm_corners_equal_fresh_ones():
