@@ -177,8 +177,7 @@ def cmd_extreme_points(args) -> int:
     expected = np.zeros_like(active)
     np.put_along_axis(expected, suffixes - 1, True, axis=1)
     sums = rates.sum(axis=1)
-    ok = (report.is_member & ~(expected & ~active).any(axis=1)
-          & (np.abs(sums - full_info) <= args.tol))
+    ok = report.is_member & ~(expected & ~active).any(axis=1)
     if not ndg.degenerate:
         ok &= (active == expected).all(axis=1)
     columns, groups = _groups_lexicographic(spec.m)

@@ -10,10 +10,10 @@ mixture matching the source marginal ``p_k``.  A basic optimal solution
 of that program has at most ``|X_k|`` positive weights, which realizes
 the alphabet bound ``|Z_k| <= |X_k|`` constructively: enlarging output
 alphabets cannot help.  The pool leads with the vertex columns ``e_x``,
-the LP's identity basis (``p_k = sum_x p_k(x) e_x``), and contains the
-incumbent's columns; the simplex crashes those into the basis and starts
-from the incumbent, so it needs no phase 1 and a step cannot end above
-its incumbent.
+the LP's identity basis (``p_k = sum_x p_k(x) e_x``), and ends with the
+incumbent's columns; the simplex crashes those positions into the basis
+and starts from the incumbent, so it needs no phase 1 and a step cannot
+end above its incumbent.
 
 Coordinate descent cycles the slots.  Each slot's incumbent is its own
 last basic pair, so the step objective never increases; the sweep trace
@@ -88,64 +88,48 @@ class OptimizeResult:
 
 @lru_cache(maxsize=None)
 def _pool_head(n: int) -> np.ndarray:
-    """The fixed head of every pool over ``n`` symbols: vertices, pairwise midpoints, barycenter."""
+    """The fixed head of every pool over ``n`` symbols: vertices, pairwise
+    midpoints and, for ``n >= 3``, the barycenter (below that it is a vertex
+    or the midpoint)."""
     eye = np.eye(n)
-    mids = [(eye[a] + eye[b]) / 2 for a, b in itertools.combinations(range(n), 2)]
-    head = np.vstack([eye, *mids, np.full(n, 1.0 / n)])
+    rows = [eye, *((eye[a] + eye[b]) / 2 for a, b in itertools.combinations(range(n), 2))]
+    if n >= 3:
+        rows.append(np.full(n, 1.0 / n))
+    head = np.vstack(rows)
     head.setflags(write=False)
     return head
-
-
-def _pool_keys(points: np.ndarray) -> np.ndarray:
-    """Rows rounded to 12 decimals: two pool points are equal when their keys are."""
-    return np.round(points, 12) + 0.0                 # + 0.0 folds -0.0 into 0.0
 
 
 def _candidate_pool(ctx: FunctionalContext, candidates: int, seed,
                     incumbent_columns) -> np.ndarray:
     """Deterministic stratified pool of simplex points over X_k.
 
-    Order: vertices, pairwise midpoints, barycenter, seeded Dirichlet(1)
-    draws, then the incumbent's columns.  Points equal after rounding to
-    12 decimals are dropped keeping the first occurrence, so pool indices
-    are reproducible and the pool always starts with ``np.eye(|X_k|)``:
-    the slot LP's identity basis.
+    Order: the head (vertices, midpoints, barycenter), seeded Dirichlet(1)
+    draws, then the incumbent's columns as given, so the pool starts with
+    ``np.eye(|X_k|)``, the slot LP's identity basis, and ends with the
+    incumbent.  Points may repeat: a copy of a basic column keeps the same
+    tableau bits, so its reduced cost is exactly 0 and it never enters.
     """
     if candidates < 0:
         raise StructuralError(f"candidates must be >= 0, got {candidates}")
     n = ctx.p_k.size
+    cols = np.array(incumbent_columns, dtype=float)
+    if cols.ndim != 2 or cols.shape[1] != n:
+        raise StructuralError(f"incumbent columns have shape {cols.shape}, expected (*, {n})")
     parts = [_pool_head(n)]
     if candidates > 0 and n > 1:
         parts.append(np.random.default_rng(seed).dirichlet(np.ones(n), size=candidates))
-    if incumbent_columns is not None:
-        cols = np.array(incumbent_columns, dtype=float)
-        if cols.ndim != 2 or cols.shape[1] != n:
-            raise StructuralError(f"incumbent columns have shape {cols.shape}, expected (*, {n})")
-        parts.append(cols)
-    pool = np.concatenate(parts)
-    keys = _pool_keys(pool)
-    order = np.lexsort(keys.T)                         # stable: equal keys keep pool order
-    first = np.ones(len(pool), dtype=bool)
-    first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
-    keep = np.zeros(len(pool), dtype=bool)
-    keep[order[first]] = True
-    return pool[keep]
+    return np.concatenate([*parts, cols])
 
 
-def _pool_rows(pool: np.ndarray, columns: np.ndarray) -> list[int]:
-    """The pool row equal to each column, each row once, in column order."""
-    match = (_pool_keys(pool)[:, None] == _pool_keys(columns)[None]).all(axis=2)
-    return list(dict.fromkeys(match.argmax(axis=0).tolist()))
-
-
-def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64,
-                            seed=0, incumbent_columns=None) -> ReverseChannelPair:
+def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64, seed=0, *,
+                            incumbent_columns) -> ReverseChannelPair:
     """Globally optimize slot k's reverse pair over a finite candidate pool.
 
     Scores the whole pool with one theta call and solves the mixture LP
     by primal simplex.  ``incumbent_columns`` (shape ``(*, |X_k|)``), the
-    positive-weight columns of the incumbent pair, joins the pool, and the
-    simplex starts from their basis: they are independent and mix to
+    positive-weight columns of the incumbent pair, end the pool, and the
+    simplex starts from their positions: they are independent and mix to
     ``p_k`` when they are the support of a basic solution, so the optimum
     is then not above the incumbent.  The returned pair is the basic
     optimum itself: its weights above ``SUPPORT_WEIGHT_TOL`` (at most
@@ -153,7 +137,7 @@ def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64,
     """
     pool = _candidate_pool(ctx, candidates, seed, incumbent_columns)
     values = theta(ctx, pool)
-    warm = () if incumbent_columns is None else _pool_rows(pool, incumbent_columns)
+    warm = range(len(pool) - len(incumbent_columns), len(pool))
     result = solve_equality_lp(values, pool.T, ctx.p_k, warm)
     support = np.flatnonzero(result.w > SUPPORT_WEIGHT_TOL)
     if len(support) > ctx.p_k.size:

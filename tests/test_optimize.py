@@ -33,7 +33,7 @@ from canonical_region import (
     verify_alphabet_bound,
 )
 from canonical_region import optimize
-from canonical_region.optimize import _candidate_pool, _orbit_table, _pool_rows, _simplex_lattice
+from canonical_region.optimize import _candidate_pool, _orbit_table, _pool_head, _simplex_lattice
 from canonical_region.pmf import cell_entropies
 from canonical_region.simplex import solve_equality_lp
 from conftest import make_spec, zero_symbol_spec
@@ -425,8 +425,9 @@ def test_descent_scores_each_pool_in_one_theta_call(monkeypatch, helper3):
     chans = random_channels(helper3, rng)                  # slots 2 and 3
     d = random_direction(3, 1, 1, rng)
     ctx = FunctionalContext(helper3, 3, {2: chans[0]}, d)
-    optimize_single_channel(ctx, candidates=16, seed=0)
-    assert calls == [_candidate_pool(ctx, 16, 0, None).shape]
+    incumbent = forward_to_reverse(helper3, 3, chans[1]).columns
+    optimize_single_channel(ctx, candidates=16, seed=0, incumbent_columns=incumbent)
+    assert calls == [_candidate_pool(ctx, 16, 0, incumbent).shape]
     calls.clear()
     result = coordinate_descent(helper3, d, chans, sweeps=3, candidates=16)
     assert len(calls) == result.sweeps_run * len(helper3.channel_slots)
@@ -448,47 +449,13 @@ def test_single_slot_pair_is_the_lp_basic_solution(name, request):
             pair = optimize_single_channel(ctx, candidates=32, seed=(trial, k),
                                            incumbent_columns=incumbent)
             pool = _candidate_pool(ctx, 32, (trial, k), incumbent)
-            warm = _pool_rows(pool, incumbent)                   # the step's warm basis
+            warm = range(len(pool) - len(incumbent), len(pool))  # the step's warm basis
             lp = solve_equality_lp(theta(ctx, pool), pool.T, ctx.p_k, warm)
             support = np.flatnonzero(lp.w > optimize.SUPPORT_WEIGHT_TOL)
             assert pair.columns.tobytes() == pool[support].tobytes()
             weights = lp.w[support]
             assert pair.weights.tobytes() == (weights / weights.sum()).tobytes()
             assert len(pair.weights) <= ctx.p_k.size
-
-
-def _reference_pool_dedupe(points):
-    """The row-at-a-time rule the pool builder must reproduce."""
-    seen, unique = set(), []
-    for t in points:
-        key = tuple(np.round(t, 12))
-        if key not in seen:
-            seen.add(key)
-            unique.append(t)
-    return np.array(unique)
-
-
-def test_candidate_pool_dedupe_matches_row_rule():
-    rng = np.random.default_rng(88)
-    spec = make_spec(rng, m=1, j=0, l=1, max_alphabet=3)
-    n = spec.x_alphabets[0].size
-    ctx = FunctionalContext(spec, 1, {}, Direction.normalized(1, 0, 1, [1.0, 1.0]))
-    eye = np.eye(n)
-    fixed = [eye[x] for x in range(n)]
-    for a, b in itertools.combinations(range(n), 2):
-        fixed.append((eye[a] + eye[b]) / 2)
-    fixed.append(np.full(n, 1.0 / n))
-    atoms = np.array([0.0, -0.0, 0.5, 1.0 / 3.0, 1.0, 0.25])
-    for trial in range(300):
-        extra = rng.choice(atoms, size=(int(rng.integers(1, 20)), n))
-        noise = rng.choice([-1e-14, 1e-14, 3e-13], size=extra.shape)
-        extra = np.where(rng.random(extra.shape) < 0.3, extra + noise, extra)
-        candidates = int(rng.integers(0, 4))
-        draws = list(np.random.default_rng(trial).dirichlet(np.ones(n), size=candidates))
-        got = _candidate_pool(ctx, candidates, trial, extra)
-        expected = _reference_pool_dedupe(fixed + draws + list(extra))
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
 
 
 def _slot_contexts(name, request, rng):
@@ -511,15 +478,42 @@ def test_candidate_pool_leads_with_the_vertex_basis(name, request):
             n = ctx.p_k.size
             eye = np.eye(n)
             near = eye[rng.integers(0, n, size=3)] + rng.choice([-1e-14, 0.0, 1e-14], size=(3, n))
-            for extra in (None, incumbent, eye[::-1], np.vstack([near, incumbent, eye])):
+            for extra in (incumbent, eye[::-1], np.vstack([near, incumbent, eye])):
                 pool = _candidate_pool(ctx, trial, trial, extra)
                 assert pool[:n].tobytes() == eye.tobytes()
     rng = np.random.default_rng(95)
     probs = rng.dirichlet(np.ones(4)).reshape(1, 2, 2)              # |X_1| = 1
     spec = ProblemSpec(1, 0, 1, [1], 2, 2, [2], probs, [[[0.0, 1.0], [1.0, 0.0]]])
     ctx = FunctionalContext(spec, 1, {}, Direction.normalized(1, 0, 1, [1.0, 1.0]))
-    for extra in (None, [[1.0]], [[1.0 - 1e-14]]):
-        assert _candidate_pool(ctx, 8, 0, extra).tobytes() == np.ones((1, 1)).tobytes()
+    for extra in ([[1.0]], [[1.0 - 1e-14]]):
+        pool = _candidate_pool(ctx, 8, 0, extra)
+        assert pool.tobytes() == np.vstack([np.ones((1, 1)), extra]).tobytes()
+
+
+def test_candidate_pool_layout(request, monkeypatch):
+    # the head, then the draws, then the incumbent's columns as given; the
+    # slot LP starts from exactly those tail positions
+    for n in range(1, 6):
+        eye = np.eye(n)
+        rows = [*eye, *((eye[a] + eye[b]) / 2 for a, b in itertools.combinations(range(n), 2))]
+        if n >= 3:
+            rows.append(np.full(n, 1.0 / n))
+        head = _pool_head(n)
+        assert head.tobytes() == np.array(rows).tobytes()
+        assert len({row.tobytes() for row in head}) == len(head)
+    seen = []
+    solve = optimize.solve_equality_lp
+    monkeypatch.setattr(optimize, "solve_equality_lp",
+                        lambda c, a, b, warm: seen.append(list(warm)) or solve(c, a, b, warm))
+    rng = np.random.default_rng(98)
+    for name in ("helper3", "bwz", "dsbs"):
+        for seed, (ctx, columns) in enumerate(_slot_contexts(name, request, rng)):
+            for incumbent in (columns, np.eye(ctx.p_k.size), np.vstack([columns, columns])):
+                pool = _candidate_pool(ctx, 8, seed, incumbent)
+                tail = len(pool) - len(incumbent)
+                assert pool[tail:].tobytes() == incumbent.tobytes()
+                optimize_single_channel(ctx, 8, seed, incumbent_columns=incumbent)
+                assert seen.pop() == list(range(tail, len(pool)))
 
 
 @pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol"])
@@ -533,7 +527,8 @@ def test_slot_lp_matches_highs(name, request):
             pool = _candidate_pool(ctx, 32, solved, incumbent)
             values = theta(ctx, pool)
             lp = solve_equality_lp(values, pool.T, ctx.p_k)
-            warm = solve_equality_lp(values, pool.T, ctx.p_k, _pool_rows(pool, incumbent))
+            warm = solve_equality_lp(values, pool.T, ctx.p_k,
+                                     range(len(pool) - len(incumbent), len(pool)))
             ref = optimize_mod.linprog(values, A_eq=pool.T, b_eq=ctx.p_k, bounds=(0, None),
                                        method="highs")
             assert ref.status == 0
@@ -551,14 +546,14 @@ def test_slot_step_never_ends_above_its_incumbent(name, request, monkeypatch):
     checked = []
     step = optimize.optimize_single_channel
 
-    def checking_step(ctx, candidates, seed, incumbent_columns):
+    def checking_step(ctx, candidates, seed, *, incumbent_columns):
         weights = np.linalg.lstsq(incumbent_columns.T, ctx.p_k, rcond=None)[0]
         incumbent_value = weights @ theta(ctx, incumbent_columns)
         pool = _candidate_pool(ctx, candidates, seed, incumbent_columns)
         lp = solve_equality_lp(theta(ctx, pool), pool.T, ctx.p_k,
-                               _pool_rows(pool, incumbent_columns))
+                               range(len(pool) - len(incumbent_columns), len(pool)))
         checked.append(lp.value - incumbent_value)
-        return step(ctx, candidates, seed, incumbent_columns)
+        return step(ctx, candidates, seed, incumbent_columns=incumbent_columns)
 
     monkeypatch.setattr(optimize, "optimize_single_channel", checking_step)
     rng = np.random.default_rng(97)
@@ -586,12 +581,16 @@ def test_single_slot_lp_validates_incumbent_shape():
     for bad in (np.ones(n) / n, np.ones((2, n + 1)) / (n + 1)):
         with pytest.raises(StructuralError):
             optimize_single_channel(ctx, candidates=4, incumbent_columns=bad)
+    with pytest.raises(TypeError):                  # the incumbent is keyword-only and required
+        optimize_single_channel(ctx, 4, 0, np.eye(n))
+    with pytest.raises(TypeError):
+        optimize_single_channel(ctx, candidates=4)
 
 
 def test_lp_matches_two_point_envelope(bwz):
     d = Direction.normalized(1, 0, 1, [0.6, 0.8])
     ctx = FunctionalContext(bwz, 1, {}, d)
-    pair = optimize_single_channel(ctx, candidates=64, seed=0)
+    pair = optimize_single_channel(ctx, candidates=64, seed=0, incumbent_columns=np.eye(2))
     lp_value = pair.weights @ theta(ctx, pair.columns)
     # oracle: dense two-point mixtures hitting the marginal (0.5, 0.5)
     grid = np.linspace(0.0, 1.0, 401)
@@ -608,7 +607,7 @@ def test_lp_matches_two_point_envelope(bwz):
     # distortion-only direction: copying the source is free of distortion
     d0 = Direction.normalized(1, 0, 1, [0.0, 1.0])
     ctx0 = FunctionalContext(bwz, 1, {}, d0)
-    pair0 = optimize_single_channel(ctx0, candidates=16, seed=0)
+    pair0 = optimize_single_channel(ctx0, candidates=16, seed=0, incumbent_columns=np.eye(2))
     value0 = pair0.weights @ theta(ctx0, pair0.columns)
     assert abs(value0) < 1e-9
 
@@ -699,8 +698,8 @@ def test_negative_candidates_and_nonpositive_restarts_rejected(bwz):
     d = Direction.normalized(1, 0, 1, [0.6, 0.8])
     ctx = FunctionalContext(bwz, 1, {}, d)
     with pytest.raises(StructuralError, match="candidates must be >= 0"):
-        optimize_single_channel(ctx, candidates=-5)
-    assert len(_candidate_pool(ctx, 0, 0, None)) == 3      # vertices and the midpoint
+        optimize_single_channel(ctx, candidates=-5, incumbent_columns=np.eye(2))
+    assert len(_candidate_pool(ctx, 0, 0, np.eye(2))) == 5  # vertices, midpoint, incumbent
     for restarts in (0, -3):
         with pytest.raises(StructuralError, match="restarts must be >= 1"):
             verify_alphabet_bound(bwz, [d], grid=4, restarts=restarts)

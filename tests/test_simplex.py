@@ -177,3 +177,18 @@ def test_warm_columns_that_cannot_start_are_left_out():
     for bad in ([5], [-1]):
         with pytest.raises(StructuralError):
             solve_equality_lp(c, a, b, bad)
+
+
+def test_exact_duplicate_columns_change_nothing():
+    # a copy of every column: warm from the copies of a cold optimum's basis, and
+    # cold, both reach the value without copies, and no basis holds twin columns
+    rng = np.random.default_rng(73)
+    for _ in range(500):
+        c, a, b = _random_mixture_lp(rng)
+        n = a.shape[1]
+        c2, a2 = np.concatenate([c, c]), np.hstack([a, a])
+        base = solve_equality_lp(c, a, b)
+        for res in (solve_equality_lp(c2, a2, b, [j + n for j in base.basis]),
+                    solve_equality_lp(c2, a2, b)):
+            assert abs(res.value - base.value) <= 1e-12
+            assert len({a2[:, j].tobytes() for j in res.basis}) == len(res.basis)
