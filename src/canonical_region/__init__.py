@@ -63,7 +63,6 @@ from .region import (
 from .functionals import (
     DecompositionReport,
     Direction,
-    Estimator,
     FunctionalContext,
     direct_weighted_value,
     distortion_component,
@@ -100,7 +99,7 @@ __all__ = [
     "Alphabet", "AlphabetBoundReport", "AugmentedPmf", "BudgetError",
     "CanonicalRegionError", "ChainIdentityReport", "Channel",
     "ConstraintReport", "DecompositionReport", "DegeneracyWarning",
-    "Direction", "Estimator", "FunctionalContext",
+    "Direction", "FunctionalContext",
     "InputError", "JointPmf", "LpResult", "NondegeneracyReport",
     "NumericIntegrityError", "OptimizeResult", "PreconditionError",
     "ProblemSpec", "ReverseChannelPair", "StructuralError",

@@ -23,12 +23,14 @@ Each command and suite accepts only the flags it reads; an unread flag,
 two flags that choose the same thing, or a value out of range is a usage
 error (exit 2) before any problem is loaded.
 
-Results stream to stdout as text; ``--out PATH`` additionally writes one
-JSON record per line, led by a ``run`` record of the parsed arguments.
-Records never contain wall-clock times or other run-varying data, so
-reruns with the same arguments write byte-identical files.  Exit codes:
-0 success, 1 verification failure, 2 bad input or usage, 3 refused for
-budget.
+One contract holds for every command, and :func:`main` alone keeps it:
+``--out PATH`` gets one JSON record per line, a ``run`` record of the
+parsed arguments first and one ``summary`` record last; the verdict line
+and ``elapsed`` print only after ``--out`` is written; the exit code is 0
+exactly when the summary has ``passed``.  Records never contain wall-clock
+times or other run-varying data, so reruns with the same arguments write
+byte-identical files.  Exit codes: 0 success, 1 verification failure, 2
+bad input or usage, 3 refused for budget.
 """
 from __future__ import annotations
 
@@ -47,12 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import attach_channels, random_channels
-from .errors import (
-    BudgetError,
-    InputError,
-    NumericIntegrityError,
-    StructuralError,
-)
+from .errors import BudgetError, InputError, NumericIntegrityError, StructuralError
 from .functionals import (
     DECOMPOSITION_TOL,
     Direction,
@@ -60,11 +57,7 @@ from .functionals import (
     verify_linear_decomposition,
 )
 from .optimize import ALPHABET_BOUND_TOL, trace_inner_bound, verify_alphabet_bound
-from .problem_io import (
-    load_channels,
-    load_directions,
-    resolve_problem,
-)
+from .problem_io import load_channels, load_directions, resolve_problem
 from .region import (
     ACTIVE_TOL,
     check_permutation,
@@ -159,8 +152,7 @@ def _groups_lexicographic(m: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ..
     return np.array([col for _, col in groups]), tuple(g for g, _ in groups)
 
 
-def cmd_extreme_points(args) -> int:
-    spec = resolve_problem(args.problem)
+def cmd_extreme_points(args, spec, records: list[dict]) -> tuple[dict, str]:
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
     points = enumerate_extreme_points(aug)
@@ -182,7 +174,6 @@ def cmd_extreme_points(args) -> int:
         ok &= (active == expected).all(axis=1)
     columns, groups = _groups_lexicographic(spec.m)
 
-    records = [_run_record(args, spec)]
     lines = []
     for perm, row, total, member, good, tight in zip(
             perms, rates.tolist(), sums.tolist(), report.is_member.tolist(), ok.tolist(),
@@ -202,24 +193,29 @@ def cmd_extreme_points(args) -> int:
 
     passed = bool(ok.all())
     spread = float(sums.max() - sums.min())
-    records.append({
-        "type": "summary",
-        "command": "extreme-points",
+    summary = {
         "passed": passed,
         "corners": len(points),
         "degenerate": ndg.degenerate,
         "sum_rate_spread": spread,
         "full_group_information": full_info,
-    })
-    _emit(records, args.out)
-    print(f"{len(points)} corner(s), smallest separation {ndg.min_value:.3e}; "
-          f"sum-rate spread {spread:.3e}; {'PASS' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    }
+    return summary, (f"{len(points)} corner(s), smallest separation {ndg.min_value:.3e}; "
+                     f"sum-rate spread {spread:.3e}; {'PASS' if passed else 'FAIL'}")
 
 
 # ---- verify -----------------------------------------------------------------
 
 
+def _suite(run):
+    """A verify suite as a command: the summary names the suite, the verdict is PASS or FAIL."""
+    def command(args, spec, records: list[dict]) -> tuple[dict, str]:
+        passed = run(args, spec, records)
+        return {"suite": args.suite, "passed": passed}, "PASS" if passed else "FAIL"
+    return command
+
+
+@_suite
 def _suite_identities(args, spec, records: list[dict]) -> bool:
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
@@ -246,6 +242,7 @@ def _suite_identities(args, spec, records: list[dict]) -> bool:
     return report.passed
 
 
+@_suite
 def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
@@ -253,11 +250,8 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
     # tight groups form a chain only under strict supermodularity
     degenerate = nondegeneracy_report(aug).degenerate
     corners = np.array([r for _, r in points])
-    chained = verify_noncrossing(aug, corners, args.tol)
-    passed = True
-    for idx, (perm, _) in enumerate(points):
-        ok = bool(chained[idx]) or degenerate
-        passed = passed and ok
+    chained = (verify_noncrossing(aug, corners, args.tol) | degenerate).tolist()
+    for idx, ((perm, _), ok) in enumerate(zip(points, chained)):
         records.append({
             "type": "check",
             "suite": "noncrossing",
@@ -266,17 +260,14 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
             "detail": {"perm": list(perm)},
         })
     print(f"tight sets chain at all {len(points)} corners: "
-          f"{'ok' if passed else 'FAILED'}")
+          f"{'ok' if all(chained) else 'FAILED'}")
     rng = np.random.default_rng((args.seed, 1))
     members = np.empty((args.samples, spec.m))
     for t in range(args.samples):
         weights = rng.dirichlet(np.ones(len(points)))
         members[t] = weights @ corners + rng.exponential(0.05, size=spec.m)
-    chained = verify_noncrossing(aug, members, args.tol)
-    members_ok = True
-    for t, rates in enumerate(members):
-        ok = bool(chained[t]) or degenerate
-        members_ok = members_ok and ok
+    members_chained = (verify_noncrossing(aug, members, args.tol) | degenerate).tolist()
+    for t, (rates, ok) in enumerate(zip(members, members_chained)):
         records.append({
             "type": "check",
             "suite": "noncrossing",
@@ -285,10 +276,11 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
             "detail": {} if ok else {"rates": rates},
         })
     print(f"tight sets chain at {args.samples} random members: "
-          f"{'ok' if members_ok else 'FAILED'}")
-    return passed and members_ok
+          f"{'ok' if all(members_chained) else 'FAILED'}")
+    return all(chained) and all(members_chained)
 
 
+@_suite
 def _suite_decomposition(args, spec, records: list[dict]) -> bool:
     if not spec.channel_slots:
         raise InputError("decomposition is vacuous without channel slots")
@@ -318,6 +310,7 @@ def _suite_decomposition(args, spec, records: list[dict]) -> bool:
     return passed
 
 
+@_suite
 def _suite_alphabet_bound(args, spec, records: list[dict]) -> bool:
     if args.directions:
         directions = load_directions(args.directions, spec)
@@ -350,34 +343,10 @@ def _suite_alphabet_bound(args, spec, records: list[dict]) -> bool:
     return report.passed
 
 
-_SUITES = {
-    "identities": _suite_identities,
-    "noncrossing": _suite_noncrossing,
-    "decomposition": _suite_decomposition,
-    "alphabet-bound": _suite_alphabet_bound,
-}
-
-
-def cmd_verify(args) -> int:
-    spec = resolve_problem(args.problem)
-    records = [_run_record(args, spec)]
-    passed = _SUITES[args.suite](args, spec, records)
-    records.append({
-        "type": "summary",
-        "command": "verify",
-        "suite": args.suite,
-        "passed": passed,
-    })
-    _emit(records, args.out)
-    print("PASS" if passed else "FAIL")
-    return EXIT_OK if passed else EXIT_VERIFICATION
-
-
 # ---- trace ------------------------------------------------------------------
 
 
-def cmd_trace(args) -> int:
-    spec = resolve_problem(args.problem)
+def cmd_trace(args, spec, records: list[dict]) -> tuple[dict, None]:
     if args.directions:
         directions = load_directions(args.directions, spec)
     elif args.sweep is not None:
@@ -402,7 +371,6 @@ def cmd_trace(args) -> int:
         except StructuralError as exc:
             raise InputError(f"bad --perm: {exc}") from exc
 
-    records = [_run_record(args, spec)]
     points = trace_inner_bound(
         spec, directions, perm=perm, restarts=args.restarts,
         sweeps=args.sweeps, candidates=args.candidates, seed=args.seed,
@@ -426,14 +394,7 @@ def cmd_trace(args) -> int:
               f"rates={_fmt_rates(point.rates)} "
               f"distortions={_fmt_rates(point.distortions)} "
               f"({point.result.sweeps_run} sweep(s), restart {point.restart_index})")
-    records.append({
-        "type": "summary",
-        "command": "trace",
-        "passed": True,
-        "points": len(points),
-    })
-    _emit(records, args.out)
-    return EXIT_OK
+    return {"passed": True, "points": len(points)}, None
 
 
 # ---- parser -----------------------------------------------------------------
@@ -502,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extreme_points)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.set_defaults(func=cmd_verify)
     suites = verify.add_subparsers(dest="suite", required=True)
 
     p = suites.add_parser("identities", parents=[seeded], help="decomposition identities")
@@ -510,17 +470,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random draws (default %(default)s)")
     p.add_argument("--tol", type=_TOL, default=repr(ACTIVE_TOL), help=tol)
     p.add_argument("--channels", metavar="PATH", help=channels)
+    p.set_defaults(func=_suite_identities)
 
     p = suites.add_parser("noncrossing", parents=[seeded], help="tight sets form chains")
     p.add_argument("--samples", type=_NATURAL, default="50",
                    help="random member points (default %(default)s)")
     p.add_argument("--tol", type=_TOL, default=repr(ACTIVE_TOL), help=tol)
     p.add_argument("--channels", metavar="PATH", help=channels)
+    p.set_defaults(func=_suite_noncrossing)
 
     p = suites.add_parser("decomposition", parents=[seeded], help="per-slot mixtures")
     p.add_argument("--trials", type=_COUNT, default="20",
                    help="random banks and directions (default %(default)s)")
     p.add_argument("--tol", type=_TOL, default=repr(DECOMPOSITION_TOL), help=tol)
+    p.set_defaults(func=_suite_decomposition)
 
     p = suites.add_parser("alphabet-bound", parents=[seeded], help="larger outputs do not help")
     chosen = p.add_mutually_exclusive_group()
@@ -531,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lattice resolution (default %(default)s)")
     _descent_flags(p, restarts="4")
     p.add_argument("--tol", type=_TOL, default=repr(ALPHABET_BOUND_TOL), help=tol)
+    p.set_defaults(func=_suite_alphabet_bound)
 
     p = sub.add_parser("trace", parents=[seeded], help="trace the inner bound along directions")
     chosen = p.add_mutually_exclusive_group()
@@ -558,7 +522,11 @@ def main(argv=None) -> int:
         return exc.code
     start = time.perf_counter()
     try:
-        code = args.func(args)
+        spec = resolve_problem(args.problem)
+        records = [_run_record(args, spec)]
+        summary, verdict = args.func(args, spec, records)
+        records.append({"type": "summary", "command": args.command, **summary})
+        _emit(records, args.out)
     except NumericIntegrityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -568,8 +536,10 @@ def main(argv=None) -> int:
     except (InputError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if verdict is not None:
+        print(verdict)
     print(f"elapsed {time.perf_counter() - start:.2f}s")
-    return code
+    return EXIT_OK if summary["passed"] else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -162,31 +162,6 @@ def random_direction(m: int, j: int, l: int, rng: np.random.Generator) -> Direct
 # ---- distortion side ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Estimator:
-    """A deterministic reconstruction table for one distortion measure.
-
-    ``table[u]`` is the chosen symbol of ``Vhat_l`` for each tuple ``u``
-    of the observation axes in layout order: ``X_1..X_J, S,
-    Z_{J+1}..Z_M``.  Ties in expected distortion break toward the lowest
-    symbol index, and zero-probability tuples map to symbol 0, so the
-    table is a deterministic function of the augmented joint.
-    """
-
-    l: int
-    table: np.ndarray = field(repr=False)
-    vhat_size: int = 0
-
-    def __post_init__(self) -> None:
-        tab = np.array(self.table, dtype=int)
-        if self.vhat_size < 1:
-            raise StructuralError("estimator needs vhat_size >= 1")
-        if tab.min(initial=0) < 0 or tab.max(initial=0) >= self.vhat_size:
-            raise StructuralError("estimator table entries outside the target alphabet")
-        tab.setflags(write=False)
-        object.__setattr__(self, "table", tab)
-
-
 def _bayes_scores(aug: AugmentedPmf, l: int) -> np.ndarray:
     """Expected distortion of measure l jointly with each observable tuple and
     reconstruction symbol, ``(*obs, vhat)`` with obs in layout order.
@@ -202,16 +177,21 @@ def _bayes_scores(aug: AugmentedPmf, l: int) -> np.ndarray:
     return np.tensordot(law, spec.distortions[l - 1], axes=([at], [0]))
 
 
-def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, Estimator]:
-    """Bayes-optimal expected distortion for measure l, with its estimator.
+def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, np.ndarray]:
+    """Bayes-optimal expected distortion for measure l, with its estimator table.
 
     For each observable tuple the decoder picks the reconstruction symbol
     minimizing conditional expected distortion; the returned value sums
-    those minima against the joint law.
+    those minima against the joint law.  The read-only table holds the
+    chosen symbol of ``Vhat_l`` for each tuple of the observation axes in
+    layout order: ``X_1..X_J, S, Z_{J+1}..Z_M``.  Ties break toward the
+    lowest symbol index and zero-probability tuples map to symbol 0, so
+    the table is a deterministic function of the augmented joint.
     """
     scores = _bayes_scores(aug, l)
-    value = float(scores.min(axis=-1).sum())
-    return value, Estimator(l, np.argmin(scores, axis=-1), vhat_size=scores.shape[-1])
+    table = np.argmin(scores, axis=-1)
+    table.setflags(write=False)
+    return float(scores.min(axis=-1).sum()), table
 
 
 # ---- rate side ---------------------------------------------------------------

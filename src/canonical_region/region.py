@@ -58,8 +58,15 @@ def identity_permutation(m: int) -> Permutation:
     return tuple(range(1, m + 1))
 
 
+def _index(i) -> int:
+    """A source index as an int: a bool or a non-integer raises instead of truncating."""
+    if isinstance(i, (int, np.integer)) and not isinstance(i, bool):
+        return int(i)
+    raise StructuralError(f"index {i!r} is not an integer")
+
+
 def check_permutation(perm: Sequence[int], m: int) -> Permutation:
-    perm = tuple(int(i) for i in perm)
+    perm = tuple(map(_index, perm))
     if sorted(perm) != list(range(1, m + 1)):
         raise StructuralError(f"{perm} is not a permutation of 1..{m}")
     return perm
@@ -68,7 +75,7 @@ def check_permutation(perm: Sequence[int], m: int) -> Permutation:
 def _mask(indices: Iterable[int], m: int) -> int:
     """Bitmask over sources 1..M of ``indices``."""
     mask = 0
-    for i in map(int, indices):
+    for i in map(_index, indices):
         if not 1 <= i <= m:
             raise StructuralError(f"description index {i} outside 1..{m}")
         mask |= 1 << (i - 1)
@@ -191,7 +198,11 @@ def corner_point(aug: AugmentedPmf, perm: Sequence[int] | np.ndarray) -> RateVec
     the stack is read once.
     """
     m = aug.m
-    orders = np.array(perm, dtype=np.int64)
+    if isinstance(perm, np.ndarray) and perm.dtype.kind in "iu":
+        orders = perm.astype(np.int64, copy=False)
+    else:   # entry by entry: np.array would cast a bool or truncate a float silently
+        entries = np.asarray(perm, dtype=object)
+        orders = np.array(list(map(_index, entries.flat)), dtype=np.int64).reshape(entries.shape)
     if orders.ndim not in (1, 2) or orders.shape[-1] != m:
         raise StructuralError(f"orders have shape {orders.shape}, expected ({m},) or (N, {m})")
     rows = orders.reshape(-1, m)

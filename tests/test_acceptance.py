@@ -261,18 +261,18 @@ def test_c8_estimator_optimality(capsys):
             attach_channels(helper3, random_channels(helper3, rng)),
         ]
         for aug in instances:
-            value, est = distortion_component(aug, 1)
+            value, table = distortion_component(aug, 1)
             vhat = aug.spec.vhat_alphabets[0].size
-            n_tables = vhat ** est.table.size
+            n_tables = vhat ** table.size
             if n_tables <= 256:
                 # exhaustive oracle scan, computed by independent loops
                 best = min(
-                    _loop_distortion(aug, 1, np.array(flat).reshape(est.table.shape))
-                    for flat in itertools.product(range(vhat), repeat=est.table.size)
+                    _loop_distortion(aug, 1, np.array(flat).reshape(table.shape))
+                    for flat in itertools.product(range(vhat), repeat=table.size)
                 )
                 ok = ok and abs(value - best) <= 1e-12
             for _ in range(100):
-                table = rng.integers(0, vhat, size=est.table.shape)
+                table = rng.integers(0, vhat, size=table.shape)
                 ok = ok and estimator_distortion(aug, 1, table) >= value - 1e-12
         return ok
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -900,3 +901,48 @@ def test_cli_every_flag_changes_the_result_or_exits_2(tmp_path, monkeypatch, cap
     assert default_run[0] in (0, 1), base
     changed = _run_without_header(argv, capsys)
     assert changed[0] == 2 or changed != default_run, f"{' '.join(argv)} changed nothing"
+
+
+# ---- one output contract -----------------------------------------------------
+
+
+# one cheap invocation per command, some passing and some failing; a command
+# missing here fails
+CONTRACT_CASES = {
+    "extreme-points": "dsbs --tol 0",
+    "verify identities": "dsbs --trials 3",
+    "verify noncrossing": "dsbs --samples 3",
+    "verify decomposition": "dsbs --trials 1 --tol 0",
+    "verify alphabet-bound": "bwz --grid 3 --trials 1 --sweeps 2 --candidates 4 --restarts 1",
+    "trace": "dsbs --count 1 --restarts 1 --sweeps 1",
+}
+
+
+@pytest.mark.parametrize("command", [c for c, _ in _leaf_commands(build_parser())])
+def test_cli_every_command_keeps_the_output_contract(tmp_path, capsys, command):
+    case = CONTRACT_CASES.get(command)
+    assert case is not None, f"no case for {command}"
+    argv = [*command.split(), *case.split()]
+    out = tmp_path / "o.jsonl"
+    code = main([*argv, "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    records = read_records(out)
+    assert records[0]["type"] == "run"
+    assert [r["type"] for r in records].count("summary") == 1
+    summary = records[-1]
+    assert summary["type"] == "summary" and summary["command"] == argv[0]
+    assert ("suite" in summary) == (argv[0] == "verify")
+    assert summary.get("suite") == (argv[1] if argv[0] == "verify" else None)
+    assert code == (0 if summary["passed"] else 1)
+    assert lines[-1].startswith("elapsed ")
+    verdicts = [line for line in lines if re.search(r"\b(PASS|FAIL)$", line)]
+    assert all(v.endswith("PASS" if summary["passed"] else "FAIL") for v in verdicts)
+
+    # an unwritable --out exits 2 before the verdict line and elapsed
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert main([*argv, "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {taken}")
+    assert lines[:-1] == captured.out.splitlines() + verdicts
+    assert list(taken.iterdir()) == []

@@ -84,6 +84,30 @@ def test_rate_lhs_validation():
         rate_lhs(aug, [3])
 
 
+def test_indices_must_be_integers_not_bools_or_floats():
+    rng = np.random.default_rng(0)
+    spec = make_spec(rng, m=2, j=0, l=1)
+    aug = attach_channels(spec, random_channels(spec, rng))
+    for bad in ([1.5, 2], [True, 2], [np.True_, 2], [1.0, 2], np.array([1.0, 2.0]),
+                np.array([True, False]), ["1", "2"]):
+        with pytest.raises(StructuralError, match="is not an integer"):
+            check_permutation(bad, 2)
+        with pytest.raises(StructuralError, match="is not an integer"):
+            corner_point(aug, bad)
+        with pytest.raises(StructuralError, match="is not an integer"):
+            rate_lhs(aug, bad[:1])
+    with pytest.raises(StructuralError, match="is not an integer"):
+        corner_point(aug, [(1, 2), (2, 1.7)])
+    # Python and numpy integers in any container are read as before
+    order = np.argsort([0.3, 0.1]) + 1
+    assert check_permutation(order, 2) == check_permutation(range(2, 0, -1), 2) == (2, 1)
+    assert type(check_permutation(order, 2)[0]) is int
+    assert corner_point(aug, order).tobytes() == corner_point(aug, (2, 1)).tobytes()
+    assert (corner_point(aug, [(1, 2), (2, 1)]).tobytes()
+            == corner_point(aug, np.array([[1, 2], [2, 1]], dtype=np.uint8)).tobytes())
+    assert rate_lhs(aug, [np.int64(1)]) == rate_lhs(aug, (1,)) == rate_lhs(aug, range(1, 2))
+
+
 def test_identity_channels_corner_is_entropy_chain():
     rng = np.random.default_rng(31)
     spec = make_spec(rng, m=3, j=0, l=1)
