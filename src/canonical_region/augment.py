@@ -43,7 +43,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .pmf import Alphabet, JointPmf, mi_sets
+from .pmf import Alphabet, JointPmf, check_int, mi_sets
 
 ROW_TOL = 1e-12
 MARGINAL_TOL = 1e-12
@@ -95,8 +95,8 @@ def constant_channel(alphabet: Alphabet) -> Channel:
 
 
 def random_channel(alphabet: Alphabet, out_size: int, rng: np.random.Generator) -> Channel:
-    rows = rng.dirichlet(np.ones(out_size), size=alphabet.size)
-    return Channel(alphabet, Alphabet(alphabet.label + "_rand", out_size), rows)
+    output = Alphabet(alphabet.label + "_rand", out_size)
+    return Channel(alphabet, output, rng.dirichlet(np.ones(output.size), size=alphabet.size))
 
 
 class ProblemSpec:
@@ -145,11 +145,12 @@ class ProblemSpec:
         name: str = "",
         notes: str = "",
     ) -> None:
-        if not (isinstance(m, int) and m >= 1):
+        m, j, l = check_int(m, "M"), check_int(j, "J"), check_int(l, "L")
+        if m < 1:
             raise StructuralError(f"M must be an integer >= 1, got {m!r}")
-        if not (isinstance(j, int) and 0 <= j <= m):
+        if not 0 <= j <= m:
             raise StructuralError(f"J must satisfy 0 <= J <= M; got J={j!r}, M={m}")
-        if not (isinstance(l, int) and l >= 0):
+        if l < 0:
             raise StructuralError(f"L must be an integer >= 0, got {l!r}")
         if len(x_sizes) != m:
             raise StructuralError(f"expected {m} source alphabet sizes, got {len(x_sizes)}")
@@ -160,12 +161,10 @@ class ProblemSpec:
         if len(distortions) != l:
             raise StructuralError(f"expected {l} distortion tables, got {len(distortions)}")
 
-        x_alphabets = tuple(Alphabet(f"X{i}", int(n)) for i, n in enumerate(x_sizes, start=1))
-        s_alphabet = Alphabet("S", int(s_size))
-        v_alphabet = Alphabet("V", int(v_size))
-        vhat_alphabets = tuple(
-            Alphabet(f"Vhat{i}", int(n)) for i, n in enumerate(vhat_sizes, start=1)
-        )
+        x_alphabets = tuple(Alphabet(f"X{i}", n) for i, n in enumerate(x_sizes, start=1))
+        s_alphabet = Alphabet("S", s_size)
+        v_alphabet = Alphabet("V", v_size)
+        vhat_alphabets = tuple(Alphabet(f"Vhat{i}", n) for i, n in enumerate(vhat_sizes, start=1))
 
         shape = tuple(a.size for a in x_alphabets) + (s_alphabet.size, v_alphabet.size)
         arr = np.array(source_probs, dtype=object)
@@ -268,7 +267,7 @@ def random_channels(
     if len(sizes) != len(slots):
         raise StructuralError(f"expected {len(slots)} output sizes, got {len(sizes)}")
     return [
-        random_channel(spec.x_alphabet(k), int(n), rng) for k, n in zip(slots, sizes)
+        random_channel(spec.x_alphabet(k), n, rng) for k, n in zip(slots, sizes)
     ]
 
 

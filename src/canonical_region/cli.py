@@ -328,13 +328,15 @@ def _suite_alphabet_bound(args, spec, records: list[dict]) -> bool:
             "passed": entry.passed,
             "detail": {
                 "capped_value": entry.capped_value,
+                "capped_lattice_value": entry.capped_lattice_value,
                 "enlarged_value": entry.enlarged_value,
                 "margin": entry.margin,
                 "capped_grid": report.capped_grid,
                 "enlarged_grid": report.enlarged_grid,
             },
         })
-        print(f"direction {idx}: capped {entry.capped_value:.6f} vs enlarged "
+        print(f"direction {idx}: capped {entry.capped_value:.6f} (lattice "
+              f"{entry.capped_lattice_value:.6f}) vs enlarged "
               f"{entry.enlarged_value:.6f} (margin {entry.margin:+.2e}) "
               f"{'ok' if entry.passed else 'FAILED'}")
     print(f"lattice grids: capped {report.capped_grid}, "

@@ -57,7 +57,7 @@ from .functionals import (
     direct_weighted_value,
     theta,
 )
-from .pmf import Alphabet, cell_entropies
+from .pmf import Alphabet, cell_entropies, check_int
 from .region import check_permutation, corner_point, identity_permutation
 from .simplex import solve_equality_lp
 
@@ -66,7 +66,7 @@ SWEEP_IMPROVEMENT_TOL = 1e-9
 MONOTONE_TOL = 1e-10
 SUPPORT_WEIGHT_TOL = 1e-12
 CHUNK = 2048                # banks per lattice chunk; BENCH_slot_step.json has the size sweep
-ALPHABET_BOUND_TOL = 1e-2   # capped and enlarged optima come from different coarse lattice grids
+ALPHABET_BOUND_TOL = 1e-2   # how far capped descent may end above the capped or enlarged lattice
 
 @dataclass(frozen=True, eq=False)
 class OptimizeResult:
@@ -208,16 +208,22 @@ def default_multistart_inits(spec: ProblemSpec, restarts: int,
     return inits[:restarts]
 
 
-def _best_descent(spec: ProblemSpec, direction: Direction, inits: Sequence[Sequence[Channel]],
-                  idx: int, sweeps: int, candidates: int,
-                  seed: int) -> tuple[OptimizeResult, int]:
-    """Descend from each init with seed ``(seed, idx, r)``; the first best run and its ``r``."""
-    if (direction.m, direction.j, direction.l) != (spec.m, spec.j, spec.l):
-        raise StructuralError("direction dimensions do not match the spec")
-    runs = [coordinate_descent(spec, direction, init, sweeps=sweeps, candidates=candidates,
-                               seed=(seed, idx, r)) for r, init in enumerate(inits)]
-    best = min(range(len(runs)), key=lambda r: runs[r].objective)   # first of equal minima
-    return runs[best], best
+def _multistart_descent(spec: ProblemSpec, directions: Sequence[Direction], restarts: int,
+                        sweeps: int, candidates: int,
+                        seed: int) -> list[tuple[OptimizeResult, int]]:
+    """Per direction ``idx``, descend from every bank of
+    ``default_multistart_inits(spec, restarts, seed)`` with seed ``(seed, idx, r)``;
+    each direction's first best run and its ``r``."""
+    inits = default_multistart_inits(spec, restarts, seed)
+    best = []
+    for idx, direction in enumerate(directions):
+        if (direction.m, direction.j, direction.l) != (spec.m, spec.j, spec.l):
+            raise StructuralError("direction dimensions do not match the spec")
+        runs = [coordinate_descent(spec, direction, init, sweeps=sweeps, candidates=candidates,
+                                   seed=(seed, idx, r)) for r, init in enumerate(inits)]
+        r = min(range(len(runs)), key=lambda r: runs[r].objective)   # first of equal minima
+        best.append((runs[r], r))
+    return best
 
 
 # ---- lattice search -------------------------------------------------------------
@@ -292,12 +298,18 @@ def _slot_marginal(a: np.ndarray, later: int) -> np.ndarray:
     return a.sum(axis=0).reshape(x, later, -1, b).sum(axis=1)
 
 
+def _bayes_risks(spec: ProblemSpec, scored: np.ndarray, banks: int) -> list[np.ndarray]:
+    """Each distortion's Bayes risk per bank, from p(V, cells, B) flattened to ``(|V|, -1)``."""
+    # the min picks the Bayes estimate of each cell
+    return [(d_table.T @ scored).min(axis=0).reshape(-1, banks).sum(axis=0)
+            for d_table in spec.distortions]
+
+
 def brute_force_search(
     spec: ProblemSpec,
     directions: Sequence[Direction],
     z_sizes: Sequence[int],
     grid: int,
-    max_evals: int = MAX_BRUTE_EVALS,
 ) -> tuple[np.ndarray, list[list[Channel]]]:
     """Exhaustive lattice minimization, shared across several directions.
 
@@ -311,15 +323,15 @@ def brute_force_search(
     that later slots and the distortions read.  Slot k's entropies come
     from that array summed over V and X_>k and from its product with slot
     k's rows.  Returns the minima and argmin banks; refuses raw lattices
-    over ``max_evals`` points.
+    over ``MAX_BRUTE_EVALS`` points.
     """
     slots = spec.channel_slots
-    z_sizes = [int(z) for z in z_sizes]
+    z_sizes = [check_int(z, "output size") for z in z_sizes]
     total = estimate_brute_force_evals(spec, z_sizes, grid)
-    if total > max_evals:
+    if total > MAX_BRUTE_EVALS:
         raise BudgetError(
             f"lattice search needs {total} evaluations "
-            f"(> {max_evals}); shrink the grid or the output alphabets"
+            f"(> {MAX_BRUTE_EVALS}); shrink the grid or the output alphabets"
         )
     if not directions:
         raise StructuralError("brute_force_search needs at least one direction")
@@ -328,11 +340,11 @@ def brute_force_search(
             raise StructuralError("direction dimensions do not match the spec")
 
     coords = np.array([d.coords for d in directions])          # (D, K+L)
+    v = spec.v_alphabet.size
 
-    if not slots:
-        # nothing to search: the objective is channel-free
-        values = np.array([direct_weighted_value(spec, [], d) for d in directions])
-        return values, [[] for _ in directions]
+    if not slots:               # nothing to search: the objective is the source's Bayes risks
+        scored = np.moveaxis(spec.source.probs, spec.m + 1, 0).reshape(v, -1)
+        return coords @ np.ravel(_bayes_risks(spec, scored, 1)), [[] for _ in directions]
 
     tables = [_orbit_table(grid, z, spec.x_alphabet(k).size) for k, z in zip(slots, z_sizes)]
     per_channel = [table.shape[0] for table in tables]
@@ -340,7 +352,6 @@ def brute_force_search(
     xs = [table.shape[1] for table in tables]
 
     # axes V, X_{J+1}..X_M, X_L = X_1..X_J, S, each Z_k, then banks: sums run on leading axes
-    v = spec.v_alphabet.size
     source = np.moveaxis(spec.source.probs, [spec.m + 1, *range(spec.j, spec.m)],
                          range(len(xs) + 1)).reshape(v, xs[0], -1)
     first = _slot_marginal(source[..., None], math.prod(xs[1:]))
@@ -370,10 +381,7 @@ def brute_force_search(
             h_bc = _bank_entropies(joint.sum(axis=0))
             comps.append(np.maximum(h_ac + h_bc - _bank_entropies(joint) - h_c, 0.0))
             h_c = h_bc
-        scored = a.reshape(v, -1)                                 # p(V, X_L S Z, B)
-        for d_table in spec.distortions:
-            risk = (d_table.T @ scored).min(axis=0)               # Bayes estimate per cell
-            comps.append(risk.reshape(-1, flat.size).sum(axis=0))
+        comps += _bayes_risks(spec, a.reshape(v, -1), flat.size)  # a is p(V, X_L S Z, B)
         objective = np.stack(comps, axis=1) @ coords.T          # (B, D)
         arg = objective.argmin(axis=0)
         vals = objective[arg, np.arange(n_dir)]
@@ -395,9 +403,10 @@ def brute_force_search(
 
 @dataclass(frozen=True, eq=False)
 class AlphabetBoundEntry:
-    capped_value: float
-    enlarged_value: float
-    margin: float                 # capped - enlarged; <= tol means pass
+    capped_value: float           # best descent, outputs capped at |X_k|
+    capped_lattice_value: float
+    enlarged_value: float         # lattice, outputs enlarged to |X_k| + 2
+    margin: float                 # capped - enlarged
     passed: bool
 
 
@@ -414,13 +423,12 @@ class AlphabetBoundReport:
         return all(e.passed for e in self.entries)
 
 
-def _fit_grid(spec: ProblemSpec, z_sizes: Sequence[int], grid: int,
-              max_evals: int) -> int:
+def _fit_grid(spec: ProblemSpec, z_sizes: Sequence[int], grid: int) -> int:
     for g in range(grid, 0, -1):
-        if estimate_brute_force_evals(spec, z_sizes, g) <= max_evals:
+        if estimate_brute_force_evals(spec, z_sizes, g) <= MAX_BRUTE_EVALS:
             return g
     raise BudgetError(
-        f"even grid 1 exceeds {max_evals} evaluations for output sizes {list(z_sizes)}"
+        f"even grid 1 exceeds {MAX_BRUTE_EVALS} evaluations for output sizes {list(z_sizes)}"
     )
 
 
@@ -433,18 +441,19 @@ def verify_alphabet_bound(
     candidates: int = 64,
     restarts: int = 4,
     seed: int = 42,
-    max_evals: int = MAX_BRUTE_EVALS,
 ) -> AlphabetBoundReport:
     """Check that outputs larger than ``|X_k|`` buy nothing.
 
-    Compares, per direction, the best objective with output alphabets
-    capped at ``|X_k|`` against a lattice search with alphabets enlarged
-    to ``|X_k| + 2``.  The capped side combines its own lattice search
-    with ``restarts`` coordinate descents: one seeded from the lattice
-    argmin and ``restarts - 1`` default multistarts.  Each side runs at
-    the largest lattice grid not exceeding the evaluation budget (at most
-    the requested ``grid``), recorded in the report.  A pass means the capped side is within
-    ``tol`` of the enlarged side for every direction.
+    Per direction, the capped value is the best of ``restarts``
+    coordinate descents from ``default_multistart_inits`` with output
+    alphabets capped at ``|X_k|``.  Two lattice searches are its oracles:
+    one with the same capped alphabets and one with alphabets enlarged to
+    ``|X_k| + 2``.  A direction passes when the capped value is at most
+    ``tol`` above each lattice value: above the enlarged one, larger
+    outputs would have helped; above the capped one, descent missed an
+    optimum the lattice found.  Each search runs at the largest lattice
+    grid not exceeding the evaluation budget (at most the requested
+    ``grid``), recorded in the report.
     """
     directions = list(directions)
     slots = spec.channel_slots
@@ -454,32 +463,18 @@ def verify_alphabet_bound(
         raise StructuralError("alphabet bound is vacuous without channel slots")
     if grid < 1:
         raise StructuralError(f"grid must be >= 1, got {grid}")
-    if restarts < 1:
-        raise StructuralError(f"restarts must be >= 1, got {restarts}")
-    if sweeps < 1:
-        raise StructuralError(f"sweeps must be >= 1, got {sweeps}")
-    if candidates < 0:
-        raise StructuralError(f"candidates must be >= 0, got {candidates}")
-    g_capped = _fit_grid(spec, capped_sizes, grid, max_evals)
-    g_enlarged = _fit_grid(spec, enlarged_sizes, grid, max_evals)
+    g_capped = _fit_grid(spec, capped_sizes, grid)
+    g_enlarged = _fit_grid(spec, enlarged_sizes, grid)
+    # descent first: it refuses bad restarts, sweeps and candidates before any lattice search
+    runs = _multistart_descent(spec, directions, restarts, sweeps, candidates, seed)
+    capped_vals, _ = brute_force_search(spec, directions, capped_sizes, g_capped)
+    enlarged_vals, _ = brute_force_search(spec, directions, enlarged_sizes, g_enlarged)
 
-    capped_vals, capped_banks = brute_force_search(
-        spec, directions, capped_sizes, g_capped, max_evals
-    )
-    enlarged_vals, _ = brute_force_search(
-        spec, directions, enlarged_sizes, g_enlarged, max_evals
-    )
-
-    multistarts = default_multistart_inits(spec, restarts - 1, seed=seed) if restarts > 1 else []
     entries = []
-    for idx, direction in enumerate(directions):
-        run, _ = _best_descent(spec, direction, [capped_banks[idx]] + multistarts,
-                               idx, sweeps, candidates, seed)
-        best = min(float(capped_vals[idx]), run.objective)
-        margin = best - float(enlarged_vals[idx])
-        entries.append(
-            AlphabetBoundEntry(best, float(enlarged_vals[idx]), margin, margin <= tol)
-        )
+    for (run, _), capped, enlarged in zip(runs, capped_vals.tolist(), enlarged_vals.tolist()):
+        margin = run.objective - enlarged
+        passed = margin <= tol and run.objective - capped <= tol
+        entries.append(AlphabetBoundEntry(run.objective, capped, enlarged, margin, passed))
     return AlphabetBoundReport(
         tuple(entries), capped_sizes, enlarged_sizes, g_capped, g_enlarged
     )
@@ -513,10 +508,9 @@ def trace_inner_bound(
     reported (every corner shares the same channels and distortions).
     """
     perm = identity_permutation(spec.m) if perm is None else check_permutation(perm, spec.m)
-    inits = default_multistart_inits(spec, restarts, seed)
     points = []
-    for idx, direction in enumerate(directions):
-        best, restart = _best_descent(spec, direction, inits, idx, sweeps, candidates, seed)
+    for direction, (best, restart) in zip(
+            directions, _multistart_descent(spec, directions, restarts, sweeps, candidates, seed)):
         aug = attach_channels(spec, best.channels)
         dists = np.array([float(_bayes_scores(aug, l).min(axis=-1).sum())
                           for l in range(1, spec.l + 1)])

@@ -42,6 +42,14 @@ MASS_TOL = 1e-12
 CMI_CLAMP = 1e-10
 
 
+def check_int(value, what: str = "index") -> int:
+    """``value`` as an int: a Python or numpy integer passes; a bool or a
+    non-integer raises instead of truncating."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise StructuralError(f"{what} {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """A named finite symbol set; symbols are the integers ``0..size-1``."""
@@ -50,7 +58,8 @@ class Alphabet:
     size: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
+        object.__setattr__(self, "size", check_int(self.size, f"alphabet {self.label!r} size"))
+        if self.size < 1:
             raise StructuralError(
                 f"alphabet {self.label!r} needs an integer size >= 1, got {self.size!r}"
             )

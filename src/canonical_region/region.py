@@ -43,7 +43,7 @@ import numpy as np
 
 from .augment import AugmentedPmf
 from .errors import BudgetError, PreconditionError, StructuralError
-from .pmf import JointPmf, mi_sets
+from .pmf import JointPmf, check_int, mi_sets
 
 ACTIVE_TOL = 1e-9
 NONDEGENERACY_THRESHOLD = 1e-7
@@ -58,15 +58,8 @@ def identity_permutation(m: int) -> Permutation:
     return tuple(range(1, m + 1))
 
 
-def _index(i) -> int:
-    """A source index as an int: a bool or a non-integer raises instead of truncating."""
-    if isinstance(i, (int, np.integer)) and not isinstance(i, bool):
-        return int(i)
-    raise StructuralError(f"index {i!r} is not an integer")
-
-
 def check_permutation(perm: Sequence[int], m: int) -> Permutation:
-    perm = tuple(map(_index, perm))
+    perm = tuple(map(check_int, perm))
     if sorted(perm) != list(range(1, m + 1)):
         raise StructuralError(f"{perm} is not a permutation of 1..{m}")
     return perm
@@ -75,7 +68,7 @@ def check_permutation(perm: Sequence[int], m: int) -> Permutation:
 def _mask(indices: Iterable[int], m: int) -> int:
     """Bitmask over sources 1..M of ``indices``."""
     mask = 0
-    for i in map(_index, indices):
+    for i in map(check_int, indices):
         if not 1 <= i <= m:
             raise StructuralError(f"description index {i} outside 1..{m}")
         mask |= 1 << (i - 1)
@@ -202,7 +195,7 @@ def corner_point(aug: AugmentedPmf, perm: Sequence[int] | np.ndarray) -> RateVec
         orders = perm.astype(np.int64, copy=False)
     else:   # entry by entry: np.array would cast a bool or truncate a float silently
         entries = np.asarray(perm, dtype=object)
-        orders = np.array(list(map(_index, entries.flat)), dtype=np.int64).reshape(entries.shape)
+        orders = np.array(list(map(check_int, entries.flat)), dtype=np.int64).reshape(entries.shape)
     if orders.ndim not in (1, 2) or orders.shape[-1] != m:
         raise StructuralError(f"orders have shape {orders.shape}, expected ({m},) or (N, {m})")
     rows = orders.reshape(-1, m)

@@ -9,12 +9,14 @@ from canonical_region import (
     Alphabet,
     Channel,
     DegeneracyWarning,
+    Direction,
     NumericIntegrityError,
     PreconditionError,
     ProblemSpec,
     ReverseChannelPair,
     StructuralError,
     attach_channels,
+    brute_force_search,
     constant_channel,
     forward_to_reverse,
     identity_channel,
@@ -86,6 +88,34 @@ def test_problem_spec_validation():
     bad = {**ok, "distortions": [[[0.0, -1.0], [1.0, 0.0]]]}
     with pytest.raises(StructuralError):
         ProblemSpec(1, 0, 1, **bad)
+
+
+def test_sizes_and_counts_must_be_integers(bwz):
+    ok = dict(m=1, j=0, l=1, x_sizes=[2], s_size=1, v_size=2, vhat_sizes=[2],
+              source_probs=np.full((2, 1, 2), 0.25),
+              distortions=[[[0.0, 1.0], [1.0, 0.0]]])
+    d = Direction.normalized(1, 0, 1, [0.6, 0.8])
+    refused = [
+        lambda: ProblemSpec(**{**ok, "x_sizes": [2.9]}),
+        lambda: ProblemSpec(**{**ok, "s_size": 1.7}),
+        lambda: ProblemSpec(**{**ok, "v_size": 2.2}),
+        lambda: ProblemSpec(**{**ok, "m": True, "j": False, "l": True}),
+        lambda: random_channels(bwz, np.random.default_rng(0), sizes=[3.7]),
+        lambda: random_channels(bwz, np.random.default_rng(0), sizes=[True]),
+        lambda: brute_force_search(bwz, [d], [2.9], 6),
+    ]
+    for build in refused:
+        with pytest.raises(StructuralError, match="is not an integer"):
+            build()
+    # numpy integers are integers
+    i64 = np.int64
+    spec = ProblemSpec(**{**ok, "m": i64(1), "j": i64(0), "l": i64(1), "x_sizes": [i64(2)],
+                          "s_size": i64(1), "v_size": i64(2), "vhat_sizes": [i64(2)]})
+    assert (spec.m, spec.j, spec.l) == (1, 0, 1) and type(spec.m) is int
+    assert type(spec.x_alphabet(1).size) is int and spec.v_alphabet.size == 2
+    (ch,) = random_channels(bwz, np.random.default_rng(0), sizes=[i64(3)])
+    assert ch.rows.shape == (2, 3)
+    assert brute_force_search(bwz, [d], [i64(2)], 6)[0] == brute_force_search(bwz, [d], [2], 6)[0]
 
 
 def test_problem_spec_exact_normalization():

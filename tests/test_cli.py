@@ -20,6 +20,7 @@ import canonical_region
 from canonical_region import (
     BudgetError,
     InputError,
+    NumericIntegrityError,
     ProblemSpec,
     bundled_problem_path,
     list_bundled_problems,
@@ -36,6 +37,7 @@ from canonical_region import (
     resolve_problem,
     save_problem,
 )
+from canonical_region import optimize
 from canonical_region.cli import build_parser, main
 from conftest import (
     make_spec,
@@ -518,7 +520,8 @@ def test_cli_verify_alphabet_bound(tmp_path):
     assert len(checks) == 2
     for r in checks:
         assert set(r["detail"]) == {
-            "capped_value", "enlarged_value", "margin", "capped_grid", "enlarged_grid",
+            "capped_value", "capped_lattice_value", "enlarged_value", "margin",
+            "capped_grid", "enlarged_grid",
         }
         assert r["detail"]["capped_grid"] == 8
         assert r["detail"]["enlarged_grid"] == 8
@@ -631,6 +634,72 @@ def test_cli_input_errors(tmp_path):
     # quarter-circle sweeps need exactly two weight coordinates
     assert main(["trace", "helper3", "--sweep", "3"]) == 2
     assert main(["trace", "bwz", "--sweep", "1"]) == 2
+
+
+_PROBLEM = {
+    "m": 1, "j": 0, "l": 1,
+    "alphabets": {"X": [2], "S": 1, "V": 2, "Vhat": [2]},
+    "source": {"probs": [[[0.25, 0.25]], [[0.25, 0.25]]]},
+    "distortions": [[[0.0, 1.0], [1.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("flag, content, field", [
+    # problem files (None: the file is the problem)
+    (None, [1], "top level"),
+    (None, {k: v for k, v in _PROBLEM.items() if k != "distortions"}, "key 'distortions'"),
+    (None, {**_PROBLEM, "m": 0}, "m must be >= 1"),
+    (None, {**_PROBLEM, "alphabets": {"X": [2, 2], "S": 1, "V": 2, "Vhat": [2]}}, "alphabets.X"),
+    (None, {**_PROBLEM, "alphabets": {"X": [2], "S": 1, "V": 2, "Vhat": 2}}, "alphabets.Vhat"),
+    (None, {**_PROBLEM, "distortions": {}}, "distortions must be a list"),
+    (None, {**_PROBLEM, "distortions": [3]}, "distortions[0]"),
+    (None, {**_PROBLEM, "distortions": [[[0.0, 1.0], [1.0]]]}, "distortions[0]"),
+    (None, {**_PROBLEM, "name": 3}, "name and notes"),
+    (None, {**_PROBLEM, "source": {"probs": [], "weights": []}}, "source must be"),
+    (None, {**_PROBLEM, "source": {"entries": []}}, "source.entries"),
+    (None, {**_PROBLEM, "source": {"probs": [[[True, 0.5]], [[0.25, 0.25]]]}},
+     "source.probs[0][0][0]"),
+    (None, {**_PROBLEM, "source": {"probs": [[[None, 0.5]], [[0.25, 0.25]]]}},
+     "source.probs[0][0][0]"),
+    # channel banks for bwz
+    ("--channels", {"bank": []}, "channels"),
+    ("--channels", {"channels": {}}, "channels must be a list"),
+    ("--channels", {"channels": [3]}, "channels[0]"),
+    ("--channels", {"channels": [{"slot": "1", "rows": [[1, 0], [0, 1]]}]}, "channels[0].slot"),
+    ("--channels", {"channels": [{"slot": 1, "rows": [1, 0]}]}, "channels[0] (slot 1)"),
+    # direction files for bwz
+    ("--directions", {"dirs": []}, "directions"),
+    ("--directions", {"directions": [{"rates": 1, "distortions": [1]}]}, "directions[0]"),
+])
+def test_cli_names_the_field_of_a_malformed_file(tmp_path, capsys, flag, content, field):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(content))
+    argv = {
+        None: ["extreme-points", str(path)],
+        "--channels": ["extreme-points", "bwz", "--channels", str(path)],
+        "--directions": ["trace", "bwz", "--directions", str(path)],
+    }[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+
+
+def test_load_accepts_integer_probabilities(tmp_path):
+    spec = load_problem(write_problem(
+        tmp_path, alphabets={"X": [1], "S": 1, "V": 2, "Vhat": [2]},
+        source={"entries": [{"symbols": [0, 0, 0], "p": 1}]},
+    ))
+    assert spec.source_fractions == (Fraction(1), Fraction(0))
+
+
+def test_cli_exits_1_on_a_numeric_integrity_failure(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise NumericIntegrityError("objective rose")
+    monkeypatch.setattr(optimize, "coordinate_descent", broken)
+    assert main(["trace", "bwz", "--count", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verification failure: objective rose\n"
+    assert "elapsed" not in captured.out
 
 
 def test_cli_out_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):

@@ -670,12 +670,11 @@ def test_default_multistart_inits(dsbs):
     )
 
 
-def test_alphabet_bound_small_budget_fits_grid(dsbs):
+def test_alphabet_bound_small_budget_fits_grid(dsbs, monkeypatch):
     rng = np.random.default_rng(88)
     d = random_direction(2, 0, 1, rng)
-    report = verify_alphabet_bound(
-        dsbs, [d], grid=3, restarts=1, sweeps=3, candidates=16, max_evals=500,
-    )
+    monkeypatch.setattr(optimize, "MAX_BRUTE_EVALS", 500)
+    report = verify_alphabet_bound(dsbs, [d], grid=3, restarts=1, sweeps=3, candidates=16)
     assert report.capped_grid == 3            # 4 points per row, 256 banks
     assert report.enlarged_grid == 1          # grid 3 on |Z|=4 blows the budget
     assert report.capped_sizes == (2, 2)
@@ -683,8 +682,9 @@ def test_alphabet_bound_small_budget_fits_grid(dsbs):
     assert len(report.entries) == 1
     e = report.entries[0]
     assert e.margin == e.capped_value - e.enlarged_value
+    monkeypatch.setattr(optimize, "MAX_BRUTE_EVALS", 3)
     with pytest.raises(BudgetError):
-        verify_alphabet_bound(dsbs, [d], grid=3, max_evals=3)
+        verify_alphabet_bound(dsbs, [d], grid=3)
 
 
 def test_alphabet_bound_rejects_nonpositive_grid(bwz):
@@ -722,7 +722,7 @@ def test_alphabet_bound_refuses_bad_settings_before_any_search(bwz, monkeypatch,
 
 
 def test_alphabet_bound_runs_restarts_descents(bwz, monkeypatch):
-    # the lattice-seeded descent and restarts - 1 multistarts per direction
+    # one descent per default multistart bank and direction
     calls = []
     descent = optimize.coordinate_descent
     monkeypatch.setattr(optimize, "coordinate_descent",
@@ -732,6 +732,51 @@ def test_alphabet_bound_runs_restarts_descents(bwz, monkeypatch):
         calls.clear()
         verify_alphabet_bound(bwz, dirs, grid=4, restarts=restarts, sweeps=3)
         assert len(calls) == restarts * len(dirs)
+
+
+def test_alphabet_bound_descends_only_from_default_multistarts(dsbs, monkeypatch):
+    banks = []
+    descent = optimize.coordinate_descent
+    monkeypatch.setattr(optimize, "coordinate_descent",
+                        lambda s, d, bank, **k: banks.append(bank) or descent(s, d, bank, **k))
+    dirs = [Direction.normalized(2, 0, 1, w) for w in ([1.0, 0.3, 16.0], [0.5, 0.2, 2.0])]
+    verify_alphabet_bound(dsbs, dirs, grid=3, restarts=4, sweeps=3, seed=5)
+    expected = default_multistart_inits(dsbs, 4, seed=5)
+    assert len(banks) == 4 * len(dirs)
+    for pos, bank in enumerate(banks):
+        assert [ch.rows.tolist() for ch in bank] == [ch.rows.tolist() for ch in expected[pos % 4]]
+
+
+def test_alphabet_bound_fails_when_descent_ends_above_both_lattices(bwz, monkeypatch):
+    d = Direction.normalized(1, 0, 1, [0.6, 0.8])
+    assert verify_alphabet_bound(bwz, [d], grid=12, restarts=2, sweeps=10).passed
+    descent = optimize.coordinate_descent
+
+    def planted(*a, **k):
+        run = descent(*a, **k)
+        return optimize.OptimizeResult(run.channels, (*run.trace[:-1], run.trace[-1] + 0.02))
+    monkeypatch.setattr(optimize, "coordinate_descent", planted)
+    report = verify_alphabet_bound(bwz, [d], grid=12, restarts=2, sweeps=10)
+    (entry,) = report.entries
+    assert not report.passed and not entry.passed
+    assert entry.capped_value - entry.capped_lattice_value > 1e-2
+    assert entry.margin > 1e-2
+
+
+def test_alphabet_bound_fails_when_descent_misses_the_capped_lattice(bwz, monkeypatch):
+    # a capped lattice 0.05 lower than descent fails the direction although the
+    # enlarged comparison alone would pass
+    d = Direction.normalized(1, 0, 1, [0.6, 0.8])
+    search = optimize.brute_force_search
+
+    def capped_lower(spec, directions, z_sizes, grid):
+        values, banks = search(spec, directions, z_sizes, grid)
+        return (values - 0.05 if list(z_sizes) == [2] else values), banks
+    monkeypatch.setattr(optimize, "brute_force_search", capped_lower)
+    (entry,) = verify_alphabet_bound(bwz, [d], grid=12, restarts=1).entries
+    assert entry.margin <= 1e-2
+    assert entry.capped_value - entry.capped_lattice_value > 1e-2
+    assert not entry.passed
 
 
 def test_alphabet_bound_verifies_on_single_source(bwz):
