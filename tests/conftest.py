@@ -93,6 +93,24 @@ def markov_source_spec():
     return ProblemSpec(2, 0, 0, [2, 2], 1, 2, [], probs, [])
 
 
+def relabel_symbols(source, distortions, channels, axis, perm):
+    """Relabel the symbols of one axis of the (X1..XM, S, V) source tensor.
+
+    New symbol s of ``axis`` is old symbol ``perm[s]``.  ``distortions``
+    are the |V| x |Vhat_l| tables and ``channels`` maps a source's tensor
+    axis to its channel matrix, one row per symbol of that source.
+    Returns the three with their entries moved to match: relabeling V
+    permutes the distortion rows, relabeling X_i the rows of X_i's
+    channel.  Plain arrays in and out.
+    """
+    v_axis = np.ndim(source) - 1
+    source = np.take(source, perm, axis=axis)
+    distortions = [np.take(d, perm, axis=0) if axis == v_axis else d for d in distortions]
+    channels = {k: np.take(rows, perm, axis=0) if k == axis else rows
+                for k, rows in channels.items()}
+    return source, distortions, channels
+
+
 def distinct_count(points, tol=DISTINCT_TOL):
     """Number of points farther than ``tol`` (max norm) from every point counted before them."""
     rates = np.array([r for _, r in points], dtype=float)

@@ -115,6 +115,9 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
     cmds += [
         ["extreme-points", "helper3", "--channels", "bank-helper3.json"],
         ["verify", "identities", "dsbs", "--channels", "bank-dsbs.json", "--trials", "20"],
+        # M = 2 and one trial: its first assignment lacks I or I' and is redrawn
+        ["verify", "identities", "dsbs", "--trials", "1"],
+        ["verify", "identities", "region-m6-seed1.json", "--trials", "2000", "--seed", "1"],
         ["trace", "dsbs", "--directions", "dirs-dsbs.json"],
         ["verify", "alphabet-bound", "bwz", "--directions", "dirs-bwz.json", "--grid", "6"],
     ]

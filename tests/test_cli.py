@@ -36,6 +36,7 @@ from canonical_region import (
     rate_lhs,
     resolve_problem,
     save_problem,
+    verify_chain_identities,
 )
 from canonical_region import optimize
 from canonical_region.cli import build_parser, main
@@ -456,6 +457,23 @@ def test_cli_verify_identities(tmp_path):
     assert records[-1] == {
         "type": "summary", "command": "verify", "suite": "identities", "passed": True,
     }
+
+
+def test_cli_identity_trials_draw_from_their_own_stream(tmp_path, helper3):
+    # the bank comes from default_rng(seed) and the trials from (seed, 2), so
+    # the trials do not replay the bits that drew the bank
+    out = tmp_path / "v.jsonl"
+    aug = attach_channels(helper3, random_channels(helper3, np.random.default_rng(4)))
+    report = verify_chain_identities(aug, trials=30, tol=0.0, seed=(4, 2))
+    assert main(["verify", "identities", "helper3", "--trials", "30", "--tol", "0",
+                 "--seed", "4", "--out", str(out)]) == (0 if report.passed else 1)
+    checks = [r for r in read_records(out) if r["type"] == "check"]
+    assert [[r["name"], r["passed"], r["detail"]["trials"], r["detail"]["worst_violation"],
+             r["detail"].get("failures", [])] for r in checks] == json.loads(json.dumps([
+        (c.name, c.passed, c.trials, c.worst_violation, [dict(f) for f in c.failures[:5]])
+        for c in report.checks]))
+    assert any(c.failures for c in report.checks)   # tol 0 leaves failures to compare
+    assert verify_chain_identities(aug, trials=30, tol=0.0, seed=4).checks != report.checks
 
 
 def test_cli_verify_noncrossing(tmp_path):

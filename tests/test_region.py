@@ -9,6 +9,7 @@ import pytest
 import canonical_region.region as region_mod
 from canonical_region import (
     BudgetError,
+    Channel,
     NumericIntegrityError,
     PreconditionError,
     ProblemSpec,
@@ -43,6 +44,7 @@ from conftest import (
     markov_source_spec,
     product_source_spec,
     region_problem_spec,
+    relabel_symbols,
 )
 
 
@@ -511,8 +513,8 @@ def test_identity_suite_is_the_same_on_a_warm_memo():
 
 
 def reference_chain_identities(aug, trials, tol, seed):
-    # the tuple-based identity suite the bitmask one replaced, with every
-    # information quantity built from axis names and computed by mi_sets
+    # the identity suite as a loop over its draws, one trial at a time, with
+    # every information quantity built from axis names and computed by mi_sets
     joint, m, spec = aug.joint, aug.m, aug.spec
     full = tuple(range(1, m + 1))
 
@@ -527,7 +529,6 @@ def reference_chain_identities(aug, trials, tol, seed):
         return mi_sets(joint, axis_mask(spec, *desc(left)), axis_mask(spec, *desc(right)),
                        axis_mask(spec, "S", *desc(cond)))
 
-    rng = np.random.default_rng(seed)
     names = ("condition-drop-split", "disjoint-union-split", "restricted-union-split",
              "element-peel-chain", "prefix-chain", "suffix-chain", "corner-sum-bound")
     worst = {n: 0.0 for n in names}
@@ -542,14 +543,17 @@ def reference_chain_identities(aug, trials, tol, seed):
         if violation > tol:
             failures[name].append({"violation": violation, **context})
 
-    for _ in range(trials):
-        if m >= 2:
-            while True:
-                assignment = rng.integers(0, 3, size=m)
-                ga = tuple(i + 1 for i in range(m) if assignment[i] == 0)
-                gb = tuple(i + 1 for i in range(m) if assignment[i] == 1)
-                if ga and gb:
-                    break
+    def members(mask):
+        return tuple(i for i in full if mask >> (i - 1) & 1)
+
+    # the suite's draws, one trial at a time as tuples
+    first, second, superset, order, size, split = (
+        draw.tolist() for draw in region_mod._draw_identity_trials(
+            np.random.default_rng(seed), m, trials))
+    pairs = zip(first, second, superset) if m >= 2 else itertools.repeat(None)
+    for pair, row, count, point in zip(pairs, order, size, split):
+        if pair is not None:
+            ga, gb, sup = map(members, pair)
             union = tuple(sorted(ga + gb))
             comp_union = tuple(i for i in full if i not in union)
             comp_a = tuple(i for i in full if i not in ga)
@@ -560,39 +564,32 @@ def reference_chain_identities(aug, trials, tol, seed):
             lhs = xz(union, comp_union)
             rhs = xz(ga, comp_union) + xz(gb, comp_b)
             record("disjoint-union-split", abs(lhs - rhs), {"I": ga, "I2": gb})
-            outside = [i for i in full if i not in union]
-            chosen = [i for i in outside if rng.integers(0, 2)]
-            sup = tuple(sorted(union + tuple(chosen)))
             sup_minus_union = tuple(i for i in sup if i not in union)
             sup_minus_b = tuple(i for i in sup if i not in gb)
             lhs = xz(union, sup_minus_union)
             rhs = xz(ga, sup_minus_union) + xz(gb, sup_minus_b)
             record("restricted-union-split", abs(lhs - rhs), {"I": ga, "I2": gb, "superset": sup})
 
-        size = int(rng.integers(1, m + 1))
-        members = [int(x) + 1 for x in rng.choice(m, size=size, replace=False)]
-        group = tuple(sorted(members))
-        order = list(members)
-        rng.shuffle(order)
+        order = tuple(row[:count])
+        group = tuple(sorted(order))
         lhs = float(xz(group, tuple(i for i in full if i not in group)))
         rhs = 0.0
         for pos, elem in enumerate(order):
             not_yet_peeled = set(order[pos:])
             rhs += xz((elem,), tuple(i for i in full if i not in not_yet_peeled))
-        record("element-peel-chain", abs(lhs - rhs), {"I": group, "order": tuple(order)})
+        record("element-peel-chain", abs(lhs - rhs), {"I": group, "order": order})
         rhs_single = sum(corner_rates[i] for i in group)
         record("corner-sum-bound", max(0.0, lhs - rhs_single), {"I": group})
 
-        split = int(rng.integers(1, m + 1))
-        prefix = tuple(range(1, split + 1))
+        prefix = tuple(range(1, point + 1))
         lhs = xz(prefix, ())
         rhs = sum(corner_rates[i] for i in prefix)
-        record("prefix-chain", abs(lhs - rhs), {"m": split})
-        if split < m:
-            suffix = tuple(range(split + 1, m + 1))
+        record("prefix-chain", abs(lhs - rhs), {"m": point})
+        if point < m:
+            suffix = tuple(range(point + 1, m + 1))
             lhs = xz(suffix, prefix)
             rhs = sum(corner_rates[i] for i in suffix)
-            record("suffix-chain", abs(lhs - rhs), {"m": split})
+            record("suffix-chain", abs(lhs - rhs), {"m": point})
 
     return tuple(region_mod.IdentityCheck(n, counts[n], worst[n], tuple(failures[n]))
                  for n in names)
@@ -614,6 +611,59 @@ def test_identity_suite_matches_the_tuple_reference(bwz, dsbs, helper3):
                     groups = [v for k, v in failure.items() if k in ("I", "I2", "superset", "order")]
                     assert all(type(i) is int for g in groups for i in g)
     assert failures > 0   # tol = 0 leaves round-off failures to compare
+
+
+def test_identity_trial_draws_follow_the_trial_law():
+    m, trials = 4, 20_000
+    first, second, superset, order, size, split = region_mod._draw_identity_trials(
+        np.random.default_rng(2024), m, trials)
+    union = first | second
+    assert (first > 0).all() and (second > 0).all() and not (first & second).any()
+    assert ((superset & union) == union).all()
+    # 81 assignments of 4 sources to I, I' or neither; 31 leave I or I' empty,
+    # so each of the other 50 has probability 1/50: 400 expected, sd 19.8
+    counts = np.bincount(first << m | second, minlength=1 << 2 * m)
+    assert np.count_nonzero(counts) == 50
+    assert 300 <= counts[counts > 0].min() and counts.max() <= 500
+    for i in range(m):
+        # a source is outside I u I' in 12 of the 50 assignments: about 4,800
+        # trials, so a fair coin's share has sd 0.0072
+        outside = (union >> i & 1) == 0
+        assert abs((superset[outside] >> i & 1).mean() - 0.5) < 0.035
+    for draw in (size, split):
+        # uniform on 1..4: 5,000 expected per value, sd 61
+        assert np.abs(np.bincount(draw, minlength=m + 1)[1:] - trials / m).max() < 300
+    assert (np.sort(order, axis=1) == np.arange(1, m + 1)).all()
+
+
+@pytest.mark.parametrize("axis", ["X3", "S", "V"])
+def test_region_quantities_do_not_move_when_symbols_are_relabeled(axis):
+    # X3 carries a channel; relabeling V permutes the distortion rows
+    rng = np.random.default_rng(17)
+    shape = (2, 3, 3, 2, 3, 3)                          # X1..X4, S, V
+    spec = ProblemSpec(4, 1, 1, shape[:4], 3, 3, [2], rng.dirichlet(np.ones(math.prod(shape)))
+                       .reshape(shape), [rng.uniform(0.0, 1.0, size=(3, 2))])
+    channels = random_channels(spec, rng)
+    source, distortions, rows = relabel_symbols(
+        np.array(spec.source_fractions, dtype=object).reshape(shape), spec.distortions,
+        {k - 1: ch.rows for k, ch in zip(spec.channel_slots, channels)},
+        ["X1", "X2", "X3", "X4", "S", "V"].index(axis), [2, 0, 1])
+    relabeled = ProblemSpec(4, 1, 1, shape[:4], 3, 3, [2], source, distortions)
+    aug = attach_channels(spec, channels)
+    moved = attach_channels(relabeled, [Channel(ch.input, ch.output, rows[k - 1])
+                                        for k, ch in zip(spec.channel_slots, channels)])
+    for (perm, corner), (moved_perm, moved_corner) in zip(
+            enumerate_extreme_points(aug), enumerate_extreme_points(moved)):
+        assert perm == moved_perm
+        assert np.abs(corner - moved_corner).max() <= 1e-12
+    zeros = np.zeros(aug.m)
+    assert np.abs(membership(aug, zeros).lhs - membership(moved, zeros).lhs).max() <= 1e-12
+    assert abs(nondegeneracy_report(aug).min_value
+               - nondegeneracy_report(moved).min_value) <= 1e-12
+    for check, moved_check in zip(verify_chain_identities(aug, seed=5).checks,
+                                  verify_chain_identities(moved, seed=5).checks):
+        assert (check.name, check.trials) == (moved_check.name, moved_check.trials)
+        assert abs(check.worst_violation - moved_check.worst_violation) <= 1e-12
 
 
 def test_cmi_memo_never_stores_a_call_that_raises(monkeypatch):
