@@ -24,13 +24,16 @@ two flags that choose the same thing, or a value out of range is a usage
 error (exit 2) before any problem is loaded.
 
 One contract holds for every command, and :func:`main` alone keeps it:
-``--out PATH`` gets one JSON record per line, a ``run`` record of the
-parsed arguments first and one ``summary`` record last; the verdict line
-and ``elapsed`` print only after ``--out`` is written; the exit code is 0
-exactly when the summary has ``passed``.  Records never contain wall-clock
-times or other run-varying data, so reruns with the same arguments write
-byte-identical files.  Exit codes: 0 success, 1 verification failure, 2
-bad input or usage, 3 refused for budget.
+each command returns its body records, its summary and its verdict line
+to ``main``; ``--out PATH`` gets one JSON record per line, a ``run``
+record of the parsed arguments first, the body, and one ``summary``
+record last.  A suite's body is one ``check`` record per check it
+returns, and the suite passes exactly when every check passes.  The
+verdict line and ``elapsed`` print only after ``--out`` is written; the
+exit code is 0 exactly when the summary has ``passed``.  Records never
+contain wall-clock times or other run-varying data, so reruns with the
+same arguments write byte-identical files.  Exit codes: 0 success, 1
+verification failure, 2 bad input or usage, 3 refused for budget.
 """
 from __future__ import annotations
 
@@ -152,7 +155,7 @@ def _groups_lexicographic(m: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ..
     return np.array([col for _, col in groups]), tuple(g for g, _ in groups)
 
 
-def cmd_extreme_points(args, spec, records: list[dict]) -> tuple[dict, str]:
+def cmd_extreme_points(args, spec) -> tuple[list[dict], dict, str]:
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
     points = enumerate_extreme_points(aug)
@@ -174,7 +177,7 @@ def cmd_extreme_points(args, spec, records: list[dict]) -> tuple[dict, str]:
         ok &= (active == expected).all(axis=1)
     columns, groups = _groups_lexicographic(spec.m)
 
-    lines = []
+    records, lines = [], []
     for perm, row, total, member, good, tight in zip(
             perms, rates.tolist(), sums.tolist(), report.is_member.tolist(), ok.tolist(),
             active[:, columns].tolist()):
@@ -200,26 +203,31 @@ def cmd_extreme_points(args, spec, records: list[dict]) -> tuple[dict, str]:
         "sum_rate_spread": spread,
         "full_group_information": full_info,
     }
-    return summary, (f"{len(points)} corner(s), smallest separation {ndg.min_value:.3e}; "
-                     f"sum-rate spread {spread:.3e}; {'PASS' if passed else 'FAIL'}")
+    return records, summary, (
+        f"{len(points)} corner(s), smallest separation {ndg.min_value:.3e}; "
+        f"sum-rate spread {spread:.3e}; {'PASS' if passed else 'FAIL'}")
 
 
 # ---- verify -----------------------------------------------------------------
 
 
 def _suite(run):
-    """A verify suite as a command: the summary names the suite, the verdict is PASS or FAIL."""
-    def command(args, spec, records: list[dict]) -> tuple[dict, str]:
-        passed = run(args, spec, records)
-        return {"suite": args.suite, "passed": passed}, "PASS" if passed else "FAIL"
+    """A verify suite as a command: each ``(name, passed, detail)`` check it returns
+    is one ``check`` record, and the suite passes exactly when every check does."""
+    def command(args, spec) -> tuple[list[dict], dict, str]:
+        records = [{"type": "check", "suite": args.suite, "name": name, "passed": passed,
+                    "detail": detail} for name, passed, detail in run(args, spec)]
+        passed = all(r["passed"] for r in records)
+        return records, {"suite": args.suite, "passed": passed}, "PASS" if passed else "FAIL"
     return command
 
 
 @_suite
-def _suite_identities(args, spec, records: list[dict]) -> bool:
+def _suite_identities(args, spec) -> list[tuple]:
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
     report = verify_chain_identities(aug, trials=args.trials, tol=args.tol, seed=(args.seed, 2))
+    checks = []
     for check in report.checks:
         detail = {
             "trials": check.trials,
@@ -229,21 +237,15 @@ def _suite_identities(args, spec, records: list[dict]) -> bool:
             # counterexample dump: the failing draws plus the channel bank
             detail["failures"] = [dict(f) for f in check.failures[:5]]
             detail["channels"] = [ch.rows for ch in channels]
-        records.append({
-            "type": "check",
-            "suite": "identities",
-            "name": check.name,
-            "passed": check.passed,
-            "detail": detail,
-        })
+        checks.append((check.name, check.passed, detail))
         print(f"identity {check.name}: worst violation "
               f"{check.worst_violation:.3e} over {check.trials} trials "
               f"{'ok' if check.passed else 'FAILED'}")
-    return report.passed
+    return checks
 
 
 @_suite
-def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
+def _suite_noncrossing(args, spec) -> list[tuple]:
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
     points = enumerate_extreme_points(aug)
@@ -251,67 +253,44 @@ def _suite_noncrossing(args, spec, records: list[dict]) -> bool:
     degenerate = nondegeneracy_report(aug).degenerate
     corners = np.array([r for _, r in points])
     chained = (verify_noncrossing(aug, corners, args.tol) | degenerate).tolist()
-    for idx, ((perm, _), ok) in enumerate(zip(points, chained)):
-        records.append({
-            "type": "check",
-            "suite": "noncrossing",
-            "name": f"corner-{idx}",
-            "passed": ok,
-            "detail": {"perm": list(perm)},
-        })
     print(f"tight sets chain at all {len(points)} corners: "
           f"{'ok' if all(chained) else 'FAILED'}")
+    checks = [(f"corner-{idx}", ok, {"perm": list(perm)})
+              for idx, ((perm, _), ok) in enumerate(zip(points, chained))]
     rng = np.random.default_rng((args.seed, 1))
-    members = np.empty((args.samples, spec.m))
-    for t in range(args.samples):
-        weights = rng.dirichlet(np.ones(len(points)))
-        members[t] = weights @ corners + rng.exponential(0.05, size=spec.m)
+    members = (rng.dirichlet(np.ones(len(points)), size=args.samples) @ corners
+               + rng.exponential(0.05, size=(args.samples, spec.m)))
     members_chained = (verify_noncrossing(aug, members, args.tol) | degenerate).tolist()
-    for t, (rates, ok) in enumerate(zip(members, members_chained)):
-        records.append({
-            "type": "check",
-            "suite": "noncrossing",
-            "name": f"member-{t}",
-            "passed": ok,
-            "detail": {} if ok else {"rates": rates},
-        })
     print(f"tight sets chain at {args.samples} random members: "
           f"{'ok' if all(members_chained) else 'FAILED'}")
-    return all(chained) and all(members_chained)
+    return checks + [(f"member-{t}", ok, {} if ok else {"rates": rates})
+                     for t, (rates, ok) in enumerate(zip(members, members_chained))]
 
 
 @_suite
-def _suite_decomposition(args, spec, records: list[dict]) -> bool:
+def _suite_decomposition(args, spec) -> list[tuple]:
     if not spec.channel_slots:
         raise InputError("decomposition is vacuous without channel slots")
-    passed = True
-    worst = 0.0
+    checks = []
     for t in range(args.trials):
         rng = np.random.default_rng((args.seed, t))
         channels = random_channels(spec, rng)
         direction = random_direction(spec.m, spec.j, spec.l, rng)
         report = verify_linear_decomposition(spec, channels, direction, args.tol)
-        passed = passed and report.passed
-        worst = max(worst, report.worst_error)
         detail = {"worst_error": report.worst_error}
         if not report.passed:
             # counterexample dump for reproduction
             detail["channels"] = [ch.rows for ch in channels]
             detail["direction"] = direction.coords
-        records.append({
-            "type": "check",
-            "suite": "decomposition",
-            "name": f"draw-{t}",
-            "passed": report.passed,
-            "detail": detail,
-        })
+        checks.append((f"draw-{t}", report.passed, detail))
+    worst = max(detail["worst_error"] for _, _, detail in checks)
     print(f"mixture decomposition over {args.trials} random draws: worst error "
-          f"{worst:.3e} {'ok' if passed else 'FAILED'}")
-    return passed
+          f"{worst:.3e} {'ok' if all(ok for _, ok, _ in checks) else 'FAILED'}")
+    return checks
 
 
 @_suite
-def _suite_alphabet_bound(args, spec, records: list[dict]) -> bool:
+def _suite_alphabet_bound(args, spec) -> list[tuple]:
     if args.directions:
         directions = load_directions(args.directions, spec)
     else:
@@ -320,21 +299,16 @@ def _suite_alphabet_bound(args, spec, records: list[dict]) -> bool:
         spec, directions, grid=args.grid, tol=args.tol, sweeps=args.sweeps,
         candidates=args.candidates, restarts=args.restarts, seed=args.seed,
     )
+    checks = []
     for idx, entry in enumerate(report.entries):
-        records.append({
-            "type": "check",
-            "suite": "alphabet-bound",
-            "name": f"direction-{idx}",
-            "passed": entry.passed,
-            "detail": {
-                "capped_value": entry.capped_value,
-                "capped_lattice_value": entry.capped_lattice_value,
-                "enlarged_value": entry.enlarged_value,
-                "margin": entry.margin,
-                "capped_grid": report.capped_grid,
-                "enlarged_grid": report.enlarged_grid,
-            },
-        })
+        checks.append((f"direction-{idx}", entry.passed, {
+            "capped_value": entry.capped_value,
+            "capped_lattice_value": entry.capped_lattice_value,
+            "enlarged_value": entry.enlarged_value,
+            "margin": entry.margin,
+            "capped_grid": report.capped_grid,
+            "enlarged_grid": report.enlarged_grid,
+        }))
         print(f"direction {idx}: capped {entry.capped_value:.6f} (lattice "
               f"{entry.capped_lattice_value:.6f}) vs enlarged "
               f"{entry.enlarged_value:.6f} (margin {entry.margin:+.2e}) "
@@ -342,13 +316,13 @@ def _suite_alphabet_bound(args, spec, records: list[dict]) -> bool:
     print(f"lattice grids: capped {report.capped_grid}, "
           f"enlarged {report.enlarged_grid} "
           f"(outputs {list(report.capped_sizes)} vs {list(report.enlarged_sizes)})")
-    return report.passed
+    return checks
 
 
 # ---- trace ------------------------------------------------------------------
 
 
-def cmd_trace(args, spec, records: list[dict]) -> tuple[dict, None]:
+def cmd_trace(args, spec) -> tuple[list[dict], dict, None]:
     if args.directions:
         directions = load_directions(args.directions, spec)
     elif args.sweep is not None:
@@ -377,6 +351,7 @@ def cmd_trace(args, spec, records: list[dict]) -> tuple[dict, None]:
         spec, directions, perm=perm, restarts=args.restarts,
         sweeps=args.sweeps, candidates=args.candidates, seed=args.seed,
     )
+    records = []
     for idx, point in enumerate(points):
         records.append({
             "type": "trace-point",
@@ -396,7 +371,7 @@ def cmd_trace(args, spec, records: list[dict]) -> tuple[dict, None]:
               f"rates={_fmt_rates(point.rates)} "
               f"distortions={_fmt_rates(point.distortions)} "
               f"({point.result.sweeps_run} sweep(s), restart {point.restart_index})")
-    return {"passed": True, "points": len(points)}, None
+    return records, {"passed": True, "points": len(points)}, None
 
 
 # ---- parser -----------------------------------------------------------------
@@ -525,10 +500,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         spec = resolve_problem(args.problem)
-        records = [_run_record(args, spec)]
-        summary, verdict = args.func(args, spec, records)
-        records.append({"type": "summary", "command": args.command, **summary})
-        _emit(records, args.out)
+        body, summary, verdict = args.func(args, spec)
+        _emit([_run_record(args, spec), *body,
+               {"type": "summary", "command": args.command, **summary}], args.out)
     except NumericIntegrityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -200,12 +200,11 @@ def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, np.ndarray]:
 class FunctionalContext:
     """Everything needed to evaluate the slot-k functionals, compiled once.
 
-    Holds the spec, the slot index k, the direction :func:`theta` weighs
-    the functionals by, and ``aug``: the source law with every other
-    slot's frozen channel attached and a one-symbol channel at slot k.
-    That channel leaves ``Z_k`` inert, so ``aug`` keeps the standard
-    layout ``X1..XM, S, V, Z_{J+1}..Z_M`` and its bitmask helpers select
-    every axis set.
+    Holds ``aug``: the source law with every other slot's frozen channel
+    attached and a one-symbol channel at slot k.  That channel leaves
+    ``Z_k`` inert, so ``aug`` keeps the standard layout
+    ``X1..XM, S, V, Z_{J+1}..Z_M`` and its bitmask helpers select every
+    axis set.
 
     A pool row t's law of an axis bitmask A is linear in t:
     p_t(A) = sum_x t(x) p(A, x) / p_k(x).  The constructor reads each
@@ -219,7 +218,7 @@ class FunctionalContext:
     source law.
     """
 
-    __slots__ = ("spec", "k", "direction", "aug", "p_k",
+    __slots__ = ("aug", "p_k",
                  "_map", "_entropy_cells", "_starts", "_weights", "_risks", "_constant")
 
     def __init__(
@@ -239,9 +238,6 @@ class FunctionalContext:
         if (direction.m, direction.j, direction.l) != (spec.m, spec.j, spec.l):
             raise StructuralError("direction dimensions do not match the spec")
 
-        self.spec = spec
-        self.k = k
-        self.direction = direction
         bank = {**frozen, k: constant_channel(spec.x_alphabet(k))}
         self.aug = aug = AugmentedPmf(channel_product(spec, bank), spec)
         self.p_k = p_k = spec.x_marginal(k)

@@ -121,6 +121,14 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
         ["trace", "dsbs", "--directions", "dirs-dsbs.json"],
         ["verify", "alphabet-bound", "bwz", "--directions", "dirs-bwz.json", "--grid", "6"],
     ]
+    # a failing run of every suite: identities fails above at --tol 0; these dump
+    # the decomposition draws, the noncrossing corners and members, and a direction
+    cmds += [
+        ["verify", "decomposition", "dsbs", "--tol", "0", "--trials", "3"],
+        ["verify", "noncrossing", "helper3", "--tol", "10", "--samples", "3"],
+        ["verify", "alphabet-bound", "dsbs", "--grid", "3", "--trials", "1", "--tol", "0",
+         "--seed", "3"],
+    ]
     cmds += [
         ["trace", "dsbs", "--count", "0"],
         ["extreme-points", "no-such-problem"],

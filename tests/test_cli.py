@@ -993,23 +993,20 @@ def test_cli_every_flag_changes_the_result_or_exits_2(tmp_path, monkeypatch, cap
 # ---- one output contract -----------------------------------------------------
 
 
-# one cheap invocation per command, some passing and some failing; a command
-# missing here fails
+# cheap invocations per command: each suite has a passing and a failing one;
+# a command missing here fails
 CONTRACT_CASES = {
-    "extreme-points": "dsbs --tol 0",
-    "verify identities": "dsbs --trials 3",
-    "verify noncrossing": "dsbs --samples 3",
-    "verify decomposition": "dsbs --trials 1 --tol 0",
-    "verify alphabet-bound": "bwz --grid 3 --trials 1 --sweeps 2 --candidates 4 --restarts 1",
-    "trace": "dsbs --count 1 --restarts 1 --sweeps 1",
+    "extreme-points": ["dsbs --tol 0"],
+    "verify identities": ["dsbs --trials 3", "dsbs --trials 3 --tol 0"],
+    "verify noncrossing": ["dsbs --samples 3", "helper3 --samples 3 --tol 10"],
+    "verify decomposition": ["dsbs --trials 1", "dsbs --trials 1 --tol 0"],
+    "verify alphabet-bound": ["bwz --grid 3 --trials 1 --sweeps 2 --candidates 4 --restarts 1",
+                              "dsbs --grid 3 --trials 1 --tol 0 --seed 3"],
+    "trace": ["dsbs --count 1 --restarts 1 --sweeps 1"],
 }
 
 
-@pytest.mark.parametrize("command", [c for c, _ in _leaf_commands(build_parser())])
-def test_cli_every_command_keeps_the_output_contract(tmp_path, capsys, command):
-    case = CONTRACT_CASES.get(command)
-    assert case is not None, f"no case for {command}"
-    argv = [*command.split(), *case.split()]
+def _keeps_the_output_contract(argv, tmp_path, capsys) -> int:
     out = tmp_path / "o.jsonl"
     code = main([*argv, "--out", str(out)])
     lines = capsys.readouterr().out.splitlines()
@@ -1021,15 +1018,32 @@ def test_cli_every_command_keeps_the_output_contract(tmp_path, capsys, command):
     assert ("suite" in summary) == (argv[0] == "verify")
     assert summary.get("suite") == (argv[1] if argv[0] == "verify" else None)
     assert code == (0 if summary["passed"] else 1)
+    if argv[0] == "verify":
+        # a suite's body is its check records, and it passes exactly when they all do
+        checks = records[1:-1]
+        assert checks and all(r["type"] == "check" and r["suite"] == summary["suite"]
+                              for r in checks)
+        assert summary["passed"] == all(r["passed"] for r in checks)
     assert lines[-1].startswith("elapsed ")
     verdicts = [line for line in lines if re.search(r"\b(PASS|FAIL)$", line)]
     assert all(v.endswith("PASS" if summary["passed"] else "FAIL") for v in verdicts)
 
     # an unwritable --out exits 2 before the verdict line and elapsed
     taken = tmp_path / "taken"
-    taken.mkdir()
+    taken.mkdir(exist_ok=True)
     assert main([*argv, "--out", str(taken)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {taken}")
     assert lines[:-1] == captured.out.splitlines() + verdicts
     assert list(taken.iterdir()) == []
+    return code
+
+
+@pytest.mark.parametrize("command", [c for c, _ in _leaf_commands(build_parser())])
+def test_cli_every_command_keeps_the_output_contract(tmp_path, capsys, command):
+    cases = CONTRACT_CASES.get(command)
+    assert cases is not None, f"no case for {command}"
+    codes = [_keeps_the_output_contract([*command.split(), *case.split()], tmp_path, capsys)
+             for case in cases]
+    if command.startswith("verify "):
+        assert codes == [0, 1]

@@ -36,7 +36,7 @@ from canonical_region import optimize
 from canonical_region.optimize import _candidate_pool, _orbit_table, _pool_head, _simplex_lattice
 from canonical_region.pmf import cell_entropies
 from canonical_region.simplex import solve_equality_lp
-from conftest import make_spec, zero_symbol_spec
+from conftest import make_spec, relabel_symbols, zero_symbol_spec
 
 
 def test_simplex_lattice_exact():
@@ -348,6 +348,27 @@ def test_staged_search_matches_full_tensor_search(name, z_sizes, grid):
         (value,), _ = _reference_search(spec, [d], z_sizes, grid,
                                         tables=[ch.rows[None] for ch in bank])
         assert abs(value - minimum) <= STAGED_TOL
+
+
+@pytest.mark.parametrize("axis", ["X1", "X2", "X3", "S", "V"])
+def test_lattice_minima_do_not_move_when_symbols_are_relabeled(axis):
+    # every channel row ranges over the same lattice, so relabeling a slot's
+    # symbols only permutes banks; relabeling V permutes the distortion rows
+    helper3 = resolve_problem("helper3")
+    shape = tuple(a.size for a in (*helper3.x_alphabets, helper3.s_alphabet,
+                                   helper3.v_alphabet))
+    at = ["X1", "X2", "X3", "S", "V"].index(axis)
+    source, distortions, _ = relabel_symbols(
+        np.array(helper3.source_fractions, dtype=object).reshape(shape), helper3.distortions,
+        {}, at, list(range(shape[at]))[::-1])
+    relabeled = ProblemSpec(3, 1, 1, shape[:3], shape[3], shape[4],
+                            [a.size for a in helper3.vhat_alphabets], source, distortions)
+    rng = np.random.default_rng(11)
+    dirs = [random_direction(3, 1, 1, rng) for _ in range(6)]
+    z_sizes = [helper3.x_alphabet(k).size for k in helper3.channel_slots]
+    values, _ = brute_force_search(helper3, dirs, z_sizes, 8)
+    moved, _ = brute_force_search(relabeled, dirs, z_sizes, 8)
+    assert np.abs(values - moved).max() <= 1e-12
 
 
 def lattice_min(spec, direction, z_sizes, grid):
