@@ -62,7 +62,7 @@ from .augment import (
 )
 from .errors import StructuralError
 from .pmf import entropy
-from .region import corner_rate
+from .region import _cmi_xz
 
 SIMPLEX_TOL = 1e-9
 DECOMPOSITION_TOL = 1e-9
@@ -265,7 +265,7 @@ class FunctionalContext:
                 continue
             source = 1 << (i - 1)
             if i < k:                                  # t-free: the natural-order corner rate
-                constant += weight * corner_rate(aug, source, source - 1)
+                constant += weight * _cmi_xz(aug, source, source - 1)
                 continue
             x_i, u, u_z = aug.x_axes(source), observed(source - 1), observed(2 * source - 1)
             if i == k:                                 # t-free at the own slot; Z_k is inert
@@ -342,7 +342,7 @@ def direct_weighted_value(spec: ProblemSpec, channels: Sequence[Channel],
     total = 0.0
     for i in spec.channel_slots:
         source = 1 << (i - 1)
-        total += direction.rate_weight(i) * corner_rate(aug, source, source - 1)
+        total += direction.rate_weight(i) * _cmi_xz(aug, source, source - 1)
     for l in range(1, spec.l + 1):
         weight = direction.distortion_weight(l)
         if weight != 0.0:

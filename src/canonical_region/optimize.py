@@ -57,7 +57,7 @@ from .functionals import (
     direct_weighted_value,
     theta,
 )
-from .pmf import Alphabet, cell_entropies, check_int
+from .pmf import CMI_CLAMP, Alphabet, cell_entropies, check_int
 from .region import check_permutation, corner_point, identity_permutation
 from .simplex import solve_equality_lp
 
@@ -322,8 +322,10 @@ def brute_force_search(
     slot k a chunk of banks carries p(V, X_>=k, X_1..X_J, S, Z_<k), all
     that later slots and the distortions read.  Slot k's entropies come
     from that array summed over V and X_>k and from its product with slot
-    k's rows.  Returns the minima and argmin banks; refuses raw lattices
-    over ``MAX_BRUTE_EVALS`` points.
+    k's rows.  Rates keep ``pmf.mi_sets``' sign rule: a nonpositive rate
+    within ``CMI_CLAMP`` of zero, -0.0 included, becomes +0.0, and a lower
+    one raises :class:`NumericIntegrityError` naming the slot.  Returns the
+    minima and argmin banks; refuses raw lattices over ``MAX_BRUTE_EVALS`` points.
     """
     slots = spec.channel_slots
     z_sizes = [check_int(z, "output size") for z in z_sizes]
@@ -379,7 +381,11 @@ def brute_force_search(
                 a = (a[:, :, :, None] * q[:, None]).sum(axis=1)
             joint = p[:, :, None] * q[:, None]                    # p(X_k, X_L S Z_<k, Z_k)
             h_bc = _bank_entropies(joint.sum(axis=0))
-            comps.append(np.maximum(h_ac + h_bc - _bank_entropies(joint) - h_c, 0.0))
+            rate = h_ac + h_bc - _bank_entropies(joint) - h_c
+            if rate.min() < -CMI_CLAMP:
+                raise NumericIntegrityError(f"slot {slots[pos]}'s lattice rate evaluated to "
+                                            f"{rate.min():.3e} bits, below -{CMI_CLAMP}")
+            comps.append(np.maximum(rate, 0.0))
             h_c = h_bc
         comps += _bayes_risks(spec, a.reshape(v, -1), flat.size)  # a is p(V, X_L S Z, B)
         objective = np.stack(comps, axis=1) @ coords.T          # (B, D)

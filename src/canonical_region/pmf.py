@@ -191,8 +191,8 @@ def mi_sets(p: JointPmf, a: int, b: int, given: int = 0) -> float:
     ``H(a|given) - H(a|b,given)`` literally: shared variables behave as if
     observed on the ``b`` side.  Used where a variable plays two roles at
     once (a source that is its own coded description).  Negatives within
-    ``CMI_CLAMP`` clamp to 0; anything more negative raises
-    :class:`NumericIntegrityError`.
+    ``CMI_CLAMP`` clamp to +0.0, and so does -0.0; anything more negative
+    raises :class:`NumericIntegrityError`.
     """
     for vs in (a, b, given):
         p.check_axes(vs)
@@ -206,7 +206,7 @@ def mi_sets(p: JointPmf, a: int, b: int, given: int = 0) -> float:
         - _joint_entropy(p, a | b | given)
         - _joint_entropy(p, given)
     )
-    if value < 0.0:
+    if value <= 0.0:    # -0.0 too: callers may rely on a nonnegative sign bit
         if value < -CMI_CLAMP:
             raise NumericIntegrityError(
                 f"conditional mutual information evaluated to {value:.3e} bits, "

@@ -89,13 +89,24 @@ def _groups_in_mask_order(m: int) -> tuple[tuple[int, ...], ...]:
 def _cmi_xz(aug: AugmentedPmf, left: int, cond: int) -> float:
     """I(X_left ; Z_left | Z_cond, S) for source bitmasks, computed once per joint.
 
-    A call that raises stores nothing.
+    The only code that reads or fills the joint's CMI memo.  A call that
+    raises stores nothing.
     """
     value = aug._cmi.get((left, cond))
     if value is None:
         value = aug._cmi[left, cond] = mi_sets(
             aug.joint, aug.x_axes(left), aug.z_axes(left), aug.z_axes(cond) | aug.s_axis)
     return value
+
+
+def _gather(keys: np.ndarray, m: int, value: Callable[[int, int], float]) -> np.ndarray:
+    """``value(high, low)`` at each key ``high << m | low``, read once per distinct key."""
+    # deduplicated by a Python set: the first np.unique or np.sort call maps about
+    # 1 MB or 0.4 MB more of library pages, and a table over all 4^M keys would grow
+    # with M, not with the keys read
+    distinct = np.array(sorted(set(keys.ravel().tolist())), dtype=np.int64)
+    values = np.array([value(k >> m, k & ((1 << m) - 1)) for k in distinct.tolist()])
+    return values[np.searchsorted(distinct, keys)]
 
 
 def _mi_zz(aug: AugmentedPmf, left: int, right: int, cond: int) -> float:
@@ -109,7 +120,7 @@ def rate_lhs(aug: AugmentedPmf, group: Iterable[int]) -> float:
     mask = _mask(group, aug.m)
     if not mask:
         raise StructuralError("description group must be nonempty")
-    return float(_cmi_xz(aug, mask, mask ^ ((1 << aug.m) - 1)))
+    return _cmi_xz(aug, mask, mask ^ ((1 << aug.m) - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +198,8 @@ def corner_point(aug: AugmentedPmf, perm: Sequence[int] | np.ndarray) -> RateVec
     ``perm`` is one order ``(M,)`` or a stack ``(N, M)``, and the corners
     come back in the same shape.  Source ``perm[i]`` pays the information
     its description adds on top of the descriptions of ``perm[0..i-1]``
-    and S (:func:`corner_rate`).  Each distinct (source, prefix) rate of
-    the stack is read once.
+    and S, I(X ; Z | Z_before, S) from the CMI memo.  Each distinct
+    (source, prefix) rate of the stack is read once.
     """
     m = aug.m
     if isinstance(perm, np.ndarray) and perm.dtype.kind in "iu":
@@ -206,22 +217,11 @@ def corner_point(aug: AugmentedPmf, perm: Sequence[int] | np.ndarray) -> RateVec
     bad = (rows != clipped).any(axis=1) | (seen[:, -1] != (1 << m) - 1)
     if bad.any():
         check_permutation(rows[bad.argmax()], m)     # raises, naming the first bad row
-    keys = (rows - 1) << m | (seen ^ bits)           # (source, sources before it)
-    rates = np.zeros(m << m)
-    for key in np.flatnonzero(np.bincount(keys.ravel(), minlength=m << m)).tolist():
-        rates[key] = corner_rate(aug, 1 << (key >> m), key & ((1 << m) - 1))
+    before = seen ^ bits                             # the sources before each position
+    rates = _gather(bits << m | before, m, functools.partial(_cmi_xz, aug))
     corners = np.empty(rows.shape)
-    np.put_along_axis(corners, rows - 1, rates[keys], axis=1)
+    np.put_along_axis(corners, rows - 1, rates, axis=1)
     return corners.reshape(orders.shape)
-
-
-def corner_rate(aug: AugmentedPmf, source: int, before: int) -> float:
-    """The corner rate of one source bit after the source bitmask ``before``.
-
-    I(X ; Z | Z_before, S) of the source, from the CMI memo; tiny
-    negatives from float cancellation clamp to 0.
-    """
-    return max(0.0, _cmi_xz(aug, source, before))
 
 
 @functools.cache
@@ -436,21 +436,12 @@ def verify_chain_identities(aug: AugmentedPmf, trials: int = 200, tol: float = A
     first, second, superset, order, size, split = _draw_identity_trials(
         np.random.default_rng(seed), m, trials)
 
-    def read(keys: np.ndarray, value: Callable[[int, int], float]) -> np.ndarray:
-        """``value(high, low)`` at each key ``high << m | low``, read once per distinct key."""
-        # deduplicated by a Python set: the first np.unique or np.sort call maps about
-        # 1 MB or 0.4 MB more of library pages, and a table over all 4^M keys would grow
-        # with M, not with the trials
-        distinct = np.array(sorted(set(keys.tolist())), dtype=np.int64)
-        values = np.array([value(k >> m, k & full) for k in distinct.tolist()])
-        return values[np.searchsorted(distinct, keys)]
-
     def xz(left: np.ndarray, cond: np.ndarray | int) -> np.ndarray:
         """I(X_left ; Z_left | Z_cond, S) for arrays of source bitmasks."""
-        return read(left << m | cond, functools.partial(_cmi_xz, aug))
+        return _gather(left << m | cond, m, functools.partial(_cmi_xz, aug))
 
     union = first | second
-    zz = read(first << m | second, lambda a, b: _mi_zz(aug, a, b, full ^ a ^ b))
+    zz = _gather(first << m | second, m, lambda a, b: _mi_zz(aug, a, b, full ^ a ^ b))
 
     bits = 1 << (order - 1)
     peeled = np.arange(m) < size[:, None]       # the positions of the peel order

@@ -121,9 +121,11 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
         ["trace", "dsbs", "--directions", "dirs-dsbs.json"],
         ["verify", "alphabet-bound", "bwz", "--directions", "dirs-bwz.json", "--grid", "6"],
     ]
-    # a failing run of every suite: identities fails above at --tol 0; these dump
-    # the decomposition draws, the noncrossing corners and members, and a direction
+    # a failing run of every suite and of extreme-points: identities fails above at
+    # --tol 0; these dump the decomposition draws, the noncrossing corners and
+    # members, a direction, and the corners whose tight groups are not their suffixes
     cmds += [
+        ["extreme-points", "helper3", "--tol", "0"],
         ["verify", "decomposition", "dsbs", "--tol", "0", "--trials", "3"],
         ["verify", "noncrossing", "helper3", "--tol", "10", "--samples", "3"],
         ["verify", "alphabet-bound", "dsbs", "--grid", "3", "--trials", "1", "--tol", "0",

@@ -10,8 +10,10 @@ from canonical_region import (
     Alphabet,
     BudgetError,
     Channel,
+    DegeneracyWarning,
     Direction,
     FunctionalContext,
+    NumericIntegrityError,
     ProblemSpec,
     StructuralError,
     attach_channels,
@@ -34,7 +36,7 @@ from canonical_region import (
 )
 from canonical_region import optimize
 from canonical_region.optimize import _candidate_pool, _orbit_table, _pool_head, _simplex_lattice
-from canonical_region.pmf import cell_entropies
+from canonical_region.pmf import CMI_CLAMP, cell_entropies
 from canonical_region.simplex import solve_equality_lp
 from conftest import make_spec, relabel_symbols, zero_symbol_spec
 
@@ -371,6 +373,25 @@ def test_lattice_minima_do_not_move_when_symbols_are_relabeled(axis):
     assert np.abs(values - moved).max() <= 1e-12
 
 
+def test_lattice_rates_keep_the_sign_rule(monkeypatch, dsbs):
+    # the 4-D joint entropies H(X_k, C, Z_k), C the slot's conditioning, read high
+    # by ``plant`` lower every slot rate by it: past CMI_CLAMP the search raises,
+    # within it the minima stay put
+    rng = np.random.default_rng(5)
+    dirs = [random_direction(2, 0, 1, rng) for _ in range(6)]
+    values, _ = brute_force_search(dsbs, dirs, [2, 2], 3)
+    entropies = optimize._bank_entropies
+    for plant in (1e-6, 1e-12):
+        monkeypatch.setattr(optimize, "_bank_entropies",
+                            lambda a, plant=plant: entropies(a) + (plant if a.ndim == 4 else 0.0))
+        if plant > CMI_CLAMP:
+            with pytest.raises(NumericIntegrityError, match="slot 1"):
+                brute_force_search(dsbs, dirs, [2, 2], 3)
+        else:
+            planted, _ = brute_force_search(dsbs, dirs, [2, 2], 3)
+            assert np.abs(planted - values).max() <= 1e-11
+
+
 def lattice_min(spec, direction, z_sizes, grid):
     """The lattice search's minimum along one direction."""
     values, _ = brute_force_search(spec, [direction], z_sizes, grid)
@@ -583,6 +604,31 @@ def test_slot_step_never_ends_above_its_incumbent(name, request, monkeypatch):
         coordinate_descent(spec, d, random_channels(spec, rng), sweeps=8, candidates=16,
                            seed=len(checked))
     assert max(checked) <= 1e-12
+
+
+def test_slot_lp_support_fits_the_support_of_p_k(monkeypatch):
+    # Caratheodory on the support: a slot LP's mixture reaches p_k, so a basic
+    # optimum has at most as many columns as p_k has positive symbols, and a
+    # zero-probability symbol makes that bound tighter than |X_k|
+    steps = []
+    step = optimize.optimize_single_channel
+
+    def counting_step(ctx, candidates, seed, *, incumbent_columns):
+        pair = step(ctx, candidates, seed, incumbent_columns=incumbent_columns)
+        steps.append((len(pair.weights), np.count_nonzero(ctx.p_k), ctx.p_k.size))
+        return pair
+
+    monkeypatch.setattr(optimize, "optimize_single_channel", counting_step)
+    rng = np.random.default_rng(99)
+    for _ in range(30):
+        spec = zero_symbol_spec(rng)
+        d = random_direction(spec.m, spec.j, spec.l, rng)
+        for init in default_multistart_inits(spec, 4, seed=int(rng.integers(1 << 16))):
+            with pytest.warns(DegeneracyWarning):       # the zero symbol's forward row
+                coordinate_descent(spec, d, init, candidates=16)
+    assert len(steps) >= 400
+    assert all(size <= support for size, support, _ in steps)
+    assert any(support < symbols for _, support, symbols in steps)
 
 
 def test_single_slot_lp_requires_direction():

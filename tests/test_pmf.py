@@ -8,10 +8,13 @@ import pytest
 from canonical_region import (
     Alphabet,
     JointPmf,
+    NumericIntegrityError,
     StructuralError,
     entropy,
     mi_sets,
 )
+from canonical_region import pmf as pmf_mod
+from canonical_region.pmf import CMI_CLAMP
 
 
 def random_joint(rng, sizes):
@@ -137,6 +140,20 @@ def test_cmi_chain_rule_and_nonnegativity():
         split = mi_sets(p, va, vb) + mi_sets(p, va, vc, given=vb)
         assert abs(joint - split) < 1e-12
         assert mi_sets(p, va, vb, given=vc) >= 0.0
+
+
+@pytest.mark.parametrize("total", [-CMI_CLAMP / 2, -0.0, -5 * CMI_CLAMP])
+def test_cmi_sign_rule(monkeypatch, total):
+    # the four-entropy sum H(a) + H(b) - H(ab) - H(empty) reads exactly ``total``
+    p = random_joint(np.random.default_rng(3), (2, 2))
+    entropies = {0b01: total, 0b10: -0.0, 0b11: 0.0, 0: 0.0}
+    monkeypatch.setattr(pmf_mod, "_joint_entropy", lambda _, vs: entropies[vs])
+    if total < -CMI_CLAMP:
+        with pytest.raises(NumericIntegrityError):
+            mi_sets(p, 0b01, 0b10)
+    else:   # within the clamp, -0.0 included, the value is +0.0
+        value = mi_sets(p, 0b01, 0b10)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_cmi_requires_disjoint_sets():
