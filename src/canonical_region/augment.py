@@ -102,23 +102,24 @@ def random_channel(alphabet: Alphabet, out_size: int, rng: np.random.Generator) 
 class ProblemSpec:
     """Validated, immutable description of one coding problem instance.
 
+    Every size is read off the data: M is the number of source axes, the
+    X, S and V alphabets are the tensor's shape, L is the number of
+    distortion tables and each ``|Vhat_l|`` is its table's column count.
+
     Parameters
     ----------
-    m, j, l:
-        Number of sources, number of losslessly observed sources
-        (``0 <= j <= m``), and number of distortion measures (``l >= 0``).
-    x_sizes, s_size, v_size, vhat_sizes:
-        Alphabet sizes.
+    j:
+        Number of losslessly observed sources, ``0 <= j <= M``.
     source_probs:
-        Dense row-major tensor over ``(X1..XM, S, V)`` of floats or exact
-        :class:`~fractions.Fraction` values.  Converted to exact
-        rationals and scaled to integer counts over the lcm of their
+        Dense row-major tensor over ``(X1..XM, S, V)``, ``M >= 1``, of
+        floats or exact :class:`~fractions.Fraction` values.  Converted to
+        exact rationals and scaled to integer counts over the lcm of their
         denominators; each cell is lowered to float64 as count / total by
         Python's correctly rounded int division, the same bits as the
         exact normalized rational's ``float``.  So normalization is exact
         and a spec survives serialization round-trips bit-for-bit.
     distortions:
-        One ``|V| x |Vhat_l|`` nonnegative table per measure.
+        One nonnegative table per measure, ``|V|`` rows by ``|Vhat_l|`` columns.
 
     ``source_fractions`` gives the normalized rationals, derived from the
     stored counts.  ``source_mass`` keeps the exact total of the source
@@ -133,43 +134,26 @@ class ProblemSpec:
 
     def __init__(
         self,
-        m: int,
         j: int,
-        l: int,
-        x_sizes: Sequence[int],
-        s_size: int,
-        v_size: int,
-        vhat_sizes: Sequence[int],
         source_probs,
         distortions: Sequence,
         name: str = "",
         notes: str = "",
     ) -> None:
-        m, j, l = check_int(m, "M"), check_int(j, "J"), check_int(l, "L")
-        if m < 1:
-            raise StructuralError(f"M must be an integer >= 1, got {m!r}")
+        arr = np.array(source_probs, dtype=object)
+        if arr.ndim < 3:
+            raise StructuralError(
+                f"source tensor needs axes X1..XM, S, V with M >= 1; got shape {arr.shape}"
+            )
+        m = arr.ndim - 2
+        j = check_int(j, "J")
         if not 0 <= j <= m:
             raise StructuralError(f"J must satisfy 0 <= J <= M; got J={j!r}, M={m}")
-        if l < 0:
-            raise StructuralError(f"L must be an integer >= 0, got {l!r}")
-        if len(x_sizes) != m:
-            raise StructuralError(f"expected {m} source alphabet sizes, got {len(x_sizes)}")
-        if len(vhat_sizes) != l:
-            raise StructuralError(
-                f"expected {l} reconstruction alphabet sizes, got {len(vhat_sizes)}"
-            )
-        if len(distortions) != l:
-            raise StructuralError(f"expected {l} distortion tables, got {len(distortions)}")
 
-        x_alphabets = tuple(Alphabet(f"X{i}", n) for i, n in enumerate(x_sizes, start=1))
-        s_alphabet = Alphabet("S", s_size)
-        v_alphabet = Alphabet("V", v_size)
-        vhat_alphabets = tuple(Alphabet(f"Vhat{i}", n) for i, n in enumerate(vhat_sizes, start=1))
+        x_alphabets = tuple(Alphabet(f"X{i}", n) for i, n in enumerate(arr.shape[:m], start=1))
+        s_alphabet = Alphabet("S", arr.shape[m])
+        v_alphabet = Alphabet("V", arr.shape[m + 1])
 
-        shape = tuple(a.size for a in x_alphabets) + (s_alphabet.size, v_alphabet.size)
-        arr = np.array(source_probs, dtype=object)
-        if arr.shape != shape:
-            raise StructuralError(f"source tensor has shape {arr.shape}, expected {shape}")
         try:
             fracs = [x if isinstance(x, Fraction) else Fraction(float(x)) for x in arr.ravel()]
         except (TypeError, ValueError, OverflowError) as exc:   # NaN, +-inf, non-numbers
@@ -183,17 +167,17 @@ class ProblemSpec:
         if total <= 0:
             raise StructuralError("source probabilities sum to zero")
         # int true division is correctly rounded: float(Fraction(n, total)) exactly
-        floats = np.array([n / total for n in counts]).reshape(shape)
+        floats = np.array([n / total for n in counts]).reshape(arr.shape)
 
         source = JointPmf(floats)
 
         tables = []
         for li, d in enumerate(distortions, start=1):
             t = np.array(d, dtype=float)
-            if t.shape != (v_alphabet.size, vhat_alphabets[li - 1].size):
+            if t.ndim != 2 or t.shape[0] != v_alphabet.size:
                 raise StructuralError(
-                    f"distortion table {li} has shape {t.shape}, expected "
-                    f"({v_alphabet.size}, {vhat_alphabets[li - 1].size})"
+                    f"distortion table {li} has shape {t.shape}, expected 2-D with "
+                    f"{v_alphabet.size} rows"
                 )
             if not np.all(np.isfinite(t)) or t.min(initial=0.0) < 0.0:
                 raise StructuralError(
@@ -201,12 +185,15 @@ class ProblemSpec:
                 )
             t.setflags(write=False)
             tables.append(t)
+        vhat_alphabets = tuple(
+            Alphabet(f"Vhat{i}", t.shape[1]) for i, t in enumerate(tables, start=1)
+        )
 
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "notes", str(notes))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "j", j)
-        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "l", len(tables))
         object.__setattr__(self, "x_alphabets", x_alphabets)
         object.__setattr__(self, "s_alphabet", s_alphabet)
         object.__setattr__(self, "v_alphabet", v_alphabet)
@@ -442,7 +429,7 @@ def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> C
 
     Requires the mixture identity to hold within ``MIXTURE_INPUT_TOL``.
     A source symbol with zero probability gets a uniform channel row (its
-    conditional is undefined) and triggers a :class:`DegeneracyWarning`.
+    conditional is undefined).
     """
     if k not in spec.channel_slots:
         raise StructuralError(f"slot {k} is not in {spec.channel_slots}")
@@ -457,14 +444,6 @@ def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> C
         raise StructuralError("reverse pair has no positive-weight symbols")
     w = pair.weights[keep]
     cols = pair.columns[keep]
-    zero_inputs = np.flatnonzero(p_k <= 0.0)
-    if zero_inputs.size:
-        warnings.warn(
-            f"source symbols {zero_inputs.tolist()} of X{k} have zero probability; "
-            "their channel rows are arbitrary (set to uniform)",
-            DegeneracyWarning,
-            stacklevel=2,
-        )
     positive = p_k > 0.0
     rows = np.full((p_k.size, keep.size), 1.0 / keep.size)
     rows[positive] = w * cols.T[positive] / p_k[positive, None]

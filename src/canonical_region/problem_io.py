@@ -214,12 +214,19 @@ def load_problem(path) -> ProblemSpec:
 
     try:
         spec = ProblemSpec(
-            m, j, l, x_sizes, s_size, v_size, vhat_sizes,
-            source_probs=np.array(fracs, dtype=object).reshape(shape),
-            distortions=tables, name=name, notes=notes,
+            j, np.array(fracs, dtype=object).reshape(shape), tables, name=name, notes=notes,
         )
     except StructuralError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    # the source's shape pins X, S and V; the declared l and Vhat must match the tables
+    if spec.l != l:
+        raise InputError(f"{path}: l is {l}, but distortions lists {spec.l} table(s)")
+    columns = [a.size for a in spec.vhat_alphabets]
+    if columns != vhat_sizes:
+        raise InputError(
+            f"{path}: alphabets.Vhat is {vhat_sizes}, but the distortion tables have "
+            f"{columns} columns"
+        )
 
     total = spec.source_mass
     err = abs(float(total - 1))
@@ -237,7 +244,7 @@ def load_problem(path) -> ProblemSpec:
 
     # preflight: sources already independent given S stay independent under
     # every channel bank, so corner points of this instance will coincide
-    preflight = source_nondegeneracy_report(spec.source, spec.m)
+    preflight = source_nondegeneracy_report(spec.source)
     if preflight.degenerate:
         a, b, _, value = min(preflight.entries, key=lambda e: e[-1])
         warnings.warn(
@@ -257,9 +264,7 @@ def save_problem(spec: ProblemSpec, path) -> None:
     exactly, so ``load_problem(save_problem(spec))`` reproduces the spec
     field for field, exact rationals included.
     """
-    shape = tuple(a.size for a in spec.x_alphabets) + (
-        spec.s_alphabet.size, spec.v_alphabet.size,
-    )
+    shape = spec.source.probs.shape
     entries = []
     for flat, frac in enumerate(spec.source_fractions):
         if frac:

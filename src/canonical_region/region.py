@@ -329,7 +329,7 @@ def nondegeneracy_report(aug: AugmentedPmf) -> NondegeneracyReport:
     return NondegeneracyReport(tuple(entries))
 
 
-def source_nondegeneracy_report(source: JointPmf, m: int) -> NondegeneracyReport:
+def source_nondegeneracy_report(source: JointPmf) -> NondegeneracyReport:
     """Source-level preflight: I(X_a ; X_b | S) for every source pair a < b.
 
     Channels are not known at load time, but if two sources are already
@@ -340,6 +340,7 @@ def source_nondegeneracy_report(source: JointPmf, m: int) -> NondegeneracyReport
     excludes the remaining sources: a Markov-structured source is fine
     once its descriptions are noisy, and must not be flagged here.
     """
+    m = source.ndim - 2
     s = 1 << m                                          # the source axes are X1..XM, S, V
     entries = tuple(
         (a, b, (), mi_sets(source, 1 << (a - 1), 1 << (b - 1), s))

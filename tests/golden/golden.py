@@ -80,6 +80,19 @@ INPUT_FILES = {
         {"rates": [2], "distortions": [1]},
     ]},
 }
+# dsbs with a dense "probs" source, and two copies whose declared sizes disagree
+# with the data: "l" with the number of tables, "Vhat" with a table's columns
+DSBS_DENSE = {
+    "m": 2, "j": 0, "l": 1,
+    "alphabets": {"X": [2, 2], "S": 1, "V": 2, "Vhat": [2]},
+    "source": {"probs": [[[["0.45", 0]], [[0, "0.05"]]], [[[0, "0.05"]], [["0.45", 0]]]]},
+    "distortions": [[[0, 1], [1, 0]]],
+}
+INPUT_FILES |= {
+    "dsbs-dense.json": DSBS_DENSE,
+    "dsbs-l2.json": {**DSBS_DENSE, "l": 2},
+    "dsbs-vhat3.json": {**DSBS_DENSE, "alphabets": {**DSBS_DENSE["alphabets"], "Vhat": [3]}},
+}
 
 
 def input_files(directory: Path) -> None:
@@ -120,6 +133,8 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
         ["verify", "identities", "region-m6-seed1.json", "--trials", "2000", "--seed", "1"],
         ["trace", "dsbs", "--directions", "dirs-dsbs.json"],
         ["verify", "alphabet-bound", "bwz", "--directions", "dirs-bwz.json", "--grid", "6"],
+        ["extreme-points", "dsbs-dense.json"],
+        ["trace", "dsbs-dense.json", "--count", "2"],
     ]
     # a failing run of every suite and of extreme-points: identities fails above at
     # --tol 0; these dump the decomposition draws, the noncrossing corners and
@@ -134,6 +149,8 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
     cmds += [
         ["trace", "dsbs", "--count", "0"],
         ["extreme-points", "no-such-problem"],
+        ["extreme-points", "dsbs-l2.json"],
+        ["extreme-points", "dsbs-vhat3.json"],
         ["verify", "decomposition", "dsbs", "--channels", "bank-dsbs.json"],
         ["verify", "decomposition", "dsbs", "--directions", "dirs-dsbs.json"],
         ["verify", "alphabet-bound", "dsbs", "--channels", "bank-dsbs.json"],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -56,50 +57,47 @@ def test_channel_constructors():
 
 
 def test_problem_spec_validation():
-    ok = dict(x_sizes=[2], s_size=1, v_size=2, vhat_sizes=[2],
-              source_probs=np.full((2, 1, 2), 0.25),
-              distortions=[[[0.0, 1.0], [1.0, 0.0]]])
-    ProblemSpec(1, 0, 1, **ok)
+    probs = np.full((2, 1, 2), 0.25)
+    table = [[0.0, 1.0], [1.0, 0.0]]
+    spec = ProblemSpec(0, probs, [table])
+    assert (spec.m, spec.j, spec.l) == (1, 0, 1)
+    assert [a.size for a in spec.vhat_alphabets] == [2]
+    with pytest.raises(StructuralError, match="M >= 1"):
+        ProblemSpec(0, np.full((2, 2), 0.25), [table])      # S and V only: no source
+    with pytest.raises(StructuralError, match="M >= 1"):
+        ProblemSpec(0, np.full(4, 0.25), [])
+    for shape in ((2, 0, 1, 2), (2, 0, 2), (2, 1, 0)):      # a zero-length axis
+        with pytest.raises(StructuralError, match="size >= 1"):
+            ProblemSpec(0, np.zeros(shape), [])
     with pytest.raises(StructuralError):
-        ProblemSpec(0, 0, 1, **ok)
+        ProblemSpec(2, probs, [table])
     with pytest.raises(StructuralError):
-        ProblemSpec(1, 2, 1, **ok)
+        ProblemSpec(-1, probs, [table])
     with pytest.raises(StructuralError):
-        ProblemSpec(1, 0, -1, **{**ok, "vhat_sizes": [], "distortions": []})
+        ProblemSpec(0, -probs, [table])
     with pytest.raises(StructuralError):
-        ProblemSpec(2, 0, 1, **ok)  # x_sizes length mismatch
-    bad = {**ok, "source_probs": np.full((2, 2, 2), 0.125)}
-    with pytest.raises(StructuralError):
-        ProblemSpec(1, 0, 1, **bad)
-    bad = {**ok, "source_probs": -np.full((2, 1, 2), 0.25)}
-    with pytest.raises(StructuralError):
-        ProblemSpec(1, 0, 1, **bad)
-    bad = {**ok, "source_probs": np.zeros((2, 1, 2))}
-    with pytest.raises(StructuralError):
-        ProblemSpec(1, 0, 1, **bad)
+        ProblemSpec(0, np.zeros((2, 1, 2)), [table])
     for value in (np.nan, np.inf, -np.inf):
-        probs = np.full((2, 1, 2), 0.25)
-        probs[1, 0, 0] = value
+        bad = probs.copy()
+        bad[1, 0, 0] = value
         with pytest.raises(StructuralError):
-            ProblemSpec(1, 0, 1, **{**ok, "source_probs": probs})
-    bad = {**ok, "distortions": [[[0.0], [1.0]]]}
+            ProblemSpec(0, bad, [table])
+    for bad in ([[0.0, 1.0]], [0.0, 1.0], [[[0.0, 1.0], [1.0, 0.0]]]):   # not |V| rows, not 2-D
+        with pytest.raises(StructuralError, match="2 rows"):
+            ProblemSpec(0, probs, [bad])
+    with pytest.raises(StructuralError, match="size >= 1"):
+        ProblemSpec(0, probs, [np.zeros((2, 0))])
     with pytest.raises(StructuralError):
-        ProblemSpec(1, 0, 1, **bad)
-    bad = {**ok, "distortions": [[[0.0, -1.0], [1.0, 0.0]]]}
-    with pytest.raises(StructuralError):
-        ProblemSpec(1, 0, 1, **bad)
+        ProblemSpec(0, probs, [[[0.0, -1.0], [1.0, 0.0]]])
 
 
 def test_sizes_and_counts_must_be_integers(bwz):
-    ok = dict(m=1, j=0, l=1, x_sizes=[2], s_size=1, v_size=2, vhat_sizes=[2],
-              source_probs=np.full((2, 1, 2), 0.25),
-              distortions=[[[0.0, 1.0], [1.0, 0.0]]])
+    probs = np.full((2, 1, 2), 0.25)
+    tables = [[[0.0, 1.0], [1.0, 0.0]]]
     d = Direction.normalized(1, 0, 1, [0.6, 0.8])
     refused = [
-        lambda: ProblemSpec(**{**ok, "x_sizes": [2.9]}),
-        lambda: ProblemSpec(**{**ok, "s_size": 1.7}),
-        lambda: ProblemSpec(**{**ok, "v_size": 2.2}),
-        lambda: ProblemSpec(**{**ok, "m": True, "j": False, "l": True}),
+        lambda: ProblemSpec(False, probs, tables),
+        lambda: ProblemSpec(0.0, probs, tables),
         lambda: random_channels(bwz, np.random.default_rng(0), sizes=[3.7]),
         lambda: random_channels(bwz, np.random.default_rng(0), sizes=[True]),
         lambda: brute_force_search(bwz, [d], [2.9], 6),
@@ -107,11 +105,10 @@ def test_sizes_and_counts_must_be_integers(bwz):
     for build in refused:
         with pytest.raises(StructuralError, match="is not an integer"):
             build()
-    # numpy integers are integers
+    # numpy integers are integers; the derived sizes are Python ints
     i64 = np.int64
-    spec = ProblemSpec(**{**ok, "m": i64(1), "j": i64(0), "l": i64(1), "x_sizes": [i64(2)],
-                          "s_size": i64(1), "v_size": i64(2), "vhat_sizes": [i64(2)]})
-    assert (spec.m, spec.j, spec.l) == (1, 0, 1) and type(spec.m) is int
+    spec = ProblemSpec(i64(0), probs, tables)
+    assert (spec.m, spec.j, spec.l) == (1, 0, 1) and type(spec.m) is int and type(spec.j) is int
     assert type(spec.x_alphabet(1).size) is int and spec.v_alphabet.size == 2
     (ch,) = random_channels(bwz, np.random.default_rng(0), sizes=[i64(3)])
     assert ch.rows.shape == (2, 3)
@@ -120,13 +117,13 @@ def test_sizes_and_counts_must_be_integers(bwz):
 
 def test_problem_spec_exact_normalization():
     # an unnormalized float table is renormalized exactly, in rationals
-    spec = ProblemSpec(1, 0, 0, [2], 1, 1, [], np.array([[[0.25]], [[0.25]]]), [])
+    spec = ProblemSpec(0, np.array([[[0.25]], [[0.25]]]), [])
     assert spec.source_fractions == (Fraction(1, 2), Fraction(1, 2))
     assert spec.source_mass == Fraction(1, 2)
     assert float(spec.source.probs.sum()) == 1.0
     assert spec.channel_slots == (1,)
     # exact rationals stay exact: 1/6 and 1/3 normalize to 1/3 and 2/3, which no float is
-    spec = ProblemSpec(1, 0, 0, [2], 1, 1, [], [[[Fraction(1, 6)]], [[Fraction(1, 3)]]], [])
+    spec = ProblemSpec(0, [[[Fraction(1, 6)]], [[Fraction(1, 3)]]], [])
     assert spec.source_fractions == (Fraction(1, 3), Fraction(2, 3))
     assert spec.source_mass == Fraction(1, 2)
     assert spec.source.probs.ravel().tolist() == [1 / 3, 2 / 3]
@@ -137,7 +134,7 @@ def test_problem_spec_zero_symbol_warning():
     probs[0, 0, 0] = 0.5
     probs[0, 0, 1] = 0.5
     with pytest.warns(DegeneracyWarning):
-        ProblemSpec(1, 0, 0, [2], 1, 2, [], probs, [])
+        ProblemSpec(0, probs, [])
 
 
 def test_attach_matches_loop_product():
@@ -291,11 +288,12 @@ def test_zero_probability_source_symbol_round_trip():
     probs[0, 0, 0] = 0.6
     probs[0, 0, 1] = 0.4
     with pytest.warns(DegeneracyWarning):
-        spec = ProblemSpec(1, 0, 0, [2], 1, 2, [], probs, [])
+        spec = ProblemSpec(0, probs, [])
     q = identity_channel(spec.x_alphabets[0])
     pair = forward_to_reverse(spec, 1, q)
     assert np.flatnonzero(pair.weights == 0.0).tolist() == [1]   # Z=1 needs X=1, which never occurs
-    with pytest.warns(DegeneracyWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegeneracyWarning)   # the spec warned once, at build
         back = reverse_to_forward(spec, 1, pair)
     assert back.output.size == 1
     assert np.allclose(back.rows, [[1.0], [1.0]])

@@ -368,7 +368,7 @@ def independent_sources_spec(m):
     marginals = rng.dirichlet(np.ones(2), size=m)
     for xs in itertools.product(range(2), repeat=m):
         probs[xs + (0, sum(xs) % 2)] = math.prod(marginals[i, x] for i, x in enumerate(xs))
-    return ProblemSpec(m, 0, 1, [2] * m, 1, 2, [2], probs, [[[0.0, 1.0], [1.0, 0.0]]])
+    return ProblemSpec(0, probs, [[[0.0, 1.0], [1.0, 0.0]]])
 
 
 def reference_corner_output(aug, tol):
@@ -630,7 +630,7 @@ def test_cli_budget_exit(tmp_path):
     rng = np.random.default_rng(101)
     shape = (2,) * 7 + (1, 2)
     probs = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
-    spec = ProblemSpec(7, 7, 0, [2] * 7, 1, 2, [], probs, [])
+    spec = ProblemSpec(7, probs, [])
     path = tmp_path / "wide.json"
     save_problem(spec, path)
     assert main(["extreme-points", str(path)]) == 3
@@ -688,6 +688,9 @@ _PROBLEM = {
     # direction files for bwz
     ("--directions", {"dirs": []}, "directions"),
     ("--directions", {"directions": [{"rates": 1, "distortions": [1]}]}, "directions[0]"),
+    # problem files whose declared sizes disagree with the distortion tables
+    (None, {**_PROBLEM, "l": 2}, "l is 2"),
+    (None, {**_PROBLEM, "alphabets": {"X": [2], "S": 1, "V": 2, "Vhat": [3]}}, "alphabets.Vhat"),
 ])
 def test_cli_names_the_field_of_a_malformed_file(tmp_path, capsys, flag, content, field):
     path = tmp_path / "f.json"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,10 +36,22 @@ from canonical_region import (
     verify_alphabet_bound,
 )
 from canonical_region import optimize
-from canonical_region.optimize import _candidate_pool, _orbit_table, _pool_head, _simplex_lattice
+from canonical_region.optimize import (
+    _candidate_pool,
+    _multistart_descent,
+    _orbit_table,
+    _pool_head,
+    _simplex_lattice,
+)
 from canonical_region.pmf import CMI_CLAMP, cell_entropies
 from canonical_region.simplex import solve_equality_lp
-from conftest import make_spec, relabel_symbols, zero_symbol_spec
+from conftest import (
+    bernoulli_lagrangian,
+    binary_product_spec,
+    make_spec,
+    relabel_symbols,
+    zero_symbol_spec,
+)
 
 
 def test_simplex_lattice_exact():
@@ -319,7 +332,7 @@ def _reference_search(spec, directions, z_sizes, grid, max_evals=optimize.MAX_BR
 def _wide_slot_spec():
     rng = np.random.default_rng(93)
     probs = rng.dirichlet(np.ones(140)).reshape(70, 1, 2)
-    return ProblemSpec(1, 0, 1, [70], 1, 2, [2], probs, [[[0.0, 1.0], [1.0, 0.0]]])
+    return ProblemSpec(0, probs, [[[0.0, 1.0], [1.0, 0.0]]])
 
 
 STAGED_TOL = 1e-15   # the staged sums differ from the full tensor's in the last bits only
@@ -363,14 +376,32 @@ def test_lattice_minima_do_not_move_when_symbols_are_relabeled(axis):
     source, distortions, _ = relabel_symbols(
         np.array(helper3.source_fractions, dtype=object).reshape(shape), helper3.distortions,
         {}, at, list(range(shape[at]))[::-1])
-    relabeled = ProblemSpec(3, 1, 1, shape[:3], shape[3], shape[4],
-                            [a.size for a in helper3.vhat_alphabets], source, distortions)
+    relabeled = ProblemSpec(1, source, distortions)
     rng = np.random.default_rng(11)
     dirs = [random_direction(3, 1, 1, rng) for _ in range(6)]
     z_sizes = [helper3.x_alphabet(k).size for k in helper3.channel_slots]
     values, _ = brute_force_search(helper3, dirs, z_sizes, 8)
     moved, _ = brute_force_search(relabeled, dirs, z_sizes, 8)
     assert np.abs(values - moved).max() <= 1e-12
+
+
+def test_descent_and_lattice_never_end_below_the_product_closed_form():
+    # separable product source: the optimum is a sum of one-source
+    # rate-distortion Lagrangians, written out in conftest apart from the package
+    spec = binary_product_spec((0.3, 0.15))
+    rng = np.random.default_rng(5)
+    dirs = [random_direction(2, 0, 2, rng) for _ in range(8)]
+    closed = np.array([bernoulli_lagrangian(0.3, d.rate_weight(1), d.distortion_weight(1))
+                       + bernoulli_lagrangian(0.15, d.rate_weight(2), d.distortion_weight(2))
+                       for d in dirs])
+    constant = np.array([0.3 * d.distortion_weight(1) + 0.15 * d.distortion_weight(2)
+                         for d in dirs])
+    assert np.count_nonzero(closed < constant - 1e-6) >= 4     # not only the constant bank
+    descent = np.array([run.objective for run, _ in _multistart_descent(
+        spec, dirs, restarts=4, sweeps=50, candidates=64, seed=42)])
+    lattice, _ = brute_force_search(spec, dirs, [2, 2], 12)
+    assert (descent >= closed - 1e-12).all()
+    assert (lattice >= closed - 1e-12).all()
 
 
 def test_lattice_rates_keep_the_sign_rule(monkeypatch, dsbs):
@@ -525,7 +556,7 @@ def test_candidate_pool_leads_with_the_vertex_basis(name, request):
                 assert pool[:n].tobytes() == eye.tobytes()
     rng = np.random.default_rng(95)
     probs = rng.dirichlet(np.ones(4)).reshape(1, 2, 2)              # |X_1| = 1
-    spec = ProblemSpec(1, 0, 1, [1], 2, 2, [2], probs, [[[0.0, 1.0], [1.0, 0.0]]])
+    spec = ProblemSpec(0, probs, [[[0.0, 1.0], [1.0, 0.0]]])
     ctx = FunctionalContext(spec, 1, {}, Direction.normalized(1, 0, 1, [1.0, 1.0]))
     for extra in ([[1.0]], [[1.0 - 1e-14]]):
         pool = _candidate_pool(ctx, 8, 0, extra)
@@ -624,7 +655,8 @@ def test_slot_lp_support_fits_the_support_of_p_k(monkeypatch):
         spec = zero_symbol_spec(rng)
         d = random_direction(spec.m, spec.j, spec.l, rng)
         for init in default_multistart_inits(spec, 4, seed=int(rng.integers(1 << 16))):
-            with pytest.warns(DegeneracyWarning):       # the zero symbol's forward row
+            with warnings.catch_warnings():      # the spec warned once, at build
+                warnings.simplefilter("error", DegeneracyWarning)
                 coordinate_descent(spec, d, init, candidates=16)
     assert len(steps) >= 400
     assert all(size <= support for size, support, _ in steps)

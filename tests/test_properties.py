@@ -59,7 +59,7 @@ def instances(draw):
     distortions = [rng.uniform(0.0, 1.0, size=(v_size, n)) for n in vhat_sizes]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # zero-probability symbols warn
-        spec = ProblemSpec(m, j, l, x_sizes, s_size, v_size, vhat_sizes, probs, distortions)
+        spec = ProblemSpec(j, probs, distortions)
     return spec, random_channels(spec, rng, z_sizes), rng
 
 
@@ -166,8 +166,7 @@ def test_integer_normalization_matches_the_fraction_reference(x_sizes, s_size, v
     reference = tuple(f / total for f in fracs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # zero-probability symbols warn
-        spec = ProblemSpec(len(x_sizes), 0, 0, x_sizes, s_size, v_size, [],
-                           np.array(cells, dtype=object).reshape(shape), [])
+        spec = ProblemSpec(0, np.array(cells, dtype=object).reshape(shape), [])
     assert spec.source_mass == total
     assert spec.source_fractions == reference
     floats = np.array([float(f) for f in reference]).reshape(shape)

@@ -230,7 +230,7 @@ def test_enumeration_budget():
     shape = (2,) * m + (1, 2)
     rng = np.random.default_rng(38)
     probs = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
-    spec = ProblemSpec(m, m, 0, [2] * m, 1, 2, [], probs, [])
+    spec = ProblemSpec(m, probs, [])
     aug = attach_channels(spec, [])
     with pytest.raises(BudgetError):
         enumerate_extreme_points(aug)
@@ -241,7 +241,7 @@ def test_enumeration_budget():
 def test_product_source_degenerates_every_bank():
     rng = np.random.default_rng(39)
     spec = product_source_spec(rng)
-    assert source_nondegeneracy_report(spec.source, 2).degenerate
+    assert source_nondegeneracy_report(spec.source).degenerate
     aug = attach_channels(spec, random_channels(spec, rng))
     assert nondegeneracy_report(aug).degenerate
     points = enumerate_extreme_points(aug)
@@ -254,7 +254,7 @@ def test_product_source_degenerates_every_bank():
 def test_source_preflight_keeps_markov_sources():
     # X2 a noisy copy of X1: dependent given trivial S, so not flagged
     spec = markov_source_spec()
-    report = source_nondegeneracy_report(spec.source, 2)
+    report = source_nondegeneracy_report(spec.source)
     assert not report.degenerate
     assert report.min_value > 1e-3
 
@@ -374,7 +374,7 @@ def test_rate_lhs_computes_only_the_group_asked_for(monkeypatch):
     m = 7
     shape = (2,) * m + (1, 2)
     probs = np.random.default_rng(38).dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
-    aug = attach_channels(ProblemSpec(m, m, 0, [2] * m, 1, 2, [], probs, []), [])
+    aug = attach_channels(ProblemSpec(m, probs, []), [])
     calls = count_mi_sets(monkeypatch)
     first = rate_lhs(aug, [5, 2])
     assert len(calls) == 1
@@ -641,14 +641,14 @@ def test_region_quantities_do_not_move_when_symbols_are_relabeled(axis):
     # X3 carries a channel; relabeling V permutes the distortion rows
     rng = np.random.default_rng(17)
     shape = (2, 3, 3, 2, 3, 3)                          # X1..X4, S, V
-    spec = ProblemSpec(4, 1, 1, shape[:4], 3, 3, [2], rng.dirichlet(np.ones(math.prod(shape)))
-                       .reshape(shape), [rng.uniform(0.0, 1.0, size=(3, 2))])
+    spec = ProblemSpec(1, rng.dirichlet(np.ones(math.prod(shape))).reshape(shape),
+                       [rng.uniform(0.0, 1.0, size=(3, 2))])
     channels = random_channels(spec, rng)
     source, distortions, rows = relabel_symbols(
         np.array(spec.source_fractions, dtype=object).reshape(shape), spec.distortions,
         {k - 1: ch.rows for k, ch in zip(spec.channel_slots, channels)},
         ["X1", "X2", "X3", "X4", "S", "V"].index(axis), [2, 0, 1])
-    relabeled = ProblemSpec(4, 1, 1, shape[:4], 3, 3, [2], source, distortions)
+    relabeled = ProblemSpec(1, source, distortions)
     aug = attach_channels(spec, channels)
     moved = attach_channels(relabeled, [Channel(ch.input, ch.output, rows[k - 1])
                                         for k, ch in zip(spec.channel_slots, channels)])
@@ -843,7 +843,7 @@ def test_source_preflight_minimum_matches_the_group_pair_probe():
     specs = [make_spec(rng, m=m, l=1) for m in (1, 2, 3, 4, 5)]
     specs += [product_source_spec(np.random.default_rng(39)), markov_source_spec()]
     for spec in specs:
-        report = source_nondegeneracy_report(spec.source, spec.m)
+        report = source_nondegeneracy_report(spec.source)
         assert len(report.entries) == math.comb(spec.m, 2)
         assert report.min_value == reference_group_pair_minimum(spec)
     aug = attach_channels(specs[0], random_channels(specs[0], rng))
