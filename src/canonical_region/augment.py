@@ -43,7 +43,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .pmf import Alphabet, JointPmf, check_int, mi_sets
+from .pmf import Alphabet, JointPmf, JointStack, check_int, mi_sets
 
 ROW_TOL = 1e-12
 MARGINAL_TOL = 1e-12
@@ -56,7 +56,8 @@ REBUILT_ROW_TOL = 1e-8    # dividing by p_k(x) magnifies a pair's MIXTURE_INPUT_
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A row-stochastic test channel from ``input`` symbols to ``output`` symbols."""
+    """A row-stochastic test channel from ``input`` symbols to ``output`` symbols,
+    or a stack of B such channels: ``rows`` is ``([B,] |input|, |output|)``."""
 
     input: Alphabet
     output: Alphabet
@@ -64,14 +65,14 @@ class Channel:
 
     def __post_init__(self) -> None:
         arr = np.array(self.rows, dtype=float)
-        if arr.shape != (self.input.size, self.output.size):
+        if arr.ndim not in (2, 3) or arr.shape[-2:] != (self.input.size, self.output.size):
             raise StructuralError(
                 f"channel matrix has shape {arr.shape}, expected "
-                f"({self.input.size}, {self.output.size})"
+                f"([B,] {self.input.size}, {self.output.size})"
             )
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0:
             raise StructuralError("channel matrix entries must be finite and >= 0")
-        sums = arr.sum(axis=1)
+        sums = arr.sum(axis=-1)
         worst = float(np.abs(sums - 1.0).max())
         if worst > ROW_TOL:
             raise StructuralError(
@@ -313,18 +314,20 @@ def channel_product(spec: ProblemSpec, channels: Mapping[int, Channel]) -> Joint
     """The source law times ``q_k(z_k | x_k)`` for each slot k in ``channels``.
 
     Adds one ``Z_k`` axis per slot, in increasing k; channel k must read ``X_k``.
+    Stacks of B channels give a :class:`JointStack` of B joints.
     """
-    arr = spec.source.probs
+    arr = spec.source.probs[None]                  # a leading stack axis of 1
     for k in sorted(channels):
         ch = channels[k]
         if ch.input != spec.x_alphabet(k):
             raise StructuralError(
                 f"channel for slot {k} has input {ch.input}, expected {spec.x_alphabet(k)}"
             )
-        shape = [1] * arr.ndim + [ch.output.size]
-        shape[k - 1] = ch.input.size
+        shape = [-1] + [1] * (arr.ndim - 1) + [ch.output.size]
+        shape[k] = ch.input.size
         arr = arr[..., None] * ch.rows.reshape(shape)
-    return JointPmf(arr)
+    stacked = any(ch.rows.ndim == 3 for ch in channels.values())
+    return JointStack(arr) if stacked else JointPmf(arr[0])
 
 
 def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> AugmentedPmf:
@@ -344,7 +347,7 @@ def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> Augmented
     aug = AugmentedPmf(joint, spec)
 
     back = joint.marginal(aug.x_axes((1 << spec.m) - 1) | aug.s_axis | aug.v_axis)
-    err = float(np.abs(back - spec.source.probs).max())
+    err = float(np.abs(back - spec.source.probs).max())      # the worst of a stack
     if err > MARGINAL_TOL:
         raise NumericIntegrityError(
             f"augmented joint fails to marginalize back to the source "
@@ -354,7 +357,7 @@ def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> Augmented
     for k in slots:
         z, x = aug.z_axes(1 << (k - 1)), aug.x_axes(1 << (k - 1))
         rest = everything & ~(z | x)
-        if rest and mi_sets(joint, z, rest, x) > FACTORIZATION_TOL:
+        if rest and np.max(mi_sets(joint, z, rest, x)) > FACTORIZATION_TOL:
             raise NumericIntegrityError(
                 f"Z{k} is not conditionally independent of the rest given X{k}"
             )
@@ -367,7 +370,8 @@ class ReverseChannelPair:
 
     ``weights[z]`` is the output probability ``p'(z)`` and ``columns[z]``
     the conditional ``q'(x | z)`` on the input simplex.  Symbols with
-    ``p'(z) = 0`` have columns that carry no information.
+    ``p'(z) = 0`` have columns that carry no information.  A stack of B
+    pairs has a leading axis of B on both.
     """
 
     weights: np.ndarray = field(repr=False)
@@ -376,15 +380,15 @@ class ReverseChannelPair:
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
         cols = np.array(self.columns, dtype=float)
-        if w.ndim != 1 or cols.ndim != 2 or cols.shape[0] != w.shape[0]:
+        if w.ndim not in (1, 2) or cols.ndim != w.ndim + 1 or cols.shape[:-1] != w.shape:
             raise StructuralError(
                 f"weights {w.shape} and columns {cols.shape} are inconsistent"
             )
         if not np.all(np.isfinite(w)) or not np.all(np.isfinite(cols)):
             raise StructuralError("weights and columns must be finite")
-        if w.min(initial=0.0) < 0.0 or abs(float(w.sum()) - 1.0) > ROW_TOL:
+        if w.min(initial=0.0) < 0.0 or np.abs(w.sum(axis=-1) - 1.0).max() > ROW_TOL:
             raise StructuralError("weights must be a probability vector")
-        if cols.min(initial=0.0) < 0.0 or np.abs(cols.sum(axis=1) - 1.0).max() > COLUMN_SUM_TOL:
+        if cols.min(initial=0.0) < 0.0 or np.abs(cols.sum(axis=-1) - 1.0).max() > COLUMN_SUM_TOL:
             raise StructuralError("each column must be a probability vector")
         w.setflags(write=False)
         cols.setflags(write=False)
@@ -393,16 +397,16 @@ class ReverseChannelPair:
 
     def mixture(self) -> np.ndarray:
         """The input law this pair represents: sum_z p'(z) q'(x|z)."""
-        return self.weights @ self.columns
+        return (self.weights[..., None, :] @ self.columns)[..., 0, :]
 
 
 def mixture_error(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> float:
-    """Max absolute gap between the pair's mixture and the source marginal p_k."""
+    """Max absolute gap between the pair's (or a stack's) mixture and p_k."""
     return float(np.abs(pair.mixture() - spec.x_marginal(k)).max())
 
 
 def forward_to_reverse(spec: ProblemSpec, k: int, q: Channel) -> ReverseChannelPair:
-    """Convert a channel on slot k to its (weights, reverse columns) form."""
+    """Convert a channel (or a stack) on slot k to its (weights, reverse columns) form."""
     if k not in spec.channel_slots:
         raise StructuralError(f"slot {k} is not in {spec.channel_slots}")
     if q.input != spec.x_alphabet(k):
@@ -410,11 +414,11 @@ def forward_to_reverse(spec: ProblemSpec, k: int, q: Channel) -> ReverseChannelP
             f"channel input {q.input} does not match source {spec.x_alphabet(k)}"
         )
     p_k = spec.x_marginal(k)
-    joint = p_k[:, None] * q.rows            # (x, z) joint law
-    weights = joint.sum(axis=0)
-    cols = np.full((q.output.size, q.input.size), 1.0 / q.input.size)
+    joint = p_k[:, None] * q.rows            # ([B,] x, z) joint law
+    weights = joint.sum(axis=-2)
+    cols = np.full((*weights.shape, q.input.size), 1.0 / q.input.size)
     positive = weights > 0.0
-    cols[positive] = joint[:, positive].T / weights[positive, None]
+    cols[positive] = np.swapaxes(joint, -1, -2)[positive] / weights[positive][:, None]
     pair = ReverseChannelPair(weights, cols)
     err = mixture_error(spec, k, pair)
     if err > MIXTURE_TOL:
@@ -429,7 +433,9 @@ def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> C
 
     Requires the mixture identity to hold within ``MIXTURE_INPUT_TOL``.
     A source symbol with zero probability gets a uniform channel row (its
-    conditional is undefined).
+    conditional is undefined).  A stack of pairs keeps every symbol of
+    positive weight in some pair; one of zero weight in pair b carries no
+    mass in channel b.
     """
     if k not in spec.channel_slots:
         raise StructuralError(f"slot {k} is not in {spec.channel_slots}")
@@ -439,18 +445,18 @@ def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> C
             f"reverse pair violates the mixture identity by {err:.3e}"
         )
     p_k = spec.x_marginal(k)
-    keep = np.flatnonzero(pair.weights > 0.0)
+    keep = np.flatnonzero((pair.weights > 0.0).reshape(-1, pair.weights.shape[-1]).any(axis=0))
     if keep.size == 0:
         raise StructuralError("reverse pair has no positive-weight symbols")
-    w = pair.weights[keep]
-    cols = pair.columns[keep]
+    w = pair.weights[..., keep]
+    cols = np.swapaxes(pair.columns[..., keep, :], -1, -2)      # ([B,] x, z)
     positive = p_k > 0.0
-    rows = np.full((p_k.size, keep.size), 1.0 / keep.size)
-    rows[positive] = w * cols.T[positive] / p_k[positive, None]
-    sums = rows.sum(axis=1)
+    rows = np.full(cols.shape, 1.0 / keep.size)
+    rows[..., positive, :] = (w[..., None, :] * cols)[..., positive, :] / p_k[positive, None]
+    sums = rows.sum(axis=-1)
     if np.abs(sums - 1.0).max() > REBUILT_ROW_TOL:
         raise NumericIntegrityError(
             f"reconstructed channel rows sum to {sums}, too far from 1"
         )
-    rows /= sums[:, None]
+    rows /= sums[..., None]
     return Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", keep.size), rows)

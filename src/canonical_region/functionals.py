@@ -30,17 +30,6 @@ of a fixed functional F evaluated at the reverse columns:
   mixture of theta over a reverse pair reproduces the full weighted
   objective exactly.
 
-Every law is selected by :class:`~canonical_region.augment.AugmentedPmf`'s
-axis bitmasks on the context's joint, where a one-symbol channel at slot
-k keeps the standard layout.  Each law is linear in the point t, so a
-:class:`FunctionalContext` compiles every law theta reads into one
-matrix when it is built, and theta is one product with it followed by
-the entropies and the Bayes minima of its cells.
-
-``theta`` is the one entry point: it takes a ``(P, |X_k|)`` pool of
-simplex points and returns a ``(P,)`` array.  Along the unit direction
-e_i (``i >= k``) it is phi_i, and along e_l it is psi_l.
-
 :func:`verify_linear_decomposition` checks that reproduction numerically
 for every slot.
 """
@@ -72,17 +61,17 @@ MIN_DIRECTION_NORM = 1e-3       # redraw near-zero draws: normalizing them magni
 
 
 def check_simplex_point(pool, size: int) -> np.ndarray:
-    """``pool`` as a ``(P, size)`` array of simplex points.
+    """``pool`` as a ``(P, size)`` array of simplex points, or a ``(B, P, size)`` stack.
 
     Every row must be finite, nonnegative up to ``SIMPLEX_NEGATIVE_TOL``
     and of mass 1 within ``SIMPLEX_TOL``; round-off negatives are clipped.
     """
     pool = np.asarray(pool, dtype=float)
-    if pool.ndim != 2 or pool.shape[1] != size or pool.size == 0:
-        raise StructuralError(f"simplex pool has shape {pool.shape}, expected (P, {size})")
+    if pool.ndim not in (2, 3) or pool.shape[-1] != size or pool.size == 0:
+        raise StructuralError(f"simplex pool has shape {pool.shape}, expected ([B,] P, {size})")
     if not np.all(np.isfinite(pool)) or pool.min() < -SIMPLEX_NEGATIVE_TOL:
         raise StructuralError("simplex point entries must be finite and >= 0")
-    worst = np.abs(pool.sum(axis=1) - 1.0).max()
+    worst = np.abs(pool.sum(axis=-1) - 1.0).max()
     if worst > SIMPLEX_TOL:
         raise StructuralError(f"simplex point mass is off 1 by {worst!r}")
     return np.maximum(pool, 0.0)
@@ -164,7 +153,7 @@ def random_direction(m: int, j: int, l: int, rng: np.random.Generator) -> Direct
 
 def _bayes_scores(aug: AugmentedPmf, l: int) -> np.ndarray:
     """Expected distortion of measure l jointly with each observable tuple and
-    reconstruction symbol, ``(*obs, vhat)`` with obs in layout order.
+    reconstruction symbol, ``([B,] *obs, vhat)`` with obs in layout order.
 
     The Bayes-optimal expected distortion is ``scores.min(axis=-1).sum()``.
     """
@@ -174,7 +163,7 @@ def _bayes_scores(aug: AugmentedPmf, l: int) -> np.ndarray:
     obs = aug.z_axes((1 << aug.m) - 1) | aug.s_axis
     law = aug.joint.marginal(obs | aug.v_axis)         # (*obs and V in layout order)
     at = (obs & (aug.v_axis - 1)).bit_count()          # V's place in the law
-    return np.tensordot(law, spec.distortions[l - 1], axes=([at], [0]))
+    return np.tensordot(law, spec.distortions[l - 1], axes=([aug.joint.stack + at], [0]))
 
 
 def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, np.ndarray]:
@@ -213,9 +202,12 @@ class FunctionalContext:
     ``(|X_k|, C)`` map; a law that keeps X_k gets block-diagonal columns.
     Beside the map it keeps each entropy law's first column with its
     signed direction weight (equal laws share one segment), each weighted
-    distortion's Bayes-score columns after them, and the t-free constant:
+    distortion's Bayes-score columns after them (one block of observation
+    cells per reconstruction symbol), and the t-free constant:
     the corner rates of slots before k plus ``w_k H(X_k | U)`` of the
-    source law.
+    source law.  Frozen channels that are stacks of B give B contexts in
+    one: a :class:`~canonical_region.pmf.JointStack` joint, a ``(B,
+    |X_k|, C)`` map and a ``(B,)`` constant.
     """
 
     __slots__ = ("aug", "p_k",
@@ -247,14 +239,15 @@ class FunctionalContext:
         def observed(sources: int) -> int:             # their descriptions but Z_k, and S
             return aug.z_axes(sources & others) | aug.s_axis
 
-        n = p_k.size
+        n, lead = p_k.size, aug.joint.stack
 
         def by_symbol(axes: int) -> np.ndarray:
-            """``(|X_k|, *axes in layout order)``: p(axes, x) at each x of X_k."""
+            """``([B,] |X_k|, *axes in layout order)``: p(axes, x) at each x of X_k."""
             keep = axes | x_k
             at = (keep & (x_k - 1)).bit_count()            # X_k's place in the marginal
-            marginal = aug.joint.marginal(keep)
-            return marginal.transpose(at, *range(at), *range(at + 1, marginal.ndim))
+            marg = aug.joint.marginal(keep)                # np.moveaxis, without its overhead
+            return marg.transpose(*range(lead), lead + at, *range(lead, lead + at),
+                                  *range(lead + at + 1, marg.ndim))
 
         # phi_i = H(X_i | U) - H(X_i | U, Z_i), each H a difference of two law entropies
         constant = 0.0
@@ -279,56 +272,60 @@ class FunctionalContext:
 
         blocks, starts = [], []
         cells = 0
+        def flat(block: np.ndarray) -> np.ndarray:      # ([B,] |X_k|, cells)
+            return block.reshape(*block.shape[:lead + 1], -1)
+
         for axes in laws:
-            block = by_symbol(axes).reshape(n, -1)
+            block = flat(by_symbol(axes))
             if axes & x_k:                             # the row weighs X_k elementwise
-                block = (np.eye(n)[:, :, None] * block[:, None, :]).reshape(n, -1)
+                block = flat(np.eye(n)[:, :, None] * block[..., None, :])
             starts.append(cells)
-            cells += block.shape[1]
+            cells += block.shape[-1]
             blocks.append(block)
         self._entropy_cells = cells
         risks = []
         if direction.distortion_weights.any():
             obs = observed((1 << aug.m) - 1)
             by_x = by_symbol(obs | aug.v_axis)
-            v_at = 1 + (obs & (aug.v_axis - 1)).bit_count()  # V's place after X_k
+            v_at = lead + 1 + (obs & (aug.v_axis - 1)).bit_count()  # V's place after X_k
             by_v = by_x.transpose(*range(v_at), *range(v_at + 1, by_x.ndim), v_at)
             for d, weight in zip(spec.distortions, direction.distortion_weights):
                 if weight != 0.0:
-                    block = (by_v @ d).reshape(n, -1)      # (|X_k|, obs cells x vhat)
-                    risks.append((cells, cells + block.shape[1], d.shape[1], float(weight)))
-                    cells += block.shape[1]
+                    # ([B,] |X_k|, vhat x obs cells): the Bayes minimum runs across blocks
+                    block = flat(np.moveaxis(by_v @ d, -1, lead + 1))
+                    risks.append((cells, cells + block.shape[-1], d.shape[1], float(weight)))
+                    cells += block.shape[-1]
                     blocks.append(block)
         per_unit = np.divide(1.0, p_k, out=np.zeros_like(p_k), where=p_k > 0.0)[:, None]
-        self._map = np.concatenate(blocks, axis=1) * per_unit if blocks else np.zeros((n, 0))
+        self._map = (np.concatenate(blocks, axis=-1) * per_unit if blocks
+                     else np.zeros((*aug.joint.probs.shape[:lead], n, 0)))
         self._starts = np.array(starts, dtype=np.intp)
         self._weights = np.array(list(laws.values()))
         self._risks = tuple(risks)
-        self._constant = constant
+        self._constant = np.asarray(constant)
 
 
 def theta(ctx: FunctionalContext, pool) -> np.ndarray:
     """Direction-weighted objective contribution of each row of a simplex pool.
 
-    ``pool`` is ``(P, |X_k|)``; the result is ``(P,)``.  Mixing theta over
-    a reverse pair's columns with its weights reproduces the full weighted
-    objective: free-rate terms of descriptions ``i >= k`` and all
-    distortion terms vary with the point, and terms of descriptions
-    ``i < k`` enter as channel-independent constants.  Every law is one
-    product with the context's compiled map; the entropies are its
-    ``-x log2 x`` cells summed per law, the Bayes risks its per-observation
-    minima.
+    ``pool`` is ``(P, |X_k|)`` and the result ``(P,)``; a stack of pools
+    ``(B, P, |X_k|)`` or of contexts gives ``(B, P)``.  Along the unit
+    direction e_i (``i >= k``) it is phi_i, and along e_l it is psi_l.
+    Every law is one product with the context's compiled map; the
+    entropies are its ``-x log2 x`` cells summed per law, the Bayes risks
+    its per-observation minima.
     """
     pool = check_simplex_point(pool, ctx.p_k.size)
-    mixed = pool @ ctx._map                            # (P, C): every law of every row
-    total = np.full(len(pool), ctx._constant)
+    mixed = pool @ ctx._map                            # ([B,] P, C): every law of every row
+    total = np.zeros(mixed.shape[:-1]) + ctx._constant[..., None]
     if ctx._weights.size:
-        laws = mixed[:, :ctx._entropy_cells]
+        laws = mixed[..., :ctx._entropy_cells]
         logs = np.log2(laws, out=np.zeros_like(laws), where=laws > 0.0)
-        total -= np.add.reduceat(laws * logs, ctx._starts, axis=1) @ ctx._weights
+        logs *= laws
+        total -= np.add.reduceat(logs, ctx._starts, axis=-1) @ ctx._weights
     for start, stop, vhat, weight in ctx._risks:
-        scores = mixed[:, start:stop].reshape(len(pool), -1, vhat)
-        total += weight * scores.min(axis=2).sum(axis=1)
+        scores = mixed[..., start:stop].reshape(*mixed.shape[:-1], vhat, -1)
+        total += weight * scores.min(axis=-2).sum(axis=-1)
     return total
 
 
@@ -337,8 +334,10 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
 
 def direct_weighted_value(spec: ProblemSpec, channels: Sequence[Channel],
                           direction: Direction) -> float:
-    """The weighted objective evaluated directly on the augmented joint."""
+    """The weighted objective evaluated directly on the augmented joint;
+    a ``(B,)`` array, one value per bank, when the channels are stacks of B."""
     aug = attach_channels(spec, channels)
+    lead = aug.joint.probs.shape[:aug.joint.stack]
     total = 0.0
     for i in spec.channel_slots:
         source = 1 << (i - 1)
@@ -346,8 +345,8 @@ def direct_weighted_value(spec: ProblemSpec, channels: Sequence[Channel],
     for l in range(1, spec.l + 1):
         weight = direction.distortion_weight(l)
         if weight != 0.0:
-            total += weight * float(_bayes_scores(aug, l).min(axis=-1).sum())
-    return float(total)
+            total += weight * _bayes_scores(aug, l).min(axis=-1).reshape(*lead, -1).sum(axis=-1)
+    return total if lead else float(total)
 
 
 @dataclass(frozen=True)

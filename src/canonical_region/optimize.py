@@ -9,15 +9,15 @@ simplex points minimizing the weighted functional value subject to the
 mixture matching the source marginal ``p_k``.  A basic optimal solution
 of that program has at most ``|X_k|`` positive weights, which realizes
 the alphabet bound ``|Z_k| <= |X_k|`` constructively: enlarging output
-alphabets cannot help.  The pool leads with the vertex columns ``e_x``,
-the LP's identity basis (``p_k = sum_x p_k(x) e_x``), and ends with the
-incumbent's columns; the simplex crashes those positions into the basis
-and starts from the incumbent, so it needs no phase 1 and a step cannot
-end above its incumbent.
+alphabets cannot help.  The LP starts from the incumbent's columns
+(:func:`optimize_single_channel`), so a step cannot end above it.
 
 Coordinate descent cycles the slots.  Each slot's incumbent is its own
 last basic pair, so the step objective never increases; the sweep trace
-is therefore monotone within float noise, which is enforced.
+is therefore monotone within float noise, which is enforced.  All the
+restarts of one direction descend as one stack, each channel padded to
+``|X_k|`` outputs with zero-weight symbols so that every slot step is
+one call of each layer for the whole stack.
 
 A direct lattice search (:func:`brute_force_search`) grids every
 channel's rows over the probability simplex and evaluates the objective
@@ -83,6 +83,12 @@ class OptimizeResult:
         return len(self.trace) - 1
 
 
+class DescentStack(tuple):
+    """One :class:`OptimizeResult` per bank of a stack; ``sweeps_run`` sums theirs."""
+
+    sweeps_run = property(lambda self: sum(run.sweeps_run for run in self))
+
+
 # ---- single-slot linear program ------------------------------------------------
 
 
@@ -100,13 +106,14 @@ def _pool_head(n: int) -> np.ndarray:
     return head
 
 
-def _candidate_pool(ctx: FunctionalContext, candidates: int, seed,
+def _candidate_pool(ctx: FunctionalContext, candidates: int, seeds: Sequence,
                     incumbent_columns) -> np.ndarray:
-    """Deterministic stratified pool of simplex points over X_k.
+    """Deterministic stratified pools of simplex points over X_k, one per seed.
 
-    Order: the head (vertices, midpoints, barycenter), seeded Dirichlet(1)
-    draws, then the incumbent's columns as given, so the pool starts with
-    ``np.eye(|X_k|)``, the slot LP's identity basis, and ends with the
+    Pool b, of the ``(B, P, |X_k|)`` stack, is the head (vertices,
+    midpoints, barycenter), Dirichlet(1) draws seeded by ``seeds[b]``,
+    then ``incumbent_columns[b]`` as given, so each pool starts with
+    ``np.eye(|X_k|)``, the slot LP's identity basis, and ends with its
     incumbent.  Points may repeat: a copy of a basic column keeps the same
     tableau bits, so its reduced cost is exactly 0 and it never enters.
     """
@@ -114,83 +121,133 @@ def _candidate_pool(ctx: FunctionalContext, candidates: int, seed,
         raise StructuralError(f"candidates must be >= 0, got {candidates}")
     n = ctx.p_k.size
     cols = np.array(incumbent_columns, dtype=float)
-    if cols.ndim != 2 or cols.shape[1] != n:
-        raise StructuralError(f"incumbent columns have shape {cols.shape}, expected (*, {n})")
-    parts = [_pool_head(n)]
+    if cols.ndim != 3 or cols.shape[0] != len(seeds) or cols.shape[2] != n:
+        raise StructuralError(f"incumbent columns have shape {cols.shape}, "
+                              f"expected ({len(seeds)}, *, {n})")
+    head = _pool_head(n)
+    parts = [np.broadcast_to(head, (len(seeds), *head.shape))]
     if candidates > 0 and n > 1:
-        parts.append(np.random.default_rng(seed).dirichlet(np.ones(n), size=candidates))
-    return np.concatenate([*parts, cols])
+        # Generator(PCG64(seed)) is np.random.default_rng(seed), without its type dispatch
+        parts.append(np.array([np.random.Generator(np.random.PCG64(seed)).dirichlet(
+            np.ones(n), size=candidates) for seed in seeds]))
+    return np.concatenate([*parts, cols], axis=1)
 
 
-def optimize_single_channel(ctx: FunctionalContext, candidates: int = 64, seed=0, *,
+def _support_first(weights: np.ndarray, columns: np.ndarray,
+                   size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each bank's positive-weight symbols in order, then zero weights on
+    repeats of its first one: ``(B, size)`` weights, ``(B, size, |X_k|)`` columns."""
+    positive = weights > 0.0
+    order = np.argsort(~positive, axis=1, kind="stable")[:, :size]
+    pad = np.arange(size) >= positive.sum(axis=1, keepdims=True)
+    order = np.where(pad, order[:, :1], order)
+    banks = np.arange(len(order))[:, None]
+    return np.where(pad, 0.0, weights[banks, order]), columns[banks, order]
+
+
+def optimize_single_channel(ctx: FunctionalContext, candidates: int, seeds: Sequence, *,
                             incumbent_columns) -> ReverseChannelPair:
-    """Globally optimize slot k's reverse pair over a finite candidate pool.
+    """Globally optimize slot k's reverse pair of each bank of a stack over
+    its finite candidate pool.
 
-    Scores the whole pool with one theta call and solves the mixture LP
-    by primal simplex.  ``incumbent_columns`` (shape ``(*, |X_k|)``), the
-    positive-weight columns of the incumbent pair, end the pool, and the
-    simplex starts from their positions: they are independent and mix to
-    ``p_k`` when they are the support of a basic solution, so the optimum
-    is then not above the incumbent.  The returned pair is the basic
-    optimum itself: its weights above ``SUPPORT_WEIGHT_TOL`` (at most
-    ``|X_k|`` of them), normalized.
+    Scores the pools with one theta call and solves their mixture LPs by
+    primal simplex.  ``incumbent_columns[b]`` (``(B, W, |X_k|)`` in all),
+    bank b's positive-weight columns and repeats of its first, end pool b,
+    and its simplex starts from their positions: they are independent (a
+    repeat is left out) and mix to ``p_k`` when they are the support of a
+    basic solution, so the optimum is then not above the incumbent.  Pair
+    b of the returned stack is LP b's basic optimum: its weights above
+    ``SUPPORT_WEIGHT_TOL`` (at most ``|X_k|`` of them), normalized, then
+    zero weights on repeats of its first column up to ``|X_k|`` symbols.
     """
-    pool = _candidate_pool(ctx, candidates, seed, incumbent_columns)
-    values = theta(ctx, pool)
-    warm = range(len(pool) - len(incumbent_columns), len(pool))
-    result = solve_equality_lp(values, pool.T, ctx.p_k, warm)
-    support = np.flatnonzero(result.w > SUPPORT_WEIGHT_TOL)
-    if len(support) > ctx.p_k.size:
-        raise NumericIntegrityError(
-            f"LP support {len(support)} exceeds the alphabet bound {ctx.p_k.size}"
-        )
-    weights = result.w[support]
-    return ReverseChannelPair(weights / weights.sum(), pool[support])
+    pool = _candidate_pool(ctx, candidates, seeds, incumbent_columns)
+    n, size = ctx.p_k.size, pool.shape[1]
+    warm = range(size - np.shape(incumbent_columns)[1], size)
+    result = solve_equality_lp(theta(ctx, pool), np.swapaxes(pool, 1, 2),
+                               np.broadcast_to(ctx.p_k, (len(pool), n)), warm)
+    w = np.where(result.w > SUPPORT_WEIGHT_TOL, result.w, 0.0)
+    support = np.count_nonzero(w, axis=1).max()
+    if support > n:
+        raise NumericIntegrityError(f"LP support {support} exceeds the alphabet bound {n}")
+    weights, columns = _support_first(w, pool, n)
+    return ReverseChannelPair(weights / weights.sum(axis=1, keepdims=True), columns)
 
 
 # ---- coordinate descent ---------------------------------------------------------
 
 
-def coordinate_descent(spec: ProblemSpec, direction: Direction,
-                       init: Sequence[Channel], sweeps: int = 50,
-                       candidates: int = 64, seed: int = 42) -> OptimizeResult:
-    """Cyclic single-slot optimization until a sweep stops paying.
+def _stacked(spec: ProblemSpec, k: int, channels: Sequence[Channel]) -> Channel:
+    """Slot k's channels as one stack, each padded to the widest with zero-weight outputs."""
+    if any(ch.input != spec.x_alphabet(k) for ch in channels):
+        raise StructuralError(f"an initial channel of slot {k} does not read {spec.x_alphabet(k)}")
+    width = max(ch.output.size for ch in channels)
+    return Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", width),
+                   [np.pad(ch.rows, ((0, 0), (0, width - ch.output.size))) for ch in channels])
 
-    Stops after ``sweeps`` sweeps or when a sweep improves the objective
-    by less than ``SWEEP_IMPROVEMENT_TOL``.  Each slot's incumbent is its
-    last step's basic pair (the initial bank's reverse pair before its
-    first step), so every step starts from it.  The trace records the
-    objective after each sweep (index 0 is the initial bank) and must be
-    non-increasing within ``MONOTONE_TOL``; violation means the mixture
-    identity broke and raises.
+
+def coordinate_descent(spec: ProblemSpec, direction: Direction,
+                       inits: Sequence[Sequence[Channel]], seeds: Sequence,
+                       sweeps: int = 50, candidates: int = 64) -> DescentStack:
+    """Cyclic single-slot optimization of a stack of banks in lockstep.
+
+    Bank b descends as if alone, its pools drawn from ``seeds[b]``, and
+    leaves the stack after ``sweeps`` sweeps or when a sweep improves its
+    objective by less than ``SWEEP_IMPROVEMENT_TOL``.  Each slot's
+    incumbent is its last step's basic pair (the initial bank's reverse
+    pair before its first step), so every step starts from it.  Each trace
+    records the objective after each sweep (index 0 is the initial bank)
+    and must be non-increasing within ``MONOTONE_TOL``; violation means
+    the mixture identity broke and raises.  Reported channels keep only
+    their positive-weight outputs.
     """
     slots = spec.channel_slots
-    if len(init) != len(slots):
-        raise StructuralError(f"expected {len(slots)} initial channels, got {len(init)}")
+    if not inits or len(seeds) != len(inits):
+        raise StructuralError(f"expected one seed per initial bank, got {len(seeds)} "
+                              f"for {len(inits)}")
+    if any(len(init) != len(slots) for init in inits):
+        raise StructuralError(f"expected {len(slots)} initial channels per bank")
     if sweeps < 1:
         raise StructuralError(f"sweeps must be >= 1, got {sweeps}")
-    channels = list(init)
+    live = list(range(len(inits)))        # the banks still descending, in stack order
+    channels = [_stacked(spec, k, [init[pos] for init in inits]) for pos, k in enumerate(slots)]
     pairs = [forward_to_reverse(spec, k, ch) for k, ch in zip(slots, channels)]
-    trace = [direct_weighted_value(spec, channels, direction)]
+    pairs = [ReverseChannelPair(*_support_first(p.weights, p.columns, p.weights.shape[1]))
+             for p in pairs]
+
+    def values() -> list[float]:          # each live bank's objective
+        value = direct_weighted_value(spec, channels, direction)
+        return np.broadcast_to(value, len(live)).tolist()
+
+    traces = [[value] for value in values()]
+    runs = [None] * len(inits)
     for sweep in range(sweeps):
         for pos, k in enumerate(slots):
             frozen = {kk: ch for kk, ch in zip(slots, channels) if kk != k}
             ctx = FunctionalContext(spec, k, frozen, direction)
-            incumbent = pairs[pos]
-            pairs[pos] = optimize_single_channel(
-                ctx, candidates, seed=(seed, sweep, k),
-                incumbent_columns=incumbent.columns[incumbent.weights > 0.0],
-            )
+            draws = [(seeds[b], sweep, k) for b in live]
+            pairs[pos] = optimize_single_channel(ctx, candidates, draws,
+                                                 incumbent_columns=pairs[pos].columns)
             channels[pos] = reverse_to_forward(spec, k, pairs[pos])
-        value = direct_weighted_value(spec, channels, direction)
-        if value > trace[-1] + MONOTONE_TOL:
-            raise NumericIntegrityError(
-                f"objective rose from {trace[-1]!r} to {value!r} in sweep {sweep + 1}"
-            )
-        trace.append(value)
-        if trace[-2] - trace[-1] < SWEEP_IMPROVEMENT_TOL:
+        stay = []
+        for at, (b, value) in enumerate(zip(live, values())):
+            trace = traces[b]
+            if value > trace[-1] + MONOTONE_TOL:
+                raise NumericIntegrityError(
+                    f"objective rose from {trace[-1]!r} to {value!r} in sweep {sweep + 1}"
+                )
+            trace.append(value)
+            if trace[-2] - trace[-1] >= SWEEP_IMPROVEMENT_TOL and sweep + 1 < sweeps:
+                stay.append(at)
+            else:
+                runs[b] = OptimizeResult(tuple(reverse_to_forward(
+                    spec, k, ReverseChannelPair(pair.weights[at], pair.columns[at]))
+                    for k, pair in zip(slots, pairs)), tuple(trace))
+        live = [live[at] for at in stay]
+        if not live:
             break
-    return OptimizeResult(tuple(channels), tuple(trace))
+        pairs = [ReverseChannelPair(pair.weights[stay], pair.columns[stay]) for pair in pairs]
+        channels = [Channel(ch.input, ch.output, ch.rows[stay]) for ch in channels]
+    return DescentStack(runs)
 
 
 def default_multistart_inits(spec: ProblemSpec, restarts: int,
@@ -212,15 +269,16 @@ def _multistart_descent(spec: ProblemSpec, directions: Sequence[Direction], rest
                         sweeps: int, candidates: int,
                         seed: int) -> list[tuple[OptimizeResult, int]]:
     """Per direction ``idx``, descend from every bank of
-    ``default_multistart_inits(spec, restarts, seed)`` with seed ``(seed, idx, r)``;
-    each direction's first best run and its ``r``."""
+    ``default_multistart_inits(spec, restarts, seed)`` in one stack, bank r
+    with seed ``(seed, idx, r)``; each direction's first best run and its ``r``."""
     inits = default_multistart_inits(spec, restarts, seed)
     best = []
     for idx, direction in enumerate(directions):
         if (direction.m, direction.j, direction.l) != (spec.m, spec.j, spec.l):
             raise StructuralError("direction dimensions do not match the spec")
-        runs = [coordinate_descent(spec, direction, init, sweeps=sweeps, candidates=candidates,
-                                   seed=(seed, idx, r)) for r, init in enumerate(inits)]
+        seeds = [(seed, idx, r) for r in range(len(inits))]
+        runs = coordinate_descent(spec, direction, inits, seeds, sweeps=sweeps,
+                                  candidates=candidates)
         r = min(range(len(runs)), key=lambda r: runs[r].objective)   # first of equal minima
         best.append((runs[r], r))
     return best

@@ -74,10 +74,11 @@ class JointPmf:
     """
 
     __slots__ = ("probs", "_entropy_cache", "_marginals")
+    stack = 0               # leading axes of ``probs`` that index separate pmfs
 
     def __init__(self, probs) -> None:
         arr = np.array(probs, dtype=float)
-        if arr.ndim == 0:
+        if arr.ndim <= self.stack:
             raise StructuralError("a JointPmf needs at least one axis")
         if not np.all(np.isfinite(arr)):
             raise StructuralError("probability tensor contains non-finite entries")
@@ -85,7 +86,8 @@ class JointPmf:
             raise StructuralError(
                 f"probability tensor has a negative entry ({arr.min():.3e})"
             )
-        mass = float(arr.sum())
+        masses = arr.reshape(*arr.shape[:self.stack], -1).sum(axis=-1)
+        mass = float(masses.flat[np.abs(masses - 1.0).argmax()])   # the worst pmf's
         if abs(mass - 1.0) > MASS_TOL:
             raise StructuralError(
                 f"probability mass is {mass!r}, off from 1 by more than {MASS_TOL}"
@@ -93,7 +95,7 @@ class JointPmf:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "_entropy_cache", {})
-        object.__setattr__(self, "_marginals", {(1 << arr.ndim) - 1: arr})
+        object.__setattr__(self, "_marginals", {(1 << (arr.ndim - self.stack)) - 1: arr})
 
     def __setattr__(self, name, value):  # immutability by contract
         raise AttributeError("JointPmf is immutable")
@@ -102,7 +104,7 @@ class JointPmf:
 
     @property
     def ndim(self) -> int:
-        return self.probs.ndim
+        return self.probs.ndim - self.stack
 
     def all_axes(self) -> int:
         return (1 << self.ndim) - 1
@@ -131,10 +133,22 @@ class JointPmf:
         arr = memo[parent]
         for mask in reversed(chain):
             # every axis below the dropped one is kept, so it sits at its own index
-            arr = np.asarray(np.add.reduce(arr, axis=(~mask & (mask + 1)).bit_length() - 1))
+            arr = np.asarray(np.add.reduce(
+                arr, axis=(~mask & (mask + 1)).bit_length() - 1 + self.stack))
             arr.setflags(write=False)
             memo[mask] = arr
         return arr
+
+
+class JointStack(JointPmf):
+    """A stack of pmfs of one layout, ``probs[b]`` pmf b: marginals keep the
+    leading axis, and entropies and informations are ``(B,)`` arrays.  Its
+    entropies use the masked kernel of :func:`cell_entropies`, so they can
+    differ in the last bit from those of the same pmf as a :class:`JointPmf`.
+    """
+
+    __slots__ = ()
+    stack = 1
 
 
 # ---- operations ------------------------------------------------------------
@@ -151,11 +165,12 @@ def cell_entropies(rows: np.ndarray) -> np.ndarray:
 
     Nonpositive cells are masked to 0 rather than compacted away.  The
     zeros shift numpy's pairwise-summation blocks, so a row with zero
-    cells can differ from :func:`cell_entropy` in the last bit; joint
-    entropies therefore keep the compacting kernel.
+    cells can differ from :func:`cell_entropy` in the last bit; the joint
+    entropies of a :class:`JointPmf` therefore keep the compacting kernel,
+    while those of a :class:`JointStack` use this one.
     """
-    pos = rows > 0.0
-    return -np.where(pos, rows * np.log2(np.where(pos, rows, 1.0)), 0.0).sum(axis=1)
+    logs = np.log2(rows, out=np.zeros_like(rows), where=rows > 0.0)
+    return -(rows * logs).sum(axis=1)
 
 
 def _joint_entropy(p: JointPmf, vs: int) -> float:
@@ -165,7 +180,9 @@ def _joint_entropy(p: JointPmf, vs: int) -> float:
         return cached
     if not vs:
         return 0.0
-    value = p._entropy_cache[vs] = cell_entropy(p.marginal(vs))
+    marg = p.marginal(vs)
+    value = p._entropy_cache[vs] = (cell_entropies(marg.reshape(len(marg), -1)) if p.stack
+                                    else cell_entropy(marg))
     return value
 
 
@@ -206,12 +223,13 @@ def mi_sets(p: JointPmf, a: int, b: int, given: int = 0) -> float:
         - _joint_entropy(p, a | b | given)
         - _joint_entropy(p, given)
     )
-    if value <= 0.0:    # -0.0 too: callers may rely on a nonnegative sign bit
-        if value < -CMI_CLAMP:
+    low = value.min() if p.stack else value
+    if low <= 0.0:    # -0.0 too: callers may rely on a nonnegative sign bit
+        if low < -CMI_CLAMP:
             raise NumericIntegrityError(
-                f"conditional mutual information evaluated to {value:.3e} bits, "
+                f"conditional mutual information evaluated to {low:.3e} bits, "
                 f"below the -{CMI_CLAMP} clamp threshold"
             )
-        value = 0.0
+        value = np.where(value <= 0.0, 0.0, value) if p.stack else 0.0
     return value
 

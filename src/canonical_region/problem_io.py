@@ -212,21 +212,22 @@ def load_problem(path) -> ProblemSpec:
     if not isinstance(name, str) or not isinstance(notes, str):
         raise InputError("name and notes must be strings")
 
+    # the source's shape pins X, S and V; the declared l and Vhat must match the
+    # tables, and a file refused for that is refused before the spec can warn
+    if len(tables) != l:
+        raise InputError(f"{path}: l is {l}, but distortions lists {len(tables)} table(s)")
+    columns = [t.shape[-1] for t in tables]
+    if columns != vhat_sizes and all(t.ndim == 2 for t in tables):   # else the spec names it
+        raise InputError(
+            f"{path}: alphabets.Vhat is {vhat_sizes}, but the distortion tables have "
+            f"{columns} columns"
+        )
     try:
         spec = ProblemSpec(
             j, np.array(fracs, dtype=object).reshape(shape), tables, name=name, notes=notes,
         )
     except StructuralError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    # the source's shape pins X, S and V; the declared l and Vhat must match the tables
-    if spec.l != l:
-        raise InputError(f"{path}: l is {l}, but distortions lists {spec.l} table(s)")
-    columns = [a.size for a in spec.vhat_alphabets]
-    if columns != vhat_sizes:
-        raise InputError(
-            f"{path}: alphabets.Vhat is {vhat_sizes}, but the distortion tables have "
-            f"{columns} columns"
-        )
 
     total = spec.source_mass
     err = abs(float(total - 1))

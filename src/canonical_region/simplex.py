@@ -1,20 +1,20 @@
 """Dense primal simplex for the channel optimizer's mixture LPs.
 
-Solves ``min c.w  s.t.  A w = b, w >= 0`` on problems with a handful of
-rows and at most a few hundred columns.  A's first ``m`` columns must be
-the identity and ``b >= 0``, so they form a feasible basis with
-``w = b`` and no phase 1 is needed (Dantzig, *Linear Programming and
-Extensions*, 1963).  A mixture LP always has one: its vertex columns
-``e_x`` give the trivial Carathéodory representation
-``p_k = sum_x p_k(x) e_x``.  The caller may name warm columns, such as
-the support of the incumbent's basic solution; they are pivoted in
-before the first simplex step, so the simplex starts from the
-incumbent itself and primal pivots can only lower its value.
+Solves stacks of ``min c.w  s.t.  A w = b, w >= 0``, each LP with a
+handful of rows and at most a few hundred columns.  A's first ``m``
+columns must be the identity and ``b >= 0``, so they form a feasible
+basis with ``w = b`` and no phase 1 is needed (Dantzig, *Linear
+Programming and Extensions*, 1963).  A mixture LP always has one: its
+vertex columns ``e_x`` give the trivial Carathéodory representation
+``p_k = sum_x p_k(x) e_x``.  Warm columns, such as the support of the
+incumbent's basic solution, are pivoted in first, so the simplex starts
+from the incumbent and primal pivots can only lower its value.
 Entering and leaving variables follow Bland's rule (smallest eligible
 index), which guarantees termination from any starting basis on
 degenerate problems (Bland 1977).  A basic optimal solution has at most
-``m`` positive entries, which is exactly the support bound the channel
-optimizer relies on; its basis and duals come back with it.
+``m`` positive entries, exactly the support bound the channel optimizer
+relies on.  Each pivot step moves every unsolved LP of the stack by its
+own choice, so each LP ends exactly as if solved alone.
 """
 from __future__ import annotations
 
@@ -33,57 +33,68 @@ MAX_PIVOTS = 20000
 
 @dataclass(frozen=True, eq=False)
 class LpResult:
-    """An optimal basic solution ``w``, its value, its basis and its duals.
+    """Each LP's optimal basic solution ``w[i]``, its value, its basis and its duals.
 
-    ``basis[r]`` is the column basic in row r, and ``duals`` is
-    ``y = c_B B^-1``: every reduced cost ``c_j - y.a_j`` is at least
+    ``basis[i, r]`` is the column basic in row r of LP i, and ``duals[i]``
+    is ``y = c_B B^-1``: every reduced cost ``c_j - y.a_j`` is at least
     ``-OPTIMALITY_TOL``.
     """
 
-    w: np.ndarray = field(repr=False)
-    value: float
-    basis: tuple[int, ...]
-    duals: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)          # (B, n)
+    value: np.ndarray                          # (B,)
+    basis: np.ndarray                          # (B, m)
+    duals: np.ndarray = field(repr=False)      # (B, m)
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
-    basis[row] = col
+def _pivot(tableau: np.ndarray, basis: np.ndarray, lps: np.ndarray, rows: np.ndarray,
+           cols: np.ndarray) -> None:
+    """Pivot column ``cols[i]`` into row ``rows[i]`` of LP ``lps[i]``, for every i at once."""
+    at = np.arange(len(lps))
+    whole = len(lps) == len(tableau)            # lps is sorted: then it is every LP
+    sub = tableau if whole else tableau[lps]
+    pivot_rows = sub[at, rows] / sub[at, rows, cols][:, None]
+    sub -= sub[at, :, cols][:, :, None] * pivot_rows[:, None, :]
+    sub[at, rows] = pivot_rows                  # the pivot row itself is only divided
+    if not whole:
+        tableau[lps] = sub
+    basis[lps, rows] = cols
 
 
-def _bland_loop(tableau: np.ndarray, basis: list[int]) -> None:
-    """Run simplex pivots until optimal; the last tableau row holds reduced costs."""
-    m = len(basis)
-    rhs = tableau[:m, -1]
+def _bland_loop(tableau: np.ndarray, basis: np.ndarray) -> None:
+    """Pivot every LP of the stack until it is optimal; its last row holds reduced costs."""
+    m = basis.shape[1]
+    rhs, every = tableau[:, :m, -1], np.arange(len(tableau))[:, None]
     for _ in range(MAX_PIVOTS):
-        eligible = np.flatnonzero(tableau[-1, :-1] < -OPTIMALITY_TOL).tolist()
-        entering = next((j for j in eligible if j not in basis), -1)
-        if entering < 0:
+        costs = tableau[:, -1, :-1].copy()
+        costs[every, basis] = 0.0                      # basic columns never enter
+        eligible = costs < -OPTIMALITY_TOL
+        lps = np.flatnonzero(eligible.any(axis=1))     # an optimal LP pivots no more
+        if not lps.size:
             return
-        ratios = [(level / coef, basis[r], r)
-                  for r, (coef, level) in enumerate(zip(tableau[:m, entering].tolist(),
-                                                        rhs.tolist()))
-                  if coef > PIVOT_TOL]
-        if not ratios:
-            raise NumericIntegrityError(f"LP is unbounded along column {entering}")
-        best = min(ratios)[0]
+        entering = eligible[lps].argmax(axis=1)        # the smallest eligible index (Bland)
+        coef = tableau[lps, :m, entering]
+        pos = coef > PIVOT_TOL
+        if not pos.any(axis=1).all():
+            raise NumericIntegrityError(
+                f"LP is unbounded along column {entering[~pos.any(axis=1)][0]}")
+        ratios = np.where(pos, rhs[lps] / np.where(pos, coef, 1.0), np.inf)
+        tied = ratios <= ratios.min(axis=1, keepdims=True) + PIVOT_TOL
         # smallest basic-variable index among the tied rows (Bland)
-        row = min((b, r) for ratio, b, r in ratios if ratio <= best + PIVOT_TOL)[1]
-        _pivot(tableau, basis, row, entering)
+        rows = np.where(tied, basis[lps], tableau.shape[2]).argmin(axis=1)
+        _pivot(tableau, basis, lps, rows, entering)
         np.maximum(rhs, 0.0, out=rhs)
     raise NumericIntegrityError("simplex failed to terminate within the pivot budget")
 
 
 def solve_equality_lp(c, a, b, warm=()) -> LpResult:
-    """Minimize ``c.w`` over ``{A w = b, w >= 0}``, starting from ``warm``'s basis.
+    """Minimize ``c[i].w`` over ``{A[i] w = b[i], w >= 0}`` for each LP i of a
+    stack, starting from ``warm``'s basis.
 
-    Returns an optimal basic solution.  Inputs must be finite, ``A`` is
-    ``m x n`` with ``1 <= m <= n``, its first ``m`` columns must equal
-    ``np.eye(m)`` exactly, and ``b >= 0``.  The LP must be bounded; an
-    unbounded ray raises :class:`NumericIntegrityError`.
+    Returns each LP's optimal basic solution.  Inputs must be finite:
+    ``c`` is ``(B, n)``, ``A`` ``(B, m, n)`` with ``1 <= m <= n`` and its
+    first ``m`` columns equal to ``np.eye(m)`` exactly, and ``b`` ``(B, m)``
+    with ``b >= 0``.  Each LP must be bounded; an unbounded ray raises
+    :class:`NumericIntegrityError`.
 
     ``warm`` lists columns to start from.  Each is pivoted into the row,
     among those whose basic variable is still an identity column, where
@@ -93,25 +104,24 @@ def solve_equality_lp(c, a, b, warm=()) -> LpResult:
     a nonnegative combination of them, as the support of a feasible
     solution is, the starting basic solution is that combination with
     the padding identity columns at zero, so the returned value is not
-    above it.  Warm columns whose start is infeasible (dependent ones can
-    give one) are ignored: the solve starts from the identity basis.
+    above it.  An LP whose warm start is infeasible (dependent columns can
+    give one) ignores it and starts from the identity basis.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    if a.ndim != 2 or b.shape != (a.shape[0],) or c.shape != (a.shape[1],):
+    if a.ndim != 3 or b.shape != a.shape[:2] or c.shape != (len(a), a.shape[2]):
         raise StructuralError(
             f"inconsistent LP shapes: A {a.shape}, b {b.shape}, c {c.shape}"
         )
-    m, n = a.shape
-    tableau = np.empty((m + 1, n + 1))
-    tableau[:m, :n] = a
-    tableau[:m, -1] = b
-    tableau[-1, :n] = c
-    tableau[-1, -1] = 0.0
+    size, m, n = a.shape
+    tableau = np.zeros((size, m + 1, n + 1))
+    tableau[:, :m, :n] = a
+    tableau[:, :m, -1] = b
+    tableau[:, -1, :n] = c
     if not np.isfinite(tableau).all():
         raise StructuralError("LP data must be finite")
-    if not (1 <= m <= n and np.array_equal(a[:, :m], np.eye(m))):
+    if not (1 <= m <= n and (a[:, :, :m] == np.eye(m)).all()):
         raise StructuralError("the LP's first m columns must be the identity basis")
     if b.min() < 0.0:
         raise StructuralError(f"the LP's right-hand side must be >= 0, got {b}")
@@ -120,20 +130,24 @@ def solve_equality_lp(c, a, b, warm=()) -> LpResult:
         raise StructuralError(f"warm columns {warm} outside 0..{n - 1}")
 
     # the cost row holds c's reduced costs against the identity basis
-    basis = list(range(m))
-    tableau[-1] -= c[:m] @ tableau[:m]
+    basis = np.tile(np.arange(m), (size, 1))
+    tableau[:, -1:] -= c[:, None, :m] @ tableau[:, :m]
+    cold = tableau.copy()
     for j in warm:
-        if j in basis:
-            continue
-        size, row = max(((abs(coef), r) for r, coef in enumerate(tableau[:m, j].tolist())
-                         if basis[r] < m), default=(0.0, -1))
-        if size > PIVOT_TOL:
-            _pivot(tableau, basis, row, j)
-    if warm and tableau[:m, -1].min() < -PIVOT_TOL:
-        return solve_equality_lp(c, a, b)
-    np.maximum(tableau[:m, -1], 0.0, out=tableau[:m, -1])
+        # rows whose basic variable is still an identity column; the largest
+        # coefficient wins, the last such row on ties
+        sizes = np.where(basis < m, np.abs(tableau[:, :m, j]), 0.0)[:, ::-1]
+        rows = m - 1 - sizes.argmax(axis=1)
+        lps = np.flatnonzero((sizes.max(axis=1) > PIVOT_TOL) & (basis != j).all(axis=1))
+        if lps.size:
+            _pivot(tableau, basis, lps, rows[lps], np.full(len(lps), j))
+    infeasible = tableau[:, :m, -1].min(axis=1) < -PIVOT_TOL
+    tableau[infeasible], basis[infeasible] = cold[infeasible], np.arange(m)
+    tableau[:, :m, -1] = np.maximum(tableau[:, :m, -1], 0.0)
     _bland_loop(tableau, basis)
 
-    w = np.zeros(n)
-    w[basis] = np.maximum(0.0, tableau[:m, -1])
-    return LpResult(w, float(c @ w), tuple(int(j) for j in basis), c[:m] - tableau[-1, :m])
+    w = np.zeros((size, n))
+    w[np.arange(size)[:, None], basis] = np.maximum(0.0, tableau[:, :m, -1])
+    value = (c[:, None] @ w[:, :, None])[:, 0, 0]
+    duals = c[:, :m] - tableau[:, -1, :m]
+    return LpResult(w, value, basis, duals)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from canonical_region import (
     StructuralError,
     constant_channel,
     resolve_problem,
+    solve_equality_lp,
 )
 from canonical_region.augment import channel_product
 
@@ -30,6 +32,13 @@ def make_spec(rng, m=None, j=None, l=None, max_alphabet=3, name=""):
     probs = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
     distortions = [rng.uniform(0.0, 1.0, size=(v_size, n)) for n in vhat_sizes]
     return ProblemSpec(j, probs, distortions, name=name)
+
+
+def solve_one(c, a, b, warm=()):
+    """One LP solved as a stack of one, its fields unwrapped."""
+    res = solve_equality_lp(*(np.asarray(x, dtype=float)[None] for x in (c, a, b)), warm)
+    return SimpleNamespace(w=res.w[0], value=float(res.value[0]),
+                           basis=tuple(res.basis[0].tolist()), duals=res.duals[0])
 
 
 def direct_marginal(probs, mask):

@@ -219,8 +219,8 @@ def test_c7_descent_monotonicity(capsys):
             spec = make_spec(rng, m=m, j=j, l=int(rng.integers(0, 3)))
             direction = random_direction(spec.m, spec.j, spec.l, rng)
             init = random_channels(spec, rng)
-            result = coordinate_descent(spec, direction, init, sweeps=5,
-                                        candidates=16, seed=run)
+            (result,) = coordinate_descent(spec, direction, [init], [run], sweeps=5,
+                                           candidates=16)
             diffs = np.diff(result.trace)
             ok = ok and diffs.max(initial=-np.inf) <= 1e-10
             for ch, k in zip(result.channels, spec.channel_slots):

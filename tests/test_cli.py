@@ -19,6 +19,7 @@ import pytest
 import canonical_region
 from canonical_region import (
     BudgetError,
+    DegeneracyWarning,
     InputError,
     NumericIntegrityError,
     ProblemSpec,
@@ -662,35 +663,53 @@ _PROBLEM = {
 }
 
 
+# each case's id is the one pytest generated from its position before ids were
+# given: an explicit id stays put when a case is added or moved
 @pytest.mark.parametrize("flag, content, field", [
     # problem files (None: the file is the problem)
-    (None, [1], "top level"),
-    (None, {k: v for k, v in _PROBLEM.items() if k != "distortions"}, "key 'distortions'"),
-    (None, {**_PROBLEM, "m": 0}, "m must be >= 1"),
-    (None, {**_PROBLEM, "alphabets": {"X": [2, 2], "S": 1, "V": 2, "Vhat": [2]}}, "alphabets.X"),
-    (None, {**_PROBLEM, "alphabets": {"X": [2], "S": 1, "V": 2, "Vhat": 2}}, "alphabets.Vhat"),
-    (None, {**_PROBLEM, "distortions": {}}, "distortions must be a list"),
-    (None, {**_PROBLEM, "distortions": [3]}, "distortions[0]"),
-    (None, {**_PROBLEM, "distortions": [[[0.0, 1.0], [1.0]]]}, "distortions[0]"),
-    (None, {**_PROBLEM, "name": 3}, "name and notes"),
-    (None, {**_PROBLEM, "source": {"probs": [], "weights": []}}, "source must be"),
-    (None, {**_PROBLEM, "source": {"entries": []}}, "source.entries"),
-    (None, {**_PROBLEM, "source": {"probs": [[[True, 0.5]], [[0.25, 0.25]]]}},
-     "source.probs[0][0][0]"),
-    (None, {**_PROBLEM, "source": {"probs": [[[None, 0.5]], [[0.25, 0.25]]]}},
-     "source.probs[0][0][0]"),
+    pytest.param(None, [1], "top level", id="None-content0-top level"),
+    pytest.param(None, {k: v for k, v in _PROBLEM.items() if k != "distortions"},
+                 "key 'distortions'", id="None-content1-key 'distortions'"),
+    pytest.param(None, {**_PROBLEM, "m": 0}, "m must be >= 1", id="None-content2-m must be >= 1"),
+    pytest.param(None, {**_PROBLEM, "alphabets": {"X": [2, 2], "S": 1, "V": 2, "Vhat": [2]}},
+                 "alphabets.X", id="None-content3-alphabets.X"),
+    pytest.param(None, {**_PROBLEM, "alphabets": {"X": [2], "S": 1, "V": 2, "Vhat": 2}},
+                 "alphabets.Vhat", id="None-content4-alphabets.Vhat"),
+    pytest.param(None, {**_PROBLEM, "distortions": {}}, "distortions must be a list",
+                 id="None-content5-distortions must be a list"),
+    pytest.param(None, {**_PROBLEM, "distortions": [3]}, "distortions[0]",
+                 id="None-content6-distortions[0]"),
+    pytest.param(None, {**_PROBLEM, "distortions": [[[0.0, 1.0], [1.0]]]}, "distortions[0]",
+                 id="None-content7-distortions[0]"),
+    pytest.param(None, {**_PROBLEM, "name": 3}, "name and notes",
+                 id="None-content8-name and notes"),
+    pytest.param(None, {**_PROBLEM, "source": {"probs": [], "weights": []}}, "source must be",
+                 id="None-content9-source must be"),
+    pytest.param(None, {**_PROBLEM, "source": {"entries": []}}, "source.entries",
+                 id="None-content10-source.entries"),
+    pytest.param(None, {**_PROBLEM, "source": {"probs": [[[True, 0.5]], [[0.25, 0.25]]]}},
+                 "source.probs[0][0][0]", id="None-content11-source.probs[0][0][0]"),
+    pytest.param(None, {**_PROBLEM, "source": {"probs": [[[None, 0.5]], [[0.25, 0.25]]]}},
+                 "source.probs[0][0][0]", id="None-content12-source.probs[0][0][0]"),
+    # declared sizes that disagree with the distortion tables
+    pytest.param(None, {**_PROBLEM, "l": 2}, "l is 2", id="None-content20-l is 2"),
+    pytest.param(None, {**_PROBLEM, "alphabets": {"X": [2], "S": 1, "V": 2, "Vhat": [3]}},
+                 "alphabets.Vhat", id="None-content21-alphabets.Vhat"),
     # channel banks for bwz
-    ("--channels", {"bank": []}, "channels"),
-    ("--channels", {"channels": {}}, "channels must be a list"),
-    ("--channels", {"channels": [3]}, "channels[0]"),
-    ("--channels", {"channels": [{"slot": "1", "rows": [[1, 0], [0, 1]]}]}, "channels[0].slot"),
-    ("--channels", {"channels": [{"slot": 1, "rows": [1, 0]}]}, "channels[0] (slot 1)"),
+    pytest.param("--channels", {"bank": []}, "channels", id="--channels-content13-channels"),
+    pytest.param("--channels", {"channels": {}}, "channels must be a list",
+                 id="--channels-content14-channels must be a list"),
+    pytest.param("--channels", {"channels": [3]}, "channels[0]",
+                 id="--channels-content15-channels[0]"),
+    pytest.param("--channels", {"channels": [{"slot": "1", "rows": [[1, 0], [0, 1]]}]},
+                 "channels[0].slot", id="--channels-content16-channels[0].slot"),
+    pytest.param("--channels", {"channels": [{"slot": 1, "rows": [1, 0]}]},
+                 "channels[0] (slot 1)", id="--channels-content17-channels[0] (slot 1)"),
     # direction files for bwz
-    ("--directions", {"dirs": []}, "directions"),
-    ("--directions", {"directions": [{"rates": 1, "distortions": [1]}]}, "directions[0]"),
-    # problem files whose declared sizes disagree with the distortion tables
-    (None, {**_PROBLEM, "l": 2}, "l is 2"),
-    (None, {**_PROBLEM, "alphabets": {"X": [2], "S": 1, "V": 2, "Vhat": [3]}}, "alphabets.Vhat"),
+    pytest.param("--directions", {"dirs": []}, "directions",
+                 id="--directions-content18-directions"),
+    pytest.param("--directions", {"directions": [{"rates": 1, "distortions": [1]}]},
+                 "directions[0]", id="--directions-content19-directions[0]"),
 ])
 def test_cli_names_the_field_of_a_malformed_file(tmp_path, capsys, flag, content, field):
     path = tmp_path / "f.json"
@@ -703,6 +722,20 @@ def test_cli_names_the_field_of_a_malformed_file(tmp_path, capsys, flag, content
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err, err
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"l": 2}, "l is 2"),
+    ({"alphabets": {"X": [2], "S": 1, "V": 2, "Vhat": [3]}}, "alphabets.Vhat"),
+])
+def test_load_refuses_a_size_mismatch_before_the_spec_warns(tmp_path, over, field):
+    # X1 symbol 1 has probability 0, which the spec would warn about; the
+    # declared sizes disagree with the one table, so the file is refused first
+    path = write_problem(tmp_path, source={"probs": [[[0.5, 0.5]], [[0.0, 0.0]]]}, **over)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegeneracyWarning)
+        with pytest.raises(InputError, match=re.escape(field)):
+            load_problem(path)
 
 
 def test_load_accepts_integer_probabilities(tmp_path):

@@ -104,7 +104,7 @@ def psi(spec, k, frozen, l, pool):
 
 BAD_BINARY_POOLS = (
     np.array([0.5, 0.5]),                           # one point, not a pool
-    np.full((1, 2, 2), 0.5),                        # a 3-D array
+    np.full((1, 1, 2, 2), 0.5),                     # a 4-D array: not a pool or a stack
     np.full((2, 3), 1.0 / 3.0),                     # a pool of the wrong width
     [[0.5, 0.5], [0.6, 0.6]],                       # a row off the simplex
     [[0.5, 0.5], [np.nan, 1.0]],                    # a NaN row
@@ -121,6 +121,10 @@ def test_check_simplex_point():
         check_simplex_point([[-0.2, 1.2]], 2)
     pool = check_simplex_point([[0.25, 0.75], [1.0, -1e-13]], 2)
     assert pool.shape == (2, 2) and pool.min() == 0.0
+    stack = check_simplex_point([[[0.25, 0.75]], [[1.0, -1e-13]]], 2)   # a stack of pools
+    assert stack.shape == (2, 1, 2) and stack.min() == 0.0
+    with pytest.raises(StructuralError):
+        check_simplex_point([[[0.25, 0.75]], [[0.6, 0.6]]], 2)         # one bad pool
     for t in BAD_BINARY_POOLS + (np.zeros((0, 2)),):    # and an empty pool
         with pytest.raises(StructuralError):
             check_simplex_point(t, 2)

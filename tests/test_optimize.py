@@ -44,12 +44,12 @@ from canonical_region.optimize import (
     _simplex_lattice,
 )
 from canonical_region.pmf import CMI_CLAMP, cell_entropies
-from canonical_region.simplex import solve_equality_lp
 from conftest import (
     bernoulli_lagrangian,
     binary_product_spec,
     make_spec,
     relabel_symbols,
+    solve_one,
     zero_symbol_spec,
 )
 
@@ -478,11 +478,10 @@ def test_single_slot_lp_beats_incumbent():
         ctx = FunctionalContext(spec, 2, {}, d)
         positive = pair0.weights > 0.0
         incumbent_value = pair0.weights[positive] @ theta(ctx, pair0.columns[positive])
-        pair = optimize_single_channel(ctx, candidates=32, seed=trial,
-                                       incumbent_columns=pair0.columns)
-        value = pair.weights @ theta(ctx, pair.columns)
+        pair = optimize_single_channel(ctx, 32, [trial], incumbent_columns=pair0.columns[None])
+        value = pair.weights[0] @ theta(ctx, pair.columns[0])
         assert value <= incumbent_value + 1e-10
-        assert len(pair.weights) <= spec.x_alphabets[1].size
+        assert pair.weights.shape == (1, spec.x_alphabets[1].size)   # a stack of one
         assert np.abs(pair.mixture() - spec.x_marginal(2)).max() < 1e-9
 
 
@@ -498,13 +497,19 @@ def test_descent_scores_each_pool_in_one_theta_call(monkeypatch, helper3):
     chans = random_channels(helper3, rng)                  # slots 2 and 3
     d = random_direction(3, 1, 1, rng)
     ctx = FunctionalContext(helper3, 3, {2: chans[0]}, d)
-    incumbent = forward_to_reverse(helper3, 3, chans[1]).columns
-    optimize_single_channel(ctx, candidates=16, seed=0, incumbent_columns=incumbent)
-    assert calls == [_candidate_pool(ctx, 16, 0, incumbent).shape]
+    incumbent = forward_to_reverse(helper3, 3, chans[1]).columns[None]
+    optimize_single_channel(ctx, 16, [0], incumbent_columns=incumbent)
+    assert calls == [_candidate_pool(ctx, 16, [0], incumbent).shape]
     calls.clear()
-    result = coordinate_descent(helper3, d, chans, sweeps=3, candidates=16)
+    (result,) = coordinate_descent(helper3, d, [chans], [42], sweeps=3, candidates=16)
     assert len(calls) == result.sweeps_run * len(helper3.channel_slots)
-    assert all(len(shape) == 2 for shape in calls)
+    assert all(len(shape) == 3 and shape[0] == 1 for shape in calls)
+    # a stack moves in lockstep: one call per slot step, whatever the bank count
+    calls.clear()
+    stack = coordinate_descent(helper3, d, default_multistart_inits(helper3, 8), range(8),
+                               sweeps=3, candidates=16)
+    assert len(calls) == max(run.sweeps_run for run in stack) * len(helper3.channel_slots)
+    assert calls[0][0] == 8
 
 
 @pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs"])
@@ -519,16 +524,21 @@ def test_single_slot_pair_is_the_lp_basic_solution(name, request):
             frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
             ctx = FunctionalContext(spec, k, frozen, d)
             incumbent = forward_to_reverse(spec, k, chans[pos]).columns
-            pair = optimize_single_channel(ctx, candidates=32, seed=(trial, k),
-                                           incumbent_columns=incumbent)
-            pool = _candidate_pool(ctx, 32, (trial, k), incumbent)
-            warm = range(len(pool) - len(incumbent), len(pool))  # the step's warm basis
-            lp = solve_equality_lp(theta(ctx, pool), pool.T, ctx.p_k, warm)
-            support = np.flatnonzero(lp.w > optimize.SUPPORT_WEIGHT_TOL)
-            assert pair.columns.tobytes() == pool[support].tobytes()
-            weights = lp.w[support]
-            assert pair.weights.tobytes() == (weights / weights.sum()).tobytes()
-            assert len(pair.weights) <= ctx.p_k.size
+            seeds = [(trial, k, b) for b in range(3)]
+            pairs = optimize_single_channel(ctx, 32, seeds,
+                                            incumbent_columns=np.stack([incumbent] * 3))
+            n = ctx.p_k.size
+            for b, seed in enumerate(seeds):
+                pool = _candidate_pool(ctx, 32, [seed], incumbent[None])[0]
+                warm = range(len(pool) - len(incumbent), len(pool))  # the step's warm basis
+                lp = solve_one(theta(ctx, pool), pool.T, ctx.p_k, warm)
+                support = np.flatnonzero(lp.w > optimize.SUPPORT_WEIGHT_TOL)
+                assert len(support) <= n
+                # the support in pool order, then zero weights on its first column
+                cols = pool[np.r_[support, np.repeat(support[0], n - len(support))]]
+                assert pairs.columns[b].tobytes() == cols.tobytes()
+                weights = np.concatenate([lp.w[support], np.zeros(n - len(support))])
+                assert pairs.weights[b].tobytes() == (weights / weights.sum()).tobytes()
 
 
 def _slot_contexts(name, request, rng):
@@ -552,14 +562,14 @@ def test_candidate_pool_leads_with_the_vertex_basis(name, request):
             eye = np.eye(n)
             near = eye[rng.integers(0, n, size=3)] + rng.choice([-1e-14, 0.0, 1e-14], size=(3, n))
             for extra in (incumbent, eye[::-1], np.vstack([near, incumbent, eye])):
-                pool = _candidate_pool(ctx, trial, trial, extra)
-                assert pool[:n].tobytes() == eye.tobytes()
+                for pool in _candidate_pool(ctx, trial, [trial, trial + 1], [extra, extra]):
+                    assert pool[:n].tobytes() == eye.tobytes()
     rng = np.random.default_rng(95)
     probs = rng.dirichlet(np.ones(4)).reshape(1, 2, 2)              # |X_1| = 1
     spec = ProblemSpec(0, probs, [[[0.0, 1.0], [1.0, 0.0]]])
     ctx = FunctionalContext(spec, 1, {}, Direction.normalized(1, 0, 1, [1.0, 1.0]))
     for extra in ([[1.0]], [[1.0 - 1e-14]]):
-        pool = _candidate_pool(ctx, 8, 0, extra)
+        (pool,) = _candidate_pool(ctx, 8, [0], [extra])
         assert pool.tobytes() == np.vstack([np.ones((1, 1)), extra]).tobytes()
 
 
@@ -582,11 +592,12 @@ def test_candidate_pool_layout(request, monkeypatch):
     for name in ("helper3", "bwz", "dsbs"):
         for seed, (ctx, columns) in enumerate(_slot_contexts(name, request, rng)):
             for incumbent in (columns, np.eye(ctx.p_k.size), np.vstack([columns, columns])):
-                pool = _candidate_pool(ctx, 8, seed, incumbent)
-                tail = len(pool) - len(incumbent)
-                assert pool[tail:].tobytes() == incumbent.tobytes()
-                optimize_single_channel(ctx, 8, seed, incumbent_columns=incumbent)
-                assert seen.pop() == list(range(tail, len(pool)))
+                stack = np.stack([incumbent, incumbent[::-1]])
+                pools = _candidate_pool(ctx, 8, [seed, seed + 1], stack)
+                tail = pools.shape[1] - len(incumbent)
+                assert pools[:, tail:].tobytes() == stack.tobytes()
+                optimize_single_channel(ctx, 8, [seed, seed + 1], incumbent_columns=stack)
+                assert seen.pop() == list(range(tail, pools.shape[1]))
 
 
 @pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol"])
@@ -597,10 +608,10 @@ def test_slot_lp_matches_highs(name, request):
     solved = 0
     while solved < 100:
         for ctx, incumbent in _slot_contexts(name, request, rng):
-            pool = _candidate_pool(ctx, 32, solved, incumbent)
+            (pool,) = _candidate_pool(ctx, 32, [solved], incumbent[None])
             values = theta(ctx, pool)
-            lp = solve_equality_lp(values, pool.T, ctx.p_k)
-            warm = solve_equality_lp(values, pool.T, ctx.p_k,
+            lp = solve_one(values, pool.T, ctx.p_k)
+            warm = solve_one(values, pool.T, ctx.p_k,
                                      range(len(pool) - len(incumbent), len(pool)))
             ref = optimize_mod.linprog(values, A_eq=pool.T, b_eq=ctx.p_k, bounds=(0, None),
                                        method="highs")
@@ -619,21 +630,27 @@ def test_slot_step_never_ends_above_its_incumbent(name, request, monkeypatch):
     checked = []
     step = optimize.optimize_single_channel
 
-    def checking_step(ctx, candidates, seed, *, incumbent_columns):
-        weights = np.linalg.lstsq(incumbent_columns.T, ctx.p_k, rcond=None)[0]
-        incumbent_value = weights @ theta(ctx, incumbent_columns)
-        pool = _candidate_pool(ctx, candidates, seed, incumbent_columns)
-        lp = solve_equality_lp(theta(ctx, pool), pool.T, ctx.p_k,
-                               range(len(pool) - len(incumbent_columns), len(pool)))
-        checked.append(lp.value - incumbent_value)
-        return step(ctx, candidates, seed, incumbent_columns=incumbent_columns)
+    def checking_step(ctx, candidates, seeds, *, incumbent_columns):
+        # each bank's incumbent value: a mixture of its columns that gives p_k
+        # (repeated columns share one theta value, so the split does not matter)
+        weights = [np.linalg.lstsq(cols.T, ctx.p_k, rcond=None)[0]
+                   for cols in incumbent_columns]
+        incumbent_values = (np.array(weights) * theta(ctx, incumbent_columns)).sum(axis=1)
+        pools = _candidate_pool(ctx, candidates, seeds, incumbent_columns)
+        size = pools.shape[1]
+        for b, (pool, values) in enumerate(zip(pools, theta(ctx, pools))):
+            lp = solve_one(values, pool.T, ctx.p_k,
+                                   range(size - incumbent_columns.shape[1], size))
+            checked.append(lp.value - incumbent_values[b])
+        return step(ctx, candidates, seeds, incumbent_columns=incumbent_columns)
 
     monkeypatch.setattr(optimize, "optimize_single_channel", checking_step)
     rng = np.random.default_rng(97)
     while len(checked) < 80:
         d = random_direction(spec.m, spec.j, spec.l, rng)
-        coordinate_descent(spec, d, random_channels(spec, rng), sweeps=8, candidates=16,
-                           seed=len(checked))
+        banks = [random_channels(spec, rng) for _ in range(3)]
+        coordinate_descent(spec, d, banks, [(len(checked), b) for b in range(3)], sweeps=8,
+                           candidates=16)
     assert max(checked) <= 1e-12
 
 
@@ -644,20 +661,21 @@ def test_slot_lp_support_fits_the_support_of_p_k(monkeypatch):
     steps = []
     step = optimize.optimize_single_channel
 
-    def counting_step(ctx, candidates, seed, *, incumbent_columns):
-        pair = step(ctx, candidates, seed, incumbent_columns=incumbent_columns)
-        steps.append((len(pair.weights), np.count_nonzero(ctx.p_k), ctx.p_k.size))
-        return pair
+    def counting_step(ctx, candidates, seeds, *, incumbent_columns):
+        pairs = step(ctx, candidates, seeds, incumbent_columns=incumbent_columns)
+        steps.extend((np.count_nonzero(weights), np.count_nonzero(ctx.p_k), ctx.p_k.size)
+                     for weights in pairs.weights)
+        return pairs
 
     monkeypatch.setattr(optimize, "optimize_single_channel", counting_step)
     rng = np.random.default_rng(99)
     for _ in range(30):
         spec = zero_symbol_spec(rng)
         d = random_direction(spec.m, spec.j, spec.l, rng)
-        for init in default_multistart_inits(spec, 4, seed=int(rng.integers(1 << 16))):
-            with warnings.catch_warnings():      # the spec warned once, at build
-                warnings.simplefilter("error", DegeneracyWarning)
-                coordinate_descent(spec, d, init, candidates=16)
+        inits = default_multistart_inits(spec, 4, seed=int(rng.integers(1 << 16)))
+        with warnings.catch_warnings():      # the spec warned once, at build
+            warnings.simplefilter("error", DegeneracyWarning)
+            coordinate_descent(spec, d, inits, range(4), candidates=16)
     assert len(steps) >= 400
     assert all(size <= support for size, support, _ in steps)
     assert any(support < symbols for _, support, symbols in steps)
@@ -677,20 +695,21 @@ def test_single_slot_lp_validates_incumbent_shape():
     spec = make_spec(rng, m=1, j=0, l=1)
     n = spec.x_alphabets[0].size
     ctx = FunctionalContext(spec, 1, {}, random_direction(1, 0, 1, rng))
-    for bad in (np.ones(n) / n, np.ones((2, n + 1)) / (n + 1)):
-        with pytest.raises(StructuralError):
-            optimize_single_channel(ctx, candidates=4, incumbent_columns=bad)
+    for bad in (np.ones(n) / n, np.ones((2, n + 1)) / (n + 1), np.eye(n),   # not stacks
+                np.ones((1, 2, n + 1)) / (n + 1), np.stack([np.eye(n)] * 2)):
+        with pytest.raises(StructuralError):       # the last has two banks for one seed
+            optimize_single_channel(ctx, 4, [0], incumbent_columns=bad)
     with pytest.raises(TypeError):                  # the incumbent is keyword-only and required
-        optimize_single_channel(ctx, 4, 0, np.eye(n))
+        optimize_single_channel(ctx, 4, [0], np.eye(n)[None])
     with pytest.raises(TypeError):
-        optimize_single_channel(ctx, candidates=4)
+        optimize_single_channel(ctx, 4, [0])
 
 
 def test_lp_matches_two_point_envelope(bwz):
     d = Direction.normalized(1, 0, 1, [0.6, 0.8])
     ctx = FunctionalContext(bwz, 1, {}, d)
-    pair = optimize_single_channel(ctx, candidates=64, seed=0, incumbent_columns=np.eye(2))
-    lp_value = pair.weights @ theta(ctx, pair.columns)
+    pair = optimize_single_channel(ctx, 64, [0], incumbent_columns=np.eye(2)[None])
+    lp_value = pair.weights[0] @ theta(ctx, pair.columns[0])
     # oracle: dense two-point mixtures hitting the marginal (0.5, 0.5)
     grid = np.linspace(0.0, 1.0, 401)
     vals = np.array([theta(ctx, [[u, 1.0 - u]])[0] for u in grid])
@@ -706,8 +725,8 @@ def test_lp_matches_two_point_envelope(bwz):
     # distortion-only direction: copying the source is free of distortion
     d0 = Direction.normalized(1, 0, 1, [0.0, 1.0])
     ctx0 = FunctionalContext(bwz, 1, {}, d0)
-    pair0 = optimize_single_channel(ctx0, candidates=16, seed=0, incumbent_columns=np.eye(2))
-    value0 = pair0.weights @ theta(ctx0, pair0.columns)
+    pair0 = optimize_single_channel(ctx0, 16, [0], incumbent_columns=np.eye(2)[None])
+    value0 = pair0.weights[0] @ theta(ctx0, pair0.columns[0])
     assert abs(value0) < 1e-9
 
 
@@ -717,8 +736,8 @@ def test_descent_monotone_trace():
         spec = make_spec(rng, m=2, j=int(rng.integers(0, 2)), l=1)
         d = random_direction(spec.m, spec.j, spec.l, rng)
         init = random_channels(spec, rng)
-        result = coordinate_descent(spec, d, init, sweeps=8, candidates=24,
-                                    seed=trial)
+        (result,) = coordinate_descent(spec, d, [init], [trial], sweeps=8,
+                                       candidates=24)
         diffs = np.diff(result.trace)
         assert diffs.max(initial=-np.inf) <= 1e-10
         assert result.objective == result.trace[-1]
@@ -732,20 +751,25 @@ def test_descent_validation(dsbs):
     rng = np.random.default_rng(86)
     init = random_channels(dsbs, rng)
     with pytest.raises(StructuralError):
-        coordinate_descent(dsbs, d, init[:1])
+        coordinate_descent(dsbs, d, [init, init[:1]], [0, 1])
     with pytest.raises(StructuralError):
-        coordinate_descent(dsbs, d, init, sweeps=0)
+        coordinate_descent(dsbs, d, [init], [0], sweeps=0)
+    for inits, seeds in (([init], [0, 1]), ([init, init], [0]), ([], [])):
+        with pytest.raises(StructuralError, match="one seed per initial bank"):
+            coordinate_descent(dsbs, d, inits, seeds)
+    with pytest.raises(StructuralError, match="does not read"):    # slot 1 fed slot 2's
+        coordinate_descent(dsbs, d, [init, init[::-1]], [0, 1])
 
 
 def test_descent_dominates_lattice_argmin(bwz, dsbs):
     rng = np.random.default_rng(87)
     d = random_direction(1, 0, 1, rng)
     values, banks = brute_force_search(bwz, [d], [2], 12)
-    run = coordinate_descent(bwz, d, banks[0], sweeps=20, seed=0)
+    (run,) = coordinate_descent(bwz, d, [banks[0]], [0], sweeps=20)
     assert run.objective <= values[0] + 1e-9
     d2 = random_direction(2, 0, 1, rng)
     values2, banks2 = brute_force_search(dsbs, [d2], [2, 2], 6)
-    run2 = coordinate_descent(dsbs, d2, banks2[0], sweeps=20, seed=0)
+    (run2,) = coordinate_descent(dsbs, d2, [banks2[0]], [0], sweeps=20)
     assert run2.objective <= values2[0] + 1e-9
 
 
@@ -797,8 +821,9 @@ def test_negative_candidates_and_nonpositive_restarts_rejected(bwz):
     d = Direction.normalized(1, 0, 1, [0.6, 0.8])
     ctx = FunctionalContext(bwz, 1, {}, d)
     with pytest.raises(StructuralError, match="candidates must be >= 0"):
-        optimize_single_channel(ctx, candidates=-5, incumbent_columns=np.eye(2))
-    assert len(_candidate_pool(ctx, 0, 0, np.eye(2))) == 5  # vertices, midpoint, incumbent
+        optimize_single_channel(ctx, -5, [0], incumbent_columns=np.eye(2)[None])
+    # vertices, midpoint, incumbent
+    assert _candidate_pool(ctx, 0, [0], np.eye(2)[None]).shape == (1, 5, 2)
     for restarts in (0, -3):
         with pytest.raises(StructuralError, match="restarts must be >= 1"):
             verify_alphabet_bound(bwz, [d], grid=4, restarts=restarts)
@@ -821,23 +846,27 @@ def test_alphabet_bound_refuses_bad_settings_before_any_search(bwz, monkeypatch,
 
 
 def test_alphabet_bound_runs_restarts_descents(bwz, monkeypatch):
-    # one descent per default multistart bank and direction
+    # one descent per default multistart bank and direction: one stack of
+    # ``restarts`` banks per direction
     calls = []
     descent = optimize.coordinate_descent
     monkeypatch.setattr(optimize, "coordinate_descent",
-                        lambda *a, **k: calls.append(1) or descent(*a, **k))
+                        lambda s, d, inits, seeds, **k: calls.append(len(inits))
+                        or descent(s, d, inits, seeds, **k))
     dirs = [Direction.normalized(1, 0, 1, w) for w in ([0.6, 0.8], [0.8, 0.6])]
     for restarts in (1, 2, 3):
         calls.clear()
         verify_alphabet_bound(bwz, dirs, grid=4, restarts=restarts, sweeps=3)
-        assert len(calls) == restarts * len(dirs)
+        assert sum(calls) == restarts * len(dirs)
+        assert calls == [restarts] * len(dirs)
 
 
 def test_alphabet_bound_descends_only_from_default_multistarts(dsbs, monkeypatch):
     banks = []
     descent = optimize.coordinate_descent
     monkeypatch.setattr(optimize, "coordinate_descent",
-                        lambda s, d, bank, **k: banks.append(bank) or descent(s, d, bank, **k))
+                        lambda s, d, inits, seeds, **k: banks.extend(inits)
+                        or descent(s, d, inits, seeds, **k))
     dirs = [Direction.normalized(2, 0, 1, w) for w in ([1.0, 0.3, 16.0], [0.5, 0.2, 2.0])]
     verify_alphabet_bound(dsbs, dirs, grid=3, restarts=4, sweeps=3, seed=5)
     expected = default_multistart_inits(dsbs, 4, seed=5)
@@ -851,9 +880,10 @@ def test_alphabet_bound_fails_when_descent_ends_above_both_lattices(bwz, monkeyp
     assert verify_alphabet_bound(bwz, [d], grid=12, restarts=2, sweeps=10).passed
     descent = optimize.coordinate_descent
 
-    def planted(*a, **k):
-        run = descent(*a, **k)
-        return optimize.OptimizeResult(run.channels, (*run.trace[:-1], run.trace[-1] + 0.02))
+    def planted(*a, **k):                   # every restart of the stack ends 0.02 higher
+        return optimize.DescentStack(tuple(
+            optimize.OptimizeResult(run.channels, (*run.trace[:-1], run.trace[-1] + 0.02))
+            for run in descent(*a, **k)))
     monkeypatch.setattr(optimize, "coordinate_descent", planted)
     report = verify_alphabet_bound(bwz, [d], grid=12, restarts=2, sweeps=10)
     (entry,) = report.entries
@@ -923,11 +953,8 @@ def test_trace_points_carry_the_winners_corner(helper3, perm):
     inits = default_multistart_inits(helper3, 3, seed=5)
     for idx, (d, point) in enumerate(zip(dirs, points)):
         # oracle: every restart by hand; the point keeps the first best one
-        objectives = [
-            coordinate_descent(helper3, d, init, sweeps=4, candidates=16,
-                               seed=(5, idx, r)).objective
-            for r, init in enumerate(inits)
-        ]
+        objectives = [run.objective for run in coordinate_descent(
+            helper3, d, inits, [(5, idx, r) for r in range(3)], sweeps=4, candidates=16)]
         assert point.restart_index == objectives.index(min(objectives))
         assert point.result.objective == min(objectives)
         aug = attach_channels(helper3, point.result.channels)
@@ -955,3 +982,27 @@ def test_quarter_circle_sweep_is_monotone(bwz):
     # endpoints: rate-only weight sits at zero rate, distortion-only at zero loss
     assert rates[0] < 1e-9
     assert dists[-1] < 1e-9
+
+
+@pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol"])
+def test_lockstep_descent_matches_each_bank_alone(name, request):
+    # every bank of a stack of the default multistarts descends as it does in a
+    # stack of one: same sweeps, same trace, same channels once zero-weight
+    # outputs are dropped; the constant bank stops after one sweep while the
+    # others go on, so banks leave the stack at different sweeps
+    rng = np.random.default_rng(101)
+    spec = zero_symbol_spec(rng) if name == "zero-symbol" else request.getfixturevalue(name)
+    inits = default_multistart_inits(spec, 8)
+    d = random_direction(spec.m, spec.j, spec.l, rng)
+    seeds = [(5, r) for r in range(len(inits))]
+    stack = coordinate_descent(spec, d, inits, seeds, candidates=32)
+    assert isinstance(stack, optimize.DescentStack) and len(stack) == len(inits)
+    assert stack.sweeps_run == sum(run.sweeps_run for run in stack)
+    assert stack[1].sweeps_run == 1 and len({run.sweeps_run for run in stack}) > 1
+    for init, seed, run in zip(inits, seeds, stack):
+        (alone,) = coordinate_descent(spec, d, [init], [seed], candidates=32)
+        assert run.sweeps_run == alone.sweeps_run
+        assert np.abs(np.subtract(run.trace, alone.trace)).max() <= 1e-12
+        for ch, solo in zip(run.channels, alone.channels):
+            assert ch.rows.shape == solo.rows.shape
+            assert np.abs(ch.rows - solo.rows).max() <= 1e-12

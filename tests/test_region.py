@@ -29,7 +29,6 @@ from canonical_region import (
     random_channels,
     rate_lhs,
     resolve_problem,
-    solve_equality_lp,
     source_nondegeneracy_report,
     verify_chain_identities,
     verify_noncrossing,
@@ -45,6 +44,7 @@ from conftest import (
     product_source_spec,
     region_problem_spec,
     relabel_symbols,
+    solve_one,
 )
 
 
@@ -349,7 +349,7 @@ def test_greedy_corner_supports_every_nonnegative_direction(m):
     for trial in range(50):
         # every other direction has integer weights, so zeros and ties occur
         w = rng.exponential(size=m) if trial % 2 else rng.integers(0, 3, size=m).astype(float)
-        lp = solve_equality_lp(np.concatenate([np.zeros(m), -g]), a, w)
+        lp = solve_one(np.concatenate([np.zeros(m), -g]), a, w)
         greedy = float(w @ corner_point(aug, tuple(np.argsort(w, kind="stable") + 1)))
         assert abs(greedy + lp.value) <= 1e-9
         assert greedy <= float((corners @ w).min()) + 1e-12
