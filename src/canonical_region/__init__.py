@@ -15,6 +15,8 @@ plus side information and a reconstruction target.  It provides:
 * a small JSON problem-file format, bundled example instances, and a
   deterministic command-line interface.
 """
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetError,
     CanonicalRegionError,
@@ -95,28 +97,5 @@ from .problem_io import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet", "AlphabetBoundReport", "AugmentedPmf", "BudgetError",
-    "CanonicalRegionError", "ChainIdentityReport", "Channel",
-    "ConstraintReport", "DecompositionReport", "DegeneracyWarning",
-    "Direction", "FunctionalContext",
-    "InputError", "JointPmf", "LpResult", "NondegeneracyReport",
-    "NumericIntegrityError", "OptimizeResult", "PreconditionError",
-    "ProblemSpec", "ReverseChannelPair", "StructuralError",
-    "TracePoint", "attach_channels", "brute_force_search",
-    "bundled_problem_path", "check_permutation",
-    "constant_channel", "coordinate_descent", "corner_point",
-    "default_multistart_inits", "direct_weighted_value",
-    "distortion_component", "entropy", "enumerate_extreme_points",
-    "estimate_brute_force_evals",
-    "expected_active_groups", "forward_to_reverse", "identity_channel",
-    "identity_permutation", "list_bundled_problems",
-    "load_channels", "load_directions", "load_problem",
-    "membership", "mi_sets", "mixture_error", "nondegeneracy_report",
-    "optimize_single_channel", "random_channel",
-    "random_channels", "random_direction",
-    "rate_lhs", "resolve_problem", "reverse_to_forward", "save_problem",
-    "solve_equality_lp", "source_nondegeneracy_report", "theta",
-    "trace_inner_bound", "verify_alphabet_bound", "verify_chain_identities",
-    "verify_linear_decomposition", "verify_noncrossing",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

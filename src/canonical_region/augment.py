@@ -56,19 +56,18 @@ REBUILT_ROW_TOL = 1e-8    # dividing by p_k(x) magnifies a pair's MIXTURE_INPUT_
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A row-stochastic test channel from ``input`` symbols to ``output`` symbols,
-    or a stack of B such channels: ``rows`` is ``([B,] |input|, |output|)``."""
+    """A row-stochastic test channel from ``input`` symbols to one output symbol per
+    column, or a stack of B such channels: ``rows`` is ``([B,] |input|, |output|)``."""
 
     input: Alphabet
-    output: Alphabet
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.rows, dtype=float)
-        if arr.ndim not in (2, 3) or arr.shape[-2:] != (self.input.size, self.output.size):
+        if arr.ndim not in (2, 3) or arr.shape[-2] != self.input.size or not arr.shape[-1]:
             raise StructuralError(
                 f"channel matrix has shape {arr.shape}, expected "
-                f"([B,] {self.input.size}, {self.output.size})"
+                f"([B,] {self.input.size}, |output| >= 1)"
             )
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0:
             raise StructuralError("channel matrix entries must be finite and >= 0")
@@ -84,20 +83,19 @@ class Channel:
 
 def identity_channel(alphabet: Alphabet) -> Channel:
     """Noiseless channel: Z = X."""
-    return Channel(alphabet, Alphabet(alphabet.label + "_copy", alphabet.size),
-                   np.eye(alphabet.size))
+    return Channel(alphabet, np.eye(alphabet.size))
 
 
 @functools.cache
 def constant_channel(alphabet: Alphabet) -> Channel:
     """Channel whose single output symbol carries no information (immutable, so shared)."""
-    return Channel(alphabet, Alphabet(alphabet.label + "_const", 1),
-                   np.ones((alphabet.size, 1)))
+    return Channel(alphabet, np.ones((alphabet.size, 1)))
 
 
 def random_channel(alphabet: Alphabet, out_size: int, rng: np.random.Generator) -> Channel:
-    output = Alphabet(alphabet.label + "_rand", out_size)
-    return Channel(alphabet, output, rng.dirichlet(np.ones(output.size), size=alphabet.size))
+    if check_int(out_size, "output size") < 1:
+        raise StructuralError(f"output size must be >= 1, got {out_size}")
+    return Channel(alphabet, rng.dirichlet(np.ones(out_size), size=alphabet.size))
 
 
 class ProblemSpec:
@@ -323,7 +321,7 @@ def channel_product(spec: ProblemSpec, channels: Mapping[int, Channel]) -> Joint
             raise StructuralError(
                 f"channel for slot {k} has input {ch.input}, expected {spec.x_alphabet(k)}"
             )
-        shape = [-1] + [1] * (arr.ndim - 1) + [ch.output.size]
+        shape = [-1] + [1] * (arr.ndim - 1) + [ch.rows.shape[-1]]
         shape[k] = ch.input.size
         arr = arr[..., None] * ch.rows.reshape(shape)
     stacked = any(ch.rows.ndim == 3 for ch in channels.values())
@@ -459,4 +457,4 @@ def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> C
             f"reconstructed channel rows sum to {sums}, too far from 1"
         )
     rows /= sums[..., None]
-    return Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", keep.size), rows)
+    return Channel(spec.x_alphabet(k), rows)

@@ -244,6 +244,23 @@ def _suite_identities(args, spec) -> list[tuple]:
     return checks
 
 
+def _noncrossing(aug, rates: np.ndarray, tol: float, degenerate: bool,
+                 what: str) -> tuple[list, list]:
+    """Print and return whether the tight groups chain at each row of ``rates``; a row
+    outside the region at ``tol`` fails, and its detail carries its worst slack."""
+    report = membership(aug, rates, tol)
+    inside = report.is_member
+    chained = inside.copy()
+    chained[inside] = verify_noncrossing(aug, rates[inside], tol) | degenerate
+    worst = report.slack.min(axis=-1)
+    print(f"tight sets chain at {what}: {'ok' if chained.all() else 'FAILED'}")
+    if not inside.all():
+        print(f"  {(~inside).sum()} of {len(rates)} outside the region at tol {tol:g} "
+              f"(worst slack {worst.min():.3e})")
+    return chained.tolist(), [{} if member else {"worst_slack": w} for member, w
+                              in zip(inside.tolist(), worst.tolist())]
+
+
 @_suite
 def _suite_noncrossing(args, spec) -> list[tuple]:
     channels = _bank(spec, args)
@@ -252,19 +269,17 @@ def _suite_noncrossing(args, spec) -> list[tuple]:
     # tight groups form a chain only under strict supermodularity
     degenerate = nondegeneracy_report(aug).degenerate
     corners = np.array([r for _, r in points])
-    chained = (verify_noncrossing(aug, corners, args.tol) | degenerate).tolist()
-    print(f"tight sets chain at all {len(points)} corners: "
-          f"{'ok' if all(chained) else 'FAILED'}")
-    checks = [(f"corner-{idx}", ok, {"perm": list(perm)})
-              for idx, ((perm, _), ok) in enumerate(zip(points, chained))]
+    chained, extra = _noncrossing(aug, corners, args.tol, degenerate,
+                                  f"all {len(points)} corners")
+    checks = [(f"corner-{idx}", ok, {"perm": list(perm), **out})
+              for idx, ((perm, _), ok, out) in enumerate(zip(points, chained, extra))]
     rng = np.random.default_rng((args.seed, 1))
     members = (rng.dirichlet(np.ones(len(points)), size=args.samples) @ corners
                + rng.exponential(0.05, size=(args.samples, spec.m)))
-    members_chained = (verify_noncrossing(aug, members, args.tol) | degenerate).tolist()
-    print(f"tight sets chain at {args.samples} random members: "
-          f"{'ok' if all(members_chained) else 'FAILED'}")
-    return checks + [(f"member-{t}", ok, {} if ok else {"rates": rates})
-                     for t, (rates, ok) in enumerate(zip(members, members_chained))]
+    chained, extra = _noncrossing(aug, members, args.tol, degenerate,
+                                  f"{args.samples} random members")
+    return checks + [(f"member-{t}", ok, out if ok else {"rates": rates, **out})
+                     for t, (rates, ok, out) in enumerate(zip(members, chained, extra))]
 
 
 @_suite

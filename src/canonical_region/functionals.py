@@ -50,7 +50,7 @@ from .augment import (
     forward_to_reverse,
 )
 from .errors import StructuralError
-from .pmf import entropy
+from .pmf import entropy, plogp
 from .region import _cmi_xz
 
 SIMPLEX_TOL = 1e-9
@@ -312,17 +312,15 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
     ``(B, P, |X_k|)`` or of contexts gives ``(B, P)``.  Along the unit
     direction e_i (``i >= k``) it is phi_i, and along e_l it is psi_l.
     Every law is one product with the context's compiled map; the
-    entropies are its ``-x log2 x`` cells summed per law, the Bayes risks
+    entropies are its :func:`plogp` cells summed per law, the Bayes risks
     its per-observation minima.
     """
     pool = check_simplex_point(pool, ctx.p_k.size)
     mixed = pool @ ctx._map                            # ([B,] P, C): every law of every row
     total = np.zeros(mixed.shape[:-1]) + ctx._constant[..., None]
     if ctx._weights.size:
-        laws = mixed[..., :ctx._entropy_cells]
-        logs = np.log2(laws, out=np.zeros_like(laws), where=laws > 0.0)
-        logs *= laws
-        total -= np.add.reduceat(logs, ctx._starts, axis=-1) @ ctx._weights
+        cells = plogp(mixed[..., :ctx._entropy_cells])
+        total -= np.add.reduceat(cells, ctx._starts, axis=-1) @ ctx._weights
     for start, stop, vhat, weight in ctx._risks:
         scores = mixed[..., start:stop].reshape(*mixed.shape[:-1], vhat, -1)
         total += weight * scores.min(axis=-2).sum(axis=-1)

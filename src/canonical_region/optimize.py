@@ -57,7 +57,7 @@ from .functionals import (
     direct_weighted_value,
     theta,
 )
-from .pmf import CMI_CLAMP, Alphabet, cell_entropies, check_int
+from .pmf import CMI_CLAMP, check_int, plogp
 from .region import check_permutation, corner_point, identity_permutation
 from .simplex import solve_equality_lp
 
@@ -180,9 +180,9 @@ def _stacked(spec: ProblemSpec, k: int, channels: Sequence[Channel]) -> Channel:
     """Slot k's channels as one stack, each padded to the widest with zero-weight outputs."""
     if any(ch.input != spec.x_alphabet(k) for ch in channels):
         raise StructuralError(f"an initial channel of slot {k} does not read {spec.x_alphabet(k)}")
-    width = max(ch.output.size for ch in channels)
-    return Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", width),
-                   [np.pad(ch.rows, ((0, 0), (0, width - ch.output.size))) for ch in channels])
+    width = max(ch.rows.shape[-1] for ch in channels)
+    return Channel(spec.x_alphabet(k),
+                   [np.pad(ch.rows, ((0, 0), (0, width - ch.rows.shape[-1]))) for ch in channels])
 
 
 def coordinate_descent(spec: ProblemSpec, direction: Direction,
@@ -246,7 +246,7 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
         if not live:
             break
         pairs = [ReverseChannelPair(pair.weights[stay], pair.columns[stay]) for pair in pairs]
-        channels = [Channel(ch.input, ch.output, ch.rows[stay]) for ch in channels]
+        channels = [Channel(ch.input, ch.rows[stay]) for ch in channels]
     return DescentStack(runs)
 
 
@@ -347,7 +347,7 @@ def estimate_brute_force_evals(spec: ProblemSpec, z_sizes: Sequence[int],
 
 def _bank_entropies(a: np.ndarray) -> np.ndarray:
     """Entropy of each bank (last axis) of ``a``, from one contiguous row per bank."""
-    return cell_entropies(np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T))
+    return -plogp(np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)).sum(axis=1)
 
 
 def _slot_marginal(a: np.ndarray, later: int) -> np.ndarray:
@@ -455,8 +455,7 @@ def brute_force_search(
 
     rows = [table[i] for table, i in zip(tables, np.unravel_index(best_flat, per_channel))]
     winners = [
-        [Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", z_sizes[pos]), rows[pos][d])
-         for pos, k in enumerate(slots)]
+        [Channel(spec.x_alphabet(k), rows[pos][d]) for pos, k in enumerate(slots)]
         for d in range(n_dir)
     ]
     return best, winners

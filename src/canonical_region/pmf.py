@@ -143,8 +143,8 @@ class JointPmf:
 class JointStack(JointPmf):
     """A stack of pmfs of one layout, ``probs[b]`` pmf b: marginals keep the
     leading axis, and entropies and informations are ``(B,)`` arrays.  Its
-    entropies use the masked kernel of :func:`cell_entropies`, so they can
-    differ in the last bit from those of the same pmf as a :class:`JointPmf`.
+    entropies sum the masked cells of :func:`plogp`, so they can differ in
+    the last bit from those of the same pmf as a :class:`JointPmf`.
     """
 
     __slots__ = ()
@@ -156,21 +156,17 @@ class JointStack(JointPmf):
 
 def cell_entropy(arr: np.ndarray) -> float:
     """-sum a log2 a over the positive cells of ``arr`` (which need not sum to 1)."""
+    # compacted: plogp gives the same outputs, its suspected region slowdown is unverified
     flat = arr[arr > 0.0]
     return float(-(flat * np.log2(flat)).sum())
 
 
-def cell_entropies(rows: np.ndarray) -> np.ndarray:
-    """:func:`cell_entropy` of each row of ``rows`` ``(P, K)``, as a ``(P,)`` array.
-
-    Nonpositive cells are masked to 0 rather than compacted away.  The
-    zeros shift numpy's pairwise-summation blocks, so a row with zero
-    cells can differ from :func:`cell_entropy` in the last bit; the joint
-    entropies of a :class:`JointPmf` therefore keep the compacting kernel,
-    while those of a :class:`JointStack` use this one.
-    """
-    logs = np.log2(rows, out=np.zeros_like(rows), where=rows > 0.0)
-    return -(rows * logs).sum(axis=1)
+def plogp(a: np.ndarray) -> np.ndarray:
+    """``a * log2(a)`` cell by cell, 0 where ``a`` is not positive.  The zeros shift
+    numpy's pairwise-summation blocks, so a sum of these cells can differ from
+    :func:`cell_entropy` in the last bit.  Stacked entropies, θ and the lattice read it."""
+    logs = np.where(a > 0.0, a, 1.0)
+    return np.multiply(a, np.log2(logs, out=logs), out=logs)
 
 
 def _joint_entropy(p: JointPmf, vs: int) -> float:
@@ -181,8 +177,8 @@ def _joint_entropy(p: JointPmf, vs: int) -> float:
     if not vs:
         return 0.0
     marg = p.marginal(vs)
-    value = p._entropy_cache[vs] = (cell_entropies(marg.reshape(len(marg), -1)) if p.stack
-                                    else cell_entropy(marg))
+    value = p._entropy_cache[vs] = (-plogp(marg.reshape(len(marg), -1)).sum(axis=1)
+                                    if p.stack else cell_entropy(marg))
     return value
 
 

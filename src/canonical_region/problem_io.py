@@ -36,7 +36,6 @@ import numpy as np
 from .augment import Channel, ProblemSpec
 from .errors import BudgetError, DegeneracyWarning, InputError, StructuralError
 from .functionals import Direction
-from .pmf import Alphabet
 from .region import source_nondegeneracy_report
 
 MASS_SILENT_TOL = 1e-9
@@ -365,9 +364,7 @@ def load_channels(path, spec: ProblemSpec) -> list[Channel]:
             arr = np.array(rows, dtype=float)
             if arr.ndim != 2:
                 raise StructuralError(f"rows must be a matrix, got shape {arr.shape}")
-            out.append(
-                Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", arr.shape[1]), arr)
-            )
+            out.append(Channel(spec.x_alphabet(k), arr))
         except (TypeError, ValueError, OverflowError, StructuralError) as exc:
             raise InputError(f"channels[{pos}] (slot {k}): {exc}") from exc
     return out

@@ -138,11 +138,13 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
     ]
     # a failing run of every suite and of extreme-points: identities fails above at
     # --tol 0; these dump the decomposition draws, the noncrossing corners and
-    # members, a direction, and the corners whose tight groups are not their suffixes
+    # members, the corners round-off leaves outside the region at --tol 0, a
+    # direction, and the corners whose tight groups are not their suffixes
     cmds += [
         ["extreme-points", "helper3", "--tol", "0"],
         ["verify", "decomposition", "dsbs", "--tol", "0", "--trials", "3"],
         ["verify", "noncrossing", "helper3", "--tol", "10", "--samples", "3"],
+        ["verify", "noncrossing", "dsbs", "--tol", "0"],
         ["verify", "alphabet-bound", "dsbs", "--grid", "3", "--trials", "1", "--tol", "0",
          "--seed", "3"],
     ]

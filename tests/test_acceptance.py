@@ -224,7 +224,7 @@ def test_c7_descent_monotonicity(capsys):
             diffs = np.diff(result.trace)
             ok = ok and diffs.max(initial=-np.inf) <= 1e-10
             for ch, k in zip(result.channels, spec.channel_slots):
-                ok = ok and ch.output.size <= spec.x_alphabet(k).size
+                ok = ok and ch.rows.shape[-1] <= spec.x_alphabet(k).size
         return ok
 
     _run(7, "descent monotonicity", None, body, capsys)

@@ -32,11 +32,14 @@ from conftest import make_spec
 def test_channel_validation():
     a = Alphabet("X", 2)
     with pytest.raises(StructuralError):
-        Channel(a, Alphabet("Z", 2), [[0.5, 0.5]])
+        Channel(a, [[0.5, 0.5]])
     with pytest.raises(StructuralError):
-        Channel(a, Alphabet("Z", 2), [[0.5, 0.5], [1.2, -0.2]])
+        Channel(a, [[0.5, 0.5], [1.2, -0.2]])
     with pytest.raises(StructuralError):
-        Channel(a, Alphabet("Z", 2), [[0.6, 0.6], [0.5, 0.5]])
+        Channel(a, [[0.6, 0.6], [0.5, 0.5]])
+    for empty in (np.ones((2, 0)), np.ones((3, 2, 0))):     # a channel needs an output symbol
+        with pytest.raises(StructuralError, match="output"):
+            Channel(a, empty)
 
 
 def test_channel_constructors():
@@ -44,16 +47,19 @@ def test_channel_constructors():
     ident = identity_channel(a)
     assert np.array_equal(ident.rows, np.eye(3))
     const = constant_channel(a)
-    assert const.output.size == 1 and np.all(const.rows == 1.0)
+    assert const.rows.shape[-1] == 1 and np.all(const.rows == 1.0)
     rng = np.random.default_rng(0)
     spec = make_spec(rng, m=2, j=0, l=1)
     chans = random_channels(spec, rng)
     assert len(chans) == 2
-    assert all(ch.output.size == ch.input.size for ch in chans)
+    assert all(ch.rows.shape[-1] == ch.input.size for ch in chans)
     chans = random_channels(spec, rng, sizes=[3, 2])
-    assert [ch.output.size for ch in chans] == [3, 2]
+    assert [ch.rows.shape[-1] for ch in chans] == [3, 2]
     with pytest.raises(StructuralError):
         random_channels(spec, rng, sizes=[3])
+    for sizes in ([3, 0], [3, -1], [3, 2.0]):
+        with pytest.raises(StructuralError, match="output size"):
+            random_channels(spec, rng, sizes=sizes)
 
 
 def test_problem_spec_validation():
@@ -254,7 +260,7 @@ def test_forward_reverse_round_trip():
         assert np.abs(joint_fwd - joint_rev).max() < 1e-12
         assert mixture_error(spec, k, pair) < 1e-12
         back = reverse_to_forward(spec, k, pair)
-        assert back.output.size == q.output.size
+        assert back.rows.shape[-1] == q.rows.shape[-1]
         assert np.abs(back.rows - q.rows).max() < 1e-10
 
 
@@ -264,11 +270,11 @@ def test_reverse_drops_zero_weight_symbols():
     n = spec.x_alphabets[0].size
     rows = np.zeros((n, 2))
     rows[:, 0] = 1.0                       # output symbol 1 never occurs
-    q = Channel(spec.x_alphabets[0], Alphabet("Z1", 2), rows)
+    q = Channel(spec.x_alphabets[0], rows)
     pair = forward_to_reverse(spec, 1, q)
     assert np.flatnonzero(pair.weights == 0.0).tolist() == [1]
     back = reverse_to_forward(spec, 1, pair)
-    assert back.output.size == 1
+    assert back.rows.shape[-1] == 1
 
 
 def test_reverse_requires_mixture_identity():
@@ -295,7 +301,7 @@ def test_zero_probability_source_symbol_round_trip():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DegeneracyWarning)   # the spec warned once, at build
         back = reverse_to_forward(spec, 1, pair)
-    assert back.output.size == 1
+    assert back.rows.shape[-1] == 1
     assert np.allclose(back.rows, [[1.0], [1.0]])
 
 

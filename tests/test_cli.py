@@ -242,7 +242,7 @@ def test_load_channels_files(tmp_path, dsbs):
     ]}))
     chans = load_channels(good, dsbs)
     assert np.array_equal(chans[0].rows, np.eye(2))   # reordered to slot order
-    assert chans[1].output.size == 2
+    assert chans[1].rows.shape[-1] == 2
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"channels": [{"slot": 1, "rows": [[1.0, 0.0]]}]}))
@@ -481,6 +481,29 @@ def test_cli_verify_noncrossing(tmp_path):
     assert main(["verify", "noncrossing", "dsbs", "--samples", "10"]) == 0
 
 
+@pytest.mark.parametrize("problem, seed", [("dsbs", 42), ("helper3", 42), ("helper3", 5)])
+def test_cli_noncrossing_fails_a_corner_outside_the_region(tmp_path, capsys, problem, seed):
+    # at --tol 0 round-off leaves some corners a few ulp outside the region:
+    # each is a failing check carrying its worst slack, not an input error
+    out = tmp_path / "out.jsonl"
+    assert main(["verify", "noncrossing", problem, "--tol", "0", "--samples", "0",
+                 "--seed", str(seed), "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert "error" not in printed.err
+    spec = resolve_problem(problem)
+    aug = attach_channels(spec, random_channels(spec, np.random.default_rng(seed)))
+    report = membership(aug, np.array([r for _, r in enumerate_extreme_points(aug)]), 0.0)
+    outside = ~report.is_member
+    assert outside.any()
+    # stdout names the cause, apart from the chain verdict
+    assert (f"{outside.sum()} of {outside.size} outside the region at tol 0 "
+            f"(worst slack {report.slack.min():.3e})") in printed.out
+    checks = [r for r in read_records(out) if r["type"] == "check"]
+    assert [r["detail"].get("worst_slack") for r in checks] == [
+        worst if out else None for out, worst in zip(outside, report.slack.min(axis=1))]
+    assert not any(r["passed"] for r, out in zip(checks, outside) if out)
+
+
 def test_cli_verify_noncrossing_accepts_a_degenerate_source(tmp_path):
     # independent sources share every corner, where {1} and {2} are both tight
     path = tmp_path / "product.json"
@@ -705,6 +728,8 @@ _PROBLEM = {
                  "channels[0].slot", id="--channels-content16-channels[0].slot"),
     pytest.param("--channels", {"channels": [{"slot": 1, "rows": [1, 0]}]},
                  "channels[0] (slot 1)", id="--channels-content17-channels[0] (slot 1)"),
+    pytest.param("--channels", {"channels": [{"slot": 1, "rows": [[], []]}]},
+                 "channels[0] (slot 1)", id="--channels-no-output-columns"),
     # direction files for bwz
     pytest.param("--directions", {"dirs": []}, "directions",
                  id="--directions-content18-directions"),

@@ -318,7 +318,7 @@ def test_functional_context_uses_the_channel_product():
             inert = {**frozen, k: constant_channel(spec.x_alphabets[k - 1])}
             expected = channel_product(spec, inert).probs
             assert ctx.aug.joint.probs.tobytes() == expected.tobytes()
-            z_sizes = tuple(1 if kk == k else bank[kk].output.size for kk in spec.channel_slots)
+            z_sizes = tuple(1 if kk == k else bank[kk].rows.shape[-1] for kk in spec.channel_slots)
             assert ctx.aug.joint.probs.shape == spec.source.probs.shape + z_sizes
             summed = aug.joint.probs.sum(axis=layout_axes(spec).index(f"Z{k}"), keepdims=True)
             assert np.abs(summed - ctx.aug.joint.probs).max() <= MARGINAL_TOL
@@ -361,7 +361,7 @@ def test_decomposition_scores_each_slot_in_one_theta_call(monkeypatch, helper3):
     chans = random_channels(helper3, rng)                  # slots 2 and 3
     report = verify_linear_decomposition(helper3, chans, random_direction(3, 1, 1, rng))
     assert report.passed
-    assert calls == [(ch.output.size, ch.input.size) for ch in chans]
+    assert calls == [(ch.rows.shape[-1], ch.input.size) for ch in chans]
 
 
 def test_direct_weighted_value_composition(dsbs):

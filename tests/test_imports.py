@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import canonical_region
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "canonical_region"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")   # it re-exports
@@ -25,3 +28,12 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+def test_all_is_the_names_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    relative = ast.Module([node for node in tree.body
+                           if isinstance(node, ast.ImportFrom) and node.level], [])
+    public = canonical_region.__all__
+    assert len(public) == len(set(public)) and set(public) == imported_names(relative)
+    assert not [name for name in public if inspect.ismodule(getattr(canonical_region, name))]

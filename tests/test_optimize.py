@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from canonical_region import (
-    Alphabet,
     BudgetError,
     Channel,
     DegeneracyWarning,
@@ -43,7 +42,7 @@ from canonical_region.optimize import (
     _pool_head,
     _simplex_lattice,
 )
-from canonical_region.pmf import CMI_CLAMP, cell_entropies
+from canonical_region.pmf import CMI_CLAMP, plogp
 from conftest import (
     bernoulli_lagrangian,
     binary_product_spec,
@@ -116,20 +115,19 @@ def test_brute_force_matches_direct_enumeration(dsbs):
     grid = 2
     lat = _simplex_lattice(grid, 2)
     # oracle first: walk the nine banks by hand, score each definitionally
-    from canonical_region import Alphabet, Channel
+    from canonical_region import Channel
     best = [np.inf, np.inf]
     for d0 in range(3):
         for d1 in range(3):
-            ch1 = Channel(dsbs.x_alphabets[0], Alphabet("Z1", 1), [[1.0], [1.0]])
-            ch2 = Channel(dsbs.x_alphabets[1], Alphabet("Z2", 2),
-                          np.stack([lat[d0], lat[d1]]))
+            ch1 = Channel(dsbs.x_alphabets[0], [[1.0], [1.0]])
+            ch2 = Channel(dsbs.x_alphabets[1], np.stack([lat[d0], lat[d1]]))
             for i, d in enumerate(dirs):
                 best[i] = min(best[i], direct_weighted_value(dsbs, [ch1, ch2], d))
     values, banks = brute_force_search(dsbs, dirs, [1, 2], grid)
     for i, d in enumerate(dirs):
         assert abs(values[i] - best[i]) < 1e-12
         assert abs(direct_weighted_value(dsbs, banks[i], d) - values[i]) < 1e-12
-        assert [ch.output.size for ch in banks[i]] == [1, 2]
+        assert [ch.rows.shape[-1] for ch in banks[i]] == [1, 2]
 
 
 def test_brute_force_one_output_on_a_wide_slot():
@@ -177,7 +175,7 @@ def test_orbit_table_counts(shape, count):
 def _raw_lattice_minima(spec, directions, z_sizes, grid):
     """Score every raw lattice bank (all column orders) with direct_weighted_value."""
     per_slot = [
-        [Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", z), rows)
+        [Channel(spec.x_alphabet(k), rows)
          for rows in itertools.product(_simplex_lattice(grid, z), repeat=spec.x_alphabet(k).size)]
         for k, z in zip(spec.channel_slots, z_sizes)
     ]
@@ -210,9 +208,9 @@ def test_search_scores_one_bank_per_orbit(monkeypatch, dsbs):
 
     def counting(a):
         rows.append(a.shape[0])
-        return cell_entropies(a)
+        return plogp(a)
 
-    monkeypatch.setattr(optimize, "cell_entropies", counting)
+    monkeypatch.setattr(optimize, "plogp", counting)
     d = Direction.normalized(2, 0, 1, [0.4, 0.4, 0.5])
     brute_force_search(dsbs, [d], [4, 4], 1)
     one_chunk = len(rows)
@@ -228,7 +226,7 @@ def _reference_batch_entropies(tensor, keep, cache):
         return cached
     drop = tuple(ax for ax in range(1, tensor.ndim) if ax not in keep)
     m = tensor.sum(axis=drop) if drop else tensor
-    h = cache[keep] = cell_entropies(m.reshape(m.shape[0], -1))
+    h = cache[keep] = -plogp(m.reshape(m.shape[0], -1)).sum(axis=1)
     return h
 
 
@@ -322,8 +320,7 @@ def _reference_search(spec, directions, z_sizes, grid, max_evals=optimize.MAX_BR
 
     rows = [table[i] for table, i in zip(tables, np.unravel_index(best_flat, per_channel))]
     winners = [
-        [Channel(spec.x_alphabet(k), Alphabet(f"Z{k}", z_sizes[pos]), rows[pos][d])
-         for pos, k in enumerate(slots)]
+        [Channel(spec.x_alphabet(k), rows[pos][d]) for pos, k in enumerate(slots)]
         for d in range(n_dir)
     ]
     return best, winners
@@ -743,7 +740,7 @@ def test_descent_monotone_trace():
         assert result.objective == result.trace[-1]
         assert result.sweeps_run <= 8
         for ch, k in zip(result.channels, spec.channel_slots):
-            assert ch.output.size <= spec.x_alphabet(k).size
+            assert ch.rows.shape[-1] <= spec.x_alphabet(k).size
 
 
 def test_descent_validation(dsbs):
@@ -777,7 +774,7 @@ def test_default_multistart_inits(dsbs):
     inits = default_multistart_inits(dsbs, 4, seed=1)
     assert len(inits) == 4
     assert np.array_equal(inits[0][0].rows, np.eye(2))
-    assert inits[1][0].output.size == 1
+    assert inits[1][0].rows.shape[-1] == 1
     for bank in inits:
         assert len(bank) == 2
         for ch, k in zip(bank, dsbs.channel_slots):

@@ -650,7 +650,7 @@ def test_region_quantities_do_not_move_when_symbols_are_relabeled(axis):
         ["X1", "X2", "X3", "X4", "S", "V"].index(axis), [2, 0, 1])
     relabeled = ProblemSpec(1, source, distortions)
     aug = attach_channels(spec, channels)
-    moved = attach_channels(relabeled, [Channel(ch.input, ch.output, rows[k - 1])
+    moved = attach_channels(relabeled, [Channel(ch.input, rows[k - 1])
                                         for k, ch in zip(spec.channel_slots, channels)])
     for (perm, corner), (moved_perm, moved_corner) in zip(
             enumerate_extreme_points(aug), enumerate_extreme_points(moved)):
