@@ -58,6 +58,7 @@ DECOMPOSITION_TOL = 1e-9
 SIMPLEX_NEGATIVE_TOL = 1e-12    # round-off leaves simplex entries a few ulp below 0
 UNIT_NORM_TOL = 1e-12           # dividing by the norm leaves it a few ulp off 1
 MIN_DIRECTION_NORM = 1e-3       # redraw near-zero draws: normalizing them magnifies round-off
+THETA_BLOCK_CELLS = 1 << 15     # theta products held per block; BENCH_fused_descent.json
 
 
 def check_simplex_point(pool, size: int) -> np.ndarray:
@@ -82,7 +83,8 @@ class Direction:
     """Nonnegative weights over the free rates and distortions, unit 2-norm.
 
     ``rate_weights[idx]`` weighs the rate of description ``j + 1 + idx``;
-    descriptions ``1..j`` are lossless and carry no weight.
+    descriptions ``1..j`` are lossless and carry no weight.  A stack has a
+    leading axis of B on both, one direction per row.
     """
 
     m: int
@@ -94,17 +96,18 @@ class Direction:
     def __post_init__(self) -> None:
         rates = np.array(self.rate_weights, dtype=float)
         dists = np.array(self.distortion_weights, dtype=float)
-        if rates.shape != (self.m - self.j,) or dists.shape != (self.l,):
+        if (rates.ndim not in (1, 2) or rates.shape[:-1] != dists.shape[:-1]
+                or rates.shape[-1:] != (self.m - self.j,) or dists.shape[-1:] != (self.l,)):
             raise StructuralError(
                 f"direction needs {self.m - self.j} rate and {self.l} distortion "
-                f"weights, got shapes {rates.shape}, {dists.shape}"
+                f"weights per row, got shapes {rates.shape}, {dists.shape}"
             )
-        coords = np.concatenate([rates, dists])
+        coords = np.concatenate([rates, dists], axis=-1)
         if not np.all(np.isfinite(coords)) or coords.min(initial=0.0) < 0.0:
             raise StructuralError("direction weights must be finite and >= 0")
-        norm = float(np.linalg.norm(coords))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise StructuralError(f"direction must have unit 2-norm, got {norm!r}")
+        off = float(np.abs(np.linalg.norm(coords, axis=-1) - 1.0).max(initial=0.0))
+        if off > UNIT_NORM_TOL:
+            raise StructuralError(f"direction must have unit 2-norm; a row is off by {off!r}")
         rates.setflags(write=False)
         dists.setflags(write=False)
         object.__setattr__(self, "rate_weights", rates)
@@ -126,17 +129,17 @@ class Direction:
 
     @property
     def coords(self) -> np.ndarray:
-        return np.concatenate([self.rate_weights, self.distortion_weights])
+        return np.concatenate([self.rate_weights, self.distortion_weights], axis=-1)
 
-    def rate_weight(self, i: int) -> float:
+    def rate_weight(self, i: int) -> np.ndarray:      # one per row of a stack
         if not self.j + 1 <= i <= self.m:
             raise StructuralError(f"description {i} has no free rate weight")
-        return float(self.rate_weights[i - self.j - 1])
+        return self.rate_weights[..., i - self.j - 1]
 
-    def distortion_weight(self, l: int) -> float:
+    def distortion_weight(self, l: int) -> np.ndarray:
         if not 1 <= l <= self.l:
             raise StructuralError(f"distortion index {l} outside 1..{self.l}")
-        return float(self.distortion_weights[l - 1])
+        return self.distortion_weights[..., l - 1]
 
 
 def random_direction(m: int, j: int, l: int, rng: np.random.Generator) -> Direction:
@@ -200,18 +203,20 @@ class FunctionalContext:
     law theta needs from the joint's memoized marginal over A and X_k,
     divided by p_k along X_k (0 where p_k = 0), into the columns of one
     ``(|X_k|, C)`` map; a law that keeps X_k gets block-diagonal columns.
-    Beside the map it keeps each entropy law's first column with its
-    signed direction weight (equal laws share one segment), each weighted
-    distortion's Bayes-score columns after them (one block of observation
-    cells per reconstruction symbol), and the t-free constant:
-    the corner rates of slots before k plus ``w_k H(X_k | U)`` of the
-    source law.  Frozen channels that are stacks of B give B contexts in
-    one: a :class:`~canonical_region.pmf.JointStack` joint, a ``(B,
-    |X_k|, C)`` map and a ``(B,)`` constant.
+    Beside the map it keeps each entropy law's first column, each
+    direction row's laws with their signed weights (equal laws share one
+    segment), each weighted distortion's Bayes-score columns after them
+    (one block of observation cells per reconstruction symbol), and the
+    t-free constant: the corner rates of slots before k plus
+    ``w_k H(X_k | U)`` of the source law.  Frozen channels or a direction
+    that are stacks of B give B contexts in one, over a
+    :class:`~canonical_region.pmf.JointStack` joint when the channels are
+    stacks; the map holds each law and distortion that some bank weighs.
+    The map, constant and weights have a bank axis, of 1 for one context.
     """
 
-    __slots__ = ("aug", "p_k",
-                 "_map", "_entropy_cells", "_starts", "_weights", "_risks", "_constant")
+    __slots__ = ("aug", "p_k", "_banks",
+                 "_map", "_entropy_cells", "_starts", "_groups", "_risks", "_constant")
 
     def __init__(
         self,
@@ -232,6 +237,9 @@ class FunctionalContext:
 
         bank = {**frozen, k: constant_channel(spec.x_alphabet(k))}
         self.aug = aug = AugmentedPmf(channel_product(spec, bank), spec)
+        banks = aug.joint.probs.shape[:aug.joint.stack] or direction.rate_weights.shape[:-1]
+        if direction.rate_weights.shape[:-1] not in ((), banks):
+            raise StructuralError("the direction and channel stacks differ in size")
         self.p_k = p_k = spec.x_marginal(k)
         x_k = aug.x_axes(1 << (k - 1))
         others = ~x_k
@@ -249,33 +257,42 @@ class FunctionalContext:
             return marg.transpose(*range(lead), lead + at, *range(lead, lead + at),
                                   *range(lead + at + 1, marg.ndim))
 
-        # phi_i = H(X_i | U) - H(X_i | U, Z_i), each H a difference of two law entropies
+        # t-free terms: the natural-order corner rates before k, and H(X_k | U) with Z_k inert
         constant = 0.0
-        laws: dict[int, float] = {}                    # axis bitmask -> weight of its entropy
-        for i in spec.channel_slots:
-            weight = direction.rate_weight(i)
-            if weight == 0.0:
-                continue
-            source = 1 << (i - 1)
-            if i < k:                                  # t-free: the natural-order corner rate
-                constant += weight * _cmi_xz(aug, source, source - 1)
-                continue
-            x_i, u, u_z = aug.x_axes(source), observed(source - 1), observed(2 * source - 1)
-            if i == k:                                 # t-free at the own slot; Z_k is inert
-                constant += weight * entropy(aug.joint, x_i, u)
-            else:
-                laws[x_i | u] = laws.get(x_i | u, 0.0) + weight
-                laws[u] = laws.get(u, 0.0) - weight
-            laws[x_i | u_z] = laws.get(x_i | u_z, 0.0) - weight
-            laws[u_z] = laws.get(u_z, 0.0) + weight
-        laws = {axes: weight for axes, weight in laws.items() if weight != 0.0}
+        for i in range(spec.j + 1, k + 1):
+            weight, source = direction.rate_weight(i), 1 << (i - 1)
+            if weight.any():
+                constant += weight * (_cmi_xz(aug, source, source - 1) if i < k else
+                                      entropy(aug.joint, aug.x_axes(source), observed(source - 1)))
+
+        self._banks, count = banks, int(np.prod(banks))
+        rates = np.broadcast_to(direction.rate_weights, (count, spec.m - spec.j))
+        columns: dict[int, int] = {}                   # axis bitmask -> its law's column
+        groups = []
+        for members in _classes(rates):                # the banks of one rate weight row
+            # phi_i = H(X_i | U) - H(X_i | U, Z_i), each H a difference of two law entropies
+            laws: dict[int, float] = {}                # axis bitmask -> weight of its entropy
+            for i in range(k, spec.m + 1):
+                weight, source = rates[members[0], i - spec.j - 1], 1 << (i - 1)
+                if weight == 0.0:
+                    continue
+                x_i, u, u_z = aug.x_axes(source), observed(source - 1), observed(2 * source - 1)
+                if i > k:                              # H(X_k | U) is t-free at the own slot
+                    laws[x_i | u] = laws.get(x_i | u, 0.0) + weight
+                    laws[u] = laws.get(u, 0.0) - weight
+                laws[x_i | u_z] = laws.get(x_i | u_z, 0.0) - weight
+                laws[u_z] = laws.get(u_z, 0.0) + weight
+            laws = {axes: weight for axes, weight in laws.items() if weight != 0.0}
+            cols = [columns.setdefault(axes, len(columns)) for axes in laws]
+            groups.append((np.bincount(members, minlength=count) > 0,
+                           np.array(cols, dtype=np.intp), np.array(list(laws.values()))))
 
         blocks, starts = [], []
         cells = 0
         def flat(block: np.ndarray) -> np.ndarray:      # ([B,] |X_k|, cells)
             return block.reshape(*block.shape[:lead + 1], -1)
 
-        for axes in laws:
+        for axes in columns:
             block = flat(by_symbol(axes))
             if axes & x_k:                             # the row weighs X_k elementwise
                 block = flat(np.eye(n)[:, :, None] * block[..., None, :])
@@ -289,20 +306,30 @@ class FunctionalContext:
             by_x = by_symbol(obs | aug.v_axis)
             v_at = lead + 1 + (obs & (aug.v_axis - 1)).bit_count()  # V's place after X_k
             by_v = by_x.transpose(*range(v_at), *range(v_at + 1, by_x.ndim), v_at)
-            for d, weight in zip(spec.distortions, direction.distortion_weights):
-                if weight != 0.0:
+            for l, d in enumerate(spec.distortions, start=1):
+                if direction.distortion_weight(l).any():
                     # ([B,] |X_k|, vhat x obs cells): the Bayes minimum runs across blocks
                     block = flat(np.moveaxis(by_v @ d, -1, lead + 1))
-                    risks.append((cells, cells + block.shape[-1], d.shape[1], float(weight)))
+                    risks.append((cells, cells + block.shape[-1], d.shape[1],
+                                  np.zeros(count) + direction.distortion_weight(l)))
                     cells += block.shape[-1]
                     blocks.append(block)
         per_unit = np.divide(1.0, p_k, out=np.zeros_like(p_k), where=p_k > 0.0)[:, None]
-        self._map = (np.concatenate(blocks, axis=-1) * per_unit if blocks
-                     else np.zeros((*aug.joint.probs.shape[:lead], n, 0)))
+        mapped = np.concatenate(blocks, axis=-1) * per_unit if blocks else np.zeros((n, 0))
+        self._map = np.broadcast_to(mapped, (count, *mapped.shape[-2:]))
         self._starts = np.array(starts, dtype=np.intp)
-        self._weights = np.array(list(laws.values()))
+        self._groups = tuple(groups)
         self._risks = tuple(risks)
-        self._constant = np.asarray(constant)
+        self._constant = np.zeros(count) + constant
+
+
+def _classes(rows) -> list[np.ndarray]:
+    """The indices of each distinct row of ``rows``."""
+    rows = np.asarray(rows)
+    if (rows == rows[:1]).all():                       # one class, without np.unique's sort
+        return [np.arange(len(rows))]
+    inverse = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    return [np.flatnonzero(inverse == c) for c in range(inverse.max() + 1)]
 
 
 def theta(ctx: FunctionalContext, pool) -> np.ndarray:
@@ -313,18 +340,31 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
     direction e_i (``i >= k``) it is phi_i, and along e_l it is psi_l.
     Every law is one product with the context's compiled map; the
     entropies are its :func:`plogp` cells summed per law, the Bayes risks
-    its per-observation minima.
+    its per-observation minima, each direction row's laws in its own order.
+    A stack is scored in blocks of at most ``THETA_BLOCK_CELLS`` products.
     """
     pool = check_simplex_point(pool, ctx.p_k.size)
-    mixed = pool @ ctx._map                            # ([B,] P, C): every law of every row
-    total = np.zeros(mixed.shape[:-1]) + ctx._constant[..., None]
-    if ctx._weights.size:
-        cells = plogp(mixed[..., :ctx._entropy_cells])
-        total -= np.add.reduceat(cells, ctx._starts, axis=-1) @ ctx._weights
-    for start, stop, vhat, weight in ctx._risks:
-        scores = mixed[..., start:stop].reshape(*mixed.shape[:-1], vhat, -1)
-        total += weight * scores.min(axis=-2).sum(axis=-1)
-    return total
+    lead = pool.shape[:-2] or ctx._banks               # one pool, one context: a stack of one
+    pool = pool.reshape(-1, *pool.shape[-2:])
+    if len(pool) > len(ctx._constant):                # one context scores every pool as one
+        return theta(ctx, pool.reshape(1, -1, pool.shape[-1])).reshape(*lead, -1)
+    pool = np.broadcast_to(pool, (len(ctx._constant), *pool.shape[1:]))   # or one pool every bank
+    step = max(1, THETA_BLOCK_CELLS // (pool.shape[1] * max(1, ctx._map.shape[-1])))
+    blocks = []
+    for start in range(0, len(pool), step):
+        at = slice(start, start + step)
+        mixed = pool[at] @ ctx._map[at]                # (b, P, C): every law of every row
+        value = np.zeros(mixed.shape[:-1]) + ctx._constant[at, None]
+        if ctx._starts.size:
+            sums = np.add.reduceat(plogp(mixed[..., :ctx._entropy_cells]), ctx._starts, axis=-1)
+            for members, columns, weights in ctx._groups:     # the banks of one direction row
+                rows = members[at]
+                value[rows] -= np.take(sums[rows], columns, axis=-1) @ weights   # C order for BLAS
+        for first, stop, vhat, weight in ctx._risks:
+            scores = mixed[..., first:stop].reshape(*mixed.shape[:-1], vhat, -1)
+            value += weight[at, None] * scores.min(axis=-2).sum(axis=-1)
+        blocks.append(value)
+    return np.concatenate(blocks).reshape(*lead, -1)
 
 
 # ---- the mixture identity ----------------------------------------------------
@@ -332,8 +372,8 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
 
 def direct_weighted_value(spec: ProblemSpec, channels: Sequence[Channel],
                           direction: Direction) -> float:
-    """The weighted objective evaluated directly on the augmented joint;
-    a ``(B,)`` array, one value per bank, when the channels are stacks of B."""
+    """The weighted objective evaluated directly on the augmented joint; a
+    ``(B,)`` array, one value per bank, when channels or direction are stacks."""
     aug = attach_channels(spec, channels)
     lead = aug.joint.probs.shape[:aug.joint.stack]
     total = 0.0
@@ -342,9 +382,9 @@ def direct_weighted_value(spec: ProblemSpec, channels: Sequence[Channel],
         total += direction.rate_weight(i) * _cmi_xz(aug, source, source - 1)
     for l in range(1, spec.l + 1):
         weight = direction.distortion_weight(l)
-        if weight != 0.0:
+        if weight.any():
             total += weight * _bayes_scores(aug, l).min(axis=-1).reshape(*lead, -1).sum(axis=-1)
-    return total if lead else float(total)
+    return total if np.ndim(total) else float(total)
 
 
 @dataclass(frozen=True)

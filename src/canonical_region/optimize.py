@@ -14,10 +14,10 @@ alphabets cannot help.  The LP starts from the incumbent's columns
 
 Coordinate descent cycles the slots.  Each slot's incumbent is its own
 last basic pair, so the step objective never increases; the sweep trace
-is therefore monotone within float noise, which is enforced.  All the
-restarts of one direction descend as one stack, each channel padded to
-``|X_k|`` outputs with zero-weight symbols so that every slot step is
-one call of each layer for the whole stack.
+is therefore monotone within float noise, which is enforced.  Every
+restart of every direction descends in one stack, each bank with its own
+direction row, so that a slot step is one call of each layer for the
+whole stack while its channels have equal widths.
 
 A direct lattice search (:func:`brute_force_search`) grids every
 channel's rows over the probability simplex and evaluates the objective
@@ -54,6 +54,7 @@ from .functionals import (
     Direction,
     FunctionalContext,
     _bayes_scores,
+    _classes,
     direct_weighted_value,
     theta,
 )
@@ -185,20 +186,33 @@ def _stacked(spec: ProblemSpec, k: int, channels: Sequence[Channel]) -> Channel:
                    [np.pad(ch.rows, ((0, 0), (0, width - ch.rows.shape[-1]))) for ch in channels])
 
 
+def _joined(parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """One stack of the ``(banks, stack)`` parts, zero-padded on the last axis."""
+    joined = np.zeros((sum(len(at) for at, _ in parts), *parts[0][1].shape[1:-1],
+                       max(a.shape[-1] for _, a in parts)))
+    for at, a in parts:
+        joined[at, ..., :a.shape[-1]] = a
+    return joined
+
+
 def coordinate_descent(spec: ProblemSpec, direction: Direction,
                        inits: Sequence[Sequence[Channel]], seeds: Sequence,
                        sweeps: int = 50, candidates: int = 64) -> DescentStack:
     """Cyclic single-slot optimization of a stack of banks in lockstep.
 
+    ``direction`` weighs every bank, or is a stack with one row per bank.
     Bank b descends as if alone, its pools drawn from ``seeds[b]``, and
     leaves the stack after ``sweeps`` sweeps or when a sweep improves its
-    objective by less than ``SWEEP_IMPROVEMENT_TOL``.  Each slot's
-    incumbent is its last step's basic pair (the initial bank's reverse
-    pair before its first step), so every step starts from it.  Each trace
-    records the objective after each sweep (index 0 is the initial bank)
-    and must be non-increasing within ``MONOTONE_TOL``; violation means
-    the mixture identity broke and raises.  Reported channels keep only
-    their positive-weight outputs.
+    objective by less than ``SWEEP_IMPROVEMENT_TOL``.  A slot's channel
+    keeps each output that a live bank of its direction row weighs, and
+    banks of equal channel widths are scored together, so no bank reads
+    the bits of another direction row.  Each slot's incumbent is its last
+    step's basic pair (the initial bank's reverse pair before its first
+    step), so every step starts from it.  Each trace records the objective
+    after each sweep (index 0 is the initial bank) and must be
+    non-increasing within ``MONOTONE_TOL``; violation means the mixture
+    identity broke and raises.  Reported channels keep only their
+    positive-weight outputs.
     """
     slots = spec.channel_slots
     if not inits or len(seeds) != len(inits):
@@ -208,26 +222,57 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
         raise StructuralError(f"expected {len(slots)} initial channels per bank")
     if sweeps < 1:
         raise StructuralError(f"sweeps must be >= 1, got {sweeps}")
+    if direction.rate_weights.shape[:-1] not in ((), (len(inits),)):
+        raise StructuralError(f"expected one direction row per initial bank ({len(inits)}), "
+                              f"got {len(direction.rate_weights)}")
+    direction = Direction(spec.m, spec.j, spec.l, *(np.broadcast_to(w, (len(inits), w.shape[-1]))
+                          for w in (direction.rate_weights, direction.distortion_weights)))
     live = list(range(len(inits)))        # the banks still descending, in stack order
     channels = [_stacked(spec, k, [init[pos] for init in inits]) for pos, k in enumerate(slots)]
+    widths = np.array([[ch.rows.shape[-1] for ch in channels]] * len(inits))   # each bank's own
     pairs = [forward_to_reverse(spec, k, ch) for k, ch in zip(slots, channels)]
     pairs = [ReverseChannelPair(*_support_first(p.weights, p.columns, p.weights.shape[1]))
              for p in pairs]
 
+    def stack(at, skip: int = 0) -> tuple[dict[int, Channel], Direction]:
+        """Banks ``at``, of equal widths: their channels but slot ``skip``'s, and direction."""
+        if len(at) == len(live):          # every bank: the stacks as they are, as wide as theirs
+            return {k: ch for k, ch in zip(slots, channels) if k != skip}, direction
+        return ({k: Channel(ch.input, ch.rows[at, :, :widths[at[0], pos]])
+                 for pos, (k, ch) in enumerate(zip(slots, channels)) if k != skip},
+                Direction(spec.m, spec.j, spec.l, direction.rate_weights[at],
+                          direction.distortion_weights[at]))
+
     def values() -> list[float]:          # each live bank's objective
-        value = direct_weighted_value(spec, channels, direction)
-        return np.broadcast_to(value, len(live)).tolist()
+        value = np.empty(len(live))
+        for at in _classes(widths):
+            frozen, along = stack(at)
+            value[at] = direct_weighted_value(spec, list(frozen.values()), along)
+        return value.tolist()
 
     traces = [[value] for value in values()]
     runs = [None] * len(inits)
     for sweep in range(sweeps):
         for pos, k in enumerate(slots):
-            frozen = {kk: ch for kk, ch in zip(slots, channels) if kk != k}
-            ctx = FunctionalContext(spec, k, frozen, direction)
-            draws = [(seeds[b], sweep, k) for b in live]
-            pairs[pos] = optimize_single_channel(ctx, candidates, draws,
-                                                 incumbent_columns=pairs[pos].columns)
-            channels[pos] = reverse_to_forward(spec, k, pairs[pos])
+            steps = [(at, optimize_single_channel(
+                FunctionalContext(spec, k, *stack(at, skip=k)), candidates,
+                [(seeds[live[b]], sweep, k) for b in at.tolist()],
+                incumbent_columns=pairs[pos].columns[at]))
+                for at in _classes(widths)]
+            pairs[pos] = steps[0][1] if len(steps) == 1 else ReverseChannelPair(
+                _joined([(at, p.weights) for at, p in steps]),
+                _joined([(at, p.columns) for at, p in steps]))
+            kept = pairs[pos].weights > 0.0   # a direction's banks keep what one of them weighs
+            for at in _classes(direction.coords):
+                kept[at] = kept[at].any(axis=0)
+            parts = [(at, reverse_to_forward(spec, k, pairs[pos] if len(at) == len(live) else
+                                             ReverseChannelPair(pairs[pos].weights[at],
+                                                                pairs[pos].columns[at])))
+                     for at in _classes(kept)]
+            for at, part in parts:
+                widths[at, pos] = part.rows.shape[-1]
+            channels[pos] = parts[0][1] if len(parts) == 1 else Channel(
+                spec.x_alphabet(k), _joined([(at, ch.rows) for at, ch in parts]))
         stay = []
         for at, (b, value) in enumerate(zip(live, values())):
             trace = traces[b]
@@ -246,7 +291,11 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
         if not live:
             break
         pairs = [ReverseChannelPair(pair.weights[stay], pair.columns[stay]) for pair in pairs]
-        channels = [Channel(ch.input, ch.rows[stay]) for ch in channels]
+        widths = widths[stay]
+        channels = [Channel(ch.input, ch.rows[stay, :, :width])
+                    for ch, width in zip(channels, widths.max(axis=0))]
+        direction = Direction(spec.m, spec.j, spec.l, direction.rate_weights[stay],
+                              direction.distortion_weights[stay])
     return DescentStack(runs)
 
 
@@ -268,19 +317,25 @@ def default_multistart_inits(spec: ProblemSpec, restarts: int,
 def _multistart_descent(spec: ProblemSpec, directions: Sequence[Direction], restarts: int,
                         sweeps: int, candidates: int,
                         seed: int) -> list[tuple[OptimizeResult, int]]:
-    """Per direction ``idx``, descend from every bank of
-    ``default_multistart_inits(spec, restarts, seed)`` in one stack, bank r
-    with seed ``(seed, idx, r)``; each direction's first best run and its ``r``."""
+    """Descend from every bank of ``default_multistart_inits(spec, restarts,
+    seed)`` along every direction in one stack, bank r of direction ``idx``
+    with seed ``(seed, idx, r)``; each direction's first best run and its ``r``.
+    A repeated direction descends in a later stack: equal rows share widths."""
     inits = default_multistart_inits(spec, restarts, seed)
-    best = []
-    for idx, direction in enumerate(directions):
-        if (direction.m, direction.j, direction.l) != (spec.m, spec.j, spec.l):
-            raise StructuralError("direction dimensions do not match the spec")
-        seeds = [(seed, idx, r) for r in range(len(inits))]
-        runs = coordinate_descent(spec, direction, inits, seeds, sweeps=sweeps,
-                                  candidates=candidates)
-        r = min(range(len(runs)), key=lambda r: runs[r].objective)   # first of equal minima
-        best.append((runs[r], r))
+    if any((d.m, d.j, d.l) != (spec.m, spec.j, spec.l) for d in directions):
+        raise StructuralError("direction dimensions do not match the spec")
+    best = [None] * len(directions)
+    for repeat in itertools.zip_longest(*_classes([d.coords for d in directions])):
+        idxs = sorted(idx for idx in repeat if idx is not None)
+        stack = Direction(spec.m, spec.j, spec.l, *(
+            np.repeat([getattr(directions[idx], name) for idx in idxs], len(inits), axis=0)
+            for name in ("rate_weights", "distortion_weights")))
+        runs = coordinate_descent(spec, stack, inits * len(idxs),
+                                  [(seed, idx, r) for idx in idxs for r in range(len(inits))],
+                                  sweeps=sweeps, candidates=candidates)
+        for at, idx in zip(range(0, len(runs), len(inits)), idxs):
+            r = min(range(len(inits)), key=lambda r: runs[at + r].objective)  # first of minima
+            best[idx] = (runs[at + r], r)
     return best
 
 

@@ -130,8 +130,8 @@ class ConstraintReport:
     ``lhs`` (g(I), the information bound) is a read-only ``(G,)`` array
     and ``rate_sums`` (the sum of R_i over I) a read-only ``(G,)`` or
     ``(N, G)`` array, one row per rate vector.  Entry ``mask - 1`` of a
-    row belongs to the group I with that bitmask.  ``slack``, ``active``
-    and ``is_member`` keep the leading axis of ``rate_sums``.
+    row belongs to the group I with that bitmask.  ``slack``, ``active``,
+    ``is_member`` and ``chained`` keep the leading axis of ``rate_sums``.
     """
 
     lhs: np.ndarray
@@ -151,6 +151,13 @@ class ConstraintReport:
     def is_member(self) -> bool | np.ndarray:
         member = (self.slack >= -self.tol).all(axis=-1)
         return member if member.ndim else bool(member)
+
+    @functools.cached_property
+    def chained(self) -> bool | np.ndarray:
+        """Whether a row's tight groups form an inclusion chain, inside the region or not."""
+        active = self.active          # a tight group crossing another tight group breaks the chain
+        chained = ~(active & (active @ _crossing_pairs(len(self.lhs).bit_length()))).any(axis=-1)
+        return chained if chained.ndim else bool(chained)
 
     @functools.cached_property
     def active_groups(self) -> tuple:
@@ -274,7 +281,7 @@ def verify_noncrossing(aug: AugmentedPmf, rates: RateVector,
     boolean array for a stack.  On a nondegenerate instance crossing
     tight groups would contradict strict supermodularity of g, so a
     failing row indicates broken inputs; on a degenerate one they can
-    cross.
+    cross.  A caller holding the report reads its ``chained``.
     """
     report = membership(aug, rates, tol)
     outside = ~np.atleast_1d(report.is_member)
@@ -283,11 +290,7 @@ def verify_noncrossing(aug: AugmentedPmf, rates: RateVector,
         raise PreconditionError(
             f"rate vector is outside the region (worst slack {worst:.3e})"
         )
-    active = report.active
-    # a tight group crossing any other tight group breaks the row's chain
-    crossed = (active @ _crossing_pairs(aug.m)) & active
-    chained = ~crossed.any(axis=-1)
-    return chained if chained.ndim else bool(chained)
+    return report.chained
 
 
 # ---- nondegeneracy ----------------------------------------------------------

@@ -75,6 +75,13 @@ INPUT_FILES = {
         {"rates": [1, 1], "distortions": [15]},
         {"rates": [0.5, 2], "distortions": [6]},
     ]},
+    # zero rate or distortion weights: each descent's functionals drop different laws
+    "dirs-dsbs-mixed.json": {"directions": [
+        {"rates": [0, 1], "distortions": [4]},
+        {"rates": [1, 1], "distortions": [15]},
+        {"rates": [2, 0], "distortions": [5]},
+        {"rates": [1, 2], "distortions": [0]},
+    ]},
     "dirs-bwz.json": {"directions": [
         {"rates": [1], "distortions": [3]},
         {"rates": [2], "distortions": [1]},
@@ -132,6 +139,9 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
         ["verify", "identities", "dsbs", "--trials", "1"],
         ["verify", "identities", "region-m6-seed1.json", "--trials", "2000", "--seed", "1"],
         ["trace", "dsbs", "--directions", "dirs-dsbs.json"],
+        ["trace", "dsbs", "--directions", "dirs-dsbs-mixed.json"],
+        ["trace", "helper3", "--count", "4", "--restarts", "1", "--seed", "5"],
+        ["verify", "alphabet-bound", "bwz", "--trials", "4", "--grid", "8", "--seed", "5"],
         ["verify", "alphabet-bound", "bwz", "--directions", "dirs-bwz.json", "--grid", "6"],
         ["extreme-points", "dsbs-dense.json"],
         ["trace", "dsbs-dense.json", "--count", "2"],

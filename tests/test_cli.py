@@ -504,6 +504,23 @@ def test_cli_noncrossing_fails_a_corner_outside_the_region(tmp_path, capsys, pro
     assert not any(r["passed"] for r, out in zip(checks, outside) if out)
 
 
+def test_cli_noncrossing_builds_one_report_per_rate_stack(monkeypatch):
+    # the chain test reads the membership report the suite already holds, so the
+    # corners and the random members are each one report, with no second one
+    # built for the rows inside the region
+    reports = []
+    build = canonical_region.region.membership
+
+    def counting(aug, rates, tol):
+        reports.append(len(rates))
+        return build(aug, rates, tol)
+
+    monkeypatch.setattr(canonical_region.cli, "membership", counting)
+    monkeypatch.setattr(canonical_region.region, "membership", counting)
+    assert main(["verify", "noncrossing", "helper3", "--samples", "7"]) == 0
+    assert reports == [6, 7]
+
+
 def test_cli_verify_noncrossing_accepts_a_degenerate_source(tmp_path):
     # independent sources share every corner, where {1} and {2} are both tight
     path = tmp_path / "product.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from canonical_region import functionals
 from canonical_region import (
     Alphabet,
+    Channel,
     Direction,
     FunctionalContext,
     StructuralError,
@@ -61,6 +63,90 @@ def test_direction_validation():
     r = random_direction(3, 1, 2, rng)
     assert abs(np.linalg.norm(r.coords) - 1.0) < 1e-12
     assert r.coords.min() >= 0.0
+
+
+def direction_rows(d, rows):
+    """The rows ``rows`` of a direction stack, as a stack."""
+    return Direction(d.m, d.j, d.l, d.rate_weights[rows], d.distortion_weights[rows])
+
+
+def test_direction_stack_is_checked_row_by_row():
+    rows = np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    d = Direction(2, 0, 1, rows[:, :2], rows[:, 2:])
+    assert d.coords.tolist() == rows.tolist()
+    assert d.rate_weight(2).tolist() == [0.0, 1.0, 0.0]
+    assert d.distortion_weight(1).tolist() == [0.8, 0.0, 1.0]
+    negative = rows * [[1.0], [1.0], [-1.0]]                  # one unit row with a weight < 0
+    with pytest.raises(StructuralError, match="finite and >= 0"):
+        Direction(2, 0, 1, negative[:, :2], negative[:, 2:])
+    long = np.vstack([rows, [[1.0, 1.0, 0.0]]])               # one row of norm sqrt(2)
+    with pytest.raises(StructuralError, match=r"unit 2-norm; a row is off by 0\.414"):
+        Direction(2, 0, 1, long[:, :2], long[:, 2:])
+    for rates, dists in ((rows[:, :2], rows[:2, 2:]),        # 3 rate rows, 2 distortion rows
+                         (rows[:, :2], rows[0, 2:]),          # a stack and one direction
+                         (rows[None, :, :2], rows[None, :, 2:])):   # a stack of stacks
+        with pytest.raises(StructuralError, match="per row"):
+            Direction(2, 0, 1, rates, dists)
+
+
+@pytest.mark.parametrize("name", ["helper3", "dsbs", "bwz"])
+def test_a_direction_stack_scores_each_bank_as_alone(name, request):
+    # unit directions along every coordinate and a flat one, so each law and
+    # each risk has weight 0 in some banks; every bank of the stack gets the
+    # bits of a stack of one with its own direction, in theta and directly
+    spec = request.getfixturevalue(name)
+    slots = spec.channel_slots
+    eye = np.eye(spec.m - spec.j + spec.l)
+    coords = np.vstack([eye, eye[::-1], np.full(len(eye), len(eye) ** -0.5)])
+    d = Direction(spec.m, spec.j, spec.l, coords[:, :spec.m - spec.j], coords[:, spec.m - spec.j:])
+    rng = np.random.default_rng(105)
+    banks = [random_channels(spec, rng) for _ in coords]
+    stacks = [Channel(spec.x_alphabet(k), [bank[pos].rows for bank in banks])
+              for pos, k in enumerate(slots)]
+
+    def alone(b: int) -> list[Channel]:
+        return [Channel(ch.input, ch.rows[b:b + 1]) for ch in stacks]
+
+    values = direct_weighted_value(spec, stacks, d)
+    for b in range(len(coords)):
+        one = direct_weighted_value(spec, alone(b), direction_rows(d, [b]))
+        assert values[b:b + 1].tobytes() == one.tobytes()
+    for pos, k in enumerate(slots):
+        pools = rng.dirichlet(np.ones(spec.x_alphabet(k).size), size=(len(coords), 40))
+        ctx = FunctionalContext(spec, k, dict(zip(slots[:pos] + slots[pos + 1:],
+                                                  stacks[:pos] + stacks[pos + 1:])), d)
+        scores = theta(ctx, pools)
+        for b in range(len(coords)):
+            frozen = alone(b)
+            one = FunctionalContext(spec, k, dict(zip(slots[:pos] + slots[pos + 1:],
+                                                      frozen[:pos] + frozen[pos + 1:])),
+                                    direction_rows(d, [b]))
+            assert scores[b:b + 1].tobytes() == theta(one, pools[b:b + 1]).tobytes()
+
+
+def test_theta_scores_a_large_stack_in_bounded_blocks(helper3, monkeypatch):
+    # one direction over more banks than one block holds: each block's product
+    # stays within THETA_BLOCK_CELLS, and every block has the bits it has alone
+    rng = np.random.default_rng(106)
+    d = random_direction(helper3.m, helper3.j, helper3.l, rng)
+    probe = FunctionalContext(helper3, 2, {3: random_channels(helper3, rng)[1]}, d)
+    rows, width = 69, probe._map.shape[-1]
+    per_block = functionals.THETA_BLOCK_CELLS // (rows * width)
+    banks = 2 * per_block + 3
+    assert per_block >= 1
+    slot3 = Channel(helper3.x_alphabet(3), [random_channels(helper3, rng)[1].rows
+                                            for _ in range(banks)])
+    pools = rng.dirichlet(np.ones(2), size=(banks, rows))
+    blocks = []
+    plogp = functionals.plogp
+    monkeypatch.setattr(functionals, "plogp", lambda a: blocks.append(a.shape) or plogp(a))
+    scores = theta(FunctionalContext(helper3, 2, {3: slot3}, d), pools)
+    assert [shape[0] for shape in blocks] == [per_block, per_block, 3]
+    assert all(math.prod(shape[:2]) * width <= functionals.THETA_BLOCK_CELLS for shape in blocks)
+    for start in range(0, banks, per_block):
+        block = slice(start, start + per_block)
+        ctx = FunctionalContext(helper3, 2, {3: Channel(slot3.input, slot3.rows[block])}, d)
+        assert scores[block].tobytes() == theta(ctx, pools[block]).tobytes()
 
 
 class NoDraws:

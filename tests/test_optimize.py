@@ -756,6 +756,13 @@ def test_descent_validation(dsbs):
             coordinate_descent(dsbs, d, inits, seeds)
     with pytest.raises(StructuralError, match="does not read"):    # slot 1 fed slot 2's
         coordinate_descent(dsbs, d, [init, init[::-1]], [0, 1])
+    three = Direction(2, 0, 1, np.tile(d.rate_weights, (3, 1)),
+                      np.tile(d.distortion_weights, (3, 1)))
+    with pytest.raises(StructuralError, match="one direction row per initial bank"):
+        coordinate_descent(dsbs, three, [init, init], [0, 1])
+    stack = Channel(init[0].input, [init[0].rows] * 2)
+    with pytest.raises(StructuralError, match="stacks differ in size"):
+        FunctionalContext(dsbs, 2, {1: stack}, three)
 
 
 def test_descent_dominates_lattice_argmin(bwz, dsbs):
@@ -843,8 +850,8 @@ def test_alphabet_bound_refuses_bad_settings_before_any_search(bwz, monkeypatch,
 
 
 def test_alphabet_bound_runs_restarts_descents(bwz, monkeypatch):
-    # one descent per default multistart bank and direction: one stack of
-    # ``restarts`` banks per direction
+    # every default multistart bank of every direction descends in one call:
+    # ``restarts`` banks per direction, all in one stack
     calls = []
     descent = optimize.coordinate_descent
     monkeypatch.setattr(optimize, "coordinate_descent",
@@ -855,7 +862,41 @@ def test_alphabet_bound_runs_restarts_descents(bwz, monkeypatch):
         calls.clear()
         verify_alphabet_bound(bwz, dirs, grid=4, restarts=restarts, sweeps=3)
         assert sum(calls) == restarts * len(dirs)
-        assert calls == [restarts] * len(dirs)
+        assert calls == [restarts * len(dirs)]
+
+
+@pytest.mark.parametrize("name, weights", [
+    ("helper3", None), ("bwz", None),
+    # the golden corpus's mixed dsbs set: a direction with a zero weight keeps
+    # fewer outputs in some channel than the others do
+    ("dsbs", ([0, 1, 4], [1, 1, 15], [2, 0, 5], [1, 2, 0]))])
+@pytest.mark.parametrize("restarts", [1, 3, 8])
+def test_fused_descent_matches_one_stack_per_direction(name, weights, restarts, request,
+                                                       monkeypatch):
+    # every restart of every direction descends in one stack, and each direction
+    # ends with the bits of a stack of its own restarts: the winner's trace and
+    # channels and its restart index.  A repeated direction descends in a
+    # second stack
+    spec = request.getfixturevalue(name)
+    rng = np.random.default_rng(107)
+    dirs = ([random_direction(spec.m, spec.j, spec.l, rng) for _ in range(4)] if weights is None
+            else [Direction.normalized(spec.m, spec.j, spec.l, w) for w in weights])
+    dirs.append(dirs[1])
+    stacks = [restarts * 4, restarts]
+    calls = []
+    descent = optimize.coordinate_descent
+    monkeypatch.setattr(optimize, "coordinate_descent",
+                        lambda *a, **k: calls.append(len(a[2])) or descent(*a, **k))
+    fused = _multistart_descent(spec, dirs, restarts, sweeps=50, candidates=64, seed=9)
+    assert calls == stacks
+    inits = default_multistart_inits(spec, restarts, seed=9)
+    for idx, (d, (run, winner)) in enumerate(zip(dirs, fused)):
+        own = descent(spec, d, inits, [(9, idx, r) for r in range(restarts)])
+        best = min(range(restarts), key=lambda r: own[r].objective)
+        assert winner == best
+        assert run.trace == own[best].trace
+        assert [ch.rows.tobytes() for ch in run.channels] == [
+            ch.rows.tobytes() for ch in own[best].channels]
 
 
 def test_alphabet_bound_descends_only_from_default_multistarts(dsbs, monkeypatch):
