@@ -266,8 +266,8 @@ class AugmentedPmf:
     the joint's fixed layout ``X1..XM, S, V, Z_{J+1}..Z_M``
     (:func:`channel_product`), so ``Z_k`` is axis ``M+1+k-J`` and
     description m <= J is ``X_m`` itself.  ``_cmi`` memoizes
-    :mod:`.region`'s I(X_I ; Z_I | Z_K, S) by the source bitmasks
-    ``(I, K)``; the region's g, its corners and its identities all read it.
+    :mod:`.region`'s I(X_I ; Z_I | Z_K, S) by the packed source bitmasks
+    ``I << M | K``; the region's g, its corners and its identities all read it.
     """
 
     __slots__ = ("joint", "spec", "_cmi")
@@ -288,13 +288,16 @@ class AugmentedPmf:
     def j(self) -> int:
         return self.spec.j
 
-    def x_axes(self, sources: int) -> int:
-        """Axes of X_i for the sources in the bitmask ``sources`` (bit i-1 is source i)."""
-        if not 0 <= sources < 1 << self.m:
-            raise StructuralError(f"source mask {sources:#b} outside 1..{self.m}")
+    def x_axes(self, sources):
+        """Axes of X_i for the sources in the bitmask ``sources`` (bit i-1 is source i),
+        or for each of an int array of bitmasks."""
+        outside = sources >> self.m                       # a negative mask shifts to -1
+        if outside if isinstance(outside, int) else np.count_nonzero(outside):
+            bad = int(np.ravel(sources)[np.ravel(outside) != 0][0])
+            raise StructuralError(f"source mask {bad:#b} outside 1..{self.m}")
         return sources
 
-    def z_axes(self, sources: int) -> int:
+    def z_axes(self, sources):
         """Description axes of ``sources``: X_i itself for i <= J, Z_i for i > J."""
         lossless = self.x_axes(sources) & ((1 << self.j) - 1)
         return lossless | (sources >> self.j) << (self.m + 2)
@@ -351,11 +354,10 @@ def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> Augmented
             f"augmented joint fails to marginalize back to the source "
             f"(max error {err:.3e})"
         )
-    everything = joint.all_axes()
-    for k in slots:
-        z, x = aug.z_axes(1 << (k - 1)), aug.x_axes(1 << (k - 1))
-        rest = everything & ~(z | x)
-        if rest and np.max(mi_sets(joint, z, rest, x)) > FACTORIZATION_TOL:
+    z, x = (np.array([axes(1 << (k - 1)) for k in slots], dtype=np.int64)
+            for axes in (aug.z_axes, aug.x_axes))
+    for k, info in zip(slots, mi_sets(joint, z, joint.all_axes() & ~(z | x), x)):
+        if np.max(info) > FACTORIZATION_TOL:
             raise NumericIntegrityError(
                 f"Z{k} is not conditionally independent of the rest given X{k}"
             )

@@ -258,12 +258,14 @@ class FunctionalContext:
                                   *range(lead + at + 1, marg.ndim))
 
         # t-free terms: the natural-order corner rates before k, and H(X_k | U) with Z_k inert
+        live = [i for i in range(spec.j + 1, k + 1) if direction.rate_weight(i).any()]
+        before = np.array([1 << (i - 1) for i in live if i < k], dtype=np.int64)
+        terms = [*_cmi_xz(aug, before, before - 1)]
+        if k in live:
+            terms.append(entropy(aug.joint, x_k, observed((1 << (k - 1)) - 1)))
         constant = 0.0
-        for i in range(spec.j + 1, k + 1):
-            weight, source = direction.rate_weight(i), 1 << (i - 1)
-            if weight.any():
-                constant += weight * (_cmi_xz(aug, source, source - 1) if i < k else
-                                      entropy(aug.joint, aug.x_axes(source), observed(source - 1)))
+        for i, term in zip(live, terms):
+            constant += direction.rate_weight(i) * term
 
         self._banks, count = banks, int(np.prod(banks))
         rates = np.broadcast_to(direction.rate_weights, (count, spec.m - spec.j))
@@ -376,10 +378,10 @@ def direct_weighted_value(spec: ProblemSpec, channels: Sequence[Channel],
     ``(B,)`` array, one value per bank, when channels or direction are stacks."""
     aug = attach_channels(spec, channels)
     lead = aug.joint.probs.shape[:aug.joint.stack]
+    sources = np.array([1 << (i - 1) for i in spec.channel_slots], dtype=np.int64)
     total = 0.0
-    for i in spec.channel_slots:
-        source = 1 << (i - 1)
-        total += direction.rate_weight(i) * _cmi_xz(aug, source, source - 1)
+    for i, rate in zip(spec.channel_slots, _cmi_xz(aug, sources, sources - 1)):
+        total += direction.rate_weight(i) * rate
     for l in range(1, spec.l + 1):
         weight = direction.distortion_weight(l)
         if weight.any():

@@ -94,7 +94,8 @@ class JointPmf:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "_entropy_cache", {})
+        # H of the empty mask, shaped as every cached entropy: a scalar, or (B,) for a stack
+        object.__setattr__(self, "_entropy_cache", {0: np.zeros(arr.shape[:self.stack])[()]})
         object.__setattr__(self, "_marginals", {(1 << (arr.ndim - self.stack)) - 1: arr})
 
     def __setattr__(self, name, value):  # immutability by contract
@@ -109,11 +110,13 @@ class JointPmf:
     def all_axes(self) -> int:
         return (1 << self.ndim) - 1
 
-    def check_axes(self, axes: int) -> None:
-        if not 0 <= axes <= self.all_axes():
-            raise StructuralError(
-                f"axis mask {axes:#b} selects axes outside the tensor's {self.ndim}"
-            )
+    def check_axes(self, axes) -> None:
+        """Raise unless the axis mask ``axes``, or each of an int array, is in range."""
+        outside = axes >> self.ndim                       # a negative mask shifts to -1
+        if outside if isinstance(outside, int) else np.count_nonzero(outside):
+            bad = int(np.ravel(axes)[np.ravel(outside) != 0][0])
+            raise StructuralError(f"axis mask {bad:#b} selects axes outside the tensor's "
+                                  f"{self.ndim}")
 
     def marginal(self, axes: int) -> np.ndarray:
         """The read-only marginal of the axis mask ``axes``, its axes in tensor order.
@@ -142,9 +145,7 @@ class JointPmf:
 
 class JointStack(JointPmf):
     """A stack of pmfs of one layout, ``probs[b]`` pmf b: marginals keep the
-    leading axis, and entropies and informations are ``(B,)`` arrays.  Its
-    entropies sum the masked cells of :func:`plogp`, so they can differ in
-    the last bit from those of the same pmf as a :class:`JointPmf`.
+    leading axis, and entropies and informations are ``(B,)`` arrays.
     """
 
     __slots__ = ()
@@ -154,32 +155,29 @@ class JointStack(JointPmf):
 # ---- operations ------------------------------------------------------------
 
 
-def cell_entropy(arr: np.ndarray) -> float:
-    """-sum a log2 a over the positive cells of ``arr`` (which need not sum to 1)."""
-    # compacted: plogp gives the same outputs, its suspected region slowdown is unverified
-    flat = arr[arr > 0.0]
-    return float(-(flat * np.log2(flat)).sum())
-
-
 def plogp(a: np.ndarray) -> np.ndarray:
     """``a * log2(a)`` cell by cell, 0 where ``a`` is not positive.  The zeros shift
-    numpy's pairwise-summation blocks, so a sum of these cells can differ from
-    :func:`cell_entropy` in the last bit.  Stacked entropies, θ and the lattice read it."""
+    numpy's pairwise-summation blocks, so a sum of these cells can differ in the last
+    bit from a sum over the positive cells alone.  Entropies, θ and the lattice read it."""
     logs = np.where(a > 0.0, a, 1.0)
     return np.multiply(a, np.log2(logs, out=logs), out=logs)
 
 
-def _joint_entropy(p: JointPmf, vs: int) -> float:
-    """H of the variables in ``vs`` (0.0 for the empty set), cached per pmf."""
-    cached = p._entropy_cache.get(vs)
-    if cached is not None:
-        return cached
-    if not vs:
-        return 0.0
-    marg = p.marginal(vs)
-    value = p._entropy_cache[vs] = (-plogp(marg.reshape(len(marg), -1)).sum(axis=1)
-                                    if p.stack else cell_entropy(marg))
-    return value
+def _entropies(p: JointPmf, masks: np.ndarray) -> np.ndarray:
+    """H of each axis mask of the int array ``masks``, plus a trailing ``(B,)`` on a stack.
+
+    Each is computed once per pmf: the missing marginals of one cell count are
+    stacked, and one :func:`plogp` serves the stack."""
+    cache, lead, groups = p._entropy_cache, p.probs.shape[:p.stack], {}
+    flat = masks.ravel().tolist()
+    for mask in set(flat).difference(cache):
+        marg = p.marginal(mask)
+        groups.setdefault(marg.size, []).append((mask, marg.reshape(*lead, -1)))
+    for group in groups.values():
+        found, margs = zip(*group)
+        cells = np.array(margs) if len(margs) > 1 else margs[0][None]   # a lone one uncopied
+        cache.update(zip(found, -np.add.reduce(plogp(cells), axis=-1)))
+    return np.array([cache[mask] for mask in flat]).reshape(masks.shape + lead)
 
 
 def entropy(p: JointPmf, of: int, given: int = 0) -> float:
@@ -193,10 +191,11 @@ def entropy(p: JointPmf, of: int, given: int = 0) -> float:
         raise StructuralError("entropy target set is empty")
     if of & given:
         raise StructuralError("entropy target overlaps the conditioning set")
-    return _joint_entropy(p, of | given) - _joint_entropy(p, given)
+    joint, cond = _entropies(p, np.array([of | given, given]))
+    return joint - cond if p.stack else float(joint - cond)
 
 
-def mi_sets(p: JointPmf, a: int, b: int, given: int = 0) -> float:
+def mi_sets(p: JointPmf, a, b, given=0):
     """Conditional mutual information I(a; b | given) in bits.
 
     The axis bitmasks ``a`` and ``b`` must be nonempty and disjoint from
@@ -205,27 +204,25 @@ def mi_sets(p: JointPmf, a: int, b: int, given: int = 0) -> float:
     observed on the ``b`` side.  Used where a variable plays two roles at
     once (a source that is its own coded description).  Negatives within
     ``CMI_CLAMP`` clamp to +0.0, and so does -0.0; anything more negative
-    raises :class:`NumericIntegrityError`.
+    raises :class:`NumericIntegrityError`.  Int arrays of masks, broadcast
+    together, give an array of informations, every mask checked before any
+    is computed; a stack adds a trailing ``(B,)`` axis.
     """
-    for vs in (a, b, given):
-        p.check_axes(vs)
-    if not a or not b:
+    a, b, given = np.broadcast_arrays(a, b, given)
+    union = a | b | given
+    p.check_axes(union)                  # every mask read is a subset of this one
+    if np.count_nonzero(a) < a.size or np.count_nonzero(b) < b.size:
         raise StructuralError("mutual information needs nonempty argument sets")
-    if (a | b) & given:
+    if np.count_nonzero((a | b) & given):
         raise StructuralError("conditioning set overlaps an argument set")
-    value = (
-        _joint_entropy(p, a | given)
-        + _joint_entropy(p, b | given)
-        - _joint_entropy(p, a | b | given)
-        - _joint_entropy(p, given)
-    )
-    low = value.min() if p.stack else value
+    h = _entropies(p, np.array([a | given, b | given, union, given]))
+    value = h[0] + h[1] - h[2] - h[3]
+    low = value.min(initial=np.inf)
     if low <= 0.0:    # -0.0 too: callers may rely on a nonnegative sign bit
         if low < -CMI_CLAMP:
             raise NumericIntegrityError(
                 f"conditional mutual information evaluated to {low:.3e} bits, "
                 f"below the -{CMI_CLAMP} clamp threshold"
             )
-        value = np.where(value <= 0.0, 0.0, value) if p.stack else 0.0
-    return value
-
+        value = np.where(value <= 0.0, 0.0, value)
+    return value if value.ndim else float(value)

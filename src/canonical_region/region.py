@@ -86,31 +86,38 @@ def _groups_in_mask_order(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_members(mask) for mask in range(1, 1 << m))
 
 
-def _cmi_xz(aug: AugmentedPmf, left: int, cond: int) -> float:
-    """I(X_left ; Z_left | Z_cond, S) for source bitmasks, computed once per joint.
+def _cmi_xz(aug: AugmentedPmf, left, cond):
+    """I(X_left ; Z_left | Z_cond, S) for source bitmasks, or int arrays of them
+    broadcast together, each computed once per joint.
 
-    The only code that reads or fills the joint's CMI memo.  A call that
-    raises stores nothing.
+    The only code that reads or fills the joint's CMI memo.  The missing keys
+    are computed in one :func:`mi_sets` call; a call that raises stores nothing.
     """
-    value = aug._cmi.get((left, cond))
-    if value is None:
-        value = aug._cmi[left, cond] = mi_sets(
-            aug.joint, aug.x_axes(left), aug.z_axes(left), aug.z_axes(cond) | aug.s_axis)
-    return value
+    left = np.asarray(left)
+    aug.x_axes(left | cond)                       # both in range before they are packed
+    keys = left << aug.m | cond
+    flat, memo = keys.ravel().tolist(), aug._cmi
+    if missing := list(set(flat).difference(memo)):
+        pairs = np.array(np.divmod(missing, 1 << aug.m))       # rows: left, cond
+        z_left, z_cond = aug.z_axes(pairs)
+        memo.update(zip(missing, mi_sets(aug.joint, aug.x_axes(pairs[0]), z_left,
+                                         z_cond | aug.s_axis)))
+    values = np.array([memo[key] for key in flat]).reshape(
+        keys.shape + aug.joint.probs.shape[:aug.joint.stack])
+    return values if values.ndim else float(values)
 
 
-def _gather(keys: np.ndarray, m: int, value: Callable[[int, int], float]) -> np.ndarray:
-    """``value(high, low)`` at each key ``high << m | low``, read once per distinct key."""
+def _gather(keys: np.ndarray, m: int, value: Callable[..., np.ndarray]) -> np.ndarray:
+    """``value(high, low)`` at each key ``high << m | low``, called once on the distinct keys."""
     # deduplicated by a Python set: the first np.unique or np.sort call maps about
     # 1 MB or 0.4 MB more of library pages, and a table over all 4^M keys would grow
     # with M, not with the keys read
     distinct = np.array(sorted(set(keys.ravel().tolist())), dtype=np.int64)
-    values = np.array([value(k >> m, k & ((1 << m) - 1)) for k in distinct.tolist()])
-    return values[np.searchsorted(distinct, keys)]
+    return value(distinct >> m, distinct & ((1 << m) - 1))[np.searchsorted(distinct, keys)]
 
 
-def _mi_zz(aug: AugmentedPmf, left: int, right: int, cond: int) -> float:
-    """I(Z_left ; Z_right | Z_cond, S) for source bitmasks."""
+def _mi_zz(aug: AugmentedPmf, left, right, cond):
+    """I(Z_left ; Z_right | Z_cond, S) for source bitmasks, or int arrays of them."""
     return mi_sets(aug.joint, aug.z_axes(left), aug.z_axes(right),
                    aug.z_axes(cond) | aug.s_axis)
 
@@ -192,7 +199,8 @@ def membership(aug: AugmentedPmf, rates: RateVector, tol: float = ACTIVE_TOL) ->
     for b in range(aug.m):
         sums[..., 1 << b:2 << b] = sums[..., :1 << b] + r[..., b, None]
     full = (1 << aug.m) - 1
-    lhs = np.array([_cmi_xz(aug, mask, full ^ mask) for mask in range(1, full + 1)])
+    masks = np.arange(1, full + 1)
+    lhs = _cmi_xz(aug, masks, full ^ masks)
     sums = sums[..., 1:]
     lhs.setflags(write=False)
     sums.setflags(write=False)
@@ -322,14 +330,14 @@ def nondegeneracy_report(aug: AugmentedPmf) -> NondegeneracyReport:
     After :func:`enumerate_extreme_points` this computes no new CMI.
     M = 1 is vacuously nondegenerate.
     """
-    entries = []
-    for a, b in itertools.combinations(range(1, aug.m + 1), 2):
-        bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
-        for cond in range(1 << aug.m):
-            if not cond & (bit_a | bit_b):
-                gap = _cmi_xz(aug, bit_a, cond) - _cmi_xz(aug, bit_a, cond | bit_b)
-                entries.append((a, b, _members(cond), gap))
-    return NondegeneracyReport(tuple(entries))
+    m = aug.m     # sources counted from 0 here; each pair with every cond that holds neither
+    a, b = np.array(list(itertools.combinations(range(m), 2)), dtype=np.int64).reshape(-1, 2).T
+    pair, cond = np.nonzero((np.arange(1 << m) & (1 << a | 1 << b)[:, None]) == 0)
+    a, b = a[pair], b[pair]
+    gaps = _cmi_xz(aug, 1 << a, cond) - _cmi_xz(aug, 1 << a, cond | 1 << b)
+    members = ((),) + _groups_in_mask_order(m)
+    return NondegeneracyReport(tuple(zip((a + 1).tolist(), (b + 1).tolist(),
+                                         map(members.__getitem__, cond.tolist()), gaps.tolist())))
 
 
 def source_nondegeneracy_report(source: JointPmf) -> NondegeneracyReport:
@@ -344,12 +352,11 @@ def source_nondegeneracy_report(source: JointPmf) -> NondegeneracyReport:
     once its descriptions are noisy, and must not be flagged here.
     """
     m = source.ndim - 2
-    s = 1 << m                                          # the source axes are X1..XM, S, V
-    entries = tuple(
-        (a, b, (), mi_sets(source, 1 << (a - 1), 1 << (b - 1), s))
-        for a, b in itertools.combinations(range(1, m + 1), 2)
-    )
-    return NondegeneracyReport(entries)
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    values = mi_sets(source, 1 << first >> 1, 1 << second >> 1, 1 << m)   # X1..XM, S, V
+    return NondegeneracyReport(tuple((*pair, (), value)
+                                     for pair, value in zip(pairs, values.tolist())))
 
 
 # ---- decomposition identities ------------------------------------------------
@@ -455,7 +462,7 @@ def verify_chain_identities(aug: AugmentedPmf, trials: int = 200, tol: float = A
     terms = np.zeros(order.shape)
     terms[peeled] = xz(bits[peeled], conds[peeled])
     # the natural-order corner: entry i is source i+1's rate given sources 1..i
-    corner = [_cmi_xz(aug, 1 << i, (1 << i) - 1) for i in range(m)]
+    corner = _cmi_xz(aug, 1 << np.arange(m), (1 << np.arange(m)) - 1)
     peel, bound, head, tail = np.zeros((4, trials))
     for i in range(m):   # left to right, as scalar sums add
         peel += terms[:, i]

@@ -47,6 +47,16 @@ def direct_marginal(probs, mask):
     return probs.sum(axis=drop) if drop else probs
 
 
+def reference_mi(probs, a, b, given=0):
+    """I(a; b | given) in bits for axis bitmasks of the dense tensor ``probs``, as four
+    joint entropies, each a ``math.fsum`` of -x log2 x over the positive cells."""
+    def h(mask):
+        cells = direct_marginal(probs, mask).ravel().tolist() if mask else []
+        return -math.fsum(x * math.log2(x) for x in cells if x > 0.0)
+
+    return h(a | given) + h(b | given) - h(a | b | given) - h(given)
+
+
 def spec_equals(a, b):
     """Exact field-by-field equality of two specs (rationals, not float tolerance)."""
     return (

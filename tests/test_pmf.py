@@ -145,15 +145,25 @@ def test_cmi_chain_rule_and_nonnegativity():
 @pytest.mark.parametrize("total", [-CMI_CLAMP / 2, -0.0, -5 * CMI_CLAMP])
 def test_cmi_sign_rule(monkeypatch, total):
     # the four-entropy sum H(a) + H(b) - H(ab) - H(empty) reads exactly ``total``
-    p = random_joint(np.random.default_rng(3), (2, 2))
+    p = random_joint(np.random.default_rng(3), (2, 2, 2))
     entropies = {0b01: total, 0b10: -0.0, 0b11: 0.0, 0: 0.0}
-    monkeypatch.setattr(pmf_mod, "_joint_entropy", lambda _, vs: entropies[vs])
+    monkeypatch.setattr(pmf_mod, "_entropies",
+                        lambda _, masks: np.vectorize(entropies.get, otypes=[float])(masks))
     if total < -CMI_CLAMP:
         with pytest.raises(NumericIntegrityError):
             mi_sets(p, 0b01, 0b10)
     else:   # within the clamp, -0.0 included, the value is +0.0
         value = mi_sets(p, 0b01, 0b10)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    # elementwise: the pairs (X1, X2), (X1, X3) and (X2, X3) read -0.0, ``total`` and 0.25
+    entropies.update({0b001: -0.0, 0b100: -0.0, 0b101: -total, 0b110: -0.25})
+    a, b = np.array([0b001, 0b001, 0b010]), np.array([0b010, 0b100, 0b100])
+    if total < -CMI_CLAMP:
+        with pytest.raises(NumericIntegrityError):
+            mi_sets(p, a, b)
+    else:
+        values = mi_sets(p, a, b)
+        assert values.tolist() == [0.0, 0.0, 0.25] and not np.signbit(values).any()
 
 
 def test_cmi_requires_disjoint_sets():

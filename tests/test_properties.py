@@ -2,8 +2,9 @@
 
 Specs have M <= 4 sources of 1..3 symbols, |S| <= 2, |V| <= 3, L in 0..2
 and J in 0..M, optionally with one source symbol at probability zero; the
-probabilities, distortion tables and channel banks come from a drawn seed.
-Bare pmfs have up to 7 axes of 1..3 symbols.  Source cells given to the
+probabilities, distortion tables and channel banks come from a drawn seed,
+and a bank may be a stack of up to 3.  Bare pmfs have up to 7 axes of 1..3
+symbols, some cells possibly zero, and may be stacks of up to 3.  Source cells given to the
 normalization property are exact rationals, decimal strings read
 exactly, floats and zeros.
 """
@@ -21,19 +22,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from canonical_region import (  # noqa: E402
+    Channel,
     JointPmf,
     ProblemSpec,
+    StructuralError,
     attach_channels,
     entropy,
     enumerate_extreme_points,
+    mi_sets,
     nondegeneracy_report,
     random_channels,
     random_direction,
     rate_lhs,
     verify_linear_decomposition,
 )
+from canonical_region.pmf import JointStack  # noqa: E402
 from canonical_region.region import _cmi_xz  # noqa: E402
-from conftest import direct_marginal  # noqa: E402
+from conftest import direct_marginal, reference_mi  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -171,3 +176,86 @@ def test_integer_normalization_matches_the_fraction_reference(x_sizes, s_size, v
     assert spec.source_fractions == reference
     floats = np.array([float(f) for f in reference]).reshape(shape)
     assert spec.source.probs.tobytes() == floats.tobytes()
+
+
+@st.composite
+def mask_batches(draw, ndim):
+    """``(a, b, given)`` int arrays of 1..12 mask triples over ``ndim`` axes: a and b
+    nonempty, possibly sharing axes, and both disjoint from ``given``."""
+    triples = []
+    for _ in range(draw(st.integers(1, 12))):
+        given = draw(st.integers(0, (1 << ndim) - 2))
+        free = [i for i in range(ndim) if not given >> i & 1]
+        a, b = (sum(1 << i for i in draw(st.lists(st.sampled_from(free), min_size=1,
+                                                   unique=True))) for _ in range(2))
+        triples.append((a, b, given))
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*triples))
+
+
+@SETTINGS
+@given(tensors(), st.integers(0, 3), st.integers(0, 2**32 - 1), st.data())
+def test_batched_informations_match_single_calls_and_the_fsum_reference(probs, banks, seed,
+                                                                        data):
+    if banks:   # a stack of ``banks`` pmfs with the drawn one's zero cells
+        weighted = probs * np.random.default_rng(seed).uniform(0.5, 2.0, (banks,) + probs.shape)
+        probs = weighted / weighted.sum(axis=tuple(range(1, weighted.ndim)), keepdims=True)
+    make = JointStack if banks else JointPmf
+    ndim = probs.ndim - (1 if banks else 0)
+    a, b, given = data.draw(mask_batches(ndim))
+    batch = mi_sets(make(probs), a, b, given)
+    assert batch.shape == a.shape + probs.shape[:1 if banks else 0]
+    for i, triple in enumerate(zip(a.tolist(), b.tolist(), given.tolist())):
+        single = mi_sets(make(probs), *triple)     # a fresh pmf: nothing read from a cache
+        assert batch[i].tobytes() == np.asarray(single, dtype=float).tobytes()
+        for bank, value in enumerate(np.atleast_1d(single).tolist()):
+            reference = reference_mi(probs[bank] if banks else probs, *triple)
+            assert abs(value - max(reference, 0.0)) <= 1e-12
+    # one bad triple anywhere: an empty side, an overlap with the conditioning set,
+    # an axis outside the tensor or a negative mask
+    bad = data.draw(st.sampled_from([(0, 1, 0), (1, 0, 0), (1, 1, 1), (1 << ndim, 1, 0),
+                                     (1, -1, 0)]))
+    at = data.draw(st.integers(0, len(a)))
+    with pytest.raises(StructuralError):
+        mi_sets(make(probs), *(np.insert(column, at, value)
+                               for column, value in zip((a, b, given), bad)))
+
+
+def stacked_bank(spec, channels, rng, banks):
+    """``channels`` and ``banks - 1`` more drawn banks of the same widths, as one stack."""
+    widths = [ch.rows.shape[-1] for ch in channels]
+    extra = [random_channels(spec, rng, widths) for _ in range(banks - 1)]
+    return [Channel(ch.input, np.stack([ch.rows] + [bank[i].rows for bank in extra]))
+            for i, ch in enumerate(channels)]
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 3), st.data())
+def test_batched_cmi_memo_reads_match_single_reads_and_refuses_a_bad_key(instance, banks,
+                                                                        data):
+    spec, channels, rng = instance
+    if banks > 1 and channels:
+        channels = stacked_bank(spec, channels, rng, banks)
+    aug, fresh = attach_channels(spec, channels), attach_channels(spec, channels)
+    full = (1 << spec.m) - 1
+    keys = data.draw(st.lists(st.tuples(st.integers(1, full), st.integers(0, full))
+                              .filter(lambda key: not key[0] & key[1]), min_size=1, max_size=12))
+    left, cond = (np.array(column, dtype=np.int64) for column in zip(*keys))
+    batch = _cmi_xz(aug, left, cond)
+    lead = aug.joint.probs.shape[:aug.joint.stack]
+    assert batch.shape == left.shape + lead
+    for i, (l, c) in enumerate(keys):
+        single = _cmi_xz(fresh, l, c)
+        assert batch[i].tobytes() == np.asarray(single, dtype=float).tobytes()
+        axes = (aug.x_axes(l), aug.z_axes(l), aug.z_axes(c) | aug.s_axis)
+        for bank, value in enumerate(np.atleast_1d(single).tolist()):
+            probs = aug.joint.probs[bank] if lead else aug.joint.probs
+            assert abs(value - max(reference_mi(probs, *axes), 0.0)) <= 1e-12
+    # one bad key anywhere: an empty left side, a source outside 1..M, a negative
+    # mask or a conditioning set that overlaps the left side
+    bad = data.draw(st.sampled_from([(0, 0), (full + 1, 0), (1, full + 1), (-1, 0), (1, -1),
+                                     (1, 1)]))
+    at = data.draw(st.integers(0, len(keys)))
+    stored = dict(aug._cmi)
+    with pytest.raises(StructuralError):
+        _cmi_xz(aug, np.insert(left, at, bad[0]), np.insert(cond, at, bad[1]))
+    assert aug._cmi == stored

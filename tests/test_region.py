@@ -302,8 +302,8 @@ def count_mi_sets(monkeypatch):
     calls = []
     real = region_mod.mi_sets
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def counting(*args, **kwargs):   # one entry per value computed, not per call
+        calls.extend([1] * np.size(args[1]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(region_mod, "mi_sets", counting)
