@@ -36,6 +36,7 @@ for every slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -271,14 +272,15 @@ class FunctionalContext:
         rates = np.broadcast_to(direction.rate_weights, (count, spec.m - spec.j))
         columns: dict[int, int] = {}                   # axis bitmask -> its law's column
         groups = []
+        rate_axes = [(i, aug.x_axes(1 << (i - 1)), observed((1 << (i - 1)) - 1),
+                      observed((1 << i) - 1)) for i in range(k, spec.m + 1)]   # X_i, U, U Z_i
         for members in _classes(rates):                # the banks of one rate weight row
             # phi_i = H(X_i | U) - H(X_i | U, Z_i), each H a difference of two law entropies
             laws: dict[int, float] = {}                # axis bitmask -> weight of its entropy
-            for i in range(k, spec.m + 1):
-                weight, source = rates[members[0], i - spec.j - 1], 1 << (i - 1)
+            for i, x_i, u, u_z in rate_axes:
+                weight = rates[members[0], i - spec.j - 1]
                 if weight == 0.0:
                     continue
-                x_i, u, u_z = aug.x_axes(source), observed(source - 1), observed(2 * source - 1)
                 if i > k:                              # H(X_k | U) is t-free at the own slot
                     laws[x_i | u] = laws.get(x_i | u, 0.0) + weight
                     laws[u] = laws.get(u, 0.0) - weight
@@ -326,12 +328,14 @@ class FunctionalContext:
 
 
 def _classes(rows) -> list[np.ndarray]:
-    """The indices of each distinct row of ``rows``."""
+    """The indices of each distinct row of ``rows``, rows in ``np.unique``'s sorted order."""
     rows = np.asarray(rows)
-    if (rows == rows[:1]).all():                       # one class, without np.unique's sort
+    if (rows == rows[:1]).all():                       # one class, without a pass over the rows
         return [np.arange(len(rows))]
-    inverse = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
-    return [np.flatnonzero(inverse == c) for c in range(inverse.max() + 1)]
+    classes: dict[tuple, list[int]] = {}               # a dict of a few rows beats np.unique
+    for at, row in enumerate(rows.reshape(len(rows), -1).tolist()):
+        classes.setdefault(tuple(row), []).append(at)
+    return [np.array(classes[row]) for row in sorted(classes)]
 
 
 def theta(ctx: FunctionalContext, pool) -> np.ndarray:
@@ -343,7 +347,8 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
     Every law is one product with the context's compiled map; the
     entropies are its :func:`plogp` cells summed per law, the Bayes risks
     its per-observation minima, each direction row's laws in its own order.
-    A stack is scored in blocks of at most ``THETA_BLOCK_CELLS`` products.
+    A stack is scored in blocks of at most ``THETA_BLOCK_CELLS`` products;
+    each direction row then weighs its laws' entropies once, over all blocks.
     """
     pool = check_simplex_point(pool, ctx.p_k.size)
     lead = pool.shape[:-2] or ctx._banks               # one pool, one context: a stack of one
@@ -352,21 +357,23 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
         return theta(ctx, pool.reshape(1, -1, pool.shape[-1])).reshape(*lead, -1)
     pool = np.broadcast_to(pool, (len(ctx._constant), *pool.shape[1:]))   # or one pool every bank
     step = max(1, THETA_BLOCK_CELLS // (pool.shape[1] * max(1, ctx._map.shape[-1])))
-    blocks = []
+    sums = np.empty((*pool.shape[:2], len(ctx._starts)))         # (B, P, laws)
+    risks = np.empty((len(ctx._risks), *pool.shape[:2]))         # (L, B, P)
     for start in range(0, len(pool), step):
         at = slice(start, start + step)
         mixed = pool[at] @ ctx._map[at]                # (b, P, C): every law of every row
-        value = np.zeros(mixed.shape[:-1]) + ctx._constant[at, None]
         if ctx._starts.size:
-            sums = np.add.reduceat(plogp(mixed[..., :ctx._entropy_cells]), ctx._starts, axis=-1)
-            for members, columns, weights in ctx._groups:     # the banks of one direction row
-                rows = members[at]
-                value[rows] -= np.take(sums[rows], columns, axis=-1) @ weights   # C order for BLAS
-        for first, stop, vhat, weight in ctx._risks:
+            sums[at] = np.add.reduceat(plogp(mixed[..., :ctx._entropy_cells]), ctx._starts, axis=-1)
+        for risk, (first, stop, vhat, _) in zip(risks, ctx._risks):
             scores = mixed[..., first:stop].reshape(*mixed.shape[:-1], vhat, -1)
-            value += weight[at, None] * scores.min(axis=-2).sum(axis=-1)
-        blocks.append(value)
-    return np.concatenate(blocks).reshape(*lead, -1)
+            # the Bayes minima, one np.minimum per reconstruction: faster than a min over that axis
+            risk[at] = reduce(np.minimum, scores.transpose(2, 0, 1, 3)).sum(axis=-1)
+    value = np.zeros(pool.shape[:2]) + ctx._constant[:, None]
+    for members, columns, weights in ctx._groups:     # the banks of one direction row
+        value[members] -= np.take(sums[members], columns, axis=-1) @ weights   # C order for BLAS
+    for risk, (*_, weight) in zip(risks, ctx._risks):
+        value += weight[:, None] * risk
+    return value.reshape(*lead, -1)
 
 
 # ---- the mixture identity ----------------------------------------------------

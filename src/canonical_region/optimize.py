@@ -117,6 +117,10 @@ def _candidate_pool(ctx: FunctionalContext, candidates: int, seeds: Sequence,
     ``np.eye(|X_k|)``, the slot LP's identity basis, and ends with its
     incumbent.  Points may repeat: a copy of a basic column keeps the same
     tableau bits, so its reduced cost is exactly 0 and it never enters.
+    The draws are ``Generator(PCG64(seed)).dirichlet(np.ones(n), size)`` bit
+    for bit: for alpha = 1 numpy's ``dirichlet`` (numpy/random/_generator.pyx)
+    draws gamma(1) = unit exponential variates row by row, sums each row left
+    to right and multiplies it by ``1 / sum``.
     """
     if candidates < 0:
         raise StructuralError(f"candidates must be >= 0, got {candidates}")
@@ -129,8 +133,10 @@ def _candidate_pool(ctx: FunctionalContext, candidates: int, seeds: Sequence,
     parts = [np.broadcast_to(head, (len(seeds), *head.shape))]
     if candidates > 0 and n > 1:
         # Generator(PCG64(seed)) is np.random.default_rng(seed), without its type dispatch
-        parts.append(np.array([np.random.Generator(np.random.PCG64(seed)).dirichlet(
-            np.ones(n), size=candidates) for seed in seeds]))
+        draws = np.array([np.random.Generator(np.random.PCG64(seed)).standard_exponential(
+            (candidates, n)) for seed in seeds])
+        total = np.add.accumulate(draws, axis=-1)[..., -1]   # left to right, as dirichlet's
+        parts.append(draws * (1.0 / total)[..., None])
     return np.concatenate([*parts, cols], axis=1)
 
 
@@ -181,9 +187,8 @@ def _stacked(spec: ProblemSpec, k: int, channels: Sequence[Channel]) -> Channel:
     """Slot k's channels as one stack, each padded to the widest with zero-weight outputs."""
     if any(ch.input != spec.x_alphabet(k) for ch in channels):
         raise StructuralError(f"an initial channel of slot {k} does not read {spec.x_alphabet(k)}")
-    width = max(ch.rows.shape[-1] for ch in channels)
-    return Channel(spec.x_alphabet(k),
-                   [np.pad(ch.rows, ((0, 0), (0, width - ch.rows.shape[-1]))) for ch in channels])
+    return Channel(spec.x_alphabet(k), _joined([([b], ch.rows[None])
+                                                for b, ch in enumerate(channels)]))
 
 
 def _joined(parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -253,6 +258,7 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
     traces = [[value] for value in values()]
     runs = [None] * len(inits)
     for sweep in range(sweeps):
+        by_row = _classes(direction.coords)   # direction rows change only when banks leave
         for pos, k in enumerate(slots):
             steps = [(at, optimize_single_channel(
                 FunctionalContext(spec, k, *stack(at, skip=k)), candidates,
@@ -263,7 +269,7 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
                 _joined([(at, p.weights) for at, p in steps]),
                 _joined([(at, p.columns) for at, p in steps]))
             kept = pairs[pos].weights > 0.0   # a direction's banks keep what one of them weighs
-            for at in _classes(direction.coords):
+            for at in by_row:
                 kept[at] = kept[at].any(axis=0)
             parts = [(at, reverse_to_forward(spec, k, pairs[pos] if len(at) == len(live) else
                                              ReverseChannelPair(pairs[pos].weights[at],
@@ -273,7 +279,7 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
                 widths[at, pos] = part.rows.shape[-1]
             channels[pos] = parts[0][1] if len(parts) == 1 else Channel(
                 spec.x_alphabet(k), _joined([(at, ch.rows) for at, ch in parts]))
-        stay = []
+        stay, done = [], []
         for at, (b, value) in enumerate(zip(live, values())):
             trace = traces[b]
             if value > trace[-1] + MONOTONE_TOL:
@@ -281,12 +287,18 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
                     f"objective rose from {trace[-1]!r} to {value!r} in sweep {sweep + 1}"
                 )
             trace.append(value)
-            if trace[-2] - trace[-1] >= SWEEP_IMPROVEMENT_TOL and sweep + 1 < sweeps:
-                stay.append(at)
-            else:
-                runs[b] = OptimizeResult(tuple(reverse_to_forward(
-                    spec, k, ReverseChannelPair(pair.weights[at], pair.columns[at]))
-                    for k, pair in zip(slots, pairs)), tuple(trace))
+            (stay if trace[-2] - trace[-1] >= SWEEP_IMPROVEMENT_TOL and sweep + 1 < sweeps
+             else done).append(at)
+        finished = {at: [] for at in done}
+        for k, pair in zip(slots, pairs if done else ()):
+            weights, columns = pair.weights[done], pair.columns[done]
+            # banks of equal kept outputs convert as one stack, each to its own bits
+            for at in _classes(weights > 0.0):
+                ch = reverse_to_forward(spec, k, ReverseChannelPair(weights[at], columns[at]))
+                for b, rows in zip(at.tolist(), ch.rows):
+                    finished[done[b]].append(Channel(ch.input, rows))
+        for at, chs in finished.items():
+            runs[live[at]] = OptimizeResult(tuple(chs), tuple(traces[live[at]]))
         live = [live[at] for at in stay]
         if not live:
             break

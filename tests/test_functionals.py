@@ -149,6 +149,51 @@ def test_theta_scores_a_large_stack_in_bounded_blocks(helper3, monkeypatch):
         assert scores[block].tobytes() == theta(ctx, pools[block]).tobytes()
 
 
+def test_theta_weighs_interleaved_direction_rows_across_blocks(helper3, monkeypatch):
+    # three direction rows whose banks alternate, so every block holds banks of
+    # each row and each row's banks span every block; the rows weigh different
+    # laws and distortions.  A row's scores have the bits of a stack of that
+    # row's banks alone
+    rng = np.random.default_rng(109)
+    coords = np.vstack([random_direction(helper3.m, helper3.j, helper3.l, rng).coords,
+                        np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]) / 5 ** 0.5])
+    three = Direction(helper3.m, helper3.j, helper3.l, coords[:, :2], coords[:, 2:])
+    rows = 69
+    probe = FunctionalContext(helper3, 2, {3: random_channels(helper3, rng)[1]}, three)
+    per_block = functionals.THETA_BLOCK_CELLS // (rows * probe._map.shape[-1])
+    banks = 3 * per_block + 4
+    assert per_block >= 3
+    d = direction_rows(three, np.arange(banks) % 3)
+    slot3 = Channel(helper3.x_alphabet(3), [random_channels(helper3, rng)[1].rows
+                                            for _ in range(banks)])
+    pools = rng.dirichlet(np.ones(2), size=(banks, rows))
+    blocks = []
+    plogp = functionals.plogp
+    monkeypatch.setattr(functionals, "plogp", lambda a: blocks.append(a.shape[0]) or plogp(a))
+    scores = theta(FunctionalContext(helper3, 2, {3: slot3}, d), pools)
+    assert blocks == [per_block] * 3 + [4]
+    monkeypatch.setattr(functionals, "plogp", plogp)
+    for row in range(3):
+        own = np.arange(row, banks, 3)
+        ctx = FunctionalContext(helper3, 2, {3: Channel(slot3.input, slot3.rows[own])},
+                                direction_rows(d, own))
+        assert scores[own].tobytes() == theta(ctx, pools[own]).tobytes()
+
+
+def test_classes_are_numpys_unique_rows():
+    # the groups of equal rows, in np.unique's sorted order, with -0.0 equal to
+    # 0.0: int widths, bool kept outputs and float direction rows
+    rng = np.random.default_rng(112)
+    for trial in range(300):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 5)))
+        rows = [rng.integers(0, 3, shape), rng.integers(0, 2, shape) > 0,
+                rng.choice([0.0, -0.0, 0.5, 1 / 3], shape)][trial % 3]
+        inverse = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+        expected = [np.flatnonzero(inverse == c) for c in range(inverse.max() + 1)]
+        got = functionals._classes(rows)
+        assert [at.tolist() for at in got] == [at.tolist() for at in expected]
+
+
 class NoDraws:
     def normal(self, size):
         raise AssertionError(f"drew {size} normals for a direction with no coordinates")

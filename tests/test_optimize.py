@@ -15,6 +15,7 @@ from canonical_region import (
     FunctionalContext,
     NumericIntegrityError,
     ProblemSpec,
+    ReverseChannelPair,
     StructuralError,
     attach_channels,
     brute_force_search,
@@ -30,6 +31,7 @@ from canonical_region import (
     random_channels,
     random_direction,
     resolve_problem,
+    reverse_to_forward,
     theta,
     trace_inner_bound,
     verify_alphabet_bound,
@@ -597,6 +599,26 @@ def test_candidate_pool_layout(request, monkeypatch):
                 assert seen.pop() == list(range(tail, pools.shape[1]))
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_candidate_pool_draws_are_numpys_dirichlet(n):
+    # the pool normalizes unit exponential draws by their left-to-right row
+    # sums, as the installed numpy's Dirichlet(1) does: 8 or more terms too,
+    # where numpy's own sum would pair them.  A numpy that draws Dirichlet
+    # vectors another way fails here
+    rng = np.random.default_rng(110)
+    probs = rng.dirichlet(np.ones(2 * n)).reshape(n, 1, 2)          # |X_1| = n
+    spec = ProblemSpec(0, probs, [[[0.0, 1.0], [1.0, 0.0]]])
+    ctx = FunctionalContext(spec, 1, {}, Direction.normalized(1, 0, 1, [1.0, 1.0]))
+    seeds = [0, (5, 1, 2), ((2**40 + 5, 3, 7), 11, 3)]
+    head = len(_pool_head(n))
+    for candidates in (1, 64):
+        pools = _candidate_pool(ctx, candidates, seeds, [np.eye(n)] * len(seeds))
+        for seed, pool in zip(seeds, pools):
+            draws = np.random.Generator(np.random.PCG64(seed)).dirichlet(np.ones(n),
+                                                                         size=candidates)
+            assert pool[head:head + candidates].tobytes() == draws.tobytes()
+
+
 @pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol"])
 def test_slot_lp_matches_highs(name, request):
     # an outside solver on real slot LPs: theta costs over the candidate pool
@@ -1044,3 +1066,42 @@ def test_lockstep_descent_matches_each_bank_alone(name, request):
         for ch, solo in zip(run.channels, alone.channels):
             assert ch.rows.shape == solo.rows.shape
             assert np.abs(ch.rows - solo.rows).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["helper3", "zero-symbol"])
+def test_banks_that_finish_together_keep_their_own_outputs(name, request, monkeypatch):
+    # banks that stop in the same sweep convert together, one stack per class
+    # of equal kept outputs: each run's channels are reverse_to_forward of its
+    # own last pairs, bit for bit, so no bank keeps an output of another, and
+    # a zero-probability symbol's row is uniform over the bank's own outputs
+    rng = np.random.default_rng(111)
+    spec = zero_symbol_spec(rng) if name == "zero-symbol" else request.getfixturevalue(name)
+    slots = spec.channel_slots
+    inits = default_multistart_inits(spec, 8)
+    coords = np.repeat([random_direction(spec.m, spec.j, spec.l, rng).coords
+                        for _ in range(2)], len(inits), axis=0)
+    d = Direction(spec.m, spec.j, spec.l, coords[:, :spec.m - spec.j], coords[:, spec.m - spec.j:])
+    seeds = [(6, b) for b in range(len(coords))]
+    last = {}                             # (bank seed, slot) -> the bank's last pair
+    step = optimize.optimize_single_channel
+
+    def recorded(ctx, candidates, step_seeds, **kwargs):
+        pairs = step(ctx, candidates, step_seeds, **kwargs)
+        for (seed, _, k), w, columns in zip(step_seeds, pairs.weights, pairs.columns):
+            last[seed, k] = ReverseChannelPair(w, columns)
+        return pairs
+
+    monkeypatch.setattr(optimize, "optimize_single_channel", recorded)
+    together = {}                         # (sweeps, sweep) -> kept outputs of the banks it stops
+    for sweeps in (1, 50):                # one sweep stops every bank at once
+        runs = coordinate_descent(spec, d, inits * 2, seeds, sweeps=sweeps, candidates=32)
+        for seed, run in zip(seeds, runs):
+            kept = tuple((last[seed, k].weights > 0.0).tobytes() for k in slots)
+            together.setdefault((sweeps, run.sweeps_run), []).append(kept)
+            for k, ch in zip(slots, run.channels):
+                own = reverse_to_forward(spec, k, last[seed, k])
+                assert ch.rows.tobytes() == own.rows.tobytes()
+                if name == "zero-symbol" and k == 1:
+                    assert (ch.rows[2] == 1.0 / ch.rows.shape[-1]).all()
+    # some sweep stops banks of different kept outputs and, with them, equal ones
+    assert any(1 < len(set(kept)) < len(kept) for kept in together.values())
