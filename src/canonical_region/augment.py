@@ -43,7 +43,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .pmf import Alphabet, JointPmf, JointStack, check_int, mi_sets
+from .pmf import Alphabet, JointPmf, JointStack, check_int, first_outside, mi_sets
 
 ROW_TOL = 1e-12
 MARGINAL_TOL = 1e-12
@@ -291,9 +291,8 @@ class AugmentedPmf:
     def x_axes(self, sources):
         """Axes of X_i for the sources in the bitmask ``sources`` (bit i-1 is source i),
         or for each of an int array of bitmasks."""
-        outside = sources >> self.m                       # a negative mask shifts to -1
-        if outside if isinstance(outside, int) else np.count_nonzero(outside):
-            bad = int(np.ravel(sources)[np.ravel(outside) != 0][0])
+        bad = first_outside(sources, self.m)
+        if bad is not None:
             raise StructuralError(f"source mask {bad:#b} outside 1..{self.m}")
         return sources
 
@@ -429,13 +428,13 @@ def forward_to_reverse(spec: ProblemSpec, k: int, q: Channel) -> ReverseChannelP
 
 
 def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> Channel:
-    """Convert a reverse pair back to a channel, dropping zero-weight symbols.
+    """Convert a reverse pair (or a stack) back to a channel, one output per symbol.
 
     Requires the mixture identity to hold within ``MIXTURE_INPUT_TOL``.
-    A source symbol with zero probability gets a uniform channel row (its
-    conditional is undefined).  A stack of pairs keeps every symbol of
-    positive weight in some pair; one of zero weight in pair b carries no
-    mass in channel b.
+    A zero-weight symbol becomes an output of zero probability, a zero
+    column.  A source symbol with zero probability gets a channel row
+    uniform over the pair's positive-weight symbols (its conditional is
+    undefined).
     """
     if k not in spec.channel_slots:
         raise StructuralError(f"slot {k} is not in {spec.channel_slots}")
@@ -445,13 +444,11 @@ def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> C
             f"reverse pair violates the mixture identity by {err:.3e}"
         )
     p_k = spec.x_marginal(k)
-    keep = np.flatnonzero((pair.weights > 0.0).reshape(-1, pair.weights.shape[-1]).any(axis=0))
-    if keep.size == 0:
-        raise StructuralError("reverse pair has no positive-weight symbols")
-    w = pair.weights[..., keep]
-    cols = np.swapaxes(pair.columns[..., keep, :], -1, -2)      # ([B,] x, z)
+    w = pair.weights
+    cols = np.swapaxes(pair.columns, -1, -2)                    # ([B,] x, z)
     positive = p_k > 0.0
-    rows = np.full(cols.shape, 1.0 / keep.size)
+    uniform = (w > 0.0) / np.count_nonzero(w > 0.0, axis=-1)[..., None]
+    rows = np.repeat(uniform[..., None, :], p_k.size, axis=-2)
     rows[..., positive, :] = (w[..., None, :] * cols)[..., positive, :] / p_k[positive, None]
     sums = rows.sum(axis=-1)
     if np.abs(sums - 1.0).max() > REBUILT_ROW_TOL:

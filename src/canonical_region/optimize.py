@@ -16,8 +16,9 @@ Coordinate descent cycles the slots.  Each slot's incumbent is its own
 last basic pair, so the step objective never increases; the sweep trace
 is therefore monotone within float noise, which is enforced.  Every
 restart of every direction descends in one stack, each bank with its own
-direction row, so that a slot step is one call of each layer for the
-whole stack while its channels have equal widths.
+direction row.  Every slot's channel has ``|X_k|`` outputs after its first
+step, a zero column for each zero-weight symbol of its pair, so a slot
+step is one call of each layer for the whole stack.
 
 A direct lattice search (:func:`brute_force_search`) grids every
 channel's rows over the probability simplex and evaluates the objective
@@ -54,7 +55,6 @@ from .functionals import (
     Direction,
     FunctionalContext,
     _bayes_scores,
-    _classes,
     direct_weighted_value,
     theta,
 )
@@ -184,20 +184,15 @@ def optimize_single_channel(ctx: FunctionalContext, candidates: int, seeds: Sequ
 
 
 def _stacked(spec: ProblemSpec, k: int, channels: Sequence[Channel]) -> Channel:
-    """Slot k's channels as one stack, each padded to the widest with zero-weight outputs."""
-    if any(ch.input != spec.x_alphabet(k) for ch in channels):
-        raise StructuralError(f"an initial channel of slot {k} does not read {spec.x_alphabet(k)}")
-    return Channel(spec.x_alphabet(k), _joined([([b], ch.rows[None])
-                                                for b, ch in enumerate(channels)]))
-
-
-def _joined(parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """One stack of the ``(banks, stack)`` parts, zero-padded on the last axis."""
-    joined = np.zeros((sum(len(at) for at, _ in parts), *parts[0][1].shape[1:-1],
-                       max(a.shape[-1] for _, a in parts)))
-    for at, a in parts:
-        joined[at, ..., :a.shape[-1]] = a
-    return joined
+    """Slot k's channels as one stack, each padded with zero columns to ``|X_k|``
+    outputs or, when one is wider, to the widest."""
+    x = spec.x_alphabet(k)
+    if any(ch.input != x for ch in channels):
+        raise StructuralError(f"an initial channel of slot {k} does not read {x}")
+    rows = np.zeros((len(channels), x.size, max(x.size, *(ch.rows.shape[-1] for ch in channels))))
+    for b, ch in enumerate(channels):
+        rows[b, :, :ch.rows.shape[-1]] = ch.rows
+    return Channel(x, rows)
 
 
 def coordinate_descent(spec: ProblemSpec, direction: Direction,
@@ -208,13 +203,13 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
     ``direction`` weighs every bank, or is a stack with one row per bank.
     Bank b descends as if alone, its pools drawn from ``seeds[b]``, and
     leaves the stack after ``sweeps`` sweeps or when a sweep improves its
-    objective by less than ``SWEEP_IMPROVEMENT_TOL``.  A slot's channel
-    keeps each output that a live bank of its direction row weighs, and
-    banks of equal channel widths are scored together, so no bank reads
-    the bits of another direction row.  Each slot's incumbent is its last
-    step's basic pair (the initial bank's reverse pair before its first
-    step), so every step starts from it.  Each trace records the objective
-    after each sweep (index 0 is the initial bank) and must be
+    objective by less than ``SWEEP_IMPROVEMENT_TOL``.  Every slot's channel
+    has ``|X_k|`` outputs from its first step on, one per symbol of the
+    step's basic pair, so a slot step is one context, one theta, one stack
+    of LPs and one conversion for the whole stack.  Each slot's incumbent
+    is its last step's basic pair (the initial bank's reverse pair before
+    its first step), so every step starts from it.  Each trace records the
+    objective after each sweep (index 0 is the initial bank) and must be
     non-increasing within ``MONOTONE_TOL``; violation means the mixture
     identity broke and raises.  Reported channels keep only their
     positive-weight outputs.
@@ -234,78 +229,38 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
                           for w in (direction.rate_weights, direction.distortion_weights)))
     live = list(range(len(inits)))        # the banks still descending, in stack order
     channels = [_stacked(spec, k, [init[pos] for init in inits]) for pos, k in enumerate(slots)]
-    widths = np.array([[ch.rows.shape[-1] for ch in channels]] * len(inits))   # each bank's own
     pairs = [forward_to_reverse(spec, k, ch) for k, ch in zip(slots, channels)]
     pairs = [ReverseChannelPair(*_support_first(p.weights, p.columns, p.weights.shape[1]))
              for p in pairs]
-
-    def stack(at, skip: int = 0) -> tuple[dict[int, Channel], Direction]:
-        """Banks ``at``, of equal widths: their channels but slot ``skip``'s, and direction."""
-        if len(at) == len(live):          # every bank: the stacks as they are, as wide as theirs
-            return {k: ch for k, ch in zip(slots, channels) if k != skip}, direction
-        return ({k: Channel(ch.input, ch.rows[at, :, :widths[at[0], pos]])
-                 for pos, (k, ch) in enumerate(zip(slots, channels)) if k != skip},
-                Direction(spec.m, spec.j, spec.l, direction.rate_weights[at],
-                          direction.distortion_weights[at]))
-
-    def values() -> list[float]:          # each live bank's objective
-        value = np.empty(len(live))
-        for at in _classes(widths):
-            frozen, along = stack(at)
-            value[at] = direct_weighted_value(spec, list(frozen.values()), along)
-        return value.tolist()
-
-    traces = [[value] for value in values()]
+    traces = [[value] for value in direct_weighted_value(spec, channels, direction).tolist()]
     runs = [None] * len(inits)
     for sweep in range(sweeps):
-        by_row = _classes(direction.coords)   # direction rows change only when banks leave
         for pos, k in enumerate(slots):
-            steps = [(at, optimize_single_channel(
-                FunctionalContext(spec, k, *stack(at, skip=k)), candidates,
-                [(seeds[live[b]], sweep, k) for b in at.tolist()],
-                incumbent_columns=pairs[pos].columns[at]))
-                for at in _classes(widths)]
-            pairs[pos] = steps[0][1] if len(steps) == 1 else ReverseChannelPair(
-                _joined([(at, p.weights) for at, p in steps]),
-                _joined([(at, p.columns) for at, p in steps]))
-            kept = pairs[pos].weights > 0.0   # a direction's banks keep what one of them weighs
-            for at in by_row:
-                kept[at] = kept[at].any(axis=0)
-            parts = [(at, reverse_to_forward(spec, k, pairs[pos] if len(at) == len(live) else
-                                             ReverseChannelPair(pairs[pos].weights[at],
-                                                                pairs[pos].columns[at])))
-                     for at in _classes(kept)]
-            for at, part in parts:
-                widths[at, pos] = part.rows.shape[-1]
-            channels[pos] = parts[0][1] if len(parts) == 1 else Channel(
-                spec.x_alphabet(k), _joined([(at, ch.rows) for at, ch in parts]))
-        stay, done = [], []
-        for at, (b, value) in enumerate(zip(live, values())):
+            frozen = {kk: ch for kk, ch in zip(slots, channels) if kk != k}
+            pairs[pos] = optimize_single_channel(
+                FunctionalContext(spec, k, frozen, direction), candidates,
+                [(seeds[b], sweep, k) for b in live], incumbent_columns=pairs[pos].columns)
+            channels[pos] = reverse_to_forward(spec, k, pairs[pos])
+        stay = []
+        for at, (b, value) in enumerate(zip(live, direct_weighted_value(
+                spec, channels, direction).tolist())):
             trace = traces[b]
             if value > trace[-1] + MONOTONE_TOL:
                 raise NumericIntegrityError(
                     f"objective rose from {trace[-1]!r} to {value!r} in sweep {sweep + 1}"
                 )
             trace.append(value)
-            (stay if trace[-2] - trace[-1] >= SWEEP_IMPROVEMENT_TOL and sweep + 1 < sweeps
-             else done).append(at)
-        finished = {at: [] for at in done}
-        for k, pair in zip(slots, pairs if done else ()):
-            weights, columns = pair.weights[done], pair.columns[done]
-            # banks of equal kept outputs convert as one stack, each to its own bits
-            for at in _classes(weights > 0.0):
-                ch = reverse_to_forward(spec, k, ReverseChannelPair(weights[at], columns[at]))
-                for b, rows in zip(at.tolist(), ch.rows):
-                    finished[done[b]].append(Channel(ch.input, rows))
-        for at, chs in finished.items():
-            runs[live[at]] = OptimizeResult(tuple(chs), tuple(traces[live[at]]))
+            if trace[-2] - trace[-1] >= SWEEP_IMPROVEMENT_TOL and sweep + 1 < sweeps:
+                stay.append(at)
+            else:                         # a slice: the outputs its own last pairs weigh
+                runs[b] = OptimizeResult(tuple(
+                    Channel(ch.input, ch.rows[at][:, pair.weights[at] > 0.0])
+                    for ch, pair in zip(channels, pairs)), tuple(trace))
         live = [live[at] for at in stay]
         if not live:
             break
         pairs = [ReverseChannelPair(pair.weights[stay], pair.columns[stay]) for pair in pairs]
-        widths = widths[stay]
-        channels = [Channel(ch.input, ch.rows[stay, :, :width])
-                    for ch, width in zip(channels, widths.max(axis=0))]
+        channels = [Channel(ch.input, ch.rows[stay]) for ch in channels]
         direction = Direction(spec.m, spec.j, spec.l, direction.rate_weights[stay],
                               direction.distortion_weights[stay])
     return DescentStack(runs)
@@ -331,23 +286,23 @@ def _multistart_descent(spec: ProblemSpec, directions: Sequence[Direction], rest
                         seed: int) -> list[tuple[OptimizeResult, int]]:
     """Descend from every bank of ``default_multistart_inits(spec, restarts,
     seed)`` along every direction in one stack, bank r of direction ``idx``
-    with seed ``(seed, idx, r)``; each direction's first best run and its ``r``.
-    A repeated direction descends in a later stack: equal rows share widths."""
+    with seed ``(seed, idx, r)``; each direction's first best run and its ``r``."""
     inits = default_multistart_inits(spec, restarts, seed)
     if any((d.m, d.j, d.l) != (spec.m, spec.j, spec.l) for d in directions):
         raise StructuralError("direction dimensions do not match the spec")
-    best = [None] * len(directions)
-    for repeat in itertools.zip_longest(*_classes([d.coords for d in directions])):
-        idxs = sorted(idx for idx in repeat if idx is not None)
-        stack = Direction(spec.m, spec.j, spec.l, *(
-            np.repeat([getattr(directions[idx], name) for idx in idxs], len(inits), axis=0)
-            for name in ("rate_weights", "distortion_weights")))
-        runs = coordinate_descent(spec, stack, inits * len(idxs),
-                                  [(seed, idx, r) for idx in idxs for r in range(len(inits))],
-                                  sweeps=sweeps, candidates=candidates)
-        for at, idx in zip(range(0, len(runs), len(inits)), idxs):
-            r = min(range(len(inits)), key=lambda r: runs[at + r].objective)  # first of minima
-            best[idx] = (runs[at + r], r)
+    if not directions:
+        return []
+    stack = Direction(spec.m, spec.j, spec.l, *(
+        np.repeat([getattr(d, name) for d in directions], len(inits), axis=0)
+        for name in ("rate_weights", "distortion_weights")))
+    runs = coordinate_descent(spec, stack, inits * len(directions),
+                              [(seed, idx, r) for idx in range(len(directions))
+                               for r in range(len(inits))],
+                              sweeps=sweeps, candidates=candidates)
+    best = []
+    for at in range(0, len(runs), len(inits)):
+        r = min(range(len(inits)), key=lambda r: runs[at + r].objective)  # first of minima
+        best.append((runs[at + r], r))
     return best
 
 

@@ -50,6 +50,15 @@ def check_int(value, what: str = "index") -> int:
     raise StructuralError(f"{what} {value!r} is not an integer")
 
 
+def first_outside(masks, width: int) -> int | None:
+    """The first mask, of the bitmask ``masks`` or an int array of them, with a bit
+    at or above ``width`` (a negative mask has them all); None when all are in range."""
+    outside = masks >> width                          # a negative mask shifts to -1
+    if outside if isinstance(outside, int) else np.count_nonzero(outside):
+        return int(np.ravel(masks)[np.ravel(outside) != 0][0])
+    return None
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """A named finite symbol set; symbols are the integers ``0..size-1``."""
@@ -112,9 +121,8 @@ class JointPmf:
 
     def check_axes(self, axes) -> None:
         """Raise unless the axis mask ``axes``, or each of an int array, is in range."""
-        outside = axes >> self.ndim                       # a negative mask shifts to -1
-        if outside if isinstance(outside, int) else np.count_nonzero(outside):
-            bad = int(np.ravel(axes)[np.ravel(outside) != 0][0])
+        bad = first_outside(axes, self.ndim)
+        if bad is not None:
             raise StructuralError(f"axis mask {bad:#b} selects axes outside the tensor's "
                                   f"{self.ndim}")
 

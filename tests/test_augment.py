@@ -264,7 +264,7 @@ def test_forward_reverse_round_trip():
         assert np.abs(back.rows - q.rows).max() < 1e-10
 
 
-def test_reverse_drops_zero_weight_symbols():
+def test_reverse_keeps_zero_weight_symbols_as_zero_columns():
     rng = np.random.default_rng(2)
     spec = make_spec(rng, m=1, j=0, l=1)
     n = spec.x_alphabets[0].size
@@ -274,7 +274,14 @@ def test_reverse_drops_zero_weight_symbols():
     pair = forward_to_reverse(spec, 1, q)
     assert np.flatnonzero(pair.weights == 0.0).tolist() == [1]
     back = reverse_to_forward(spec, 1, pair)
-    assert back.rows.shape[-1] == 1
+    assert back.rows.tolist() == rows.tolist()     # one output per symbol: a zero column
+    # in a stack, a symbol of zero weight in one pair is a zero column of that channel only
+    (other,) = random_channels(spec, rng, sizes=[2])
+    stack = forward_to_reverse(spec, 1, Channel(q.input, [rows, other.rows]))
+    back = reverse_to_forward(spec, 1, stack)
+    assert back.rows.shape == (2, n, 2)
+    assert (back.rows[0, :, 1] == 0.0).all() and (back.rows[1, :, 1] > 0.0).all()
+    assert np.abs(back.rows[1] - other.rows).max() < 1e-12
 
 
 def test_reverse_requires_mixture_identity():
@@ -301,8 +308,18 @@ def test_zero_probability_source_symbol_round_trip():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DegeneracyWarning)   # the spec warned once, at build
         back = reverse_to_forward(spec, 1, pair)
-    assert back.rows.shape[-1] == 1
-    assert np.allclose(back.rows, [[1.0], [1.0]])
+    # one output per symbol; X=1's row is uniform over the positive-weight symbols
+    assert back.rows.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    probs = np.zeros((3, 1, 2))
+    probs[:2, 0, 0] = 0.5
+    with pytest.warns(DegeneracyWarning):
+        spec = ProblemSpec(0, probs, [])
+    q = identity_channel(spec.x_alphabets[0])
+    pair = forward_to_reverse(spec, 1, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegeneracyWarning)
+        back = reverse_to_forward(spec, 1, pair)
+    assert back.rows.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]
 
 
 def test_reverse_pair_validation():

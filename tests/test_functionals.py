@@ -182,7 +182,7 @@ def test_theta_weighs_interleaved_direction_rows_across_blocks(helper3, monkeypa
 
 def test_classes_are_numpys_unique_rows():
     # the groups of equal rows, in np.unique's sorted order, with -0.0 equal to
-    # 0.0: int widths, bool kept outputs and float direction rows
+    # 0.0: int and bool rows, and float rows like a stack's direction rows
     rng = np.random.default_rng(112)
     for trial in range(300):
         shape = (int(rng.integers(1, 40)), int(rng.integers(1, 5)))

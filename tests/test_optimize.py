@@ -895,22 +895,20 @@ def test_alphabet_bound_runs_restarts_descents(bwz, monkeypatch):
 @pytest.mark.parametrize("restarts", [1, 3, 8])
 def test_fused_descent_matches_one_stack_per_direction(name, weights, restarts, request,
                                                        monkeypatch):
-    # every restart of every direction descends in one stack, and each direction
-    # ends with the bits of a stack of its own restarts: the winner's trace and
-    # channels and its restart index.  A repeated direction descends in a
-    # second stack
+    # every restart of every direction descends in one stack, a repeated
+    # direction included, and each direction ends with the bits of a stack of
+    # its own restarts: the winner's trace and channels and its restart index
     spec = request.getfixturevalue(name)
     rng = np.random.default_rng(107)
     dirs = ([random_direction(spec.m, spec.j, spec.l, rng) for _ in range(4)] if weights is None
             else [Direction.normalized(spec.m, spec.j, spec.l, w) for w in weights])
     dirs.append(dirs[1])
-    stacks = [restarts * 4, restarts]
     calls = []
     descent = optimize.coordinate_descent
     monkeypatch.setattr(optimize, "coordinate_descent",
                         lambda *a, **k: calls.append(len(a[2])) or descent(*a, **k))
     fused = _multistart_descent(spec, dirs, restarts, sweeps=50, candidates=64, seed=9)
-    assert calls == stacks
+    assert calls == [restarts * 5]
     inits = default_multistart_inits(spec, restarts, seed=9)
     for idx, (d, (run, winner)) in enumerate(zip(dirs, fused)):
         own = descent(spec, d, inits, [(9, idx, r) for r in range(restarts)])
@@ -1027,6 +1025,44 @@ def test_trace_direction_shape_checked(dsbs):
         trace_inner_bound(dsbs, [Direction.normalized(1, 0, 1, [1.0, 1.0])])
 
 
+def test_no_directions_descend_nothing(dsbs, monkeypatch):
+    # an empty direction list: trace reports no point, and the alphabet bound
+    # refuses it as its lattice search does; neither descends
+    calls = []
+    descent = optimize.coordinate_descent
+    monkeypatch.setattr(optimize, "coordinate_descent",
+                        lambda *a, **k: calls.append(1) or descent(*a, **k))
+    assert trace_inner_bound(dsbs, []) == []
+    with pytest.raises(StructuralError, match="needs at least one direction"):
+        verify_alphabet_bound(dsbs, [], grid=3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["bwz", "dsbs", "helper3"])
+def test_enlarged_bank_descends_within_the_alphabet_bound(name, request):
+    # a bank with |X_k| + 2 outputs per slot descends in one stack with the
+    # default inits, every bank padded to its width: it starts from its own
+    # value, one sweep of the pool head alone leaves at most |X_k| outputs in
+    # every reported channel, and no bank ends above where it started
+    spec = request.getfixturevalue(name)
+    slots = spec.channel_slots
+    rng = np.random.default_rng(113)
+    for trial in range(3):
+        d = random_direction(spec.m, spec.j, spec.l, rng)
+        enlarged = random_channels(spec, rng, [spec.x_alphabet(k).size + 2 for k in slots])
+        inits = [*default_multistart_inits(spec, 4, seed=trial), enlarged]
+        runs = coordinate_descent(spec, d, inits, [(trial, b) for b in range(len(inits))],
+                                  sweeps=1, candidates=0)
+        for init, run in zip(inits, runs):
+            start = direct_weighted_value(spec, init, d)
+            assert abs(run.trace[0] - start) <= 1e-12
+            assert run.objective <= start + 1e-12
+            assert abs(direct_weighted_value(spec, run.channels, d) - run.objective) <= 1e-12
+            for k, ch in zip(slots, run.channels):
+                assert ch.rows.shape[-1] <= spec.x_alphabet(k).size
+        assert runs[-1].objective < runs[-1].trace[0]      # the enlarged bank moved
+
+
 def test_quarter_circle_sweep_is_monotone(bwz):
     angles = np.linspace(0.0, np.pi / 2, 9)
     dirs = [
@@ -1047,9 +1083,9 @@ def test_quarter_circle_sweep_is_monotone(bwz):
 @pytest.mark.parametrize("name", ["helper3", "bwz", "dsbs", "zero-symbol"])
 def test_lockstep_descent_matches_each_bank_alone(name, request):
     # every bank of a stack of the default multistarts descends as it does in a
-    # stack of one: same sweeps, same trace, same channels once zero-weight
-    # outputs are dropped; the constant bank stops after one sweep while the
-    # others go on, so banks leave the stack at different sweeps
+    # stack of one, bit for bit: same sweeps, same trace, same channels; the
+    # constant bank stops after one sweep while the others go on, so banks
+    # leave the stack at different sweeps
     rng = np.random.default_rng(101)
     spec = zero_symbol_spec(rng) if name == "zero-symbol" else request.getfixturevalue(name)
     inits = default_multistart_inits(spec, 8)
@@ -1062,18 +1098,18 @@ def test_lockstep_descent_matches_each_bank_alone(name, request):
     for init, seed, run in zip(inits, seeds, stack):
         (alone,) = coordinate_descent(spec, d, [init], [seed], candidates=32)
         assert run.sweeps_run == alone.sweeps_run
-        assert np.abs(np.subtract(run.trace, alone.trace)).max() <= 1e-12
+        assert run.trace == alone.trace
         for ch, solo in zip(run.channels, alone.channels):
             assert ch.rows.shape == solo.rows.shape
-            assert np.abs(ch.rows - solo.rows).max() <= 1e-12
+            assert ch.rows.tobytes() == solo.rows.tobytes()
 
 
 @pytest.mark.parametrize("name", ["helper3", "zero-symbol"])
 def test_banks_that_finish_together_keep_their_own_outputs(name, request, monkeypatch):
-    # banks that stop in the same sweep convert together, one stack per class
-    # of equal kept outputs: each run's channels are reverse_to_forward of its
-    # own last pairs, bit for bit, so no bank keeps an output of another, and
-    # a zero-probability symbol's row is uniform over the bank's own outputs
+    # banks that stop in the same sweep finish together: each run's channels
+    # are reverse_to_forward of its own last pairs, bit for bit, cut to the
+    # outputs those pairs weigh, so no bank keeps an output of another, and a
+    # zero-probability symbol's row is uniform over the bank's own outputs
     rng = np.random.default_rng(111)
     spec = zero_symbol_spec(rng) if name == "zero-symbol" else request.getfixturevalue(name)
     slots = spec.channel_slots
@@ -1100,7 +1136,7 @@ def test_banks_that_finish_together_keep_their_own_outputs(name, request, monkey
             together.setdefault((sweeps, run.sweeps_run), []).append(kept)
             for k, ch in zip(slots, run.channels):
                 own = reverse_to_forward(spec, k, last[seed, k])
-                assert ch.rows.tobytes() == own.rows.tobytes()
+                assert ch.rows.tobytes() == own.rows[:, last[seed, k].weights > 0.0].tobytes()
                 if name == "zero-symbol" and k == 1:
                     assert (ch.rows[2] == 1.0 / ch.rows.shape[-1]).all()
     # some sweep stops banks of different kept outputs and, with them, equal ones
