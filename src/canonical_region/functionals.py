@@ -205,19 +205,21 @@ class FunctionalContext:
     divided by p_k along X_k (0 where p_k = 0), into the columns of one
     ``(|X_k|, C)`` map; a law that keeps X_k gets block-diagonal columns.
     Beside the map it keeps each entropy law's first column, each
-    direction row's laws with their signed weights (equal laws share one
-    segment), each weighted distortion's Bayes-score columns after them
-    (one block of observation cells per reconstruction symbol), and the
-    t-free constant: the corner rates of slots before k plus
-    ``w_k H(X_k | U)`` of the source law.  Frozen channels or a direction
-    that are stacks of B give B contexts in one, over a
+    weighted distortion's Bayes-score columns after the laws (one block
+    of observation cells per reconstruction symbol), the t-free constant
+    (the corner rates of slots before k plus ``w_k H(X_k | U)`` of the
+    source law) and a ``(terms, B)`` weight table: per law, each bank's
+    signed sum of its rate weights over slots k..M, negated for the law's
+    sum of p log p, in the order slots k..M name the laws whatever the
+    weights; then per weighted distortion, its weight.  Frozen channels
+    or a direction that are stacks of B give B contexts in one, over a
     :class:`~canonical_region.pmf.JointStack` joint when the channels are
     stacks; the map holds each law and distortion that some bank weighs.
-    The map, constant and weights have a bank axis, of 1 for one context.
+    The map, constant and table have a bank axis, of 1 for one context.
     """
 
     __slots__ = ("aug", "p_k", "_banks",
-                 "_map", "_entropy_cells", "_starts", "_groups", "_risks", "_constant")
+                 "_map", "_entropy_cells", "_starts", "_risks", "_weights", "_constant")
 
     def __init__(
         self,
@@ -270,26 +272,16 @@ class FunctionalContext:
 
         self._banks, count = banks, int(np.prod(banks))
         rates = np.broadcast_to(direction.rate_weights, (count, spec.m - spec.j))
-        columns: dict[int, int] = {}                   # axis bitmask -> its law's column
-        groups = []
-        rate_axes = [(i, aug.x_axes(1 << (i - 1)), observed((1 << (i - 1)) - 1),
-                      observed((1 << i) - 1)) for i in range(k, spec.m + 1)]   # X_i, U, U Z_i
-        for members in _classes(rates):                # the banks of one rate weight row
-            # phi_i = H(X_i | U) - H(X_i | U, Z_i), each H a difference of two law entropies
-            laws: dict[int, float] = {}                # axis bitmask -> weight of its entropy
-            for i, x_i, u, u_z in rate_axes:
-                weight = rates[members[0], i - spec.j - 1]
-                if weight == 0.0:
-                    continue
-                if i > k:                              # H(X_k | U) is t-free at the own slot
-                    laws[x_i | u] = laws.get(x_i | u, 0.0) + weight
-                    laws[u] = laws.get(u, 0.0) - weight
-                laws[x_i | u_z] = laws.get(x_i | u_z, 0.0) - weight
-                laws[u_z] = laws.get(u_z, 0.0) + weight
-            laws = {axes: weight for axes, weight in laws.items() if weight != 0.0}
-            cols = [columns.setdefault(axes, len(columns)) for axes in laws]
-            groups.append((np.bincount(members, minlength=count) > 0,
-                           np.array(cols, dtype=np.intp), np.array(list(laws.values()))))
+        # phi_i = H(X_i | U) - H(X_i | U, Z_i), each H a difference of two law entropies
+        laws: dict[int, np.ndarray] = {}               # axis bitmask -> each bank's entropy weight
+        for i in range(k, spec.m + 1):
+            x_i, weight = aug.x_axes(1 << (i - 1)), rates[:, i - spec.j - 1]
+            u, u_z = observed((1 << (i - 1)) - 1), observed((1 << i) - 1)
+            signed = [(x_i | u, weight), (u, -weight)] if i > k else []   # H(X_k | U) is t-free
+            for axes, w in signed + [(x_i | u_z, -weight), (u_z, weight)]:
+                laws[axes] = laws.get(axes, 0.0) + w
+        columns = [axes for axes, w in laws.items() if w.any()]   # laws some bank weighs
+        weights = [-laws[axes] for axes in columns]    # theta adds weight * sum of p log p
 
         blocks, starts = [], []
         cells = 0
@@ -314,28 +306,17 @@ class FunctionalContext:
                 if direction.distortion_weight(l).any():
                     # ([B,] |X_k|, vhat x obs cells): the Bayes minimum runs across blocks
                     block = flat(np.moveaxis(by_v @ d, -1, lead + 1))
-                    risks.append((cells, cells + block.shape[-1], d.shape[1],
-                                  np.zeros(count) + direction.distortion_weight(l)))
+                    risks.append((cells, cells + block.shape[-1], d.shape[1]))
+                    weights.append(np.zeros(count) + direction.distortion_weight(l))
                     cells += block.shape[-1]
                     blocks.append(block)
         per_unit = np.divide(1.0, p_k, out=np.zeros_like(p_k), where=p_k > 0.0)[:, None]
         mapped = np.concatenate(blocks, axis=-1) * per_unit if blocks else np.zeros((n, 0))
         self._map = np.broadcast_to(mapped, (count, *mapped.shape[-2:]))
         self._starts = np.array(starts, dtype=np.intp)
-        self._groups = tuple(groups)
         self._risks = tuple(risks)
+        self._weights = np.reshape(weights, (-1, count))  # (laws + risks, B)
         self._constant = np.zeros(count) + constant
-
-
-def _classes(rows) -> list[np.ndarray]:
-    """The indices of each distinct row of ``rows``, rows in ``np.unique``'s sorted order."""
-    rows = np.asarray(rows)
-    if (rows == rows[:1]).all():                       # one class, without a pass over the rows
-        return [np.arange(len(rows))]
-    classes: dict[tuple, list[int]] = {}               # a dict of a few rows beats np.unique
-    for at, row in enumerate(rows.reshape(len(rows), -1).tolist()):
-        classes.setdefault(tuple(row), []).append(at)
-    return [np.array(classes[row]) for row in sorted(classes)]
 
 
 def theta(ctx: FunctionalContext, pool) -> np.ndarray:
@@ -346,9 +327,9 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
     direction e_i (``i >= k``) it is phi_i, and along e_l it is psi_l.
     Every law is one product with the context's compiled map; the
     entropies are its :func:`plogp` cells summed per law, the Bayes risks
-    its per-observation minima, each direction row's laws in its own order.
-    A stack is scored in blocks of at most ``THETA_BLOCK_CELLS`` products;
-    each direction row then weighs its laws' entropies once, over all blocks.
+    its per-observation minima, in blocks of at most ``THETA_BLOCK_CELLS``
+    products.  Then each term adds each bank's weight times its value, laws
+    first: a bank that weighs a term 0 keeps the bits it has alone.
     """
     pool = check_simplex_point(pool, ctx.p_k.size)
     lead = pool.shape[:-2] or ctx._banks               # one pool, one context: a stack of one
@@ -357,22 +338,21 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
         return theta(ctx, pool.reshape(1, -1, pool.shape[-1])).reshape(*lead, -1)
     pool = np.broadcast_to(pool, (len(ctx._constant), *pool.shape[1:]))   # or one pool every bank
     step = max(1, THETA_BLOCK_CELLS // (pool.shape[1] * max(1, ctx._map.shape[-1])))
-    sums = np.empty((*pool.shape[:2], len(ctx._starts)))         # (B, P, laws)
-    risks = np.empty((len(ctx._risks), *pool.shape[:2]))         # (L, B, P)
+    laws = len(ctx._starts)
+    terms = np.empty((len(ctx._weights), *pool.shape[:2]))   # (laws + risks, B, P)
     for start in range(0, len(pool), step):
         at = slice(start, start + step)
         mixed = pool[at] @ ctx._map[at]                # (b, P, C): every law of every row
-        if ctx._starts.size:
-            sums[at] = np.add.reduceat(plogp(mixed[..., :ctx._entropy_cells]), ctx._starts, axis=-1)
-        for risk, (first, stop, vhat, _) in zip(risks, ctx._risks):
+        if laws:
+            sums = np.add.reduceat(plogp(mixed[..., :ctx._entropy_cells]), ctx._starts, axis=-1)
+            terms[:laws, at] = sums.transpose(2, 0, 1)
+        for term, (first, stop, vhat) in zip(terms[laws:], ctx._risks):
             scores = mixed[..., first:stop].reshape(*mixed.shape[:-1], vhat, -1)
             # the Bayes minima, one np.minimum per reconstruction: faster than a min over that axis
-            risk[at] = reduce(np.minimum, scores.transpose(2, 0, 1, 3)).sum(axis=-1)
+            term[at] = reduce(np.minimum, scores.transpose(2, 0, 1, 3)).sum(axis=-1)
     value = np.zeros(pool.shape[:2]) + ctx._constant[:, None]
-    for members, columns, weights in ctx._groups:     # the banks of one direction row
-        value[members] -= np.take(sums[members], columns, axis=-1) @ weights   # C order for BLAS
-    for risk, (*_, weight) in zip(risks, ctx._risks):
-        value += weight[:, None] * risk
+    for weight, term in zip(ctx._weights, terms):     # each bank's own weights, zero or not
+        value += weight[:, None] * term
     return value.reshape(*lead, -1)
 
 

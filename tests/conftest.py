@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -55,6 +56,43 @@ def reference_mi(probs, a, b, given=0):
         return -math.fsum(x * math.log2(x) for x in cells if x > 0.0)
 
     return h(a | given) + h(b | given) - h(a | b | given) - h(given)
+
+
+def slepian_wolf_reference(probs, maps):
+    """Every corner and g(I) for deterministic descriptions ``Z_i = maps[i - 1][X_i]``.
+
+    ``probs`` is the dense ``(X_1..X_M, S, V)`` source law, and a lossless
+    source's map is the identity.  With deterministic channels
+    I(X_I ; Z_I | Z_{I^c}, S) = H(Z_I | Z_{I^c}, S), so each value is a
+    difference of joint entropies H(Z_A, S): the source's (X, S) marginal
+    pushed through the maps, then the sum of -p log2 p.  Plain numpy only.
+    Returns the ``(M!, M)`` corners in lexicographic order of the orders,
+    position ``i - 1`` holding source i's rate H(Z_i | Z_before, S), and
+    the ``(2^M - 1,)`` array of g(I), entry ``mask - 1`` for group mask.
+    """
+    m = len(maps)
+    xs = probs.sum(axis=-1)                            # (X_1..X_M, S)
+    symbols = np.indices(xs.shape).reshape(xs.ndim, -1)
+
+    def h(mask):                                       # H(Z_A, S), A the sources in mask
+        keep = [i for i in range(m) if mask >> i & 1]
+        codes = [np.asarray(maps[i])[symbols[i]] for i in keep] + [symbols[m]]
+        sizes = [max(maps[i]) + 1 for i in keep] + [xs.shape[m]]
+        law = np.bincount(np.ravel_multi_index(codes, sizes), weights=xs.ravel())
+        law = law[law > 0.0]
+        return -(law * np.log2(law)).sum()
+
+    joint = np.array([h(mask) for mask in range(1 << m)])
+    full = (1 << m) - 1
+    corners = []
+    for order in itertools.permutations(range(m)):
+        rates, before = np.empty(m), 0
+        for i in order:
+            rates[i] = joint[before | 1 << i] - joint[before]
+            before |= 1 << i
+        corners.append(rates)
+    masks = np.arange(1, full + 1)
+    return np.array(corners), joint[full] - joint[full ^ masks]
 
 
 def spec_equals(a, b):

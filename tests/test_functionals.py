@@ -35,6 +35,7 @@ from conftest import (
     estimator_distortion,
     layout_axes,
     make_spec,
+    region_problem_spec,
     theta_reference,
     zero_symbol_spec,
 )
@@ -89,15 +90,20 @@ def test_direction_stack_is_checked_row_by_row():
             Direction(2, 0, 1, rates, dists)
 
 
-@pytest.mark.parametrize("name", ["helper3", "dsbs", "bwz"])
+@pytest.mark.parametrize("name", ["helper3", "dsbs", "bwz", "region-m5"])
 def test_a_direction_stack_scores_each_bank_as_alone(name, request):
-    # unit directions along every coordinate and a flat one, so each law and
-    # each risk has weight 0 in some banks; every bank of the stack gets the
-    # bits of a stack of one with its own direction, in theta and directly
-    spec = request.getfixturevalue(name)
+    # unit directions along every coordinate, a flat one and the flat one
+    # without each coordinate, so each law and each risk has weight 0 in some
+    # banks; every bank of the stack gets the bits of a stack of one with its
+    # own direction, in theta and directly.  On M = 5 a bank that weighs no
+    # rate at slot i - 1 names U_i's law after X_i's when alone, and before it
+    # beside a bank that weighs slot i - 1: laws keep one order whatever the
+    # weights, so its terms add in one order
+    spec = region_problem_spec(1, 5) if name == "region-m5" else request.getfixturevalue(name)
     slots = spec.channel_slots
     eye = np.eye(spec.m - spec.j + spec.l)
-    coords = np.vstack([eye, eye[::-1], np.full(len(eye), len(eye) ** -0.5)])
+    holes = (1.0 - eye) / (len(eye) - 1) ** 0.5
+    coords = np.vstack([eye, eye[::-1], np.full(len(eye), len(eye) ** -0.5), holes])
     d = Direction(spec.m, spec.j, spec.l, coords[:, :spec.m - spec.j], coords[:, spec.m - spec.j:])
     rng = np.random.default_rng(105)
     banks = [random_channels(spec, rng) for _ in coords]
@@ -150,48 +156,47 @@ def test_theta_scores_a_large_stack_in_bounded_blocks(helper3, monkeypatch):
 
 
 def test_theta_weighs_interleaved_direction_rows_across_blocks(helper3, monkeypatch):
-    # three direction rows whose banks alternate, so every block holds banks of
+    # five direction rows whose banks alternate, so every block holds banks of
     # each row and each row's banks span every block; the rows weigh different
-    # laws and distortions.  A row's scores have the bits of a stack of that
-    # row's banks alone
+    # laws and distortions.  Row 3 weighs X2 and X3 equally, so its (X1, S) law
+    # cancels exactly (+w2 from slot 2, -w3 from slot 3) while rows 0 to 2 still
+    # weigh that law; row 4 weighs only the distortion.  A row's scores have the
+    # bits of a stack of that row's banks alone, and no map column is one that
+    # every bank weighs zero
     rng = np.random.default_rng(109)
     coords = np.vstack([random_direction(helper3.m, helper3.j, helper3.l, rng).coords,
-                        np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]) / 5 ** 0.5])
-    three = Direction(helper3.m, helper3.j, helper3.l, coords[:, :2], coords[:, 2:])
-    rows = 69
-    probe = FunctionalContext(helper3, 2, {3: random_channels(helper3, rng)[1]}, three)
+                        np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]) / 5 ** 0.5,
+                        np.array([[1.0, 1.0, 1.0]]) / 3 ** 0.5, [[0.0, 0.0, 1.0]]])
+    five = Direction(helper3.m, helper3.j, helper3.l, coords[:, :2], coords[:, 2:])
+    assert five.rate_weight(2)[3] == five.rate_weight(3)[3]
+    rows, count = 69, len(coords)
+    probe = FunctionalContext(helper3, 2, {3: random_channels(helper3, rng)[1]}, five)
     per_block = functionals.THETA_BLOCK_CELLS // (rows * probe._map.shape[-1])
-    banks = 3 * per_block + 4
-    assert per_block >= 3
-    d = direction_rows(three, np.arange(banks) % 3)
+    banks = 3 * per_block + count
+    assert per_block >= count
+    d = direction_rows(five, np.arange(banks) % count)
     slot3 = Channel(helper3.x_alphabet(3), [random_channels(helper3, rng)[1].rows
                                             for _ in range(banks)])
     pools = rng.dirichlet(np.ones(2), size=(banks, rows))
     blocks = []
     plogp = functionals.plogp
     monkeypatch.setattr(functionals, "plogp", lambda a: blocks.append(a.shape[0]) or plogp(a))
-    scores = theta(FunctionalContext(helper3, 2, {3: slot3}, d), pools)
-    assert blocks == [per_block] * 3 + [4]
+    stacked = FunctionalContext(helper3, 2, {3: slot3}, d)
+    scores = theta(stacked, pools)
+    assert blocks == [per_block] * 3 + [count]
     monkeypatch.setattr(functionals, "plogp", plogp)
-    for row in range(3):
-        own = np.arange(row, banks, 3)
+    assert (stacked._weights != 0.0).any(axis=1).all()
+    laws = []
+    for row in range(count):
+        own = np.arange(row, banks, count)
         ctx = FunctionalContext(helper3, 2, {3: Channel(slot3.input, slot3.rows[own])},
                                 direction_rows(d, own))
+        assert (ctx._weights != 0.0).any(axis=1).all()
+        laws.append(len(ctx._starts))
         assert scores[own].tobytes() == theta(ctx, pools[own]).tobytes()
-
-
-def test_classes_are_numpys_unique_rows():
-    # the groups of equal rows, in np.unique's sorted order, with -0.0 equal to
-    # 0.0: int and bool rows, and float rows like a stack's direction rows
-    rng = np.random.default_rng(112)
-    for trial in range(300):
-        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 5)))
-        rows = [rng.integers(0, 3, shape), rng.integers(0, 2, shape) > 0,
-                rng.choice([0.0, -0.0, 0.5, 1 / 3], shape)][trial % 3]
-        inverse = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
-        expected = [np.flatnonzero(inverse == c) for c in range(inverse.max() + 1)]
-        got = functionals._classes(rows)
-        assert [at.tolist() for at in got] == [at.tolist() for at in expected]
+    # slots 2 and 3 name five laws; row 1 weighs no rate at slot 2, so not
+    # (X2, X1, S), the equal row drops (X1, S), and the last row weighs none
+    assert laws == [5, 4, 5, 4, 0] and len(stacked._starts) == 5
 
 
 class NoDraws:

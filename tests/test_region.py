@@ -44,7 +44,9 @@ from conftest import (
     product_source_spec,
     region_problem_spec,
     relabel_symbols,
+    slepian_wolf_reference,
     solve_one,
+    zero_symbol_spec,
 )
 
 
@@ -849,3 +851,43 @@ def test_source_preflight_minimum_matches_the_group_pair_probe():
     aug = attach_channels(specs[0], random_channels(specs[0], rng))
     assert nondegeneracy_report(aug).entries == ()
     assert not nondegeneracy_report(aug).degenerate
+
+
+SLEPIAN_WOLF_BANKS = 5
+
+
+def deterministic_banks(spec, rng):
+    """Fixed banks of deterministic channels, as one-hot rows: bank b gives slot
+    position pos ``1 + (b + pos) % (|X_k| + 1)`` outputs and maps each symbol
+    to a drawn one, so some outputs may go unused."""
+    banks = []
+    for b in range(SLEPIAN_WOLF_BANKS):
+        bank = []
+        for pos, k in enumerate(spec.channel_slots):
+            size = spec.x_alphabet(k).size
+            outputs = 1 + (b + pos) % (size + 1)
+            bank.append(np.eye(outputs)[rng.integers(0, outputs, size=size)])
+        banks.append(bank)
+    return banks
+
+
+@pytest.mark.parametrize("name", ["dsbs", "helper3", "zero-symbol", "lossless", "m6"])
+def test_deterministic_banks_meet_the_slepian_wolf_oracle(name, request):
+    # with Z_i = f_i(X_i), a corner coordinate is H(Z_pi(i) | Z_before, S) and
+    # g(I) = H(Z_I | Z_{I^c}, S): a plain-numpy oracle that shares no code with
+    # the region path
+    rng = np.random.default_rng(4701)
+    specs = {"zero-symbol": lambda: zero_symbol_spec(rng),
+             "lossless": lambda: make_spec(rng, m=2, j=2, l=1),      # J = M
+             "m6": lambda: region_problem_spec(1, 6)}
+    spec = specs[name]() if name in specs else request.getfixturevalue(name)
+    lossless = [np.arange(spec.x_alphabet(i).size) for i in range(1, spec.j + 1)]
+    for bank in deterministic_banks(spec, rng):
+        aug = attach_channels(spec, [Channel(spec.x_alphabet(k), rows)
+                                     for k, rows in zip(spec.channel_slots, bank)])
+        maps = lossless + [rows.argmax(axis=1) for rows in bank]
+        corners, g = slepian_wolf_reference(spec.source.probs, maps)
+        got = enumerate_extreme_points(aug)
+        assert [perm for perm, _ in got] == list(itertools.permutations(range(1, spec.m + 1)))
+        assert np.abs(np.array([rates for _, rates in got]) - corners).max() <= 1e-12
+        assert np.abs(membership(aug, corners).lhs - g).max() <= 1e-12
