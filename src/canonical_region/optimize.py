@@ -31,6 +31,7 @@ and serves as the reference the descent is validated against.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -67,6 +68,7 @@ SWEEP_IMPROVEMENT_TOL = 1e-9
 MONOTONE_TOL = 1e-10
 SUPPORT_WEIGHT_TOL = 1e-12
 CHUNK = 2048                # banks per lattice chunk; BENCH_slot_step.json has the size sweep
+ORBIT_CELLS = 1 << 16       # prefix x lattice row x column pair booleans per orbit-table block
 ALPHABET_BOUND_TOL = 1e-2   # how far capped descent may end above the capped or enlarged lattice
 
 @dataclass(frozen=True, eq=False)
@@ -324,28 +326,30 @@ def _simplex_lattice(grid: int, parts: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _orbit_table(grid: int, z: int, x: int) -> np.ndarray:
-    """One ``(x, z)`` channel matrix per orbit of column permutations, which
-    change no rate or Bayes distortion: the orbit's first raw lattice point
-    (row digits lexicographic, row 0 most significant), whose columns, read
-    as ``x``-tuples, never decrease.
+    """One channel per orbit of column permutations, which change no rate or
+    Bayes distortion, as a read-only int32 ``(orbits, x)`` array: row i of
+    channel t is ``_simplex_lattice(grid, z)[table[t, i]]``.  Each orbit
+    keeps its first raw lattice point (row digits lexicographic, row 0 most
+    significant), whose columns, read as ``x``-tuples, never decrease.
 
     Built one row at a time: a prefix of rows survives while no column pair
-    that it still ties decreases.  Prefixes grow in ``CHUNK`` blocks, each
-    by every lattice row in order, so the table stays lexicographic."""
+    that it still ties decreases.  Prefixes grow in blocks of at most
+    ``ORBIT_CELLS`` prefix, lattice row and column pair cells (one prefix at
+    least), each by every lattice row in order, so the table stays
+    lexicographic."""
     lat = _simplex_lattice(grid, z)
     down = lat[:, :-1] > lat[:, 1:]        # (rows, z - 1): column c above column c + 1
     same = lat[:, :-1] == lat[:, 1:]
-    prefixes = np.flatnonzero(~down.any(axis=1))[:, None]   # lattice row per table row
-    tied = same[prefixes[:, 0]]
+    table = np.flatnonzero(~down.any(axis=1)).astype(np.int32)[:, None]
+    step = max(1, ORBIT_CELLS // (len(lat) * max(z - 1, 1)))
     for _ in range(1, x):
-        grown, ties = [], []
-        for start in range(0, len(prefixes), CHUNK):
-            block = tied[start:start + CHUNK, None, :]
-            head, row = np.nonzero(~(block & down).any(axis=2))
-            grown.append(np.column_stack([prefixes[start + head], row]))
-            ties.append(block[head, 0] & same[row])
-        prefixes, tied = np.concatenate(grown), np.concatenate(ties)
-    table = lat[prefixes]
+        grown = []
+        for start in range(0, len(table), step):
+            prefix = table[start:start + step]
+            tied = same[prefix].all(axis=1)[:, None]     # (P, 1, z - 1): tied in every row
+            head, row = np.nonzero(~(tied & down).any(axis=2))
+            grown.append(np.column_stack([prefix[head], row.astype(np.int32)]))
+        table = np.concatenate(grown)
     table.setflags(write=False)
     return table
 
@@ -356,7 +360,7 @@ def estimate_brute_force_evals(spec: ProblemSpec, z_sizes: Sequence[int],
     slots = spec.channel_slots
     if len(z_sizes) != len(slots):
         raise StructuralError(f"expected {len(slots)} output sizes, got {len(z_sizes)}")
-    if grid < 1:
+    if check_int(grid, "grid") < 1:
         raise StructuralError(f"grid must be >= 1, got {grid}")
     total = 1
     for k, z in zip(slots, z_sizes):
@@ -395,6 +399,9 @@ def brute_force_search(
 
     Every channel row ranges over the 1/grid simplex lattice; one bank per
     orbit of output relabelings is scored and dotted with each direction.
+    Banks are read from each slot's :func:`_orbit_table` of lattice row
+    indices: a chunk gathers its channels as one contiguous ``(X_k, Z_k, B)``
+    array per slot and the winners as lattice rows, so no table is copied.
     Each term is computed by definition from a marginal of the augmented
     joint: slot k's rate I(X_k; Z_k | X_1..X_J, Z_<k, S) as four entropies,
     each distortion as the Bayes risk of p(X_1..X_J, S, V, Z).  The joint
@@ -428,9 +435,9 @@ def brute_force_search(
         scored = np.moveaxis(spec.source.probs, spec.m + 1, 0).reshape(v, -1)
         return coords @ np.ravel(_bayes_risks(spec, scored, 1)), [[] for _ in directions]
 
+    lats = [_simplex_lattice(grid, z) for z in z_sizes]
     tables = [_orbit_table(grid, z, spec.x_alphabet(k).size) for k, z in zip(slots, z_sizes)]
     per_channel = [table.shape[0] for table in tables]
-    rows_last = [np.ascontiguousarray(table.transpose(1, 2, 0)) for table in tables]
     xs = [table.shape[1] for table in tables]
 
     # axes V, X_{J+1}..X_M, X_L = X_1..X_J, S, each Z_k, then banks: sums run on leading axes
@@ -450,7 +457,8 @@ def brute_force_search(
         p, h_ac, h_c = first, h_first, h_cond
         comps = []
         for pos, x in enumerate(xs):
-            q = rows_last[pos][:, :, per_slot[pos]]               # (X_k, Z_k, B)
+            rows = tables[pos][per_slot[pos]].T[:, None]         # (X_k, 1, B) lattice rows
+            q = lats[pos][rows, np.arange(z_sizes[pos])[:, None]]   # (X_k, Z_k, B)
             # a becomes p(V, X_>k X_L S Z_<k, Z_k, B): X_k contracted into Z_k
             if pos == 0:                # the source is channel-free: one matrix product
                 a = np.tensordot(source, q, axes=(1, 0))
@@ -475,7 +483,8 @@ def brute_force_search(
         best[better] = vals[better]
         best_flat[better] = flat[arg[better]]
 
-    rows = [table[i] for table, i in zip(tables, np.unravel_index(best_flat, per_channel))]
+    rows = [lat[table[i]] for lat, table, i in
+            zip(lats, tables, np.unravel_index(best_flat, per_channel))]
     winners = [
         [Channel(spec.x_alphabet(k), rows[pos][d]) for pos, k in enumerate(slots)]
         for d in range(n_dir)
@@ -509,9 +518,12 @@ class AlphabetBoundReport:
 
 
 def _fit_grid(spec: ProblemSpec, z_sizes: Sequence[int], grid: int) -> int:
-    for g in range(grid, 0, -1):
-        if estimate_brute_force_evals(spec, z_sizes, g) <= MAX_BRUTE_EVALS:
-            return g
+    """The largest grid in 1..grid within ``MAX_BRUTE_EVALS``, by bisection:
+    the estimate never decreases as the grid grows."""
+    fitting = bisect.bisect_right(range(1, grid + 1), MAX_BRUTE_EVALS,
+                                  key=lambda g: estimate_brute_force_evals(spec, z_sizes, g))
+    if fitting:
+        return fitting
     raise BudgetError(
         f"even grid 1 exceeds {MAX_BRUTE_EVALS} evaluations for output sizes {list(z_sizes)}"
     )
@@ -546,7 +558,7 @@ def verify_alphabet_bound(
     enlarged_sizes = tuple(n + 2 for n in capped_sizes)
     if not slots:
         raise StructuralError("alphabet bound is vacuous without channel slots")
-    if grid < 1:
+    if check_int(grid, "grid") < 1:
         raise StructuralError(f"grid must be >= 1, got {grid}")
     g_capped = _fit_grid(spec, capped_sizes, grid)
     g_enlarged = _fit_grid(spec, enlarged_sizes, grid)

@@ -95,6 +95,24 @@ def slepian_wolf_reference(probs, maps):
     return np.array(corners), joint[full] - joint[full ^ masks]
 
 
+def deterministic_bayes_risks(probs, maps, distortions):
+    """Each distortion's Bayes risk for deterministic descriptions ``Z_i = maps[i - 1][X_i]``.
+
+    ``probs`` is the dense ``(X_1..X_M, S, V)`` source law and ``distortions``
+    the ``(|V|, |V-hat_l|)`` tables; a lossless source's map is the identity,
+    so the law of (X_1..X_J, S, Z, V) is the source pushed through the maps.
+    Each risk sums, over the cells of (X_1..X_J, S, Z), the least expected
+    distortion of an estimate.  Plain numpy only.
+    """
+    m = len(maps)
+    symbols = np.indices(probs.shape).reshape(probs.ndim, -1)
+    codes = [np.asarray(maps[i])[symbols[i]] for i in range(m)] + [symbols[m], symbols[m + 1]]
+    sizes = [max(maps[i]) + 1 for i in range(m)] + list(probs.shape[m:])
+    law = np.bincount(np.ravel_multi_index(codes, sizes), weights=probs.ravel(),
+                      minlength=math.prod(sizes)).reshape(-1, probs.shape[m + 1])
+    return np.array([(law @ np.asarray(d)).min(axis=1).sum() for d in distortions])
+
+
 def spec_equals(a, b):
     """Exact field-by-field equality of two specs (rationals, not float tolerance)."""
     return (

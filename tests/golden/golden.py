@@ -143,6 +143,8 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
         ["trace", "helper3", "--count", "4", "--restarts", "1", "--seed", "5"],
         ["verify", "alphabet-bound", "bwz", "--trials", "4", "--grid", "8", "--seed", "5"],
         ["verify", "alphabet-bound", "bwz", "--directions", "dirs-bwz.json", "--grid", "6"],
+        # capped grid 40 and enlarged grid 26: about 566k orbit representatives
+        ["verify", "alphabet-bound", "bwz", "--grid", "40", "--trials", "2", "--seed", "7"],
         ["extreme-points", "dsbs-dense.json"],
         ["trace", "dsbs-dense.json", "--count", "2"],
     ]

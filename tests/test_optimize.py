@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,8 +49,10 @@ from canonical_region.pmf import CMI_CLAMP, plogp
 from conftest import (
     bernoulli_lagrangian,
     binary_product_spec,
+    deterministic_bayes_risks,
     make_spec,
     relabel_symbols,
+    slepian_wolf_reference,
     solve_one,
     zero_symbol_spec,
 )
@@ -161,7 +164,8 @@ def test_orbit_table_matches_unique_of_sorted_columns():
             for x in range(1, 4):
                 if math.comb(grid + z - 1, z - 1) ** x > 50_000:
                     continue   # x = 3 at (grid, z) = (4..6, 5) and (5..6, 4)
-                got, expected = _orbit_table(grid, z, x), _reference_orbit_table(grid, z, x)
+                got = _simplex_lattice(grid, z)[_orbit_table(grid, z, x)]
+                expected = _reference_orbit_table(grid, z, x)
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes(), (grid, z, x)
 
@@ -171,7 +175,68 @@ def test_orbit_table_matches_unique_of_sorted_columns():
     ((14, 4, 2), 20_307),
 ])
 def test_orbit_table_counts(shape, count):
-    assert _orbit_table(*shape).shape == (count, shape[2], shape[1])
+    table = _orbit_table(*shape)         # one lattice row index per channel row
+    assert table.dtype == np.int32 and table.shape == (count, shape[2])
+    assert not table.flags.writeable
+
+
+def test_cold_search_holds_the_index_table_and_chunk_temporaries(bwz):
+    # bwz at grid 20 with |Z| = 4: 134,377 orbits, 8.6 MB as float (2, 4) channels.
+    # Bound from the representation: the int32 index table twice (its blocks and
+    # their concatenation), plus per chunk bank six float arrays of 16 cells, the
+    # p(V, S, Z_k) and p(X_k, S, Z_k) shapes the search holds for a bank at once
+    reps, x, z = 134_377, 2, 4
+    bound = 2 * reps * x * np.dtype(np.int32).itemsize + 6 * 16 * 8 * optimize.CHUNK
+    assert bound < reps * x * z * 8 / 2               # below half the float table
+    d = Direction.normalized(1, 0, 1, [0.6, 0.8])
+    brute_force_search(bwz, [d], [z], 1)              # numpy's lazy set-up, outside the trace
+    _orbit_table.cache_clear()
+    _simplex_lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        brute_force_search(bwz, [d], [z], 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _orbit_table(20, z, x).shape == (reps, x)
+    assert peak < bound, (peak, bound)
+
+
+# each weighs the distortion; the light-rate rows make identity maps win on every problem
+SLEPIAN_WOLF_DIRECTIONS = {
+    1: [[1.0, 1.0], [0.3, 1.0], [1.0, 0.2], [0.05, 1.0]],
+    2: [[1.0, 1.0, 1.0], [0.5, 2.0, 3.0], [2.0, 0.1, 0.5], [0.3, 0.3, 1.0], [0.05, 0.05, 1.0],
+        [0.02, 0.1, 1.0]],
+}
+
+
+@pytest.mark.parametrize("name", ["bwz", "dsbs", "helper3"])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_grid_one_lattice_meets_the_slepian_wolf_oracle(name, extra, request):
+    # at grid 1 every lattice channel is a deterministic map Z_k = f_k(X_k): its rate
+    # I(X_k; Z_k | X_1..X_J, Z_<k, S) is the identity-order Slepian-Wolf corner's
+    # H(Z_k | Z_<k, S), and its distortions are Bayes risks of the source pushed
+    # through the maps, both plain numpy apart from the package
+    spec = request.getfixturevalue(name)
+    sizes = [spec.x_alphabet(k).size for k in spec.channel_slots]
+    z_sizes = [n + extra for n in sizes]
+    dirs = [Direction.normalized(spec.m, spec.j, spec.l, raw)
+            for raw in SLEPIAN_WOLF_DIRECTIONS[spec.m - spec.j]]
+    lossless = [np.arange(spec.x_alphabet(i).size) for i in range(1, spec.j + 1)]
+
+    def score(maps, d):
+        corners, _ = slepian_wolf_reference(spec.source.probs, lossless + list(maps))
+        risks = deterministic_bayes_risks(spec.source.probs, lossless + list(maps),
+                                          spec.distortions)
+        return d.rate_weights @ corners[0][spec.j:] + d.distortion_weights @ risks
+
+    banks = list(itertools.product(*(itertools.product(range(z), repeat=n)
+                                     for n, z in zip(sizes, z_sizes))))
+    values, winners = brute_force_search(spec, dirs, z_sizes, 1)
+    for d, value, winner in zip(dirs, values, winners):
+        assert abs(value - min(score(maps, d) for maps in banks)) <= 1e-12
+        assert [ch.rows.shape for ch in winner] == list(zip(sizes, z_sizes))
+        assert abs(score([ch.rows.argmax(axis=1) for ch in winner], d) - value) <= 1e-12
 
 
 def _raw_lattice_minima(spec, directions, z_sizes, grid):
@@ -264,7 +329,7 @@ def _reference_search(spec, directions, z_sizes, grid, max_evals=optimize.MAX_BR
         return values, [[] for _ in directions]
 
     if tables is None:
-        tables = [_orbit_table(grid, z, spec.x_alphabet(k).size)
+        tables = [_simplex_lattice(grid, z)[_orbit_table(grid, z, spec.x_alphabet(k).size)]
                   for k, z in zip(slots, z_sizes)]
     per_channel = [table.shape[0] for table in tables]
 
@@ -434,6 +499,9 @@ def test_brute_force_validation(dsbs, bwz):
         brute_force_search(dsbs, [], [2, 2], 2)
     with pytest.raises(StructuralError):
         brute_force_search(dsbs, [d1], [2, 2], 2)   # direction for the wrong shape
+    for grid in (True, 3.0):                        # neither runs as grid 1 or 3
+        with pytest.raises(StructuralError, match="grid .* is not an integer"):
+            brute_force_search(bwz, [d1], [2], grid)
     assert lattice_min(bwz, d1, [2], 4) >= 0.0
 
 
@@ -841,6 +909,47 @@ def test_alphabet_bound_rejects_nonpositive_grid(bwz):
     for grid in (0, -3):
         with pytest.raises(StructuralError, match="grid must be >= 1"):
             verify_alphabet_bound(bwz, [d], grid=grid)
+    for grid in (True, 3.0):
+        with pytest.raises(StructuralError, match="grid .* is not an integer"):
+            verify_alphabet_bound(bwz, [d], grid=grid)
+
+
+def _linear_fit_grid(spec, z_sizes, grid):
+    """The scan from the requested grid down that the bisection replaced."""
+    return next((g for g in range(grid, 0, -1)
+                 if estimate_brute_force_evals(spec, z_sizes, g) <= optimize.MAX_BRUTE_EVALS),
+                None)
+
+
+@pytest.mark.parametrize("budget", [1, 40, 500, 100_000, optimize.MAX_BRUTE_EVALS])
+def test_fit_grid_matches_the_linear_scan(budget, bwz, dsbs, monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_BRUTE_EVALS", budget)
+    for spec, sizes in ((bwz, [[1], [2], [3], [4], [6]]),
+                        (dsbs, [[1, 1], [1, 4], [2, 2], [3, 2], [4, 4]])):
+        for z_sizes in sizes:
+            for grid in (*range(1, 41), 97, 250):
+                expected = _linear_fit_grid(spec, z_sizes, grid)
+                if expected is None:
+                    with pytest.raises(BudgetError):
+                        optimize._fit_grid(spec, z_sizes, grid)
+                else:
+                    assert optimize._fit_grid(spec, z_sizes, grid) == expected, \
+                        (z_sizes, grid)
+
+
+def test_fit_grid_bisects_a_huge_grid(bwz, monkeypatch):
+    # O(log grid) estimates; a scan from 10**12 down stops at the first call over the limit
+    limit = math.ceil(math.log2(10**12)) + 1
+    calls = []
+    estimate = optimize.estimate_brute_force_evals
+
+    def counting(spec, z_sizes, grid):
+        calls.append(grid)
+        assert len(calls) <= limit, "more estimates than a bisection makes"
+        return estimate(spec, z_sizes, grid)
+
+    monkeypatch.setattr(optimize, "estimate_brute_force_evals", counting)
+    assert optimize._fit_grid(bwz, [2], 10**12) == 3871      # 3872 ** 2 <= 15M < 3873 ** 2
 
 
 def test_negative_candidates_and_nonpositive_restarts_rejected(bwz):
