@@ -22,12 +22,12 @@ step is one call of each layer for the whole stack.
 
 A direct lattice search (:func:`brute_force_search`) grids every
 channel's rows over the probability simplex and evaluates the objective
-definitionally, as entropies and Bayes risks of marginals of the
-augmented joint, independent of the functional machinery.  Slot k's rate
-reads only slots up to k, so the search contracts the source with one
-channel at a time in slot order and never forms the whole joint; each
-marginal is still summed from the joint's cells.  It is budget-guarded
-and serves as the reference the descent is validated against.
+from its definition, independent of the functional machinery: Bayes
+risks of marginals, and slot k's rate as H(C, Z_k) - H(C) - H(Z_k | X_k),
+the last a sum of lattice-row entropies.  Slot k's rate reads only slots
+up to k, so the search contracts the source with one channel at a time
+in slot order and never forms the whole joint.  It is budget-guarded and
+serves as the reference the descent is validated against.
 """
 from __future__ import annotations
 
@@ -336,22 +336,34 @@ def _orbit_table(grid: int, z: int, x: int) -> np.ndarray:
     that it still ties decreases.  Prefixes grow in blocks of at most
     ``ORBIT_CELLS`` prefix, lattice row and column pair cells (one prefix at
     least), each by every lattice row in order, so the table stays
-    lexicographic."""
+    lexicographic; survivors are counted, then written into one array."""
     lat = _simplex_lattice(grid, z)
     down = lat[:, :-1] > lat[:, 1:]        # (rows, z - 1): column c above column c + 1
     same = lat[:, :-1] == lat[:, 1:]
     table = np.flatnonzero(~down.any(axis=1)).astype(np.int32)[:, None]
     step = max(1, ORBIT_CELLS // (len(lat) * max(z - 1, 1)))
-    for _ in range(1, x):
-        grown = []
-        for start in range(0, len(table), step):
-            prefix = table[start:start + step]
-            tied = same[prefix].all(axis=1)[:, None]     # (P, 1, z - 1): tied in every row
-            head, row = np.nonzero(~(tied & down).any(axis=2))
-            grown.append(np.column_stack([prefix[head], row.astype(np.int32)]))
-        table = np.concatenate(grown)
+
+    def survivors(prefix):               # (P, rows): prefix p grows by lattice row r
+        tied = same[prefix].all(axis=1)[:, None]         # (P, 1, z - 1): tied in every row
+        return ~(tied & down).any(axis=2)
+
+    for width in range(1, x):
+        blocks = [table[start:start + step] for start in range(0, len(table), step)]
+        ends = np.cumsum([np.count_nonzero(survivors(prefix)) for prefix in blocks])
+        table = np.empty((ends[-1], width + 1), dtype=np.int32)   # blocks view the old one
+        for prefix, end in zip(blocks, ends):
+            head, row = np.nonzero(survivors(prefix))
+            table[end - head.size:end] = np.column_stack([prefix[head], row])
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def _row_entropies(grid: int, z: int) -> np.ndarray:
+    """The read-only entropy -sum q log2 q of each row q of ``_simplex_lattice(grid, z)``."""
+    h = -plogp(_simplex_lattice(grid, z)).sum(axis=1)
+    h.setflags(write=False)
+    return h
 
 
 def estimate_brute_force_evals(spec: ProblemSpec, z_sizes: Sequence[int],
@@ -372,14 +384,8 @@ def estimate_brute_force_evals(spec: ProblemSpec, z_sizes: Sequence[int],
 
 
 def _bank_entropies(a: np.ndarray) -> np.ndarray:
-    """Entropy of each bank (last axis) of ``a``, from one contiguous row per bank."""
-    return -plogp(np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)).sum(axis=1)
-
-
-def _slot_marginal(a: np.ndarray, later: int) -> np.ndarray:
-    """p(X_k, X_L S Z_<k, B) from p(V, X_k, X_>k X_L S Z_<k, B); X_>k spans ``later`` cells."""
-    _, x, _, b = a.shape
-    return a.sum(axis=0).reshape(x, later, -1, b).sum(axis=1)
+    """Entropy of each bank (last axis) of ``a``, its cells summed down the leading axes."""
+    return -plogp(a.reshape(-1, a.shape[-1])).sum(axis=0)
 
 
 def _bayes_risks(spec: ProblemSpec, scored: np.ndarray, banks: int) -> list[np.ndarray]:
@@ -399,29 +405,27 @@ def brute_force_search(
 
     Every channel row ranges over the 1/grid simplex lattice; one bank per
     orbit of output relabelings is scored and dotted with each direction.
-    Banks are read from each slot's :func:`_orbit_table` of lattice row
-    indices: a chunk gathers its channels as one contiguous ``(X_k, Z_k, B)``
-    array per slot and the winners as lattice rows, so no table is copied.
-    Each term is computed by definition from a marginal of the augmented
-    joint: slot k's rate I(X_k; Z_k | X_1..X_J, Z_<k, S) as four entropies,
-    each distortion as the Bayes risk of p(X_1..X_J, S, V, Z).  The joint
-    is never formed whole: slots are contracted in increasing order, and at
-    slot k a chunk of banks carries p(V, X_>=k, X_1..X_J, S, Z_<k), all
-    that later slots and the distortions read.  Slot k's entropies come
-    from that array summed over V and X_>k and from its product with slot
-    k's rows.  Rates keep ``pmf.mi_sets``' sign rule: a nonpositive rate
-    within ``CMI_CLAMP`` of zero, -0.0 included, becomes +0.0, and a lower
-    one raises :class:`NumericIntegrityError` naming the slot.  Returns the
-    minima and argmin banks; refuses raw lattices over ``MAX_BRUTE_EVALS`` points.
+    A chunk gathers each slot's channels as one ``(X_k, Z_k, B)`` array from
+    its :func:`_orbit_table` of lattice row indices and the transposed
+    lattice.  Slots are contracted in increasing order, so at slot k a chunk
+    carries p(V, X_>=k, X_1..X_J, S, Z_<k), all that later slots and the
+    distortions read.  Slot k's rate I(X_k; Z_k | C), C = (X_1..X_J, S,
+    Z_<k), is H(C, Z_k) - H(C) - H(Z_k | X_k, C): the first from that array
+    times slot k's rows, summed over V and X_>k; the second the previous
+    slot's first (the source's at slot 1); the last sum_x p(x) H(q_k(.|x)),
+    as Z_k reads X_k alone (:func:`_row_entropies`).  Each distortion is the
+    Bayes risk of p(X_1..X_J, S, V, Z).  Rates keep ``pmf.mi_sets``' sign
+    rule: a nonpositive rate within ``CMI_CLAMP`` of zero, -0.0 included,
+    becomes +0.0, and a lower one raises :class:`NumericIntegrityError`
+    naming the slot.  Returns the minima and argmin banks; refuses raw
+    lattices over ``MAX_BRUTE_EVALS`` points.
     """
     slots = spec.channel_slots
     z_sizes = [check_int(z, "output size") for z in z_sizes]
     total = estimate_brute_force_evals(spec, z_sizes, grid)
     if total > MAX_BRUTE_EVALS:
-        raise BudgetError(
-            f"lattice search needs {total} evaluations "
-            f"(> {MAX_BRUTE_EVALS}); shrink the grid or the output alphabets"
-        )
+        raise BudgetError(f"lattice search needs {total} evaluations (> {MAX_BRUTE_EVALS}); "
+                          "shrink the grid or the output alphabets")
     if not directions:
         raise StructuralError("brute_force_search needs at least one direction")
     for d in directions:
@@ -437,14 +441,15 @@ def brute_force_search(
 
     lats = [_simplex_lattice(grid, z) for z in z_sizes]
     tables = [_orbit_table(grid, z, spec.x_alphabet(k).size) for k, z in zip(slots, z_sizes)]
+    h_rows = [_row_entropies(grid, z) for z in z_sizes]
+    p_x = [spec.x_marginal(k) for k in slots]
     per_channel = [table.shape[0] for table in tables]
     xs = [table.shape[1] for table in tables]
 
     # axes V, X_{J+1}..X_M, X_L = X_1..X_J, S, each Z_k, then banks: sums run on leading axes
     source = np.moveaxis(spec.source.probs, [spec.m + 1, *range(spec.j, spec.m)],
                          range(len(xs) + 1)).reshape(v, xs[0], -1)
-    first = _slot_marginal(source[..., None], math.prod(xs[1:]))
-    h_first, h_cond = _bank_entropies(first), _bank_entropies(first.sum(axis=0))
+    h_source = _bank_entropies(source.reshape(v * math.prod(xs), -1).sum(axis=0)[:, None])
 
     n_dir = len(directions)
     best = np.full(n_dir, np.inf)
@@ -454,27 +459,24 @@ def brute_force_search(
     for start in range(0, reps, CHUNK):
         flat = np.arange(start, min(start + CHUNK, reps), dtype=np.int64)
         per_slot = np.unravel_index(flat, per_channel)
-        p, h_ac, h_c = first, h_first, h_cond
+        h_c = h_source
         comps = []
         for pos, x in enumerate(xs):
-            rows = tables[pos][per_slot[pos]].T[:, None]         # (X_k, 1, B) lattice rows
-            q = lats[pos][rows, np.arange(z_sizes[pos])[:, None]]   # (X_k, Z_k, B)
+            rows = np.take(tables[pos], per_slot[pos], axis=0).T   # (X_k, B) lattice rows
+            q = np.take(lats[pos].T, rows, axis=1).transpose(1, 0, 2)   # (X_k, Z_k, B)
             # a becomes p(V, X_>k X_L S Z_<k, Z_k, B): X_k contracted into Z_k
             if pos == 0:                # the source is channel-free: one matrix product
                 a = np.tensordot(source, q, axes=(1, 0))
             else:
-                a = a.reshape(v, x, -1, flat.size)
-                p = _slot_marginal(a, math.prod(xs[pos + 1:]))
-                h_ac = _bank_entropies(p)
-                a = (a[:, :, :, None] * q[:, None]).sum(axis=1)
-            joint = p[:, :, None] * q[:, None]                    # p(X_k, X_L S Z_<k, Z_k)
-            h_bc = _bank_entropies(joint.sum(axis=0))
-            rate = h_ac + h_bc - _bank_entropies(joint) - h_c
+                a = (a.reshape(v, x, -1, 1, flat.size) * q[:, None]).sum(axis=1)
+            later = v * math.prod(xs[pos + 1:])                  # V and X_>k: leading cells
+            h_cz = _bank_entropies(a.reshape(later, -1, flat.size).sum(axis=0))
+            rate = h_cz - h_c - p_x[pos] @ np.take(h_rows[pos], rows)
             if rate.min() < -CMI_CLAMP:
                 raise NumericIntegrityError(f"slot {slots[pos]}'s lattice rate evaluated to "
                                             f"{rate.min():.3e} bits, below -{CMI_CLAMP}")
             comps.append(np.maximum(rate, 0.0))
-            h_c = h_bc
+            h_c = h_cz
         comps += _bayes_risks(spec, a.reshape(v, -1), flat.size)  # a is p(V, X_L S Z, B)
         objective = np.stack(comps, axis=1) @ coords.T          # (B, D)
         arg = objective.argmin(axis=0)
@@ -485,11 +487,8 @@ def brute_force_search(
 
     rows = [lat[table[i]] for lat, table, i in
             zip(lats, tables, np.unravel_index(best_flat, per_channel))]
-    winners = [
-        [Channel(spec.x_alphabet(k), rows[pos][d]) for pos, k in enumerate(slots)]
-        for d in range(n_dir)
-    ]
-    return best, winners
+    return best, [[Channel(spec.x_alphabet(k), rows[pos][d]) for pos, k in enumerate(slots)]
+                  for d in range(n_dir)]
 
 
 # ---- alphabet bound verification -------------------------------------------------

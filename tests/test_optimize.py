@@ -51,6 +51,7 @@ from conftest import (
     binary_product_spec,
     deterministic_bayes_risks,
     make_spec,
+    region_problem_spec,
     relabel_symbols,
     slepian_wolf_reference,
     solve_one,
@@ -158,6 +159,17 @@ def _reference_orbit_table(grid, z, x):
     return raw[np.sort(first)]
 
 
+def test_row_entropies_are_plain_row_entropies():
+    for grid in range(1, 7):
+        for z in range(1, 6):
+            h = optimize._row_entropies(grid, z)
+            expected = [-sum(p * math.log2(p) for p in row if p > 0.0)   # 0 log 0 = 0
+                        for row in _simplex_lattice(grid, z).tolist()]
+            assert optimize._row_entropies(grid, z) is h       # cached
+            assert not h.flags.writeable and h.shape == (len(expected),)
+            assert np.allclose(h, expected, rtol=0.0, atol=1e-12), (grid, z)
+
+
 def test_orbit_table_matches_unique_of_sorted_columns():
     for grid in range(1, 7):
         for z in range(1, 6):
@@ -182,9 +194,11 @@ def test_orbit_table_counts(shape, count):
 
 def test_cold_search_holds_the_index_table_and_chunk_temporaries(bwz):
     # bwz at grid 20 with |Z| = 4: 134,377 orbits, 8.6 MB as float (2, 4) channels.
-    # Bound from the representation: the int32 index table twice (its blocks and
-    # their concatenation), plus per chunk bank six float arrays of 16 cells, the
-    # p(V, S, Z_k) and p(X_k, S, Z_k) shapes the search holds for a bank at once
+    # Bound from the representation: the int32 index table twice (the table, and
+    # room for the one block of temporaries its build holds beside it), plus per
+    # chunk bank six float arrays of 16 cells, the size of p(V, S, Z_k), the
+    # largest array the search holds for a bank, beside its tensordot operands,
+    # its plogp cells and its Bayes-risk scores
     reps, x, z = 134_377, 2, 4
     bound = 2 * reps * x * np.dtype(np.int32).itemsize + 6 * 16 * 8 * optimize.CHUNK
     assert bound < reps * x * z * 8 / 2               # below half the float table
@@ -270,21 +284,23 @@ def test_orbit_search_matches_raw_enumeration(name, z_sizes, grid, n_dirs):
 
 def test_search_scores_one_bank_per_orbit(monkeypatch, dsbs):
     # 27 orbits per (3, 4, 2) slot: 729 banks instead of 400 ** 2 raw ones;
-    # the one-row calls are the first slot's channel-free entropies
-    rows = []
+    # banks are the last axis of every entropy array, and the one-bank call
+    # is the source's channel-free entropy
+    banks = []
+    entropies = optimize._bank_entropies
 
     def counting(a):
-        rows.append(a.shape[0])
-        return plogp(a)
+        banks.append(a.shape[-1])
+        return entropies(a)
 
-    monkeypatch.setattr(optimize, "plogp", counting)
+    monkeypatch.setattr(optimize, "_bank_entropies", counting)
     d = Direction.normalized(2, 0, 1, [0.4, 0.4, 0.5])
     brute_force_search(dsbs, [d], [4, 4], 1)
-    one_chunk = len(rows)
-    rows.clear()
+    one_chunk = len(banks)
+    banks.clear()
     brute_force_search(dsbs, [d], [4, 4], 3)
     assert estimate_brute_force_evals(dsbs, [4, 4], 3) == 160_000
-    assert len(rows) == one_chunk and {r for r in rows if r > 1} == {729}
+    assert len(banks) == one_chunk and {b for b in banks if b > 1} == {729}
 
 
 def _reference_batch_entropies(tensor, keep, cache):
@@ -406,14 +422,17 @@ STAGED_TOL = 1e-15   # the staged sums differ from the full tensor's in the last
     ("bwz", [2], 14), ("bwz", [4], 14), ("bwz", [4], 3),
     ("dsbs", [2, 2], 3), ("dsbs", [4, 4], 3), ("dsbs", [4, 4], 5),
     ("helper3", [2, 2], 3), ("helper3", [4, 4], 3),
-    ("wide", [1], 4), ("zero", [5, 3], 3),
+    ("wide", [1], 4), ("zero", [5, 3], 3), ("region4", [2, 2, 2, 2], 2),
 ])
 def test_staged_search_matches_full_tensor_search(name, z_sizes, grid):
+    # region4 has four slots, so V and X_>k are summed away at every position
     rng = np.random.default_rng(95)
     if name == "wide":
         spec = _wide_slot_spec()
     elif name == "zero":
         spec = zero_symbol_spec(rng)
+    elif name == "region4":
+        spec = region_problem_spec(1, 4)
     else:
         spec = resolve_problem(name)
     dirs = [random_direction(spec.m, spec.j, spec.l, rng) for _ in range(20)]
@@ -469,16 +488,16 @@ def test_descent_and_lattice_never_end_below_the_product_closed_form():
 
 
 def test_lattice_rates_keep_the_sign_rule(monkeypatch, dsbs):
-    # the 4-D joint entropies H(X_k, C, Z_k), C the slot's conditioning, read high
-    # by ``plant`` lower every slot rate by it: past CMI_CLAMP the search raises,
-    # within it the minima stay put
+    # lattice-row entropies read high by ``plant`` raise every H(Z_k | X_k, C), a
+    # p(X_k)-weighted sum of them, by ``plant`` and so lower every slot rate by
+    # it: past CMI_CLAMP the search raises, within it the minima stay put
     rng = np.random.default_rng(5)
     dirs = [random_direction(2, 0, 1, rng) for _ in range(6)]
     values, _ = brute_force_search(dsbs, dirs, [2, 2], 3)
-    entropies = optimize._bank_entropies
+    entropies = optimize._row_entropies
     for plant in (1e-6, 1e-12):
-        monkeypatch.setattr(optimize, "_bank_entropies",
-                            lambda a, plant=plant: entropies(a) + (plant if a.ndim == 4 else 0.0))
+        monkeypatch.setattr(optimize, "_row_entropies",
+                            lambda grid, z, plant=plant: entropies(grid, z) + plant)
         if plant > CMI_CLAMP:
             with pytest.raises(NumericIntegrityError, match="slot 1"):
                 brute_force_search(dsbs, dirs, [2, 2], 3)
