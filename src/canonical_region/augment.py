@@ -257,6 +257,7 @@ def random_channels(
     ]
 
 
+@dataclass(frozen=True, eq=False)
 class AugmentedPmf:
     """The source law with a full channel bank attached.
 
@@ -265,20 +266,12 @@ class AugmentedPmf:
     the originating spec.  Helper methods map source bitmasks to axes by
     the joint's fixed layout ``X1..XM, S, V, Z_{J+1}..Z_M``
     (:func:`channel_product`), so ``Z_k`` is axis ``M+1+k-J`` and
-    description m <= J is ``X_m`` itself.  ``_cmi`` memoizes
-    :mod:`.region`'s I(X_I ; Z_I | Z_K, S) by the packed source bitmasks
-    ``I << M | K``; the region's g, its corners and its identities all read it.
+    description m <= J is ``X_m`` itself.  The joint memoizes its
+    marginals and entropies, which every information read of it shares.
     """
 
-    __slots__ = ("joint", "spec", "_cmi")
-
-    def __init__(self, joint: JointPmf, spec: ProblemSpec):
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "_cmi", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AugmentedPmf is immutable")
+    joint: JointPmf
+    spec: ProblemSpec
 
     @property
     def m(self) -> int:
@@ -451,9 +444,8 @@ def reverse_to_forward(spec: ProblemSpec, k: int, pair: ReverseChannelPair) -> C
     rows = np.repeat(uniform[..., None, :], p_k.size, axis=-2)
     rows[..., positive, :] = (w[..., None, :] * cols)[..., positive, :] / p_k[positive, None]
     sums = rows.sum(axis=-1)
-    if np.abs(sums - 1.0).max() > REBUILT_ROW_TOL:
-        raise NumericIntegrityError(
-            f"reconstructed channel rows sum to {sums}, too far from 1"
-        )
+    worst = float(sums.flat[np.abs(sums - 1.0).argmax()])
+    if abs(worst - 1.0) > REBUILT_ROW_TOL:
+        raise NumericIntegrityError(f"a reconstructed channel row sums to {worst!r}, too far from 1")
     rows /= sums[..., None]
     return Channel(spec.x_alphabet(k), rows)

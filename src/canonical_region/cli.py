@@ -52,7 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from .augment import attach_channels, random_channels
-from .errors import BudgetError, InputError, NumericIntegrityError, StructuralError
+from .errors import (BudgetError, InputError, NumericIntegrityError, PreconditionError,
+                     StructuralError)
 from .functionals import (
     DECOMPOSITION_TOL,
     Direction,
@@ -516,7 +517,7 @@ def main(argv=None) -> int:
         body, summary, verdict = args.func(args, spec)
         _emit([_run_record(args, spec), *body,
                {"type": "summary", "command": args.command, **summary}], args.out)
-    except NumericIntegrityError as exc:
+    except (NumericIntegrityError, PreconditionError) as exc:   # a broken internal guarantee
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except BudgetError as exc:

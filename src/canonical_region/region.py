@@ -88,23 +88,10 @@ def _groups_in_mask_order(m: int) -> tuple[tuple[int, ...], ...]:
 
 def _cmi_xz(aug: AugmentedPmf, left, cond):
     """I(X_left ; Z_left | Z_cond, S) for source bitmasks, or int arrays of them
-    broadcast together, each computed once per joint.
-
-    The only code that reads or fills the joint's CMI memo.  The missing keys
-    are computed in one :func:`mi_sets` call; a call that raises stores nothing.
-    """
-    left = np.asarray(left)
-    aug.x_axes(left | cond)                       # both in range before they are packed
-    keys = left << aug.m | cond
-    flat, memo = keys.ravel().tolist(), aug._cmi
-    if missing := list(set(flat).difference(memo)):
-        pairs = np.array(np.divmod(missing, 1 << aug.m))       # rows: left, cond
-        z_left, z_cond = aug.z_axes(pairs)
-        memo.update(zip(missing, mi_sets(aug.joint, aug.x_axes(pairs[0]), z_left,
-                                         z_cond | aug.s_axis)))
-    values = np.array([memo[key] for key in flat]).reshape(
-        keys.shape + aug.joint.probs.shape[:aug.joint.stack])
-    return values if values.ndim else float(values)
+    broadcast together, in one :func:`mi_sets` call; the joint's memos make a
+    repeated read cost lookups only, and a call that raises stores nothing."""
+    aug.x_axes(left | cond)                       # both in range before any axis is read
+    return mi_sets(aug.joint, left, aug.z_axes(left), aug.z_axes(cond) | aug.s_axis)
 
 
 def _gather(keys: np.ndarray, m: int, value: Callable[..., np.ndarray]) -> np.ndarray:
@@ -213,8 +200,8 @@ def corner_point(aug: AugmentedPmf, perm: Sequence[int] | np.ndarray) -> RateVec
     ``perm`` is one order ``(M,)`` or a stack ``(N, M)``, and the corners
     come back in the same shape.  Source ``perm[i]`` pays the information
     its description adds on top of the descriptions of ``perm[0..i-1]``
-    and S, I(X ; Z | Z_before, S) from the CMI memo.  Each distinct
-    (source, prefix) rate of the stack is read once.
+    and S, I(X ; Z | Z_before, S).  Each distinct (source, prefix) rate
+    of the stack is read once.
     """
     m = aug.m
     if isinstance(perm, np.ndarray) and perm.dtype.kind in "iu":
@@ -320,14 +307,14 @@ class NondegeneracyReport:
 
 
 def nondegeneracy_report(aug: AugmentedPmf) -> NondegeneracyReport:
-    """Every corner gap I(Z_a ; Z_b | Z_cond, S), read from the CMI memo.
+    """Every corner gap I(Z_a ; Z_b | Z_cond, S), a difference of two corner rates.
 
     With f(a, K) = I(X_a ; Z_a | Z_K, S), the gap is f(a, cond) -
     f(a, cond u {b}), since Z_a depends on the rest only through X_a.  Two
     distinct corners differ in the rate of the first source where their
     orders part by at least one gap, and swapping an adjacent pair attains
     it, so ``min_value`` is the smallest max-norm distance between corners.
-    After :func:`enumerate_extreme_points` this computes no new CMI.
+    After :func:`enumerate_extreme_points` this computes no new entropy.
     M = 1 is vacuously nondegenerate.
     """
     m = aug.m     # sources counted from 0 here; each pair with every cond that holds neither

@@ -123,8 +123,8 @@ def solve_equality_lp(c, a, b, warm=()) -> LpResult:
         raise StructuralError("LP data must be finite")
     if not (1 <= m <= n and (a[:, :, :m] == np.eye(m)).all()):
         raise StructuralError("the LP's first m columns must be the identity basis")
-    if b.min() < 0.0:
-        raise StructuralError(f"the LP's right-hand side must be >= 0, got {b}")
+    if (low := float(b.min())) < 0.0:
+        raise StructuralError(f"the LP's right-hand side must be >= 0, its least entry is {low!r}")
     warm = [int(j) for j in warm]
     if any(not 0 <= j < n for j in warm):
         raise StructuralError(f"warm columns {warm} outside 0..{n - 1}")

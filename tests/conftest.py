@@ -58,6 +58,11 @@ def reference_mi(probs, a, b, given=0):
     return h(a | given) + h(b | given) - h(a | b | given) - h(given)
 
 
+def memo_keys(aug):
+    """The axis masks whose entropy, and whose marginal, the augmented joint holds."""
+    return set(aug.joint._entropy_cache), set(aug.joint._marginals)
+
+
 def slepian_wolf_reference(probs, maps):
     """Every corner and g(I) for deterministic descriptions ``Z_i = maps[i - 1][X_i]``.
 
@@ -67,8 +72,9 @@ def slepian_wolf_reference(probs, maps):
     difference of joint entropies H(Z_A, S): the source's (X, S) marginal
     pushed through the maps, then the sum of -p log2 p.  Plain numpy only.
     Returns the ``(M!, M)`` corners in lexicographic order of the orders,
-    position ``i - 1`` holding source i's rate H(Z_i | Z_before, S), and
-    the ``(2^M - 1,)`` array of g(I), entry ``mask - 1`` for group mask.
+    position ``i - 1`` holding source i's rate H(Z_i | Z_before, S), the
+    ``(2^M - 1,)`` array of g(I), entry ``mask - 1`` for group mask, and
+    the ``(2^M,)`` table of H(Z_A, S), entry ``mask`` for the sources A.
     """
     m = len(maps)
     xs = probs.sum(axis=-1)                            # (X_1..X_M, S)
@@ -92,7 +98,7 @@ def slepian_wolf_reference(probs, maps):
             before |= 1 << i
         corners.append(rates)
     masks = np.arange(1, full + 1)
-    return np.array(corners), joint[full] - joint[full ^ masks]
+    return np.array(corners), joint[full] - joint[full ^ masks], joint
 
 
 def deterministic_bayes_risks(probs, maps, distortions):

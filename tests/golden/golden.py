@@ -13,6 +13,10 @@ without the run-varying ``elapsed`` line.
 
 Float bits may differ across numpy versions, so the manifest records the
 numpy version it was made with; ``--check`` says so when they differ.
+They may also differ across SIMD kernels, so before numpy is imported this
+script pins OpenBLAS's AVX2 ``Haswell`` kernel and switches off numpy's
+AVX-512 targets, overriding any value set from outside, and the manifest
+records that pin.  The pin covers x86-64 machines with AVX2, not ARM.
 A change that alters outputs on purpose re-records with ``--update`` and
 lists the changed commands in CHANGES.md.
 """
@@ -30,6 +34,10 @@ import time
 import traceback
 import warnings
 from pathlib import Path
+
+KERNEL_PIN = {"OPENBLAS_CORETYPE": "Haswell",
+              "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+os.environ.update(KERNEL_PIN)   # read once, when numpy and its OpenBLAS load
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
@@ -235,7 +243,8 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
     if args.update:
         MANIFEST.write_text(json.dumps(
-            {"numpy": np.__version__, "commands": results}, indent=1) + "\n")
+            {"numpy": np.__version__, "kernels": KERNEL_PIN, "commands": results},
+            indent=1) + "\n")
         print(f"recorded {len(results)} commands in {elapsed:.1f}s")
         return 0
 

@@ -22,6 +22,7 @@ from canonical_region import (
     DegeneracyWarning,
     InputError,
     NumericIntegrityError,
+    PreconditionError,
     ProblemSpec,
     bundled_problem_path,
     list_bundled_problems,
@@ -796,6 +797,40 @@ def test_cli_exits_1_on_a_numeric_integrity_failure(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "verification failure: objective rose\n"
     assert "elapsed" not in captured.out
+
+
+def test_cli_exits_1_on_a_failed_precondition_inside_a_descent(monkeypatch, capsys):
+    # a PreconditionError is a StructuralError, but no CLI path hands one user
+    # input, so a descent that raises it fails verification, not the input
+    def broken(*args, **kwargs):
+        raise PreconditionError("reverse pair violates the mixture identity by 5.000e-07")
+    monkeypatch.setattr(optimize, "reverse_to_forward", broken)
+    assert main(["trace", "bwz", "--count", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("verification failure: reverse pair violates the mixture "
+                            "identity by 5.000e-07\n")
+    assert "elapsed" not in captured.out
+
+
+def small_mass_ternary(tmp_path, eps):
+    """bwz with a ternary X whose symbol 2 has mass ``eps``, taken from (x, s) = (1, 1);
+    V = X under 3x3 Hamming distortion.  The masses are exact decimals."""
+    masses = {(0, 0): "0.375", (0, 1): "0.125", (1, 0): "0.125",
+              (1, 1): str(Fraction("0.375") - Fraction(eps)), (2, 1): eps}
+    return write_problem(
+        tmp_path, f"ternary-{eps}.json", alphabets={"X": [3], "S": 2, "V": 3, "Vhat": [3]},
+        source={"entries": [{"symbols": [x, s, x], "p": p} for (x, s), p in masses.items()]},
+        distortions=[(1 - np.eye(3, dtype=int)).tolist()])
+
+
+@pytest.mark.parametrize("eps", ["1e-6", "1e-10"])   # a fixed set: never shrink it
+def test_cli_trace_on_a_small_mass_symbol_exits_0_or_1_on_one_line(tmp_path, capsys, eps):
+    # a valid file never exits 2, and an integrity failure names one value
+    problem = str(small_mass_ternary(tmp_path, eps))
+    for seed in (1, 2, 3, 4):
+        code = main(["trace", problem, "--count", "8", "--seed", str(seed)])
+        err = capsys.readouterr().err
+        assert code in (0, 1) and len(err.splitlines()) <= 1, (seed, code, err)
 
 
 def test_cli_out_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):

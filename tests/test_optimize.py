@@ -239,7 +239,7 @@ def test_grid_one_lattice_meets_the_slepian_wolf_oracle(name, extra, request):
     lossless = [np.arange(spec.x_alphabet(i).size) for i in range(1, spec.j + 1)]
 
     def score(maps, d):
-        corners, _ = slepian_wolf_reference(spec.source.probs, lossless + list(maps))
+        corners, _, _ = slepian_wolf_reference(spec.source.probs, lossless + list(maps))
         risks = deterministic_bayes_risks(spec.source.probs, lossless + list(maps),
                                           spec.distortions)
         return d.rate_weights @ corners[0][spec.j:] + d.distortion_weights @ risks

@@ -38,7 +38,7 @@ from canonical_region import (  # noqa: E402
 )
 from canonical_region.pmf import JointStack  # noqa: E402
 from canonical_region.region import _cmi_xz  # noqa: E402
-from conftest import direct_marginal, reference_mi  # noqa: E402
+from conftest import direct_marginal, memo_keys, reference_mi  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -255,7 +255,7 @@ def test_batched_cmi_memo_reads_match_single_reads_and_refuses_a_bad_key(instanc
     bad = data.draw(st.sampled_from([(0, 0), (full + 1, 0), (1, full + 1), (-1, 0), (1, -1),
                                      (1, 1)]))
     at = data.draw(st.integers(0, len(keys)))
-    stored = dict(aug._cmi)
+    stored = memo_keys(aug)
     with pytest.raises(StructuralError):
         _cmi_xz(aug, np.insert(left, at, bad[0]), np.insert(cond, at, bad[1]))
-    assert aug._cmi == stored
+    assert memo_keys(aug) == stored

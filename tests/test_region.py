@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import canonical_region.pmf as pmf_mod
 import canonical_region.region as region_mod
 from canonical_region import (
     BudgetError,
@@ -41,6 +42,7 @@ from conftest import (
     distinct_count,
     make_spec,
     markov_source_spec,
+    memo_keys,
     product_source_spec,
     region_problem_spec,
     relabel_symbols,
@@ -300,15 +302,16 @@ def region_problem_aug(seed, m, channel_seed=1):
     return attach_channels(spec, random_channels(spec, np.random.default_rng(channel_seed)))
 
 
-def count_mi_sets(monkeypatch):
+def count_entropies(monkeypatch):
+    """One entry per joint entropy computed from here on: a row of ``_entropies``' plogp pass."""
     calls = []
-    real = region_mod.mi_sets
+    real = pmf_mod.plogp
 
-    def counting(*args, **kwargs):   # one entry per value computed, not per call
-        calls.extend([1] * np.size(args[1]))
-        return real(*args, **kwargs)
+    def counting(cells):
+        calls.extend([1] * len(cells))
+        return real(cells)
 
-    monkeypatch.setattr(region_mod, "mi_sets", counting)
+    monkeypatch.setattr(pmf_mod, "plogp", counting)
     return calls
 
 
@@ -358,18 +361,25 @@ def test_greedy_corner_supports_every_nonnegative_direction(m):
 
 
 def test_membership_computes_g_once_per_joint(monkeypatch):
+    # J = 2: g(I) is H(X_N Z_rest S) + H(Z S) - H(X_N Z S) - H(Z_{I^c} S), N the
+    # noisy sources of I (a lossless X_i is its own Z_i)
     aug = region_problem_aug(1, 6)
     points = enumerate_extreme_points(aug)
-    calls = count_mi_sets(monkeypatch)
+    held = memo_keys(aug)
+    calls = count_entropies(monkeypatch)
     membership(aug, points[0][1])
-    # 63 groups less the six singletons: g({i}) is corner_point's CMI for i
-    # in last position, which the enumeration already memoized
-    assert len(calls) == 57
+    # the enumeration's prefix rates hold every term but the two with |N| >= 2,
+    # 11 sets N each; each new entropy is computed once and stored
+    entropies, marginals = memo_keys(aug)
+    assert len(calls) == len(entropies - held[0]) == 2 * 11
     for _, rates in points[1:]:
         membership(aug, rates)
-    assert len(calls) == 57
-    membership(region_problem_aug(1, 6), points[0][1])
-    assert len(calls) == 57 + 63
+    assert len(calls) == 22 and memo_keys(aug) == (entropies, marginals)
+    fresh = region_problem_aug(1, 6)
+    cold, made = memo_keys(fresh)[0], len(calls)
+    membership(fresh, points[0][1])
+    # a fresh joint: the 63 sets Z_{I^c} S, H(Z S), and two terms per nonempty N
+    assert len(calls) - made == len(memo_keys(fresh)[0] - cold) == 63 + 1 + 2 * 15
 
 
 def test_rate_lhs_computes_only_the_group_asked_for(monkeypatch):
@@ -377,11 +387,13 @@ def test_rate_lhs_computes_only_the_group_asked_for(monkeypatch):
     shape = (2,) * m + (1, 2)
     probs = np.random.default_rng(38).dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
     aug = attach_channels(ProblemSpec(m, probs, []), [])
-    calls = count_mi_sets(monkeypatch)
+    calls = count_entropies(monkeypatch)
     first = rate_lhs(aug, [5, 2])
-    assert len(calls) == 1
+    # every source lossless: g({2, 5}) = H(X S) - H(X_{1,3,4,6,7} S)
+    assert len(calls) == 2
+    held = memo_keys(aug)
     assert rate_lhs(aug, (2, 5)) == first
-    assert len(calls) == 1
+    assert len(calls) == 2 and memo_keys(aug) == held
 
 
 def test_rate_sums_add_left_to_right_in_index_order():
@@ -434,12 +446,16 @@ def test_distinct_count_matches_a_reference_greedy():
 def test_enumeration_computes_each_prefix_cmi_once(monkeypatch):
     m = 6
     aug = region_problem_aug(1, m)
-    calls = count_mi_sets(monkeypatch)
+    cold = memo_keys(aug)[0]
+    calls = count_entropies(monkeypatch)
     first = enumerate_extreme_points(aug)
-    # a corner coordinate depends on its source and the set before it
-    assert len(calls) == m * 2 ** (m - 1) == 192
+    # a corner coordinate depends on its source and the set before it, 192 rates
+    # reading H(X_i Z_P S) and H(X_i Z_i Z_P S) for the 4 noisy sources i and
+    # their 32 prefixes P, and H(Z_Q S) for all 64 sets Q; each is computed once
+    assert len(calls) == len(memo_keys(aug)[0] - cold) == 2 * 4 * 32 + 64
+    held = memo_keys(aug)
     second = enumerate_extreme_points(aug)
-    assert len(calls) == 192
+    assert len(calls) == 320 and memo_keys(aug) == held
     assert all(p == q and np.array_equal(r, s) for (p, r), (q, s) in zip(first, second))
 
 
@@ -463,11 +479,12 @@ def test_stacked_corners_equal_single_orders(case):
     together = corner_point(stacked, np.array(orders))
     assert together.shape == (len(orders), looped.m)
     assert together.tobytes() == one_by_one.tobytes()
-    assert set(stacked._cmi) == set(looped._cmi)
+    assert memo_keys(stacked) == memo_keys(looped)
 
 
 def test_stacked_corners_name_the_first_non_permutation_row():
     aug = region_problem_aug(1, 4)
+    held = memo_keys(aug)
     orders = np.array(list(itertools.permutations(range(1, 5))))
     orders[7] = (1, 2, 2, 4)
     orders[9] = (0, 1, 2, 3)
@@ -479,7 +496,7 @@ def test_stacked_corners_name_the_first_non_permutation_row():
     for wrong in ((1, 2), np.ones((2, 3), dtype=int), np.ones((1, 1, 4), dtype=int)):
         with pytest.raises(StructuralError, match=r"expected \(4,\) or \(N, 4\)"):
             corner_point(aug, wrong)
-    assert aug._cmi == {}
+    assert memo_keys(aug) == held
 
 
 def test_memo_warm_corners_equal_fresh_ones():
@@ -674,7 +691,7 @@ def test_cmi_memo_never_stores_a_call_that_raises(monkeypatch):
     for warm in (False, True):
         if warm:
             enumerate_extreme_points(aug)
-        stored = dict(aug._cmi)
+        stored = memo_keys(aug)
         for left, cond in [(0, 0b1), (1 << m, 0), (-1, 0), (0b1, 1 << m), (0b1, -1),
                            (0b11, 0b10)]:
             with pytest.raises(StructuralError):
@@ -682,7 +699,7 @@ def test_cmi_memo_never_stores_a_call_that_raises(monkeypatch):
         for group in [(0,), (m + 1,), ()]:
             with pytest.raises(StructuralError):
                 rate_lhs(aug, group)
-        assert aug._cmi == stored
+        assert memo_keys(aug) == stored
 
     real = region_mod.mi_sets
 
@@ -690,10 +707,11 @@ def test_cmi_memo_never_stores_a_call_that_raises(monkeypatch):
         raise NumericIntegrityError("clamp exceeded")
 
     aug = region_problem_aug(1, m)
+    held = memo_keys(aug)
     monkeypatch.setattr(region_mod, "mi_sets", failing)
     with pytest.raises(NumericIntegrityError):
         corner_point(aug, identity_permutation(m))
-    assert aug._cmi == {}
+    assert memo_keys(aug) == held
     monkeypatch.setattr(region_mod, "mi_sets", real)
     assert corner_point(aug, identity_permutation(m)).tolist() == \
         corner_point(region_problem_aug(1, m), identity_permutation(m)).tolist()
@@ -812,9 +830,10 @@ def test_four_entropy_corner_cmis_are_near_their_exact_values(helper3):
 def test_nondegeneracy_minimum_is_the_smallest_corner_separation(monkeypatch, seed, m):
     aug = region_problem_aug(seed, m)
     points = enumerate_extreme_points(aug)
-    calls = count_mi_sets(monkeypatch)
+    held = memo_keys(aug)
+    calls = count_entropies(monkeypatch)
     report = nondegeneracy_report(aug)
-    assert calls == []   # every gap is a difference of two memo entries
+    assert calls == [] and memo_keys(aug) == held   # each gap: two corner rates' entropies
     assert len(report.entries) == math.comb(m, 2) * 2 ** (m - 2)
     for a, b, cond, gap in report.entries:
         bit_a, bit_b, k = 1 << (a - 1), 1 << (b - 1), sum(1 << (i - 1) for i in cond)
@@ -873,9 +892,10 @@ def deterministic_banks(spec, rng):
 
 @pytest.mark.parametrize("name", ["dsbs", "helper3", "zero-symbol", "lossless", "m6"])
 def test_deterministic_banks_meet_the_slepian_wolf_oracle(name, request):
-    # with Z_i = f_i(X_i), a corner coordinate is H(Z_pi(i) | Z_before, S) and
-    # g(I) = H(Z_I | Z_{I^c}, S): a plain-numpy oracle that shares no code with
-    # the region path
+    # with Z_i = f_i(X_i), a corner coordinate is H(Z_pi(i) | Z_before, S),
+    # g(I) = H(Z_I | Z_{I^c}, S) and a corner gap I(Z_a ; Z_b | Z_P, S) is
+    # H(Z_a Z_P S) + H(Z_b Z_P S) - H(Z_a Z_b Z_P S) - H(Z_P S): a plain-numpy
+    # oracle that shares no code with the region path (Slepian and Wolf, 1973)
     rng = np.random.default_rng(4701)
     specs = {"zero-symbol": lambda: zero_symbol_spec(rng),
              "lossless": lambda: make_spec(rng, m=2, j=2, l=1),      # J = M
@@ -886,8 +906,13 @@ def test_deterministic_banks_meet_the_slepian_wolf_oracle(name, request):
         aug = attach_channels(spec, [Channel(spec.x_alphabet(k), rows)
                                      for k, rows in zip(spec.channel_slots, bank)])
         maps = lossless + [rows.argmax(axis=1) for rows in bank]
-        corners, g = slepian_wolf_reference(spec.source.probs, maps)
+        corners, g, h = slepian_wolf_reference(spec.source.probs, maps)
         got = enumerate_extreme_points(aug)
         assert [perm for perm, _ in got] == list(itertools.permutations(range(1, spec.m + 1)))
         assert np.abs(np.array([rates for _, rates in got]) - corners).max() <= 1e-12
         assert np.abs(membership(aug, corners).lhs - g).max() <= 1e-12
+        entries = nondegeneracy_report(aug).entries
+        assert len(entries) == math.comb(spec.m, 2) * 2 ** max(spec.m - 2, 0)
+        for a, b, cond, gap in entries:
+            bit_a, bit_b, p = 1 << (a - 1), 1 << (b - 1), sum(1 << (i - 1) for i in cond)
+            assert abs(gap - (h[bit_a | p] + h[bit_b | p] - h[bit_a | bit_b | p] - h[p])) <= 1e-12

@@ -82,6 +82,11 @@ def test_negative_rhs_normalized():
     b = np.array([-0.75, 0.25])
     with pytest.raises(StructuralError):
         solve_one(np.ones(2), a, b)
+    # the refusal names the least entry on one line, never the whole vector
+    wide = np.concatenate([np.full(300, 0.5), b])
+    with pytest.raises(StructuralError,
+                       match=r"^the LP's right-hand side must be >= 0, its least entry is -0\.75$"):
+        solve_one(np.ones(302), np.eye(302), wide)
     sign = np.sign(b)[:, None]
     res = solve_one(np.ones(2), a * sign, b * sign[:, 0])
     assert np.allclose(res.w, [0.75, 0.25], atol=1e-10)
