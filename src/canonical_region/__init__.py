@@ -53,7 +53,6 @@ from .region import (
     check_permutation,
     corner_point,
     enumerate_extreme_points,
-    expected_active_groups,
     identity_permutation,
     membership,
     nondegeneracy_report,

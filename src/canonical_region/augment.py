@@ -13,8 +13,9 @@ source law produces the augmented joint
     p(x_1..x_M, s, v) * prod_k q_k(z_k | x_k),
 
 an ordinary :class:`~canonical_region.pmf.JointPmf` whose axes are, in
-order, ``X1..XM, S, V, Z_{J+1}..Z_M``; every downstream rate and
-distortion quantity is evaluated on it.  :func:`channel_product` builds
+order, ``X1..XM, S, V, Z_{J+1}..Z_M``; the region's rates and the
+reported distortions are read off it (descent reads its own values in
+slot order, without it).  :func:`channel_product` builds
 that layout, and :class:`AugmentedPmf`'s bitmask helpers map groups of
 sources to its axes.  For ``m <= J`` the description variable is ``X_m``
 itself; the helpers resolve that aliasing so callers can speak uniformly
@@ -28,7 +29,6 @@ here as well.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -86,9 +86,8 @@ def identity_channel(alphabet: Alphabet) -> Channel:
     return Channel(alphabet, np.eye(alphabet.size))
 
 
-@functools.cache
 def constant_channel(alphabet: Alphabet) -> Channel:
-    """Channel whose single output symbol carries no information (immutable, so shared)."""
+    """Channel whose single output symbol carries no information."""
     return Channel(alphabet, np.ones((alphabet.size, 1)))
 
 
@@ -261,8 +260,7 @@ def random_channels(
 class AugmentedPmf:
     """The source law with a full channel bank attached.
 
-    Constructed by :func:`attach_channels`, and by the functionals with a
-    one-symbol channel at their own slot; carries the joint tensor and
+    Constructed by :func:`attach_channels`; carries the joint tensor and
     the originating spec.  Helper methods map source bitmasks to axes by
     the joint's fixed layout ``X1..XM, S, V, Z_{J+1}..Z_M``
     (:func:`channel_product`), so ``Z_k`` is axis ``M+1+k-J`` and

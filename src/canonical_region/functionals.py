@@ -13,12 +13,12 @@ of a fixed functional F evaluated at the reverse columns:
 
 * phi_i covers the rate of description ``i >= k``.  Let U be the
   descriptions of the sources before i other than k, plus S.  For
-  ``i > k``, ``phi_i(t) = H_t(X_i | U) - H_t(X_i | U, Z_i)``, both read
-  off the law that t mixes from the conditionals given ``X_k``.  For
-  ``i = k`` the first term is the constant ``H(X_k | U)`` of the source
-  law: mixing ``H_t(X_k | U)`` over the reverse columns would give
-  ``H(X_k | U, Z_k)`` instead.  The second term, ``H_t(X_k | U)`` with
-  ``Z_k`` inert, keeps the axis of ``X_k``, which t weighs elementwise.
+  ``i > k``, ``phi_i(t) = H_t(U, Z_i) - H_t(U) - H_t(Z_i | X_i, U)``: two
+  entropies of laws that t mixes from the conditionals given ``X_k``, and
+  a row term linear in t, since Z_i reads X_i alone.  For ``i = k`` it is
+  ``H(X_k | U) - H_t(X_k | U)``: the constant of the source law (mixing
+  ``H_t(X_k | U)`` over the reverse columns gives ``H(X_k | U, Z_k)``),
+  and a law that keeps the axis of ``X_k``, which t weighs elementwise.
 * psi_l covers distortion measure l: the Bayes-optimal expected
   distortion of reconstructing V from the mixed law of V and the full
   observation tuple, concave in ``t`` as a sum of pointwise minima of
@@ -26,15 +26,16 @@ of a fixed functional F evaluated at the reverse columns:
 * ``theta(ctx, pool)`` combines them along the context's direction of
   nonnegative weights over the free rates and the distortions.  Rate
   terms of descriptions ``i < k`` do not depend on slot k's channel at
-  all and enter as corner coordinates of the context's joint, so the
-  mixture of theta over a reverse pair reproduces the full weighted
-  objective exactly.
+  all and enter as constants, so the mixture of theta over a reverse pair
+  reproduces the full weighted objective exactly.
 
-:func:`verify_linear_decomposition` checks that reproduction numerically
-for every slot.
+:func:`direct_weighted_value` reads that objective in slot order, and
+:func:`verify_linear_decomposition` checks the reproduction for every
+slot against the region path.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping, Sequence
@@ -46,13 +47,11 @@ from .augment import (
     Channel,
     ProblemSpec,
     attach_channels,
-    channel_product,
-    constant_channel,
     forward_to_reverse,
 )
-from .errors import StructuralError
-from .pmf import entropy, plogp
-from .region import _cmi_xz
+from .errors import NumericIntegrityError, StructuralError
+from .pmf import CMI_CLAMP, plogp
+from .region import corner_point, identity_permutation
 
 SIMPLEX_TOL = 1e-9
 DECOMPOSITION_TOL = 1e-9
@@ -155,21 +154,6 @@ def random_direction(m: int, j: int, l: int, rng: np.random.Generator) -> Direct
 # ---- distortion side ---------------------------------------------------------
 
 
-def _bayes_scores(aug: AugmentedPmf, l: int) -> np.ndarray:
-    """Expected distortion of measure l jointly with each observable tuple and
-    reconstruction symbol, ``([B,] *obs, vhat)`` with obs in layout order.
-
-    The Bayes-optimal expected distortion is ``scores.min(axis=-1).sum()``.
-    """
-    spec = aug.spec
-    if not 1 <= l <= spec.l:
-        raise StructuralError(f"distortion index {l} outside 1..{spec.l}")
-    obs = aug.z_axes((1 << aug.m) - 1) | aug.s_axis
-    law = aug.joint.marginal(obs | aug.v_axis)         # (*obs and V in layout order)
-    at = (obs & (aug.v_axis - 1)).bit_count()          # V's place in the law
-    return np.tensordot(law, spec.distortions[l - 1], axes=([aug.joint.stack + at], [0]))
-
-
 def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, np.ndarray]:
     """Bayes-optimal expected distortion for measure l, with its estimator table.
 
@@ -181,10 +165,63 @@ def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, np.ndarray]:
     lowest symbol index and zero-probability tuples map to symbol 0, so
     the table is a deterministic function of the augmented joint.
     """
-    scores = _bayes_scores(aug, l)
+    spec = aug.spec
+    if not 1 <= l <= spec.l:
+        raise StructuralError(f"distortion index {l} outside 1..{spec.l}")
+    obs = aug.z_axes((1 << aug.m) - 1) | aug.s_axis
+    law = aug.joint.marginal(obs | aug.v_axis)         # (*obs and V in layout order)
+    at = (obs & (aug.v_axis - 1)).bit_count()          # V's place in the law
+    scores = np.tensordot(law, spec.distortions[l - 1], axes=([at], [0]))   # (*obs, vhat)
     table = np.argmin(scores, axis=-1)
     table.setflags(write=False)
     return float(scores.min(axis=-1).sum()), table
+
+
+# ---- slot order --------------------------------------------------------------
+
+
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """H(q(.|x)) of each row of a channel's ``([B,] |X|, |Z|)`` rows: ``([B,] |X|)``."""
+    return -plogp(rows).sum(axis=-1)
+
+
+def _slot_order(spec: ProblemSpec, bank: Mapping[int, Channel], keep: int = 0):
+    """The source contracted with one channel at a time, in slot order.
+
+    Over (banks, V, X_{J+1}..X_M, X_1..X_J S), a bank axis of 1 until a
+    stacked channel joins, slot i turns X_i into a last axis Z_i, leaving
+    p(V, X_>i, C_i, Z_i) with C_i = (X_1..X_J, S, Z_{J+1}..Z_{i-1}); slot
+    ``keep`` moves X_k to Z_k's place instead.  Returns the rates of the
+    slots before ``keep`` (of all when it is 0), each H(C_i, Z_i) - H(C_i)
+    - sum_x p_i(x) H(q_i(.|x)) under ``pmf.mi_sets``' sign rule (within
+    ``CMI_CLAMP`` below zero, -0.0 too, gives +0.0; lower raises naming
+    the slot); the laws p(C) of the source and p(C_i, Z_i) after each slot
+    i, ``(banks, cells)``; and p(V, C_{M+1}), ``(banks, |V|, cells)``.
+    """
+    slots, v, m, j = spec.channel_slots, spec.v_alphabet.size, spec.m, spec.j
+    xs = [spec.x_alphabet(i).size for i in slots]
+    a = spec.source.probs.transpose(m + 1, *range(j, m), *range(j), m)[None]
+    law = a.reshape(1, v * math.prod(xs), -1).sum(axis=1)      # p(C) of the source
+    h_c = -plogp(law).sum(axis=-1)
+    rates, laws = [], [law]
+    for pos, (i, x) in enumerate(zip(slots, xs)):
+        a = np.swapaxes(a.reshape(len(a), v, x, -1), 2, 3)      # X_i last
+        if i != keep:
+            if (ch := bank[i]).input != spec.x_alphabet(i):
+                raise StructuralError(f"channel for slot {i} has input {ch.input}, "
+                                      f"expected {spec.x_alphabet(i)}")
+            a = a @ (ch.rows if ch.rows.ndim == 2 else ch.rows[:, None])   # X_i into Z_i
+        laws.append(a.reshape(len(a), v * math.prod(xs[pos + 1:]), -1).sum(axis=1))
+        if keep and i >= keep:
+            continue
+        h_cz = -plogp(laws[-1]).sum(axis=-1)
+        rate = h_cz - h_c - (_row_entropies(ch.rows) * spec.x_marginal(i)).sum(axis=-1)
+        if rate.min() < -CMI_CLAMP:
+            raise NumericIntegrityError(f"slot {i}'s rate evaluated to {rate.min():.3e} bits, "
+                                        f"below -{CMI_CLAMP}")
+        rates.append(np.where(rate <= 0.0, 0.0, rate))
+        h_c = h_cz
+    return rates, laws, a.reshape(len(a), v, -1)
 
 
 # ---- rate side ---------------------------------------------------------------
@@ -193,129 +230,89 @@ def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, np.ndarray]:
 class FunctionalContext:
     """Everything needed to evaluate the slot-k functionals, compiled once.
 
-    Holds ``aug``: the source law with every other slot's frozen channel
-    attached and a one-symbol channel at slot k.  That channel leaves
-    ``Z_k`` inert, so ``aug`` keeps the standard layout
-    ``X1..XM, S, V, Z_{J+1}..Z_M`` and its bitmask helpers select every
-    axis set.
-
-    A pool row t's law of an axis bitmask A is linear in t:
-    p_t(A) = sum_x t(x) p(A, x) / p_k(x).  The constructor reads each
-    law theta needs from the joint's memoized marginal over A and X_k,
-    divided by p_k along X_k (0 where p_k = 0), into the columns of one
-    ``(|X_k|, C)`` map; a law that keeps X_k gets block-diagonal columns.
-    Beside the map it keeps each entropy law's first column, each
-    weighted distortion's Bayes-score columns after the laws (one block
-    of observation cells per reconstruction symbol), the t-free constant
-    (the corner rates of slots before k plus ``w_k H(X_k | U)`` of the
-    source law) and a ``(terms, B)`` weight table: per law, each bank's
-    signed sum of its rate weights over slots k..M, negated for the law's
-    sum of p log p, in the order slots k..M name the laws whatever the
-    weights; then per weighted distortion, its weight.  Frozen channels
-    or a direction that are stacks of B give B contexts in one, over a
-    :class:`~canonical_region.pmf.JointStack` joint when the channels are
-    stacks; the map holds each law and distortion that some bank weighs.
-    The map, constant and table have a bank axis, of 1 for one context.
+    A pool row t's law of variables A is p_t(A) = sum_x t(x) p(A, x) /
+    p_k(x).  The constructor contracts the source with the frozen channels
+    in slot order, keeping X_k (:func:`_slot_order`), and reads into one
+    ``(|X_k|, C)`` map, divided by p_k (0 where p_k = 0): the laws of
+    (X_k, U_k), block-diagonal as t weighs X_k elementwise, of U_k and of
+    each (U_i, Z_i) = U_{i+1}, i > k; a linear column E[H(q_i(.|X_i)) |
+    X_k = x] per i > k; each weighted distortion's Bayes scores, one block
+    of observation cells per reconstruction symbol.  It keeps each law's
+    first column, the t-free constant (the corner rates of slots before k
+    and ``w_k H(X_k | U_k)`` of the source law) and a ``(terms, B)``
+    weight table: per law, each bank's signed sum of its rate weights over
+    slots k..M, negated for the law's sum of p log p, in slot order
+    whatever the weights; per linear column, minus its slot's weight; per
+    distortion, its weight.  Frozen channels or a direction that are
+    stacks of B give B contexts in one, with each term some bank weighs;
+    the map, constant and table have a bank axis, of 1 for one context.
     """
 
-    __slots__ = ("aug", "p_k", "_banks",
-                 "_map", "_entropy_cells", "_starts", "_risks", "_weights", "_constant")
+    __slots__ = ("p_k", "_banks", "_map", "_entropy_cells", "_starts", "_linear", "_risks",
+                 "_weights", "_constant")
 
-    def __init__(
-        self,
-        spec: ProblemSpec,
-        k: int,
-        frozen: Mapping[int, Channel],
-        direction: Direction,
-    ) -> None:
+    def __init__(self, spec: ProblemSpec, k: int, frozen: Mapping[int, Channel],
+                 direction: Direction) -> None:
         if k not in spec.channel_slots:
             raise StructuralError(f"slot {k} is not in {spec.channel_slots}")
         expected = set(spec.channel_slots) - {k}
         if set(frozen) != expected:
-            raise StructuralError(
-                f"frozen channels must cover slots {sorted(expected)}, got {sorted(frozen)}"
-            )
+            raise StructuralError(f"frozen channels must cover slots {sorted(expected)}, "
+                                  f"got {sorted(frozen)}")
         if (direction.m, direction.j, direction.l) != (spec.m, spec.j, spec.l):
             raise StructuralError("direction dimensions do not match the spec")
-
-        bank = {**frozen, k: constant_channel(spec.x_alphabet(k))}
-        self.aug = aug = AugmentedPmf(channel_product(spec, bank), spec)
-        banks = aug.joint.probs.shape[:aug.joint.stack] or direction.rate_weights.shape[:-1]
+        before, laws, final = _slot_order(spec, frozen, keep=k)   # rates of slots before k
+        laws = laws[k - spec.j - 1:]                  # p(C_k), p(C_k, X_k), then later slots'
+        banks = (final.shape[:1] if any(ch.rows.ndim == 3 for ch in frozen.values())
+                 else direction.rate_weights.shape[:-1])
         if direction.rate_weights.shape[:-1] not in ((), banks):
             raise StructuralError("the direction and channel stacks differ in size")
         self.p_k = p_k = spec.x_marginal(k)
-        x_k = aug.x_axes(1 << (k - 1))
-        others = ~x_k
+        n, pre, lead = p_k.size, laws[0].shape[-1], len(final)   # C_k's cells precede X_k
 
-        def observed(sources: int) -> int:             # their descriptions but Z_k, and S
-            return aug.z_axes(sources & others) | aug.s_axis
+        def by_x(law: np.ndarray) -> np.ndarray:      # (banks, |X_k|, cells): p(cells, x) at x
+            return law.reshape(len(law), pre, n, -1).swapaxes(1, 2).reshape(len(law), n, -1)
 
-        n, lead = p_k.size, aug.joint.stack
-
-        def by_symbol(axes: int) -> np.ndarray:
-            """``([B,] |X_k|, *axes in layout order)``: p(axes, x) at each x of X_k."""
-            keep = axes | x_k
-            at = (keep & (x_k - 1)).bit_count()            # X_k's place in the marginal
-            marg = aug.joint.marginal(keep)                # np.moveaxis, without its overhead
-            return marg.transpose(*range(lead), lead + at, *range(lead, lead + at),
-                                  *range(lead + at + 1, marg.ndim))
-
-        # t-free terms: the natural-order corner rates before k, and H(X_k | U) with Z_k inert
-        live = [i for i in range(spec.j + 1, k + 1) if direction.rate_weight(i).any()]
-        before = np.array([1 << (i - 1) for i in live if i < k], dtype=np.int64)
-        terms = [*_cmi_xz(aug, before, before - 1)]
-        if k in live:
-            terms.append(entropy(aug.joint, x_k, observed((1 << (k - 1)) - 1)))
+        # t-free: the natural-order corner rates before k, and H(X_k | U_k) of the source law
+        h_u, h_own = (-plogp(law).sum(axis=-1) for law in laws[:2])
         constant = 0.0
-        for i, term in zip(live, terms):
-            constant += direction.rate_weight(i) * term
+        for i, term in zip(range(spec.j + 1, k + 1), [*before, h_own - h_u]):
+            if direction.rate_weight(i).any():
+                constant += direction.rate_weight(i) * term
 
         self._banks, count = banks, int(np.prod(banks))
         rates = np.broadcast_to(direction.rate_weights, (count, spec.m - spec.j))
-        # phi_i = H(X_i | U) - H(X_i | U, Z_i), each H a difference of two law entropies
-        laws: dict[int, np.ndarray] = {}               # axis bitmask -> each bank's entropy weight
-        for i in range(k, spec.m + 1):
-            x_i, weight = aug.x_axes(1 << (i - 1)), rates[:, i - spec.j - 1]
-            u, u_z = observed((1 << (i - 1)) - 1), observed((1 << i) - 1)
-            signed = [(x_i | u, weight), (u, -weight)] if i > k else []   # H(X_k | U) is t-free
-            for axes, w in signed + [(x_i | u_z, -weight), (u_z, weight)]:
-                laws[axes] = laws.get(axes, 0.0) + w
-        columns = [axes for axes, w in laws.items() if w.any()]   # laws some bank weighs
-        weights = [-laws[axes] for axes in columns]    # theta adds weight * sum of p log p
-
-        blocks, starts = [], []
-        cells = 0
-        def flat(block: np.ndarray) -> np.ndarray:      # ([B,] |X_k|, cells)
-            return block.reshape(*block.shape[:lead + 1], -1)
-
-        for axes in columns:
-            block = flat(by_symbol(axes))
-            if axes & x_k:                             # the row weighs X_k elementwise
-                block = flat(np.eye(n)[:, :, None] * block[..., None, :])
-            starts.append(cells)
-            cells += block.shape[-1]
-            blocks.append(block)
-        self._entropy_cells = cells
-        risks = []
-        if direction.distortion_weights.any():
-            obs = observed((1 << aug.m) - 1)
-            by_x = by_symbol(obs | aug.v_axis)
-            v_at = lead + 1 + (obs & (aug.v_axis - 1)).bit_count()  # V's place after X_k
-            by_v = by_x.transpose(*range(v_at), *range(v_at + 1, by_x.ndim), v_at)
-            for l, d in enumerate(spec.distortions, start=1):
-                if direction.distortion_weight(l).any():
-                    # ([B,] |X_k|, vhat x obs cells): the Bayes minimum runs across blocks
-                    block = flat(np.moveaxis(by_v @ d, -1, lead + 1))
-                    risks.append((cells, cells + block.shape[-1], d.shape[1]))
-                    weights.append(np.zeros(count) + direction.distortion_weight(l))
-                    cells += block.shape[-1]
-                    blocks.append(block)
+        w = list(rates.T[k - spec.j - 1:])             # slots k..M
+        # phi_k = H(X_k | U_k) - H_t(X_k | U_k), phi_i = H_t(U_i, Z_i) - H_t(U_i) - the row term;
+        # theta adds weight * sum of p log p, so each law weighs minus its entropy weight
+        own, *later = map(by_x, laws[1:])
+        terms = [(block, weight) for block, weight in zip(
+            [(np.eye(n)[:, :, None] * own[:, :, None, :]).reshape(len(own), n, -1), own, *later],
+            [w[0]] + [after - now for now, after in zip(w, w[1:] + [0.0])]) if weight.any()]
+        entropies = len(terms)
+        for i, weight in zip(range(k + 1, spec.m + 1), w[1:]):
+            if weight.any():          # sum_x' p(x, x') H(q_i(.|x')) at each x: X_i's row term
+                pair = spec.source.marginal((1 << (k - 1)) | (1 << (i - 1)))   # p(X_k, X_i)
+                rows = _row_entropies(frozen[i].rows)[..., None, :]
+                terms.append(((rows * pair).sum(axis=-1).reshape(-1, n, 1), -weight))
+        v = spec.v_alphabet.size
+        obs = final.reshape(lead, v, pre, n, -1).transpose(0, 3, 1, 2, 4).reshape(lead, n, v, -1)
+        risks = [(d, weight) for d, weight in zip(spec.distortions, np.broadcast_to(
+            direction.distortion_weights, (count, spec.l)).T) if weight.any()]
+        # (banks, |X_k|, vhat x obs cells): the Bayes minimum runs across blocks
+        terms += [((d.T @ obs).reshape(lead, n, -1), weight) for d, weight in risks]
+        bounds = np.cumsum([0, *(block.shape[-1] for block, _ in terms)])
+        first = len(terms) - len(risks)
+        self._starts, self._entropy_cells = bounds[:entropies], bounds[entropies]
+        self._linear = first - entropies
+        self._risks = tuple(zip(bounds[first:-1], bounds[first + 1:],
+                                (d.shape[1] for d, _ in risks)))
         per_unit = np.divide(1.0, p_k, out=np.zeros_like(p_k), where=p_k > 0.0)[:, None]
-        mapped = np.concatenate(blocks, axis=-1) * per_unit if blocks else np.zeros((n, 0))
-        self._map = np.broadcast_to(mapped, (count, *mapped.shape[-2:]))
-        self._starts = np.array(starts, dtype=np.intp)
-        self._risks = tuple(risks)
-        self._weights = np.reshape(weights, (-1, count))  # (laws + risks, B)
+        mapped = np.concatenate([block if len(block) == lead else np.broadcast_to(
+            block, (lead, *block.shape[1:])) for block, _ in terms], axis=-1) * per_unit \
+            if terms else 0.0
+        self._map = np.broadcast_to(mapped, (count, n, bounds[-1]))
+        self._weights = np.reshape([weight for _, weight in terms], (-1, count))
         self._constant = np.zeros(count) + constant
 
 
@@ -338,15 +335,16 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
         return theta(ctx, pool.reshape(1, -1, pool.shape[-1])).reshape(*lead, -1)
     pool = np.broadcast_to(pool, (len(ctx._constant), *pool.shape[1:]))   # or one pool every bank
     step = max(1, THETA_BLOCK_CELLS // (pool.shape[1] * max(1, ctx._map.shape[-1])))
-    laws = len(ctx._starts)
-    terms = np.empty((len(ctx._weights), *pool.shape[:2]))   # (laws + risks, B, P)
+    laws, cells, linear = len(ctx._starts), ctx._entropy_cells, len(ctx._starts) + ctx._linear
+    terms = np.empty((len(ctx._weights), *pool.shape[:2]))   # (laws + linear + risks, B, P)
     for start in range(0, len(pool), step):
         at = slice(start, start + step)
         mixed = pool[at] @ ctx._map[at]                # (b, P, C): every law of every row
         if laws:
-            sums = np.add.reduceat(plogp(mixed[..., :ctx._entropy_cells]), ctx._starts, axis=-1)
+            sums = np.add.reduceat(plogp(mixed[..., :cells]), ctx._starts, axis=-1)
             terms[:laws, at] = sums.transpose(2, 0, 1)
-        for term, (first, stop, vhat) in zip(terms[laws:], ctx._risks):
+        terms[laws:linear, at] = mixed[..., cells:cells + ctx._linear].transpose(2, 0, 1)
+        for term, (first, stop, vhat) in zip(terms[linear:], ctx._risks):
             scores = mixed[..., first:stop].reshape(*mixed.shape[:-1], vhat, -1)
             # the Bayes minima, one np.minimum per reconstruction: faster than a min over that axis
             term[at] = reduce(np.minimum, scores.transpose(2, 0, 1, 3)).sum(axis=-1)
@@ -361,19 +359,31 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
 
 def direct_weighted_value(spec: ProblemSpec, channels: Sequence[Channel],
                           direction: Direction) -> float:
-    """The weighted objective evaluated directly on the augmented joint; a
-    ``(B,)`` array, one value per bank, when channels or direction are stacks."""
-    aug = attach_channels(spec, channels)
-    lead = aug.joint.probs.shape[:aug.joint.stack]
-    sources = np.array([1 << (i - 1) for i in spec.channel_slots], dtype=np.int64)
+    """The weighted objective, a ``(B,)`` array when channels or direction are stacks.
+
+    Read in slot order, with no augmented joint (:func:`_slot_order`): slot
+    i's natural-order corner rate is H(C_i, Z_i) - H(C_i) minus the row term
+    sum_x p_i(x) H(q_i(.|x)), and each distortion the Bayes risk of p(V, C_{M+1}).
+    """
+    slots = spec.channel_slots
+    if len(channels) != len(slots):
+        raise StructuralError(f"expected {len(slots)} channels for slots {slots}, "
+                              f"got {len(channels)}")
+    rates, _, final = _slot_order(spec, dict(zip(slots, channels)))
+    risks = [(d.T @ final).min(axis=-2).sum(axis=-1) for d in spec.distortions]
+    lead = final.shape[:1] if any(ch.rows.ndim == 3 for ch in channels) else ()
     total = 0.0
-    for i, rate in zip(spec.channel_slots, _cmi_xz(aug, sources, sources - 1)):
-        total += direction.rate_weight(i) * rate
-    for l in range(1, spec.l + 1):
-        weight = direction.distortion_weight(l)
-        if weight.any():
-            total += weight * _bayes_scores(aug, l).min(axis=-1).reshape(*lead, -1).sum(axis=-1)
+    for weight, term in zip(direction.coords.T, rates + risks):   # rates in slot order, then risks
+        total += weight * term.reshape(lead)
     return total if np.ndim(total) else float(total)
+
+
+def _region_point(spec: ProblemSpec, channels: Sequence[Channel], perm: Sequence[int]):
+    """A bank's corner for order ``perm`` and its Bayes distortions, read on the
+    augmented joint: the region path, which shares no reader with the slot order."""
+    aug = attach_channels(spec, channels)
+    return corner_point(aug, perm), np.array([distortion_component(aug, l)[0]
+                                              for l in range(1, spec.l + 1)])
 
 
 @dataclass(frozen=True)
@@ -404,20 +414,18 @@ def verify_linear_decomposition(
     """Check the mixture identity for every slot.
 
     For each slot k, the weights/columns mixture of theta over slot k's
-    reverse pair must equal the direct weighted objective of the full
-    channel bank.  Disagreement beyond ``tol`` indicates a broken
-    functional, not noise: both sides are finite sums of the same joint.
+    reverse pair must equal the weighted objective of the full bank read
+    on the region path.  Disagreement beyond ``tol`` indicates a broken
+    functional, not noise: both sides are finite sums of the same law.
     """
     slots = spec.channel_slots
-    if len(channels) != len(slots):
-        raise StructuralError(f"expected {len(slots)} channels, got {len(channels)}")
-    direct = direct_weighted_value(spec, channels, direction)
+    rates, dists = _region_point(spec, channels, identity_permutation(spec.m))   # checks the count
+    direct = float(direction.rate_weights @ rates[spec.j:] + direction.distortion_weights @ dists)
     entries = []
     for pos, k in enumerate(slots):
         frozen = {kk: ch for kk, ch in zip(slots, channels) if kk != k}
         ctx = FunctionalContext(spec, k, frozen, direction)
         pair = forward_to_reverse(spec, k, channels[pos])
-        value = float(pair.weights @ theta(ctx, pair.columns))
-        err = abs(value - direct)
+        err = abs(float(pair.weights @ theta(ctx, pair.columns)) - direct)
         entries.append(DecompositionEntry(err, err <= tol))
     return DecompositionReport(tuple(entries))

@@ -44,7 +44,6 @@ from .augment import (
     Channel,
     ProblemSpec,
     ReverseChannelPair,
-    attach_channels,
     constant_channel,
     forward_to_reverse,
     identity_channel,
@@ -55,12 +54,12 @@ from .errors import BudgetError, NumericIntegrityError, StructuralError
 from .functionals import (
     Direction,
     FunctionalContext,
-    _bayes_scores,
+    _region_point,
     direct_weighted_value,
     theta,
 )
 from .pmf import CMI_CLAMP, check_int, plogp
-from .region import check_permutation, corner_point, identity_permutation
+from .region import check_permutation, identity_permutation
 from .simplex import solve_equality_lp
 
 MAX_BRUTE_EVALS = 15_000_000
@@ -604,11 +603,6 @@ def trace_inner_bound(
     reported (every corner shares the same channels and distortions).
     """
     perm = identity_permutation(spec.m) if perm is None else check_permutation(perm, spec.m)
-    points = []
-    for direction, (best, restart) in zip(
-            directions, _multistart_descent(spec, directions, restarts, sweeps, candidates, seed)):
-        aug = attach_channels(spec, best.channels)
-        dists = np.array([float(_bayes_scores(aug, l).min(axis=-1).sum())
-                          for l in range(1, spec.l + 1)])
-        points.append(TracePoint(direction, best, corner_point(aug, perm), dists, restart))
-    return points
+    runs = _multistart_descent(spec, directions, restarts, sweeps, candidates, seed)
+    return [TracePoint(direction, best, *_region_point(spec, best.channels, perm), restart)
+            for direction, (best, restart) in zip(directions, runs)]

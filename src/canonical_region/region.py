@@ -249,12 +249,6 @@ def enumerate_extreme_points(aug: AugmentedPmf) -> list[tuple[Permutation, RateV
     return list(zip(map(tuple, orders.tolist()), corner_point(aug, orders)))
 
 
-def expected_active_groups(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The nested suffix groups {perm[m..M]} tight at the perm's corner."""
-    perm = tuple(perm)
-    return tuple(tuple(sorted(perm[pos:])) for pos in range(len(perm)))
-
-
 @functools.cache
 def _crossing_pairs(m: int) -> np.ndarray:
     """``(G, G)`` table, in group bitmask order, of group pairs that are not nested."""

@@ -29,6 +29,7 @@ PIVOT_TOL = 1e-9
 # unit mass (every mixture LP's) the returned value is within it of the optimum.
 OPTIMALITY_TOL = 1e-12
 MAX_PIVOTS = 20000
+RESIDUAL_TOL = 1e-9   # max |A w - b| / max b of an optimum; the bundled problems' stay < 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +95,8 @@ def solve_equality_lp(c, a, b, warm=()) -> LpResult:
     ``c`` is ``(B, n)``, ``A`` ``(B, m, n)`` with ``1 <= m <= n`` and its
     first ``m`` columns equal to ``np.eye(m)`` exactly, and ``b`` ``(B, m)``
     with ``b >= 0``.  Each LP must be bounded; an unbounded ray raises
-    :class:`NumericIntegrityError`.
+    :class:`NumericIntegrityError`, and so does an optimum that round-off
+    leaves off its rows: max |A w - b| above ``RESIDUAL_TOL`` times max b.
 
     ``warm`` lists columns to start from.  Each is pivoted into the row,
     among those whose basic variable is still an identity column, where
@@ -148,6 +150,11 @@ def solve_equality_lp(c, a, b, warm=()) -> LpResult:
 
     w = np.zeros((size, n))
     w[np.arange(size)[:, None], basis] = np.maximum(0.0, tableau[:, :m, -1])
+    scale = b.max(axis=1)
+    miss = np.abs((a @ w[:, :, None])[:, :, 0] - b).max(axis=1) / np.where(scale > 0.0, scale, 1.0)
+    if miss.max(initial=0.0) > RESIDUAL_TOL:
+        raise NumericIntegrityError(f"LP {miss.argmax()}'s optimum misses A w = b by "
+                                    f"{miss.max():.3e} of max b, above {RESIDUAL_TOL}")
     value = (c[:, None] @ w[:, :, None])[:, 0, 0]
     duals = c[:, :m] - tableau[:, -1, :m]
     return LpResult(w, value, basis, duals)

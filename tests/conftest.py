@@ -134,6 +134,12 @@ def spec_equals(a, b):
     )
 
 
+def expected_active_groups(perm):
+    """The nested suffix groups {perm[m..M]} tight at the perm's corner."""
+    perm = tuple(perm)
+    return tuple(tuple(sorted(perm[pos:])) for pos in range(len(perm)))
+
+
 def region_problem_spec(seed, m):
     """The benchmark's region problem: binary X/S/V, J = M - 4, L = 1, and a
     Dirichlet(1) source drawn from ``(seed, m)``."""

@@ -18,7 +18,6 @@ from canonical_region import (
     coordinate_descent,
     distortion_component,
     enumerate_extreme_points,
-    expected_active_groups,
     identity_channel,
     membership,
     nondegeneracy_report,
@@ -33,7 +32,12 @@ from canonical_region import (
     verify_noncrossing,
 )
 from canonical_region.cli import main
-from conftest import distinct_count, estimator_distortion, make_spec
+from conftest import (
+    distinct_count,
+    estimator_distortion,
+    expected_active_groups,
+    make_spec,
+)
 
 
 def _run(num: int, label: str, budget, body, capsys) -> None:

@@ -31,18 +31,19 @@ from canonical_region import (
     load_problem,
     attach_channels,
     enumerate_extreme_points,
-    expected_active_groups,
     membership,
     nondegeneracy_report,
     random_channels,
     rate_lhs,
     resolve_problem,
     save_problem,
+    solve_equality_lp,
     verify_chain_identities,
 )
 from canonical_region import optimize
 from canonical_region.cli import build_parser, main
 from conftest import (
+    expected_active_groups,
     make_spec,
     markov_source_spec,
     product_source_spec,
@@ -831,6 +832,27 @@ def test_cli_trace_on_a_small_mass_symbol_exits_0_or_1_on_one_line(tmp_path, cap
         code = main(["trace", problem, "--count", "8", "--seed", str(seed)])
         err = capsys.readouterr().err
         assert code in (0, 1) and len(err.splitlines()) <= 1, (seed, code, err)
+
+
+def test_cli_trace_refuses_an_lp_optimum_off_its_rows(tmp_path, capsys, monkeypatch):
+    # at eps = 1e-5 and seed 2 one slot LP's basic optimum misses its mixture rows
+    # by about 6.6e-5 of max b: the solver refuses it on one line, naming the LP,
+    # and the same LP solved alone is refused the same way
+    problem = str(small_mass_ternary(tmp_path, "1e-5"))
+    calls = []
+    solve = optimize.solve_equality_lp
+    monkeypatch.setattr(optimize, "solve_equality_lp",
+                        lambda *args: calls.append(args) or solve(*args))
+    assert main(["trace", problem, "--count", "8", "--seed", "2"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    found = re.fullmatch(r"verification failure: LP (\d+)'s optimum misses A w = b by "
+                         r"(\S+) of max b, above 1e-09", line)
+    assert found and float(found[2]) > 1e-6, line
+    c, a, b, warm = calls[-1]
+    at = slice(int(found[1]), int(found[1]) + 1)
+    alone = rf"^LP 0's optimum misses A w = b by {found[2]}"
+    with pytest.raises(NumericIntegrityError, match=alone):
+        solve_equality_lp(c[at], a[at], b[at], warm)
 
 
 def test_cli_out_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):

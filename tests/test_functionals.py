@@ -9,9 +9,11 @@ import pytest
 from canonical_region import functionals
 from canonical_region import (
     Alphabet,
+    AugmentedPmf,
     Channel,
     Direction,
     FunctionalContext,
+    NumericIntegrityError,
     StructuralError,
     attach_channels,
     constant_channel,
@@ -29,13 +31,16 @@ from canonical_region import (
     verify_linear_decomposition,
 )
 from canonical_region.augment import MARGINAL_TOL, channel_product
-from canonical_region.functionals import check_simplex_point
+from canonical_region.pmf import CMI_CLAMP
+from canonical_region.functionals import DECOMPOSITION_TOL, check_simplex_point
 from conftest import (
     axis_mask,
+    deterministic_bayes_risks,
     estimator_distortion,
     layout_axes,
     make_spec,
     region_problem_spec,
+    slepian_wolf_reference,
     theta_reference,
     zero_symbol_spec,
 )
@@ -143,10 +148,11 @@ def test_theta_scores_a_large_stack_in_bounded_blocks(helper3, monkeypatch):
     slot3 = Channel(helper3.x_alphabet(3), [random_channels(helper3, rng)[1].rows
                                             for _ in range(banks)])
     pools = rng.dirichlet(np.ones(2), size=(banks, rows))
+    stacked = FunctionalContext(helper3, 2, {3: slot3}, d)   # its entropies call plogp too
     blocks = []
     plogp = functionals.plogp
     monkeypatch.setattr(functionals, "plogp", lambda a: blocks.append(a.shape) or plogp(a))
-    scores = theta(FunctionalContext(helper3, 2, {3: slot3}, d), pools)
+    scores = theta(stacked, pools)
     assert [shape[0] for shape in blocks] == [per_block, per_block, 3]
     assert all(math.prod(shape[:2]) * width <= functionals.THETA_BLOCK_CELLS for shape in blocks)
     for start in range(0, banks, per_block):
@@ -178,25 +184,28 @@ def test_theta_weighs_interleaved_direction_rows_across_blocks(helper3, monkeypa
     slot3 = Channel(helper3.x_alphabet(3), [random_channels(helper3, rng)[1].rows
                                             for _ in range(banks)])
     pools = rng.dirichlet(np.ones(2), size=(banks, rows))
+    stacked = FunctionalContext(helper3, 2, {3: slot3}, d)   # its entropies call plogp too
     blocks = []
     plogp = functionals.plogp
     monkeypatch.setattr(functionals, "plogp", lambda a: blocks.append(a.shape[0]) or plogp(a))
-    stacked = FunctionalContext(helper3, 2, {3: slot3}, d)
     scores = theta(stacked, pools)
     assert blocks == [per_block] * 3 + [count]
     monkeypatch.setattr(functionals, "plogp", plogp)
     assert (stacked._weights != 0.0).any(axis=1).all()
-    laws = []
+    laws, linear = [], []
     for row in range(count):
         own = np.arange(row, banks, count)
         ctx = FunctionalContext(helper3, 2, {3: Channel(slot3.input, slot3.rows[own])},
                                 direction_rows(d, own))
         assert (ctx._weights != 0.0).any(axis=1).all()
         laws.append(len(ctx._starts))
+        linear.append(ctx._linear)
         assert scores[own].tobytes() == theta(ctx, pools[own]).tobytes()
-    # slots 2 and 3 name five laws; row 1 weighs no rate at slot 2, so not
+    # slots 2 and 3 name three laws, (X2, X1, S), (X1, S) and (X1, S, Z3), and
+    # slot 3 one linear column; row 1 weighs no rate at slot 2, so not
     # (X2, X1, S), the equal row drops (X1, S), and the last row weighs none
-    assert laws == [5, 4, 5, 4, 0] and len(stacked._starts) == 5
+    assert laws == [3, 2, 3, 2, 0] and len(stacked._starts) == 3
+    assert linear == [1, 1, 1, 1, 0] and stacked._linear == 1
 
 
 class NoDraws:
@@ -442,6 +451,10 @@ def test_functional_context_validation():
 
 
 def test_functional_context_uses_the_channel_product():
+    # at t = p_k every law the context maps is a marginal of the channel
+    # product with slot k inert, which is attach_channels' joint summed over
+    # Z_k: theta along e_i (i > k) is that joint's I(X_i ; Z_i | Z_<i, S),
+    # along e_k zero, and along e_l its Bayes risk
     rng = np.random.default_rng(61)
     for _ in range(4):
         spec = make_spec(rng, m=3, j=int(rng.integers(0, 2)), l=1)
@@ -450,14 +463,18 @@ def test_functional_context_uses_the_channel_product():
         aug = attach_channels(spec, chans)
         for k in spec.channel_slots:
             frozen = {kk: ch for kk, ch in bank.items() if kk != k}
-            ctx = FunctionalContext(spec, k, frozen, flat_direction(spec))
-            inert = {**frozen, k: constant_channel(spec.x_alphabets[k - 1])}
-            expected = channel_product(spec, inert).probs
-            assert ctx.aug.joint.probs.tobytes() == expected.tobytes()
-            z_sizes = tuple(1 if kk == k else bank[kk].rows.shape[-1] for kk in spec.channel_slots)
-            assert ctx.aug.joint.probs.shape == spec.source.probs.shape + z_sizes
+            inert = AugmentedPmf(channel_product(
+                spec, {**frozen, k: constant_channel(spec.x_alphabets[k - 1])}), spec)
             summed = aug.joint.probs.sum(axis=layout_axes(spec).index(f"Z{k}"), keepdims=True)
-            assert np.abs(summed - ctx.aug.joint.probs).max() <= MARGINAL_TOL
+            assert np.abs(summed - inert.joint.probs).max() <= MARGINAL_TOL
+            p_k = spec.x_marginal(k)[None]
+            for i in range(k, spec.m + 1):
+                source = 1 << (i - 1)
+                expected = mi_sets(inert.joint, source, inert.z_axes(source),
+                                   inert.z_axes(source - 1) | inert.s_axis) if i > k else 0.0
+                assert abs(phi(spec, k, frozen, i, p_k)[0] - expected) <= 1e-12
+            risk, _ = distortion_component(inert, 1)
+            assert abs(psi(spec, k, frozen, 1, p_k)[0] - risk) <= 1e-12
     spec = make_spec(rng, m=2, j=0, l=1)
     wrong = identity_channel(Alphabet("X9", spec.x_alphabets[0].size))
     with pytest.raises(StructuralError):
@@ -512,6 +529,93 @@ def test_direct_weighted_value_composition(dsbs):
         + d.distortion_weight(1) * distortion_component(aug, 1)[0]
     )
     assert abs(direct_weighted_value(dsbs, chans, d) - expected) < 1e-12
+
+
+def region_value(spec, bank, coords):
+    """The weighted natural-order corner objective of one bank, read on the
+    augmented joint: corner_point and the Bayes risks of attach_channels."""
+    aug = attach_channels(spec, bank)
+    risks = [distortion_component(aug, l)[0] for l in range(1, spec.l + 1)]
+    rates = corner_point(aug, identity_permutation(spec.m))[spec.j:]
+    return coords @ np.concatenate([rates, risks])
+
+
+def slot_order_case(name, request, rng):
+    """A spec and a bank maker for the slot-order readers' oracle tests."""
+    spec = {"j0": lambda: make_spec(rng, m=3, j=0, l=2),
+            "jm": lambda: make_spec(rng, m=2, j=2, l=1),
+            "zero-symbol": lambda: zero_symbol_spec(rng),
+            "region-m6": lambda: region_problem_spec(1, 6),
+            "slepian-wolf": lambda: region_problem_spec(2, 6)}.get(
+        name, lambda: request.getfixturevalue(name))()
+    if name != "slepian-wolf":
+        return spec, lambda: random_channels(spec, rng)
+    # deterministic descriptions Z_k = map_k(X_k), some outputs never used
+    return spec, lambda: [Channel(spec.x_alphabet(k), np.eye(n)[rng.integers(0, n, size=n)])
+                          for k in spec.channel_slots for n in [spec.x_alphabet(k).size]]
+
+
+@pytest.mark.parametrize("banks", [1, 4])
+@pytest.mark.parametrize("name", ["bwz", "dsbs", "helper3", "j0", "jm", "zero-symbol",
+                                  "region-m6", "slepian-wolf"])
+def test_slot_order_readers_match_the_region_path(name, banks, request):
+    # fixed seeded stacks: the slot-order direct value of each bank is the
+    # region path's within 1e-12, and so is theta's mixture over each bank's
+    # reverse pair at every slot within DECOMPOSITION_TOL; a stack of one
+    # also matches the one-bank form
+    rng = np.random.default_rng((113, banks))
+    spec, draw = slot_order_case(name, request, rng)
+    slots = spec.channel_slots
+    bank_list = [draw() for _ in range(banks)]
+    stacks = [Channel(spec.x_alphabet(k), [bank[pos].rows for bank in bank_list])
+              for pos, k in enumerate(slots)]
+    coords = np.abs(rng.normal(size=(banks, spec.m - spec.j + spec.l)))
+    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+    d = Direction(spec.m, spec.j, spec.l, coords[:, :spec.m - spec.j], coords[:, spec.m - spec.j:])
+    expected = np.array([region_value(spec, bank, row) for bank, row in zip(bank_list, coords)])
+    assert np.abs(direct_weighted_value(spec, stacks, d) - expected).max() <= 1e-12
+    if banks == 1:
+        one = Direction(spec.m, spec.j, spec.l, d.rate_weights[0], d.distortion_weights[0])
+        assert abs(direct_weighted_value(spec, bank_list[0], one) - expected[0]) <= 1e-12
+    if name == "slepian-wolf":     # and the closed form: entropies of pushed-forward laws
+        lossless = [np.arange(spec.x_alphabet(i).size) for i in range(1, spec.j + 1)]
+        for bank, row, value in zip(bank_list, coords, expected):
+            maps = lossless + [ch.rows.argmax(axis=1) for ch in bank]
+            corners, _, _ = slepian_wolf_reference(spec.source.probs, maps)
+            risks = deterministic_bayes_risks(spec.source.probs, maps, spec.distortions)
+            assert abs(row @ np.concatenate([corners[0][spec.j:], risks]) - value) <= 1e-12
+    for pos, k in enumerate(slots):
+        frozen = dict(zip(slots[:pos] + slots[pos + 1:], stacks[:pos] + stacks[pos + 1:]))
+        pair = forward_to_reverse(spec, k, stacks[pos])
+        mixed = (pair.weights * theta(FunctionalContext(spec, k, frozen, d), pair.columns)).sum(1)
+        assert np.abs(mixed - expected).max() <= DECOMPOSITION_TOL
+
+
+@pytest.mark.parametrize("constant", [1, 2])
+def test_slot_order_rates_keep_the_sign_rule(dsbs, monkeypatch, constant):
+    # a constant channel's rate is exactly 0, so a delta planted on the row
+    # entropies makes it -delta: 1e-6 raises naming that slot, in the direct
+    # value and in a later slot's context, and 1e-12 is round-off and clamps to +0.0
+    rng = np.random.default_rng(114)
+    bank = random_channels(dsbs, rng)
+    bank[constant - 1] = constant_channel(dsbs.x_alphabet(constant))
+    along = unit_direction(dsbs, rate=constant)
+    row_entropies = functionals._row_entropies
+    for delta in (1e-6, 1e-12):
+        monkeypatch.setattr(functionals, "_row_entropies", lambda rows: row_entropies(rows) + delta)
+        if delta > CMI_CLAMP:
+            message = rf"^slot {constant}'s rate evaluated to -1\.000e-06 bits, below -{CMI_CLAMP}$"
+            with pytest.raises(NumericIntegrityError, match=message):
+                direct_weighted_value(dsbs, bank, along)
+            if constant == 1:
+                with pytest.raises(NumericIntegrityError, match=message):
+                    FunctionalContext(dsbs, 2, {1: bank[0]}, along)
+            continue
+        value = direct_weighted_value(dsbs, bank, along)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        if constant == 1:
+            scores = theta(FunctionalContext(dsbs, 2, {1: bank[0]}, along), _test_pool(rng, 2))
+            assert (scores == 0.0).all() and (np.copysign(1.0, scores) == 1.0).all()
 
 
 def _test_pool(rng, n):

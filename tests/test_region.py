@@ -21,7 +21,6 @@ from canonical_region import (
     corner_point,
     entropy,
     enumerate_extreme_points,
-    expected_active_groups,
     identity_channel,
     identity_permutation,
     membership,
@@ -40,6 +39,7 @@ from conftest import (
     axis_mask,
     direct_marginal,
     distinct_count,
+    expected_active_groups,
     make_spec,
     markov_source_spec,
     memo_keys,
