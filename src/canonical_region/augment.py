@@ -15,8 +15,8 @@ source law produces the augmented joint
 an ordinary :class:`~canonical_region.pmf.JointPmf` whose axes are, in
 order, ``X1..XM, S, V, Z_{J+1}..Z_M``; the region's rates and the
 reported distortions are read off it (descent reads its own values in
-slot order, without it).  :func:`channel_product` builds
-that layout, and :class:`AugmentedPmf`'s bitmask helpers map groups of
+slot order, without it).  :func:`attach_channels` builds that layout
+from one bank, and :class:`AugmentedPmf`'s bitmask helpers map groups of
 sources to its axes.  For ``m <= J`` the description variable is ``X_m``
 itself; the helpers resolve that aliasing so callers can speak uniformly
 of "description m".
@@ -33,7 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .pmf import Alphabet, JointPmf, JointStack, check_int, first_outside, mi_sets
+from .pmf import Alphabet, JointPmf, check_int, first_outside, mi_sets
 
 ROW_TOL = 1e-12
 MARGINAL_TOL = 1e-12
@@ -262,10 +262,9 @@ class AugmentedPmf:
 
     Constructed by :func:`attach_channels`; carries the joint tensor and
     the originating spec.  Helper methods map source bitmasks to axes by
-    the joint's fixed layout ``X1..XM, S, V, Z_{J+1}..Z_M``
-    (:func:`channel_product`), so ``Z_k`` is axis ``M+1+k-J`` and
-    description m <= J is ``X_m`` itself.  The joint memoizes its
-    marginals and entropies, which every information read of it shares.
+    the joint's fixed layout ``X1..XM, S, V, Z_{J+1}..Z_M``, so ``Z_k`` is
+    axis ``M+1+k-J`` and description m <= J is ``X_m`` itself.  Every
+    information read shares the joint's memoized marginals and entropies.
     """
 
     joint: JointPmf
@@ -301,44 +300,33 @@ class AugmentedPmf:
         return 2 << self.m
 
 
-def channel_product(spec: ProblemSpec, channels: Mapping[int, Channel]) -> JointPmf:
-    """The source law times ``q_k(z_k | x_k)`` for each slot k in ``channels``.
-
-    Adds one ``Z_k`` axis per slot, in increasing k; channel k must read ``X_k``.
-    Stacks of B channels give a :class:`JointStack` of B joints.
-    """
-    arr = spec.source.probs[None]                  # a leading stack axis of 1
-    for k in sorted(channels):
-        ch = channels[k]
-        if ch.input != spec.x_alphabet(k):
-            raise StructuralError(
-                f"channel for slot {k} has input {ch.input}, expected {spec.x_alphabet(k)}"
-            )
-        shape = [-1] + [1] * (arr.ndim - 1) + [ch.rows.shape[-1]]
-        shape[k] = ch.input.size
-        arr = arr[..., None] * ch.rows.reshape(shape)
-    stacked = any(ch.rows.ndim == 3 for ch in channels.values())
-    return JointStack(arr) if stacked else JointPmf(arr[0])
-
-
 def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> AugmentedPmf:
-    """Build the augmented joint from the source law and one channel per slot.
+    """The augmented joint: the source law times ``q_k(z_k | x_k)`` for one bank.
 
-    ``channels[i]`` serves slot ``spec.channel_slots[i]`` and must have the
-    matching input alphabet.  Two guarantees are enforced on the result:
-    each ``Z_k`` is conditionally independent of everything else given
-    ``X_k``, and marginalizing the Z axes returns the source law exactly.
+    One ``Z_k`` axis per slot, in increasing k.  ``channels[i]`` serves slot
+    ``spec.channel_slots[i]``: one matrix reading ``X_k``, never a stack.  Two
+    guarantees are enforced on the result: each ``Z_k`` is conditionally
+    independent of everything else given ``X_k``, and marginalizing the Z
+    axes returns the source law exactly.
     """
     slots = spec.channel_slots
     if len(channels) != len(slots):
         raise StructuralError(
             f"expected {len(slots)} channels for slots {slots}, got {len(channels)}"
         )
-    joint = channel_product(spec, dict(zip(slots, channels)))
+    arr = spec.source.probs
+    for k, ch in zip(slots, channels):
+        if ch.input != spec.x_alphabet(k) or ch.rows.ndim != 2:
+            raise StructuralError(f"channel for slot {k} has input {ch.input} and rows of shape "
+                                  f"{ch.rows.shape}, expected one matrix on {spec.x_alphabet(k)}")
+        shape = [1] * arr.ndim + [ch.rows.shape[1]]
+        shape[k - 1] = ch.input.size
+        arr = arr[..., None] * ch.rows.reshape(shape)
+    joint = JointPmf(arr)
     aug = AugmentedPmf(joint, spec)
 
     back = joint.marginal(aug.x_axes((1 << spec.m) - 1) | aug.s_axis | aug.v_axis)
-    err = float(np.abs(back - spec.source.probs).max())      # the worst of a stack
+    err = float(np.abs(back - spec.source.probs).max())
     if err > MARGINAL_TOL:
         raise NumericIntegrityError(
             f"augmented joint fails to marginalize back to the source "
@@ -347,7 +335,7 @@ def attach_channels(spec: ProblemSpec, channels: Sequence[Channel]) -> Augmented
     z, x = (np.array([axes(1 << (k - 1)) for k in slots], dtype=np.int64)
             for axes in (aug.z_axes, aug.x_axes))
     for k, info in zip(slots, mi_sets(joint, z, joint.all_axes() & ~(z | x), x)):
-        if np.max(info) > FACTORIZATION_TOL:
+        if info > FACTORIZATION_TOL:
             raise NumericIntegrityError(
                 f"Z{k} is not conditionally independent of the rest given X{k}"
             )

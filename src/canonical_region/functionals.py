@@ -120,11 +120,13 @@ class Direction:
             raise StructuralError(
                 f"direction needs {m - j + l} coordinates, got shape {raw.shape}"
             )
-        norm = float(np.linalg.norm(raw))
-        if norm <= 0.0:
+        top = float(np.abs(raw).max(initial=0.0))
+        if top == 0.0:
             raise StructuralError("direction must have a positive coordinate")
-        with np.errstate(invalid="ignore"):   # inf / inf gives nan; __post_init__ rejects it
-            unit = raw / norm
+        with np.errstate(over="ignore", invalid="ignore"):   # nan and inf: __post_init__ rejects them
+            if not 0.0 < np.linalg.norm(raw) < math.inf:      # the squares overflowed or underflowed
+                raw = raw / top
+            unit = raw / np.linalg.norm(raw)
         return cls(m, j, l, unit[: m - j], unit[m - j:])
 
     @property

@@ -83,11 +83,10 @@ class JointPmf:
     """
 
     __slots__ = ("probs", "_entropy_cache", "_marginals")
-    stack = 0               # leading axes of ``probs`` that index separate pmfs
 
     def __init__(self, probs) -> None:
         arr = np.array(probs, dtype=float)
-        if arr.ndim <= self.stack:
+        if arr.ndim < 1:
             raise StructuralError("a JointPmf needs at least one axis")
         if not np.all(np.isfinite(arr)):
             raise StructuralError("probability tensor contains non-finite entries")
@@ -95,17 +94,15 @@ class JointPmf:
             raise StructuralError(
                 f"probability tensor has a negative entry ({arr.min():.3e})"
             )
-        masses = arr.reshape(*arr.shape[:self.stack], -1).sum(axis=-1)
-        mass = float(masses.flat[np.abs(masses - 1.0).argmax()])   # the worst pmf's
+        mass = float(arr.sum())
         if abs(mass - 1.0) > MASS_TOL:
             raise StructuralError(
                 f"probability mass is {mass!r}, off from 1 by more than {MASS_TOL}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-        # H of the empty mask, shaped as every cached entropy: a scalar, or (B,) for a stack
-        object.__setattr__(self, "_entropy_cache", {0: np.zeros(arr.shape[:self.stack])[()]})
-        object.__setattr__(self, "_marginals", {(1 << (arr.ndim - self.stack)) - 1: arr})
+        object.__setattr__(self, "_entropy_cache", {0: 0.0})         # H of the empty mask
+        object.__setattr__(self, "_marginals", {(1 << arr.ndim) - 1: arr})
 
     def __setattr__(self, name, value):  # immutability by contract
         raise AttributeError("JointPmf is immutable")
@@ -114,7 +111,7 @@ class JointPmf:
 
     @property
     def ndim(self) -> int:
-        return self.probs.ndim - self.stack
+        return self.probs.ndim
 
     def all_axes(self) -> int:
         return (1 << self.ndim) - 1
@@ -144,20 +141,10 @@ class JointPmf:
         arr = memo[parent]
         for mask in reversed(chain):
             # every axis below the dropped one is kept, so it sits at its own index
-            arr = np.asarray(np.add.reduce(
-                arr, axis=(~mask & (mask + 1)).bit_length() - 1 + self.stack))
+            arr = np.asarray(np.add.reduce(arr, axis=(~mask & (mask + 1)).bit_length() - 1))
             arr.setflags(write=False)
             memo[mask] = arr
         return arr
-
-
-class JointStack(JointPmf):
-    """A stack of pmfs of one layout, ``probs[b]`` pmf b: marginals keep the
-    leading axis, and entropies and informations are ``(B,)`` arrays.
-    """
-
-    __slots__ = ()
-    stack = 1
 
 
 # ---- operations ------------------------------------------------------------
@@ -172,20 +159,20 @@ def plogp(a: np.ndarray) -> np.ndarray:
 
 
 def _entropies(p: JointPmf, masks: np.ndarray) -> np.ndarray:
-    """H of each axis mask of the int array ``masks``, plus a trailing ``(B,)`` on a stack.
+    """H of each axis mask of the int array ``masks``, an array of its shape.
 
     Each is computed once per pmf: the missing marginals of one cell count are
     stacked, and one :func:`plogp` serves the stack."""
-    cache, lead, groups = p._entropy_cache, p.probs.shape[:p.stack], {}
+    cache, groups = p._entropy_cache, {}
     flat = masks.ravel().tolist()
     for mask in set(flat).difference(cache):
         marg = p.marginal(mask)
-        groups.setdefault(marg.size, []).append((mask, marg.reshape(*lead, -1)))
+        groups.setdefault(marg.size, []).append((mask, marg.reshape(-1)))
     for group in groups.values():
         found, margs = zip(*group)
         cells = np.array(margs) if len(margs) > 1 else margs[0][None]   # a lone one uncopied
         cache.update(zip(found, -np.add.reduce(plogp(cells), axis=-1)))
-    return np.array([cache[mask] for mask in flat]).reshape(masks.shape + lead)
+    return np.array([cache[mask] for mask in flat]).reshape(masks.shape)
 
 
 def entropy(p: JointPmf, of: int, given: int = 0) -> float:
@@ -200,7 +187,7 @@ def entropy(p: JointPmf, of: int, given: int = 0) -> float:
     if of & given:
         raise StructuralError("entropy target overlaps the conditioning set")
     joint, cond = _entropies(p, np.array([of | given, given]))
-    return joint - cond if p.stack else float(joint - cond)
+    return float(joint - cond)
 
 
 def mi_sets(p: JointPmf, a, b, given=0):
@@ -214,7 +201,7 @@ def mi_sets(p: JointPmf, a, b, given=0):
     ``CMI_CLAMP`` clamp to +0.0, and so does -0.0; anything more negative
     raises :class:`NumericIntegrityError`.  Int arrays of masks, broadcast
     together, give an array of informations, every mask checked before any
-    is computed; a stack adds a trailing ``(B,)`` axis.
+    is computed.
     """
     a, b, given = np.broadcast_arrays(a, b, given)
     union = a | b | given

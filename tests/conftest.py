@@ -11,11 +11,11 @@ from canonical_region import (
     DegeneracyWarning,
     ProblemSpec,
     StructuralError,
+    attach_channels,
     constant_channel,
     resolve_problem,
     solve_equality_lp,
 )
-from canonical_region.augment import channel_product
 
 DISTINCT_TOL = 1e-6
 
@@ -286,12 +286,13 @@ def theta_reference(spec, k, frozen, direction, t):
     """The slot-k objective at one simplex point ``t`` of X_k, from its definition.
 
     Mixes the law sum_x t(x) p(., X_k = x) / p_k(x) (0 where p_k(x) = 0)
-    from the channel product with an inert one-symbol channel at slot k,
+    from the augmented joint with an inert one-symbol channel at slot k,
     then weighs each free rate and Bayes risk, its variables picked by
     axis name, by ``direction``.  Rates of descriptions i < k are corner
     rates of the unmixed joint; description k's first entropy is too.
     """
-    joint = channel_product(spec, {**frozen, k: constant_channel(spec.x_alphabet(k))}).probs
+    joint = attach_channels(spec, [constant_channel(spec.x_alphabet(k)) if i == k else frozen[i]
+                                   for i in spec.channel_slots]).joint.probs
     x_k = layout_axes(spec).index(f"X{k}")
     p_k = direct_marginal(joint, 1 << x_k)
     ratio = np.zeros_like(p_k)

@@ -24,7 +24,9 @@ from canonical_region import (
     mi_sets,
     mixture_error,
     random_channels,
+    random_direction,
     reverse_to_forward,
+    verify_linear_decomposition,
 )
 from conftest import make_spec
 
@@ -176,6 +178,22 @@ def test_attach_validates_bank():
     wrong = identity_channel(Alphabet("X9", spec.x_alphabets[0].size))
     with pytest.raises(StructuralError):
         attach_channels(spec, [wrong, chans[1]])
+
+
+def test_attach_refuses_a_stacked_bank(helper3):
+    # the augmented joint holds one bank: a stacked channel, or one on the wrong
+    # input, is refused naming its slot, and so is the region path that attaches it
+    rng = np.random.default_rng(53)
+    one, two = random_channels(helper3, rng), random_channels(helper3, rng)
+    stacked = [Channel(a.input, np.stack([a.rows, b.rows])) for a, b in zip(one, two)]
+    for pos, k in enumerate(helper3.channel_slots):
+        wrong = identity_channel(Alphabet("X9", helper3.x_alphabet(k).size))
+        for bad in (stacked[pos], wrong):
+            with pytest.raises(StructuralError, match=f"slot {k} "):
+                attach_channels(helper3, one[:pos] + [bad] + one[pos + 1:])
+    direction = random_direction(helper3.m, helper3.j, helper3.l, rng)
+    with pytest.raises(StructuralError, match=f"slot {helper3.channel_slots[0]} "):
+        verify_linear_decomposition(helper3, stacked, direction)
 
 
 def test_attach_channel_factorization():

@@ -9,7 +9,6 @@ import pytest
 from canonical_region import functionals
 from canonical_region import (
     Alphabet,
-    AugmentedPmf,
     Channel,
     Direction,
     FunctionalContext,
@@ -30,7 +29,7 @@ from canonical_region import (
     theta,
     verify_linear_decomposition,
 )
-from canonical_region.augment import MARGINAL_TOL, channel_product
+from canonical_region.augment import MARGINAL_TOL
 from canonical_region.pmf import CMI_CLAMP
 from canonical_region.functionals import DECOMPOSITION_TOL, check_simplex_point
 from conftest import (
@@ -61,6 +60,10 @@ def test_direction_validation():
     d = Direction.normalized(2, 1, 2, [3.0, 0.0, 4.0])
     assert abs(d.rate_weight(2) - 0.6) < 1e-12
     assert abs(d.distortion_weight(2) - 0.8) < 1e-12
+    # weights whose squares overflow or underflow are still valid, and warn of nothing
+    for raw, unit in (([1e200, 1e200], np.array([1.0, 1.0]) / np.sqrt(2.0)),
+                      ([1e-200, 3e-200], np.array([1.0, 3.0]) / np.sqrt(10.0))):
+        assert np.abs(Direction.normalized(1, 0, 1, raw).coords - unit).max() <= 1e-12
     with pytest.raises(StructuralError):
         d.rate_weight(1)                                           # lossless side
     with pytest.raises(StructuralError):
@@ -451,10 +454,10 @@ def test_functional_context_validation():
 
 
 def test_functional_context_uses_the_channel_product():
-    # at t = p_k every law the context maps is a marginal of the channel
-    # product with slot k inert, which is attach_channels' joint summed over
-    # Z_k: theta along e_i (i > k) is that joint's I(X_i ; Z_i | Z_<i, S),
-    # along e_k zero, and along e_l its Bayes risk
+    # at t = p_k every law the context maps is a marginal of the augmented
+    # joint with a constant channel at slot k, which is the full bank's joint
+    # summed over Z_k: theta along e_i (i > k) is that joint's
+    # I(X_i ; Z_i | Z_<i, S), along e_k zero, and along e_l its Bayes risk
     rng = np.random.default_rng(61)
     for _ in range(4):
         spec = make_spec(rng, m=3, j=int(rng.integers(0, 2)), l=1)
@@ -463,8 +466,8 @@ def test_functional_context_uses_the_channel_product():
         aug = attach_channels(spec, chans)
         for k in spec.channel_slots:
             frozen = {kk: ch for kk, ch in bank.items() if kk != k}
-            inert = AugmentedPmf(channel_product(
-                spec, {**frozen, k: constant_channel(spec.x_alphabets[k - 1])}), spec)
+            inert = attach_channels(spec, [constant_channel(spec.x_alphabet(k)) if kk == k
+                                           else ch for kk, ch in bank.items()])
             summed = aug.joint.probs.sum(axis=layout_axes(spec).index(f"Z{k}"), keepdims=True)
             assert np.abs(summed - inert.joint.probs).max() <= MARGINAL_TOL
             p_k = spec.x_marginal(k)[None]

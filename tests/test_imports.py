@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import inspect
+import io
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import canonical_region
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "canonical_region"
+README = PACKAGE.parents[1] / "README.md"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")   # it re-exports
 
 
@@ -37,3 +40,14 @@ def test_all_is_the_names_the_package_imports():
     public = canonical_region.__all__
     assert len(public) == len(set(public)) and set(public) == imported_names(relative)
     assert not [name for name in public if inspect.ismodule(getattr(canonical_region, name))]
+
+
+def test_readme_library_use_block_runs():
+    # README's ``## Library use`` block runs as printed; its last line prints a
+    # spec's derived sizes
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines()[-1] == "2 [2, 2] 1"

@@ -895,13 +895,19 @@ def test_deterministic_banks_meet_the_slepian_wolf_oracle(name, request):
     # with Z_i = f_i(X_i), a corner coordinate is H(Z_pi(i) | Z_before, S),
     # g(I) = H(Z_I | Z_{I^c}, S) and a corner gap I(Z_a ; Z_b | Z_P, S) is
     # H(Z_a Z_P S) + H(Z_b Z_P S) - H(Z_a Z_b Z_P S) - H(Z_P S): a plain-numpy
-    # oracle that shares no code with the region path (Slepian and Wolf, 1973)
+    # oracle that shares no code with the region path (Slepian and Wolf, 1973).
+    # The identity suite's Z-Z term for disjoint groups I, I' with R the rest is
+    # the same difference of entropies, and every identity holds on these banks
     rng = np.random.default_rng(4701)
     specs = {"zero-symbol": lambda: zero_symbol_spec(rng),
              "lossless": lambda: make_spec(rng, m=2, j=2, l=1),      # J = M
              "m6": lambda: region_problem_spec(1, 6)}
     spec = specs[name]() if name in specs else request.getfixturevalue(name)
     lossless = [np.arange(spec.x_alphabet(i).size) for i in range(1, spec.j + 1)]
+    full = (1 << spec.m) - 1
+    first, second = np.array([(a, b) for a in range(1, full + 1) for b in range(1, full + 1)
+                              if not a & b], dtype=np.int64).reshape(-1, 2).T
+    rest = full ^ first ^ second
     for bank in deterministic_banks(spec, rng):
         aug = attach_channels(spec, [Channel(spec.x_alphabet(k), rows)
                                      for k, rows in zip(spec.channel_slots, bank)])
@@ -916,3 +922,6 @@ def test_deterministic_banks_meet_the_slepian_wolf_oracle(name, request):
         for a, b, cond, gap in entries:
             bit_a, bit_b, p = 1 << (a - 1), 1 << (b - 1), sum(1 << (i - 1) for i in cond)
             assert abs(gap - (h[bit_a | p] + h[bit_b | p] - h[bit_a | bit_b | p] - h[p])) <= 1e-12
+        zz = h[first | rest] + h[second | rest] - h[full] - h[rest]
+        assert np.abs(region_mod._mi_zz(aug, first, second, rest) - zz).max(initial=0.0) <= 1e-12
+        assert verify_chain_identities(aug).passed
