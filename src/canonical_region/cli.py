@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -146,15 +145,6 @@ def _fmt_rates(rates) -> str:
 # ---- extreme-points ---------------------------------------------------------
 
 
-@functools.cache
-def _groups_lexicographic(m: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The nonempty groups of 1..M as member tuples in lexicographic order, with
-    their columns (bitmask - 1) in a constraint report."""
-    groups = sorted((tuple(i + 1 for i in range(m) if mask >> i & 1), mask - 1)
-                    for mask in range(1, 1 << m))
-    return np.array([col for _, col in groups]), tuple(g for g, _ in groups)
-
-
 def cmd_extreme_points(args, spec) -> tuple[list[dict], dict, str]:
     channels = _bank(spec, args)
     aug = attach_channels(spec, channels)
@@ -175,19 +165,18 @@ def cmd_extreme_points(args, spec) -> tuple[list[dict], dict, str]:
     ok = report.is_member & ~(expected & ~active).any(axis=1)
     if not ndg.degenerate:
         ok &= (active == expected).all(axis=1)
-    columns, groups = _groups_lexicographic(spec.m)
 
     records, lines = [], []
     for perm, row, total, member, good, tight in zip(
             perms, rates.tolist(), sums.tolist(), report.is_member.tolist(), ok.tolist(),
-            active[:, columns].tolist()):
+            report.active_groups):
         records.append({
             "type": "corner",
             "perm": perm,
             "rates": row,
             "sum_rate": total,
             "member": member,
-            "active": list(itertools.compress(groups, tight)),
+            "active": sorted(tight),
             "ok": good,
         })
         lines.append(f"corner {perm}: rates={_fmt_rates(row)} "

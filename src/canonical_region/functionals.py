@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -82,36 +82,31 @@ def check_simplex_point(pool, size: int) -> np.ndarray:
 class Direction:
     """Nonnegative weights over the free rates and distortions, unit 2-norm.
 
-    ``rate_weights[idx]`` weighs the rate of description ``j + 1 + idx``;
-    descriptions ``1..j`` are lossless and carry no weight.  A stack has a
-    leading axis of B on both, one direction per row.
+    ``coords`` is one read-only ``(K + L,)`` array, or a ``(B, K + L)`` stack, one
+    direction per row: K = M - J rate weights (entry ``idx`` weighs description
+    ``j + 1 + idx``; the lossless ``1..j`` carry none), then L distortion weights,
+    read through the views ``rate_weights`` and ``distortion_weights``.
     """
 
     m: int
     j: int
     l: int
-    rate_weights: np.ndarray = field(repr=False)
-    distortion_weights: np.ndarray = field(repr=False)
+    coords: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        rates = np.array(self.rate_weights, dtype=float)
-        dists = np.array(self.distortion_weights, dtype=float)
-        if (rates.ndim not in (1, 2) or rates.shape[:-1] != dists.shape[:-1]
-                or rates.shape[-1:] != (self.m - self.j,) or dists.shape[-1:] != (self.l,)):
+        coords = np.array(self.coords, dtype=float)
+        if coords.ndim not in (1, 2) or coords.shape[-1] != self.m - self.j + self.l:
             raise StructuralError(
                 f"direction needs {self.m - self.j} rate and {self.l} distortion "
-                f"weights per row, got shapes {rates.shape}, {dists.shape}"
+                f"weights per row, got shape {coords.shape}"
             )
-        coords = np.concatenate([rates, dists], axis=-1)
         if not np.all(np.isfinite(coords)) or coords.min(initial=0.0) < 0.0:
             raise StructuralError("direction weights must be finite and >= 0")
         off = float(np.abs(np.linalg.norm(coords, axis=-1) - 1.0).max(initial=0.0))
         if off > UNIT_NORM_TOL:
             raise StructuralError(f"direction must have unit 2-norm; a row is off by {off!r}")
-        rates.setflags(write=False)
-        dists.setflags(write=False)
-        object.__setattr__(self, "rate_weights", rates)
-        object.__setattr__(self, "distortion_weights", dists)
+        coords.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def normalized(cls, m: int, j: int, l: int, raw) -> "Direction":
@@ -126,12 +121,10 @@ class Direction:
         with np.errstate(over="ignore", invalid="ignore"):   # nan and inf: __post_init__ rejects them
             if not 0.0 < np.linalg.norm(raw) < math.inf:      # the squares overflowed or underflowed
                 raw = raw / top
-            unit = raw / np.linalg.norm(raw)
-        return cls(m, j, l, unit[: m - j], unit[m - j:])
+            return cls(m, j, l, raw / np.linalg.norm(raw))
 
-    @property
-    def coords(self) -> np.ndarray:
-        return np.concatenate([self.rate_weights, self.distortion_weights], axis=-1)
+    rate_weights = property(lambda self: self.coords[..., :self.m - self.j])
+    distortion_weights = property(lambda self: self.coords[..., self.m - self.j:])
 
     def rate_weight(self, i: int) -> np.ndarray:      # one per row of a stack
         if not self.j + 1 <= i <= self.m:
@@ -151,6 +144,14 @@ def random_direction(m: int, j: int, l: int, rng: np.random.Generator) -> Direct
         raw = np.abs(rng.normal(size=m - j + l))
         if np.linalg.norm(raw) > MIN_DIRECTION_NORM:
             return Direction.normalized(m, j, l, raw)
+
+
+def _check_directions(spec: ProblemSpec, directions: Iterable[Direction]) -> None:
+    """Refuse a direction of other dimensions than ``spec``'s, or a stack of them."""
+    for d in directions:
+        if (d.m, d.j, d.l, d.coords.ndim) != (spec.m, spec.j, spec.l, 1):
+            raise StructuralError(f"each entry is one direction of the spec's dimensions, got "
+                                  f"M, J, L = {d.m}, {d.j}, {d.l} and shape {d.coords.shape}")
 
 
 # ---- distortion side ---------------------------------------------------------
@@ -180,6 +181,14 @@ def distortion_component(aug: AugmentedPmf, l: int) -> tuple[float, np.ndarray]:
 
 
 # ---- slot order --------------------------------------------------------------
+
+
+def _bank_shape(channels: Iterable[Channel], direction: Direction) -> tuple[int, ...]:
+    """``(B,)`` when stacked channels or a stacked direction hold B banks each, else ``()``."""
+    counts = set().union(direction.coords.shape[:-1], *(ch.rows.shape[:-2] for ch in channels))
+    if len(counts) > 1:
+        raise StructuralError(f"channel and direction stacks differ in size: {sorted(counts)} banks")
+    return tuple(counts)
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -245,9 +254,9 @@ class FunctionalContext:
     weight table: per law, each bank's signed sum of its rate weights over
     slots k..M, negated for the law's sum of p log p, in slot order
     whatever the weights; per linear column, minus its slot's weight; per
-    distortion, its weight.  Frozen channels or a direction that are
-    stacks of B give B contexts in one, with each term some bank weighs;
-    the map, constant and table have a bank axis, of 1 for one context.
+    distortion, its weight.  Frozen channels and a direction stacked to B
+    banks (stacks of other sizes raise) give B contexts in one, with each
+    term some bank weighs; map, constant and table have a bank axis (1 alone).
     """
 
     __slots__ = ("p_k", "_banks", "_map", "_entropy_cells", "_starts", "_linear", "_risks",
@@ -263,12 +272,9 @@ class FunctionalContext:
                                   f"got {sorted(frozen)}")
         if (direction.m, direction.j, direction.l) != (spec.m, spec.j, spec.l):
             raise StructuralError("direction dimensions do not match the spec")
+        banks = _bank_shape(frozen.values(), direction)
         before, laws, final = _slot_order(spec, frozen, keep=k)   # rates of slots before k
         laws = laws[k - spec.j - 1:]                  # p(C_k), p(C_k, X_k), then later slots'
-        banks = (final.shape[:1] if any(ch.rows.ndim == 3 for ch in frozen.values())
-                 else direction.rate_weights.shape[:-1])
-        if direction.rate_weights.shape[:-1] not in ((), banks):
-            raise StructuralError("the direction and channel stacks differ in size")
         self.p_k = p_k = spec.x_marginal(k)
         n, pre, lead = p_k.size, laws[0].shape[-1], len(final)   # C_k's cells precede X_k
 
@@ -282,9 +288,9 @@ class FunctionalContext:
             if direction.rate_weight(i).any():
                 constant += direction.rate_weight(i) * term
 
-        self._banks, count = banks, int(np.prod(banks))
-        rates = np.broadcast_to(direction.rate_weights, (count, spec.m - spec.j))
-        w = list(rates.T[k - spec.j - 1:])             # slots k..M
+        self._banks, count, free = banks, int(np.prod(banks)), spec.m - spec.j
+        weights = np.broadcast_to(direction.coords, (count, free + spec.l)).T
+        w = list(weights[k - spec.j - 1:free])         # slots k..M
         # phi_k = H(X_k | U_k) - H_t(X_k | U_k), phi_i = H_t(U_i, Z_i) - H_t(U_i) - the row term;
         # theta adds weight * sum of p log p, so each law weighs minus its entropy weight
         own, *later = map(by_x, laws[1:])
@@ -299,8 +305,7 @@ class FunctionalContext:
                 terms.append(((rows * pair).sum(axis=-1).reshape(-1, n, 1), -weight))
         v = spec.v_alphabet.size
         obs = final.reshape(lead, v, pre, n, -1).transpose(0, 3, 1, 2, 4).reshape(lead, n, v, -1)
-        risks = [(d, weight) for d, weight in zip(spec.distortions, np.broadcast_to(
-            direction.distortion_weights, (count, spec.l)).T) if weight.any()]
+        risks = [(d, weight) for d, weight in zip(spec.distortions, weights[free:]) if weight.any()]
         # (banks, |X_k|, vhat x obs cells): the Bayes minimum runs across blocks
         terms += [((d.T @ obs).reshape(lead, n, -1), weight) for d, weight in risks]
         bounds = np.cumsum([0, *(block.shape[-1] for block, _ in terms)])
@@ -321,9 +326,9 @@ class FunctionalContext:
 def theta(ctx: FunctionalContext, pool) -> np.ndarray:
     """Direction-weighted objective contribution of each row of a simplex pool.
 
-    ``pool`` is ``(P, |X_k|)`` and the result ``(P,)``; a stack of pools
-    ``(B, P, |X_k|)`` or of contexts gives ``(B, P)``.  Along the unit
-    direction e_i (``i >= k``) it is phi_i, and along e_l it is psi_l.
+    ``pool`` is ``(P, |X_k|)`` for an unstacked context, giving ``(P,)``, or
+    one pool per context bank, ``(B, P, |X_k|)`` giving ``(B, P)`` (B is 1
+    unstacked); others raise.  Along e_i (``i >= k``) it is phi_i, along e_l psi_l.
     Every law is one product with the context's compiled map; the
     entropies are its :func:`plogp` cells summed per law, the Bayes risks
     its per-observation minima, in blocks of at most ``THETA_BLOCK_CELLS``
@@ -331,11 +336,11 @@ def theta(ctx: FunctionalContext, pool) -> np.ndarray:
     first: a bank that weighs a term 0 keeps the bits it has alone.
     """
     pool = check_simplex_point(pool, ctx.p_k.size)
-    lead = pool.shape[:-2] or ctx._banks               # one pool, one context: a stack of one
-    pool = pool.reshape(-1, *pool.shape[-2:])
-    if len(pool) > len(ctx._constant):                # one context scores every pool as one
-        return theta(ctx, pool.reshape(1, -1, pool.shape[-1])).reshape(*lead, -1)
-    pool = np.broadcast_to(pool, (len(ctx._constant), *pool.shape[1:]))   # or one pool every bank
+    lead, count = pool.shape[:-2], len(ctx._constant)
+    if lead not in (ctx._banks, (count,)):
+        raise StructuralError(f"theta takes one pool per context bank, got "
+                              f"{lead[0] if lead else 1} for {count}")
+    pool = pool.reshape(count, *pool.shape[-2:])
     step = max(1, THETA_BLOCK_CELLS // (pool.shape[1] * max(1, ctx._map.shape[-1])))
     laws, cells, linear = len(ctx._starts), ctx._entropy_cells, len(ctx._starts) + ctx._linear
     terms = np.empty((len(ctx._weights), *pool.shape[:2]))   # (laws + linear + risks, B, P)
@@ -371,13 +376,12 @@ def direct_weighted_value(spec: ProblemSpec, channels: Sequence[Channel],
     if len(channels) != len(slots):
         raise StructuralError(f"expected {len(slots)} channels for slots {slots}, "
                               f"got {len(channels)}")
+    banks = _bank_shape(channels, direction)
     rates, _, final = _slot_order(spec, dict(zip(slots, channels)))
     risks = [(d.T @ final).min(axis=-2).sum(axis=-1) for d in spec.distortions]
-    lead = final.shape[:1] if any(ch.rows.ndim == 3 for ch in channels) else ()
-    total = 0.0
-    for weight, term in zip(direction.coords.T, rates + risks):   # rates in slot order, then risks
-        total += weight * term.reshape(lead)
-    return total if np.ndim(total) else float(total)
+    # rates in slot order, then risks
+    total = sum(weight * term for weight, term in zip(direction.coords.T, rates + risks))
+    return total if banks else float(total[0])
 
 
 def _region_point(spec: ProblemSpec, channels: Sequence[Channel], perm: Sequence[int]):
@@ -421,6 +425,7 @@ def verify_linear_decomposition(
     functional, not noise: both sides are finite sums of the same law.
     """
     slots = spec.channel_slots
+    _check_directions(spec, [direction])
     rates, dists = _region_point(spec, channels, identity_permutation(spec.m))   # checks the count
     direct = float(direction.rate_weights @ rates[spec.j:] + direction.distortion_weights @ dists)
     entries = []

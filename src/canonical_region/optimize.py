@@ -54,6 +54,7 @@ from .errors import BudgetError, NumericIntegrityError, StructuralError
 from .functionals import (
     Direction,
     FunctionalContext,
+    _check_directions,
     _region_point,
     direct_weighted_value,
     theta,
@@ -158,15 +159,15 @@ def optimize_single_channel(ctx: FunctionalContext, candidates: int, seeds: Sequ
     """Globally optimize slot k's reverse pair of each bank of a stack over
     its finite candidate pool.
 
-    Scores the pools with one theta call and solves their mixture LPs by
-    primal simplex.  ``incumbent_columns[b]`` (``(B, W, |X_k|)`` in all),
-    bank b's positive-weight columns and repeats of its first, end pool b,
-    and its simplex starts from their positions: they are independent (a
-    repeat is left out) and mix to ``p_k`` when they are the support of a
-    basic solution, so the optimum is then not above the incumbent.  Pair
-    b of the returned stack is LP b's basic optimum: its weights above
-    ``SUPPORT_WEIGHT_TOL`` (at most ``|X_k|`` of them), normalized, then
-    zero weights on repeats of its first column up to ``|X_k|`` symbols.
+    Scores pool b, one per seed, on bank b of ``ctx`` (one theta call; one seed
+    may use an unstacked context) and solves the mixture LPs by primal simplex.
+    ``incumbent_columns[b]`` (``(B, W, |X_k|)`` in all), bank b's positive-weight
+    columns and repeats of its first, end pool b, and its simplex starts from
+    their positions: they are independent (a repeat is left out) and mix to
+    ``p_k`` when they are the support of a basic solution, so the optimum is
+    then not above the incumbent.  Pair b is LP b's basic optimum: its weights
+    above ``SUPPORT_WEIGHT_TOL``, normalized, padded to ``|X_k|`` symbols by
+    zero weights on repeats of its first column.
     """
     pool = _candidate_pool(ctx, candidates, seeds, incumbent_columns)
     n, size = ctx.p_k.size, pool.shape[1]
@@ -223,11 +224,11 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
         raise StructuralError(f"expected {len(slots)} initial channels per bank")
     if sweeps < 1:
         raise StructuralError(f"sweeps must be >= 1, got {sweeps}")
-    if direction.rate_weights.shape[:-1] not in ((), (len(inits),)):
+    if direction.coords.shape[:-1] not in ((), (len(inits),)):
         raise StructuralError(f"expected one direction row per initial bank ({len(inits)}), "
-                              f"got {len(direction.rate_weights)}")
-    direction = Direction(spec.m, spec.j, spec.l, *(np.broadcast_to(w, (len(inits), w.shape[-1]))
-                          for w in (direction.rate_weights, direction.distortion_weights)))
+                              f"got {len(direction.coords)}")
+    direction = Direction(spec.m, spec.j, spec.l, np.broadcast_to(
+        direction.coords, (len(inits), direction.coords.shape[-1])))
     live = list(range(len(inits)))        # the banks still descending, in stack order
     channels = [_stacked(spec, k, [init[pos] for init in inits]) for pos, k in enumerate(slots)]
     pairs = [forward_to_reverse(spec, k, ch) for k, ch in zip(slots, channels)]
@@ -262,8 +263,7 @@ def coordinate_descent(spec: ProblemSpec, direction: Direction,
             break
         pairs = [ReverseChannelPair(pair.weights[stay], pair.columns[stay]) for pair in pairs]
         channels = [Channel(ch.input, ch.rows[stay]) for ch in channels]
-        direction = Direction(spec.m, spec.j, spec.l, direction.rate_weights[stay],
-                              direction.distortion_weights[stay])
+        direction = Direction(spec.m, spec.j, spec.l, direction.coords[stay])
     return DescentStack(runs)
 
 
@@ -289,13 +289,11 @@ def _multistart_descent(spec: ProblemSpec, directions: Sequence[Direction], rest
     seed)`` along every direction in one stack, bank r of direction ``idx``
     with seed ``(seed, idx, r)``; each direction's first best run and its ``r``."""
     inits = default_multistart_inits(spec, restarts, seed)
-    if any((d.m, d.j, d.l) != (spec.m, spec.j, spec.l) for d in directions):
-        raise StructuralError("direction dimensions do not match the spec")
+    _check_directions(spec, directions)
     if not directions:
         return []
-    stack = Direction(spec.m, spec.j, spec.l, *(
-        np.repeat([getattr(d, name) for d in directions], len(inits), axis=0)
-        for name in ("rate_weights", "distortion_weights")))
+    stack = Direction(spec.m, spec.j, spec.l,
+                      np.repeat([d.coords for d in directions], len(inits), axis=0))
     runs = coordinate_descent(spec, stack, inits * len(directions),
                               [(seed, idx, r) for idx in range(len(directions))
                                for r in range(len(inits))],
@@ -427,9 +425,7 @@ def brute_force_search(
                           "shrink the grid or the output alphabets")
     if not directions:
         raise StructuralError("brute_force_search needs at least one direction")
-    for d in directions:
-        if (d.m, d.j, d.l) != (spec.m, spec.j, spec.l):
-            raise StructuralError("direction dimensions do not match the spec")
+    _check_directions(spec, directions)
 
     coords = np.array([d.coords for d in directions])          # (D, K+L)
     v = spec.v_alphabet.size

@@ -155,10 +155,10 @@ class ConstraintReport:
 
     @functools.cached_property
     def active_groups(self) -> tuple:
-        """The tight groups of a row; for a stack, one such tuple per row."""
+        """The tight groups of a row, in bitmask order; for a stack, one tuple per row."""
         groups = _groups_in_mask_order(len(self.lhs).bit_length())
-        rows = tuple(tuple(groups[i] for i in np.flatnonzero(row))
-                     for row in self.active.reshape(-1, len(self.lhs)))
+        rows = tuple(tuple(itertools.compress(groups, row))
+                     for row in self.active.reshape(-1, len(self.lhs)).tolist())
         return rows if self.active.ndim == 2 else rows[0]
 
 

@@ -46,13 +46,12 @@ from conftest import (
 
 
 def test_direction_validation():
-    d = Direction(2, 0, 1, np.array([0.6, 0.8]) / np.sqrt(2.0),
-                  np.array([1.0]) / np.sqrt(2.0))
+    d = Direction(2, 0, 1, np.array([0.6, 0.8, 1.0]) / np.sqrt(2.0))
     assert abs(np.linalg.norm(d.coords) - 1.0) < 1e-12
     with pytest.raises(StructuralError):
-        Direction(2, 0, 1, np.array([1.0, 1.0]), np.array([1.0]))  # not unit norm
+        Direction(2, 0, 1, np.array([1.0, 1.0, 1.0]))              # not unit norm
     with pytest.raises(StructuralError):
-        Direction(2, 0, 1, np.array([1.0]), np.array([0.0]))       # wrong shape
+        Direction(2, 0, 1, np.array([1.0, 0.0]))                   # wrong shape
     with pytest.raises(StructuralError):
         Direction.normalized(2, 0, 1, [1.0, -1.0, 0.5])
     with pytest.raises(StructuralError):
@@ -76,26 +75,25 @@ def test_direction_validation():
 
 def direction_rows(d, rows):
     """The rows ``rows`` of a direction stack, as a stack."""
-    return Direction(d.m, d.j, d.l, d.rate_weights[rows], d.distortion_weights[rows])
+    return Direction(d.m, d.j, d.l, d.coords[rows])
 
 
 def test_direction_stack_is_checked_row_by_row():
     rows = np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    d = Direction(2, 0, 1, rows[:, :2], rows[:, 2:])
+    d = Direction(2, 0, 1, rows)
     assert d.coords.tolist() == rows.tolist()
     assert d.rate_weight(2).tolist() == [0.0, 1.0, 0.0]
     assert d.distortion_weight(1).tolist() == [0.8, 0.0, 1.0]
     negative = rows * [[1.0], [1.0], [-1.0]]                  # one unit row with a weight < 0
     with pytest.raises(StructuralError, match="finite and >= 0"):
-        Direction(2, 0, 1, negative[:, :2], negative[:, 2:])
+        Direction(2, 0, 1, negative)
     long = np.vstack([rows, [[1.0, 1.0, 0.0]]])               # one row of norm sqrt(2)
     with pytest.raises(StructuralError, match=r"unit 2-norm; a row is off by 0\.414"):
-        Direction(2, 0, 1, long[:, :2], long[:, 2:])
-    for rates, dists in ((rows[:, :2], rows[:2, 2:]),        # 3 rate rows, 2 distortion rows
-                         (rows[:, :2], rows[0, 2:]),          # a stack and one direction
-                         (rows[None, :, :2], rows[None, :, 2:])):   # a stack of stacks
+        Direction(2, 0, 1, long)
+    for coords in (rows[:, :2],                               # too few weights per row
+                   rows[None]):                               # a stack of stacks
         with pytest.raises(StructuralError, match="per row"):
-            Direction(2, 0, 1, rates, dists)
+            Direction(2, 0, 1, coords)
 
 
 @pytest.mark.parametrize("name", ["helper3", "dsbs", "bwz", "region-m5"])
@@ -112,7 +110,7 @@ def test_a_direction_stack_scores_each_bank_as_alone(name, request):
     eye = np.eye(spec.m - spec.j + spec.l)
     holes = (1.0 - eye) / (len(eye) - 1) ** 0.5
     coords = np.vstack([eye, eye[::-1], np.full(len(eye), len(eye) ** -0.5), holes])
-    d = Direction(spec.m, spec.j, spec.l, coords[:, :spec.m - spec.j], coords[:, spec.m - spec.j:])
+    d = Direction(spec.m, spec.j, spec.l, coords)
     rng = np.random.default_rng(105)
     banks = [random_channels(spec, rng) for _ in coords]
     stacks = [Channel(spec.x_alphabet(k), [bank[pos].rows for bank in banks])
@@ -136,6 +134,48 @@ def test_a_direction_stack_scores_each_bank_as_alone(name, request):
                                                       frozen[:pos] + frozen[pos + 1:])),
                                     direction_rows(d, [b]))
             assert scores[b:b + 1].tobytes() == theta(one, pools[b:b + 1]).tobytes()
+
+
+def test_theta_takes_one_pool_per_context_bank(helper3):
+    # a (P, n) pool or a stack of one scores on an unstacked context, and
+    # (B, P, n) on a context of B banks; any other pairing is refused with
+    # both counts, never broadcast
+    rng = np.random.default_rng(123)
+    d = random_direction(helper3.m, helper3.j, helper3.l, rng)
+    alone = FunctionalContext(helper3, 2, {3: random_channels(helper3, rng)[1]}, d)
+    slot3 = Channel(helper3.x_alphabet(3), [random_channels(helper3, rng)[1].rows
+                                            for _ in range(3)])
+    three = FunctionalContext(helper3, 2, {3: slot3}, d)
+    pools = rng.dirichlet(np.ones(2), size=(3, 10))
+    one = theta(alone, pools[0])
+    assert one.shape == (10,) and theta(alone, pools[:1]).tobytes() == one[None].tobytes()
+    assert theta(three, pools).shape == (3, 10)
+    for ctx, pool, counts in ((alone, pools, "3 for 1"), (three, pools[0], "1 for 3"),
+                              (three, pools[:2], "2 for 3")):
+        with pytest.raises(StructuralError, match=f"one pool per context bank, got {counts}"):
+            theta(ctx, pool)
+
+
+def test_mismatched_stacks_are_refused_naming_their_bank_counts(helper3):
+    # every stacked channel and a stacked direction must hold the same number
+    # of banks; the check runs before the slot order contracts anything
+    rng = np.random.default_rng(124)
+
+    def stacks(spec, counts):
+        return [Channel(spec.x_alphabet(k), [random_channels(spec, rng)[pos].rows
+                                             for _ in range(b)])
+                for pos, (k, b) in enumerate(zip(spec.channel_slots, counts))]
+
+    d = random_direction(helper3.m, helper3.j, helper3.l, rng)
+    two = Direction(helper3.m, helper3.j, helper3.l, np.tile(d.coords, (2, 1)))
+    with pytest.raises(StructuralError, match=r"stacks differ in size: \[2, 3\] banks"):
+        direct_weighted_value(helper3, stacks(helper3, [3, 3]), two)
+    with pytest.raises(StructuralError, match=r"stacks differ in size: \[2, 3\] banks"):
+        direct_weighted_value(helper3, stacks(helper3, [3, 2]), d)
+    spec = region_problem_spec(1, 4)
+    frozen = dict(zip(spec.channel_slots[1:], stacks(spec, [3, 3, 2, 3])[1:]))
+    with pytest.raises(StructuralError, match=r"stacks differ in size: \[2, 3\] banks"):
+        FunctionalContext(spec, 1, frozen, random_direction(spec.m, spec.j, spec.l, rng))
 
 
 def test_theta_scores_a_large_stack_in_bounded_blocks(helper3, monkeypatch):
@@ -176,7 +216,7 @@ def test_theta_weighs_interleaved_direction_rows_across_blocks(helper3, monkeypa
     coords = np.vstack([random_direction(helper3.m, helper3.j, helper3.l, rng).coords,
                         np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]) / 5 ** 0.5,
                         np.array([[1.0, 1.0, 1.0]]) / 3 ** 0.5, [[0.0, 0.0, 1.0]]])
-    five = Direction(helper3.m, helper3.j, helper3.l, coords[:, :2], coords[:, 2:])
+    five = Direction(helper3.m, helper3.j, helper3.l, coords)
     assert five.rate_weight(2)[3] == five.rate_weight(3)[3]
     rows, count = 69, len(coords)
     probe = FunctionalContext(helper3, 2, {3: random_channels(helper3, rng)[1]}, five)
@@ -574,11 +614,11 @@ def test_slot_order_readers_match_the_region_path(name, banks, request):
               for pos, k in enumerate(slots)]
     coords = np.abs(rng.normal(size=(banks, spec.m - spec.j + spec.l)))
     coords /= np.linalg.norm(coords, axis=1, keepdims=True)
-    d = Direction(spec.m, spec.j, spec.l, coords[:, :spec.m - spec.j], coords[:, spec.m - spec.j:])
+    d = Direction(spec.m, spec.j, spec.l, coords)
     expected = np.array([region_value(spec, bank, row) for bank, row in zip(bank_list, coords)])
     assert np.abs(direct_weighted_value(spec, stacks, d) - expected).max() <= 1e-12
     if banks == 1:
-        one = Direction(spec.m, spec.j, spec.l, d.rate_weights[0], d.distortion_weights[0])
+        one = Direction(spec.m, spec.j, spec.l, d.coords[0])
         assert abs(direct_weighted_value(spec, bank_list[0], one) - expected[0]) <= 1e-12
     if name == "slepian-wolf":     # and the closed form: entropies of pushed-forward laws
         lossless = [np.arange(spec.x_alphabet(i).size) for i in range(1, spec.j + 1)]

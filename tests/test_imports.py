@@ -33,6 +33,29 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported_names(tree) - used) == []
 
 
+def test_every_private_module_name_is_read():
+    # a module-level private function, class or constant that no module of the
+    # package reads, as a name, an attribute or an import, is dead code
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")]
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert private and sorted(private - read) == []
+
+
 def test_all_is_the_names_the_package_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     relative = ast.Module([node for node in tree.body

@@ -36,6 +36,7 @@ from canonical_region import (
     theta,
     trace_inner_bound,
     verify_alphabet_bound,
+    verify_linear_decomposition,
 )
 from canonical_region import optimize
 from canonical_region.optimize import (
@@ -606,12 +607,13 @@ def test_single_slot_pair_is_the_lp_basic_solution(name, request):
     for trial in range(4):
         chans = random_channels(spec, rng)
         d = random_direction(spec.m, spec.j, spec.l, rng)
+        three = Direction(spec.m, spec.j, spec.l, np.tile(d.coords, (3, 1)))   # one per pool
         for pos, k in enumerate(slots):
             frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
             ctx = FunctionalContext(spec, k, frozen, d)
             incumbent = forward_to_reverse(spec, k, chans[pos]).columns
             seeds = [(trial, k, b) for b in range(3)]
-            pairs = optimize_single_channel(ctx, 32, seeds,
+            pairs = optimize_single_channel(FunctionalContext(spec, k, frozen, three), 32, seeds,
                                             incumbent_columns=np.stack([incumbent] * 3))
             n = ctx.p_k.size
             for b, seed in enumerate(seeds):
@@ -627,12 +629,15 @@ def test_single_slot_pair_is_the_lp_basic_solution(name, request):
                 assert pairs.weights[b].tobytes() == (weights / weights.sum()).tobytes()
 
 
-def _slot_contexts(name, request, rng):
-    """(ctx, incumbent columns) for every slot of one random bank and direction."""
+def _slot_contexts(name, request, rng, rows=None):
+    """(ctx, incumbent columns) for every slot of one random bank and direction,
+    the direction tiled to a stack of ``rows`` when given."""
     spec = zero_symbol_spec(rng) if name == "zero-symbol" else request.getfixturevalue(name)
     slots = spec.channel_slots
     chans = random_channels(spec, rng)
     d = random_direction(spec.m, spec.j, spec.l, rng)
+    if rows:
+        d = Direction(spec.m, spec.j, spec.l, np.tile(d.coords, (rows, 1)))
     for pos, k in enumerate(slots):
         frozen = {kk: ch for kk, ch in zip(slots, chans) if kk != k}
         yield FunctionalContext(spec, k, frozen, d), forward_to_reverse(spec, k, chans[pos]).columns
@@ -676,7 +681,7 @@ def test_candidate_pool_layout(request, monkeypatch):
                         lambda c, a, b, warm: seen.append(list(warm)) or solve(c, a, b, warm))
     rng = np.random.default_rng(98)
     for name in ("helper3", "bwz", "dsbs"):
-        for seed, (ctx, columns) in enumerate(_slot_contexts(name, request, rng)):
+        for seed, (ctx, columns) in enumerate(_slot_contexts(name, request, rng, rows=2)):
             for incumbent in (columns, np.eye(ctx.p_k.size), np.vstack([columns, columns])):
                 stack = np.stack([incumbent, incumbent[::-1]])
                 pools = _candidate_pool(ctx, 8, [seed, seed + 1], stack)
@@ -865,13 +870,27 @@ def test_descent_validation(dsbs):
             coordinate_descent(dsbs, d, inits, seeds)
     with pytest.raises(StructuralError, match="does not read"):    # slot 1 fed slot 2's
         coordinate_descent(dsbs, d, [init, init[::-1]], [0, 1])
-    three = Direction(2, 0, 1, np.tile(d.rate_weights, (3, 1)),
-                      np.tile(d.distortion_weights, (3, 1)))
+    three = Direction(2, 0, 1, np.tile(d.coords, (3, 1)))
     with pytest.raises(StructuralError, match="one direction row per initial bank"):
         coordinate_descent(dsbs, three, [init, init], [0, 1])
     stack = Channel(init[0].input, [init[0].rows] * 2)
     with pytest.raises(StructuralError, match="stacks differ in size"):
         FunctionalContext(dsbs, 2, {1: stack}, three)
+
+
+def test_single_direction_readers_refuse_a_stacked_direction(helper3):
+    # the decomposition check, the lattice search and multistart descent (trace
+    # and alphabet-bound) take a list of directions, each one row
+    rng = np.random.default_rng(125)
+    d = random_direction(helper3.m, helper3.j, helper3.l, rng)
+    two = Direction(helper3.m, helper3.j, helper3.l, np.tile(d.coords, (2, 1)))
+    bank = random_channels(helper3, rng)
+    for call in (lambda: verify_linear_decomposition(helper3, bank, two),
+                 lambda: brute_force_search(helper3, [d, two], [2, 2], 2),
+                 lambda: trace_inner_bound(helper3, [two], restarts=1, sweeps=1),
+                 lambda: verify_alphabet_bound(helper3, [two], grid=2, restarts=1, sweeps=1)):
+        with pytest.raises(StructuralError, match=r"each entry is one direction .* \(2, 3\)"):
+            call()
 
 
 def test_descent_dominates_lattice_argmin(bwz, dsbs):
@@ -1244,7 +1263,7 @@ def test_banks_that_finish_together_keep_their_own_outputs(name, request, monkey
     inits = default_multistart_inits(spec, 8)
     coords = np.repeat([random_direction(spec.m, spec.j, spec.l, rng).coords
                         for _ in range(2)], len(inits), axis=0)
-    d = Direction(spec.m, spec.j, spec.l, coords[:, :spec.m - spec.j], coords[:, spec.m - spec.j:])
+    d = Direction(spec.m, spec.j, spec.l, coords)
     seeds = [(6, b) for b in range(len(coords))]
     last = {}                             # (bank seed, slot) -> the bank's last pair
     step = optimize.optimize_single_channel
