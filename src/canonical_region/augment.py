@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BudgetError,
     DegeneracyWarning,
     NumericIntegrityError,
     PreconditionError,
@@ -52,6 +53,18 @@ MIXTURE_TOL = 1e-10
 MIXTURE_INPUT_TOL = 1e-9
 COLUMN_SUM_TOL = 1e-9     # reverse columns come from division: looser than ROW_TOL
 REBUILT_ROW_TOL = 1e-8    # dividing by p_k(x) magnifies a pair's MIXTURE_INPUT_TOL slack
+# the augmented joint's axes: numpy holds 64, and an int64 mask has 63 nonnegative bits
+MAX_AXES = 63
+
+
+def check_layout(m: int, j) -> int:
+    """J as an int, if 0 <= J <= M and the augmented joint's 2M - J + 2 axes fit MAX_AXES."""
+    j = check_int(j, "J")
+    if not 0 <= j <= m:
+        raise StructuralError(f"J must satisfy 0 <= J <= M; got J={j!r}, M={m}")
+    if 2 * m - j + 2 > MAX_AXES:
+        raise BudgetError(f"M={m}, J={j} needs {2 * m - j + 2} joint axes (> {MAX_AXES})")
+    return j
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +157,7 @@ class ProblemSpec:
                 f"source tensor needs axes X1..XM, S, V with M >= 1; got shape {arr.shape}"
             )
         m = arr.ndim - 2
-        j = check_int(j, "J")
-        if not 0 <= j <= m:
-            raise StructuralError(f"J must satisfy 0 <= J <= M; got J={j!r}, M={m}")
+        j = check_layout(m, j)
 
         x_alphabets = tuple(Alphabet(f"X{i}", n) for i, n in enumerate(arr.shape[:m], start=1))
         s_alphabet = Alphabet("S", arr.shape[m])

@@ -1,6 +1,6 @@
 """Reading and writing problem instances as JSON files.
 
-A problem file is a JSON object with these keys:
+A problem file is a UTF-8 JSON object with these keys:
 
 ``m``, ``j``, ``l``
     Dimensions: sources, losslessly observed sources, distortion measures.
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import Channel, ProblemSpec
+from .augment import Channel, ProblemSpec, check_layout
 from .errors import BudgetError, DegeneracyWarning, InputError, StructuralError
 from .functionals import Direction
 from .region import source_nondegeneracy_report
@@ -49,11 +49,31 @@ MASS_WARN_TOL = 1e-6
 # slot then multiplies the cells again in the augmented joint.  The bundled
 # and benchmark problems have at most 2^8 cells.
 MAX_SOURCE_CELLS = 1 << 16
+_ENTRY_KEYS = frozenset({"symbols", "p"})   # built once: every source cell reads it
 
-_TOP_KEYS = {"name", "notes", "m", "j", "l", "alphabets", "source", "distortions"}
+
+def _object(value, what: str, keys: set, optional: frozenset = frozenset()) -> dict:
+    """``value`` if it is a JSON object with every key of ``keys`` and no key
+    outside ``keys`` and ``optional``."""
+    if isinstance(value, dict) and (   # the first test alone decides the common case
+            value.keys() == keys or keys <= value.keys() <= keys | optional):
+        return value
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object")
+    missing = sorted(keys - value.keys())
+    if missing:
+        raise InputError(f"{what} must be an object with key {missing[0]!r}")
+    unknown = sorted(value.keys() - keys - optional)
+    raise InputError(f"{what} must be an object without keys {unknown}")
 
 
-def _require_int(value, what: str, minimum: int) -> int:
+def _list(value, what: str, nonempty: bool = False) -> list:
+    if not isinstance(value, list) or nonempty and not value:
+        raise InputError(f"{what} must be a {'nonempty ' if nonempty else ''}list")
+    return value
+
+
+def _int(value, what: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer, got {value!r}")
     if value < minimum:
@@ -61,13 +81,44 @@ def _require_int(value, what: str, minimum: int) -> int:
     return value
 
 
-def _require_numbers(node, what: str) -> None:
-    """Reject a nested list with any leaf that is not a JSON number (booleans included)."""
-    if isinstance(node, list):
+def _number(value, what: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _leaves(node, what: str, shape: tuple, read, out: list) -> list:
+    """``out`` extended by ``read(leaf, name)`` for each leaf, in row-major order, of
+    a nested list of the given shape (a None size: any length)."""
+    if not shape:
+        out.append(read(node, what))
+    elif isinstance(node, list) and shape[0] in (None, len(node)):
         for idx, child in enumerate(node):
-            _require_numbers(child, f"{what}[{idx}]")
-    elif isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise InputError(f"{what} must be a number, got {node!r}")
+            _leaves(child, f"{what}[{idx}]", shape[1:], read, out)
+    else:
+        if not isinstance(node, list):
+            read(node, what)   # neither a list nor a leaf: named as a bad leaf
+        size = "" if shape[0] is None else f" of length {shape[0]}"
+        raise InputError(f"{what} must be a list{size}")
+    return out
+
+
+def _floats(node, what: str, ndim: int) -> np.ndarray:
+    """A nested list of JSON numbers, ``ndim`` deep, as a float array; the first
+    leaf that is not a number is named."""
+    _leaves(node, what, (None,) * ndim, _number, [])
+    try:
+        return np.array(node, dtype=float)
+    except (ValueError, OverflowError) as exc:   # ragged, or an integer past the float range
+        raise InputError(f"{what}: {exc}") from exc
+
+
+def _build(what, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a package refusal reported as an InputError naming ``what``."""
+    try:
+        return make(*args, **kwargs)
+    except StructuralError as exc:
+        raise InputError(f"{what}: {exc}") from exc
 
 
 def _parse_prob(value, what: str) -> Fraction:
@@ -90,38 +141,17 @@ def _parse_prob(value, what: str) -> Fraction:
     return frac
 
 
-def _flatten_dense(node, shape: tuple[int, ...], path: str, out: list) -> None:
-    if not shape:
-        out.append(_parse_prob(node, f"source.probs{path}"))
-        return
-    if not isinstance(node, list) or len(node) != shape[0]:
-        raise InputError(
-            f"source.probs{path} must be a list of length {shape[0]}"
-        )
-    for idx, child in enumerate(node):
-        _flatten_dense(child, shape[1:], f"{path}[{idx}]", out)
-
-
 def _parse_source(data, m: int, shape: tuple[int, ...]) -> list[Fraction]:
-    if not isinstance(data, dict) or set(data) - {"probs", "entries"}:
-        raise InputError('source must be {"probs": ...} or {"entries": ...}')
-    if ("probs" in data) == ("entries" in data):
-        raise InputError('source needs exactly one of "probs" and "entries"')
-    if "probs" in data:
-        fracs: list[Fraction] = []
-        _flatten_dense(data["probs"], shape, "", fracs)
-        return fracs
-
-    entries = data["entries"]
-    if not isinstance(entries, list) or not entries:
-        raise InputError("source.entries must be a nonempty list")
+    data = _object(data, "source", set(), {"probs", "entries"})
+    form = "entries" if "entries" in data else "probs"
+    body = _object(data, "source", {form})[form]
+    if form == "probs":
+        return _leaves(body, "source.probs", shape, _parse_prob, [])
     fracs = [Fraction(0)] * math.prod(shape)
     seen: set[int] = set()
-    for pos, entry in enumerate(entries):
+    for pos, entry in enumerate(_list(body, "source.entries", nonempty=True)):
         where = f"source.entries[{pos}]"
-        if not isinstance(entry, dict) or set(entry) != {"symbols", "p"}:
-            raise InputError(f'{where} must be {{"symbols": [...], "p": ...}}')
-        symbols = entry["symbols"]
+        symbols = _object(entry, where, _ENTRY_KEYS)["symbols"]
         if not isinstance(symbols, list) or len(symbols) != len(shape):
             raise InputError(
                 f"{where}: symbols must list {len(shape)} indices "
@@ -142,69 +172,42 @@ def _parse_source(data, m: int, shape: tuple[int, ...]) -> list[Fraction]:
 
 
 def _read_json(path: Path):
-    """The parsed contents of a JSON file; unreadable or invalid files are InputError."""
+    """The parsed contents of a UTF-8 JSON file; an unreadable, undecodable or
+    too deeply nested file is an InputError."""
     try:
-        text = path.read_text()
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON, huge ints, deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_problem(path) -> ProblemSpec:
     """Parse a problem file into a validated :class:`ProblemSpec`."""
     path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: top level must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise InputError(f"{path}: unknown keys {sorted(unknown)}")
-    for key in ("m", "j", "l", "alphabets", "source", "distortions"):
-        if key not in data:
-            raise InputError(f"{path}: missing key {key!r}")
+    data = _object(_read_json(path), f"top level of {path}",
+                   {"m", "j", "l", "alphabets", "source", "distortions"}, {"name", "notes"})
+    m = _int(data["m"], "m", 1)
+    j = _int(data["j"], "j", 0)
+    l = _int(data["l"], "l", 0)
 
-    m = _require_int(data["m"], "m", 1)
-    j = _require_int(data["j"], "j", 0)
-    l = _require_int(data["l"], "l", 0)
-
-    alph = data["alphabets"]
-    if not isinstance(alph, dict) or set(alph) != {"X", "S", "V", "Vhat"}:
-        raise InputError('alphabets must have exactly the keys "X", "S", "V", "Vhat"')
-    xs = alph["X"]
-    if not isinstance(xs, list) or len(xs) != m:
+    alph = _object(data["alphabets"], "alphabets", {"X", "S", "V", "Vhat"})
+    xs = _list(alph["X"], "alphabets.X")
+    x_sizes = [_int(n, f"alphabets.X[{i}]", 1) for i, n in enumerate(xs)]
+    if len(x_sizes) != m:
         raise InputError(f"alphabets.X must list {m} sizes")
-    x_sizes = [_require_int(n, f"alphabets.X[{i}]", 1) for i, n in enumerate(xs)]
-    s_size = _require_int(alph["S"], "alphabets.S", 1)
-    v_size = _require_int(alph["V"], "alphabets.V", 1)
-    vhats = alph["Vhat"]
-    if not isinstance(vhats, list):
-        raise InputError("alphabets.Vhat must be a list of sizes")
-    vhat_sizes = [_require_int(n, f"alphabets.Vhat[{i}]", 1) for i, n in enumerate(vhats)]
-
-    shape = tuple(x_sizes) + (s_size, v_size)
+    vhats = _list(alph["Vhat"], "alphabets.Vhat")
+    vhat_sizes = [_int(n, f"alphabets.Vhat[{i}]", 1) for i, n in enumerate(vhats)]
+    shape = (*x_sizes, _int(alph["S"], "alphabets.S", 1), _int(alph["V"], "alphabets.V", 1))
     cells = math.prod(shape)
     if cells > MAX_SOURCE_CELLS:
         raise BudgetError(
             f"{path}: the source tensor has {cells} cells (> {MAX_SOURCE_CELLS})"
         )
+    j = _build(path, check_layout, m, j)   # before the source is reshaped to M + 2 axes
     fracs = _parse_source(data["source"], m, shape)
-
-    dists = data["distortions"]
-    if not isinstance(dists, list):
-        raise InputError("distortions must be a list of tables")
-    tables = []
-    for li, tab in enumerate(dists, start=1):
-        if not isinstance(tab, list):
-            raise InputError(f"distortions[{li - 1}] must be a nested list")
-        _require_numbers(tab, f"distortions[{li - 1}]")
-        try:
-            arr = np.array(tab, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"distortions[{li - 1}]: {exc}") from exc
-        tables.append(arr)
+    dists = _list(data["distortions"], "distortions")
+    tables = [_floats(tab, f"distortions[{li}]", 2) for li, tab in enumerate(dists)]
 
     name = data.get("name", "")
     notes = data.get("notes", "")
@@ -216,26 +219,21 @@ def load_problem(path) -> ProblemSpec:
     if len(tables) != l:
         raise InputError(f"{path}: l is {l}, but distortions lists {len(tables)} table(s)")
     columns = [t.shape[-1] for t in tables]
-    if columns != vhat_sizes and all(t.ndim == 2 for t in tables):   # else the spec names it
+    if columns != vhat_sizes:
         raise InputError(
             f"{path}: alphabets.Vhat is {vhat_sizes}, but the distortion tables have "
             f"{columns} columns"
         )
-    try:
-        spec = ProblemSpec(
-            j, np.array(fracs, dtype=object).reshape(shape), tables, name=name, notes=notes,
-        )
-    except StructuralError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    spec = _build(path, ProblemSpec, j, np.array(fracs, dtype=object).reshape(shape), tables,
+                  name=name, notes=notes)
 
     total = spec.source_mass
-    err = abs(float(total - 1))
-    if err > MASS_WARN_TOL:
-        raise InputError(
-            f"source probabilities sum to {float(total)!r}, off by {err:.3e} "
-            f"(> {MASS_WARN_TOL}); fix the file"
-        )
-    if err > MASS_SILENT_TOL:
+    slip = abs(total - 1)   # exact, so a mass past the float range is judged too
+    if slip > MASS_WARN_TOL:
+        off = (f"{float(total)!r}, off by {float(slip):.3e} (> {MASS_WARN_TOL})"
+               if total < 1e300 else "1e300 or more")   # else float() overflows
+        raise InputError(f"source probabilities sum to {off}; fix the file")
+    if slip > MASS_SILENT_TOL:
         warnings.warn(
             f"source probabilities sum to {float(total)!r}; renormalizing",
             UserWarning,
@@ -335,19 +333,11 @@ def load_channels(path, spec: ProblemSpec) -> list[Channel]:
     row-stochastic matrices with ``|X_k|`` rows.
     """
     path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, dict) or set(data) != {"channels"}:
-        raise InputError(f'{path}: expected a single top-level key "channels"')
-    items = data["channels"]
-    if not isinstance(items, list):
-        raise InputError(f"{path}: channels must be a list")
+    data = _object(_read_json(path), f"top level of {path}", {"channels"})
     by_slot = {}
-    for pos, item in enumerate(items):
-        if not isinstance(item, dict) or set(item) != {"slot", "rows"}:
-            raise InputError(f'channels[{pos}] must be {{"slot": k, "rows": [[...]]}}')
-        slot = item["slot"]
-        if isinstance(slot, bool) or not isinstance(slot, int):
-            raise InputError(f"channels[{pos}].slot must be an integer")
+    for pos, item in enumerate(_list(data["channels"], "channels")):
+        item = _object(item, f"channels[{pos}]", {"slot", "rows"})
+        slot = _int(item["slot"], f"channels[{pos}].slot", spec.j + 1)
         if slot in by_slot:
             raise InputError(f"duplicate channel for slot {slot}")
         by_slot[slot] = (pos, item["rows"])
@@ -359,14 +349,8 @@ def load_channels(path, spec: ProblemSpec) -> list[Channel]:
     out = []
     for k in spec.channel_slots:
         pos, rows = by_slot[k]
-        _require_numbers(rows, f"channels[{pos}].rows")
-        try:
-            arr = np.array(rows, dtype=float)
-            if arr.ndim != 2:
-                raise StructuralError(f"rows must be a matrix, got shape {arr.shape}")
-            out.append(Channel(spec.x_alphabet(k), arr))
-        except (TypeError, ValueError, OverflowError, StructuralError) as exc:
-            raise InputError(f"channels[{pos}] (slot {k}): {exc}") from exc
+        where = f"channels[{pos}] (slot {k})"
+        out.append(_build(where, Channel, spec.x_alphabet(k), _floats(rows, f"{where}: rows", 2)))
     return out
 
 
@@ -378,27 +362,12 @@ def load_directions(path, spec: ProblemSpec) -> list[Direction]:
     to unit 2-norm on load.
     """
     path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, dict) or set(data) != {"directions"}:
-        raise InputError(f'{path}: expected a single top-level key "directions"')
-    items = data["directions"]
-    if not isinstance(items, list) or not items:
-        raise InputError(f"{path}: directions must be a nonempty list")
+    data = _object(_read_json(path), f"top level of {path}", {"directions"})
     out = []
-    for pos, item in enumerate(items):
-        if not isinstance(item, dict) or set(item) != {"rates", "distortions"}:
-            raise InputError(
-                f'directions[{pos}] must be {{"rates": [...], "distortions": [...]}}'
-            )
-        rates = item["rates"]
-        dists = item["distortions"]
-        if not isinstance(rates, list) or not isinstance(dists, list):
-            raise InputError(f"directions[{pos}]: rates and distortions must be lists")
-        _require_numbers(rates, f"directions[{pos}].rates")
-        _require_numbers(dists, f"directions[{pos}].distortions")
-        try:
-            raw = np.array([float(x) for x in rates + dists])
-            out.append(Direction.normalized(spec.m, spec.j, spec.l, raw))
-        except (TypeError, ValueError, OverflowError, StructuralError) as exc:
-            raise InputError(f"directions[{pos}]: {exc}") from exc
+    for pos, item in enumerate(_list(data["directions"], "directions", nonempty=True)):
+        where = f"directions[{pos}]"
+        item = _object(item, where, {"rates", "distortions"})
+        raw = np.concatenate([_floats(item[k], f"{where}.{k}", 1)
+                              for k in ("rates", "distortions")])
+        out.append(_build(where, Direction.normalized, spec.m, spec.j, spec.l, raw))
     return out

@@ -6,7 +6,9 @@ files, so file arguments (which the ``run`` record embeds) are the same
 relative names on every machine.
 For each command the manifest keeps the exit code, the sha256 of its
 ``--out`` file (null when none was written) and the sha256 of its stdout
-without the run-varying ``elapsed`` line.
+without the run-varying ``elapsed`` line.  A command that raises past
+``cli.main`` is a crash, not an exit code: ``--check`` reports it as a
+difference and ``--update`` records nothing while one occurs.
 
     python tests/golden/golden.py --check     # compare against manifest.json
     python tests/golden/golden.py --update    # re-record manifest.json
@@ -110,9 +112,27 @@ INPUT_FILES |= {
 }
 
 
+# files every reader must refuse on one line: not UTF-8, nested past the parser's
+# depth, a source mass past the float range, and augmented joints of 68 and 142 axes
+INPUT_BYTES = {
+    "utf16.json": b"\xff\xfe{}",
+    "deep.json": b"[" * 100_000,
+}
+INPUT_FILES |= {
+    "mass-1e400.json": {**DSBS_DENSE, "source": {"entries": [
+        {"symbols": [0, 0, 0, 0], "p": "1e400"}]}},
+    **{f"axes-m{m}.json": {
+        "m": m, "j": 0, "l": 0, "alphabets": {"X": [1] * m, "S": 1, "V": 1, "Vhat": []},
+        "source": {"entries": [{"symbols": [0] * (m + 2), "p": 1}]}, "distortions": [],
+    } for m in (33, 70)},
+}
+
+
 def input_files(directory: Path) -> None:
     for name, data in INPUT_FILES.items():
         (directory / name).write_text(json.dumps(data))
+    for name, data in INPUT_BYTES.items():
+        (directory / name).write_bytes(data)
 
 
 def commands(region: list[tuple[str, int]]) -> list[list[str]]:
@@ -185,6 +205,12 @@ def commands(region: list[tuple[str, int]]) -> list[list[str]]:
         ["verify", "decomposition", "dsbs", "--samples", "5"],
         ["verify", "alphabet-bound", "dsbs", "--sweeps", "0"],
         ["extreme-points", "helper3", "--channels", "bank-helper3.json", "--seed", "3"],
+        ["extreme-points", "utf16.json"],
+        ["extreme-points", "bwz", "--channels", "utf16.json"],
+        ["trace", "bwz", "--directions", "deep.json"],
+        ["extreme-points", "mass-1e400.json"],
+        ["trace", "axes-m33.json", "--count", "1", "--restarts", "1"],
+        ["verify", "identities", "axes-m70.json"],
     ]
     return cmds
 
@@ -204,8 +230,8 @@ def run_one(argv: list[str]) -> dict:
         warnings.simplefilter("ignore")
         try:
             code = cli.main([*argv, "--out", OUT])
-        except Exception:   # the console script would exit 1 with this traceback
-            code, crash = 1, traceback.format_exc()
+        except Exception:   # a crash, not a verdict: its exit is None, never a manifest's
+            code, crash = None, traceback.format_exc()
         else:
             crash = None
     if crash is not None:
@@ -242,6 +268,10 @@ def main(argv=None) -> int:
     results = record()
     elapsed = time.perf_counter() - start
     if args.update:
+        crashed = sum(e["exit"] is None for e in results)
+        if crashed:
+            print(f"not recorded: {crashed} command(s) raised (see above)")
+            return 1
         MANIFEST.write_text(json.dumps(
             {"numpy": np.__version__, "kernels": KERNEL_PIN, "commands": results},
             indent=1) + "\n")

@@ -164,6 +164,64 @@ def test_load_refuses_an_oversized_source_tensor(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _one_line_error(capsys, argv, code):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    return err
+
+
+_READERS = [
+    pytest.param(lambda path: ["extreme-points", path], id="problem"),
+    pytest.param(lambda path: ["extreme-points", "bwz", "--channels", path], id="channels"),
+    pytest.param(lambda path: ["trace", "bwz", "--directions", path], id="directions"),
+]
+
+
+@pytest.mark.parametrize("argv", _READERS)
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe{}", id="utf16-bom"),
+    pytest.param(b"[" * 100_000, id="nested-100000"),
+    pytest.param(b"[" + b"1" * 5000 + b"]", id="int-5000-digits"),   # past int's str limit
+])
+def test_cli_refuses_an_unparsable_file_on_one_line(tmp_path, capsys, argv, content):
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    err = _one_line_error(capsys, argv(str(path)), 2)
+    assert err.startswith("error: ") and str(path) in err, err
+
+
+def test_cli_refuses_a_source_mass_past_the_float_range(tmp_path, capsys):
+    path = write_problem(
+        tmp_path, l=0, alphabets={"X": [1], "S": 1, "V": 1, "Vhat": []},
+        source={"entries": [{"symbols": [0, 0, 0], "p": "1e400"}]}, distortions=[],
+    )
+    err = _one_line_error(capsys, ["extreme-points", str(path)], 2)
+    assert err.startswith("error: source probabilities sum to"), err
+
+
+@pytest.mark.parametrize("m, argv", [
+    (33, ["trace", "--count", "1", "--restarts", "1"]),
+    (33, ["extreme-points"]),
+    (33, ["verify", "identities"]),
+    (70, ["verify", "decomposition"]),
+])
+def test_cli_refuses_a_layout_past_the_axis_limit(tmp_path, capsys, m, argv):
+    # X1..XM, S, V and Z1..ZM: 2M + 2 axes of the augmented joint when J = 0
+    path = write_problem(
+        tmp_path, m=m, l=0, alphabets={"X": [1] * m, "S": 1, "V": 1, "Vhat": []},
+        source={"entries": [{"symbols": [0] * (m + 2), "p": 1}]}, distortions=[],
+    )
+    err = _one_line_error(capsys, [*argv, str(path)], 3)
+    assert f"{2 * m + 2} joint axes (> 63)" in err, err
+
+
+def test_spec_refuses_a_layout_past_the_axis_limit():
+    with pytest.raises(BudgetError, match="64 joint axes"):
+        ProblemSpec(0, np.ones((1,) * 31 + (1, 1)), [])
+    assert ProblemSpec(1, np.ones((1,) * 31 + (1, 1)), []).m == 31
+
+
 @pytest.mark.parametrize("table", [
     [[True, False], [False, True]],
     [[0, 1], ["1", 0]],
@@ -737,6 +795,10 @@ _PROBLEM = {
     pytest.param(None, {**_PROBLEM, "l": 2}, "l is 2", id="None-content20-l is 2"),
     pytest.param(None, {**_PROBLEM, "alphabets": {"X": [2], "S": 1, "V": 2, "Vhat": [3]}},
                  "alphabets.Vhat", id="None-content21-alphabets.Vhat"),
+    pytest.param(None, {**_PROBLEM, "distortions": [[[0.0, 1.0], ["1", 0.0]]]},
+                 "distortions[0][1][0]", id="None-string-in-a-distortion-table"),
+    pytest.param(None, {**_PROBLEM, "source": {"entries": [{"symbols": [0, 0, 2], "p": 1}]}},
+                 "source.entries[0]", id="None-entry-symbol-out-of-range"),
     # channel banks for bwz
     pytest.param("--channels", {"bank": []}, "channels", id="--channels-content13-channels"),
     pytest.param("--channels", {"channels": {}}, "channels must be a list",
@@ -749,11 +811,15 @@ _PROBLEM = {
                  "channels[0] (slot 1)", id="--channels-content17-channels[0] (slot 1)"),
     pytest.param("--channels", {"channels": [{"slot": 1, "rows": [[], []]}]},
                  "channels[0] (slot 1)", id="--channels-no-output-columns"),
+    pytest.param("--channels", {"channels": [{"slot": True, "rows": [[1, 0], [0, 1]]}]},
+                 "channels[0].slot", id="--channels-boolean-slot"),
     # direction files for bwz
     pytest.param("--directions", {"dirs": []}, "directions",
                  id="--directions-content18-directions"),
     pytest.param("--directions", {"directions": [{"rates": 1, "distortions": [1]}]},
                  "directions[0]", id="--directions-content19-directions[0]"),
+    pytest.param("--directions", {"directions": [{"rates": [1], "distortions": [False]}]},
+                 "directions[0].distortions[0]", id="--directions-boolean-weight"),
 ])
 def test_cli_names_the_field_of_a_malformed_file(tmp_path, capsys, flag, content, field):
     path = tmp_path / "f.json"
@@ -763,8 +829,7 @@ def test_cli_names_the_field_of_a_malformed_file(tmp_path, capsys, flag, content
         "--channels": ["extreme-points", "bwz", "--channels", str(path)],
         "--directions": ["trace", "bwz", "--directions", str(path)],
     }[flag]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
+    err = _one_line_error(capsys, argv, 2)
     assert err.startswith("error: ") and field in err, err
 
 
